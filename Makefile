@@ -3,7 +3,9 @@
 #   make build       compile every package and binary
 #   make apicheck    fail if any exported symbol of the root package (or
 #                    the cluster/transport/dataset/oocore/serve/core/chaos/
-#                    stream runtime packages) lacks a doc comment
+#                    stream runtime packages) lacks a doc comment, or if
+#                    any of them carries a deprecation marker (a replaced
+#                    API is deleted, not parked beside its successor)
 #   make lint        run cmd/kcore-lint, the domain-invariant static
 #                    analyzers (KC001-KC005; see docs/INVARIANTS.md)
 #   make test        run the full test suite
@@ -27,8 +29,10 @@
 # Lint escape hatches (all greppable, reason mandatory):
 #   //dkcore:noalloc <why>     marks a steady-state function the KC004
 #                              analyzer holds to zero allocating constructs
-#   //dkcore:estwrite <why>    blesses an Apply/refine entry point to
-#                              write estimate state (KC001)
+#   //dkcore:estwrite <why>    blesses a method of one of the two
+#                              estimate machines, core.HostState and
+#                              core.NodeState, to write estimate
+#                              state (KC001); engines own none
 #   //dkcore:noctx <why>       opts a deliberately blocking exported
 #                              function out of ctx-first (KC002)
 #   //dkcore:epochinit <why>   marks a pre-publication Epoch initializer
@@ -63,12 +67,15 @@ vet:
 # apicheck gates the public API surface: every exported symbol of the
 # root dkcore package must carry a doc comment, and the networked
 # runtime's packages (cluster, transport, dataset) are held to the same
-# standard — operators read their godoc when running a deployment.
+# standard — operators read their godoc when running a deployment. It
+# also keeps the surface one generation deep: a deprecation marker in
+# any scanned package fails the gate.
 apicheck:
 	$(GO) run ./internal/apicheck . ./internal/cluster ./internal/transport ./internal/dataset ./internal/oocore ./internal/serve ./internal/core ./internal/stream ./internal/chaos
 
 # lint runs the domain-invariant analyzers over every package: monotone
-# estimate writes, ctx-first cancellation, decode-before-allocate,
+# estimate writes (only core.HostState and core.NodeState methods hold
+# the blessing), ctx-first cancellation, decode-before-allocate,
 # noalloc hot paths, epoch immutability. docs/INVARIANTS.md catalogues
 # the invariants; the directives above are the escape hatches.
 lint:

@@ -40,10 +40,7 @@ func BenchmarkTable1(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := dkcore.DecomposeOneToOne(g, dkcore.WithSeed(int64(i+1)))
-				if err != nil {
-					b.Fatal(err)
-				}
+				res := runEngine(b, g, dkcore.OneToOne, dkcore.Seed(int64(i+1)))
 				rounds = float64(res.ExecutionTime)
 				msgsPerNode = float64(res.TotalMessages) / float64(g.NumNodes())
 			}
@@ -75,13 +72,7 @@ func BenchmarkFigure4(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := dkcore.DecomposeOneToOne(g,
-			dkcore.WithSeed(int64(i+1)),
-			dkcore.WithGroundTruth(truth),
-		)
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := runEngine(b, g, dkcore.OneToOne, dkcore.Seed(int64(i+1)), dkcore.GroundTruth(truth))
 		// The paper's observation: max error <= 1 within ~22 rounds.
 		roundsToMaxErr1 := len(res.MaxErrorTrace)
 		for r, e := range res.MaxErrorTrace {
@@ -111,11 +102,8 @@ func BenchmarkFigure5(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := dkcore.DecomposeOneToMany(g, dkcore.ModuloAssignment{H: 64},
-					dkcore.WithSeed(int64(i+1)), dkcore.WithDissemination(m.mode))
-				if err != nil {
-					b.Fatal(err)
-				}
+				res := runEngine(b, g, dkcore.OneToMany, dkcore.Hosts(64),
+					dkcore.Seed(int64(i+1)), dkcore.DisseminationPolicy(m.mode))
 				overhead = float64(res.EstimatesSent) / float64(g.NumNodes())
 			}
 			b.ReportMetric(overhead, "estimates/node")
@@ -129,12 +117,9 @@ func BenchmarkWorstCase(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := dkcore.DecomposeOneToOne(g, dkcore.WithDelivery(dkcore.DeliverNextRound))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.RoundsToQuiescence != 127 {
-			b.Fatalf("worst case rounds = %d, want 127", res.RoundsToQuiescence)
+		res := runEngine(b, g, dkcore.OneToOne, dkcore.Delivery(dkcore.DeliverNextRound))
+		if res.Rounds != 127 {
+			b.Fatalf("worst case rounds = %d, want 127", res.Rounds)
 		}
 	}
 	b.ReportMetric(127, "rounds")
@@ -148,15 +133,9 @@ func BenchmarkSendOptimizationAblation(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		seed := dkcore.WithSeed(int64(i + 1))
-		plain, err := dkcore.DecomposeOneToOne(g, seed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		opt, err := dkcore.DecomposeOneToOne(g, seed, dkcore.WithSendOptimization(true))
-		if err != nil {
-			b.Fatal(err)
-		}
+		seed := dkcore.Seed(int64(i + 1))
+		plain := runEngine(b, g, dkcore.OneToOne, seed)
+		opt := runEngine(b, g, dkcore.OneToOne, seed, dkcore.SendOptimization(true))
 		reduction = 100 * (1 - float64(opt.TotalMessages)/float64(plain.TotalMessages))
 	}
 	b.ReportMetric(reduction, "%-saved")
@@ -180,12 +159,8 @@ func BenchmarkAssignmentAblation(b *testing.B) {
 			b.ReportAllocs()
 			var overhead float64
 			for i := 0; i < b.N; i++ {
-				res, err := dkcore.DecomposeOneToMany(g, p.assign,
-					dkcore.WithSeed(int64(i+1)),
-					dkcore.WithDissemination(dkcore.PointToPoint))
-				if err != nil {
-					b.Fatal(err)
-				}
+				res := runEngine(b, g, dkcore.OneToMany, dkcore.PartitionBy(p.assign),
+					dkcore.Seed(int64(i+1)), dkcore.DisseminationPolicy(dkcore.PointToPoint))
 				overhead = float64(res.EstimatesSent) / float64(n)
 			}
 			b.ReportMetric(overhead, "estimates/node")
@@ -215,11 +190,8 @@ func BenchmarkLiveAsync(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := dkcore.DecomposeLive(g, dkcore.WithLiveSendOptimization(true))
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(res.Messages)/float64(g.NumNodes()), "msgs/node")
+		res := runEngine(b, g, dkcore.Live, dkcore.SendOptimization(true))
+		b.ReportMetric(float64(res.TotalMessages)/float64(g.NumNodes()), "msgs/node")
 	}
 }
 
@@ -230,12 +202,8 @@ func BenchmarkPregelKCore(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		coreness, supersteps, err := dkcore.DecomposePregel(g)
-		if err != nil {
-			b.Fatal(err)
-		}
-		_ = coreness
-		b.ReportMetric(float64(supersteps), "supersteps")
+		res := runEngine(b, g, dkcore.Pregel)
+		b.ReportMetric(float64(res.Rounds), "supersteps")
 	}
 }
 
@@ -247,15 +215,8 @@ func BenchmarkLossRecovery(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := dkcore.DecomposeOneToOne(g,
-			dkcore.WithSeed(int64(i+1)),
-			dkcore.WithLoss(0.3),
-			dkcore.WithRetransmitEvery(2),
-			dkcore.WithMaxRounds(200),
-		)
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := runEngine(b, g, dkcore.OneToOne, dkcore.Seed(int64(i+1)),
+			dkcore.Loss(0.3), dkcore.RetransmitEvery(2), dkcore.MaxRounds(200))
 		for u := range truth {
 			if res.Coreness[u] != truth[u] {
 				b.Fatalf("not exact under loss at node %d", u)
@@ -338,10 +299,7 @@ func BenchmarkParallelSpeedup(b *testing.B) {
 			b.ReportAllocs()
 			var rounds float64
 			for i := 0; i < b.N; i++ {
-				res, err := dkcore.DecomposeOneToOne(tc.g, dkcore.WithSeed(int64(i+1)))
-				if err != nil {
-					b.Fatal(err)
-				}
+				res := runEngine(b, tc.g, dkcore.OneToOne, dkcore.Seed(int64(i+1)))
 				rounds = float64(res.ExecutionTime)
 			}
 			b.ReportMetric(rounds, "rounds")
@@ -351,11 +309,7 @@ func BenchmarkParallelSpeedup(b *testing.B) {
 				b.ReportAllocs()
 				var rounds float64
 				for i := 0; i < b.N; i++ {
-					res, err := dkcore.DecomposeParallel(tc.g, dkcore.WithWorkers(w))
-					if err != nil {
-						b.Fatal(err)
-					}
-					rounds = float64(res.Rounds)
+					rounds = float64(runEngine(b, tc.g, dkcore.Parallel, dkcore.Workers(w)).Rounds)
 				}
 				b.ReportMetric(rounds, "rounds")
 			})

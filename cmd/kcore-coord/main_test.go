@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"net"
 	"os"
 	"path/filepath"
@@ -55,6 +56,16 @@ func TestRunFlagAndFileErrors(t *testing.T) {
 	}
 }
 
+// joinHost runs one in-process host worker against addr. The coordinator
+// binds shortly after run() starts, so the host retries its dial until it
+// is accepting; the tests assert on the coordinator's outcome.
+func joinHost(addr string) {
+	dkcore.RunClusterHost(context.Background(), dkcore.HostConfig{
+		CoordinatorAddr: addr,
+		RetryWait:       5 * time.Second,
+	})
+}
+
 // TestRunLoopbackRoundTrip drives the coordinator binary's run() against
 // two in-process hosts over a loopback TCP port and checks the printed
 // coreness.
@@ -68,19 +79,8 @@ func TestRunLoopbackRoundTrip(t *testing.T) {
 		done <- run([]string{"-in", path, "-hosts", "2", "-listen", addr}, &out)
 	}()
 
-	// The coordinator binds shortly after run() starts; hosts retry until
-	// it is accepting.
 	for i := 0; i < 2; i++ {
-		go func() {
-			deadline := time.Now().Add(5 * time.Second)
-			for {
-				_, err := dkcore.RunHost(dkcore.HostConfig{CoordinatorAddr: addr})
-				if err == nil || time.Now().After(deadline) {
-					return
-				}
-				time.Sleep(20 * time.Millisecond)
-			}
-		}()
+		go joinHost(addr)
 	}
 
 	select {
@@ -114,16 +114,7 @@ func TestRunHistogramOutput(t *testing.T) {
 	go func() {
 		done <- run([]string{"-in", path, "-hosts", "1", "-listen", addr, "-histogram"}, &out)
 	}()
-	go func() {
-		deadline := time.Now().Add(5 * time.Second)
-		for {
-			_, err := dkcore.RunHost(dkcore.HostConfig{CoordinatorAddr: addr})
-			if err == nil || time.Now().After(deadline) {
-				return
-			}
-			time.Sleep(20 * time.Millisecond)
-		}
-	}()
+	go joinHost(addr)
 	select {
 	case err := <-done:
 		if err != nil {

@@ -37,7 +37,6 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("kcore-host", flag.ContinueOnError)
 	var (
 		coord    = fs.String("coord", "127.0.0.1:7070", "coordinator address")
-		listen   = fs.String("listen", "", "deprecated: hosts no longer listen (relay runs through the coordinator)")
 		dialWait = fs.Duration("dial-wait", 10*time.Second,
 			"keep retrying transient failures (coordinator not up yet, connection lost) with backoff for this long after the last good connection; 0 = fail on first error")
 		frameTimeout = fs.Duration("frame-timeout", 0,
@@ -56,7 +55,6 @@ func run(args []string) error {
 	defer stop()
 	res, err := dkcore.RunClusterHost(ctx, dkcore.HostConfig{
 		CoordinatorAddr: *coord,
-		ListenAddr:      *listen,
 		RetryWait:       *dialWait,
 		FrameTimeout:    *frameTimeout,
 		Log:             log,

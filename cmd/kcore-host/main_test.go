@@ -13,14 +13,16 @@ func TestRunFlagErrors(t *testing.T) {
 	if err := run([]string{"-nope"}); err == nil {
 		t.Fatal("bad flag accepted")
 	}
-	if err := run([]string{"-coord", "127.0.0.1:1", "-listen", "256.0.0.1:bad"}); err == nil {
-		t.Fatal("unreachable coordinator / bad listen accepted")
+	if err := run([]string{"-dial-wait", "forever"}); err == nil {
+		t.Fatal("malformed duration accepted")
 	}
 }
 
 func TestRunUnreachableCoordinator(t *testing.T) {
-	// Port 1 on loopback refuses immediately on any sane test machine.
-	if err := run([]string{"-coord", "127.0.0.1:1"}); err == nil {
+	// Port 1 on loopback refuses immediately on any sane test machine;
+	// -dial-wait 0 makes that first failure final instead of retrying
+	// through the default 10 s budget.
+	if err := run([]string{"-coord", "127.0.0.1:1", "-dial-wait", "0"}); err == nil {
 		t.Fatal("dial to closed port succeeded")
 	}
 }
@@ -54,7 +56,7 @@ func TestRunLoopbackRoundTrip(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			hostErrs <- run([]string{"-coord", coord.Addr(), "-listen", "127.0.0.1:0"})
+			hostErrs <- run([]string{"-coord", coord.Addr()})
 		}()
 	}
 	wg.Wait()

@@ -21,9 +21,9 @@
 //	if err != nil { ... }
 //	rep, err := eng.Run(ctx, g)      // rep.Coreness, rep.Rounds, rep.TotalMessages, ...
 //
-// The eight kinds — Sequential, OneToOne, OneToMany, Live, LiveEpidemic,
-// Parallel, Pregel, Cluster — compute the same coreness and fill the
-// unified Report with the metrics their execution model defines.
+// The nine kinds — Sequential, OneToOne, OneToMany, Live, LiveEpidemic,
+// Parallel, Pregel, Cluster, OutOfCore — compute the same coreness and
+// fill the unified Report with the metrics their execution model defines.
 // Cancelling the context (or exceeding its deadline) stops any kind
 // within one round and returns ctx.Err().
 //
@@ -58,28 +58,6 @@
 // ErrQueueFull instead of blocking. The streaming maintainer underneath
 // touches only the bounded region an edge change can affect. See
 // cmd/kcore-serve for the network front end over this contract.
-//
-// # Deprecated entry points
-//
-// The pre-Engine API — Decompose, DecomposeOneToOne, DecomposeOneToMany,
-// DecomposeLive, DecomposeLiveRounds, DecomposeLiveEpidemic,
-// DecomposeParallel, DecomposePregel, RunHost — remains as thin wrappers
-// over the same internals and keeps working, but new code should use
-// NewEngine / Session. The migration is mechanical:
-//
-//	Decompose(g)                        -> NewEngine(Sequential) + Run
-//	DecomposeOneToOne(g, WithSeed(s))   -> NewEngine(OneToOne, Seed(s)) + Run
-//	DecomposeOneToMany(g, a, ...)       -> NewEngine(OneToMany, PartitionBy(a), ...) + Run
-//	DecomposeLive(g)                    -> NewEngine(Live) + Run
-//	DecomposeLiveRounds(g, r)           -> NewEngine(Live, MaxRounds(r)) + Run
-//	DecomposeLiveEpidemic(g, q)         -> NewEngine(LiveEpidemic, QuietWindow(q)) + Run
-//	DecomposeParallel(g, WithWorkers(n)) -> NewEngine(Parallel, Workers(n)) + Run
-//	DecomposePregel(g)                  -> NewEngine(Pregel) + Run
-//	RunHost(cfg)                        -> RunClusterHost(ctx, cfg)
-//
-// (each old With* option has a same-named EngineOption constructor
-// without the prefix: WithSeed -> Seed, WithMaxRounds -> MaxRounds,
-// WithWorkers -> Workers, WithAssignment -> PartitionBy, and so on)
 //
 // # Partitioning
 //
@@ -162,9 +140,6 @@ import (
 	"dkcore/internal/core"
 	"dkcore/internal/graph"
 	"dkcore/internal/kcore"
-	"dkcore/internal/live"
-	"dkcore/internal/parallel"
-	"dkcore/internal/pregel"
 	"dkcore/internal/sim"
 )
 
@@ -178,14 +153,6 @@ type Builder = graph.Builder
 // Decomposition is the result of a sequential k-core decomposition.
 type Decomposition = kcore.Decomposition
 
-// Result reports a simulated distributed run: the computed coreness and
-// the paper's performance metrics (execution time in rounds, message
-// counts, error traces).
-type Result = core.Result
-
-// LiveResult reports a live (goroutine-based) run.
-type LiveResult = live.Result
-
 // Assignment maps graph nodes to responsible hosts (the paper's h(u)).
 type Assignment = core.Assignment
 
@@ -194,9 +161,6 @@ type ModuloAssignment = core.ModuloAssignment
 
 // BlockAssignment assigns contiguous node ranges to hosts.
 type BlockAssignment = core.BlockAssignment
-
-// Option configures a simulated distributed run.
-type Option = core.Option
 
 // Dissemination selects the one-to-many update-shipping policy.
 type Dissemination = core.Dissemination
@@ -212,7 +176,7 @@ const (
 // DeliveryMode selects the simulator's message-visibility discipline.
 type DeliveryMode = sim.DeliveryMode
 
-// Delivery modes for WithDelivery.
+// Delivery modes for the Delivery option.
 const (
 	// DeliverNextRound is strict synchrony (the §4 analysis model).
 	DeliverNextRound = sim.DeliverNextRound
@@ -251,142 +215,9 @@ func Decompose(g *Graph) *Decomposition { return kcore.Decompose(g) }
 // assignment.
 func VerifyLocality(g *Graph, coreness []int) error { return kcore.VerifyLocality(g, coreness) }
 
-// DecomposeOneToOne runs the simulated one-to-one protocol (Algorithm 1):
-// one process per node.
-//
-// Deprecated: use NewEngine(OneToOne, ...) and Engine.Run, which add
-// context cancellation and the unified Report.
-func DecomposeOneToOne(g *Graph, opts ...Option) (*Result, error) {
-	return core.RunOneToOne(context.Background(), g, opts...)
-}
-
-// DecomposeOneToMany runs the simulated one-to-many protocol
-// (Algorithm 3) over the hosts defined by the assignment.
-//
-// Deprecated: use NewEngine(OneToMany, PartitionBy(assign), ...) and
-// Engine.Run.
-func DecomposeOneToMany(g *Graph, assign Assignment, opts ...Option) (*Result, error) {
-	return core.RunOneToMany(context.Background(), g, assign, opts...)
-}
-
-// WithSeed sets the seed for the run's randomized operation order.
-func WithSeed(seed int64) Option { return core.WithSeed(seed) }
-
-// WithMaxRounds overrides the round budget.
-func WithMaxRounds(n int) Option { return core.WithMaxRounds(n) }
-
-// WithDelivery selects DeliverNextRound or DeliverSameRound.
-func WithDelivery(mode DeliveryMode) Option { return core.WithDelivery(mode) }
-
-// WithSendOptimization toggles the §3.1.2 message filter.
-func WithSendOptimization(on bool) Option { return core.WithSendOptimization(on) }
-
-// WithDissemination selects Broadcast or PointToPoint (one-to-many).
-func WithDissemination(d Dissemination) Option { return core.WithDissemination(d) }
-
-// WithGroundTruth enables per-round error traces against the given true
-// coreness values.
-func WithGroundTruth(coreness []int) Option { return core.WithGroundTruth(coreness) }
-
-// WithSnapshot observes per-node estimates at the end of each round. The
-// slice is reused between calls and must not be retained.
-func WithSnapshot(fn func(round int, estimates []int)) Option { return core.WithSnapshot(fn) }
-
-// WithLoss drops each message independently with the given probability —
-// an extension past the paper's reliable-channel assumption. Combine
-// with WithRetransmitEvery to keep convergence exact.
-func WithLoss(rate float64) Option { return core.WithLoss(rate) }
-
-// WithRetransmitEvery rebroadcasts current estimates every k rounds even
-// when unchanged (one-to-one only), restoring liveness under loss. Such
-// runs execute exactly the WithMaxRounds budget.
-func WithRetransmitEvery(k int) Option { return core.WithRetransmitEvery(k) }
-
 // NewRandomAssignment assigns each node to a uniformly random host.
 func NewRandomAssignment(n, h int, seed int64) Assignment {
 	return core.NewRandomAssignment(n, h, seed)
-}
-
-// DecomposeLive runs the protocol with one goroutine per node and
-// asynchronous message passing, detecting termination with the
-// centralized credit-counting approach. The result is exact.
-//
-// Deprecated: use NewEngine(Live, ...) and Engine.Run.
-func DecomposeLive(g *Graph, opts ...live.Option) (*LiveResult, error) {
-	return live.Decompose(context.Background(), g, opts...)
-}
-
-// DecomposeLiveRounds runs the live runtime for a fixed number of
-// δ-rounds (the paper's fixed-round termination), returning possibly
-// approximate estimates.
-//
-// Deprecated: use NewEngine(Live, MaxRounds(rounds), ...) and Engine.Run.
-func DecomposeLiveRounds(g *Graph, rounds int, opts ...live.Option) (*LiveResult, error) {
-	return live.DecomposeRounds(context.Background(), g, rounds, opts...)
-}
-
-// DecomposeLiveEpidemic runs the live runtime with the decentralized
-// epidemic termination detector (quiet = required silence window).
-//
-// Deprecated: use NewEngine(LiveEpidemic, QuietWindow(quiet), ...) and
-// Engine.Run.
-func DecomposeLiveEpidemic(g *Graph, quiet int, opts ...live.Option) (*LiveResult, error) {
-	return live.DecomposeEpidemic(context.Background(), g, quiet, opts...)
-}
-
-// LiveOption configures the live runtime.
-type LiveOption = live.Option
-
-// WithLiveSendOptimization toggles the §3.1.2 filter in live runs.
-func WithLiveSendOptimization(on bool) LiveOption { return live.WithSendOptimization(on) }
-
-// WithLiveSeed seeds the epidemic detector's gossip.
-func WithLiveSeed(seed int64) LiveOption { return live.WithSeed(seed) }
-
-// WithLiveWorkers bounds worker parallelism of the round-based live
-// modes (0 = GOMAXPROCS).
-func WithLiveWorkers(n int) LiveOption { return live.WithWorkers(n) }
-
-// ParallelResult reports a parallel shared-memory decomposition: the
-// exact coreness plus round, worker, and cross-partition traffic counts.
-type ParallelResult = parallel.Result
-
-// ParallelOption configures DecomposeParallel.
-type ParallelOption = parallel.Option
-
-// DecomposeParallel computes the exact decomposition with a partitioned
-// shared-memory engine: the graph is sharded across P worker goroutines
-// that run their partitions' local cascades concurrently and exchange
-// cross-partition estimates as batched per-destination deltas between
-// BSP rounds. It is the fastest execution path for large graphs; results
-// are deterministic regardless of scheduling.
-//
-// Deprecated: use NewEngine(Parallel, Workers(...)) and Engine.Run.
-func DecomposeParallel(g *Graph, opts ...ParallelOption) (*ParallelResult, error) {
-	return parallel.Decompose(context.Background(), g, opts...)
-}
-
-// WithWorkers sets DecomposeParallel's partition/goroutine count
-// (default: GOMAXPROCS, capped at the node count).
-func WithWorkers(n int) ParallelOption { return parallel.WithWorkers(n) }
-
-// WithAssignment shards DecomposeParallel's graph with an explicit
-// node-to-partition policy; the worker count becomes the assignment's
-// host count.
-func WithAssignment(a Assignment) ParallelOption { return parallel.WithAssignment(a) }
-
-// WithParallelMaxRounds overrides DecomposeParallel's round budget.
-func WithParallelMaxRounds(n int) ParallelOption { return parallel.WithMaxRounds(n) }
-
-// DecomposePregel runs the protocol as a vertex program on the built-in
-// Pregel-style BSP engine — the deployment path the paper's conclusions
-// (§6) propose. It returns the exact coreness and the number of
-// supersteps the program took.
-//
-// Deprecated: use NewEngine(Pregel, ...) and Engine.Run.
-func DecomposePregel(g *Graph) (coreness []int, supersteps int, err error) {
-	coreness, res, err := pregel.KCore(context.Background(), g)
-	return coreness, res.Supersteps, err
 }
 
 // ClusterConfig configures a networked coordinator.
@@ -415,17 +246,4 @@ type HostResult = cluster.HostResult
 // connections down promptly and returns ctx.Err().
 func RunClusterHost(ctx context.Context, cfg HostConfig) (*HostResult, error) {
 	return cluster.RunHost(ctx, cfg)
-}
-
-// RunHost joins a networked cluster and serves a partition until the
-// coordinator signals termination, returning the host's owned estimates.
-//
-// Deprecated: use RunClusterHost, which takes a context and returns the
-// full per-host result.
-func RunHost(cfg HostConfig) (map[int]int, error) {
-	res, err := cluster.RunHost(context.Background(), cfg)
-	if err != nil {
-		return nil, err
-	}
-	return res.Coreness, nil
 }

@@ -2,11 +2,27 @@ package dkcore_test
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
 	"dkcore"
 )
+
+// runEngine runs one engine kind on g through the public facade, failing
+// the test or benchmark on any construction or run error.
+func runEngine(tb testing.TB, g *dkcore.Graph, kind dkcore.EngineKind, opts ...dkcore.EngineOption) *dkcore.Report {
+	tb.Helper()
+	eng, err := dkcore.NewEngine(kind, opts...)
+	if err != nil {
+		tb.Fatalf("engine/%s: %v", kind, err)
+	}
+	rep, err := eng.Run(context.Background(), g)
+	if err != nil {
+		tb.Fatalf("engine/%s: %v", kind, err)
+	}
+	return rep
+}
 
 // paperFig2 is the worked example from §3.1.1 of the paper.
 func paperFig2() *dkcore.Graph {
@@ -33,19 +49,10 @@ func TestPublicDistributedAPI(t *testing.T) {
 	g := paperFig2()
 	truth := dkcore.Decompose(g).CorenessValues()
 
-	one, err := dkcore.DecomposeOneToOne(g,
-		dkcore.WithSeed(3),
-		dkcore.WithSendOptimization(true),
-		dkcore.WithGroundTruth(truth),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	many, err := dkcore.DecomposeOneToMany(g, dkcore.ModuloAssignment{H: 2},
-		dkcore.WithDissemination(dkcore.PointToPoint))
-	if err != nil {
-		t.Fatal(err)
-	}
+	one := runEngine(t, g, dkcore.OneToOne,
+		dkcore.Seed(3), dkcore.SendOptimization(true), dkcore.GroundTruth(truth))
+	many := runEngine(t, g, dkcore.OneToMany,
+		dkcore.PartitionBy(dkcore.ModuloAssignment{H: 2}), dkcore.DisseminationPolicy(dkcore.PointToPoint))
 	for u := range truth {
 		if one.Coreness[u] != truth[u] || many.Coreness[u] != truth[u] {
 			t.Fatalf("node %d: one %d many %d truth %d", u, one.Coreness[u], many.Coreness[u], truth[u])
@@ -59,23 +66,14 @@ func TestPublicDistributedAPI(t *testing.T) {
 func TestPublicLiveAPI(t *testing.T) {
 	g := paperFig2()
 	truth := dkcore.Decompose(g).CorenessValues()
-	res, err := dkcore.DecomposeLive(g, dkcore.WithLiveSendOptimization(true))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runEngine(t, g, dkcore.Live, dkcore.SendOptimization(true))
 	for u := range truth {
 		if res.Coreness[u] != truth[u] {
 			t.Fatalf("live node %d: %d want %d", u, res.Coreness[u], truth[u])
 		}
 	}
-	fixed, err := dkcore.DecomposeLiveRounds(g, 50, dkcore.WithLiveWorkers(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	epi, err := dkcore.DecomposeLiveEpidemic(g, 10, dkcore.WithLiveSeed(5))
-	if err != nil {
-		t.Fatal(err)
-	}
+	fixed := runEngine(t, g, dkcore.Live, dkcore.MaxRounds(50), dkcore.Workers(2))
+	epi := runEngine(t, g, dkcore.LiveEpidemic, dkcore.QuietWindow(10), dkcore.Seed(5))
 	for u := range truth {
 		if fixed.Coreness[u] != truth[u] || epi.Coreness[u] != truth[u] {
 			t.Fatalf("node %d: fixed %d epidemic %d truth %d", u, fixed.Coreness[u], epi.Coreness[u], truth[u])
@@ -118,11 +116,11 @@ func TestPublicClusterAPI(t *testing.T) {
 	errs := make(chan error, 2)
 	for i := 0; i < 2; i++ {
 		go func() {
-			_, err := dkcore.RunHost(dkcore.HostConfig{CoordinatorAddr: coord.Addr()})
+			_, err := dkcore.RunClusterHost(context.Background(), dkcore.HostConfig{CoordinatorAddr: coord.Addr()})
 			errs <- err
 		}()
 	}
-	res, err := coord.Run()
+	res, err := coord.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,16 +173,13 @@ func TestPublicGenerators(t *testing.T) {
 func TestPublicPregelAPI(t *testing.T) {
 	g := dkcore.GenerateBarabasiAlbert(200, 3, 5)
 	truth := dkcore.Decompose(g).CorenessValues()
-	coreness, supersteps, err := dkcore.DecomposePregel(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if supersteps < 1 {
-		t.Fatalf("supersteps = %d", supersteps)
+	rep := runEngine(t, g, dkcore.Pregel)
+	if rep.Rounds < 1 {
+		t.Fatalf("supersteps = %d", rep.Rounds)
 	}
 	for u := range truth {
-		if coreness[u] != truth[u] {
-			t.Fatalf("node %d: pregel %d want %d", u, coreness[u], truth[u])
+		if rep.Coreness[u] != truth[u] {
+			t.Fatalf("node %d: pregel %d want %d", u, rep.Coreness[u], truth[u])
 		}
 	}
 }
@@ -192,14 +187,8 @@ func TestPublicPregelAPI(t *testing.T) {
 func TestPublicLossAndRetransmission(t *testing.T) {
 	g := dkcore.GenerateGNM(120, 480, 3)
 	truth := dkcore.Decompose(g).CorenessValues()
-	res, err := dkcore.DecomposeOneToOne(g,
-		dkcore.WithLoss(0.3),
-		dkcore.WithRetransmitEvery(2),
-		dkcore.WithMaxRounds(300),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runEngine(t, g, dkcore.OneToOne,
+		dkcore.Loss(0.3), dkcore.RetransmitEvery(2), dkcore.MaxRounds(300))
 	for u := range truth {
 		if res.Coreness[u] != truth[u] {
 			t.Fatalf("node %d: %d want %d", u, res.Coreness[u], truth[u])

@@ -10,11 +10,9 @@ package dkcore
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"dkcore/internal/cluster"
@@ -662,56 +660,12 @@ func runClusterKind(ctx context.Context, cfg engineConfig, g *Graph) (*Report, e
 	if !cfg.set["Hosts"] {
 		hosts = 2
 	}
-	listen := cfg.listenAddr
-	if listen == "" {
-		listen = "127.0.0.1:0"
-	}
-	coord, err := cluster.NewCoordinator(cluster.CoordinatorConfig{
+	res, hostResults, err := cluster.RunLocal(ctx, cluster.CoordinatorConfig{
 		Graph:      g,
 		NumHosts:   hosts,
-		ListenAddr: listen,
+		ListenAddr: cfg.listenAddr, // "" means 127.0.0.1:0
 		MaxRounds:  cfg.maxRounds,
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	// A failing host must never strand the coordinator in Accept/Recv:
-	// every host failure cancels runCtx, whose watchdog tears the
-	// coordinator down, and vice versa once the coordinator returns.
-	runCtx, cancelRun := context.WithCancel(ctx)
-	defer cancelRun()
-	hostResults := make([]*cluster.HostResult, hosts)
-	hostErrs := make([]error, hosts)
-	var wg sync.WaitGroup
-	for i := 0; i < hosts; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			hostResults[i], hostErrs[i] = cluster.RunHost(runCtx,
-				cluster.HostConfig{CoordinatorAddr: coord.Addr()})
-			if hostErrs[i] != nil {
-				cancelRun()
-			}
-		}(i)
-	}
-	res, err := coord.RunContext(runCtx)
-	cancelRun()
-	wg.Wait()
-	if outer := ctx.Err(); outer != nil {
-		return nil, outer
-	}
-	// Precedence: the coordinator's own failure, then the host failure
-	// that triggered a teardown; cancellations induced by either are
-	// only symptoms and never reported on their own.
-	if err != nil && !errors.Is(err, context.Canceled) {
-		return nil, err
-	}
-	for i, herr := range hostErrs {
-		if herr != nil && !errors.Is(herr, context.Canceled) {
-			return nil, fmt.Errorf("dkcore: cluster host %d: %w", i, herr)
-		}
-	}
+	}, cluster.HostConfig{})
 	if err != nil {
 		return nil, err
 	}

@@ -404,8 +404,8 @@ func TestEngineZeroValueRun(t *testing.T) {
 	}
 }
 
-// TestEngineLiveRoundsWorkers: the DecomposeLiveRounds migration path
-// can express a worker bound (Live + MaxRounds + Workers).
+// TestEngineLiveRoundsWorkers: Live's fixed-round mode can express a
+// worker bound (Live + MaxRounds + Workers).
 func TestEngineLiveRoundsWorkers(t *testing.T) {
 	g := dkcore.GenerateGNM(60, 240, 2)
 	eng, err := dkcore.NewEngine(dkcore.Live, dkcore.MaxRounds(10*g.NumNodes()), dkcore.Workers(2))

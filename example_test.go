@@ -7,22 +7,26 @@ import (
 	"dkcore"
 )
 
-// ExampleDecomposeParallel decomposes the paper's Figure-2 graph with the
-// partitioned shared-memory engine and prints the exact coreness of every
-// node. The result is identical for any worker count.
-func ExampleDecomposeParallel() {
+// ExampleNewEngine decomposes the paper's Figure-2 graph, built edge by
+// edge, with the partitioned shared-memory engine and prints the exact
+// coreness of every node. The result is identical for any worker count.
+func ExampleNewEngine() {
 	b := dkcore.NewBuilder(0)
 	for _, e := range [][2]int{{0, 1}, {1, 2}, {1, 3}, {2, 3}, {2, 4}, {3, 4}, {4, 5}} {
 		b.AddEdge(e[0], e[1])
 	}
 	g := b.Build()
 
-	res, err := dkcore.DecomposeParallel(g, dkcore.WithWorkers(2))
+	eng, err := dkcore.NewEngine(dkcore.Parallel, dkcore.Workers(2))
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println(res.Coreness)
-	// Output: [1 2 2 2 2 1]
+	rep, err := eng.Run(context.Background(), g)
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println(rep.Coreness, rep.Workers)
+	// Output: [1 2 2 2 2 1] 2
 }
 
 // ExampleEngine_Run decomposes the Figure-2 graph through the unified

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -20,27 +21,17 @@ func main() {
 
 	// Asynchronous live run: every node is a goroutine; termination via
 	// the centralized credit-count detector.
-	async, err := dkcore.DecomposeLive(g, dkcore.WithLiveSendOptimization(true))
-	if err != nil {
-		log.Fatal(err)
-	}
-	exact := equal(async.Coreness, truth)
-	fmt.Printf("async live run:    %d messages, exact=%v\n", async.Messages, exact)
+	async := run(g, dkcore.Live, dkcore.SendOptimization(true))
+	fmt.Printf("async live run:    %d messages, exact=%v\n", async.TotalMessages, equal(async.Coreness, truth))
 
 	// Decentralized epidemic termination: nodes gossip the last round in
 	// which anyone changed, and stop after a quiet window.
-	epi, err := dkcore.DecomposeLiveEpidemic(g, 25, dkcore.WithLiveSeed(5))
-	if err != nil {
-		log.Fatal(err)
-	}
+	epi := run(g, dkcore.LiveEpidemic, dkcore.QuietWindow(25), dkcore.Seed(5))
 	fmt.Printf("epidemic run:      %d rounds, exact=%v\n", epi.Rounds, equal(epi.Coreness, truth))
 
 	// Fixed-round budget: approximate but fast (§3.3, third option).
 	for _, budget := range []int{3, 6, 12} {
-		res, err := dkcore.DecomposeLiveRounds(g, budget)
-		if err != nil {
-			log.Fatal(err)
-		}
+		res := run(g, dkcore.Live, dkcore.MaxRounds(budget))
 		wrong := 0
 		for u := range truth {
 			if res.Coreness[u] != truth[u] {
@@ -50,6 +41,19 @@ func main() {
 		fmt.Printf("fixed %2d rounds:   %5d of %d nodes still approximate (%.2f%%)\n",
 			budget, wrong, g.NumNodes(), 100*float64(wrong)/float64(g.NumNodes()))
 	}
+}
+
+// run decomposes g on one engine kind, exiting on any error.
+func run(g *dkcore.Graph, kind dkcore.EngineKind, opts ...dkcore.EngineOption) *dkcore.Report {
+	eng, err := dkcore.NewEngine(kind, opts...)
+	if err != nil {
+		log.Fatal(err)
+	}
+	rep, err := eng.Run(context.Background(), g)
+	if err != nil {
+		log.Fatal(err)
+	}
+	return rep
 }
 
 func equal(a, b []int) bool {

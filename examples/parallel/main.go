@@ -1,5 +1,5 @@
 // Parallel: the partitioned shared-memory engine. Where the simulator
-// exists to measure the protocol, DecomposeParallel exists to decompose
+// exists to measure the protocol, the Parallel kind exists to decompose
 // big graphs fast: the graph is sharded across worker goroutines that
 // cascade their partitions concurrently and exchange batched
 // per-destination estimate deltas between BSP rounds. The example sweeps
@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -27,12 +28,14 @@ func main() {
 	fmt.Println("workers  rounds  estimates/node  time")
 
 	for _, workers := range []int{1, 2, 4, 8} {
-		start := time.Now()
-		res, err := dkcore.DecomposeParallel(g, dkcore.WithWorkers(workers))
+		eng, err := dkcore.NewEngine(dkcore.Parallel, dkcore.Workers(workers))
 		if err != nil {
 			log.Fatal(err)
 		}
-		elapsed := time.Since(start)
+		res, err := eng.Run(context.Background(), g)
+		if err != nil {
+			log.Fatal(err)
+		}
 		for u, k := range truth {
 			if res.Coreness[u] != k {
 				log.Fatalf("worker=%d: node %d got %d, want %d", workers, u, res.Coreness[u], k)
@@ -41,6 +44,6 @@ func main() {
 		fmt.Printf("%7d  %6d  %14.2f  %v\n",
 			res.Workers, res.Rounds,
 			float64(res.EstimatesSent)/float64(g.NumNodes()),
-			elapsed.Round(time.Millisecond))
+			res.WallTime.Round(time.Millisecond))
 	}
 }

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -27,10 +28,12 @@ func main() {
 			{"broadcast", dkcore.Broadcast},
 			{"point-to-point", dkcore.PointToPoint},
 		} {
-			res, err := dkcore.DecomposeOneToMany(g,
-				dkcore.ModuloAssignment{H: hosts},
-				dkcore.WithDissemination(policy.mode),
-			)
+			eng, err := dkcore.NewEngine(dkcore.OneToMany,
+				dkcore.Hosts(hosts), dkcore.DisseminationPolicy(policy.mode))
+			if err != nil {
+				log.Fatal(err)
+			}
+			res, err := eng.Run(context.Background(), g)
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -15,6 +16,10 @@ import (
 )
 
 func main() {
+	eng, err := dkcore.NewEngine(dkcore.Pregel)
+	if err != nil {
+		log.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name string
 		g    *dkcore.Graph
@@ -25,18 +30,18 @@ func main() {
 		{"worst case (Fig. 3)", dkcore.GenerateWorstCase(512)},
 	} {
 		truth := dkcore.Decompose(tc.g).CorenessValues()
-		coreness, supersteps, err := dkcore.DecomposePregel(tc.g)
+		rep, err := eng.Run(context.Background(), tc.g)
 		if err != nil {
 			log.Fatal(err)
 		}
 		exact := true
 		for u := range truth {
-			if coreness[u] != truth[u] {
+			if rep.Coreness[u] != truth[u] {
 				exact = false
 				break
 			}
 		}
 		fmt.Printf("%-28s %6d nodes  %4d supersteps  exact=%v\n",
-			tc.name, tc.g.NumNodes(), supersteps, exact)
+			tc.name, tc.g.NumNodes(), rep.Rounds, exact)
 	}
 }

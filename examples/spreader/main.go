@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -23,7 +24,11 @@ func main() {
 
 	// The live protocol computes coreness in-network; every node could do
 	// this at run time on the real overlay.
-	res, err := dkcore.DecomposeLive(g)
+	eng, err := dkcore.NewEngine(dkcore.Live)
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := eng.Run(context.Background(), g)
 	if err != nil {
 		log.Fatal(err)
 	}

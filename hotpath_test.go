@@ -80,11 +80,7 @@ func BenchmarkRefineHotPath(b *testing.B) {
 		var rounds int
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			res, err := dkcore.DecomposeParallel(g, dkcore.WithWorkers(p))
-			if err != nil {
-				b.Fatal(err)
-			}
-			rounds = res.Rounds
+			rounds = runEngine(b, g, dkcore.Parallel, dkcore.Workers(p)).Rounds
 		}
 		b.ReportMetric(float64(rounds), "rounds")
 	})

@@ -24,6 +24,21 @@ func rogueBump(h *host, u int) {
 	h.coreness[u]++ // want "KC001: write to estimate state"
 }
 
+// nodeState has the shape of core.NodeState, the per-node machine: the
+// vector is an unexported `est` field, so the rule guards it by name.
+type nodeState struct {
+	neighbors []int
+	est       []int
+	core      int
+}
+
+// rogueNodeWrite is what a runtime reaching into the node machine
+// instead of calling Deliver would look like.
+func rogueNodeWrite(s *nodeState, i, k int) {
+	s.est[i] = k // want "KC001: write to estimate state"
+	s.core = k
+}
+
 //dkcore:estwrite the test package's blessed pointwise-min Apply path
 func blessedApply(h *host, u, v int) {
 	if v < h.est[u] {

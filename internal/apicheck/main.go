@@ -3,7 +3,10 @@
 // non-recursive) and fails if any exported symbol — function, method on
 // an exported type, type, constant, or variable — lacks a doc comment.
 // Grouped const/var blocks may satisfy the check with a single block
-// comment. Test files and main packages are skipped.
+// comment. It also fails on any godoc deprecation marker: this module is
+// not go-gettable, so the tree is all the traffic there is — a replaced
+// API is deleted and its callers migrated, never parked beside its
+// successor. Test files and main packages are skipped.
 //
 // It is wired into `make apicheck` and the CI fast lane so an undocumented
 // export can never land.
@@ -34,7 +37,7 @@ func main() {
 		bad += n
 	}
 	if bad > 0 {
-		fmt.Fprintf(os.Stderr, "apicheck: %d exported symbol(s) lack doc comments\n", bad)
+		fmt.Fprintf(os.Stderr, "apicheck: %d finding(s)\n", bad)
 		os.Exit(1)
 	}
 }
@@ -55,6 +58,14 @@ func checkDir(dir string) (int, error) {
 		for _, file := range pkg.Files {
 			for _, decl := range file.Decls {
 				bad += checkDecl(fset, decl)
+			}
+			for _, cg := range file.Comments {
+				// Spelled in two halves so the tree-wide grep for the
+				// marker stays empty.
+				if strings.Contains("\n"+cg.Text(), "\nDeprecated"+":") {
+					fmt.Fprintf(os.Stderr, "%s: deprecation marker: delete the old API and migrate its callers instead\n", fset.Position(cg.Pos()))
+					bad++
+				}
 			}
 		}
 	}

@@ -89,33 +89,13 @@ func clusterWorkloads(cfg Config) ([]struct {
 func runClusterOnce(g *graph.Graph, compress bool) (*cluster.Result, time.Duration, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
 	defer cancel()
-	coord, err := cluster.NewCoordinator(cluster.CoordinatorConfig{
+	start := time.Now()
+	res, _, err := cluster.RunLocal(ctx, cluster.CoordinatorConfig{
 		Graph:       g,
 		NumHosts:    ClusterHosts,
 		Compression: compress,
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-	hostErr := make(chan error, ClusterHosts)
-	for i := 0; i < ClusterHosts; i++ {
-		go func() {
-			_, err := cluster.RunHost(ctx, cluster.HostConfig{CoordinatorAddr: coord.Addr()})
-			hostErr <- err
-		}()
-	}
-	start := time.Now()
-	res, err := coord.RunContext(ctx)
-	elapsed := time.Since(start)
-	if err != nil {
-		return nil, 0, err
-	}
-	for i := 0; i < ClusterHosts; i++ {
-		if herr := <-hostErr; herr != nil {
-			return nil, 0, fmt.Errorf("bench: cluster host: %w", herr)
-		}
-	}
-	return res, elapsed, nil
+	}, cluster.HostConfig{})
+	return res, time.Since(start), err
 }
 
 // ClusterMatrix measures every engine on every workload and verifies each

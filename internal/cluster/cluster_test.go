@@ -6,7 +6,6 @@ import (
 	"errors"
 	"slices"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -20,28 +19,9 @@ import (
 // and returns the coordinator's result.
 func runCluster(t *testing.T, g *graph.Graph, numHosts int) *Result {
 	t.Helper()
-	coord, err := NewCoordinator(CoordinatorConfig{Graph: g, NumHosts: numHosts})
+	res, _, err := RunLocal(context.Background(), CoordinatorConfig{Graph: g, NumHosts: numHosts}, HostConfig{})
 	if err != nil {
 		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	hostErrs := make([]error, numHosts)
-	for i := 0; i < numHosts; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, hostErrs[i] = RunHost(context.Background(), HostConfig{CoordinatorAddr: coord.Addr()})
-		}(i)
-	}
-	res, err := coord.RunContext(context.Background())
-	wg.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, herr := range hostErrs {
-		if herr != nil {
-			t.Fatalf("host %d: %v", i, herr)
-		}
 	}
 	return res
 }

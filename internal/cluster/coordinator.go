@@ -140,13 +140,6 @@ func (c *Coordinator) Leave(hostID int) error {
 	}
 }
 
-// Run is RunContext with a background context.
-//
-// Deprecated: use RunContext, which supports cancellation.
-func (c *Coordinator) Run() (*Result, error) {
-	return c.RunContext(context.Background())
-}
-
 // RunContext accepts NumHosts hosts, distributes partitions, drives
 // rounds until global quiescence, and assembles the result — absorbing
 // host deaths, restarts, and membership changes along the way according

@@ -29,11 +29,6 @@ const (
 type HostConfig struct {
 	// CoordinatorAddr is the coordinator's TCP address.
 	CoordinatorAddr string
-	// ListenAddr is ignored: hosts no longer open a listener — all
-	// traffic is relayed over the coordinator connection.
-	//
-	// Deprecated: remove from call sites; retained so they compile.
-	ListenAddr string
 	// DialTimeout bounds one dial attempt. 0 means 10s.
 	DialTimeout time.Duration
 	// RetryWait is how long the host keeps retrying transient failures

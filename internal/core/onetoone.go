@@ -1,30 +1,20 @@
 package core
 
 import (
-	"sort"
-
 	"dkcore/internal/graph"
 	"dkcore/internal/sim"
 )
 
-// oneToOneNode is Algorithm 1: the per-node protocol for the scenario
-// where each graph node is its own host.
-//
-// State follows the paper exactly: core is the local coreness estimate
-// (initialized to the degree), est holds the most recent estimate received
-// from each neighbor (initialized to +∞), and changed marks whether core
-// was lowered since the last periodic send. ref mirrors est as a clamped
-// support histogram so a received drop costs O(1) and a recomputation
-// costs the levels walked, not the degree (see refine.go) — the node
-// computes exactly what per-message ComputeIndex would, cheaper.
+// oneToOneNode is Algorithm 1 on the round simulator: the per-node
+// protocol for the scenario where each graph node is its own host. The
+// update rule is NodeState's; this type adds only the periodic-send
+// bookkeeping — changed marks whether the estimate was lowered since the
+// last periodic send.
 type oneToOneNode struct {
-	id        int
-	neighbors []int // sorted adjacency, aliases the graph's storage
-	core      int
-	est       []int // est[i] is the last estimate received from neighbors[i]
-	ref       Refiner
-	changed   bool
-	sendOpt   bool // §3.1.2: send to v only when core < est[v]
+	id      int
+	st      NodeState // adjacency aliases the graph's storage
+	changed bool
+	sendOpt bool // §3.1.2: send to v only when it can still lower v's index
 	// retransmit > 0 rebroadcasts the current estimate every that many
 	// rounds even when unchanged, the loss-tolerance extension.
 	retransmit int
@@ -33,50 +23,22 @@ type oneToOneNode struct {
 var _ sim.Process[EstimateMsg] = (*oneToOneNode)(nil)
 
 func newOneToOneNode(g *graph.Graph, id int, sendOpt bool) *oneToOneNode {
-	ns := g.Neighbors(id)
-	est := make([]int, len(ns))
-	for i := range est {
-		est[i] = InfEstimate
-	}
-	deg := len(ns)
-	n := &oneToOneNode{
-		id:        id,
-		neighbors: ns,
-		core:      deg,
-		est:       est,
-		sendOpt:   sendOpt,
-	}
-	n.ref.Rebuild(deg, est)
-	return n
+	return &oneToOneNode{id: id, st: NewNodeState(g.Neighbors(id)), sendOpt: sendOpt}
 }
 
 // Init broadcasts ⟨u, d(u)⟩ to every neighbor.
 func (n *oneToOneNode) Init(ctx *sim.Context[EstimateMsg]) {
-	msg := EstimateMsg{Node: n.id, Core: n.core}
-	for _, v := range n.neighbors {
+	msg := EstimateMsg{Node: n.id, Core: n.st.Core()}
+	for _, v := range n.st.Neighbors() {
 		ctx.Send(v, msg)
 	}
 }
 
 // Deliver handles a ⟨v, k⟩ message: store the improved neighbor estimate
 // and recompute the local one.
-//
-//dkcore:estwrite the one-to-one Apply entry point; pointwise-min guarded above
 func (n *oneToOneNode) Deliver(_ *sim.Context[EstimateMsg], from int, msg EstimateMsg) {
-	i := n.neighborIndex(from)
-	if i < 0 {
-		return // not a neighbor; ignore stray traffic
-	}
-	if msg.Core >= n.est[i] {
-		return
-	}
-	old := n.est[i]
-	n.est[i] = msg.Core
-	if n.ref.Lower(old, msg.Core) {
-		if t := n.ref.Refine(); t < n.core {
-			n.core = t
-			n.changed = true
-		}
+	if n.st.Deliver(from, msg.Core) {
+		n.changed = true
 	}
 }
 
@@ -88,10 +50,9 @@ func (n *oneToOneNode) Tick(ctx *sim.Context[EstimateMsg]) {
 	if !n.changed && !refresh {
 		return
 	}
-	msg := EstimateMsg{Node: n.id, Core: n.core}
-	for i, v := range n.neighbors {
-		if n.sendOpt && n.core >= n.est[i] {
-			// The new estimate cannot lower v's index; skip the message.
+	msg := EstimateMsg{Node: n.id, Core: n.st.Core()}
+	for i, v := range n.st.Neighbors() {
+		if n.sendOpt && !n.st.CanLower(i) {
 			continue
 		}
 		ctx.Send(v, msg)
@@ -100,12 +61,4 @@ func (n *oneToOneNode) Tick(ctx *sim.Context[EstimateMsg]) {
 }
 
 // Core returns the node's current coreness estimate.
-func (n *oneToOneNode) Core() int { return n.core }
-
-func (n *oneToOneNode) neighborIndex(v int) int {
-	i := sort.SearchInts(n.neighbors, v)
-	if i < len(n.neighbors) && n.neighbors[i] == v {
-		return i
-	}
-	return -1
-}
+func (n *oneToOneNode) Core() int { return n.st.Core() }

@@ -82,11 +82,11 @@ func supportFold(cnt []int, k, b int) {
 	cnt[b] = sup
 }
 
-// Refiner packages the incremental support counter for engines that keep
-// one independent state object per node (the one-to-one simulator node,
-// the live runtimes, the Pregel vertex program). The node stores its raw
-// neighbor estimates wherever it likes; the Refiner only sees drops and
-// answers "what is my estimate now" without touching the adjacency.
+// Refiner packages the incremental support counter for NodeState, the
+// per-node machine under every engine that keeps one independent state
+// object per node. NodeState stores the raw neighbor estimates; the
+// Refiner only sees drops and answers "what is my estimate now" without
+// touching the adjacency.
 //
 // The zero value is a degree-0 node (estimate 0); call Rebuild to bind it
 // to a real estimate vector. HostState uses the same supportLower /
@@ -99,9 +99,8 @@ type Refiner struct {
 
 // Rebuild resets the refiner to estimate k over the given raw neighbor
 // estimates (values above k, including InfEstimate, clamp to k). It is
-// the only entry point that may raise the estimate, so mutation paths
-// that re-seed upper bounds (live.Mutable) call it after editing the
-// estimate vector in place.
+// the only entry point that may raise the estimate, so NodeState's
+// mutation-absorbing methods, which re-seed upper bounds, end in it.
 func (r *Refiner) Rebuild(k int, est []int) {
 	r.k = k
 	if cap(r.cnt) < k+1 {

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dkcore/internal/gen"
@@ -32,8 +33,9 @@ func TestComputeIndexScratchSmallerThanBound(t *testing.T) {
 // sequences — including drops from InfEstimate, drops to 0, and
 // repeated drops of the same neighbor — asserting after every step that
 // its estimate equals ComputeIndex over the raw estimate vector with the
-// same running bound. This is the per-node primitive's differential
-// harness; the HostState-level one lives in TestHostStateOracleLockstep.
+// same running bound, then does the same through NodeState.Deliver. This
+// is the per-node machine's differential harness; the HostState-level
+// one lives in TestHostStateOracleLockstep.
 func TestRefinerMatchesComputeIndex(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -89,6 +91,32 @@ func TestRefinerMatchesComputeIndex(t *testing.T) {
 					seed, step, ref.K(), want, est, k)
 			}
 			k = ref.K()
+		}
+
+		// The same harness over the per-node machine that owns a Refiner
+		// in every one-process-per-node engine: random ⟨from, k⟩
+		// deliveries — improving, stale, and from strangers — after each
+		// of which the node's estimate must equal ComputeIndex over its
+		// estimate vector under the previous bound, and never rise.
+		neighbors := make([]int, deg)
+		for i := range neighbors {
+			neighbors[i] = 3*i + 1 // sorted, with gaps for non-neighbors
+		}
+		st := NewNodeState(neighbors)
+		for step := 0; step < 80; step++ {
+			from, val := rng.Intn(3*deg+2), rng.Intn(deg+2)
+			prev := st.Core()
+			lowered := st.Deliver(from, val)
+			if want := ComputeIndex(st.est, prev, nil); st.Core() != want {
+				t.Fatalf("seed %d step %d: NodeState %d after ⟨%d,%d⟩, ComputeIndex %d (est %v, bound %d)",
+					seed, step, st.Core(), from, val, want, st.est, prev)
+			}
+			if st.Core() > prev || lowered != (st.Core() < prev) {
+				t.Fatalf("seed %d step %d: estimate %d -> %d, lowered=%v", seed, step, prev, st.Core(), lowered)
+			}
+			if i, ok := slices.BinarySearch(neighbors, from); ok && st.est[i] > val {
+				t.Fatalf("seed %d step %d: est[%d] = %d after hearing %d", seed, step, i, st.est[i], val)
+			}
 		}
 	}
 }

@@ -19,7 +19,6 @@ package live
 
 import (
 	"context"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -77,14 +76,8 @@ type message struct {
 // asyncNode is one live process with an unbounded inbox. Senders never
 // block, which rules out channel-capacity deadlocks on cyclic topologies.
 type asyncNode struct {
-	id        int
-	neighbors []int
-	est       []int
-	core      int
-	ref       core.Refiner
-	// coreChangedSinceSend marks a lowered estimate not yet sent out; only
-	// the owning goroutine touches it.
-	coreChangedSinceSend bool
+	id int
+	st core.NodeState // touched only by the owning goroutine
 
 	mu     sync.Mutex
 	queue  []message
@@ -127,19 +120,11 @@ func Decompose(ctx context.Context, g *graph.Graph, opts ...Option) (*Result, er
 	n := g.NumNodes()
 	nodes := make([]*asyncNode, n)
 	for u := 0; u < n; u++ {
-		ns := g.Neighbors(u)
-		est := make([]int, len(ns))
-		for i := range est {
-			est[i] = core.InfEstimate
-		}
 		nodes[u] = &asyncNode{
-			id:        u,
-			neighbors: ns,
-			est:       est,
-			core:      len(ns),
-			notify:    make(chan struct{}, 1),
+			id:     u,
+			st:     core.NewNodeState(g.Neighbors(u)),
+			notify: make(chan struct{}, 1),
 		}
-		nodes[u].ref.Rebuild(len(ns), est)
 	}
 
 	var (
@@ -159,9 +144,9 @@ func Decompose(ctx context.Context, g *graph.Graph, opts ...Option) (*Result, er
 	inFlight.Add(int64(n))
 
 	send := func(nd *asyncNode) {
-		m := message{from: nd.id, core: nd.core}
-		for i, v := range nd.neighbors {
-			if o.sendOpt && nd.core >= nd.est[i] {
+		m := message{from: nd.id, core: nd.st.Core()}
+		for i, v := range nd.st.Neighbors() {
+			if o.sendOpt && !nd.st.CanLower(i) {
 				continue
 			}
 			inFlight.Add(1)
@@ -186,11 +171,13 @@ func Decompose(ctx context.Context, g *graph.Graph, opts ...Option) (*Result, er
 				case <-nd.notify:
 				}
 				buf = nd.drain(buf)
+				lowered := false
 				for _, m := range buf {
-					nd.deliver(m)
+					if nd.st.Deliver(m.from, m.core) {
+						lowered = true
+					}
 				}
-				if nd.coreChangedSinceSend {
-					nd.coreChangedSinceSend = false
+				if lowered {
 					send(nd)
 				}
 				retire(int64(len(buf)))
@@ -213,26 +200,7 @@ func Decompose(ctx context.Context, g *graph.Graph, opts ...Option) (*Result, er
 
 	coreness := make([]int, n)
 	for u, nd := range nodes {
-		coreness[u] = nd.core
+		coreness[u] = nd.st.Core()
 	}
 	return &Result{Coreness: coreness, Messages: msgCount.Load()}, nil
-}
-
-//dkcore:estwrite the live async Apply entry point; pointwise-min guarded below
-func (n *asyncNode) deliver(m message) {
-	i := sort.SearchInts(n.neighbors, m.from)
-	if i >= len(n.neighbors) || n.neighbors[i] != m.from {
-		return
-	}
-	if m.core >= n.est[i] {
-		return
-	}
-	old := n.est[i]
-	n.est[i] = m.core
-	if n.ref.Lower(old, m.core) {
-		if t := n.ref.Refine(); t < n.core {
-			n.core = t
-			n.coreChangedSinceSend = true
-		}
-	}
 }

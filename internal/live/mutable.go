@@ -1,10 +1,9 @@
 package live
 
 import (
-	"sort"
+	"slices"
 	"sync"
 
-	"dkcore/internal/core"
 	"dkcore/internal/graph"
 )
 
@@ -34,9 +33,7 @@ import (
 type Mutable struct {
 	mu      sync.Mutex
 	rt      *roundRuntime
-	counter int64Counter
 	rounds  int
-	opts    options
 	pending []mutation
 	// overlay records the net presence of edges touched by buffered
 	// mutations (key has u < v), so presence checks stay O(1) instead of
@@ -57,14 +54,7 @@ type mutation struct {
 // NewMutable builds a mutable live runtime over g. The initial
 // decomposition converges on the first Converge call.
 func NewMutable(g *graph.Graph, opts ...Option) *Mutable {
-	o := buildOptions(opts)
-	m := &Mutable{rt: newRoundRuntime(g, o), opts: o}
-	// The runtime's nodes alias the CSR adjacency; mutations need owned,
-	// growable neighbor lists.
-	for _, nd := range m.rt.nodes {
-		nd.neighbors = append(make([]int, 0, len(nd.neighbors)), nd.neighbors...)
-	}
-	return m
+	return &Mutable{rt: newRoundRuntime(g, buildOptions(opts), true)}
 }
 
 // NumNodes returns the current node count.
@@ -85,8 +75,11 @@ func (m *Mutable) hasEdgeLocked(u, v int) bool {
 	if present, buffered := m.overlay[edgeKey(u, v)]; buffered {
 		return present
 	}
-	return u >= 0 && v >= 0 && u < len(m.rt.nodes) && v < len(m.rt.nodes) &&
-		searchInts(m.rt.nodes[u].neighbors, v) >= 0
+	if u < 0 || v < 0 || u >= len(m.rt.nodes) || v >= len(m.rt.nodes) {
+		return false
+	}
+	_, ok := slices.BinarySearch(m.rt.nodes[u].st.Neighbors(), v)
+	return ok
 }
 
 func edgeKey(u, v int) [2]int {
@@ -137,7 +130,7 @@ func (m *Mutable) Converge() *Result {
 	defer m.mu.Unlock()
 	if !m.started {
 		m.started = true
-		m.rt.parallel(func(u int) { m.rt.send(m.rt.nodes[u], &m.counter) })
+		m.rt.start()
 		m.rounds++
 	}
 	for _, mut := range m.pending {
@@ -155,7 +148,7 @@ func (m *Mutable) Converge() *Result {
 	clear(m.overlay)
 	m.runToQuiescence()
 	m.quiescent = true
-	return &Result{Coreness: m.corenessLocked(), Messages: m.counter.n, Rounds: m.rounds}
+	return m.rt.result(m.rounds)
 }
 
 // Coreness returns the current per-node estimates (exact after a Converge
@@ -163,15 +156,7 @@ func (m *Mutable) Converge() *Result {
 func (m *Mutable) Coreness() []int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.corenessLocked()
-}
-
-func (m *Mutable) corenessLocked() []int {
-	coreness := make([]int, len(m.rt.nodes))
-	for u, nd := range m.rt.nodes {
-		coreness[u] = nd.core
-	}
-	return coreness
+	return m.rt.coreness()
 }
 
 // Graph materializes the current topology (excluding buffered mutations).
@@ -180,7 +165,7 @@ func (m *Mutable) Graph() *graph.Graph {
 	defer m.mu.Unlock()
 	b := graph.NewBuilder(len(m.rt.nodes))
 	for u, nd := range m.rt.nodes {
-		for _, v := range nd.neighbors {
+		for _, v := range nd.st.Neighbors() {
 			if u < v {
 				b.AddEdge(u, v)
 			}
@@ -193,7 +178,7 @@ func (m *Mutable) runToQuiescence() {
 	if m.quiescent {
 		return
 	}
-	for m.rt.step(&m.counter) {
+	for m.rt.step() {
 		m.rounds++
 	}
 	m.rounds++ // the quiet round that confirmed termination
@@ -211,31 +196,24 @@ func (m *Mutable) growLocked(n int) {
 // endpoints' indices; the round loop propagates any decrease.
 func (m *Mutable) applyDelete(u, v int) {
 	nu, nv := m.rt.nodes[u], m.rt.nodes[v]
-	removeNeighbor(nu, v)
-	removeNeighbor(nv, u)
-	m.recompute(nu)
-	m.recompute(nv)
+	if nu.st.RemoveNeighbor(v) {
+		nu.changed = true
+	}
+	if nv.st.RemoveNeighbor(u) {
+		nv.changed = true
+	}
 	m.quiescent = false
 }
 
 // applyInsert adds {u, v} and re-seeds the affected region's upper
 // bounds. The runtime must be quiescent (estimates exact).
-//
-//dkcore:estwrite §3.1.2 reseed: raises regional upper bounds after an insert
 func (m *Mutable) applyInsert(u, v int) {
 	m.growLocked(max(u, v) + 1)
-	nu, nv := m.rt.nodes[u], m.rt.nodes[v]
-	addNeighbor(nu, v)
-	addNeighbor(nv, u)
-	// Resync the endpoints now: the region below may be empty, in which
-	// case no later rebuild would cover their grown estimate vectors.
-	nu.ref.Rebuild(nu.core, nu.est)
-	nv.ref.Rebuild(nv.core, nv.est)
+	nodes := m.rt.nodes
+	nodes[u].st.AddNeighbor(v)
+	nodes[v].st.AddNeighbor(u)
 
-	k := nu.core
-	if nv.core < k {
-		k = nv.core
-	}
+	k := min(nodes[u].st.Core(), nodes[v].st.Core())
 	// Region: the coreness-K nodes around the new edge whose coreness can
 	// rise (to exactly K+1). As in internal/stream, the traversal expands
 	// only through candidates — nodes with more than K neighbors of
@@ -245,7 +223,7 @@ func (m *Mutable) applyInsert(u, v int) {
 	inRegion := make(map[int]bool)
 	var stack []int
 	for _, root := range [2]int{u, v} {
-		if m.rt.nodes[root].core == k && !visited[root] {
+		if nodes[root].st.Core() == k && !visited[root] {
 			visited[root] = true
 			stack = append(stack, root)
 		}
@@ -253,10 +231,10 @@ func (m *Mutable) applyInsert(u, v int) {
 	for len(stack) > 0 {
 		x := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		nx := m.rt.nodes[x]
+		ns := nodes[x].st.Neighbors()
 		c := 0
-		for _, y := range nx.neighbors {
-			if m.rt.nodes[y].core >= k {
+		for _, y := range ns {
+			if nodes[y].st.Core() >= k {
 				c++
 			}
 		}
@@ -264,8 +242,8 @@ func (m *Mutable) applyInsert(u, v int) {
 			continue
 		}
 		inRegion[x] = true
-		for _, y := range nx.neighbors {
-			if m.rt.nodes[y].core == k && !visited[y] {
+		for _, y := range ns {
+			if nodes[y].st.Core() == k && !visited[y] {
 				visited[y] = true
 				stack = append(stack, y)
 			}
@@ -274,12 +252,8 @@ func (m *Mutable) applyInsert(u, v int) {
 
 	// Re-seed: each region node's upper bound rises to min(deg, K+1).
 	for x := range inRegion {
-		nx := m.rt.nodes[x]
-		seed := len(nx.neighbors)
-		if seed > k+1 {
-			seed = k + 1
-		}
-		nx.core = seed
+		nx := &nodes[x].st
+		nx.Reseed(min(len(nx.Neighbors()), k+1))
 	}
 	// Refresh estimates around the region from actual state. A region
 	// node's own estimate vector is rebuilt outright: under the §3.1.2
@@ -288,78 +262,34 @@ func (m *Mutable) applyInsert(u, v int) {
 	// node's cap) but unsound once the reseed raises the cap. Every copy
 	// of a region node's old estimate held by its neighbors is raised to
 	// its seed; region nodes rebroadcast on the next round.
+	boundary := make(map[int]bool)
 	for x := range inRegion {
-		nx := m.rt.nodes[x]
-		for j, y := range nx.neighbors {
-			ny := m.rt.nodes[y]
-			nx.est[j] = ny.core // seed for region neighbors, exact otherwise
-			ny.est[searchInts(ny.neighbors, x)] = nx.core
+		nx := &nodes[x].st
+		for _, y := range nx.Neighbors() {
+			ny := &nodes[y].st
+			nx.Overwrite(y, ny.Core()) // seed for region neighbors, exact otherwise
+			ny.Overwrite(x, nx.Core())
+			if !inRegion[y] {
+				boundary[y] = true
+			}
 		}
 	}
-	// The direct estimate edits above bypass the refiners' O(1) Lower
-	// path (they raise entries, which only Rebuild may do): resync every
-	// neighbor of the region from its refreshed estimate vector, each
-	// exactly once — a boundary hub adjacent to many region nodes must
-	// not pay one O(deg) rebuild per region neighbor. Region nodes
-	// themselves are resynced by the recompute below.
-	resynced := make(map[int]bool)
-	for x := range inRegion {
-		for _, y := range m.rt.nodes[x].neighbors {
-			if !inRegion[y] && !resynced[y] {
-				resynced[y] = true
-				ny := m.rt.nodes[y]
-				ny.ref.Rebuild(ny.core, ny.est)
-			}
+	// Overwrite raises entries, which only a refiner rebuild absorbs:
+	// recompute every neighbor of the region from its refreshed estimate
+	// vector, each exactly once — a boundary hub adjacent to many region
+	// nodes must not pay one O(deg) rebuild per region neighbor. Raised
+	// support cannot lower a quiescent node, so this only resyncs.
+	for y := range boundary {
+		if nodes[y].st.Recompute() {
+			nodes[y].changed = true
 		}
 	}
 	// Immediately re-tighten each region node against its (upper-bound)
 	// estimates so nodes that cannot actually rise don't linger at K+1,
 	// then mark them for rebroadcast.
 	for x := range inRegion {
-		nx := m.rt.nodes[x]
-		m.recompute(nx)
-		nx.changed = true
+		nodes[x].st.Recompute()
+		nodes[x].changed = true
 	}
 	m.quiescent = false
-}
-
-// recompute re-derives nd's index from its current estimates — rebuilding
-// its refiner, since mutation paths edit adjacency and estimates directly
-// — marking it changed when the estimate dropped.
-func (m *Mutable) recompute(nd *roundNode) {
-	// Refine never returns below 1; an isolated node has coreness 0.
-	t := 0
-	nd.ref.Rebuild(nd.core, nd.est)
-	if len(nd.neighbors) > 0 {
-		t = nd.ref.Refine()
-	}
-	if t < nd.core {
-		nd.core = t
-		nd.changed = true
-	}
-}
-
-// addNeighbor inserts v into nd's sorted adjacency with an initial
-// +∞ estimate. Callers resync nd.ref (via Rebuild or recompute) before
-// the next round runs.
-//
-//dkcore:estwrite mutation-absorption reseed: raising bounds is Rebuild's prerogative
-func addNeighbor(nd *roundNode, v int) {
-	i := sort.SearchInts(nd.neighbors, v)
-	nd.neighbors = append(nd.neighbors, 0)
-	copy(nd.neighbors[i+1:], nd.neighbors[i:])
-	nd.neighbors[i] = v
-	nd.est = append(nd.est, 0)
-	copy(nd.est[i+1:], nd.est[i:])
-	nd.est[i] = core.InfEstimate
-}
-
-// removeNeighbor deletes v from nd's sorted adjacency and estimate
-// vector.
-//
-//dkcore:estwrite mutation-absorption reseed: shrinks the estimate vector with the adjacency
-func removeNeighbor(nd *roundNode, v int) {
-	i := searchInts(nd.neighbors, v)
-	nd.neighbors = append(nd.neighbors[:i], nd.neighbors[i+1:]...)
-	nd.est = append(nd.est[:i], nd.est[i+1:]...)
 }

@@ -4,24 +4,23 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"dkcore/internal/aggregate"
 	"dkcore/internal/core"
 	"dkcore/internal/graph"
 )
 
-// roundNode is the per-node state of the synchronous δ-round modes. Nodes
-// are advanced in parallel by a worker pool between barriers; inboxes for
-// the next round are guarded by a mutex because any neighbor may append
-// concurrently.
+// roundNode is one process of the synchronous δ-round modes: the
+// Algorithm 1 machine plus its inboxes. Nodes are advanced in parallel by
+// a worker pool between barriers; inboxes for the next round are guarded
+// by a mutex because any neighbor may append concurrently.
 type roundNode struct {
 	id            int
-	neighbors     []int
-	est           []int
-	ref           core.Refiner
-	core          int
-	changed       bool // estimate changed in the current round
+	st            core.NodeState
+	changed       bool // estimate lowered and not yet sent
 	sentOrChanged bool // activity marker for the epidemic detector
 
 	mu   sync.Mutex
@@ -39,12 +38,14 @@ func (n *roundNode) push(m message) {
 type roundRuntime struct {
 	nodes    []*roundNode
 	workers  int
-	messages int64
+	messages atomic.Int64 // estimate messages sent, across the worker pool
 	sendOpt  bool
-	activity []bool // per-worker activity flags, reused every round
 }
 
-func newRoundRuntime(g *graph.Graph, o options) *roundRuntime {
+// newRoundRuntime builds one process per node of g. ownAdjacency copies
+// each neighbor list out of the graph's CSR storage, for a runtime whose
+// topology will mutate.
+func newRoundRuntime(g *graph.Graph, o options, ownAdjacency bool) *roundRuntime {
 	n := g.NumNodes()
 	rt := &roundRuntime{
 		nodes:   make([]*roundNode, n),
@@ -54,20 +55,12 @@ func newRoundRuntime(g *graph.Graph, o options) *roundRuntime {
 	if rt.workers <= 0 {
 		rt.workers = runtime.GOMAXPROCS(0)
 	}
-	rt.activity = make([]bool, rt.workers)
 	for u := 0; u < n; u++ {
 		ns := g.Neighbors(u)
-		est := make([]int, len(ns))
-		for i := range est {
-			est[i] = core.InfEstimate
+		if ownAdjacency {
+			ns = slices.Clone(ns)
 		}
-		rt.nodes[u] = &roundNode{
-			id:        u,
-			neighbors: ns,
-			est:       est,
-			core:      len(ns),
-		}
-		rt.nodes[u].ref.Rebuild(len(ns), est)
+		rt.nodes[u] = &roundNode{id: u, st: core.NewNodeState(ns)}
 	}
 	return rt
 }
@@ -105,71 +98,36 @@ func (rt *roundRuntime) parallel(fn func(u int)) {
 	wg.Wait()
 }
 
-// broadcast sends node u's current estimate to its neighbors, respecting
-// the send optimization.
-func (rt *roundRuntime) send(nd *roundNode, counter *int64Counter) {
-	m := message{from: nd.id, core: nd.core}
-	for i, v := range nd.neighbors {
-		if rt.sendOpt && nd.core >= nd.est[i] {
+// send delivers nd's current estimate to its neighbors' next-round
+// inboxes, respecting the send optimization.
+func (rt *roundRuntime) send(nd *roundNode) {
+	m := message{from: nd.id, core: nd.st.Core()}
+	sent := int64(0)
+	for i, v := range nd.st.Neighbors() {
+		if rt.sendOpt && !nd.st.CanLower(i) {
 			continue
 		}
 		rt.nodes[v].push(m)
-		counter.add(1)
+		sent++
 	}
+	rt.messages.Add(sent)
 }
 
-// int64Counter is a sharded message counter safe for the worker pool.
-type int64Counter struct {
-	mu sync.Mutex
-	n  int64
-}
-
-func (c *int64Counter) add(k int64) {
-	c.mu.Lock()
-	c.n += k
-	c.mu.Unlock()
+// start runs round 1: every node broadcasts its degree.
+func (rt *roundRuntime) start() {
+	rt.parallel(func(u int) { rt.send(rt.nodes[u]) })
 }
 
 // step advances one synchronous round: swap inboxes, deliver, tick.
 // It reports whether any node was active (received, changed or sent).
-func (rt *roundRuntime) step(counter *int64Counter) bool {
-	n := len(rt.nodes)
-	if n == 0 {
-		return false
-	}
-	activity := rt.activity
-	clear(activity)
-	workers := rt.workers
-	if workers > n {
-		workers = n
-	}
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			for u := lo; u < hi; u++ {
-				nd := rt.nodes[u]
-				nd.mu.Lock()
-				nd.cur, nd.next = nd.next, nd.cur[:0]
-				nd.mu.Unlock()
-				nd.sentOrChanged = false
-				if len(nd.cur) > 0 {
-					activity[w] = true
-				}
-			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
+func (rt *roundRuntime) step() bool {
+	rt.parallel(func(u int) {
+		nd := rt.nodes[u]
+		nd.mu.Lock()
+		nd.cur, nd.next = nd.next, nd.cur[:0]
+		nd.mu.Unlock()
+		nd.sentOrChanged = false
+	})
 
 	// Deliver and tick. Deliveries only read remote state via the
 	// messages already captured in cur, so nodes can proceed in parallel;
@@ -177,59 +135,22 @@ func (rt *roundRuntime) step(counter *int64Counter) bool {
 	rt.parallel(func(u int) {
 		nd := rt.nodes[u]
 		for _, m := range nd.cur {
-			nd.deliverRound(m)
+			if nd.st.Deliver(m.from, m.core) {
+				nd.changed = true
+			}
 		}
 		if nd.changed {
 			nd.changed = false
 			nd.sentOrChanged = true
-			rt.send(nd, counter)
+			rt.send(nd)
 		}
 	})
-	any := false
-	for _, a := range activity {
-		any = any || a
-	}
-	if !any {
-		for _, nd := range rt.nodes {
-			if nd.sentOrChanged {
-				any = true
-				break
-			}
+	for _, nd := range rt.nodes {
+		if len(nd.cur) > 0 || nd.sentOrChanged {
+			return true
 		}
 	}
-	return any
-}
-
-//dkcore:estwrite the live round-mode Apply entry point; pointwise-min guarded below
-func (n *roundNode) deliverRound(m message) {
-	i := searchInts(n.neighbors, m.from)
-	if i < 0 || m.core >= n.est[i] {
-		return
-	}
-	old := n.est[i]
-	n.est[i] = m.core
-	if n.ref.Lower(old, m.core) {
-		if t := n.ref.Refine(); t < n.core {
-			n.core = t
-			n.changed = true
-		}
-	}
-}
-
-func searchInts(xs []int, x int) int {
-	lo, hi := 0, len(xs)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if xs[mid] < x {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(xs) && xs[lo] == x {
-		return lo
-	}
-	return -1
+	return false
 }
 
 // DecomposeRounds runs the synchronous protocol for at most `rounds`
@@ -245,22 +166,19 @@ func DecomposeRounds(ctx context.Context, g *graph.Graph, rounds int, opts ...Op
 		return nil, err
 	}
 	o := buildOptions(opts)
-	rt := newRoundRuntime(g, o)
-	var counter int64Counter
-
-	// Round 1: initial broadcast.
-	rt.parallel(func(u int) { rt.send(rt.nodes[u], &counter) })
+	rt := newRoundRuntime(g, o, false)
+	rt.start()
 	executed := 1
 	for r := 2; r <= rounds; r++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if !rt.step(&counter) {
+		if !rt.step() {
 			break // quiescent: no pending messages, no changes
 		}
 		executed = r
 	}
-	return rt.result(executed, &counter), nil
+	return rt.result(executed), nil
 }
 
 // DecomposeEpidemic runs the synchronous protocol with the decentralized
@@ -277,11 +195,9 @@ func DecomposeEpidemic(ctx context.Context, g *graph.Graph, quiet int, opts ...O
 		return nil, err
 	}
 	o := buildOptions(opts)
-	rt := newRoundRuntime(g, o)
+	rt := newRoundRuntime(g, o, false)
 	det := aggregate.NewDetector(g, quiet, o.seed)
-	var counter int64Counter
-
-	rt.parallel(func(u int) { rt.send(rt.nodes[u], &counter) })
+	rt.start()
 	executed := 1
 	maxRounds := 64 * (g.NumNodes() + quiet + 2)
 	for r := 2; ; r++ {
@@ -291,7 +207,7 @@ func DecomposeEpidemic(ctx context.Context, g *graph.Graph, quiet int, opts ...O
 		if r > maxRounds {
 			return nil, fmt.Errorf("live: epidemic run exceeded %d rounds", maxRounds)
 		}
-		active := rt.step(&counter)
+		active := rt.step()
 		if active {
 			executed = r
 		}
@@ -299,13 +215,17 @@ func DecomposeEpidemic(ctx context.Context, g *graph.Graph, quiet int, opts ...O
 			break
 		}
 	}
-	return rt.result(executed, &counter), nil
+	return rt.result(executed), nil
 }
 
-func (rt *roundRuntime) result(rounds int, counter *int64Counter) *Result {
+func (rt *roundRuntime) coreness() []int {
 	coreness := make([]int, len(rt.nodes))
 	for u, nd := range rt.nodes {
-		coreness[u] = nd.core
+		coreness[u] = nd.st.Core()
 	}
-	return &Result{Coreness: coreness, Messages: counter.n, Rounds: rounds}
+	return coreness
+}
+
+func (rt *roundRuntime) result(rounds int) *Result {
+	return &Result{Coreness: rt.coreness(), Messages: rt.messages.Load(), Rounds: rounds}
 }

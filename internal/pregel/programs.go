@@ -3,20 +3,10 @@ package pregel
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"dkcore/internal/core"
 	"dkcore/internal/graph"
 )
-
-// kcoreState is the vertex state of the k-core program: the mirror of
-// Algorithm 1's per-node variables in vertex-program form, with the
-// incremental support counter standing in for per-message ComputeIndex.
-type kcoreState struct {
-	coreEst int
-	est     []int // aligned with the vertex's sorted adjacency
-	ref     core.Refiner
-}
 
 // kcoreMsg is the ⟨u, core⟩ update.
 type kcoreMsg struct {
@@ -44,58 +34,41 @@ func WithKCoreMaxSupersteps(n int) KCoreOption {
 }
 
 // KCore runs the paper's protocol as a Pregel vertex program and returns
-// the exact coreness of every node. Superstep 0 broadcasts degrees;
-// afterwards a vertex is woken only by neighbor updates, lowers its
-// estimate with ComputeIndex, re-broadcasts on change, and votes to halt
-// — the one-to-many scenario realized on the framework the paper's
-// conclusions propose.
-//
-//dkcore:estwrite the Pregel vertex program: superstep-0 init plus pointwise-min delivery
+// the exact coreness of every node. The vertex state is Algorithm 1's
+// per-node machine, core.NodeState: superstep 0 broadcasts degrees;
+// afterwards a vertex is woken only by neighbor updates, delivers them to
+// its NodeState (an O(1) support-histogram update each), re-broadcasts
+// when its estimate was lowered, and votes to halt — the one-to-many
+// scenario realized on the framework the paper's conclusions propose.
 func KCore(ctx context.Context, g *graph.Graph, opts ...KCoreOption) ([]int, Result, error) {
 	var ro kcoreRunOptions
 	for _, opt := range opts {
 		opt(&ro)
 	}
-	compute := func(ctx *Context[kcoreState, kcoreMsg], s *kcoreState, msgs []kcoreMsg) {
+	compute := func(ctx *Context[core.NodeState, kcoreMsg], s *core.NodeState, msgs []kcoreMsg) {
 		if ctx.Superstep() == 0 {
-			deg := ctx.Degree()
-			s.coreEst = deg
-			s.est = make([]int, deg)
-			for i := range s.est {
-				s.est[i] = core.InfEstimate
-			}
-			s.ref.Rebuild(deg, s.est)
-			if deg > 0 {
-				ctx.SendToNeighbors(kcoreMsg{from: ctx.Vertex(), core: deg})
+			*s = core.NewNodeState(ctx.Neighbors())
+			if s.Core() > 0 {
+				ctx.SendToNeighbors(kcoreMsg{from: ctx.Vertex(), core: s.Core()})
 			}
 			ctx.VoteToHalt()
 			return
 		}
-		ns := ctx.Neighbors()
-		changed := false
+		lowered := false
 		for _, m := range msgs {
-			i := sort.SearchInts(ns, m.from)
-			if i >= len(ns) || ns[i] != m.from || m.core >= s.est[i] {
-				continue
-			}
-			old := s.est[i]
-			s.est[i] = m.core
-			if s.ref.Lower(old, m.core) {
-				if t := s.ref.Refine(); t < s.coreEst {
-					s.coreEst = t
-					changed = true
-				}
+			if s.Deliver(m.from, m.core) {
+				lowered = true
 			}
 		}
-		if changed {
-			ctx.SendToNeighbors(kcoreMsg{from: ctx.Vertex(), core: s.coreEst})
+		if lowered {
+			ctx.SendToNeighbors(kcoreMsg{from: ctx.Vertex(), core: s.Core()})
 		}
 		ctx.VoteToHalt()
 	}
 
-	var engOpts []Option[kcoreState, kcoreMsg]
+	var engOpts []Option[core.NodeState, kcoreMsg]
 	if ro.workers != 0 {
-		engOpts = append(engOpts, WithWorkers[kcoreState, kcoreMsg](ro.workers))
+		engOpts = append(engOpts, WithWorkers[core.NodeState, kcoreMsg](ro.workers))
 	}
 	budget := ro.maxSupersteps
 	if budget == 0 {
@@ -108,7 +81,8 @@ func KCore(ctx context.Context, g *graph.Graph, opts ...KCoreOption) ([]int, Res
 	}
 	coreness := make([]int, g.NumNodes())
 	for v := range coreness {
-		coreness[v] = eng.State(v).coreEst
+		s := eng.State(v)
+		coreness[v] = s.Core()
 	}
 	return coreness, res, nil
 }

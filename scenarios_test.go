@@ -1,7 +1,6 @@
 package dkcore_test
 
 import (
-	"context"
 	"fmt"
 	"testing"
 
@@ -10,10 +9,10 @@ import (
 
 // TestCrossScenarioEquivalence asserts that every execution scenario the
 // repo offers computes the identical decomposition on a pool of ~50
-// seeded random and structured graphs: the sequential baseline, the
-// simulated one-to-one and one-to-many protocols, the live goroutine
-// runtime, the Pregel engine, the partitioned parallel engine, and the
-// streaming Maintainer after replaying the whole graph as insertions.
+// seeded random and structured graphs: the sequential baseline, all nine
+// engine kinds (simulated one-to-one and one-to-many, live, Pregel,
+// parallel, cluster, out-of-core), and the streaming Maintainer after
+// replaying the whole graph as insertions.
 func TestCrossScenarioEquivalence(t *testing.T) {
 	type testCase struct {
 		name string
@@ -106,37 +105,6 @@ func TestCrossScenarioEquivalence(t *testing.T) {
 			g := tc.g
 			truth := dkcore.Decompose(g).CorenessValues()
 
-			one, err := dkcore.DecomposeOneToOne(g, dkcore.WithSeed(1))
-			if err != nil {
-				t.Fatalf("one-to-one: %v", err)
-			}
-			assertSame(t, "one-to-one", truth, one.Coreness)
-
-			many, err := dkcore.DecomposeOneToMany(g, dkcore.ModuloAssignment{H: 3},
-				dkcore.WithDissemination(dkcore.PointToPoint))
-			if err != nil {
-				t.Fatalf("one-to-many: %v", err)
-			}
-			assertSame(t, "one-to-many", truth, many.Coreness)
-
-			liveRes, err := dkcore.DecomposeLive(g)
-			if err != nil {
-				t.Fatalf("live: %v", err)
-			}
-			assertSame(t, "live", truth, liveRes.Coreness)
-
-			coreness, _, err := dkcore.DecomposePregel(g)
-			if err != nil {
-				t.Fatalf("pregel: %v", err)
-			}
-			assertSame(t, "pregel", truth, coreness)
-
-			par, err := dkcore.DecomposeParallel(g, dkcore.WithWorkers(4))
-			if err != nil {
-				t.Fatalf("parallel: %v", err)
-			}
-			assertSame(t, "parallel", truth, par.Coreness)
-
 			// Streaming: replay every edge as an insertion into an
 			// initially empty maintainer over the same node universe.
 			mt := dkcore.NewMaintainer(dkcore.NewBuilder(g.NumNodes()).Build())
@@ -148,18 +116,12 @@ func TestCrossScenarioEquivalence(t *testing.T) {
 			})
 			assertSame(t, "maintainer-replay", truth, mt.CorenessValues())
 
-			// Unified facade: all nine engine kinds through Engine.Run
-			// must agree with the native legs above (the cluster kind
-			// runs a real TCP-loopback deployment).
+			// All nine engine kinds through Engine.Run, sharded kinds at
+			// the engineOptsFor fan-outs (one-to-many on 3 point-to-point
+			// hosts, parallel on 4 workers; the cluster kind runs a real
+			// TCP-loopback deployment).
 			for _, kind := range dkcore.EngineKinds() {
-				eng, err := dkcore.NewEngine(kind, engineOptsFor(kind)...)
-				if err != nil {
-					t.Fatalf("engine/%s: %v", kind, err)
-				}
-				rep, err := eng.Run(context.Background(), g)
-				if err != nil {
-					t.Fatalf("engine/%s: %v", kind, err)
-				}
+				rep := runEngine(t, g, kind, engineOptsFor(kind)...)
 				assertSame(t, "engine/"+kind.String(), truth, rep.Coreness)
 			}
 
@@ -167,15 +129,8 @@ func TestCrossScenarioEquivalence(t *testing.T) {
 			// blocks against a budget that holds roughly two block
 			// states, so nearly every block pass evicts, checkpoints,
 			// and restores through the spill directory.
-			tiny, err := dkcore.NewEngine(dkcore.OutOfCore,
+			tinyRep := runEngine(t, g, dkcore.OutOfCore,
 				dkcore.WithBlockSize(8), dkcore.WithMemoryBudget(16<<10))
-			if err != nil {
-				t.Fatalf("oocore-tiny: %v", err)
-			}
-			tinyRep, err := tiny.Run(context.Background(), g)
-			if err != nil {
-				t.Fatalf("oocore-tiny: %v", err)
-			}
 			assertSame(t, "oocore-tiny", truth, tinyRep.Coreness)
 
 			if err := dkcore.VerifyLocality(g, truth); err != nil {

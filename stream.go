@@ -67,6 +67,4 @@ type LiveMaintainer = live.Mutable
 
 // NewLiveMaintainer builds a mutable live runtime over g. Call Converge
 // to reach (and re-reach, after mutations) the exact decomposition.
-func NewLiveMaintainer(g *Graph, opts ...LiveOption) *LiveMaintainer {
-	return live.NewMutable(g, opts...)
-}
+func NewLiveMaintainer(g *Graph) *LiveMaintainer { return live.NewMutable(g) }
