@@ -135,10 +135,13 @@ bench-hotpath: build
 # bench-allocs is the allocation-regression gate CI's benchmark-smoke
 # lane runs: steady-state rounds of the parallel engine (and the
 # HostState refinement loop beneath it) must re-run a warmed state with
-# zero allocations. Deterministic tests, not benchmark-output parsing.
+# zero allocations, and one waited Session event must publish its epoch
+# in under 64 KiB of allocation, within 2x between a 20k-node and a
+# 200k-node graph (the scale gate: an O(n) or O(m) copy on the publish
+# path fails it). Deterministic tests, not benchmark-output parsing.
 bench-allocs: build
 	$(GO) test -run TestSteadyStateRoundAllocs -count=1 ./internal/parallel
-	$(GO) test -run TestRefineSteadyStateAllocs -count=1 .
+	$(GO) test -run 'TestRefineSteadyStateAllocs|TestPublishBytesScaleFree' -count=1 .
 
 # bench-cluster isolates the cluster wire-efficiency gate: on the
 # powerlaw-10k workload the flate-compressed delta batches must be at

@@ -286,6 +286,7 @@ func (c *Coordinator) acceptLoop(cs *connSet, joinCh chan<- joiner) {
 				conn.SetCompression(true)
 			}
 			joinCh <- joiner{conn: conn}
+			c.log.Info("worker connected", "remote", raw.RemoteAddr().String())
 		}()
 	}
 }

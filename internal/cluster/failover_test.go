@@ -5,8 +5,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"log/slog"
+	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -172,21 +174,77 @@ func TestClusterHostDeathFailsFast(t *testing.T) {
 	}
 }
 
+// connectedGate is a slog.Handler that opens once the coordinator has
+// logged "worker connected" — a handshaken worker queued for a slot —
+// the given number of times.
+type connectedGate struct {
+	discardHandler
+	need int32
+	seen atomic.Int32
+	open chan struct{}
+}
+
+func (g *connectedGate) Enabled(context.Context, slog.Level) bool { return true }
+
+func (g *connectedGate) Handle(_ context.Context, rec slog.Record) error {
+	if rec.Message == "worker connected" && g.seen.Add(1) == g.need {
+		close(g.open)
+	}
+	return nil
+}
+
+func (g *connectedGate) WithAttrs([]slog.Attr) slog.Handler { return g }
+func (g *connectedGate) WithGroup(string) slog.Handler      { return g }
+
+// heldConn lets a host's hello through and holds every later frame it
+// writes until open is closed (or ctx ends).
+type heldConn struct {
+	net.Conn
+	ctx   context.Context
+	open  <-chan struct{}
+	hello bool
+}
+
+func (c *heldConn) Write(p []byte) (int, error) {
+	if c.hello {
+		select {
+		case <-c.open:
+		case <-c.ctx.Done():
+			return 0, c.ctx.Err()
+		}
+	}
+	c.hello = true
+	return c.Conn.Write(p)
+}
+
 // TestClusterJoinMidRun lets a fourth worker join a three-host run in
 // flight (the long WorstCase cascade guarantees live rounds at the join
 // boundary) and requires the result to match the from-scratch answer.
+// The run is held at its hosts' ready frames until all four workers have
+// been welcomed, so whichever one was not enrolled is waiting for the
+// coordinator at the first round boundary — never dialing a coordinator
+// that has already finished.
 func TestClusterJoinMidRun(t *testing.T) {
 	g := gen.WorstCase(30)
 	want := kcore.Decompose(g).CorenessValues()
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
+	gate := &connectedGate{need: 4, open: make(chan struct{})}
 	coord, err := NewCoordinator(CoordinatorConfig{
 		Graph:     g,
 		NumHosts:  3,
 		AllowJoin: true,
+		Log:       slog.New(gate),
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	dial := func(ctx context.Context, network, addr string) (net.Conn, error) {
+		raw, err := (&net.Dialer{}).DialContext(ctx, network, addr)
+		if err != nil {
+			return nil, err
+		}
+		return &heldConn{Conn: raw, ctx: ctx, open: gate.open}, nil
 	}
 	var wg sync.WaitGroup
 	errs := make([]error, 4)
@@ -195,7 +253,7 @@ func TestClusterJoinMidRun(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = RunHost(ctx, HostConfig{CoordinatorAddr: coord.Addr()})
+			results[i], errs[i] = RunHost(ctx, HostConfig{CoordinatorAddr: coord.Addr(), Dialer: dial})
 		}(i)
 	}
 	res, err := coord.RunContext(ctx)

@@ -119,3 +119,22 @@ func FromEdges(n int, edges [][2]int) *Graph {
 	}
 	return b.Build()
 }
+
+// FromSortedRows builds a graph with n nodes straight from adjacency
+// rows: row(u) is node u's neighbor list, already sorted, loop-free,
+// duplicate-free and symmetric (v in row(u) iff u in row(v)) — the shape
+// a structure that maintains sorted rows holds by construction. The rows
+// are copied, not retained, and not re-validated: one prefix-sum pass
+// over the lengths and one copy per row, where a Builder would expand,
+// sort and dedupe an edge list.
+func FromSortedRows(n int, row func(u int) []int) *Graph {
+	offsets := make([]int, n+1)
+	for u := 0; u < n; u++ {
+		offsets[u+1] = offsets[u] + len(row(u))
+	}
+	adj := make([]int, offsets[n])
+	for u := 0; u < n; u++ {
+		copy(adj[offsets[u]:offsets[u+1]], row(u))
+	}
+	return &Graph{offsets: offsets, adj: adj}
+}

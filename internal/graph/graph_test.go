@@ -222,3 +222,27 @@ func TestFromEdges(t *testing.T) {
 		}
 	}
 }
+
+// TestFromSortedRows: the direct CSR constructor must agree with the
+// Builder on every graph whose rows it is handed, isolated nodes and the
+// empty graph included, and must not retain the rows.
+func TestFromSortedRows(t *testing.T) {
+	for _, want := range []*Graph{NewBuilder(0).Build(), NewBuilder(5).Build(), pathGraph(7), randomGraph(200, 900, 3)} {
+		rows := make([][]int, want.NumNodes())
+		for u := range rows {
+			rows[u] = append([]int(nil), want.Neighbors(u)...)
+		}
+		got := FromSortedRows(len(rows), func(u int) []int { return rows[u] })
+		if !got.Equal(want) {
+			t.Fatalf("FromSortedRows differs from Builder on %d nodes / %d edges", want.NumNodes(), want.NumEdges())
+		}
+		for u := range rows {
+			for i := range rows[u] {
+				rows[u][i] = -1
+			}
+		}
+		if !got.Equal(want) {
+			t.Fatalf("FromSortedRows retained a caller's row")
+		}
+	}
+}

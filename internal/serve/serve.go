@@ -206,8 +206,9 @@ func (s *Server) stats() Stats {
 // MutateResult reports a mutation batch's outcome: Applied events were
 // accepted, Changed of them altered the graph (synchronous mode only;
 // -1 when the batch was enqueued without waiting), and Epoch is the
-// published epoch after absorption (the pre-batch epoch in enqueue
-// mode).
+// published epoch after absorption — in synchronous mode the one epoch
+// that carries the whole batch, or a later one (the pre-batch epoch in
+// enqueue mode).
 type MutateResult struct {
 	Epoch   uint64 `json:"epoch"`
 	Applied int    `json:"applied"`
@@ -215,19 +216,15 @@ type MutateResult struct {
 }
 
 // applyMutations runs a mutation batch against the session. In wait
-// mode every event is applied synchronously and the changed count is
-// exact; otherwise events are enqueued (blocking-free ingest) and a full
-// queue aborts with ErrQueueFull after reporting how many were accepted.
+// mode the batch is one frame of the session's writer — absorbed whole,
+// published as one epoch, with the exact sequential changed count;
+// otherwise events are enqueued (blocking-free ingest) and a full queue
+// aborts with ErrQueueFull after reporting how many were accepted.
 func (s *Server) applyMutations(events []dkcore.EdgeEvent, wait bool) (MutateResult, error) {
 	res := MutateResult{Changed: -1}
 	if wait {
-		res.Changed = 0
-		for _, ev := range events {
-			if s.sess.ApplyEvent(ev) {
-				res.Changed++
-			}
-			res.Applied++
-		}
+		res.Changed = s.sess.ApplyEvents(events)
+		res.Applied = len(events)
 	} else {
 		for _, ev := range events {
 			if err := s.sess.Enqueue(ev); err != nil {

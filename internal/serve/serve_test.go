@@ -275,6 +275,24 @@ func TestBinaryProtocol(t *testing.T) {
 	if d, _, _ = c.Degeneracy(); d != 1 {
 		t.Fatalf("post-async-delete Degeneracy = %d, want 1", d)
 	}
+
+	// A waited frame is one epoch however many events it holds, with the
+	// sequential changed count: the flapping edge counts twice and costs
+	// the graph nothing, the duplicate insert counts for nothing.
+	before := sess.Stats()
+	res, err = c.Mutate([]dkcore.EdgeEvent{
+		{Op: dkcore.EdgeInsert, U: 1, V: 3},
+		{Op: dkcore.EdgeDelete, U: 3, V: 1},
+		{Op: dkcore.EdgeInsert, U: 0, V: 2},
+		{Op: dkcore.EdgeInsert, U: 2, V: 0},
+	}, true)
+	if err != nil || res.Applied != 4 || res.Changed != 3 || res.Epoch != before.Epoch+1 {
+		t.Fatalf("waited frame = %+v, %v; want 4 applied, 3 changed, epoch %d", res, err, before.Epoch+1)
+	}
+	if after := sess.Stats(); after.Batches != before.Batches+1 || after.NumEdges != before.NumEdges+1 {
+		t.Fatalf("waited frame moved batches %d -> %d, edges %d -> %d; want one epoch, one net edge",
+			before.Batches, after.Batches, before.NumEdges, after.NumEdges)
+	}
 }
 
 func TestBinaryMalformedFrames(t *testing.T) {

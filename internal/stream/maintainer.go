@@ -16,15 +16,23 @@
 // (These are the traversal theorems of Sarıyüce et al., "Streaming
 // Algorithms for k-Core Decomposition", VLDB 2013, and Li, Yu & Mao's
 // incremental-maintenance work; the paper's upper-bound convergence makes
-// them directly applicable here.) Maintainer therefore re-seeds upper
-// bounds only inside that region on insertion and propagates decreases
-// from the endpoints on deletion, giving exact coreness after every event
-// in time proportional to the affected region rather than the graph.
-// Both traversals qualify nodes through an incrementally maintained
-// support counter (neighbors with coreness >= own — the same primitive
-// the distributed engines keep per estimate), so merely sighting a node
-// on an equal-coreness plateau costs O(1); adjacency walks happen only
-// where coreness actually changes.
+// them directly applicable here.) Knowing where a change can happen does
+// not bound the search for it: on a wide equal-coreness plateau a walk
+// that must prove nobody rises visits the whole plateau. Maintainer
+// therefore keeps, beside the coreness, a k-order — a total order of the
+// nodes, coreness ascending, in which every node has at most coreness(v)
+// neighbors after it. Such an order is a certificate that no coreness is
+// too low, so an insertion that leaves it valid is finished in O(1), and
+// one that does not is repaired by a scan forward from the earlier
+// endpoint that touches only nodes whose position or coreness has to
+// change (Zhang, Yu, Zhang & Qin, "A Fast Order-Based Approach for Core
+// Maintenance", ICDE 2017, in the simplified form of Guo & Sekerinski,
+// 2022). Deletion propagates decreases from the endpoints through an
+// incrementally maintained support counter (neighbors with coreness >=
+// own — the same primitive the distributed engines keep per estimate)
+// and appends the nodes that fall to the level below. Either way the
+// coreness is exact after every event, in time proportional to what
+// changed rather than to the graph or the plateau.
 package stream
 
 import (
@@ -44,35 +52,59 @@ import (
 // node ID mentioned — densify sparse external IDs before feeding them
 // in (as cmd/kcore-stream does). A Maintainer is not safe for concurrent
 // use; wrap it in a lock or use the live runtime's Mutable for a
-// concurrent deployment.
+// concurrent deployment. What is safe to share is a View: Publish freezes
+// the current state for any number of concurrent readers, and the View
+// keeps sharing with the Maintainer every adjacency row and page that
+// later mutations do not touch.
 type Maintainer struct {
-	adj  [][]int // sorted neighbor lists, owned by the Maintainer
-	core []int   // exact coreness under the current edge set
+	adj  [][]int // sorted neighbor lists; a row is written only while rowGen says it is private
+	core []int   // exact coreness under the current edge set; written only by place
 	m    int     // number of undirected edges
+
+	// Copy-on-write bookkeeping behind Publish. gen is the publish
+	// generation. rowGen[u] == gen means adj[u]'s backing array was
+	// allocated since the last Publish and is private; any other row may
+	// be reachable from a View (or from the seed graph) and is copied
+	// before its first write (ownRow). coreDirty and rowDirty list the
+	// pages of core and adj written in this generation, and pubCore and
+	// pubRows are the last published tables, the source of every clean
+	// page of the next.
+	gen       int
+	rowGen    []int
+	coreDirty dirtyPages
+	rowDirty  dirtyPages
+	pubCore   pageTable[int]
+	pubRows   pageTable[[]int]
+
+	// The k-order: levels[k] is the list of the nodes with coreness k
+	// (prev/next link it, label orders it), the order is the levels'
+	// concatenation, and dplus[x] counts x's neighbors after x in it —
+	// never more than core[x]. maxCore is the highest occupied level: the
+	// degeneracy without a scan.
+	levels  []level
+	maxCore int
+	label   []int
+	prev    []int
+	next    []int
+	dplus   []int
 
 	// supp[u] is the number of neighbors v with core[v] >= core[u] —
 	// the same support counter the distributed engines maintain per
 	// estimate (internal/core's histogram top bucket), kept exact across
-	// every mutation. It makes the two hot questions of both traversals
-	// O(1): "can this coreness-k node fall?" (supp < k) on deletion, and
-	// "can this coreness-k node rise or transmit a rise?" (supp > k) on
-	// insertion — where a per-visit adjacency recount previously paid
-	// O(deg) per node sighted, the dominant cost on the equal-coreness
-	// plateaus of dense graphs. Adjacency walks remain only where a node
-	// actually changes level (recomputing its own support at the new
-	// threshold), so work stays proportional to the genuinely affected
-	// region.
+	// every mutation. It answers the deletion cascade's hot question,
+	// "can this coreness-k node fall?" (supp < k), in O(1); adjacency
+	// walks remain only where a node actually changes level.
 	supp []int
 
 	// scratch state reused across updates to keep small mutations
 	// allocation-free once warm.
-	mark    []int // visit stamp per node (compared against stamp)
-	cand    []int // candidate stamp per node (insertion traversal)
-	cnt     []int // per-node peel support, valid where cand == stamp
-	stamp   int
-	queue   []int
-	region  []int
-	touched []int
+	stamp  int   // current insertion repair; marks below are relative to it
+	mark   []int // >= stamp: queued for the repair scan; stamp+1: queued for eviction
+	cand   []int // == stamp: candidate to rise
+	dstar  []int // candidate neighbors before the node; zero outside a repair
+	heap   []int // the scan's pending nodes, a min-heap by label
+	queue  []int
+	region []int
 }
 
 // NewMaintainer returns a Maintainer seeded with g's edges and the exact
@@ -82,21 +114,34 @@ func NewMaintainer(g *graph.Graph) *Maintainer {
 }
 
 // newSeeded is the shared constructor: g's edges plus a caller-owned
-// coreness slice the Maintainer takes over.
+// coreness slice the Maintainer takes over. The rows alias g's CSR
+// (g is immutable, and a row is copied before its first write), so
+// seeding allocates a handful of O(n) vectors and no per-node row.
 func newSeeded(g *graph.Graph, coreness []int) *Maintainer {
 	n := g.NumNodes()
+	pages := (n + pageMask) >> pageShift
 	mt := &Maintainer{
-		adj:  make([][]int, n),
-		core: coreness,
-		m:    g.NumEdges(),
-		supp: make([]int, n),
-		mark: make([]int, n),
-		cand: make([]int, n),
-		cnt:  make([]int, n),
+		adj:       make([][]int, n),
+		core:      coreness,
+		m:         g.NumEdges(),
+		gen:       1,
+		rowGen:    make([]int, n),
+		coreDirty: dirtyPages{gen: make([]int, pages)},
+		rowDirty:  dirtyPages{gen: make([]int, pages)},
+		levels:    []level{{head: -1, tail: -1}},
+		label:     make([]int, n),
+		prev:      make([]int, n),
+		next:      make([]int, n),
+		dplus:     make([]int, n),
+		supp:      make([]int, n),
+		stamp:     1,
+		mark:      make([]int, n),
+		cand:      make([]int, n),
+		dstar:     make([]int, n),
 	}
 	for u := 0; u < n; u++ {
 		ns := g.Neighbors(u)
-		mt.adj[u] = append(make([]int, 0, len(ns)), ns...)
+		mt.adj[u] = ns[:len(ns):len(ns)]
 		c := 0
 		for _, v := range ns {
 			if coreness[v] >= coreness[u] {
@@ -105,7 +150,78 @@ func newSeeded(g *graph.Graph, coreness []int) *Maintainer {
 		}
 		mt.supp[u] = c
 	}
+	mt.seedOrder()
+	// No View exists yet, so the first Publish builds every page.
+	for p := 0; p < pages; p++ {
+		mt.coreDirty.mark(p<<pageShift, mt.gen)
+		mt.rowDirty.mark(p<<pageShift, mt.gen)
+	}
 	return mt
+}
+
+// seedOrder builds the k-order of the seed graph: levels in ascending
+// order, and within level k the order in which a peel at threshold k
+// removes its nodes — a node goes once at most k of its neighbors remain,
+// and those are the neighbors after it.
+func (mt *Maintainer) seedOrder() {
+	n := len(mt.core)
+	for _, k := range mt.core {
+		mt.maxCore = max(mt.maxCore, k)
+	}
+	// byLevel: the nodes sorted by coreness, starts[k] the first of level k.
+	starts := make([]int, mt.maxCore+2)
+	for _, k := range mt.core {
+		starts[k+1]++
+	}
+	for k := 0; k <= mt.maxCore; k++ {
+		starts[k+1] += starts[k]
+	}
+	byLevel := make([]int, n)
+	fill := append([]int(nil), starts...)
+	for x, k := range mt.core {
+		byLevel[fill[k]] = x
+		fill[k]++
+	}
+	// remaining[x]: x's neighbors not yet placed. Every node below x's
+	// level is placed before x's level starts, so it opens at supp[x].
+	remaining := mt.dstar
+	copy(remaining, mt.supp)
+	const placed = 1 // mark value; mt.stamp moves past it before the first repair
+	for len(mt.levels) <= mt.maxCore {
+		mt.levels = append(mt.levels, level{head: -1, tail: -1})
+	}
+	for k := 0; k <= mt.maxCore; k++ {
+		members := byLevel[starts[k]:starts[k+1]]
+		mt.queue = mt.queue[:0]
+		for _, x := range members {
+			if remaining[x] <= k {
+				mt.queue = append(mt.queue, x)
+			}
+		}
+		for i := 0; i < len(mt.queue); i++ {
+			x := mt.queue[i]
+			mt.mark[x] = placed
+			mt.place(x, k, mt.levels[k].tail)
+			mt.dplus[x] = remaining[x]
+			for _, y := range mt.adj[x] {
+				if mt.core[y] == k && mt.mark[y] != placed {
+					remaining[y]--
+					if remaining[y] == k {
+						mt.queue = append(mt.queue, y)
+					}
+				}
+			}
+		}
+		// A peel that stalls means the coreness was not exact (see
+		// NewMaintainerFromCoreness); keep the lists complete anyway.
+		for _, x := range members {
+			if mt.mark[x] != placed {
+				mt.place(x, k, mt.levels[k].tail)
+				mt.dplus[x] = remaining[x]
+			}
+		}
+	}
+	clear(mt.dstar)
 }
 
 // NewMaintainerFromCoreness returns a Maintainer seeded with g's edges
@@ -171,38 +287,66 @@ func (mt *Maintainer) CorenessValues() []int {
 	return out
 }
 
-// MaxCoreness returns the degeneracy of the current graph.
-func (mt *Maintainer) MaxCoreness() int {
-	maxK := 0
-	for _, k := range mt.core {
-		if k > maxK {
-			maxK = k
-		}
-	}
-	return maxK
-}
+// MaxCoreness returns the degeneracy of the current graph, kept current
+// by the per-level node counts: an O(1) read.
+func (mt *Maintainer) MaxCoreness() int { return mt.maxCore }
 
 // HasEdge reports whether the undirected edge {u, v} is present.
 func (mt *Maintainer) HasEdge(u, v int) bool {
 	if u < 0 || v < 0 || u >= len(mt.adj) || v >= len(mt.adj) {
 		return false
 	}
-	ns := mt.adj[u]
-	i := sort.SearchInts(ns, v)
-	return i < len(ns) && ns[i] == v
+	return rowHas(mt.adj[u], v)
 }
 
-// Graph materializes the current edge set as an immutable CSR snapshot.
+// Graph materializes the current edge set as an immutable CSR snapshot,
+// straight from the sorted rows.
 func (mt *Maintainer) Graph() *graph.Graph {
-	b := graph.NewBuilder(len(mt.core))
-	for u, ns := range mt.adj {
-		for _, v := range ns {
-			if u < v {
-				b.AddEdge(u, v)
-			}
-		}
+	return graph.FromSortedRows(len(mt.adj), func(u int) []int { return mt.adj[u] })
+}
+
+// Publish freezes the current state as an immutable View, in time
+// proportional to what changed since the previous Publish: it copies the
+// two page tables and the pages written since, and shares every other
+// page and every adjacency row with the earlier Views. From here on the
+// Maintainer treats all of them as read-only — the next write to a row
+// copies it first, and writes to core and adj land in the Maintainer's
+// own flat vectors, which no View references.
+func (mt *Maintainer) Publish() *View {
+	mt.pubCore = republish(mt.pubCore, mt.core, mt.coreDirty.list)
+	mt.pubRows = republish(mt.pubRows, mt.adj, mt.rowDirty.list)
+	mt.coreDirty.list = mt.coreDirty.list[:0]
+	mt.rowDirty.list = mt.rowDirty.list[:0]
+	mt.gen++
+	return &View{n: len(mt.core), m: mt.m, maxCore: mt.maxCore, core: mt.pubCore, rows: mt.pubRows}
+}
+
+// ownRow makes adj[u] private before a write: a row not allocated in
+// this publish generation may be reachable from a View, so it is copied
+// (with room for one insertion) and its page marked dirty.
+func (mt *Maintainer) ownRow(u int) {
+	if mt.rowGen[u] == mt.gen {
+		return
 	}
-	return b.Build()
+	mt.rowGen[u] = mt.gen
+	mt.rowDirty.mark(u, mt.gen)
+	mt.adj[u] = append(make([]int, 0, len(mt.adj[u])+1), mt.adj[u]...)
+}
+
+// moveTo puts node x at coreness k — its own level, or one level away
+// (the traversal theorems' step) — right after p in level k's list, or at
+// the list's head for p < 0, keeping the degeneracy and the dirty-page
+// set current.
+func (mt *Maintainer) moveTo(x, k, p int) {
+	old := mt.core[x]
+	mt.unlink(x)
+	mt.place(x, k, p)
+	if k > mt.maxCore || (old == mt.maxCore && mt.levels[old].count == 0) {
+		mt.maxCore = k
+	}
+	if k != old {
+		mt.coreDirty.mark(x, mt.gen)
+	}
 }
 
 // Apply applies one event, returning whether it changed the graph. It
@@ -229,6 +373,8 @@ func (mt *Maintainer) InsertEdge(u, v int) bool {
 	if mt.HasEdge(u, v) {
 		return false
 	}
+	mt.ownRow(u)
+	mt.ownRow(v)
 	insertSorted(&mt.adj[u], v)
 	insertSorted(&mt.adj[v], u)
 	mt.m++
@@ -239,63 +385,66 @@ func (mt *Maintainer) InsertEdge(u, v int) bool {
 		mt.supp[v]++
 	}
 
-	// Only nodes of coreness K = min(core(u), core(v)) connected to the
-	// new edge through coreness-K nodes can rise, and only to K+1.
-	// Candidate pruning (the purecore refinement): a node can rise — or
-	// transmit a rise — only if more than K of its neighbors have
-	// coreness >= K — its maintained support counter, read in O(1) — so
-	// the traversal expands through qualifying nodes only and pays O(1),
-	// not O(deg), per plateau node it merely sights. This keeps the walk
-	// off the vast equal-coreness plateaus of skewed graphs.
-	k := mt.core[u]
-	if mt.core[v] < k {
-		k = mt.core[v]
+	// The new edge gives its earlier endpoint one more neighbor after it.
+	// If that is still within the endpoint's coreness the k-order remains
+	// a valid certificate and nothing rises.
+	if mt.before(v, u) {
+		u = v
 	}
-	mt.stamp++
+	k := mt.core[u]
+	mt.dplus[u]++
+	if mt.dplus[u] > k {
+		mt.repairOrder(u, k)
+	}
+	return true
+}
+
+// repairOrder restores the k-order after an insertion left u, at
+// coreness k, with more than k neighbors after it. Only coreness-k nodes
+// from u onward can be affected, and they are taken in order: a node
+// whose neighbors after it, plus its neighbors among the candidates
+// before it (dstar), exceed k becomes a candidate to rise and announces
+// itself to its level-k neighbors further on; a node that falls short
+// stays, which can evict candidates before it that counted on it
+// (settle). The scan visits only nodes some candidate announced itself
+// to. Candidates that survive rise to k+1, at the head of that level.
+func (mt *Maintainer) repairOrder(u, k int) {
+	mt.stamp += 2
 	mt.region = mt.region[:0]
-	for _, root := range [2]int{u, v} {
-		if mt.core[root] == k && mt.mark[root] != mt.stamp {
-			mt.collectCandidates(root, k)
+	mt.heap = mt.heap[:0]
+	mt.mark[u] = mt.stamp
+	mt.pushHeap(u)
+	for len(mt.heap) > 0 {
+		w := mt.popHeap()
+		switch {
+		case mt.dstar[w]+mt.dplus[w] > k:
+			mt.cand[w] = mt.stamp
+			mt.region = append(mt.region, w)
+			for _, y := range mt.adj[w] {
+				if mt.core[y] == k && mt.label[w] < mt.label[y] {
+					mt.dstar[y]++
+					if mt.mark[y] < mt.stamp {
+						mt.mark[y] = mt.stamp
+						mt.pushHeap(y)
+					}
+				}
+			}
+		case mt.dstar[w] > 0:
+			mt.settle(w, k)
 		}
 	}
 
-	// Localized peel at threshold K+1 over the candidate set: a
-	// candidate's support counts neighbors that already sit above K plus
-	// candidate neighbors that could rise with it. Nodes whose support
-	// falls below K+1 keep coreness K; survivors rise to K+1.
-	mt.queue = mt.queue[:0]
+	// The surviving candidates rise, in order, to the head of level k+1:
+	// everything that stays at k is now before them, everything already
+	// above k still after them.
+	risers := mt.region[:0]
+	p := -1
 	for _, x := range mt.region {
-		c := 0
-		for _, y := range mt.adj[x] {
-			if mt.core[y] > k || mt.cand[y] == mt.stamp {
-				c++
-			}
-		}
-		mt.cnt[x] = c
-		if c < k+1 {
-			mt.queue = append(mt.queue, x)
-		}
-	}
-	const removed = -1
-	for len(mt.queue) > 0 {
-		x := mt.queue[len(mt.queue)-1]
-		mt.queue = mt.queue[:len(mt.queue)-1]
-		if mt.cnt[x] == removed {
-			continue
-		}
-		mt.cnt[x] = removed
-		for _, y := range mt.adj[x] {
-			if mt.cand[y] == mt.stamp && mt.cnt[y] != removed {
-				mt.cnt[y]--
-				if mt.cnt[y] == k {
-					mt.queue = append(mt.queue, y)
-				}
-			}
-		}
-	}
-	for _, x := range mt.region {
-		if mt.cnt[x] != removed {
-			mt.core[x] = k + 1
+		if mt.cand[x] == mt.stamp {
+			mt.dstar[x] = 0
+			mt.moveTo(x, k+1, p)
+			p = x
+			risers = append(risers, x)
 		}
 	}
 	// Repair the support counters around the risers: each riser's own
@@ -304,22 +453,58 @@ func (mt *Maintainer) InsertEdge(u, v int) bool {
 	// K+1 gains the riser's newly-counting contribution. Neighbors at or
 	// below K are unaffected (the riser counted for them before and
 	// still does), as are neighbors above K+1.
-	for _, x := range mt.region {
-		if mt.cnt[x] == removed {
-			continue
-		}
+	for _, x := range risers {
 		c := 0
 		for _, y := range mt.adj[x] {
 			if mt.core[y] >= k+1 {
 				c++
-				if mt.core[y] == k+1 && !(mt.cand[y] == mt.stamp && mt.cnt[y] != removed) {
+				if mt.core[y] == k+1 && mt.cand[y] != mt.stamp {
 					mt.supp[y]++
 				}
 			}
 		}
 		mt.supp[x] = c
 	}
-	return true
+}
+
+// settle fixes coreness-k node w, which the repair scan found unable to
+// rise, in place, and evicts every candidate that cannot rise without
+// it. A candidate before w loses w from the neighbors after it — whether
+// it rises or is evicted it ends up after w — and w gains those
+// candidates instead. An evicted candidate moves to just after w (after
+// the previous eviction), passing the same loss on to the candidates
+// before it and withdrawing its announcement from the nodes after it.
+func (mt *Maintainer) settle(w, k int) {
+	evicting := mt.stamp + 1
+	mt.queue = mt.queue[:0]
+	p := w
+	for i := -1; i < len(mt.queue); i++ {
+		x := w
+		if i >= 0 {
+			x = mt.queue[i]
+			mt.cand[x] = 0
+		}
+		for _, y := range mt.adj[x] {
+			switch {
+			case mt.cand[y] == mt.stamp && mt.label[y] < mt.label[x]:
+				mt.dplus[y]--
+			case i >= 0 && mt.core[y] == k && mt.label[x] < mt.label[y] && mt.dstar[y] > 0:
+				mt.dstar[y]--
+			default:
+				continue
+			}
+			if mt.cand[y] == mt.stamp && mt.dstar[y]+mt.dplus[y] <= k && mt.mark[y] != evicting {
+				mt.mark[y] = evicting
+				mt.queue = append(mt.queue, y)
+			}
+		}
+		if i >= 0 {
+			mt.moveTo(x, k, p)
+			p = x
+		}
+		mt.dplus[x] += mt.dstar[x]
+		mt.dstar[x] = 0
+	}
 }
 
 // DeleteEdge removes the undirected edge {u, v} and updates coreness
@@ -336,6 +521,13 @@ func (mt *Maintainer) DeleteEdge(u, v int) bool {
 	if mt.core[v] < k {
 		k = mt.core[v]
 	}
+	if mt.before(u, v) {
+		mt.dplus[u]--
+	} else {
+		mt.dplus[v]--
+	}
+	mt.ownRow(u)
+	mt.ownRow(v)
 	removeSorted(&mt.adj[u], v)
 	removeSorted(&mt.adj[v], u)
 	mt.m--
@@ -354,7 +546,10 @@ func (mt *Maintainer) DeleteEdge(u, v int) bool {
 	// decreases, so a node enqueued deficient is still deficient when
 	// popped; the adjacency is walked only for nodes that actually drop,
 	// to decrement their neighbors and recompute their own support at
-	// the new threshold.
+	// the new threshold. A node that drops goes to the tail of level
+	// K-1: the neighbors after it there are those still at K or above —
+	// its support as it drops, less than K — and the coreness-K neighbors
+	// it leaves behind lose it from the neighbors after them if it was.
 	mt.queue = mt.queue[:0]
 	for _, s := range [2]int{u, v} {
 		if mt.core[s] == k && mt.supp[s] < k {
@@ -367,61 +562,49 @@ func (mt *Maintainer) DeleteEdge(u, v int) bool {
 		if mt.core[x] != k {
 			continue // already dropped via another path
 		}
-		mt.core[x] = k - 1
 		c := 0
 		for _, y := range mt.adj[x] {
 			if mt.core[y] >= k-1 {
 				c++
 			}
 			if mt.core[y] == k {
+				if mt.label[y] < mt.label[x] {
+					mt.dplus[y]--
+				}
 				mt.supp[y]--
 				if mt.supp[y] < k {
 					mt.queue = append(mt.queue, y)
 				}
 			}
 		}
+		mt.dplus[x] = mt.supp[x]
 		mt.supp[x] = c
+		mt.moveTo(x, k-1, mt.levels[k-1].tail)
 	}
 	return true
 }
 
-// collectCandidates gathers into mt.region the coreness-k nodes that
-// could rise to k+1: those with more than k neighbors of coreness >= k —
-// exactly supp[x] > k for a coreness-k node, read in O(1) from the
-// maintained counter — reachable from root through such nodes. Every
-// visited node is stamped in mark; candidates are additionally stamped
-// in cand. A plateau node that merely gets sighted and disqualified now
-// costs O(1) instead of an adjacency recount.
-func (mt *Maintainer) collectCandidates(root, k int) {
-	mt.touched = mt.touched[:0]
-	mt.touched = append(mt.touched, root)
-	mt.mark[root] = mt.stamp
-	for len(mt.touched) > 0 {
-		x := mt.touched[len(mt.touched)-1]
-		mt.touched = mt.touched[:len(mt.touched)-1]
-		if mt.supp[x] <= k {
-			continue // cannot rise, cannot transmit a rise
-		}
-		mt.cand[x] = mt.stamp
-		mt.region = append(mt.region, x)
-		for _, y := range mt.adj[x] {
-			if mt.core[y] == k && mt.mark[y] != mt.stamp {
-				mt.mark[y] = mt.stamp
-				mt.touched = append(mt.touched, y)
-			}
-		}
-	}
-}
-
 // grow extends the node set to at least n isolated nodes.
 func (mt *Maintainer) grow(n int) {
-	for len(mt.core) < n {
+	for u := len(mt.core); u < n; u++ {
+		if u&pageMask == 0 {
+			mt.coreDirty.gen = append(mt.coreDirty.gen, 0)
+			mt.rowDirty.gen = append(mt.rowDirty.gen, 0)
+		}
+		mt.coreDirty.mark(u, mt.gen)
+		mt.rowDirty.mark(u, mt.gen)
+		mt.rowGen = append(mt.rowGen, 0)
 		mt.adj = append(mt.adj, nil)
 		mt.core = append(mt.core, 0)
+		mt.label = append(mt.label, 0)
+		mt.prev = append(mt.prev, 0)
+		mt.next = append(mt.next, 0)
+		mt.dplus = append(mt.dplus, 0)
 		mt.supp = append(mt.supp, 0)
 		mt.mark = append(mt.mark, 0)
 		mt.cand = append(mt.cand, 0)
-		mt.cnt = append(mt.cnt, 0)
+		mt.dstar = append(mt.dstar, 0)
+		mt.place(u, 0, mt.levels[0].tail)
 	}
 }
 

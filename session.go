@@ -21,11 +21,14 @@ import (
 // even a deletion cascade. Mutations flow through a bounded queue
 // drained by a single writer goroutine that absorbs them in batches
 // (coalescing an insert+delete of the same edge within a batch) and
-// publishes a fresh Epoch per batch. The blocking mutators (InsertEdge,
-// DeleteEdge, ApplyEvent) wait for their batch to be absorbed and return
-// the exact sequential result; Enqueue is the non-blocking alternative
-// that reports ErrQueueFull instead of waiting. Use CurrentEpoch when a
-// group of reads must be mutually consistent.
+// publishes a fresh Epoch per batch, at a cost proportional to what the
+// batch changed: epochs share every adjacency row and coreness page the
+// batch did not write. The blocking mutators (InsertEdge, DeleteEdge,
+// ApplyEvent, and ApplyEvents for a whole frame in one epoch) wait for
+// their batch to be absorbed and return the exact sequential result;
+// Enqueue is the non-blocking alternative that reports ErrQueueFull
+// instead of waiting. Use CurrentEpoch when a group of reads must be
+// mutually consistent.
 //
 // A Session owns a goroutine; Close stops it. A closed Session keeps
 // serving reads from its last epoch and refuses mutations.
@@ -123,15 +126,15 @@ func (s *Session) CorenessValues() []int { return s.cur.Load().CorenessValues() 
 // epoch's k-core (coreness >= k); k <= 0 returns every node.
 func (s *Session) KCoreMembers(k int) []int { return s.cur.Load().KCoreMembers(k) }
 
-// Degeneracy returns the maximum coreness of the current epoch,
-// precomputed at publish time.
-func (s *Session) Degeneracy() int { return s.cur.Load().degeneracy }
+// Degeneracy returns the maximum coreness of the current epoch, an O(1)
+// read.
+func (s *Session) Degeneracy() int { return s.cur.Load().Degeneracy() }
 
 // NumNodes returns the current epoch's node count.
 func (s *Session) NumNodes() int { return s.cur.Load().NumNodes() }
 
 // NumEdges returns the current epoch's undirected edge count.
-func (s *Session) NumEdges() int { return s.cur.Load().numEdges }
+func (s *Session) NumEdges() int { return s.cur.Load().NumEdges() }
 
 // HasEdge reports whether the undirected edge {u, v} is present in the
 // current epoch.
@@ -139,7 +142,7 @@ func (s *Session) HasEdge(u, v int) bool { return s.cur.Load().HasEdge(u, v) }
 
 // Snapshot materializes the current epoch's edge set as a Graph owned by
 // the caller: mutating it cannot affect the Session or other callers.
-func (s *Session) Snapshot() *Graph { return s.cur.Load().graph.Clone() }
+func (s *Session) Snapshot() *Graph { return s.cur.Load().view.Graph() }
 
 // Stats returns a point-in-time snapshot of the session's serving
 // counters.
@@ -148,8 +151,8 @@ func (s *Session) Stats() SessionStats {
 	return SessionStats{
 		Epoch:      ep.seq,
 		NumNodes:   ep.NumNodes(),
-		NumEdges:   ep.numEdges,
-		Degeneracy: ep.degeneracy,
+		NumEdges:   ep.NumEdges(),
+		Degeneracy: ep.Degeneracy(),
 		QueueDepth: len(s.queue),
 		Enqueued:   s.enqueued.Load(),
 		Applied:    s.applied.Load(),
@@ -164,7 +167,7 @@ func (s *Session) Stats() SessionStats {
 // already-present edges, and closed sessions leave the session unchanged
 // and return false.
 func (s *Session) InsertEdge(u, v int) bool {
-	return s.applyWait(stream.Event{Op: stream.OpInsert, U: u, V: v})
+	return s.ApplyEvent(EdgeEvent{Op: EdgeInsert, U: u, V: v})
 }
 
 // DeleteEdge removes the undirected edge {u, v} and updates the
@@ -172,24 +175,37 @@ func (s *Session) InsertEdge(u, v int) bool {
 // reports whether the edge was present; deleting an absent edge or
 // mutating a closed session returns false.
 func (s *Session) DeleteEdge(u, v int) bool {
-	return s.applyWait(stream.Event{Op: stream.OpDelete, U: u, V: v})
+	return s.ApplyEvent(EdgeEvent{Op: EdgeDelete, U: u, V: v})
 }
 
 // ApplyEvent applies one edge event, blocking until it is absorbed, and
 // returns whether it changed the graph.
-func (s *Session) ApplyEvent(ev EdgeEvent) bool { return s.applyWait(ev) }
+func (s *Session) ApplyEvent(ev EdgeEvent) bool { return s.ApplyEvents([]EdgeEvent{ev}) == 1 }
 
-func (s *Session) applyWait(ev stream.Event) bool {
-	done := make(chan bool, 1)
+// ApplyEvents applies a frame of edge events in order as one unit of
+// the writer's work: it blocks until every event is absorbed and the one
+// epoch carrying their combined effect is published, then returns how
+// many of them changed the graph — exactly the count a one-by-one
+// sequential replay reports, although edges that flap inside the frame
+// cost no cascade. The caller must not modify evs before the call
+// returns. A closed session returns 0.
+func (s *Session) ApplyEvents(evs []EdgeEvent) (changed int) {
+	changed, _ = s.submit(evs)
+	return changed
+}
+
+// submit queues evs as one waited frame and waits for its result.
+func (s *Session) submit(evs []EdgeEvent) (changed int, err error) {
+	done := make(chan int, 1)
 	s.sendMu.RLock()
 	if s.closed {
 		s.sendMu.RUnlock()
-		return false
+		return 0, ErrSessionClosed
 	}
-	s.enqueued.Add(1)
-	s.queue <- sessionOp{ev: ev, done: done}
+	s.enqueued.Add(int64(len(evs)))
+	s.queue <- sessionOp{frame: evs, done: done}
 	s.sendMu.RUnlock()
-	return <-done
+	return <-done, nil
 }
 
 // Enqueue submits one edge event without waiting for absorption. It
@@ -218,16 +234,8 @@ func (s *Session) Enqueue(ev EdgeEvent) error {
 //
 //dkcore:noctx blocking is Flush's documented contract (drain barrier); bounded by writer progress
 func (s *Session) Flush() error {
-	done := make(chan bool, 1)
-	s.sendMu.RLock()
-	if s.closed {
-		s.sendMu.RUnlock()
-		return ErrSessionClosed
-	}
-	s.queue <- sessionOp{flush: true, done: done}
-	s.sendMu.RUnlock()
-	<-done
-	return nil
+	_, err := s.submit(nil)
+	return err
 }
 
 // Close stops the writer goroutine after absorbing every queued

@@ -6,10 +6,13 @@ package dkcore
 // batching and coalescing. Reads never take a lock: they grab the
 // current Epoch with one atomic load and answer everything from that
 // frozen view, so a deletion cascade in the writer can never stall the
-// read path.
+// read path. Consecutive epochs share, copy-on-write, everything the
+// batch between them did not touch, so publishing one costs what the
+// batch changed, not the size of the graph.
 
 import (
 	"errors"
+	"sync"
 
 	"dkcore/internal/stream"
 )
@@ -33,23 +36,19 @@ var ErrSessionClosed = errors.New("dkcore: session closed")
 // guaranteed mutually consistent, which a pair of Session-level queries
 // (two separate atomic loads) is not.
 type Epoch struct {
-	seq        uint64
-	coreness   []int
-	degeneracy int
-	numEdges   int
-	graph      *Graph
+	seq  uint64
+	view *stream.View
+
+	graphOnce sync.Once
+	graph     *Graph // the view's edge set as a CSR, built by the first Graph call
 }
 
 // newEpoch freezes the maintainer's current state. Called only from the
-// session writer, after a batch is fully absorbed.
+// session writer, after a batch is fully absorbed. The cost is
+// Maintainer.Publish's: the page tables plus the pages and rows the
+// batch wrote.
 func newEpoch(seq uint64, mt *stream.Maintainer) *Epoch {
-	return &Epoch{
-		seq:        seq,
-		coreness:   mt.CorenessValues(),
-		degeneracy: mt.MaxCoreness(),
-		numEdges:   mt.NumEdges(),
-		graph:      mt.Graph(),
-	}
+	return &Epoch{seq: seq, view: mt.Publish()}
 }
 
 // Seq returns the epoch's sequence number. The initial decomposition is
@@ -59,52 +58,40 @@ func (e *Epoch) Seq() uint64 { return e.seq }
 
 // Coreness returns the coreness of node u in this epoch, or 0 for
 // unknown nodes.
-func (e *Epoch) Coreness(u int) int {
-	if u < 0 || u >= len(e.coreness) {
-		return 0
-	}
-	return e.coreness[u]
-}
+func (e *Epoch) Coreness(u int) int { return e.view.Coreness(u) }
 
 // CorenessValues returns a copy of the epoch's per-node coreness array.
-func (e *Epoch) CorenessValues() []int {
-	out := make([]int, len(e.coreness))
-	copy(out, e.coreness)
-	return out
-}
+func (e *Epoch) CorenessValues() []int { return e.view.CorenessValues() }
 
 // KCoreMembers returns the sorted IDs of the nodes in this epoch's
 // k-core (coreness >= k); k <= 0 returns every node.
-func (e *Epoch) KCoreMembers(k int) []int {
-	var out []int
-	for u, c := range e.coreness {
-		if c >= k {
-			out = append(out, u)
-		}
-	}
-	return out
-}
+func (e *Epoch) KCoreMembers(k int) []int { return e.view.CoreMembers(k) }
 
-// Degeneracy returns the epoch's maximum coreness, precomputed at
-// publish time — an O(1) read where the pre-epoch Session paid an O(n)
-// scan under the read lock.
-func (e *Epoch) Degeneracy() int { return e.degeneracy }
+// Degeneracy returns the epoch's maximum coreness: an O(1) read of the
+// value the maintainer's per-level node counts held when the epoch was
+// published — neither the read nor the publish scans the nodes.
+func (e *Epoch) Degeneracy() int { return e.view.MaxCoreness() }
 
 // NumNodes returns the epoch's node count.
-func (e *Epoch) NumNodes() int { return len(e.coreness) }
+func (e *Epoch) NumNodes() int { return e.view.NumNodes() }
 
 // NumEdges returns the epoch's undirected edge count.
-func (e *Epoch) NumEdges() int { return e.numEdges }
+func (e *Epoch) NumEdges() int { return e.view.NumEdges() }
 
 // HasEdge reports whether the undirected edge {u, v} is present in this
 // epoch.
-func (e *Epoch) HasEdge(u, v int) bool { return e.graph.HasEdge(u, v) }
+func (e *Epoch) HasEdge(u, v int) bool { return e.view.HasEdge(u, v) }
 
 // Graph returns the epoch's edge set as an immutable CSR graph. The
-// returned graph is shared by every caller of this method on the same
-// Epoch and must not be modified; use Session.Snapshot for a private
-// mutable-safe copy.
-func (e *Epoch) Graph() *Graph { return e.graph }
+// first call on an Epoch materializes it, in O(n+m); every later call
+// returns the same graph, which is shared by all callers and must not be
+// modified. Use Session.Snapshot for a private mutable-safe copy.
+//
+//dkcore:epochinit the CSR is a cache of the frozen view, filled once under sync.Once; every caller sees the one completed value
+func (e *Epoch) Graph() *Graph {
+	e.graphOnce.Do(func() { e.graph = e.view.Graph() })
+	return e.graph
+}
 
 // SessionStats is a point-in-time counter snapshot of a Session's
 // serving state, for monitoring and the /stats and /healthz endpoints
@@ -156,47 +143,65 @@ func QueueSize(n int) SessionOption {
 }
 
 // MaxBatch bounds how many queued mutations the writer absorbs into one
-// epoch (default 256). Larger batches amortize the O(n+m) epoch publish
-// over more mutations at the cost of coarser snapshot granularity.
+// epoch (default 256); a waited frame (ApplyEvents) is never split, so
+// it may carry a batch past the bound. A publish costs what its batch
+// changed — the page tables, about n/512 pointers each, plus the pages
+// and adjacency rows the batch wrote — so a larger batch saves little
+// beyond sharing those pages and coalescing edges that flap inside it,
+// at the cost of coarser snapshot granularity.
 func MaxBatch(n int) SessionOption {
 	return func(c *sessionConfig) { c.maxBatch = n }
 }
 
-// sessionOp is one entry of the mutation queue: an edge event, or a
-// flush sentinel that just wants to know every earlier op was absorbed.
+// sessionOp is one entry of the mutation queue: a single event from
+// Enqueue, or — when done is non-nil — a waited frame of zero or more
+// events whose submitter wants to know how many of them changed the
+// graph, once the epoch carrying all of them is published. A waited
+// frame of zero events is Flush's barrier.
 type sessionOp struct {
 	ev    stream.Event
-	flush bool
-	done  chan bool // non-nil: receives the op's result after publish
+	frame []stream.Event
+	done  chan int
+}
+
+// size is the number of events the op carries.
+func (op sessionOp) size() int {
+	if op.done == nil {
+		return 1
+	}
+	return len(op.frame)
 }
 
 // writer is the Session's single mutator goroutine: it drains the queue
-// in batches, absorbs each batch into the maintainer, publishes one
-// immutable Epoch per batch that changed the graph, and only then
-// reports each op's result. It exits when the queue is closed, after
-// draining every remaining op.
+// in batches of up to maxBatch events (a frame is never split, so the
+// last op of a batch may carry it past that), absorbs each batch into
+// the maintainer, publishes one immutable Epoch per batch that changed
+// the graph, and only then reports each waited op's result. It exits
+// when the queue is closed, after draining every remaining op.
 func (s *Session) writer(mt *stream.Maintainer) {
 	defer close(s.writerDone)
 	batch := make([]sessionOp, 0, s.maxBatch)
-	results := make([]bool, 0, s.maxBatch)
+	changed := make([]int, 0, s.maxBatch)
 	for op := range s.queue {
 		batch = append(batch[:0], op)
+		events := op.size()
 	drain:
-		for len(batch) < s.maxBatch {
+		for events < s.maxBatch {
 			select {
 			case next, ok := <-s.queue:
 				if !ok {
 					break drain
 				}
 				batch = append(batch, next)
+				events += next.size()
 			default:
 				break drain
 			}
 		}
-		results = s.absorb(mt, batch, results[:0])
+		changed = s.absorb(mt, batch, changed[:0])
 		for i, op := range batch {
 			if op.done != nil {
-				op.done <- results[i]
+				op.done <- changed[i]
 			}
 		}
 	}
@@ -206,63 +211,65 @@ func (s *Session) writer(mt *stream.Maintainer) {
 type edgeKey struct{ u, v int }
 
 // edgeState tracks one coalesced edge through a batch: presence before
-// the batch and presence after the ops simulated so far.
+// the batch and presence after the events simulated so far.
 type edgeState struct{ before, after bool }
 
-// absorb applies one batch to the maintainer and publishes an epoch if
-// the graph changed. Ops on edges inside the pre-batch node set are
-// coalesced: their results are computed by simulating presence per edge,
-// and only each edge's net effect (insert, delete, or nothing for an
-// insert+delete pair) touches the maintainer — so an edge that flaps
-// within a batch costs zero cascades. Ops that would grow the node set
-// are applied literally, keeping NumNodes (and hence the published
-// state) exactly what a sequential replay of the batch would produce.
-// Edge sets of the two classes are disjoint (a key is literal iff an
-// endpoint is outside the frozen pre-batch node set), so the final state
-// is order-independent and matches the sequential result.
-func (s *Session) absorb(mt *stream.Maintainer, batch []sessionOp, results []bool) []bool {
+// absorb applies one batch to the maintainer, publishes an epoch if the
+// graph changed, and appends to changed, per op, how many of the op's
+// events changed the graph in sequential order. Events on edges inside
+// the pre-batch node set are coalesced: their results are computed by
+// simulating presence per edge, and only each edge's net effect (insert,
+// delete, or nothing for an insert+delete pair) touches the maintainer —
+// so an edge that flaps within a batch costs zero cascades. Events that
+// would grow the node set are applied literally, keeping NumNodes (and
+// hence the published state) exactly what a sequential replay of the
+// batch would produce. Edge sets of the two classes are disjoint (a key
+// is literal iff an endpoint is outside the frozen pre-batch node set),
+// so the final state is order-independent and matches the sequential
+// result.
+func (s *Session) absorb(mt *stream.Maintainer, batch []sessionOp, changed []int) []int {
 	n0 := mt.NumNodes()
-	changed := false
+	dirty := false
 	applied := int64(0)
-	var pending map[edgeKey]edgeState
+	pending := s.pending
+	clear(pending)
 	for _, op := range batch {
-		if op.flush {
-			results = append(results, true)
-			continue
+		evs := op.frame
+		if op.done == nil {
+			evs = []stream.Event{op.ev}
 		}
-		applied++
-		u, v := op.ev.U, op.ev.V
-		if u < 0 || v < 0 || u == v {
-			results = append(results, false)
-			continue
+		applied += int64(len(evs))
+		count := 0
+		for _, ev := range evs {
+			u, v := ev.U, ev.V
+			if u < 0 || v < 0 || u == v {
+				continue
+			}
+			if u >= n0 || v >= n0 {
+				if mt.Apply(ev) {
+					dirty = true
+					count++
+				}
+				continue
+			}
+			if u > v {
+				u, v = v, u
+			}
+			key := edgeKey{u, v}
+			st, seen := pending[key]
+			if !seen {
+				p := mt.HasEdge(u, v)
+				st = edgeState{before: p, after: p}
+			}
+			// A delete changes the graph iff the edge is present, an
+			// insert iff it is absent.
+			if isDelete := ev.Op == stream.OpDelete; st.after == isDelete {
+				count++
+				st.after = !isDelete
+			}
+			pending[key] = st
 		}
-		if u >= n0 || v >= n0 {
-			ok := mt.Apply(op.ev)
-			changed = changed || ok
-			results = append(results, ok)
-			continue
-		}
-		if u > v {
-			u, v = v, u
-		}
-		key := edgeKey{u, v}
-		if pending == nil {
-			pending = s.pending
-			clear(pending)
-		}
-		st, seen := pending[key]
-		if !seen {
-			p := mt.HasEdge(u, v)
-			st = edgeState{before: p, after: p}
-		}
-		if op.ev.Op == stream.OpDelete {
-			results = append(results, st.after)
-			st.after = false
-		} else {
-			results = append(results, !st.after)
-			st.after = true
-		}
-		pending[key] = st
+		changed = append(changed, count)
 	}
 	for key, st := range pending {
 		if st.after == st.before {
@@ -273,9 +280,9 @@ func (s *Session) absorb(mt *stream.Maintainer, batch []sessionOp, results []boo
 		} else {
 			mt.DeleteEdge(key.u, key.v)
 		}
-		changed = true
+		dirty = true
 	}
-	if changed {
+	if dirty {
 		seq := s.cur.Load().seq + 1
 		s.cur.Store(newEpoch(seq, mt))
 		s.batches.Add(1)
@@ -284,5 +291,5 @@ func (s *Session) absorb(mt *stream.Maintainer, batch []sessionOp, results []boo
 	// their effect is published, so a caller whose InsertEdge returned
 	// true immediately observes an epoch containing that edge.
 	s.applied.Add(applied)
-	return results
+	return changed
 }

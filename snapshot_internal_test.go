@@ -31,6 +31,7 @@ func TestAbsorbCoalescesWithExactResults(t *testing.T) {
 
 	ins := func(u, v int) sessionOp { return sessionOp{ev: stream.Event{Op: stream.OpInsert, U: u, V: v}} }
 	del := func(u, v int) sessionOp { return sessionOp{ev: stream.Event{Op: stream.OpDelete, U: u, V: v}} }
+	barrier := sessionOp{done: make(chan int)} // what Flush queues: a waited frame of no events
 	batch := []sessionOp{
 		ins(0, 2),             // absent -> true, present
 		del(2, 0),             // present (normalized key) -> true, absent
@@ -41,18 +42,18 @@ func TestAbsorbCoalescesWithExactResults(t *testing.T) {
 		del(-1, 3),            // negative -> false
 		ins(9, 5),             // grows node set: literal path -> true
 		del(5, 9),             // literal path -> true; nodes must stay grown
-		{flush: true},         // sentinel -> true
+		barrier,               // no events -> 0
 		del(3, 0),             // never present -> false
 		ins(1, 2), ins(12, 1), // duplicate of base edge -> false; grow -> true
 	}
-	want := []bool{true, true, true, true, true, false, false, true, true, true, false, false, true}
+	want := []int{1, 1, 1, 1, 1, 0, 0, 1, 1, 0, 0, 0, 1}
 	got := s.absorb(mt, batch, nil)
 	if len(got) != len(want) {
 		t.Fatalf("%d results for %d ops", len(got), len(want))
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("op %d: result %v, want %v", i, got[i], want[i])
+			t.Fatalf("op %d: changed %d, want %d", i, got[i], want[i])
 		}
 	}
 
@@ -95,11 +96,11 @@ func TestAbsorbNoChangeSkipsPublish(t *testing.T) {
 		{ev: stream.Event{Op: stream.OpInsert, U: 0, V: 2}}, // insert...
 		{ev: stream.Event{Op: stream.OpDelete, U: 0, V: 2}}, // ...cancelled
 	}
-	want := []bool{false, false, true, true}
+	want := []int{0, 0, 1, 1}
 	got := s.absorb(mt, batch, nil)
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("op %d: result %v, want %v", i, got[i], want[i])
+			t.Fatalf("op %d: changed %d, want %d", i, got[i], want[i])
 		}
 	}
 	if seq := s.CurrentEpoch().Seq(); seq != 1 {
