@@ -9,6 +9,8 @@
 #   make lint        run cmd/kcore-lint, the domain-invariant static
 #                    analyzers (KC001-KC005; see docs/INVARIANTS.md)
 #   make test        run the full test suite
+#   make test-budget run it uncached, print the ten slowest tests, fail if
+#                    any test outside the two chaos legs took over 10 s
 #   make race        run the test suite under the race detector
 #   make fuzz-short  run each native fuzz target briefly
 #   make chaos       full chaos equivalence suite: 50-graph pool under
@@ -16,15 +18,18 @@
 #                    and serve legs (CHAOS_SEED=N replays a schedule)
 #   make chaos-smoke bounded slice of the chaos suite under -race (the
 #                    CI lane)
-#   make bench       run every benchmark once (smoke) — use BENCHTIME=2s for numbers
+#   make bench       run every testing.B benchmark once (smoke: they must
+#                    run, not regress — performance claims go through
+#                    `go run ./benchmark`, see README "Measuring")
 #   make bench-partition  run only BenchmarkPartitionSetup (the O(n+m)
 #                    partition-setup gate; flat-in-p cost is the contract)
+#   make bench-allocs     the deterministic allocation gates
 #   make ci          build + vet (incl. gofmt gate) + apicheck + lint +
 #                    test + race + fuzz-short + chaos-smoke
 #
-# .github/workflows/ci.yml runs build+vet+apicheck+lint+test as the fast
-# lane and race / fuzz-short / chaos smoke / bench smoke as separate
-# parallel jobs.
+# .github/workflows/ci.yml runs build+vet+apicheck+lint+test+test-budget
+# as the fast lane and race / fuzz-short / chaos smoke / bench smoke as
+# separate parallel jobs.
 #
 # Lint escape hatches (all greppable, reason mandatory):
 #   //dkcore:noalloc <why>     marks a steady-state function the KC004
@@ -45,7 +50,7 @@ FUZZTIME   ?= 10s
 BENCHTIME  ?= 1x
 CHAOS_SEED ?= 1
 
-.PHONY: all build vet apicheck lint test race fuzz-short chaos chaos-smoke bench bench-partition bench-hotpath bench-allocs bench-serve bench-cluster bench-oocore ci
+.PHONY: all build vet apicheck lint test test-budget race fuzz-short chaos chaos-smoke bench bench-partition bench-allocs ci
 
 all: build
 
@@ -84,6 +89,28 @@ lint:
 test: build
 	$(GO) test ./...
 
+# test-budget keeps tier-1 a loop, not a wait: it runs the suite
+# uncached, lists the ten slowest top-level tests, and fails if the run
+# failed or any test took over 10 s. The two chaos legs are exempt —
+# their cost is real-time protocol deadlines, not work.
+test-budget: build
+	@$(GO) test -count=1 -json ./... | awk ' \
+		/"Action":"fail"/ { failed = 1 } \
+		/"Action":"(pass|fail)"/ && match($$0, /"Test":"[^"\/]+"/) { \
+			name = substr($$0, RSTART + 8, RLENGTH - 9); \
+			match($$0, /"Package":"[^"]+"/); pkg = substr($$0, RSTART + 11, RLENGTH - 12); \
+			match($$0, /"Elapsed":[0-9.]+/); secs = substr($$0, RSTART + 10, RLENGTH - 10) + 0; \
+			printf "%8.2fs  %s:%s\n", secs, pkg, name | "sort -rn | head -10"; \
+			if (secs > 10 && name !~ /^TestChaosEquivalence(Cluster|Serve)$$/) \
+				over = over sprintf("  %s:%s took %.2fs\n", pkg, name, secs); \
+		} \
+		END { \
+			close("sort -rn | head -10"); \
+			if (failed) print "test-budget: the test run failed"; \
+			if (over != "") printf "test-budget: over the 10 s budget:\n%s", over; \
+			exit (failed || over != "") \
+		}'
+
 race: build
 	$(GO) test -race ./...
 
@@ -113,8 +140,8 @@ chaos-smoke: build
 	DKCORE_CHAOS_SEED=$(CHAOS_SEED) \
 		$(GO) test -run TestChaosEquivalence -count=1 -short -race -timeout 10m ./internal/chaos
 
-# bench runs every benchmark, BenchmarkPartitionSetup included, so the
-# BENCH_*.json trajectory always carries the partition-setup series.
+# bench runs every testing.B benchmark in the tree once; at the default
+# BENCHTIME=1x it is a smoke run proving they still execute.
 bench: build
 	$(GO) test -run '^$$' -bench . -benchtime $(BENCHTIME) ./...
 
@@ -125,44 +152,17 @@ bench: build
 bench-partition: build
 	$(GO) test -run '^$$' -bench BenchmarkPartitionSetup -benchtime $(BENCHTIME) .
 
-# bench-hotpath isolates the refinement hot-path benchmark: incremental
-# support-counter refinement vs the retained recompute-from-scratch
-# oracle on the power-law hub stress (the ≥2x throughput contract), with
-# allocation reporting.
-bench-hotpath: build
-	$(GO) test -run '^$$' -bench BenchmarkRefineHotPath -benchtime $(BENCHTIME) -benchmem .
-
 # bench-allocs is the allocation-regression gate CI's benchmark-smoke
-# lane runs: steady-state rounds of the parallel engine (and the
-# HostState refinement loop beneath it) must re-run a warmed state with
-# zero allocations, and one waited Session event must publish its epoch
-# in under 64 KiB of allocation, within 2x between a 20k-node and a
-# 200k-node graph (the scale gate: an O(n) or O(m) copy on the publish
-# path fails it). Deterministic tests, not benchmark-output parsing.
+# lane runs: steady-state rounds of the parallel engine, and of the
+# HostState global-addressing loop the cluster and out-of-core engines
+# drive, must re-run a warmed state with zero allocations, and one
+# waited Session event must publish its epoch in under 64 KiB of
+# allocation, within 2x between a 20k-node and a 200k-node graph (the
+# scale gate: an O(n) or O(m) copy on the publish path fails it).
+# Deterministic tests, not benchmark-output parsing.
 bench-allocs: build
 	$(GO) test -run TestSteadyStateRoundAllocs -count=1 ./internal/parallel
-	$(GO) test -run 'TestRefineSteadyStateAllocs|TestPublishBytesScaleFree' -count=1 .
-
-# bench-cluster isolates the cluster wire-efficiency gate: on the
-# powerlaw-10k workload the flate-compressed delta batches must be at
-# most half the raw bytes (BENCH_cluster.json records the full
-# engine x dataset matrix).
-bench-cluster: build
-	$(GO) test -run TestClusterCompressionFloor -count=1 -v ./internal/bench
-
-# bench-serve isolates the query-service throughput gate: the
-# epoch-snapshot Session must beat the RWMutex baseline's read QPS under
-# churn (TestServeQPSFloor enforces >=2x in CI; BENCH_serve.json records
-# the measured ratio on an unloaded box).
-bench-serve: build
-	$(GO) test -run TestServeQPSFloor -count=1 -v .
-	$(GO) test -run '^$$' -bench BenchmarkServeQPS -benchtime $(BENCHTIME) .
-
-# bench-oocore isolates the out-of-core memory gate: a decompose whose
-# spilled block store is >= 10x the cache budget must hold its peak RSS
-# growth under twice the budget plus a modeled overhead allowance while
-# matching the sequential oracle exactly (BENCH_oocore.json records the run).
-bench-oocore: build
-	$(GO) test -run TestOOCoreBoundedMemory -count=1 -v ./internal/bench
+	$(GO) test -run TestRefineSteadyStateAllocs -count=1 ./internal/core
+	$(GO) test -run TestPublishBytesScaleFree -count=1 .
 
 ci: build vet apicheck lint test race fuzz-short chaos-smoke

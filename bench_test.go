@@ -277,54 +277,14 @@ func BenchmarkStreamMaintenance(b *testing.B) {
 // spreading benchmark victim edges across the graph deterministically.
 const victimStride = 997
 
-// BenchmarkParallelSpeedup compares the single-goroutine simulator
-// against the partitioned shared-memory engine at increasing worker
-// counts, on the 10k-node power-law generator (the degree profile of the
-// paper's web/social datasets) and the §4.2 worst-case family (the
-// round-count adversary: long dependency chains, minimal per-round
-// parallel work). The engine must hold ≥1.9× over the simulator at 8
-// workers on the power-law graph — even on one CPU, where the gain is
-// purely algorithmic (incremental cascades, peer-local addressing,
-// allocation-free rounds), not parallelism.
-func BenchmarkParallelSpeedup(b *testing.B) {
-	graphs := []struct {
-		name string
-		g    *dkcore.Graph
-	}{
-		{"powerlaw-10k", dkcore.GeneratePowerLaw(dkcore.PowerLawConfig{N: 10000, Exponent: 2.2, MinDeg: 2}, 1)},
-		{"worstcase-2k", dkcore.GenerateWorstCase(2000)},
-	}
-	for _, tc := range graphs {
-		b.Run(tc.name+"/sim", func(b *testing.B) {
-			b.ReportAllocs()
-			var rounds float64
-			for i := 0; i < b.N; i++ {
-				res := runEngine(b, tc.g, dkcore.OneToOne, dkcore.Seed(int64(i+1)))
-				rounds = float64(res.ExecutionTime)
-			}
-			b.ReportMetric(rounds, "rounds")
-		})
-		for _, w := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("%s/parallel-w%d", tc.name, w), func(b *testing.B) {
-				b.ReportAllocs()
-				var rounds float64
-				for i := 0; i < b.N; i++ {
-					rounds = float64(runEngine(b, tc.g, dkcore.Parallel, dkcore.Workers(w)).Rounds)
-				}
-				b.ReportMetric(rounds, "rounds")
-			})
-		}
-	}
-}
-
 // BenchmarkPartitionSetup measures the cost of sharding a fixed graph
 // into p partitions and building every partition's protocol state — the
 // setup each sharded engine (parallel, cluster, one-to-many simulator)
 // pays before its first round. core.PartitionAll is a single O(n+m)
 // bucketing pass for all partitions at once, so total setup cost must
 // stay near-constant as p grows at fixed graph size; the per-partition
-// rescan it replaced was O(n·p). A sustained upward trend across the
-// p-series in the BENCH_*.json trajectory is a regression.
+// rescan it replaced was O(n·p). An upward trend across the p-series is
+// a regression (`make bench-partition` prints it).
 func BenchmarkPartitionSetup(b *testing.B) {
 	g := dkcore.GeneratePowerLaw(dkcore.PowerLawConfig{N: 10000, Exponent: 2.2, MinDeg: 2}, 1)
 	for _, p := range []int{1, 4, 16, 64, 256} {
@@ -361,67 +321,4 @@ func BenchmarkComputeIndex(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		core.ComputeIndex(est, 40, count)
 	}
-}
-
-// BenchmarkServeQPS runs the full serving-throughput experiment per
-// iteration: epoch-snapshot Session vs RWMutex baseline at 8 concurrent
-// readers under churn, plus loopback HTTP and binary rows. The headline
-// metrics are the epoch mode's read QPS and its speedup over the mutex
-// baseline.
-func BenchmarkServeQPS(b *testing.B) {
-	var epochQPS, speedup, httpQPS, binQPS float64
-	for i := 0; i < b.N; i++ {
-		rows, err := bench.ServeQPS(bench.Config{Scale: benchScale, Seed: int64(i + 1)})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			switch r.Mode {
-			case "epoch":
-				epochQPS, speedup = r.QPS, r.Speedup
-			case "http":
-				httpQPS = r.QPS
-			case "binary":
-				binQPS = r.QPS
-			}
-		}
-	}
-	b.ReportMetric(epochQPS, "epoch-qps")
-	b.ReportMetric(speedup, "speedup-vs-mutex")
-	b.ReportMetric(httpQPS, "http-qps")
-	b.ReportMetric(binQPS, "binary-qps")
-}
-
-// TestServeQPSFloor is the CI floor gate on the serving redesign: under
-// concurrent churn at 8 readers, the epoch-snapshot Session must sustain
-// at least twice the RWMutex baseline's read throughput. The measured
-// ratio on an unloaded box is ~10x (see BENCH_serve.json); 2x leaves
-// headroom for noisy shared CI runners while still failing if reads ever
-// reacquire a lock.
-func TestServeQPSFloor(t *testing.T) {
-	if testing.Short() {
-		t.Skip("throughput floor is not meaningful in -short mode")
-	}
-	rows, err := bench.ServeQPS(bench.Config{Scale: 0.2, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var epoch, mutex *bench.ServeRow
-	for i := range rows {
-		switch rows[i].Mode {
-		case "epoch":
-			epoch = &rows[i]
-		case "rwmutex":
-			mutex = &rows[i]
-		}
-	}
-	if epoch == nil || mutex == nil {
-		t.Fatalf("missing modes in %+v", rows)
-	}
-	if mutex.QPS <= 0 || epoch.QPS < 2*mutex.QPS {
-		t.Fatalf("epoch QPS %.0f < 2x rwmutex QPS %.0f (speedup %.2fx)",
-			epoch.QPS, mutex.QPS, epoch.Speedup)
-	}
-	t.Logf("epoch %.0f qps vs rwmutex %.0f qps at %d readers: %.1fx",
-		epoch.QPS, mutex.QPS, epoch.Readers, epoch.Speedup)
 }

@@ -8,15 +8,19 @@
 //	kcore-bench -exp all                 # everything, default scale
 //	kcore-bench -exp table1 -reps 50     # Table 1 with the paper's 50 reps
 //	kcore-bench -exp fig5 -datasets astroph,berkstan
-//	kcore-bench -exp parallel -json      # machine-readable results
+//	kcore-bench -exp worstcase -json     # machine-readable results
 //
 // With -json the tool emits one JSON record per line on stdout instead
 // of the text tables: {experiment, title, seconds, data} objects whose
-// data payload is the experiment's row structs — the format the repo's
-// BENCH_*.json perf trajectory records. Records stream as experiments
-// complete, and a failing experiment still emits a well-formed record
-// (with an "error" field and no data) before the tool exits non-zero, so
-// consumers never see torn or partial JSON.
+// data payload is the experiment's row structs. Records stream as
+// experiments complete, and a failing experiment still emits a
+// well-formed record (with an "error" field and no data) before the tool
+// exits non-zero, so consumers never see torn or partial JSON.
+//
+// These are reproductions of the paper's figures of merit (rounds,
+// messages), not performance measurements of this implementation: a
+// performance claim goes through `go run ./benchmark` (see README,
+// "Measuring").
 package main
 
 import (
@@ -108,47 +112,6 @@ var experiments = []experiment{
 		run:   func(cfg bench.Config, _ int) (any, error) { return bench.AssignmentAblation(cfg) },
 		write: func(w io.Writer, data any) error {
 			return bench.WriteAssignment(w, data.([]bench.AssignmentRow))
-		},
-	},
-	{
-		name:  "parallel",
-		title: "extension: partitioned parallel engine vs simulator",
-		run:   func(cfg bench.Config, _ int) (any, error) { return bench.ParallelSpeedup(cfg) },
-		write: func(w io.Writer, data any) error {
-			return bench.WriteParallel(w, data.([]bench.ParallelRow))
-		},
-	},
-	{
-		name:       "serve",
-		title:      "extension: query service read throughput under churn (epoch vs rwmutex)",
-		configless: true,
-		run:        func(cfg bench.Config, _ int) (any, error) { return bench.ServeQPS(cfg) },
-		write: func(w io.Writer, data any) error {
-			return bench.WriteServe(w, data.([]bench.ServeRow))
-		},
-	},
-	{
-		name:  "cluster",
-		title: "extension: fault-tolerant cluster runtime — engine × dataset matrix",
-		run:   func(cfg bench.Config, _ int) (any, error) { return bench.ClusterMatrix(cfg) },
-		write: func(w io.Writer, data any) error {
-			return bench.WriteCluster(w, data.([]bench.ClusterRow))
-		},
-	},
-	{
-		name:  "oocore",
-		title: "extension: out-of-core engine — block store vs cache budget under a memory bound",
-		run:   func(cfg bench.Config, _ int) (any, error) { return bench.OOCore(cfg) },
-		write: func(w io.Writer, data any) error {
-			return bench.WriteOOCore(w, data.([]bench.OOCoreRow))
-		},
-	},
-	{
-		name:  "hotpath",
-		title: "extension: refinement hot path — incremental support counters vs recompute oracle",
-		run:   func(cfg bench.Config, _ int) (any, error) { return bench.HotPath(cfg) },
-		write: func(w io.Writer, data any) error {
-			return bench.WriteHotPath(w, data.([]bench.HotPathRow))
 		},
 	},
 }

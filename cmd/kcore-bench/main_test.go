@@ -19,7 +19,6 @@ func TestRunTinyExperiments(t *testing.T) {
 		{"worstcase", "want N-1"},
 		{"ablation", "reduction"},
 		{"assignment", "modulo (paper)"},
-		{"hotpath", "hoststate-incremental"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.exp, func(t *testing.T) {
@@ -51,10 +50,25 @@ func TestRunFig5Tiny(t *testing.T) {
 	}
 }
 
+// TestRunRejectsUnknownExperiment also pins the retired extension
+// experiments as gone: their successors are benchmark/'s per-layer
+// metrics, and -exp must say so rather than run a second harness.
 func TestRunRejectsUnknownExperiment(t *testing.T) {
-	var out bytes.Buffer
-	if err := run([]string{"-exp", "nope"}, &out); err == nil {
-		t.Fatalf("unknown experiment accepted")
+	for _, exp := range []string{"nope", "parallel", "serve", "cluster", "oocore", "hotpath"} {
+		var out bytes.Buffer
+		err := run([]string{"-exp", exp}, &out)
+		if err == nil || !strings.Contains(err.Error(), "unknown experiment") {
+			t.Fatalf("-exp %s: err = %v, want unknown experiment", exp, err)
+		}
+	}
+}
+
+// TestAllIsThePaperExperiments pins what -exp all expands to: the seven
+// reproductions of the paper's evaluation, in presentation order.
+func TestAllIsThePaperExperiments(t *testing.T) {
+	want := "table1,table2,fig4,fig5,worstcase,ablation,assignment"
+	if got := strings.Join(experimentNames(), ","); got != want {
+		t.Fatalf("experiments = %s, want %s", got, want)
 	}
 }
 
@@ -84,7 +98,8 @@ func parseJSONLines(t *testing.T, out string) []benchRecord {
 
 func TestRunJSONOutput(t *testing.T) {
 	var out bytes.Buffer
-	args := []string{"-exp", "worstcase,parallel", "-scale", "0.04", "-reps", "1", "-json"}
+	args := []string{"-exp", "worstcase,ablation", "-scale", "0.04", "-reps", "1",
+		"-datasets", "gnutella", "-json"}
 	if err := run(args, &out); err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +107,7 @@ func TestRunJSONOutput(t *testing.T) {
 	if len(records) != 2 {
 		t.Fatalf("got %d records, want 2", len(records))
 	}
-	for i, want := range []string{"worstcase", "parallel"} {
+	for i, want := range []string{"worstcase", "ablation"} {
 		if records[i].Experiment != want {
 			t.Fatalf("record %d experiment = %q, want %q", i, records[i].Experiment, want)
 		}

@@ -3,11 +3,13 @@
 // protocol performance), Table 2 (per-core convergence delays on the
 // web-BerkStan analogue), Figure 4 (error evolution), Figure 5
 // (one-to-many overhead vs number of hosts), plus the §4 worst-case
-// validation and the §3.1.2 send-optimization ablation.
+// validation, the §3.1.2 send-optimization ablation and the assignment
+// policy ablation. Every figure of merit here is a count the paper
+// reports (rounds, messages, estimates) — none is a timing; performance
+// of this implementation is measured by ./benchmark alone.
 //
 // The harness is shared between cmd/kcore-bench (human-readable reports)
-// and the repository's bench_test.go (machine-measurable testing.B
-// benchmarks).
+// and the repository's bench_test.go (BenchmarkTable2).
 package bench
 
 import (

@@ -89,6 +89,33 @@ func TestClusterOverheadGrowsWithHosts(t *testing.T) {
 	}
 }
 
+// TestClusterCompressionFloor is the wire-efficiency gate: on the
+// powerlaw-10k workload the flate-compressed delta batches must be at
+// most half the raw bytes. Estimate batches are sorted node/value pairs
+// with heavy small-integer repetition — flate comfortably halves them,
+// and a regression here means the encoder or negotiation broke.
+func TestClusterCompressionFloor(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full powerlaw-10k cluster run")
+	}
+	g := gen.PowerLaw(gen.PowerLawConfig{N: 10000, Exponent: 2.2, MinDeg: 2}, 1)
+	res, _, err := RunLocal(context.Background(),
+		CoordinatorConfig{Graph: g, NumHosts: 4, Compression: true}, HostConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(res.Coreness, kcore.Decompose(g).CorenessValues()) {
+		t.Fatal("coreness differs from the sequential oracle")
+	}
+	if res.BatchBytesRaw == 0 {
+		t.Fatal("no raw batch bytes recorded")
+	}
+	if ratio := float64(res.BatchBytesWire) / float64(res.BatchBytesRaw); ratio > 0.5 {
+		t.Errorf("wire/raw = %.3f, want <= 0.5 (raw %d, wire %d)",
+			ratio, res.BatchBytesRaw, res.BatchBytesWire)
+	}
+}
+
 func TestCoordinatorValidation(t *testing.T) {
 	if _, err := NewCoordinator(CoordinatorConfig{Graph: nil, NumHosts: 2}); err == nil {
 		t.Fatalf("nil graph accepted")

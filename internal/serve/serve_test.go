@@ -391,6 +391,12 @@ func TestGracefulShutdown(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer idle.Close()
+	// One round trip first: a dial returns once the kernel has the
+	// connection, which can be before the accept loop has registered it,
+	// and Shutdown would then see no client to wait for.
+	if _, _, err := idle.Degeneracy(); err != nil {
+		t.Fatal(err)
+	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
 	defer cancel()

@@ -1,7 +1,8 @@
-// Package stats provides the small statistical and table-rendering
-// toolkit used by the benchmark harness: online summaries across
-// experiment repetitions and fixed-width text tables in the style of the
-// paper's Table 1 and Table 2.
+// Package stats is internal/bench's rendering toolkit — its only
+// importer: online summaries across experiment repetitions and
+// fixed-width text tables in the style of the paper's Table 1 and
+// Table 2. It stays a package so the paper reproductions do not carry
+// column-alignment code.
 package stats
 
 import (
@@ -66,50 +67,6 @@ func (o *Online) Std() float64 {
 		return 0
 	}
 	return math.Sqrt(o.m2 / float64(o.n-1))
-}
-
-// Summary is a one-shot description of a sample set.
-type Summary struct {
-	N                   int
-	Min, Max, Mean, Std float64
-}
-
-// Summarize computes a Summary of xs.
-func Summarize(xs []float64) Summary {
-	var o Online
-	for _, x := range xs {
-		o.Add(x)
-	}
-	return Summary{N: o.N(), Min: o.Min(), Max: o.Max(), Mean: o.Mean(), Std: o.Std()}
-}
-
-// Percentile returns the p-th percentile (0 <= p <= 100) of xs using
-// nearest-rank on a sorted copy. It returns 0 for an empty slice.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), xs...)
-	insertionSort(sorted)
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := int(math.Ceil(p / 100 * float64(len(sorted))))
-	if rank < 1 {
-		rank = 1
-	}
-	return sorted[rank-1]
-}
-
-func insertionSort(xs []float64) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }
 
 // Table renders column-aligned text tables.

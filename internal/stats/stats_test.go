@@ -5,7 +5,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func TestOnlineBasics(t *testing.T) {
@@ -28,49 +27,6 @@ func TestOnlineBasics(t *testing.T) {
 	// Sample std of this classic set is sqrt(32/7).
 	if math.Abs(o.Std()-math.Sqrt(32.0/7.0)) > 1e-12 {
 		t.Fatalf("std = %v", o.Std())
-	}
-}
-
-func TestSummarizeMatchesOnlineProperty(t *testing.T) {
-	check := func(raw []int8) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		xs := make([]float64, len(raw))
-		var o Online
-		for i, r := range raw {
-			xs[i] = float64(r)
-			o.Add(float64(r))
-		}
-		s := Summarize(xs)
-		return s.N == o.N() &&
-			math.Abs(s.Mean-o.Mean()) < 1e-9 &&
-			s.Min == o.Min() && s.Max == o.Max()
-	}
-	if err := quick.Check(check, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	xs := []float64{5, 1, 4, 2, 3}
-	tests := []struct {
-		p    float64
-		want float64
-	}{
-		{0, 1}, {20, 1}, {40, 2}, {50, 3}, {100, 5}, {99, 5},
-	}
-	for _, tt := range tests {
-		if got := Percentile(xs, tt.p); got != tt.want {
-			t.Fatalf("P%v = %v, want %v", tt.p, got, tt.want)
-		}
-	}
-	if Percentile(nil, 50) != 0 {
-		t.Fatalf("empty percentile should be 0")
-	}
-	// Input must not be reordered.
-	if xs[0] != 5 || xs[4] != 3 {
-		t.Fatalf("input mutated: %v", xs)
 	}
 }
 
