@@ -9,6 +9,9 @@
 #   make lint        run cmd/kcore-lint, the domain-invariant static
 #                    analyzers (KC001-KC005; see docs/INVARIANTS.md)
 #   make test        run the full test suite
+#   make examples    go run every examples/* program; each cross-checks
+#                    its output against the sequential oracle and exits
+#                    non-zero on a mismatch
 #   make test-budget run it uncached, print the ten slowest tests, fail if
 #                    any test outside the two chaos legs took over 10 s
 #   make race        run the test suite under the race detector
@@ -25,10 +28,10 @@
 #                    partition-setup gate; flat-in-p cost is the contract)
 #   make bench-allocs     the deterministic allocation gates
 #   make ci          build + vet (incl. gofmt gate) + apicheck + lint +
-#                    test + race + fuzz-short + chaos-smoke
+#                    test + examples + race + fuzz-short + chaos-smoke
 #
-# .github/workflows/ci.yml runs build+vet+apicheck+lint+test+test-budget
-# as the fast lane and race / fuzz-short / chaos smoke / bench smoke as
+# .github/workflows/ci.yml runs build+vet+apicheck+lint+test+examples+
+# test-budget as the fast lane and race / fuzz-short / chaos smoke / bench smoke as
 # separate parallel jobs.
 #
 # Lint escape hatches (all greppable, reason mandatory):
@@ -50,7 +53,7 @@ FUZZTIME   ?= 10s
 BENCHTIME  ?= 1x
 CHAOS_SEED ?= 1
 
-.PHONY: all build vet apicheck lint test test-budget race fuzz-short chaos chaos-smoke bench bench-partition bench-allocs ci
+.PHONY: all build vet apicheck lint test examples test-budget race fuzz-short chaos chaos-smoke bench bench-partition bench-allocs ci
 
 all: build
 
@@ -88,6 +91,15 @@ lint:
 
 test: build
 	$(GO) test ./...
+
+# examples runs every program under examples/ to completion. They are
+# real consumers of the public API that log.Fatal on any disagreement
+# with the oracle, so a zero exit from each is the check.
+examples: build
+	@for dir in examples/*/; do \
+		echo "go run ./$$dir"; \
+		$(GO) run "./$$dir" > /dev/null || { echo "examples: ./$$dir failed"; exit 1; }; \
+	done
 
 # test-budget keeps tier-1 a loop, not a wait: it runs the suite
 # uncached, lists the ten slowest top-level tests, and fails if the run
@@ -165,4 +177,4 @@ bench-allocs: build
 	$(GO) test -run TestRefineSteadyStateAllocs -count=1 ./internal/core
 	$(GO) test -run TestPublishBytesScaleFree -count=1 .
 
-ci: build vet apicheck lint test race fuzz-short chaos-smoke
+ci: build vet apicheck lint test examples race fuzz-short chaos-smoke

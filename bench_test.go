@@ -195,18 +195,6 @@ func BenchmarkLiveAsync(b *testing.B) {
 	}
 }
 
-// BenchmarkPregelKCore times the vertex-program deployment (§6 future
-// work) against the same workload as the simulator benchmarks.
-func BenchmarkPregelKCore(b *testing.B) {
-	g := benchGraph(b, "gnutella")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := runEngine(b, g, dkcore.Pregel)
-		b.ReportMetric(float64(res.Rounds), "supersteps")
-	}
-}
-
 // BenchmarkLossRecovery measures the cost of exact convergence under 30%
 // message loss with retransmission every 2 rounds (extension bench).
 func BenchmarkLossRecovery(b *testing.B) {

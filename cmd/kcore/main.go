@@ -6,9 +6,9 @@
 //	kcore -in graph.txt [-mode KIND] [-hosts H] [-workers P] [-histogram]
 //
 // where KIND is one of sequential (alias seq), one2one, one2many, live,
-// live-epidemic, parallel, pregel, cluster, oocore. The oocore mode runs
-// the disk-spilling block engine under -mem-budget bytes (see -spill-dir
-// and -block-size). The input is a
+// live-epidemic, parallel, cluster, oocore. The oocore mode runs the
+// disk-spilling block engine under -mem-budget bytes (see -spill-dir and
+// -block-size). The input is a
 // whitespace-separated edge list ('#' comments allowed); "-" reads from
 // stdin. With -histogram the tool prints shell sizes; otherwise it prints
 // "id coreness" per node using the input's original node identifiers.
@@ -69,9 +69,6 @@ var buildOptions = map[dkcore.EngineKind]func(f modeFlags) []dkcore.EngineOption
 	dkcore.Parallel: func(f modeFlags) []dkcore.EngineOption {
 		return []dkcore.EngineOption{dkcore.Workers(f.workers)}
 	},
-	dkcore.Pregel: func(f modeFlags) []dkcore.EngineOption {
-		return []dkcore.EngineOption{dkcore.Workers(f.workers)}
-	},
 	dkcore.Cluster: func(f modeFlags) []dkcore.EngineOption {
 		return []dkcore.EngineOption{dkcore.Hosts(f.hosts)}
 	},
@@ -102,7 +99,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		in        = fs.String("in", "-", "input edge list file, or - for stdin")
 		mode      = fs.String("mode", "sequential", "engine kind: "+modeList())
 		hosts     = fs.Int("hosts", 4, "number of hosts for -mode one2many / cluster")
-		workers   = fs.Int("workers", 0, "worker goroutines for -mode parallel / pregel / live-epidemic (0 = all cores)")
+		workers   = fs.Int("workers", 0, "worker goroutines for -mode parallel / live-epidemic (0 = all cores)")
 		seed      = fs.Int64("seed", 1, "random seed for simulated runs")
 		memBudget = fs.Int64("mem-budget", 256<<20, "resident cache byte budget for -mode oocore")
 		spillDir  = fs.String("spill-dir", "", "spill directory root for -mode oocore (default: OS temp)")

@@ -27,7 +27,7 @@ func TestRunModes(t *testing.T) {
 	want := map[string]string{
 		"1": "1", "2": "2", "3": "2", "4": "2", "5": "2", "6": "1",
 	}
-	for _, mode := range []string{"seq", "sequential", "one2one", "one2many", "live", "live-epidemic", "parallel", "pregel", "cluster"} {
+	for _, mode := range []string{"seq", "sequential", "one2one", "one2many", "live", "live-epidemic", "parallel", "cluster"} {
 		t.Run(mode, func(t *testing.T) {
 			var out bytes.Buffer
 			if err := run(context.Background(), []string{"-in", path, "-mode", mode}, &out); err != nil {

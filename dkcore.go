@@ -21,9 +21,9 @@
 //	if err != nil { ... }
 //	rep, err := eng.Run(ctx, g)      // rep.Coreness, rep.Rounds, rep.TotalMessages, ...
 //
-// The nine kinds — Sequential, OneToOne, OneToMany, Live, LiveEpidemic,
-// Parallel, Pregel, Cluster, OutOfCore — compute the same coreness and
-// fill the unified Report with the metrics their execution model defines.
+// The eight kinds — Sequential, OneToOne, OneToMany, Live, LiveEpidemic,
+// Parallel, Cluster, OutOfCore — compute the same coreness and fill the
+// unified Report with the metrics their execution model defines.
 // Cancelling the context (or exceeding its deadline) stops any kind
 // within one round and returns ctx.Err().
 //
@@ -62,14 +62,14 @@
 // # Partitioning
 //
 // Every sharded execution path — OneToMany's simulated hosts, the
-// Parallel BSP engine, the Cluster coordinator, and Pregel's worker
-// sharding — splits the graph through one internal routine, so the
-// deployments cannot drift in how they shard.
+// Parallel BSP engine, and the Cluster coordinator — splits the graph
+// through one internal routine, so the deployments cannot drift in how
+// they shard.
 //
 // Policy: an Assignment maps nodes to hosts (the paper's h(u)).
 // ModuloAssignment is the paper's §3.2.2 policy and the Cluster default;
-// BlockAssignment keeps contiguous ranges together (the Parallel and
-// Pregel default); NewRandomAssignment fixes a uniform assignment by
+// BlockAssignment keeps contiguous ranges together (the Parallel
+// default); NewRandomAssignment fixes a uniform assignment by
 // seed; PartitionBy installs any custom policy. An assignment routing a
 // node outside [0, NumHosts()) is rejected before any rounds run.
 //
@@ -106,9 +106,9 @@
 //     double-buffered storage (valid until the second-following
 //     collect — exactly one BSP round of slack), the Parallel engine's
 //     workers are persistent goroutines exchanging receiver-local
-//     indices resolved once at setup, Pregel pools its superstep
-//     outboxes, and the Cluster host reuses its wire-encode buffers; a
-//     warmed round loop allocates nothing (CI-gated).
+//     indices resolved once at setup, and the Cluster host reuses its
+//     wire-encode buffers; a warmed round loop allocates nothing
+//     (CI-gated).
 //
 // The pre-existing recompute-from-scratch path is retained as an oracle
 // for differential tests, which assert estimate-for-estimate equality
@@ -120,8 +120,8 @@
 // Graphs that change over time do not need recomputation: a Maintainer
 // (the engine under Session) keeps the exact decomposition current under
 // a stream of edge insertions and deletions, touching only the bounded
-// coreness region a mutation can affect. A running live decomposition
-// can likewise absorb mutations between δ-rounds via NewLiveMaintainer.
+// coreness region a mutation can affect. It is the one maintenance
+// path: the per-node runtimes decompose a fixed graph.
 //
 // Event streams are timestamped edge mutations (EdgeEvent), generated
 // with GenerateEventStream / GenerateChurnEvents and serialized by

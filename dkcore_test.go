@@ -170,20 +170,6 @@ func TestPublicGenerators(t *testing.T) {
 	}
 }
 
-func TestPublicPregelAPI(t *testing.T) {
-	g := dkcore.GenerateBarabasiAlbert(200, 3, 5)
-	truth := dkcore.Decompose(g).CorenessValues()
-	rep := runEngine(t, g, dkcore.Pregel)
-	if rep.Rounds < 1 {
-		t.Fatalf("supersteps = %d", rep.Rounds)
-	}
-	for u := range truth {
-		if rep.Coreness[u] != truth[u] {
-			t.Fatalf("node %d: pregel %d want %d", u, rep.Coreness[u], truth[u])
-		}
-	}
-}
-
 func TestPublicLossAndRetransmission(t *testing.T) {
 	g := dkcore.GenerateGNM(120, 480, 3)
 	truth := dkcore.Decompose(g).CorenessValues()

@@ -21,7 +21,6 @@ import (
 	"dkcore/internal/live"
 	"dkcore/internal/oocore"
 	"dkcore/internal/parallel"
-	"dkcore/internal/pregel"
 )
 
 // EngineKind selects which execution path an Engine runs. Every kind
@@ -30,7 +29,7 @@ import (
 // they populate.
 type EngineKind int
 
-// The nine engine kinds.
+// The eight engine kinds.
 const (
 	// Sequential is the centralized Batagelj–Zaversnik O(m) baseline.
 	Sequential EngineKind = iota + 1
@@ -48,9 +47,6 @@ const (
 	// Parallel is the partitioned shared-memory BSP engine — the fastest
 	// path for large graphs.
 	Parallel
-	// Pregel runs the protocol as a vertex program on the built-in
-	// Pregel-style BSP framework (the §6 deployment story).
-	Pregel
 	// Cluster runs a networked one-to-many deployment: an in-process
 	// coordinator plus one host worker goroutine per host, over TCP
 	// loopback. For multi-machine deployments use NewCoordinator and
@@ -123,30 +119,32 @@ type Report struct {
 	Coreness []int
 	// Rounds is the number of rounds stepped: δ-rounds for the
 	// simulators and live runtimes (through quiescence), BSP rounds for
-	// Parallel, supersteps for Pregel, coordinator rounds for Cluster.
-	// Zero for Sequential and for Live's asynchronous mode, which have
-	// no round structure.
+	// Parallel, coordinator rounds for Cluster, block-scheduler passes
+	// for OutOfCore. Zero for Sequential and for Live's asynchronous
+	// mode, which have no round structure.
 	Rounds int
 	// ExecutionTime is the paper's §5 t metric — the number of rounds in
 	// which at least one process sent a message. Populated by the
 	// simulated kinds (OneToOne, OneToMany) only.
 	ExecutionTime int
 	// TotalMessages counts point-to-point protocol messages: estimate
-	// messages for the simulated and live kinds, after-combining
-	// messages for Pregel, batch frames for Cluster.
+	// messages for the simulated and live kinds, batch frames for
+	// Cluster.
 	TotalMessages int64
 	// MessagesPerProc is per-process sent-message counts (simulated
 	// kinds only): per node for OneToOne, per host for OneToMany.
 	MessagesPerProc []int64
 	// EstimatesSent is the number of (node, estimate) pairs shipped
-	// between hosts or partitions — the paper's Figure-5 overhead
-	// numerator. Populated by OneToMany, Parallel, and Cluster.
+	// between hosts, partitions or blocks — the paper's Figure-5
+	// overhead numerator. Populated by OneToMany, Parallel, Cluster, and
+	// OutOfCore.
 	EstimatesSent int64
-	// Batches is the number of cross-partition batch handoffs
-	// (Parallel only).
+	// Batches is the number of cross-partition batch handoffs (Parallel)
+	// or cross-block estimate batches (OutOfCore).
 	Batches int64
 	// Workers is the resolved worker/partition/host count for the kinds
-	// that shard work (OneToMany, Parallel, Cluster).
+	// that shard work (OneToMany, Parallel, Cluster), and the number of
+	// spilled blocks for OutOfCore.
 	Workers int
 	// Hosts holds the per-host results of a Cluster run, ordered by
 	// host ID.
@@ -224,12 +222,13 @@ func Seed(seed int64) EngineOption {
 }
 
 // MaxRounds overrides the round budget: simulation rounds (OneToOne,
-// OneToMany), BSP rounds (Parallel), supersteps (Pregel), coordinator
-// rounds (Cluster), or — for Live — switches the runtime to the paper's
-// fixed-round termination, running exactly that synchronous δ-round
-// budget and returning the (possibly approximate) estimates.
+// OneToMany), BSP rounds (Parallel), coordinator rounds (Cluster), or —
+// for Live — switches the runtime to the paper's fixed-round
+// termination, running at most that synchronous δ-round budget (it
+// stops early at quiescence) and returning the (possibly approximate)
+// estimates.
 func MaxRounds(n int) EngineOption {
-	return option("MaxRounds", []EngineKind{OneToOne, OneToMany, Live, Parallel, Pregel, Cluster},
+	return option("MaxRounds", []EngineKind{OneToOne, OneToMany, Live, Parallel, Cluster},
 		func(c *engineConfig) { c.maxRounds = n })
 }
 
@@ -293,11 +292,11 @@ func PartitionBy(a Assignment) EngineOption {
 }
 
 // Workers bounds worker parallelism: partitions for Parallel, compute
-// workers for Pregel and for the round-based live runtimes (LiveEpidemic
-// always; Live in its MaxRounds fixed-budget mode — the asynchronous mode
-// is one goroutine per node and ignores it). 0 means GOMAXPROCS.
+// workers for the round-based live runtimes (LiveEpidemic always; Live
+// in its MaxRounds fixed-budget mode — the asynchronous mode is one
+// goroutine per node and ignores it). 0 means GOMAXPROCS.
 func Workers(n int) EngineOption {
-	return option("Workers", []EngineKind{Live, LiveEpidemic, Parallel, Pregel},
+	return option("Workers", []EngineKind{Live, LiveEpidemic, Parallel},
 		func(c *engineConfig) { c.workers = n })
 }
 
@@ -451,7 +450,6 @@ var engineRegistry = []engineEntry{
 	{Live, "live", "", "one goroutine per node, asynchronous messages, credit-counting termination", runLive},
 	{LiveEpidemic, "live-epidemic", "", "live δ-rounds with decentralized epidemic termination", runLiveEpidemic},
 	{Parallel, "parallel", "", "partitioned shared-memory BSP engine", runParallel},
-	{Pregel, "pregel", "", "vertex program on the built-in Pregel-style framework", runPregel},
 	{Cluster, "cluster", "", "networked one-to-many deployment over TCP loopback", runClusterKind},
 	{OutOfCore, "oocore", "", "disk-spilling block engine under a hard memory budget", runOutOfCore},
 }
@@ -607,26 +605,6 @@ func runParallel(ctx context.Context, cfg engineConfig, g *Graph) (*Report, erro
 		EstimatesSent: res.EstimatesSent,
 		Batches:       res.Batches,
 	}, nil
-}
-
-func runPregel(ctx context.Context, cfg engineConfig, g *Graph) (*Report, error) {
-	var opts []pregel.KCoreOption
-	if cfg.set["Workers"] {
-		opts = append(opts, pregel.WithKCoreWorkers(cfg.workers))
-	}
-	if cfg.set["MaxRounds"] {
-		opts = append(opts, pregel.WithKCoreMaxSupersteps(cfg.maxRounds))
-	}
-	coreness, res, err := pregel.KCore(ctx, g, opts...)
-	if err != nil {
-		// KCore wraps every failure with run context; report a bare
-		// cancellation like every other kind.
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		return nil, err
-	}
-	return &Report{Coreness: coreness, Rounds: res.Supersteps, TotalMessages: res.Messages}, nil
 }
 
 func runOutOfCore(ctx context.Context, cfg engineConfig, g *Graph) (*Report, error) {

@@ -38,8 +38,8 @@ func engineOptsFor(kind dkcore.EngineKind) []dkcore.EngineOption {
 
 func TestEngineKindNamesRoundTrip(t *testing.T) {
 	kinds := dkcore.EngineKinds()
-	if len(kinds) != 9 {
-		t.Fatalf("got %d engine kinds, want 9", len(kinds))
+	if len(kinds) != 8 {
+		t.Fatalf("got %d engine kinds, want 8", len(kinds))
 	}
 	for _, kind := range kinds {
 		got, err := dkcore.ParseEngineKind(kind.String())
@@ -94,6 +94,82 @@ func TestEngineRunAllKinds(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// reportMetrics names the Report metric fields that are non-zero, in
+// declaration order.
+func reportMetrics(rep *dkcore.Report) string {
+	var set []string
+	for _, f := range []struct {
+		name string
+		set  bool
+	}{
+		{"Rounds", rep.Rounds != 0},
+		{"ExecutionTime", rep.ExecutionTime != 0},
+		{"TotalMessages", rep.TotalMessages != 0},
+		{"MessagesPerProc", len(rep.MessagesPerProc) != 0},
+		{"EstimatesSent", rep.EstimatesSent != 0},
+		{"Batches", rep.Batches != 0},
+		{"Workers", rep.Workers != 0},
+		{"Hosts", len(rep.Hosts) != 0},
+		{"SpillBytesWritten", rep.SpillBytesWritten != 0},
+		{"SpillBytesRead", rep.SpillBytesRead != 0},
+		{"AvgErrorTrace", len(rep.AvgErrorTrace) != 0},
+		{"MaxErrorTrace", len(rep.MaxErrorTrace) != 0},
+	} {
+		if f.set {
+			set = append(set, f.name)
+		}
+	}
+	return strings.Join(set, " ")
+}
+
+// TestEngineReportMetrics pins which Report metric fields each kind
+// fills on a non-trivial graph, so the field docs on Report and the
+// per-kind run functions cannot drift apart: every field a doc names for
+// a kind is non-zero, and every other metric field stays zero.
+func TestEngineReportMetrics(t *testing.T) {
+	g := dkcore.GenerateGNM(200, 800, 5)
+	truth := dkcore.Decompose(g).CorenessValues()
+	const simulated = "Rounds ExecutionTime TotalMessages MessagesPerProc"
+	tests := []struct {
+		name string
+		kind dkcore.EngineKind
+		opts []dkcore.EngineOption
+		want string
+	}{
+		{"sequential", dkcore.Sequential, nil, ""},
+		{"one2one", dkcore.OneToOne, nil, simulated},
+		{"one2one/ground-truth", dkcore.OneToOne, []dkcore.EngineOption{dkcore.GroundTruth(truth)},
+			simulated + " AvgErrorTrace MaxErrorTrace"},
+		{"one2many", dkcore.OneToMany, engineOptsFor(dkcore.OneToMany),
+			simulated + " EstimatesSent Workers"},
+		{"live", dkcore.Live, nil, "TotalMessages"},
+		{"live/max-rounds", dkcore.Live, []dkcore.EngineOption{dkcore.MaxRounds(g.NumNodes())},
+			"Rounds TotalMessages"},
+		{"live-epidemic", dkcore.LiveEpidemic, nil, "Rounds TotalMessages"},
+		{"parallel", dkcore.Parallel, engineOptsFor(dkcore.Parallel),
+			"Rounds EstimatesSent Batches Workers"},
+		{"cluster", dkcore.Cluster, engineOptsFor(dkcore.Cluster),
+			"Rounds TotalMessages EstimatesSent Workers Hosts"},
+		{"oocore", dkcore.OutOfCore, engineOptsFor(dkcore.OutOfCore),
+			"Rounds EstimatesSent Batches Workers SpillBytesWritten SpillBytesRead"},
+	}
+	covered := make(map[dkcore.EngineKind]bool)
+	for _, tt := range tests {
+		covered[tt.kind] = true
+		t.Run(tt.name, func(t *testing.T) {
+			rep := runEngine(t, g, tt.kind, tt.opts...)
+			if got := reportMetrics(rep); got != tt.want {
+				t.Fatalf("non-zero Report metrics = %q, want %q", got, tt.want)
+			}
+		})
+	}
+	for _, kind := range dkcore.EngineKinds() {
+		if !covered[kind] {
+			t.Errorf("kind %s has no row in the Report metrics table", kind)
+		}
 	}
 }
 
@@ -164,7 +240,7 @@ func TestEngineOptionKindMismatch(t *testing.T) {
 		{dkcore.Sequential, dkcore.MaxRounds(5), "MaxRounds"},
 		{dkcore.Parallel, dkcore.Delivery(dkcore.DeliverNextRound), "Delivery"},
 		{dkcore.Parallel, dkcore.Seed(3), "Seed"},
-		{dkcore.Pregel, dkcore.SendOptimization(true), "SendOptimization"},
+		{dkcore.OneToMany, dkcore.SendOptimization(true), "SendOptimization"},
 		{dkcore.OneToOne, dkcore.DisseminationPolicy(dkcore.PointToPoint), "DisseminationPolicy"},
 		{dkcore.Live, dkcore.GroundTruth([]int{0}), "GroundTruth"},
 		{dkcore.Cluster, dkcore.Snapshot(func(int, []int) {}), "Snapshot"},
@@ -173,7 +249,7 @@ func TestEngineOptionKindMismatch(t *testing.T) {
 		{dkcore.Cluster, dkcore.PartitionBy(dkcore.ModuloAssignment{H: 2}), "PartitionBy"},
 		{dkcore.OneToOne, dkcore.Workers(2), "Workers"},
 		{dkcore.Parallel, dkcore.Hosts(2), "Hosts"},
-		{dkcore.Pregel, dkcore.QuietWindow(5), "QuietWindow"},
+		{dkcore.Live, dkcore.QuietWindow(5), "QuietWindow"},
 		{dkcore.OneToMany, dkcore.ListenOn("127.0.0.1:0"), "ListenOn"},
 		{dkcore.Cluster, dkcore.WithMemoryBudget(1 << 20), "WithMemoryBudget"},
 		{dkcore.Parallel, dkcore.WithSpillDir("/tmp"), "WithSpillDir"},
@@ -436,7 +512,7 @@ func TestParseEngineKindRejectsEmpty(t *testing.T) {
 // must reject a negative count at construction, not behave
 // kind-dependently at run time.
 func TestEngineNegativeWorkersRejected(t *testing.T) {
-	for _, kind := range []dkcore.EngineKind{dkcore.Live, dkcore.LiveEpidemic, dkcore.Parallel, dkcore.Pregel} {
+	for _, kind := range []dkcore.EngineKind{dkcore.Live, dkcore.LiveEpidemic, dkcore.Parallel} {
 		if _, err := dkcore.NewEngine(kind, dkcore.Workers(-3)); err == nil {
 			t.Fatalf("%s accepted Workers(-3)", kind)
 		}

@@ -1,7 +1,7 @@
 // Streaming: maintain a k-core decomposition while the graph changes,
-// three ways — the incremental Maintainer (exact after every event), the
-// live runtime absorbing mutations between δ-rounds, and an event stream
-// replayed from the text format cmd/kcore-stream uses.
+// two ways — single edge mutations through the incremental Maintainer
+// (exact after every event), and a generated event stream replayed
+// through it and written in the text format cmd/kcore-stream uses.
 package main
 
 import (
@@ -26,14 +26,7 @@ func main() {
 	fmt.Printf("after 2 events: degeneracy %d (node 299 coreness %d)\n",
 		mt.MaxCoreness(), mt.Coreness(299))
 
-	// Cross-check against a fresh decomposition of the mutated graph.
-	truth := dkcore.Decompose(mt.Graph())
-	for u := 0; u < mt.NumNodes(); u++ {
-		if mt.Coreness(u) != truth.Coreness(u) {
-			log.Fatalf("node %d: incremental %d != recomputed %d", u, mt.Coreness(u), truth.Coreness(u))
-		}
-	}
-	fmt.Println("incremental coreness matches full recomputation")
+	checkExact(mt)
 
 	// 2. A generated churn stream, replayed through the engine.
 	events := dkcore.GenerateChurnEvents(mt.Graph(), 500, 0.5, 42)
@@ -42,28 +35,23 @@ func main() {
 	}
 	fmt.Printf("after %d churn events: %d edges, degeneracy %d\n",
 		len(events), mt.NumEdges(), mt.MaxCoreness())
+	checkExact(mt)
 
 	// The stream serializes to the "time op u v" text format that
 	// cmd/kcore-stream replays.
 	if err := dkcore.WriteEvents(os.Stdout, events[:3]); err != nil {
 		log.Fatal(err)
 	}
+}
 
-	// 3. The live runtime: a running decomposition absorbs mutations
-	// between rounds instead of restarting.
-	lm := dkcore.NewLiveMaintainer(g)
-	res := lm.Converge()
-	fmt.Printf("live runtime converged in %d rounds\n", res.Rounds)
-	lm.InsertEdge(0, 299)
-	lm.DeleteEdge(0, 1)
-	res = lm.Converge()
-	check := dkcore.NewMaintainer(g)
-	check.InsertEdge(0, 299)
-	check.DeleteEdge(0, 1)
-	for u, k := range res.Coreness {
-		if k != check.Coreness(u) {
-			log.Fatalf("live node %d: %d != %d", u, k, check.Coreness(u))
+// checkExact cross-checks the maintainer against a fresh decomposition
+// of its current graph.
+func checkExact(mt *dkcore.Maintainer) {
+	truth := dkcore.Decompose(mt.Graph())
+	for u := 0; u < mt.NumNodes(); u++ {
+		if mt.Coreness(u) != truth.Coreness(u) {
+			log.Fatalf("node %d: incremental %d != recomputed %d", u, mt.Coreness(u), truth.Coreness(u))
 		}
 	}
-	fmt.Printf("live runtime re-converged after mutations in %d total rounds, exact again\n", res.Rounds)
+	fmt.Println("incremental coreness matches full recomputation")
 }

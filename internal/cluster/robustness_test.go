@@ -8,6 +8,8 @@ import (
 	"log/slog"
 	"net"
 	"strings"
+	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -38,18 +40,40 @@ func TestHostRetriesUntilCoordinatorUp(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	hostErr := make(chan error, 2)
+	// Each host dials through a wrapper that counts refused dials and
+	// signals on the second one.
+	refusedTwice := make(chan struct{}, 2)
 	for i := 0; i < 2; i++ {
+		var refused atomic.Int32
+		d := &net.Dialer{Timeout: testDialWait}
+		dial := func(ctx context.Context, network, addr string) (net.Conn, error) {
+			conn, err := d.DialContext(ctx, network, addr)
+			if errors.Is(err, syscall.ECONNREFUSED) && refused.Add(1) == 2 {
+				refusedTwice <- struct{}{}
+			}
+			return conn, err
+		}
 		go func() {
 			_, err := RunHost(ctx, HostConfig{
 				CoordinatorAddr: addr,
 				RetryWait:       20 * time.Second,
+				Dialer:          dial,
 			})
 			hostErr <- err
 		}()
 	}
 
-	// Let several dial attempts fail before the coordinator shows up.
-	time.Sleep(150 * time.Millisecond)
+	// Start the coordinator only once every host has been refused at
+	// least twice, so several dial attempts fail first on every run.
+	for i := 0; i < 2; i++ {
+		select {
+		case <-refusedTwice:
+		case err := <-hostErr:
+			t.Fatalf("host exited before the coordinator was up: %v", err)
+		case <-time.After(testDialWait):
+			t.Fatal("hosts were not refused twice each before the deadline")
+		}
+	}
 	coord, err := NewCoordinator(CoordinatorConfig{
 		Graph:      g,
 		NumHosts:   2,

@@ -99,8 +99,8 @@ type Refiner struct {
 
 // Rebuild resets the refiner to estimate k over the given raw neighbor
 // estimates (values above k, including InfEstimate, clamp to k). It is
-// the only entry point that may raise the estimate, so NodeState's
-// mutation-absorbing methods, which re-seed upper bounds, end in it.
+// the only entry point that may raise the estimate; NewNodeState calls
+// it once, when the node's estimate is its degree.
 func (r *Refiner) Rebuild(k int, est []int) {
 	r.k = k
 	if cap(r.cnt) < k+1 {

@@ -10,6 +10,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"dkcore/internal/chaos"
 )
 
 // registerTestURL points a throwaway registry key at a test server and
@@ -117,16 +119,19 @@ func TestFetchSNAPGivesUpAfterAttempts(t *testing.T) {
 
 // TestFetchSNAPHonorsContextDuringBackoff: cancelling the context while
 // the retry loop is sleeping must abort promptly with the cancellation,
-// not run out the full backoff schedule.
+// not run out the full backoff schedule. A fake clock that is never
+// advanced pins the cancel inside the backoff sleep itself: the fetch
+// can only return through ctx.
 func TestFetchSNAPHonorsContextDuringBackoff(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "overloaded", http.StatusServiceUnavailable)
 	}))
 	defer srv.Close()
 	registerTestURL(t, "cancel-test", srv.URL)
-	// Undo registerTestURL's fast schedule: a long backoff makes the
-	// test hang unless cancellation actually interrupts the sleep.
-	fetchBackoff = time.Minute
+	clock := chaos.NewFakeClock(time.Unix(0, 0))
+	oldClock := fetchClock
+	fetchClock = clock
+	t.Cleanup(func() { fetchClock = oldClock })
 
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
@@ -134,7 +139,13 @@ func TestFetchSNAPHonorsContextDuringBackoff(t *testing.T) {
 		_, err := FetchSNAP(ctx, "cancel-test", t.TempDir())
 		done <- err
 	}()
-	time.Sleep(50 * time.Millisecond) // let the first attempt fail and the sleep begin
+	for clock.Sleepers() == 0 {
+		select {
+		case err := <-done:
+			t.Fatalf("fetch returned before its backoff sleep: %v", err)
+		case <-time.After(time.Millisecond):
+		}
+	}
 	cancel()
 	select {
 	case err := <-done:

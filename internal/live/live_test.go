@@ -3,6 +3,7 @@ package live
 import (
 	"context"
 	"testing"
+	"testing/quick"
 
 	"dkcore/internal/gen"
 	"dkcore/internal/graph"
@@ -96,6 +97,65 @@ func TestDecomposeRoundsConvergesWithBudget(t *testing.T) {
 	}
 }
 
+// roundsToQuiescence runs the δ-round mode on a budget it cannot reach:
+// the run stops at quiescence, so the result is exact.
+func roundsToQuiescence(t *testing.T, g *graph.Graph, opts ...Option) *Result {
+	t.Helper()
+	res, err := DecomposeRounds(context.Background(), g, 10*g.NumNodes()+10, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+func TestDecomposeRoundsMatchesSequentialAcrossFamilies(t *testing.T) {
+	graphs := map[string]*graph.Graph{
+		"gnm":      gen.GNM(250, 1000, 3),
+		"ba":       gen.BarabasiAlbert(300, 3, 4),
+		"grid":     gen.Grid(12, 12),
+		"chain":    gen.Chain(60),
+		"complete": gen.Complete(20),
+		"worst":    gen.WorstCase(32),
+		"star":     gen.Star(50),
+		"isolated": graph.FromEdges(8, [][2]int{{0, 1}}),
+	}
+	for name, g := range graphs {
+		t.Run(name, func(t *testing.T) {
+			res := roundsToQuiescence(t, g)
+			corenessEqual(t, res.Coreness, kcore.Decompose(g).CorenessValues())
+			if res.Rounds < 1 {
+				t.Fatalf("rounds = %d", res.Rounds)
+			}
+		})
+	}
+}
+
+func TestDecomposeRoundsRandomProperty(t *testing.T) {
+	check := func(seed int64, nRaw, density uint8) bool {
+		n := int(nRaw)%40 + 2
+		m := (int(density) * n * (n - 1) / 2) / 400
+		g := gen.GNM(n, m, seed)
+		want := kcore.Decompose(g).CorenessValues()
+		got := roundsToQuiescence(t, g).Coreness
+		for u := range want {
+			if got[u] != want[u] {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 50}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestDecomposeRoundsEmptyGraph(t *testing.T) {
+	res := roundsToQuiescence(t, graph.NewBuilder(0).Build())
+	if len(res.Coreness) != 0 || res.Messages != 0 {
+		t.Fatalf("empty graph: %+v", res)
+	}
+}
+
 func TestDecomposeRoundsApproximationImproves(t *testing.T) {
 	// With a tiny budget the estimates must still be safe (>= truth), and
 	// the error must shrink as the budget grows (Figure 4's message).
@@ -167,13 +227,10 @@ func TestDecomposeEpidemicRejectsBadWindow(t *testing.T) {
 }
 
 func TestWorkersOption(t *testing.T) {
-	g := gen.GNM(150, 700, 17)
-	want := kcore.Decompose(g).CorenessValues()
-	for _, workers := range []int{1, 2, 16} {
-		res, err := DecomposeRounds(context.Background(), g, 10*g.NumNodes(), WithWorkers(workers))
-		if err != nil {
-			t.Fatal(err)
+	for _, g := range []*graph.Graph{gen.GNM(150, 700, 17), gen.BarabasiAlbert(400, 4, 9)} {
+		want := kcore.Decompose(g).CorenessValues()
+		for _, workers := range []int{1, 2, 16, 32} {
+			corenessEqual(t, roundsToQuiescence(t, g, WithWorkers(workers)).Coreness, want)
 		}
-		corenessEqual(t, res.Coreness, want)
 	}
 }

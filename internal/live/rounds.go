@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -42,10 +41,9 @@ type roundRuntime struct {
 	sendOpt  bool
 }
 
-// newRoundRuntime builds one process per node of g. ownAdjacency copies
-// each neighbor list out of the graph's CSR storage, for a runtime whose
-// topology will mutate.
-func newRoundRuntime(g *graph.Graph, o options, ownAdjacency bool) *roundRuntime {
+// newRoundRuntime builds one process per node of g, each aliasing its
+// neighbor list in the graph's CSR storage.
+func newRoundRuntime(g *graph.Graph, o options) *roundRuntime {
 	n := g.NumNodes()
 	rt := &roundRuntime{
 		nodes:   make([]*roundNode, n),
@@ -56,11 +54,7 @@ func newRoundRuntime(g *graph.Graph, o options, ownAdjacency bool) *roundRuntime
 		rt.workers = runtime.GOMAXPROCS(0)
 	}
 	for u := 0; u < n; u++ {
-		ns := g.Neighbors(u)
-		if ownAdjacency {
-			ns = slices.Clone(ns)
-		}
-		rt.nodes[u] = &roundNode{id: u, st: core.NewNodeState(ns)}
+		rt.nodes[u] = &roundNode{id: u, st: core.NewNodeState(g.Neighbors(u))}
 	}
 	return rt
 }
@@ -166,7 +160,7 @@ func DecomposeRounds(ctx context.Context, g *graph.Graph, rounds int, opts ...Op
 		return nil, err
 	}
 	o := buildOptions(opts)
-	rt := newRoundRuntime(g, o, false)
+	rt := newRoundRuntime(g, o)
 	rt.start()
 	executed := 1
 	for r := 2; r <= rounds; r++ {
@@ -195,7 +189,7 @@ func DecomposeEpidemic(ctx context.Context, g *graph.Graph, quiet int, opts ...O
 		return nil, err
 	}
 	o := buildOptions(opts)
-	rt := newRoundRuntime(g, o, false)
+	rt := newRoundRuntime(g, o)
 	det := aggregate.NewDetector(g, quiet, o.seed)
 	rt.start()
 	executed := 1

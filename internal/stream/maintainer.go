@@ -51,8 +51,8 @@ import (
 // isolated (coreness-0) nodes, so memory is proportional to the largest
 // node ID mentioned — densify sparse external IDs before feeding them
 // in (as cmd/kcore-stream does). A Maintainer is not safe for concurrent
-// use; wrap it in a lock or use the live runtime's Mutable for a
-// concurrent deployment. What is safe to share is a View: Publish freezes
+// use; wrap it in a lock, or use dkcore.Session, whose single writer
+// goroutine owns one. What is safe to share is a View: Publish freezes
 // the current state for any number of concurrent readers, and the View
 // keeps sharing with the Maintainer every adjacency row and page that
 // later mutations do not touch.

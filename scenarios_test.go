@@ -9,8 +9,8 @@ import (
 
 // TestCrossScenarioEquivalence asserts that every execution scenario the
 // repo offers computes the identical decomposition on a pool of ~50
-// seeded random and structured graphs: the sequential baseline, all nine
-// engine kinds (simulated one-to-one and one-to-many, live, Pregel,
+// seeded random and structured graphs: the sequential baseline, all eight
+// engine kinds (simulated one-to-one and one-to-many, live, live-epidemic,
 // parallel, cluster, out-of-core), and the streaming Maintainer after
 // replaying the whole graph as insertions.
 func TestCrossScenarioEquivalence(t *testing.T) {
@@ -116,7 +116,7 @@ func TestCrossScenarioEquivalence(t *testing.T) {
 			})
 			assertSame(t, "maintainer-replay", truth, mt.CorenessValues())
 
-			// All nine engine kinds through Engine.Run, sharded kinds at
+			// All eight engine kinds through Engine.Run, sharded kinds at
 			// the engineOptsFor fan-outs (one-to-many on 3 point-to-point
 			// hosts, parallel on 4 workers; the cluster kind runs a real
 			// TCP-loopback deployment).

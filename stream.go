@@ -4,14 +4,12 @@ import (
 	"io"
 
 	"dkcore/internal/gen"
-	"dkcore/internal/live"
 	"dkcore/internal/stream"
 )
 
 // This file re-exports the streaming k-core maintenance subsystem: exact
-// incremental updates under edge insertions and deletions (Maintainer),
-// the timestamped edge-event format it replays, and the live runtime's
-// mutation-absorbing mode.
+// incremental updates under edge insertions and deletions (Maintainer)
+// and the timestamped edge-event format it replays.
 
 // Maintainer maintains the exact k-core decomposition of a mutable graph
 // under a stream of edge insertions and deletions, updating only the
@@ -59,12 +57,3 @@ func GenerateEventStream(cfg EventStreamConfig, seed int64) []EdgeEvent {
 func GenerateChurnEvents(g *Graph, churn int, deleteFrac float64, seed int64) []EdgeEvent {
 	return gen.ChurnEvents(g, churn, deleteFrac, seed)
 }
-
-// LiveMaintainer runs the live δ-round runtime on a graph that mutates
-// while the system is up: insertions and deletions are absorbed between
-// rounds, re-seeding only the affected neighborhood's upper bounds.
-type LiveMaintainer = live.Mutable
-
-// NewLiveMaintainer builds a mutable live runtime over g. Call Converge
-// to reach (and re-reach, after mutations) the exact decomposition.
-func NewLiveMaintainer(g *Graph) *LiveMaintainer { return live.NewMutable(g) }
