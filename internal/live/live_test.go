@@ -227,10 +227,21 @@ func TestDecomposeEpidemicRejectsBadWindow(t *testing.T) {
 }
 
 func TestWorkersOption(t *testing.T) {
-	for _, g := range []*graph.Graph{gen.GNM(150, 700, 17), gen.BarabasiAlbert(400, 4, 9)} {
-		want := kcore.Decompose(g).CorenessValues()
-		for _, workers := range []int{1, 2, 16, 32} {
-			corenessEqual(t, roundsToQuiescence(t, g, WithWorkers(workers)).Coreness, want)
+	g := gen.GNM(150, 700, 17)
+	want := kcore.Decompose(g).CorenessValues()
+	for _, workers := range []int{1, 2, 16} {
+		res, err := DecomposeRounds(context.Background(), g, 10*g.NumNodes(), WithWorkers(workers))
+		if err != nil {
+			t.Fatal(err)
 		}
+		corenessEqual(t, res.Coreness, want)
+	}
+}
+
+func TestDecomposeRoundsWorkerCountsAgree(t *testing.T) {
+	g := gen.BarabasiAlbert(400, 4, 9)
+	want := kcore.Decompose(g).CorenessValues()
+	for _, workers := range []int{1, 2, 8, 32} {
+		corenessEqual(t, roundsToQuiescence(t, g, WithWorkers(workers)).Coreness, want)
 	}
 }
