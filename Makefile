@@ -82,8 +82,9 @@ apicheck:
 	$(GO) run ./internal/apicheck . ./internal/cluster ./internal/transport ./internal/dataset ./internal/oocore ./internal/serve ./internal/core ./internal/stream ./internal/chaos
 
 # lint runs the domain-invariant analyzers over every package: monotone
-# estimate writes (only core.HostState and core.NodeState methods hold
-# the blessing), ctx-first cancellation, decode-before-allocate,
+# estimate writes (only core.HostState and core.NodeState methods and
+# the out-of-core engine's seed and relax hold the blessing), ctx-first
+# cancellation, decode-before-allocate,
 # noalloc hot paths, epoch immutability. docs/INVARIANTS.md catalogues
 # the invariants; the directives above are the escape hatches.
 lint:
@@ -135,6 +136,7 @@ fuzz-short: build
 	$(GO) test -run '^$$' -fuzz FuzzServeBinaryFrame -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzHostStateDifferential -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzLoadSNAP -fuzztime $(FUZZTIME) ./internal/dataset
+	$(GO) test -run '^$$' -fuzz FuzzOOCoreDecompose -fuzztime $(FUZZTIME) ./internal/oocore
 
 # chaos is the full fault-injection acceptance run: a 50-graph pool
 # decomposed under seeded fault schedules on every robustness-bearing

@@ -6,9 +6,9 @@
 //	kcore -in graph.txt [-mode KIND] [-hosts H] [-workers P] [-histogram]
 //
 // where KIND is one of sequential (alias seq), one2one, one2many, live,
-// live-epidemic, parallel, cluster, oocore. The oocore mode runs the
-// disk-spilling block engine under -mem-budget bytes (see -spill-dir and
-// -block-size). The input is a
+// live-epidemic, parallel, cluster, oocore. The oocore mode keeps the
+// estimate vector in memory and reads the adjacency from disk blocks
+// through a cache of -mem-budget bytes (see -spill-dir and -block-size). The input is a
 // whitespace-separated edge list ('#' comments allowed); "-" reads from
 // stdin. With -histogram the tool prints shell sizes; otherwise it prints
 // "id coreness" per node using the input's original node identifiers.
@@ -101,7 +101,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		hosts     = fs.Int("hosts", 4, "number of hosts for -mode one2many / cluster")
 		workers   = fs.Int("workers", 0, "worker goroutines for -mode parallel / live-epidemic (0 = all cores)")
 		seed      = fs.Int64("seed", 1, "random seed for simulated runs")
-		memBudget = fs.Int64("mem-budget", 256<<20, "resident cache byte budget for -mode oocore")
+		memBudget = fs.Int64("mem-budget", 256<<20, "decoded adjacency cache byte budget for -mode oocore")
 		spillDir  = fs.String("spill-dir", "", "spill directory root for -mode oocore (default: OS temp)")
 		blockSize = fs.Int("block-size", 0, "nodes per spilled block for -mode oocore (0 = default)")
 		histogram = fs.Bool("histogram", false, "print shell-size histogram instead of per-node coreness")

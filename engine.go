@@ -52,10 +52,11 @@ const (
 	// loopback. For multi-machine deployments use NewCoordinator and
 	// RunClusterHost directly.
 	Cluster
-	// OutOfCore spills partition blocks to disk and runs the cascade
-	// block-at-a-time under a hard memory budget — the path for graphs
-	// whose working state exceeds RAM. Tune with WithMemoryBudget,
-	// WithSpillDir, and WithBlockSize.
+	// OutOfCore keeps the O(n) estimate vector in memory, spills the
+	// adjacency to disk once as read-only blocks, and relaxes nodes
+	// block-at-a-time under a hard budget on decoded adjacency — the
+	// path for graphs whose adjacency exceeds RAM. Tune with
+	// WithMemoryBudget, WithSpillDir, and WithBlockSize.
 	OutOfCore
 )
 
@@ -135,12 +136,14 @@ type Report struct {
 	// kinds only): per node for OneToOne, per host for OneToMany.
 	MessagesPerProc []int64
 	// EstimatesSent is the number of (node, estimate) pairs shipped
-	// between hosts, partitions or blocks — the paper's Figure-5
-	// overhead numerator. Populated by OneToMany, Parallel, Cluster, and
-	// OutOfCore.
+	// between hosts or partitions — the paper's Figure-5 overhead
+	// numerator — populated by OneToMany, Parallel and Cluster. For
+	// OutOfCore it counts cross-block wake-ups: estimate drops that
+	// activated a node of another block.
 	EstimatesSent int64
 	// Batches is the number of cross-partition batch handoffs (Parallel)
-	// or cross-block estimate batches (OutOfCore).
+	// or the (pass, block) pairs that cross-block wake-ups touched
+	// (OutOfCore).
 	Batches int64
 	// Workers is the resolved worker/partition/host count for the kinds
 	// that shard work (OneToMany, Parallel, Cluster), and the number of
@@ -150,8 +153,8 @@ type Report struct {
 	// host ID.
 	Hosts []HostResult
 	// SpillBytesWritten and SpillBytesRead count bytes moved through the
-	// out-of-core spill directory — block, checkpoint, and frontier
-	// files (OutOfCore only).
+	// out-of-core spill directory: the block files, written once by the
+	// spill and read back on every cache miss (OutOfCore only).
 	SpillBytesWritten int64
 	SpillBytesRead    int64
 	// WallTime is the measured wall-clock duration of the run.
@@ -322,9 +325,10 @@ func ListenOn(addr string) EngineOption {
 		func(c *engineConfig) { c.listenAddr = addr })
 }
 
-// WithMemoryBudget caps OutOfCore's resident block cache at the given
-// byte budget (default 256 MiB). Peak heap is roughly the budget plus
-// one block plus transient collection buffers.
+// WithMemoryBudget caps OutOfCore's cache of decoded adjacency blocks
+// at the given byte budget (default 256 MiB), charged at 8 bytes per
+// decoded offset and arc. Peak heap is the O(n) estimate vector plus
+// the budget plus one pinned block.
 func WithMemoryBudget(bytes int64) EngineOption {
 	return option("WithMemoryBudget", []EngineKind{OutOfCore},
 		func(c *engineConfig) { c.memBudget = bytes })

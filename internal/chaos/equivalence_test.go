@@ -87,9 +87,11 @@ func chaosPool(n int) []*graph.Graph {
 }
 
 // TestChaosEquivalenceOOCore runs the out-of-core engine against a
-// filesystem that tears checkpoint renames, fails writes, and cuts
-// writes short. Torn checkpoints must self-heal to the exact answer;
-// I/O errors must surface as structured chaos errors.
+// filesystem that tears block-file renames, fails writes, and cuts
+// writes short. Block files are the only spilled state and cannot be
+// rebuilt, so every run must end in the exact answer or a structured
+// error: a torn block is caught by its checksum, an I/O error surfaces
+// as a chaos error.
 func TestChaosEquivalenceOOCore(t *testing.T) {
 	base := chaosBaseSeed(t)
 	for i, g := range chaosPool(chaosGraphCount(t)) {

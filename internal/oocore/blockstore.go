@@ -1,20 +1,21 @@
-// Package oocore decomposes graphs whose working state does not fit in
-// RAM: the out-of-core engine behind dkcore's OutOfCore kind. The graph
-// is split into contiguous node-range blocks; each block's CSR partition
-// is spilled to disk in the delta-encoded varint block form of
-// internal/transport, and the estimate cascade (Algorithms 3–5) runs
-// block-at-a-time under a hard byte budget enforced by a clock-evicting
-// block cache. Cross-block estimate drops that cannot be applied in
-// memory are appended to the destination block's frontier file, so a
-// block's entire inbound backlog is applied in one load — the locality
-// discipline that makes block-at-a-time scheduling competitive.
+// Package oocore decomposes graphs whose adjacency does not fit in RAM:
+// the out-of-core engine behind dkcore's OutOfCore kind. It is a
+// semi-external scan (the O(n)-memory, O(m)-disk model of Gao et al.,
+// "K-Core Decomposition on Super Large Graphs with Limited Resources"):
+// the O(n) estimate vector stays resident, while the O(m) adjacency is
+// split into contiguous node-range blocks, each spilled once to disk in
+// the delta-encoded varint CSR form of internal/transport and never
+// rewritten. Algorithm 1's update rule runs block-at-a-time under a hard
+// byte budget on decoded adjacency, enforced by a clock-evicting block
+// cache; an estimate drop wakes neighbors in other blocks by raising
+// their block's active count, so nothing but the read-only blocks ever
+// touches the disk.
 //
 // The subsystem has three layers, one per file: the block store
-// (blockstore.go: append/load/verify of spilled blocks, persisted
-// estimate vectors, and frontier delta files), the budgeted block cache
-// (cache.go: byte budget, pin-on-process, clock eviction, hit/miss/spill
-// counters), and the scheduler (oocore.go: resident blocks with pending
-// work first, then the largest on-disk frontier).
+// (blockstore.go: write/load/verify of spilled blocks), the budgeted
+// block cache (cache.go: byte budget, pin-on-process, clock eviction,
+// hit/miss/spill counters), and the scheduler (oocore.go: the resident
+// block with the most active nodes first, then the spilled one).
 package oocore
 
 import (
@@ -32,28 +33,25 @@ import (
 
 // ErrCorrupt is wrapped by every load-path failure that means a spill
 // file's bytes are wrong (bad magic, wrong block, checksum or decode
-// failure, torn frame) rather than the filesystem failing. The engine
-// treats ErrCorrupt as recoverable — quarantine the file and reconverge
-// from neighbors — while real I/O errors abort the run.
+// failure) rather than the filesystem failing. Block files are the
+// engine's only copy of the adjacency, so a corrupt one aborts the run
+// with an error wrapping ErrCorrupt.
 var ErrCorrupt = errors.New("oocore: corrupt spill file")
 
 // Spill-file framing. Block and estimate files carry a magic tag, the
 // block ID, a payload length, and a CRC32 so a load can verify it is
 // reading the block it asked for and that the bytes survived the disk
-// round trip. Frontier files are append-only sequences of length-
-// prefixed estimate batches with no header: appends must be cheap and a
-// torn tail is detected by the batch decoder.
+// round trip.
 const (
 	blockMagic = "DKB1"
 	estMagic   = "DKE1"
 )
 
 // Store is the spill-directory layer of the out-of-core engine: one
-// block file (the delta-encoded varint CSR of a contiguous partition),
-// at most one checkpoint file (the block's persisted cascade state as
-// an estimate batch), and one frontier file (pending inbound estimate
-// deltas) per block ID. A Store is single-goroutine, like the engine
-// above it.
+// block file (the delta-encoded varint CSR of a contiguous partition)
+// per block ID, plus the checkpoint file format (a block's estimates as
+// a batch), which the engine no longer writes. A Store is
+// single-goroutine, like the engine above it.
 type Store struct {
 	dir string
 	fs  chaos.FS
@@ -79,10 +77,6 @@ func (st *Store) blockPath(id int) string {
 
 func (st *Store) estPath(id int) string {
 	return filepath.Join(st.dir, fmt.Sprintf("block-%06d.est", id))
-}
-
-func (st *Store) frontierPath(id int) string {
-	return filepath.Join(st.dir, fmt.Sprintf("block-%06d.dlt", id))
 }
 
 // framed assembles header+payload in the store's reused buffer: magic,
@@ -186,15 +180,11 @@ func (st *Store) LoadBlock(id int) (first int, off, flat []int, bytes int64, err
 	return first, off, flat, int64(len(data)), nil
 }
 
-// WriteCheckpoint persists block id's full cascade checkpoint — every
-// tracked node's finite estimate as (global ID, estimate) pairs, the
-// ExportEstimates form — replacing any previous checkpoint, and returns
-// the bytes written. External knowledge must ride along with the owned
-// vector: an external estimate below an owned node's own value
-// constrains that node's future recomputation and is never re-shipped
-// by its source, so dropping it at eviction would freeze the cascade at
-// a too-high fixpoint. The batch is sorted in place by node ID (the
-// batch wire form's requirement).
+// WriteCheckpoint persists a batch of (global ID, estimate) pairs as
+// block id's checkpoint file, replacing any previous one, and returns
+// the bytes written. The batch is sorted in place by node ID (the batch
+// wire form's requirement). The engine no longer calls it: its
+// estimates stay resident and are never persisted.
 func (st *Store) WriteCheckpoint(id int, ckpt core.Batch) (int64, error) {
 	st.pay = transport.AppendBatch(st.pay[:0], ckpt)
 	buf := st.framed(estMagic, id, st.pay)
@@ -204,11 +194,8 @@ func (st *Store) WriteCheckpoint(id int, ckpt core.Batch) (int64, error) {
 	return int64(len(buf)), nil
 }
 
-// LoadCheckpoint reads block id's persisted checkpoint batch. ok is
-// false when no checkpoint has been persisted yet (the block's first
-// load). Replaying the batch through HostState.Apply on freshly
-// initialized state rebuilds the evicted block's exact cascade state
-// (see the checkpoint/restore contract in internal/core).
+// LoadCheckpoint reads block id's checkpoint batch; ok is false when
+// none has been written. The engine no longer calls it.
 func (st *Store) LoadCheckpoint(id int) (ckpt core.Batch, bytes int64, ok bool, err error) {
 	data, err := st.fs.ReadFile(st.estPath(id))
 	if os.IsNotExist(err) {
@@ -228,101 +215,10 @@ func (st *Store) LoadCheckpoint(id int) (ckpt core.Batch, bytes int64, ok bool, 
 	return ckpt, int64(len(data)), true, nil
 }
 
-// QuarantineCheckpoint moves block id's checkpoint file aside under a
-// .torn suffix so it stops poisoning loads but stays on disk for
-// inspection. A missing checkpoint is a no-op.
-func (st *Store) QuarantineCheckpoint(id int) error {
-	path := st.estPath(id)
-	err := st.fs.Rename(path, path+".torn")
-	if err != nil && os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		// As a last resort drop the file: recovery must not be blocked
-		// by the quarantine bookkeeping itself.
-		if rmErr := st.fs.Remove(path); rmErr == nil || os.IsNotExist(rmErr) {
-			return nil
-		}
-		return fmt.Errorf("oocore: quarantine checkpoint %d: %w", id, err)
-	}
-	return nil
-}
-
-// AppendFrontier appends one estimate batch to block id's frontier file
-// as a length-prefixed frame, creating the file if needed, and returns
-// the bytes written. The batch is sorted in place by node ID (the batch
-// wire form's requirement); out-of-core batches are never shared after
-// collection, so the reorder is safe.
-func (st *Store) AppendFrontier(id int, batch core.Batch) (int64, error) {
-	payload := transport.AppendBatch(st.pay[:0], batch)
-	st.pay = payload
-	var hdr [binary.MaxVarintLen64]byte
-	hn := binary.PutUvarint(hdr[:], uint64(len(payload)))
-	f, err := st.fs.OpenFile(st.frontierPath(id), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return 0, fmt.Errorf("oocore: append frontier %d: %w", id, err)
-	}
-	written := int64(0)
-	for _, chunk := range [][]byte{hdr[:hn], payload} {
-		n, err := f.Write(chunk)
-		written += int64(n)
-		if err != nil {
-			f.Close()
-			return written, fmt.Errorf("oocore: append frontier %d: %w", id, err)
-		}
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return written, fmt.Errorf("oocore: append frontier %d: %w", id, err)
-	}
-	if err := f.Close(); err != nil {
-		return written, fmt.Errorf("oocore: append frontier %d: %w", id, err)
-	}
-	return written, nil
-}
-
-// DrainFrontier reads every pending frame of block id's frontier file,
-// hands each decoded batch to apply in append order, and truncates the
-// file, returning the bytes consumed. A missing file is an empty
-// frontier. The frames are fully decoded and validated before the file
-// is removed, so a decode failure leaves the frontier on disk for
-// inspection.
-func (st *Store) DrainFrontier(id int, apply func(core.Batch)) (int64, error) {
-	path := st.frontierPath(id)
-	data, err := st.fs.ReadFile(path)
-	if os.IsNotExist(err) {
-		return 0, nil
-	}
-	if err != nil {
-		return 0, fmt.Errorf("oocore: drain frontier %d: %w", id, err)
-	}
-	total := int64(len(data))
-	var batches []core.Batch
-	for len(data) > 0 {
-		flen, n := binary.Uvarint(data)
-		if n <= 0 || flen > uint64(len(data)-n) {
-			return 0, fmt.Errorf("oocore: frontier %d: torn frame: %w", id, ErrCorrupt)
-		}
-		batch, err := transport.DecodeBatch(data[n : n+int(flen)])
-		if err != nil {
-			return 0, fmt.Errorf("oocore: frontier %d: %v: %w", id, err, ErrCorrupt)
-		}
-		batches = append(batches, batch)
-		data = data[n+int(flen):]
-	}
-	if err := st.fs.Remove(path); err != nil {
-		return 0, fmt.Errorf("oocore: drain frontier %d: %w", id, err)
-	}
-	for _, b := range batches {
-		apply(b)
-	}
-	return total, nil
-}
-
 // BlockStoreBytes sums the sizes of the spilled block files — the
 // footprint the memory-bound acceptance gate compares against the cache
-// budget. Estimate and frontier files are excluded: they are transient
-// working state, not the graph's resident form.
+// budget. Checkpoint files are excluded: they are not the graph's
+// spilled form.
 func (st *Store) BlockStoreBytes() (int64, error) {
 	entries, err := st.fs.ReadDir(st.dir)
 	if err != nil {
@@ -344,11 +240,10 @@ func (st *Store) BlockStoreBytes() (int64, error) {
 
 // Sweep is the startup recovery pass over the spill directory: stray
 // .tmp files (a crash between write and rename) are deleted, and every
-// .blk, .est, and .dlt file is verified end to end — frame header,
-// checksum, and payload decode. Torn files are quarantined under a
-// .torn suffix so later loads see a clean miss and fall back to replay
-// (rebuild from the graph, reconverge from neighbors) instead of
-// reading garbage. It returns the quarantined file names.
+// .blk and .est file is verified end to end — frame header, checksum,
+// and payload decode. Torn files are quarantined under a .torn suffix
+// so later loads see a clean miss instead of reading garbage. It
+// returns the quarantined file names.
 func (st *Store) Sweep() ([]string, error) {
 	entries, err := st.fs.ReadDir(st.dir)
 	if err != nil {
@@ -377,8 +272,6 @@ func (st *Store) Sweep() ([]string, error) {
 			_, _, _, _, verr = st.LoadBlock(id)
 		case ".est":
 			_, _, _, verr = st.LoadCheckpoint(id)
-		case ".dlt":
-			verr = st.verifyFrontier(id)
 		default:
 			continue
 		}
@@ -395,28 +288,4 @@ func (st *Store) Sweep() ([]string, error) {
 		quarantined = append(quarantined, name)
 	}
 	return quarantined, nil
-}
-
-// verifyFrontier decodes every frame of block id's frontier file
-// without consuming it, reporting ErrCorrupt-wrapped failures exactly
-// as DrainFrontier would.
-func (st *Store) verifyFrontier(id int) error {
-	data, err := st.fs.ReadFile(st.frontierPath(id))
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("oocore: frontier %d: %w", id, err)
-	}
-	for len(data) > 0 {
-		flen, n := binary.Uvarint(data)
-		if n <= 0 || flen > uint64(len(data)-n) {
-			return fmt.Errorf("oocore: frontier %d: torn frame: %w", id, ErrCorrupt)
-		}
-		if _, err := transport.DecodeBatch(data[n : n+int(flen)]); err != nil {
-			return fmt.Errorf("oocore: frontier %d: %v: %w", id, err, ErrCorrupt)
-		}
-		data = data[n+int(flen):]
-	}
-	return nil
 }

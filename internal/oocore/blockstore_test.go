@@ -109,64 +109,3 @@ func TestStoreCheckpointRoundTrip(t *testing.T) {
 		t.Fatalf("overwrite: got %v err=%v", got, err)
 	}
 }
-
-func TestStoreFrontierAppendDrain(t *testing.T) {
-	st := NewStore(t.TempDir())
-	drained := 0
-	if _, err := st.DrainFrontier(5, func(core.Batch) { drained++ }); err != nil {
-		t.Fatal(err)
-	}
-	if drained != 0 {
-		t.Fatal("missing frontier produced batches")
-	}
-	b1 := core.Batch{{Node: 9, Core: 4}, {Node: 2, Core: 7}}
-	b2 := core.Batch{{Node: 2, Core: 5}}
-	if _, err := st.AppendFrontier(5, b1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.AppendFrontier(5, b2); err != nil {
-		t.Fatal(err)
-	}
-	var got []core.Batch
-	if _, err := st.DrainFrontier(5, func(b core.Batch) { got = append(got, b) }); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 {
-		t.Fatalf("got %d batches, want 2", len(got))
-	}
-	// Frames arrive in append order; within a frame the codec sorts by node.
-	if !slices.Equal(got[0], core.Batch{{Node: 2, Core: 7}, {Node: 9, Core: 4}}) {
-		t.Errorf("frame 0: %v", got[0])
-	}
-	if !slices.Equal(got[1], core.Batch{{Node: 2, Core: 5}}) {
-		t.Errorf("frame 1: %v", got[1])
-	}
-	// Drain truncates: a second drain sees nothing.
-	count := 0
-	if _, err := st.DrainFrontier(5, func(core.Batch) { count++ }); err != nil {
-		t.Fatal(err)
-	}
-	if count != 0 {
-		t.Error("drain did not truncate the frontier")
-	}
-}
-
-func TestStoreDrainFrontierTornFrame(t *testing.T) {
-	st := NewStore(t.TempDir())
-	if _, err := st.AppendFrontier(1, core.Batch{{Node: 3, Core: 2}}); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(st.frontierPath(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(st.frontierPath(1), data[:len(data)-1], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.DrainFrontier(1, func(core.Batch) {}); err == nil {
-		t.Error("torn frontier frame drained without error")
-	}
-	if _, err := os.Stat(st.frontierPath(1)); err != nil {
-		t.Error("failed drain should leave the frontier file for inspection")
-	}
-}

@@ -1,15 +1,12 @@
 package oocore
 
-import "dkcore/internal/core"
-
 // CacheStats counts the block cache's traffic: loads served from
-// resident state (Hits) vs from disk (Misses), blocks persisted and
-// dropped to stay under budget (Evictions), the largest resident-byte
-// total observed (PeakResidentBytes — may transiently exceed the budget
-// by one block, because a block's footprint is only known after it is
-// built), and all bytes moved through the spill directory in either
-// direction (SpillBytesWritten / SpillBytesRead: block, estimate, and
-// frontier files).
+// resident adjacency (Hits) vs from disk (Misses), blocks dropped to
+// stay under budget (Evictions), the largest resident-byte total
+// observed (PeakResidentBytes — may transiently exceed the budget by
+// one block, because a block's footprint is only known after it is
+// decoded), and all bytes moved through the spill directory in either
+// direction (SpillBytesWritten / SpillBytesRead: block files).
 type CacheStats struct {
 	Hits              int64 `json:"hits"`
 	Misses            int64 `json:"misses"`
@@ -19,26 +16,22 @@ type CacheStats struct {
 	SpillBytesRead    int64 `json:"spill_bytes_read"`
 }
 
-// entry is one resident block: its rebuilt cascade state plus the cache
-// and scheduler bookkeeping that rides along.
+// entry is one resident block: its decoded, read-only CSR adjacency.
+// The neighbors of the block's i-th node are flat[off[i]:off[i+1]].
 type entry struct {
 	id    int
-	state *core.HostState
-	bytes int64 // MemoryFootprint charge against the budget
+	off   []int
+	flat  []int
+	bytes int64 // 8*(cap(off)+cap(flat)) charged against the budget
 
 	pinned bool // being processed right now; never evicted
 	ref    bool // clock second-chance bit
-	dirty  bool // estimates differ from the persisted vector
-	// pendingMem counts direct-applied inbound estimates since the block
-	// was last processed — the scheduler's "resident dirty" priority.
-	pendingMem int
 }
 
 // cache is the budgeted resident set: a map for lookup plus a ring
-// slice the clock hand sweeps. Eviction is delegated to the engine
-// (evict must finish the block's pending cascade and persist its
-// estimates before the state is dropped), keeping this layer pure
-// bookkeeping.
+// slice the clock hand sweeps. Blocks are never modified after the
+// spill, so eviction just drops the decoded slices; a later miss
+// decodes the block file again.
 type cache struct {
 	budget   int64
 	resident map[int]*entry
@@ -51,11 +44,6 @@ type cache struct {
 func newCache(budget int64, stats *CacheStats) *cache {
 	return &cache{budget: budget, resident: map[int]*entry{}, stats: stats}
 }
-
-// peek returns block id's entry if resident, without touching stats or
-// the clock bit — the routing path's "is the destination in memory"
-// test.
-func (c *cache) peek(id int) *entry { return c.resident[id] }
 
 // get returns block id's entry if resident, counting a hit and setting
 // its second-chance bit; nil counts a miss.
@@ -70,10 +58,10 @@ func (c *cache) get(id int) *entry {
 	return ent
 }
 
-// insert adds a freshly built entry and updates the peak watermark. The
-// caller evicts afterwards (with the new entry pinned): the footprint
-// of a block is only known once built, so admission briefly overshoots
-// by at most that one block.
+// insert adds a freshly decoded entry and updates the peak watermark.
+// The caller shrinks afterwards (with the new entry pinned): the
+// footprint of a block is only known once decoded, so admission briefly
+// overshoots by at most that one block.
 func (c *cache) insert(ent *entry) {
 	c.resident[ent.id] = ent
 	c.ring = append(c.ring, ent)
@@ -83,12 +71,11 @@ func (c *cache) insert(ent *entry) {
 	}
 }
 
-// shrink evicts clock-selected unpinned blocks until resident bytes fit
-// the budget, handing each victim to evict (persist + flush duties)
-// before dropping it. Pinned entries survive even when over budget, so
-// a single block larger than the whole budget still decomposes — the
-// cache degrades to one-block-at-a-time rather than failing.
-func (c *cache) shrink(evict func(*entry) error) error {
+// shrink drops clock-selected unpinned blocks until resident bytes fit
+// the budget. Pinned entries survive even when over budget, so a single
+// block larger than the whole budget still decomposes — the cache
+// degrades to one-block-at-a-time rather than failing.
+func (c *cache) shrink() {
 	spared := 0 // consecutive clock slots passed over (pinned or ref'd)
 	for c.bytes > c.budget && len(c.ring) > 0 {
 		if c.hand >= len(c.ring) {
@@ -98,28 +85,20 @@ func (c *cache) shrink(evict func(*entry) error) error {
 		if ent.pinned {
 			c.hand++
 			if spared++; spared >= 2*len(c.ring) {
-				return nil // everything pinned: allow the overshoot
+				return // everything pinned: allow the overshoot
 			}
 			continue
 		}
 		if ent.ref {
 			ent.ref = false
 			c.hand++
-			if spared++; spared >= 2*len(c.ring) {
-				// Second chances exhausted without finding a victim can't
-				// happen (ref is now false everywhere), but guard anyway.
-				spared = 0
-			}
+			spared++
 			continue
 		}
 		spared = 0
 		c.remove(ent)
 		c.stats.Evictions++
-		if err := evict(ent); err != nil {
-			return err
-		}
 	}
-	return nil
 }
 
 // remove drops ent from the map and ring, keeping the clock hand on the

@@ -2,7 +2,6 @@ package oocore
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"os"
 
@@ -26,17 +25,17 @@ type Options struct {
 	memoryBudget int64
 	spillDir     string
 	blockSize    int
-	maxPasses    int
 	fs           chaos.FS
 }
 
 // Option mutates Options; pass to Decompose.
 type Option func(*Options)
 
-// WithMemoryBudget caps the resident block cache at the given byte
-// budget. The engine's peak heap is roughly the budget plus one block
-// (admission learns a block's footprint only after building it) plus
-// transient collection buffers. Must be positive.
+// WithMemoryBudget caps the cache of decoded adjacency blocks at the
+// given byte budget, charged at 8 bytes per decoded offset and arc. The
+// engine's peak heap is the O(n) estimate vector plus the budget plus
+// one pinned block (admission learns a block's footprint only after
+// decoding it). Must be positive.
 func WithMemoryBudget(bytes int64) Option {
 	return func(o *Options) { o.memoryBudget = bytes }
 }
@@ -70,31 +69,25 @@ type Result struct {
 	// Blocks and BlockSize describe the partitioning actually used.
 	Blocks    int
 	BlockSize int
-	// Passes counts block processings (load-or-hit, drain, improve,
-	// collect) — the out-of-core analogue of rounds.
+	// Passes counts block passes (load-or-hit, then relax the block's
+	// active nodes until it is quiet) — the out-of-core analogue of
+	// rounds.
 	Passes int
-	// EstimatesSent and Batches count cross-block estimate traffic,
-	// whether applied in memory or spilled through frontier files.
+	// EstimatesSent counts cross-block wake-ups: estimate drops that
+	// activated a node of another block. Batches counts the (pass,
+	// destination block) pairs those wake-ups touched.
 	EstimatesSent int64
 	Batches       int64
 	// BlockStoreBytes is the on-disk footprint of the spilled CSR
 	// blocks — what the memory gate compares against the cache budget.
 	BlockStoreBytes int64
-	// Recovered counts blocks whose persisted checkpoint was found torn
-	// or missing and that the engine rebuilt in place: quarantine the
-	// file, reinitialize from the spilled graph, and have neighbor
-	// blocks re-ship their borders. Monotonicity makes the rebuilt run
-	// converge to the same coreness (estimates restart at an
-	// overestimate and only descend), so a nonzero count costs extra
-	// passes, never correctness.
-	Recovered int
 	// Cache holds the block cache's hit/miss/eviction/spill counters.
 	Cache CacheStats
 }
 
-// engine is one run's state: the store below, the cache beside, and the
-// scheduler bookkeeping. Single-goroutine by design — out-of-core wins
-// come from locality, not concurrency.
+// engine is one run's state: the resident O(n) node state, the block
+// store below and the adjacency cache beside. Single-goroutine by
+// design — out-of-core wins come from locality, not concurrency.
 type engine struct {
 	n      int // nodes in the graph
 	per    int // node IDs per block (last block may own fewer)
@@ -104,30 +97,33 @@ type engine struct {
 	cache *cache
 	stats *CacheStats
 
-	// initialized[b] is set once block b's first process pass has run
-	// (estimates seeded from degrees and the initial border shipped).
-	initialized []bool
-	// pendingDisk[b] counts estimates waiting in block b's on-disk
-	// frontier file — the scheduler's spilled-block priority.
-	pendingDisk []int
-	// refresh[b] lists torn blocks whose borders block b must re-ship
-	// at its next load — the checkpoint-loss recovery protocol (see
-	// core.MarkBorderChanged). Resident blocks are marked immediately;
-	// this is the deferred path for spilled ones.
-	refresh [][]int
-	// recovered counts in-place checkpoint recoveries (Result.Recovered).
-	recovered int
+	// est[u] is node u's coreness estimate: seeded with its degree by the
+	// spill pass, only ever lowered by relax, exact once no node is
+	// active.
+	est []int
+	// active[u] marks a node whose estimate may be above what its
+	// neighbours support; blockActive[b] counts block b's active nodes
+	// and is the scheduler's priority.
+	active      []bool
+	blockActive []int
+	// wokenAt[b] is the last pass that woke a node of block b (Batches).
+	wokenAt []int
+
+	// The running pass: its block and its FIFO of active nodes, a ring of
+	// block-size capacity (a node is queued at most once, while active).
+	cur         int
+	queue       []int
+	qhead, qlen int
+	// nbrEst and count are ComputeIndex's scratch, sized at spill time
+	// to the maximum degree so relax never allocates.
+	nbrEst []int
+	count  []int
 
 	passes        int
 	maxPasses     int
 	estimatesSent int64
 	batches       int64
-
-	estScratch  []int
-	ckptScratch core.Batch
 }
-
-func (e *engine) owner(u int) int { return u / e.per }
 
 func (e *engine) blockRange(b int) (lo, hi int) {
 	lo = b * e.per
@@ -136,9 +132,9 @@ func (e *engine) blockRange(b int) (lo, hi int) {
 }
 
 // Decompose computes exact coreness for every node of g while keeping
-// resident cascade state under the configured byte budget, spilling
-// partition blocks and cross-block deltas to disk. The coreness vector
-// is identical to the sequential engine's; scheduling affects only how
+// only the O(n) estimate vector and a budgeted cache of adjacency blocks
+// in memory, spilling the adjacency to disk once. The coreness vector is
+// identical to the sequential engine's; scheduling affects only how
 // much disk traffic the fixpoint costs.
 func Decompose(ctx context.Context, g *graph.Graph, opts ...Option) (*Result, error) {
 	o := Options{memoryBudget: DefaultMemoryBudget, blockSize: DefaultBlockSize, fs: chaos.OS{}}
@@ -179,17 +175,16 @@ func Decompose(ctx context.Context, g *graph.Graph, opts ...Option) (*Result, er
 		store:       NewStoreFS(dir, o.fs),
 		cache:       newCache(o.memoryBudget, stats),
 		stats:       stats,
-		initialized: make([]bool, blocks),
-		pendingDisk: make([]int, blocks),
-		refresh:     make([][]int, blocks),
-		maxPasses:   o.maxPasses,
-	}
-	if e.maxPasses == 0 {
+		est:         make([]int, n),
+		active:      make([]bool, n),
+		blockActive: make([]int, blocks),
+		wokenAt:     make([]int, blocks),
+		queue:       make([]int, per),
 		// Defensive ceiling, far above any reachable pass count: every
-		// pass beyond the init sweep consumes pending work produced by a
-		// genuine estimate drop, and total drops are bounded by the sum
-		// of degrees.
-		e.maxPasses = 64*blocks + 8*g.NumArcs() + 1024
+		// pass consumes at least one active node, and every activation
+		// after the seed comes from a genuine estimate drop, of which
+		// there are at most the sum of degrees.
+		maxPasses: 64*blocks + 8*g.NumArcs() + 1024,
 	}
 
 	// The run's directory is freshly created, so the sweep is normally a
@@ -203,28 +198,8 @@ func Decompose(ctx context.Context, g *graph.Graph, opts ...Option) (*Result, er
 	if err != nil {
 		return nil, err
 	}
-
-	// Gather-time recovery loop: a torn checkpoint discovered while
-	// assembling the final vector (torn after the block's last eviction,
-	// so no load ever saw it) is quarantined, the block is scheduled for
-	// a from-scratch rebuild, and the cascade reconverges. Bounded: each
-	// retry consumes one injected corruption, and corruption sources are
-	// finite (a fault budget in tests, a fixed set of torn files on a
-	// real disk).
-	var coreness []int
-	for attempt := 0; ; attempt++ {
-		if err := e.run(ctx); err != nil {
-			return nil, err
-		}
-		var torn *tornCheckpointError
-		coreness, err = e.gather()
-		if err == nil {
-			break
-		}
-		if !errors.As(err, &torn) || attempt >= 2*e.blocks+8 {
-			return nil, err
-		}
-		e.recoverGather(torn.block)
+	if err := e.run(ctx); err != nil {
+		return nil, err
 	}
 
 	if cleanup != nil {
@@ -234,14 +209,13 @@ func Decompose(ctx context.Context, g *graph.Graph, opts ...Option) (*Result, er
 		cleanup = nil
 	}
 	return &Result{
-		Coreness:        coreness,
+		Coreness:        e.est,
 		Blocks:          blocks,
 		BlockSize:       per,
 		Passes:          e.passes,
 		EstimatesSent:   e.estimatesSent,
 		Batches:         e.batches,
 		BlockStoreBytes: storeBytes,
-		Recovered:       e.recovered,
 		Cache:           *stats,
 	}, nil
 }
@@ -264,11 +238,13 @@ func spillDir(root string) (string, func() error, error) {
 
 // spill streams the graph into per-block CSR files through one reused
 // block-sized buffer pair — never materializing a second whole-graph
-// adjacency, which is the point of the exercise.
+// adjacency, which is the point of the exercise — and seeds each
+// block's estimates from the degrees it just wrote.
 func (e *engine) spill(ctx context.Context, g *graph.Graph) (int64, error) {
 	off := make([]int, 0, e.per+1)
 	var flat []int
 	var total int64
+	maxDeg := 0
 	for b := 0; b < e.blocks; b++ {
 		if err := ctx.Err(); err != nil {
 			return 0, err
@@ -279,6 +255,7 @@ func (e *engine) spill(ctx context.Context, g *graph.Graph) (int64, error) {
 		for u := lo; u < hi; u++ {
 			flat = append(flat, g.Neighbors(u)...)
 			off = append(off, len(flat))
+			maxDeg = max(maxDeg, g.Degree(u))
 		}
 		nb, err := e.store.WriteBlock(b, lo, hi-lo, off, flat)
 		if err != nil {
@@ -286,196 +263,57 @@ func (e *engine) spill(ctx context.Context, g *graph.Graph) (int64, error) {
 		}
 		total += nb
 		e.stats.SpillBytesWritten += nb
+		e.seed(b, off)
 	}
+	// An estimate never exceeds its node's degree, so ComputeIndex's
+	// histogram needs maxDeg+1 slots and never grows.
+	e.nbrEst = make([]int, 0, maxDeg)
+	e.count = make([]int, maxDeg+1)
 	return total, nil
 }
 
-// load returns block id's resident entry, rebuilding it from the spill
-// files on a miss: decode the CSR block, reconstruct fresh cascade
-// state, and replay the persisted checkpoint batch through Apply — the
-// checkpoint/restore contract of internal/core, which rebuilds the
-// exact evicted state (estimates are monotone, so replay lowers every
-// tracked node to its persisted value, and the histograms are a pure
-// function of the estimate vector). External knowledge rides in the
-// checkpoint because it is irreplaceable: an external estimate below an
-// owned node's own value constrains future recomputation and its
-// source will never re-ship it. The post-replay cascade is a no-op
-// drain, and the blanket changed marks are dropped: everything in a
-// checkpoint was shipped before it was persisted. The new entry is
-// charged to the cache and other blocks are evicted to fit.
+// seed is Algorithm 1's initialization for block b, whose offsets are
+// off: est[u] = d(u), and every node with a neighbour starts active.
+//
+//dkcore:estwrite Algorithm 1 initialization: seeds est[u] = d(u) before any node is relaxed
+func (e *engine) seed(b int, off []int) {
+	lo, _ := e.blockRange(b)
+	for i := 0; i+1 < len(off); i++ {
+		d := off[i+1] - off[i]
+		e.est[lo+i] = d
+		if d > 0 {
+			e.active[lo+i] = true
+			e.blockActive[b]++
+		}
+	}
+}
+
+// load returns block id's resident adjacency, pinned, decoding its
+// block file on a miss and dropping unpinned blocks to fit the budget.
 func (e *engine) load(id int) (*entry, error) {
 	if ent := e.cache.get(id); ent != nil {
+		ent.pinned = true
 		return ent, nil
 	}
 	first, off, flat, nb, err := e.store.LoadBlock(id)
 	if err != nil {
 		return nil, err
 	}
+	if lo, hi := e.blockRange(id); first != lo || len(off)-1 != hi-lo {
+		return nil, fmt.Errorf("oocore: block %d holds nodes [%d, %d), want [%d, %d): %w",
+			id, first, first+len(off)-1, lo, hi, ErrCorrupt)
+	}
 	e.stats.SpillBytesRead += nb
-	owned := make([]int, len(off)-1)
-	for i := range owned {
-		owned[i] = first + i
-	}
-	s := core.NewHostState(id, e.n, owned, off, flat, e.owner)
-	s.InitEstimates()
-	dirty := false
-	if e.initialized[id] {
-		ckpt, cb, ok, err := e.store.LoadCheckpoint(id)
-		switch {
-		case err != nil && errors.Is(err, ErrCorrupt), err == nil && !ok:
-			// The persisted checkpoint is torn (a crash mid-write on a
-			// non-atomic filesystem) or gone. Recoverable: quarantine the
-			// file and fall through with first-build state — estimates
-			// reseeded from degrees are an overestimate, and Apply only
-			// lowers, so reconvergence lands on the same coreness. The
-			// irreplaceable piece is the lost external knowledge, which
-			// neighbor blocks re-ship via the refresh marks.
-			if qerr := e.store.QuarantineCheckpoint(id); qerr != nil {
-				return nil, qerr
-			}
-			e.recovered++
-			e.refreshOthers(id)
-			dirty = true
-		case err != nil:
-			return nil, err
-		default:
-			e.stats.SpillBytesRead += cb
-			s.Apply(ckpt)
-			s.ImproveIfDirty()
-			s.ResetChanged()
-			for _, torn := range e.refresh[id] {
-				s.MarkBorderChanged(torn)
-			}
-			e.refresh[id] = nil
-		}
-	} else {
-		// First build: keep InitEstimates' blanket marks so the initial
-		// border ships on the first collect, and treat the block as dirty
-		// so eviction persists the seed state.
-		dirty = true
-	}
-	if dirty {
-		// Blanket marks re-ship the whole border; deferred refresh marks
-		// would be redundant.
-		e.refresh[id] = nil
-	}
-	ent := &entry{id: id, state: s, bytes: s.MemoryFootprint(), dirty: dirty, ref: true}
-	ent.pinned = true
+	ent := &entry{id: id, off: off, flat: flat, bytes: 8 * int64(cap(off)+cap(flat)), pinned: true, ref: true}
 	e.cache.insert(ent)
-	if err := e.cache.shrink(e.evict); err != nil {
-		return nil, err
-	}
-	ent.pinned = false
+	e.cache.shrink()
 	return ent, nil
 }
 
-// evict retires a resident block: finish any half-applied inbound work
-// (improve + collect + route) so direct-applied deltas are not lost,
-// then persist the full checkpoint if anything — owned estimate or
-// external knowledge — moved since the last persist. The cache has
-// already unlinked the entry, so routing cannot find the dying block
-// and re-apply into it.
-func (e *engine) evict(ent *entry) error {
-	if ent.pendingMem > 0 || ent.dirty {
-		ent.state.ImproveIfDirty()
-		if err := e.route(ent.state.CollectPointToPoint()); err != nil {
-			return err
-		}
-		ent.pendingMem = 0
-	}
-	if ent.dirty {
-		e.ckptScratch = ent.state.ExportEstimates(e.ckptScratch[:0])
-		nb, err := e.store.WriteCheckpoint(ent.id, e.ckptScratch)
-		if err != nil {
-			return err
-		}
-		e.stats.SpillBytesWritten += nb
-	}
-	return nil
-}
-
-// refreshOthers runs the checkpoint-loss recovery protocol for torn
-// block torn: every other block must re-ship its border with the torn
-// block, reconstructing the external knowledge the torn checkpoint
-// carried (neighbors never re-ship spontaneously — an estimate already
-// delivered is an estimate never sent again). Resident blocks are
-// marked now and scheduled via their pending counter; spilled blocks
-// get a deferred refresh mark applied at their next load plus a
-// frontier-priority bump so the scheduler gets them there.
-func (e *engine) refreshOthers(torn int) {
-	for b := 0; b < e.blocks; b++ {
-		if b == torn {
-			continue
-		}
-		if ent := e.cache.peek(b); ent != nil {
-			if n := ent.state.MarkBorderChanged(torn); n > 0 {
-				ent.pendingMem += n
-			}
-			continue
-		}
-		if e.initialized[b] {
-			e.refresh[b] = append(e.refresh[b], torn)
-			e.pendingDisk[b]++
-		}
-	}
-}
-
-// recoverGather handles a torn checkpoint discovered at gather time:
-// quarantine it, demote the block to uninitialized so its next load is
-// a from-scratch rebuild (overestimates only — monotone-safe), bump its
-// scheduler priority, and ask every neighbor to re-ship its border.
-func (e *engine) recoverGather(block int) {
-	// Quarantine is best-effort here: if the rename itself fails the
-	// rebuild still works, because an uninitialized block never reads
-	// its checkpoint.
-	_ = e.store.QuarantineCheckpoint(block)
-	e.recovered++
-	e.initialized[block] = false
-	e.pendingDisk[block]++
-	e.refreshOthers(block)
-}
-
-// tornCheckpointError marks a gather-time ErrCorrupt with the block
-// whose checkpoint is torn, so Decompose can recover and reconverge.
-type tornCheckpointError struct {
-	block int
-	err   error
-}
-
-func (t *tornCheckpointError) Error() string { return t.err.Error() }
-func (t *tornCheckpointError) Unwrap() error { return t.err }
-
-// route delivers one collection's outbound batches: direct Apply into
-// resident destinations, frontier-file append for spilled ones.
-// Iteration over the map is order-insensitive — Apply is a pointwise
-// minimum, so delivery order cannot change the fixpoint.
-func (e *engine) route(out map[int]core.Batch) error {
-	for dest, batch := range out {
-		if len(batch) == 0 {
-			continue
-		}
-		e.estimatesSent += int64(len(batch))
-		e.batches++
-		if ent := e.cache.peek(dest); ent != nil {
-			if ent.state.Apply(batch) {
-				ent.dirty = true
-			}
-			ent.pendingMem += len(batch)
-		} else {
-			nb, err := e.store.AppendFrontier(dest, batch)
-			if err != nil {
-				return err
-			}
-			e.stats.SpillBytesWritten += nb
-			e.pendingDisk[dest] += len(batch)
-		}
-	}
-	return nil
-}
-
-// process runs one block pass: pin the block resident, drain its
-// on-disk frontier, run the cascade to its local fixpoint, and route
-// what changed.
+// process runs one block pass: pin the block's adjacency, queue its
+// active nodes in ID order, and relax them first-in first-out until the
+// block is quiet. Wake-ups in other blocks only raise their active
+// counts; the scheduler gets to them later.
 func (e *engine) process(ctx context.Context, id int) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -488,39 +326,70 @@ func (e *engine) process(ctx context.Context, id int) error {
 	if err != nil {
 		return err
 	}
-	ent.pinned = true
 	defer func() { ent.pinned = false }()
-	s := ent.state
-	e.initialized[id] = true
-	if e.pendingDisk[id] > 0 {
-		nb, err := e.store.DrainFrontier(id, func(b core.Batch) {
-			if s.Apply(b) {
-				ent.dirty = true
-			}
-		})
-		if err != nil {
-			return err
+	lo, hi := e.blockRange(id)
+	e.cur, e.qhead, e.qlen = id, 0, 0
+	for u := lo; u < hi; u++ {
+		if e.active[u] {
+			e.queue[e.qlen] = u
+			e.qlen++
 		}
-		e.stats.SpillBytesRead += nb
-		e.pendingDisk[id] = 0
 	}
-	ent.pendingMem = 0
-	s.ImproveIfDirty()
-	return e.route(s.CollectPointToPoint())
+	for e.qlen > 0 {
+		u := e.queue[e.qhead]
+		e.qhead = (e.qhead + 1) % len(e.queue)
+		e.qlen--
+		e.active[u] = false
+		e.blockActive[id]--
+		e.relax(u, ent.flat[ent.off[u-lo]:ent.off[u-lo+1]])
+	}
+	return nil
 }
 
-// run drives the scheduler: one locality-friendly init sweep in ID
-// order, then repeatedly the resident block with the most direct-applied
-// pending estimates (hot state, zero load cost), falling back to the
-// spilled block with the largest on-disk frontier (one load absorbs the
-// biggest backlog). Quiescence: no resident pending work and every
-// frontier file empty.
-func (e *engine) run(ctx context.Context) error {
-	for b := 0; b < e.blocks; b++ {
-		if err := e.process(ctx, b); err != nil {
-			return err
+// relax applies Algorithm 1's update to node u with neighbours nbrs:
+// est[u] becomes ComputeIndex over the neighbour estimates. A drop from
+// old to k can only unsupport a neighbour v with k < est[v] <= old (one
+// at or below k still counts u, one above old never counted u at its own
+// estimate), so exactly those are woken: queued if in the running
+// block, counted against their block otherwise.
+//
+//dkcore:estwrite Algorithm 1's update rule: lowers est[u] to ComputeIndex, never raises it
+//dkcore:noalloc per-node step of every block pass; the scratch is sized at spill time
+func (e *engine) relax(u int, nbrs []int) {
+	e.nbrEst = e.nbrEst[:0]
+	for _, v := range nbrs {
+		e.nbrEst = append(e.nbrEst, e.est[v])
+	}
+	old := e.est[u]
+	k := core.ComputeIndex(e.nbrEst, old, e.count)
+	if k >= old {
+		return
+	}
+	e.est[u] = k
+	for _, v := range nbrs {
+		if ev := e.est[v]; ev <= k || ev > old || e.active[v] {
+			continue
+		}
+		e.active[v] = true
+		b := v / e.per
+		e.blockActive[b]++
+		if b == e.cur {
+			e.queue[(e.qhead+e.qlen)%len(e.queue)] = v
+			e.qlen++
+			continue
+		}
+		e.estimatesSent++
+		if e.wokenAt[b] != e.passes {
+			e.wokenAt[b] = e.passes
+			e.batches++
 		}
 	}
+}
+
+// run drives the scheduler until no node is active: that fixpoint of
+// Algorithm 1's update, reached from the degrees by descent only, is
+// the coreness.
+func (e *engine) run(ctx context.Context) error {
 	for {
 		id, ok := e.pick()
 		if !ok {
@@ -532,59 +401,23 @@ func (e *engine) run(ctx context.Context) error {
 	}
 }
 
-// pick chooses the next block: resident-with-pending first (largest
-// backlog, lowest ID on ties), then largest on-disk frontier.
+// pick chooses the next block: the resident block with the most active
+// nodes (hot adjacency, zero load cost), else the spilled block with the
+// most (one load absorbs the biggest backlog); lowest ID on ties.
 func (e *engine) pick() (int, bool) {
 	best, bestScore := -1, 0
 	for _, ent := range e.cache.ring {
-		if ent.pendingMem > bestScore || (ent.pendingMem == bestScore && best >= 0 && ent.id < best) {
-			best, bestScore = ent.id, ent.pendingMem
+		if a := e.blockActive[ent.id]; a > bestScore || (a == bestScore && a > 0 && ent.id < best) {
+			best, bestScore = ent.id, a
 		}
 	}
-	if best >= 0 && bestScore > 0 {
+	if best >= 0 {
 		return best, true
 	}
-	best, bestScore = -1, 0
-	for b, pending := range e.pendingDisk {
-		if pending > bestScore {
-			best, bestScore = b, pending
+	for b, a := range e.blockActive {
+		if a > bestScore {
+			best, bestScore = b, a
 		}
 	}
 	return best, best >= 0
-}
-
-// gather assembles the final coreness vector from resident state and
-// persisted checkpoints. At quiescence every block's estimates equal
-// exact coreness (the cascade's fixpoint), and every non-resident block
-// was persisted by its eviction. Checkpoint entries outside a block's
-// owned range are its record of external neighbors — skipped here,
-// since their owning blocks report them.
-func (e *engine) gather() ([]int, error) {
-	out := make([]int, e.n)
-	for b := 0; b < e.blocks; b++ {
-		lo, hi := e.blockRange(b)
-		if ent := e.cache.peek(b); ent != nil {
-			e.estScratch = ent.state.AppendOwnedEstimates(e.estScratch[:0])
-			copy(out[lo:], e.estScratch)
-			continue
-		}
-		ckpt, nb, ok, err := e.store.LoadCheckpoint(b)
-		if err != nil && errors.Is(err, ErrCorrupt) {
-			return nil, &tornCheckpointError{block: b, err: err}
-		}
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return nil, &tornCheckpointError{block: b,
-				err: fmt.Errorf("oocore: block %d evicted without persisted checkpoint: %w", b, ErrCorrupt)}
-		}
-		e.stats.SpillBytesRead += nb
-		for _, m := range ckpt {
-			if m.Node >= lo && m.Node < hi {
-				out[m.Node] = m.Core
-			}
-		}
-	}
-	return out, nil
 }

@@ -126,9 +126,9 @@ func TestCrossScenarioEquivalence(t *testing.T) {
 			}
 
 			// Out-of-core under a pathologically tiny budget: 8-node
-			// blocks against a budget that holds roughly two block
-			// states, so nearly every block pass evicts, checkpoints,
-			// and restores through the spill directory.
+			// blocks against a 16 KiB adjacency cache, so on the larger
+			// graphs block passes evict and reload blocks from the spill
+			// directory.
 			tinyRep := runEngine(t, g, dkcore.OutOfCore,
 				dkcore.WithBlockSize(8), dkcore.WithMemoryBudget(16<<10))
 			assertSame(t, "oocore-tiny", truth, tinyRep.Coreness)
