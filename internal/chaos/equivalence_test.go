@@ -99,7 +99,7 @@ func TestChaosEquivalenceOOCore(t *testing.T) {
 		in := chaos.NewInjector(seed, 5)
 		fs := in.WrapFS(chaos.OS{}, "oocore", chaos.FSPlan{
 			TornRenameProb:  0.25,
-			TornRenameMatch: ".est",
+			TornRenameMatch: ".blk",
 			ErrProb:         0.01,
 			ShortProb:       0.01,
 		})

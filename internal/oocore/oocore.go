@@ -180,10 +180,11 @@ func Decompose(ctx context.Context, g *graph.Graph, opts ...Option) (*Result, er
 		blockActive: make([]int, blocks),
 		wokenAt:     make([]int, blocks),
 		queue:       make([]int, per),
-		// Defensive ceiling, far above any reachable pass count: every
-		// pass consumes at least one active node, and every activation
-		// after the seed comes from a genuine estimate drop, of which
-		// there are at most the sum of degrees.
+		// Safety ceiling against a scheduler bug, not a proven bound:
+		// every pass after a block's first consumes at least one
+		// cross-block wake-up, and wake-ups along an arc u→v need est[v]
+		// to drop between them, but their total can exceed the arc
+		// count. Observed pass counts stay far below this.
 		maxPasses: 64*blocks + 8*g.NumArcs() + 1024,
 	}
 
