@@ -192,7 +192,11 @@ func NewBuilder(n int) *Builder { return graph.NewBuilder(n) }
 func FromEdges(n int, edges [][2]int) *Graph { return graph.FromEdges(n, edges) }
 
 // ReadEdgeList parses a whitespace-separated edge list ('#'/'%' comments
-// allowed), remapping arbitrary IDs to dense ones; origID maps back.
+// allowed, lines up to 1 MiB) in one pass and O(n+m) time, remapping
+// arbitrary non-negative IDs to dense ones in first-appearance order;
+// origID maps back. The remap is a table indexed by raw ID while IDs stay
+// within a constant factor of the node count, with a map for sparse or
+// huge IDs, so its memory is O(nodes).
 func ReadEdgeList(r io.Reader) (g *Graph, origID []int64, err error) {
 	return graph.ReadEdgeList(r)
 }

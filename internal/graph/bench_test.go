@@ -1,0 +1,62 @@
+package graph_test
+
+import (
+	"bytes"
+	"math/rand"
+	"testing"
+
+	"dkcore/internal/gen"
+	"dkcore/internal/graph"
+)
+
+// benchGraph is the skew workload's power law at a third of its size:
+// 100k nodes, about 500k edges, hubs of degree ~300.
+func benchGraph() *graph.Graph {
+	return gen.PowerLaw(gen.PowerLawConfig{N: 100_000, Exponent: 2.2, MinDeg: 3}, 1)
+}
+
+var sinkGraph *graph.Graph
+
+// BenchmarkReadEdgeList parses the graph's text edge list from memory:
+// the byte scanner, the dense-ID remap and Build.
+func BenchmarkReadEdgeList(b *testing.B) {
+	var text bytes.Buffer
+	if err := graph.WriteEdgeList(&text, benchGraph()); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(text.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g, _, err := graph.ReadEdgeList(bytes.NewReader(text.Bytes()))
+		if err != nil {
+			b.Fatal(err)
+		}
+		sinkGraph = g
+	}
+}
+
+// BenchmarkBuild builds CSR from the graph's edges added in shuffled
+// order with random endpoint order, so no pass can lean on sorted input.
+func BenchmarkBuild(b *testing.B) {
+	g := benchGraph()
+	var edges [][2]int
+	g.Edges(func(u, v int) bool {
+		edges = append(edges, [2]int{u, v})
+		return true
+	})
+	rng := rand.New(rand.NewSource(1))
+	rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
+	bld := graph.NewBuilder(g.NumNodes())
+	for _, e := range edges {
+		if rng.Intn(2) == 0 {
+			e[0], e[1] = e[1], e[0]
+		}
+		bld.AddEdge(e[0], e[1])
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkGraph = bld.Build()
+	}
+}

@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Builder accumulates edges and produces an immutable Graph.
 //
@@ -55,57 +52,73 @@ func (b *Builder) AddEdge(u, v int) {
 
 // Build constructs the immutable Graph. The Builder remains usable; calling
 // Build again after further AddEdge calls produces a new snapshot.
+//
+// Build is O(n+m) with no comparison sort. Two counting passes sort the
+// edges (u < v, self-loops skipped): the first buckets each edge's u under
+// its v, unsorted; the second walks those buckets in increasing v and
+// appends v to u's bucket, so each u's bucket lists its larger neighbors
+// in increasing order. The copies of an edge land next to each other
+// there and only the first is kept, and the degrees counted on the way
+// size the CSR exactly. A last pass walks the sorted edges in increasing
+// u to fill it: each row receives its smaller neighbors in increasing
+// order, then its larger ones.
 func (b *Builder) Build() *Graph {
-	// Sort and dedupe the canonical (u<v) edge list, dropping self-loops.
-	edges := make([][2]int, 0, len(b.edges))
+	n := b.n
+	belowOff := make([]int, n+1) // bucket sizes of the first pass, then offsets
+	aboveOff := make([]int, n+1) // the same for the second
 	for _, e := range b.edges {
 		if e[0] != e[1] {
-			edges = append(edges, e)
+			aboveOff[e[0]+1]++
+			belowOff[e[1]+1]++
 		}
 	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i][0] != edges[j][0] {
-			return edges[i][0] < edges[j][0]
-		}
-		return edges[i][1] < edges[j][1]
-	})
-	uniq := edges[:0]
-	for i, e := range edges {
-		if i == 0 || e != edges[i-1] {
-			uniq = append(uniq, e)
-		}
+	for i := 1; i <= n; i++ {
+		belowOff[i] += belowOff[i-1]
+		aboveOff[i] += aboveOff[i-1]
 	}
-	edges = uniq
 
-	// Counting pass: degree of every node.
-	offsets := make([]int, b.n+1)
-	for _, e := range edges {
-		offsets[e[0]+1]++
-		offsets[e[1]+1]++
+	// First pass: below[belowOff[v]:belowOff[v+1]] holds the smaller
+	// endpoint of every edge added at v. next[x] is bucket x's next slot.
+	below := make([]int, belowOff[n])
+	next := make([]int, n)
+	copy(next, belowOff)
+	for _, e := range b.edges {
+		if u, v := e[0], e[1]; u != v {
+			below[next[v]] = u
+			next[v]++
+		}
 	}
-	for i := 1; i <= b.n; i++ {
+
+	// Second pass: above[aboveOff[u]:next[u]] becomes u's larger neighbors.
+	// offsets[x+1] counts x's degree.
+	above := make([]int, aboveOff[n])
+	copy(next, aboveOff)
+	offsets := make([]int, n+1)
+	for v := 0; v < n; v++ {
+		for _, u := range below[belowOff[v]:belowOff[v+1]] {
+			if p := next[u]; p == aboveOff[u] || above[p-1] != v {
+				above[p] = v
+				next[u] = p + 1
+				offsets[u+1]++
+				offsets[v+1]++
+			}
+		}
+	}
+	for i := 1; i <= n; i++ {
 		offsets[i] += offsets[i-1]
 	}
 
-	// Fill pass. cursor tracks the next free slot per node.
-	adj := make([]int, offsets[b.n])
-	cursor := make([]int, b.n)
-	for _, e := range edges {
-		u, v := e[0], e[1]
-		adj[offsets[u]+cursor[u]] = v
-		cursor[u]++
-		adj[offsets[v]+cursor[v]] = u
-		cursor[v]++
-	}
-	// Adjacency lists are already sorted: edges were processed in
-	// lexicographic (u, v) order with u < v, so each node receives its
-	// larger neighbors in increasing order after its smaller neighbors,
-	// which also arrive in increasing order. Sort defensively anyway to
-	// keep the invariant independent of the fill strategy.
-	for u := 0; u < b.n; u++ {
-		ns := adj[offsets[u]:offsets[u+1]]
-		if !sort.IntsAreSorted(ns) {
-			sort.Ints(ns)
+	// Fill. When the walk reaches u, every smaller neighbor has written
+	// itself into row u, so fill[u] is where u's larger neighbors go.
+	adj := make([]int, offsets[n])
+	fill := make([]int, n)
+	copy(fill, offsets)
+	for u := 0; u < n; u++ {
+		larger := above[aboveOff[u]:next[u]]
+		copy(adj[fill[u]:], larger)
+		for _, v := range larger {
+			adj[fill[v]] = u
+			fill[v]++
 		}
 	}
 	return &Graph{offsets: offsets, adj: adj}

@@ -75,6 +75,39 @@ func TestBuilderGrowsNodeCount(t *testing.T) {
 	}
 }
 
+// TestBuildMatchesReference holds the counting-pass Build to the sorting
+// reference on random edge lists with self-loops, duplicates, both
+// endpoint orders and trailing isolated nodes, and checks that the result
+// holds no capacity for the duplicates it dropped.
+func TestBuildMatchesReference(t *testing.T) {
+	check := func(seed int64, nRaw, mRaw, extraRaw uint8) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := int(nRaw)%40 + 1
+		b := NewBuilder(0)
+		for i := 0; i < int(mRaw); i++ {
+			u, v := rng.Intn(n), rng.Intn(n)
+			switch rng.Intn(4) {
+			case 0:
+				v = u // self-loop
+			case 1:
+				b.AddEdge(v, u) // the same edge twice, reversed
+			}
+			b.AddEdge(u, v)
+		}
+		b.EnsureNodes(b.NumNodes() + int(extraRaw)%5)
+		got, want := b.Build(), referenceBuild(b)
+		if !got.Equal(want) || len(got.adj) != cap(got.adj) {
+			t.Logf("seed %d: n %d, %d edges added: got %v / %v, want %v / %v",
+				seed, n, b.NumEdgesAdded(), got.offsets, got.adj, want.offsets, want.adj)
+			return false
+		}
+		return b.Build().Equal(want)
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestBuilderPanicsOnNegativeID(t *testing.T) {
 	defer func() {
 		if recover() == nil {

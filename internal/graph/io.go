@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -16,57 +17,168 @@ const binaryMagic = "DKG1"
 // ErrBadFormat is returned when parsing malformed graph input.
 var ErrBadFormat = errors.New("graph: bad format")
 
-// ReadEdgeList parses a whitespace-separated edge list, one edge per line.
-// Lines starting with '#' or '%' and blank lines are ignored (SNAP datasets
-// use '#' comments). Node identifiers may be arbitrary non-negative 64-bit
-// integers; they are remapped to dense IDs in first-appearance order.
+// maxLineBytes is the longest line ReadEdgeList accepts.
+const maxLineBytes = 1 << 20
+
+// ReadEdgeList parses a whitespace-separated edge list, one edge per line,
+// in one pass and O(n+m) time. Lines starting with '#' or '%' and blank
+// lines are ignored (SNAP datasets use '#' comments); fields after the
+// second are ignored; a line longer than 1 MiB is an error. Node
+// identifiers may be arbitrary non-negative 64-bit integers; they are
+// remapped to dense IDs in first-appearance order.
+//
+// The common line, two unsigned decimals of at most 18 digits separated by
+// ASCII whitespace, is parsed in place from the scanner's bytes; any other
+// line (signs, non-ASCII whitespace, longer numbers, comments, junk) goes
+// through strings.Fields and strconv.ParseInt, which decide what is
+// accepted and word every error. The remap is a table indexed by raw ID
+// while the IDs stay within a constant factor of the number of nodes seen,
+// so it is O(nodes) in memory; sparse or huge IDs fall back to a map.
 //
 // It returns the graph and origID, where origID[u] is the identifier that
 // dense node u had in the input.
 func ReadEdgeList(r io.Reader) (g *Graph, origID []int64, err error) {
-	toDense := make(map[int64]int)
+	var ids denseIDs
 	b := NewBuilder(0)
-	dense := func(raw int64) int {
-		if id, ok := toDense[raw]; ok {
-			return id
-		}
-		id := len(origID)
-		toDense[raw] = id
-		origID = append(origID, raw)
-		return id
-	}
-
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
+	sc.Buffer(make([]byte, 0, 64*1024), maxLineBytes)
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || line[0] == '#' || line[0] == '%' {
-			continue
+		u, v, ok := parseEdge(sc.Bytes())
+		if !ok {
+			var skip bool
+			if u, v, skip, err = parseFields(sc.Text(), lineNo); err != nil {
+				return nil, nil, err
+			}
+			if skip {
+				continue
+			}
 		}
-		fields := strings.Fields(line)
-		if len(fields) < 2 {
-			return nil, nil, fmt.Errorf("%w: line %d: want at least 2 fields, got %d", ErrBadFormat, lineNo, len(fields))
-		}
-		u, err := strconv.ParseInt(fields[0], 10, 64)
-		if err != nil {
-			return nil, nil, fmt.Errorf("%w: line %d: %v", ErrBadFormat, lineNo, err)
-		}
-		v, err := strconv.ParseInt(fields[1], 10, 64)
-		if err != nil {
-			return nil, nil, fmt.Errorf("%w: line %d: %v", ErrBadFormat, lineNo, err)
-		}
-		if u < 0 || v < 0 {
-			return nil, nil, fmt.Errorf("%w: line %d: negative node id", ErrBadFormat, lineNo)
-		}
-		b.AddEdge(dense(u), dense(v))
+		b.AddEdge(ids.dense(u), ids.dense(v))
 	}
 	if err := sc.Err(); err != nil {
 		return nil, nil, fmt.Errorf("graph: read edge list: %w", err)
 	}
-	b.EnsureNodes(len(origID))
-	return b.Build(), origID, nil
+	b.EnsureNodes(len(ids.origID))
+	return b.Build(), ids.origID, nil
+}
+
+// parseEdge parses the common edge-list line in place: optional ASCII
+// whitespace, then two unsigned decimals of at most 18 digits (so they
+// cannot overflow), each ended by ASCII whitespace or the end of the line.
+// Anything after the second number is ignored, as parseFields ignores
+// extra fields. ok is false for every other line.
+func parseEdge(line []byte) (u, v int64, ok bool) {
+	i := skipSpace(line, 0)
+	if u, i, ok = parseUint(line, i); !ok {
+		return 0, 0, false
+	}
+	v, _, ok = parseUint(line, skipSpace(line, i))
+	return u, v, ok
+}
+
+// parseUint reads the decimal at line[i:] and returns it with the index
+// just past it.
+func parseUint(line []byte, i int) (x int64, end int, ok bool) {
+	start := i
+	for ; i < len(line); i++ {
+		d := line[i] - '0'
+		if d > 9 {
+			break
+		}
+		x = x*10 + int64(d)
+	}
+	if i == start || i-start > 18 || (i < len(line) && !isSpace(line[i])) {
+		return 0, i, false
+	}
+	return x, i, true
+}
+
+func skipSpace(line []byte, i int) int {
+	for i < len(line) && isSpace(line[i]) {
+		i++
+	}
+	return i
+}
+
+// isSpace reports whether c is ASCII whitespace as strings.Fields and
+// strings.TrimSpace see it: space, or '\t' through '\r'.
+func isSpace(c byte) bool { return c == ' ' || c-'\t' <= '\r'-'\t' }
+
+// parseFields parses any line parseEdge turns down. skip reports a blank
+// or comment line.
+func parseFields(text string, lineNo int) (u, v int64, skip bool, err error) {
+	line := strings.TrimSpace(text)
+	if line == "" || line[0] == '#' || line[0] == '%' {
+		return 0, 0, true, nil
+	}
+	fields := strings.Fields(line)
+	if len(fields) < 2 {
+		return 0, 0, false, fmt.Errorf("%w: line %d: want at least 2 fields, got %d", ErrBadFormat, lineNo, len(fields))
+	}
+	if u, err = strconv.ParseInt(fields[0], 10, 64); err != nil {
+		return 0, 0, false, fmt.Errorf("%w: line %d: %v", ErrBadFormat, lineNo, err)
+	}
+	if v, err = strconv.ParseInt(fields[1], 10, 64); err != nil {
+		return 0, 0, false, fmt.Errorf("%w: line %d: %v", ErrBadFormat, lineNo, err)
+	}
+	if u < 0 || v < 0 {
+		return 0, 0, false, fmt.Errorf("%w: line %d: negative node id", ErrBadFormat, lineNo)
+	}
+	return u, v, false, nil
+}
+
+// tableSlack bounds the dense-ID table: it grows only to take a raw ID
+// below tableSlack × (nodes seen + 1024), and at most doubles past it, so
+// it costs at most 8·tableSlack bytes per node, plus a constant.
+const tableSlack = 4
+
+// denseIDs numbers raw node IDs densely in first-appearance order. Each
+// raw ID seen is in exactly one of table and sparse.
+type denseIDs struct {
+	table  []int32       // table[raw] is dense ID + 1; 0 is unseen
+	sparse map[int64]int // raw IDs the table could not take when first seen
+	origID []int64       // origID[dense] is the raw ID
+}
+
+func (d *denseIDs) dense(raw int64) int {
+	if raw < int64(len(d.table)) {
+		if id := d.table[raw]; id != 0 {
+			return int(id - 1)
+		}
+	}
+	if id, ok := d.sparse[raw]; ok {
+		return id
+	}
+	id := len(d.origID)
+	d.origID = append(d.origID, raw)
+	if raw >= int64(len(d.table)) && raw < tableSlack*int64(id+1024) {
+		d.grow(max(2*int64(len(d.table)), raw+1))
+	}
+	if raw < int64(len(d.table)) && id < math.MaxInt32 {
+		d.table[raw] = int32(id + 1)
+		return id
+	}
+	if d.sparse == nil {
+		d.sparse = make(map[int64]int)
+	}
+	d.sparse[raw] = id
+	return id
+}
+
+// grow widens the table to size entries and moves into it the sparse IDs
+// it now covers, so later lookups of those IDs stay off the map.
+func (d *denseIDs) grow(size int64) {
+	table := make([]int32, size)
+	copy(table, d.table)
+	for raw, id := range d.sparse {
+		if raw < size && id < math.MaxInt32 {
+			table[raw] = int32(id + 1)
+			delete(d.sparse, raw)
+		}
+	}
+	d.table = table
 }
 
 // WriteEdgeList writes g as a plain edge list with dense node IDs, one
@@ -77,8 +189,13 @@ func WriteEdgeList(w io.Writer, g *Graph) error {
 		return fmt.Errorf("graph: write edge list: %w", err)
 	}
 	var writeErr error
+	line := make([]byte, 0, 2*20+2)
 	g.Edges(func(u, v int) bool {
-		if _, err := fmt.Fprintf(bw, "%d %d\n", u, v); err != nil {
+		line = strconv.AppendInt(line[:0], int64(u), 10)
+		line = append(line, ' ')
+		line = strconv.AppendInt(line, int64(v), 10)
+		line = append(line, '\n')
+		if _, err := bw.Write(line); err != nil {
 			writeErr = err
 			return false
 		}

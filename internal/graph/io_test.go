@@ -1,8 +1,14 @@
 package graph
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
+	"fmt"
+	"math"
+	"math/rand"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -54,25 +60,176 @@ func TestReadEdgeListErrors(t *testing.T) {
 	}
 }
 
+// TestEdgeListRoundTrip: the read-back graph, mapped through origID, has
+// exactly the written edge set; isolated nodes are not written, so the
+// node counts agree only when the original has none.
 func TestEdgeListRoundTrip(t *testing.T) {
-	g := randomGraph(60, 200, 11)
-	var buf bytes.Buffer
-	if err := WriteEdgeList(&buf, g); err != nil {
+	withIsolated := NewBuilder(10)
+	withIsolated.AddEdge(2, 7)
+	withIsolated.AddEdge(7, 4)
+	for _, g := range []*Graph{randomGraph(60, 200, 11), pathGraph(30), withIsolated.Build()} {
+		var buf bytes.Buffer
+		if err := WriteEdgeList(&buf, g); err != nil {
+			t.Fatal(err)
+		}
+		g2, orig, err := ReadEdgeList(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g2.NumEdges() != g.NumEdges() {
+			t.Fatalf("edges: got %d, want %d", g2.NumEdges(), g.NumEdges())
+		}
+		g2.Edges(func(u, v int) bool {
+			if !g.HasEdge(int(orig[u]), int(orig[v])) {
+				t.Fatalf("read back edge {%d, %d}, which was never written", orig[u], orig[v])
+			}
+			return true
+		})
+		if g.MinDegree() > 0 && g2.NumNodes() != g.NumNodes() {
+			t.Fatalf("nodes: got %d, want %d", g2.NumNodes(), g.NumNodes())
+		}
+	}
+}
+
+// TestWriteEdgeListMatchesFprintf: the byte output is the one a
+// fmt.Fprintf per edge gives.
+func TestWriteEdgeListMatchesFprintf(t *testing.T) {
+	g := randomGraph(5000, 40000, 5)
+	var want bytes.Buffer
+	fmt.Fprintf(&want, "# nodes: %d edges: %d\n", g.NumNodes(), g.NumEdges())
+	g.Edges(func(u, v int) bool {
+		fmt.Fprintf(&want, "%d %d\n", u, v)
+		return true
+	})
+	var got bytes.Buffer
+	if err := WriteEdgeList(&got, g); err != nil {
 		t.Fatal(err)
 	}
-	g2, _, err := ReadEdgeList(&buf)
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("WriteEdgeList output (%d bytes) differs from the fmt.Fprintf reference (%d bytes)", got.Len(), want.Len())
+	}
+}
+
+// TestReadEdgeListSparseIDs: IDs far apart or near math.MaxInt64 keep
+// their first-appearance numbering, and the remap stays O(nodes) in
+// memory: a table sized to the largest raw ID could not be allocated.
+func TestReadEdgeListSparseIDs(t *testing.T) {
+	const edges = 1000
+	var in bytes.Buffer
+	var want []int64
+	seen := make(map[int64]bool)
+	for i := int64(0); i < edges; i++ {
+		u, v := i*1_000_000_000_000, math.MaxInt64-i
+		if i%3 == 0 {
+			v = (i + 7) * 1_000_000_000_000
+		}
+		for _, id := range []int64{u, v} {
+			if !seen[id] {
+				seen[id] = true
+				want = append(want, id)
+			}
+		}
+		fmt.Fprintf(&in, "%d %d\n", u, v)
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	g, orig, err := ReadEdgeList(&in)
+	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Written with dense IDs in increasing first-use order, so the edge set
-	// is preserved though isolated trailing nodes are not.
-	if g2.NumEdges() != g.NumEdges() {
-		t.Fatalf("edges: got %d, want %d", g2.NumEdges(), g.NumEdges())
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Errorf("ReadEdgeList allocated %d bytes for %d edges, want < 1 MiB", alloc, edges)
 	}
-	g.Edges(func(u, v int) bool {
-		// IDs survive when every node 0..max appears in some edge; verify
-		// edge-by-edge on the remapped graph only when node counts agree.
-		return true
+	if len(orig) != len(want) || g.NumNodes() != len(want) {
+		t.Fatalf("got %d origIDs / %d nodes, want %d", len(orig), g.NumNodes(), len(want))
+	}
+	for i := range want {
+		if orig[i] != want[i] {
+			t.Fatalf("origID[%d] = %d, want %d", i, orig[i], want[i])
+		}
+	}
+	if g.NumEdges() != edges {
+		t.Fatalf("got %d edges, want %d", g.NumEdges(), edges)
+	}
+}
+
+// TestReadEdgeListMatchesReference covers, at sizes the fuzzer does not
+// reach, the inputs that move IDs between the dense-ID table and its map:
+// an ID first seen beyond the table's reach and seen again once the table
+// has grown over it, dense IDs in shuffled order, and 1-based IDs listed
+// in both directions.
+func TestReadEdgeListMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	var reach, shuffled, both bytes.Buffer
+	fmt.Fprintf(&reach, "50000 7\n")
+	for i := 0; i < 60000; i++ {
+		fmt.Fprintf(&reach, "%d %d\n", i, i+1)
+	}
+	fmt.Fprintf(&reach, "50000 3\n%d 1\n", int64(math.MaxInt64))
+	perm := rng.Perm(40000)
+	for i := 0; i < 100000; i++ {
+		fmt.Fprintf(&shuffled, "%d %d\n", perm[rng.Intn(len(perm))], perm[rng.Intn(len(perm))])
+	}
+	for i := 0; i < 20000; i++ {
+		u, v := rng.Intn(5000)+1, rng.Intn(5000)+1
+		fmt.Fprintf(&both, "%d\t%d\n%d\t%d\n", u, v, v, u)
+	}
+	for name, in := range map[string][]byte{"reach": reach.Bytes(), "shuffled": shuffled.Bytes(), "both directions": both.Bytes()} {
+		g, orig, err := ReadEdgeList(bytes.NewReader(in))
+		wantG, wantOrig, wantErr := referenceReadEdgeList(bytes.NewReader(in))
+		if err != nil || wantErr != nil {
+			t.Fatalf("%s: error %v, reference %v", name, err, wantErr)
+		}
+		if !g.Equal(wantG) || !slices.Equal(orig, wantOrig) {
+			t.Fatalf("%s: %d nodes / %d edges, reference %d / %d", name, g.NumNodes(), g.NumEdges(), wantG.NumNodes(), wantG.NumEdges())
+		}
+	}
+}
+
+// FuzzReadEdgeList holds ReadEdgeList to the map-and-sort reference: the
+// same bytes give an Equal graph, the same origID and the same error text.
+func FuzzReadEdgeList(f *testing.F) {
+	for _, seed := range []string{
+		"1 2\n2 3\n3 1\n",
+		"-0 3\n",
+		"+4 5\n",
+		"1234567890123456789 1\n",
+		"12345678901234567890 1\n",
+		"999999999999999999 1000000000000000000\n",
+		"1\u00a02\n",
+		"\u00851 2  \n",
+		"1 2\r\n3 4\r\n",
+		"1\t2\n\t3\t\t4\t\n",
+		"  # comment\n  % comment\n1 2\n",
+		"1 2 3 4\n",
+		"7\n",
+		"1 2\n\n   ",
+		"5 5\n5 6\n6 5\n",
+		"00012 012\n",
+		"1 2x\n",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, orig, err := ReadEdgeList(bytes.NewReader(data))
+		wantG, wantOrig, wantErr := referenceReadEdgeList(bytes.NewReader(data))
+		if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+			t.Fatalf("error %v, reference %v", err, wantErr)
+		}
+		if err != nil {
+			if !errors.Is(err, ErrBadFormat) && !errors.Is(err, bufio.ErrTooLong) {
+				t.Fatalf("error %v wraps neither ErrBadFormat nor the scanner's", err)
+			}
+			return
+		}
+		if !g.Equal(wantG) {
+			t.Fatalf("graph %v / %v, reference %v / %v", g.offsets, g.adj, wantG.offsets, wantG.adj)
+		}
+		if !slices.Equal(orig, wantOrig) {
+			t.Fatalf("origID %v, reference %v", orig, wantOrig)
+		}
 	})
 }
 
