@@ -27,6 +27,8 @@
 #   make bench-partition  run only BenchmarkPartitionSetup (the O(n+m)
 #                    partition-setup gate; flat-in-p cost is the contract)
 #   make bench-allocs     the deterministic allocation gates
+#   make loc         print the non-test Go line count without benchmark/
+#                    and testdata (the size figure ROADMAP's gates use)
 #   make ci          build + vet (incl. gofmt gate) + apicheck + lint +
 #                    test + examples + race + fuzz-short + chaos-smoke
 #
@@ -53,7 +55,7 @@ FUZZTIME   ?= 10s
 BENCHTIME  ?= 1x
 CHAOS_SEED ?= 1
 
-.PHONY: all build vet apicheck lint test examples test-budget race fuzz-short chaos chaos-smoke bench bench-partition bench-allocs ci
+.PHONY: all build vet apicheck lint test examples test-budget race fuzz-short chaos chaos-smoke bench bench-partition bench-allocs loc ci
 
 all: build
 
@@ -169,8 +171,8 @@ bench-partition: build
 
 # bench-allocs is the allocation-regression gate CI's benchmark-smoke
 # lane runs: steady-state rounds of the parallel engine, and of the
-# HostState global-addressing loop the cluster and out-of-core engines
-# drive, must re-run a warmed state with zero allocations, and one
+# HostState Apply/ImproveIfDirty/CollectPointToPoint loop every sharded
+# engine drives, must re-run a warmed state with zero allocations, and one
 # waited Session event must publish its epoch in under 64 KiB of
 # allocation, within 2x between a 20k-node and a 200k-node graph (the
 # scale gate: an O(n) or O(m) copy on the publish path fails it).
@@ -179,5 +181,12 @@ bench-allocs: build
 	$(GO) test -run TestSteadyStateRoundAllocs -count=1 ./internal/parallel
 	$(GO) test -run TestRefineSteadyStateAllocs -count=1 ./internal/core
 	$(GO) test -run TestPublishBytesScaleFree -count=1 .
+
+# loc counts non-test Go lines outside benchmark/ and testdata
+# directories (hidden directories, such as the benchmark's scratch
+# checkouts, are skipped too).
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './.*' ! -path './benchmark/*' ! -path '*/testdata/*' -print0 | \
+		xargs -0 cat | wc -l
 
 ci: build vet apicheck lint test examples race fuzz-short chaos-smoke

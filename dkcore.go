@@ -104,11 +104,11 @@
 //     O(re-enqueues × degree).
 //   - Zero steady-state allocations. Host batches are collected into
 //     double-buffered storage (valid until the second-following
-//     collect — exactly one BSP round of slack), the Parallel engine's
-//     workers are persistent goroutines exchanging receiver-local
-//     indices resolved once at setup, and the Cluster host reuses its
-//     wire-encode buffers; a warmed round loop allocates nothing
-//     (CI-gated).
+//     collect — exactly one BSP round of slack), batches name nodes by
+//     global ID and each host translates them through one table built
+//     at setup, the Parallel engine's workers are persistent
+//     goroutines, and the Cluster host reuses its wire-encode buffers;
+//     a warmed round loop allocates nothing (CI-gated).
 //
 // The pre-existing recompute-from-scratch path is retained as an oracle
 // for differential tests, which assert estimate-for-estimate equality

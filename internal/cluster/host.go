@@ -8,7 +8,6 @@ import (
 	"log/slog"
 	"math/rand"
 	"net"
-	"slices"
 	"time"
 
 	"dkcore/internal/chaos"
@@ -373,14 +372,9 @@ func (h *hostRun) tick(payload []byte) error {
 	h.state.ImproveIfDirty()
 	out := h.state.CollectPointToPoint()
 
-	peers := make([]int, 0, len(out))
-	for peer := range out {
-		peers = append(peers, peer)
-	}
-	slices.Sort(peers)
 	rep := doneReport{Round: msg.Round}
-	relays := make([]relayBatch, 0, len(peers))
-	for _, peer := range peers {
+	relays := make([]relayBatch, 0, len(out))
+	for _, peer := range h.state.NeighborHosts() {
 		batch := out[peer]
 		if len(batch) == 0 {
 			continue

@@ -86,60 +86,14 @@ func (s *HostState) EnqueueNode(u int) bool {
 
 // AppendOwnedEstimates appends every owned node's current estimate to
 // dst in owned order (position i is Owned()[i]'s estimate) and returns
-// the extended slice — the positional form the out-of-core engine reads
-// when assembling the final coreness vector from resident blocks, where
-// the owned set is a contiguous ID range and global IDs need not be
-// stored. Note this is not enough state to rebuild a block after
-// eviction: external knowledge below a node's own estimate matters for
-// future recomputation and is never re-shipped, so eviction persists
-// the full ExportEstimates checkpoint instead. Returns dst unchanged
-// before InitEstimates.
+// the extended slice — the positional form for gathering a coreness
+// vector without a per-node lookup. It is not enough state to rebuild
+// the host: external knowledge below a node's own estimate matters for
+// future recomputation, which is what the full ExportEstimates
+// checkpoint keeps. Returns dst unchanged before InitEstimates.
 func (s *HostState) AppendOwnedEstimates(dst []int) []int {
 	if !s.initialized {
 		return dst
 	}
 	return append(dst, s.est[:len(s.owned)]...)
-}
-
-// MemoryFootprint returns the approximate resident bytes of this host's
-// cascade state — the dense per-partition slices (adjacency, reverse
-// adjacency, histograms, estimates, queue and bookkeeping arrays) that
-// dominate a partition's in-memory cost. The out-of-core engine charges
-// each cached block this figure against its byte budget. Collection
-// double buffers are excluded: the out-of-core path collects into them
-// transiently and their steady-state size is bounded by the border.
-func (s *HostState) MemoryFootprint() int64 {
-	const w = 8 // bytes per int/pointer on the platforms we target
-	ints := cap(s.adjFlat) + cap(s.adjOff) + cap(s.histBuf) + cap(s.est) +
-		cap(s.nodes) + cap(s.queue) + cap(s.changedList)
-	ints += (cap(s.revFlat) + cap(s.revOff)) / 2 // int32 slices
-	bools := cap(s.changed) + cap(s.inQueue)
-	rows := 0
-	for _, r := range s.borderPos {
-		rows += cap(r)
-	}
-	for _, r := range s.peerIdx {
-		rows += cap(r) / 2
-	}
-	return int64(w*ints + bools + rows*w + w*(len(s.borderPos)+len(s.peerIdx)))
-}
-
-// MarkBorderChanged marks every owned node with at least one neighbor
-// owned by host for shipping at the next collection, returning the
-// number of nodes marked. Recovery uses it when a host restarts without
-// a checkpoint: its neighbors re-ship their borders, reconstructing the
-// external knowledge the dead host lost.
-func (s *HostState) MarkBorderChanged(host int) int {
-	pos := slices.Index(s.neighborHosts, host)
-	if pos < 0 {
-		return 0
-	}
-	n := 0
-	for l, hosts := range s.borderPos {
-		if slices.Contains(hosts, pos) {
-			s.markChanged(l)
-			n++
-		}
-	}
-	return n
 }

@@ -57,31 +57,6 @@ func TestExportRestoreReproducesState(t *testing.T) {
 	}
 }
 
-func TestMarkBorderChanged(t *testing.T) {
-	g := exportTestGraph(t)
-	parts, err := PartitionAll(g, ModuloAssignment{H: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := parts.NewPartitionState(0)
-	s.InitEstimates()
-	s.CollectPointToPoint()
-	if s.HasChanges() {
-		t.Fatal("changes pending after collect")
-	}
-	n := s.MarkBorderChanged(1)
-	if n == 0 || !s.HasChanges() {
-		t.Fatalf("MarkBorderChanged(1) marked %d nodes", n)
-	}
-	out := s.CollectPointToPoint()
-	if len(out[1]) == 0 {
-		t.Fatalf("no batch for host 1 after border mark: %v", out)
-	}
-	if s.MarkBorderChanged(99) != 0 {
-		t.Fatal("marked nodes for a non-neighbor host")
-	}
-}
-
 func TestMarkAndEnqueueByGlobalID(t *testing.T) {
 	g := exportTestGraph(t)
 	parts, err := PartitionAll(g, ModuloAssignment{H: 2})

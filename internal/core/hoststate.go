@@ -1,23 +1,24 @@
 package core
 
-import (
-	"math/bits"
-	"slices"
-)
+import "slices"
 
 // HostState is the transport-agnostic protocol state machine of a
 // one-to-many host (Algorithms 3–5). It is shared by the simulator
 // adapter in this package, the networked host in internal/cluster, and
-// the shared-memory engine in internal/parallel: callers feed it incoming
-// batches and ask it for outgoing ones; the state machine neither knows
-// nor cares how batches travel.
+// the shared-memory engine in internal/parallel, which all drive it
+// through the same calls: callers feed it incoming batches (Apply), run
+// the cascade (ImproveIfDirty) and ask it for outgoing batches
+// (CollectPointToPoint or CollectBroadcast); the state machine neither
+// knows nor cares how batches travel. Batches always name nodes by
+// global ID.
 //
 // Internally every tracked node (owned or external neighbor) gets a
 // compact local index — owned nodes occupy [0, len(owned)), externals
 // follow — so per-node state lives in dense slices sized by the
 // partition, not the graph, and the cascade's hot loop never touches a
-// map; global IDs are translated only at the batch boundary. The cascade
-// itself is worklist-driven and incremental: every owned node maintains a
+// map; global IDs are translated only at the batch boundary, by one
+// table built at construction (see lookup). The cascade itself is
+// worklist-driven and incremental: every owned node maintains a
 // histogram of its neighbors' estimates clamped to its own (see
 // refine.go), updated in O(1) per neighbor drop, so Apply enqueues only
 // the owned nodes whose support actually fell below their estimate, and
@@ -39,12 +40,11 @@ type HostState struct {
 	owned  []int // V(x), global IDs, sorted
 
 	// Local-index node space: owned nodes first (in sorted global
-	// order), then external neighbors in first-seen order. The
-	// global→local map is materialized lazily (see lookup): the
-	// shared-memory engine resolves everything positionally and never
-	// pays for it.
+	// order), then external neighbors in first-seen order. Exactly one
+	// of loc and local translates global IDs back (see NewHostState).
 	nodes []int       // local → global ID
-	local map[int]int // global → local index; nil until first needed
+	loc   []int32     // dense: global ID → 1 + local index, 0 = untracked
+	local map[int]int // sparse: global ID → local index
 
 	// Flat local adjacency: the local-index neighbors of owned local l
 	// are adjFlat[adjOff[l]:adjOff[l+1]] — one contiguous array per
@@ -55,10 +55,16 @@ type HostState struct {
 	// Reverse adjacency of externals, flattened: the owned locals
 	// adjacent to external local l are revFlat[revOff[i]:revOff[i+1]]
 	// with i = l - len(owned).
-	revOff      []int32
-	revFlat     []int32
-	borderPos   [][]int // owned local → positions into neighborHosts of hosts owning one of its neighbors; views into one arena
-	est         []int   // per local; meaningful after InitEstimates
+	revOff  []int32
+	revFlat []int32
+	// Border: the positions in neighborHosts of the hosts owning a
+	// neighbor of owned local l are border[borderOff[l]:borderOff[l+1]],
+	// each listed once.
+	borderOff     []int
+	border        []int32
+	neighborHosts []int // sorted
+
+	est         []int // per local; meaningful after InitEstimates
 	initialized bool
 
 	// histBuf holds every owned node's clamped neighbor-estimate
@@ -76,8 +82,6 @@ type HostState struct {
 	inQueue []bool
 	dirty   bool // est changed since last Improve
 
-	neighborHosts []int
-
 	// Double-buffered collection storage (see the type comment's
 	// buffer-reuse contract). flip selects the half to overwrite next.
 	bcast     [2]Batch
@@ -85,14 +89,6 @@ type HostState struct {
 	ptpOut    [2]map[int]Batch
 	ptpBufs   [2][]Batch // indexed by neighborHosts position
 	ptpFlip   int
-
-	// Peer-local addressing (LinkPeerLocals): peerIdx[l][j] is owned
-	// local l's local index at the host at position borderPos[l][j] —
-	// resolved once at setup so in-process engines ship batches whose
-	// Node fields are receiver-local indices, and the receiver's Apply
-	// needs no global→local map lookup per message. nil when unlinked
-	// (the simulator and the networked cluster stay on global IDs).
-	peerIdx [][]int32
 
 	// Oracle refinement (SetOracleRefine): recompute-from-scratch via
 	// ComputeIndex, kept as the differential-testing specification.
@@ -150,21 +146,17 @@ func NewHostState(selfID, numNodes int, owned, off, flat []int, owner func(node 
 	s.nodes = make([]int, nOwned, nOwned+extCap)
 	copy(s.nodes, owned)
 
-	// Translation during construction: a dense global→local scratch when
-	// the graph is at most a constant factor larger than the partition
-	// (the per-arc cost becomes one array read instead of a hashed map
-	// operation — the dominant setup cost for engine-sized partition
-	// counts), a pre-sized map otherwise (many tiny partitions, or a
-	// hostile NumNodes from an untrusted cluster config, where an
-	// O(numNodes) scratch per partition would re-create the O(n·p) setup
-	// this module removed). The global→local map itself is built lazily
-	// (see lookup); positional engines never need it.
+	// Global→local translation: a dense table when the graph is at most
+	// a constant factor larger than the partition (one array read per
+	// lookup, and all partitions' tables together stay O(n+m)), a map
+	// otherwise (many tiny partitions, or a hostile NumNodes from an
+	// untrusted cluster config, where an O(numNodes) table per partition
+	// would re-create the O(n·p) setup this module removed).
 	const denseFactor = 8
-	var loc []int32
 	if numNodes <= denseFactor*(nOwned+totalDeg+1) {
-		loc = make([]int32, numNodes)
+		s.loc = make([]int32, numNodes)
 		for l, u := range owned {
-			loc[u] = int32(l) + 1
+			s.loc[u] = int32(l) + 1
 		}
 	} else {
 		s.local = make(map[int]int, nOwned+extCap)
@@ -173,115 +165,71 @@ func NewHostState(selfID, numNodes int, owned, off, flat []int, owner func(node 
 		}
 	}
 
+	// One pass over the arcs builds the local adjacency and each owned
+	// node's border hosts. stamp[h] is 1 + the last owned local that
+	// listed host h, so a host is listed at most once per node in O(1)
+	// per arc; the listed host IDs go to one arena, sized for the worst
+	// case (one host per arc) so the scan never reallocates.
 	s.adjOff = make([]int, nOwned+1)
 	s.adjFlat = make([]int, totalDeg)
-	pos := 0
-	// Border hosts are deduplicated per node with a bitmask when host
-	// IDs fit one word (they do for every engine-sized partition count)
-	// — O(1) per arc with no sorting and two allocations total; the
-	// sort-and-compact scratch remains as the fallback for p > 64.
-	var (
-		masks        []uint64 // per owned node, host-ID bits (wide == false)
-		allMask      uint64
-		wide         bool
-		flipAt       = -1    // first node processed in wide mode
-		borderLists  [][]int // per owned node (wide == true)
-		wideScratch  []int
-		wideAll      []int
-		totalBorders int
-	)
-	if selfID < 64 {
-		masks = make([]uint64, nOwned)
-	} else {
-		wide = true
-	}
+	s.borderOff = make([]int, nOwned+1)
+	border := make([]int32, 0, totalDeg)
+	stamp := make([]int32, 64)
+	nHosts, pos := 0, 0
 	for lu := range owned {
-		ns := flat[off[lu]:off[lu+1]]
 		s.adjOff[lu] = pos
-		if wide {
-			wideScratch = wideScratch[:0]
-		}
-		var mask uint64
-		for _, v := range ns {
-			var lv int
-			if loc != nil {
-				if loc[v] == 0 {
-					lv = len(s.nodes)
-					s.nodes = append(s.nodes, v)
-					loc[v] = int32(lv) + 1
+		s.borderOff[lu] = len(border)
+		for _, v := range flat[off[lu]:off[lu+1]] {
+			lv, ok := s.lookup(v)
+			if !ok {
+				lv = len(s.nodes)
+				s.nodes = append(s.nodes, v)
+				if s.loc != nil {
+					s.loc[v] = int32(lv) + 1
 				} else {
-					lv = int(loc[v]) - 1
+					s.local[v] = lv
 				}
-			} else {
-				l, ok := s.local[v]
-				if !ok {
-					l = len(s.nodes)
-					s.nodes = append(s.nodes, v)
-					s.local[v] = l
-				}
-				lv = l
 			}
 			s.adjFlat[pos] = lv
 			pos++
-			if hv := owner(v); hv != selfID {
-				if wide {
-					wideScratch = append(wideScratch, hv)
-				} else if hv < 64 {
-					mask |= uint64(1) << hv
-				} else {
-					// First host ID past the mask: this node and all
-					// later ones switch to sorted lists; nodes already
-					// finished keep their (complete, sub-64) masks and
-					// are folded into lists after the loop.
-					wide = true
-					flipAt = lu
-				}
+			hv := owner(v)
+			if hv == selfID {
+				continue
 			}
-		}
-		if !wide {
-			masks[lu] = mask
-			allMask |= mask
-			totalBorders += bits.OnesCount64(mask)
-			continue
-		}
-		if flipAt == lu {
-			// The flip happened mid-node: this node's earlier arcs went
-			// to the mask, so rescan its border hosts from scratch.
-			wideScratch = wideScratch[:0]
-			for _, v := range ns {
-				if hv := owner(v); hv != selfID {
-					wideScratch = append(wideScratch, hv)
-				}
+			if hv >= len(stamp) {
+				stamp = append(stamp, make([]int32, max(hv+1, 2*len(stamp))-len(stamp))...)
 			}
-		}
-		if borderLists == nil {
-			borderLists = make([][]int, nOwned)
-		}
-		if len(wideScratch) > 0 {
-			slices.Sort(wideScratch)
-			uniq := slices.Compact(wideScratch)
-			borderLists[lu] = append(make([]int, 0, len(uniq)), uniq...)
-			wideAll = append(wideAll, uniq...)
+			if stamp[hv] == 0 {
+				nHosts++
+			}
+			if stamp[hv] != int32(lu)+1 {
+				stamp[hv] = int32(lu) + 1
+				border = append(border, int32(hv))
+			}
 		}
 	}
 	s.adjOff[nOwned] = pos
-	if wide && flipAt > 0 {
-		// Fold the pre-flip masks into the list representation.
-		for lu := 0; lu < flipAt; lu++ {
-			m := masks[lu]
-			if m == 0 {
-				continue
+	s.borderOff[nOwned] = len(border)
+
+	// Walking the stamps in host order yields the sorted neighborHosts;
+	// the stamp table then becomes the host → position map that
+	// rewrites the arena in place. An arena mostly left empty (block
+	// assignments, where few arcs cross) is copied down to size.
+	if nHosts > 0 {
+		s.neighborHosts = make([]int, 0, nHosts)
+		for h, st := range stamp {
+			if st != 0 {
+				stamp[h] = int32(len(s.neighborHosts))
+				s.neighborHosts = append(s.neighborHosts, h)
 			}
-			row := make([]int, 0, bits.OnesCount64(m))
-			for ; m != 0; m &= m - 1 {
-				row = append(row, bits.TrailingZeros64(m))
-			}
-			if borderLists == nil {
-				borderLists = make([][]int, nOwned)
-			}
-			borderLists[lu] = row
-			wideAll = append(wideAll, row...)
 		}
+		for i, h := range border {
+			border[i] = stamp[h]
+		}
+		if 2*len(border) < cap(border) {
+			border = slices.Clone(border)
+		}
+		s.border = border
 	}
 
 	n := len(s.nodes)
@@ -313,49 +261,6 @@ func NewHostState(selfID, numNodes int, owned, off, flat []int, owner func(node 
 	s.histBuf = make([]int, totalDeg+nOwned)
 	s.changed = make([]bool, nOwned)
 	s.inQueue = make([]bool, nOwned)
-
-	// neighborHosts and per-node border positions. Mask bits enumerate
-	// ascending, so both come out sorted for free; the wide path sorts.
-	if !wide && allMask != 0 {
-		s.neighborHosts = make([]int, 0, bits.OnesCount64(allMask))
-		var posOf [64]int32
-		for m := allMask; m != 0; m &= m - 1 {
-			h := bits.TrailingZeros64(m)
-			posOf[h] = int32(len(s.neighborHosts))
-			s.neighborHosts = append(s.neighborHosts, h)
-		}
-		s.borderPos = make([][]int, nOwned)
-		arena := make([]int, totalBorders)
-		used := 0
-		for lu, m := range masks {
-			if m == 0 {
-				continue
-			}
-			row := arena[used : used : used+bits.OnesCount64(m)]
-			for ; m != 0; m &= m - 1 {
-				row = append(row, int(posOf[bits.TrailingZeros64(m)]))
-			}
-			used += len(row)
-			s.borderPos[lu] = row
-		}
-	} else if wide && len(wideAll) > 0 {
-		slices.Sort(wideAll)
-		s.neighborHosts = slices.Compact(wideAll)
-		s.borderPos = borderLists
-		// Dense host-ID→position table: one O(maxID) scratch beats a
-		// binary search per (node, host) pair.
-		posOf := make([]int32, s.neighborHosts[len(s.neighborHosts)-1]+1)
-		for i, h := range s.neighborHosts {
-			posOf[h] = int32(i)
-		}
-		for lu := range s.borderPos {
-			for i, id := range s.borderPos[lu] {
-				s.borderPos[lu][i] = int(posOf[id])
-			}
-		}
-	} else {
-		s.borderPos = make([][]int, nOwned)
-	}
 	// The double-buffered collection storage (ptpBufs/ptpOut) is
 	// allocated on first collect: paying for it here would put an
 	// O(neighborHosts) cost on every partition of a setup that may never
@@ -363,183 +268,19 @@ func NewHostState(selfID, numNodes int, owned, off, flat []int, owner func(node 
 	return s
 }
 
-// lookup resolves a global node ID to its local index. Owned nodes
-// resolve by binary search without materializing the translation map;
-// the first external lookup builds it (once) — the positional engine
-// paths never reach this.
+// lookup resolves a global node ID to its local index. IDs come off the
+// wire unchecked, so any int — negative, past numNodes — must resolve
+// to "untracked" rather than index out of range.
 func (s *HostState) lookup(u int) (int, bool) {
-	if s.local == nil {
-		if l, ok := slices.BinarySearch(s.owned, u); ok {
-			return l, true
-		}
-		s.local = make(map[int]int, len(s.nodes))
-		for l, g := range s.nodes {
-			s.local[g] = l
-		}
+	if s.loc == nil {
+		l, ok := s.local[u]
+		return l, ok
 	}
-	l, ok := s.local[u]
-	return l, ok
-}
-
-// LinkPeerLocals wires peer-local addressing across the partition states
-// of one PartitionAll product, all living in the same address space
-// (states[x] must be partition x's state). For every external node e
-// tracked by a state y, the owner's state learns e's local index at y,
-// so CollectPeerLocal can ship batches whose Node fields are
-// receiver-local indices and ApplyPeerLocal can skip the global→local
-// map lookup that otherwise costs a hashed cache miss per message on the
-// engine hot path. Resolution itself is map-free: externals are
-// enumerated receiver-side and located in the owner's sorted owned set
-// by binary search — O(border × log) once, against O(messages) lookups
-// per run. Call before the first round; the networked cluster cannot
-// link (its peers are remote) and stays on global addressing.
-func LinkPeerLocals(parts *Partitions, states []*HostState) {
-	// One flat backing array for all peerIdx rows, mirroring borderPos.
-	for _, s := range states {
-		total := 0
-		for _, hosts := range s.borderPos {
-			total += len(hosts)
-		}
-		if total == 0 {
-			continue
-		}
-		flat := make([]int32, total)
-		s.peerIdx = make([][]int32, len(s.borderPos))
-		pos := 0
-		for l, hosts := range s.borderPos {
-			s.peerIdx[l] = flat[pos : pos+len(hosts)]
-			pos += len(hosts)
-		}
+	if uint(u) >= uint(len(s.loc)) {
+		return 0, false
 	}
-	// rank[u] is u's index within its owner's owned set and posAt[x*p+h]
-	// is host h's position in state x's neighborHosts — two dense tables
-	// that make the resolution loop below pure array reads (a binary
-	// search per external here costs as much as the map lookups being
-	// eliminated). O(n + p²) space, transient.
-	p := len(states)
-	rank := make([]int32, parts.NumNodes())
-	for _, s := range states {
-		for l, u := range s.owned {
-			rank[u] = int32(l)
-		}
-	}
-	posAt := make([]int32, p*p)
-	for x, s := range states {
-		for i, h := range s.neighborHosts {
-			posAt[x*p+h] = int32(i)
-		}
-	}
-	for _, y := range states {
-		for le := len(y.owned); le < len(y.nodes); le++ {
-			e := y.nodes[le]
-			x := parts.HostOf(e)
-			sx := states[x]
-			lu := int(rank[e])
-			pos := posAt[x*p+y.selfID]
-			for j, bp := range sx.borderPos[lu] {
-				if bp == int(pos) {
-					sx.peerIdx[lu][j] = int32(le)
-					break
-				}
-			}
-		}
-	}
-}
-
-// ApplyPeerLocal is Apply for peer-local batches (LinkPeerLocals): Node
-// fields are this host's own external local indices, so the per-message
-// translation disappears. Only externals are addressable — an engine
-// peer only ever ships estimates of nodes it owns, which this host
-// tracks as externals.
-//
-//dkcore:estwrite the peer-local Apply entry point; pointwise-min guarded below
-//dkcore:noalloc steady-state delivery path, gated by TestSteadyStateRoundAllocs
-func (s *HostState) ApplyPeerLocal(batch Batch) bool {
-	if !s.initialized {
-		return false
-	}
-	improved := false
-	nOwned := len(s.owned)
-	for _, m := range batch {
-		lu := m.Node
-		if lu < nOwned || lu >= len(s.est) || m.Core < 0 || m.Core >= s.est[lu] {
-			continue
-		}
-		a, b := s.est[lu], m.Core
-		s.est[lu] = b
-		s.dirty = true
-		improved = true
-		if s.oracle {
-			for _, lo := range s.revOf(lu) {
-				if s.est[lo] > b {
-					s.enqueue(int(lo))
-				}
-			}
-		} else {
-			for _, lo := range s.revOf(lu) {
-				s.lowerOwned(int(lo), a, b)
-			}
-		}
-	}
-	return improved
-}
-
-// CollectPeerLocal is CollectPointToPoint for linked states: the
-// returned slice is aligned with NeighborHosts (empty batches for hosts
-// with no relevant changes), batches carry receiver-local indices, and
-// no per-round map is touched. The same double-buffer contract applies:
-// the slice and its batches are valid until the second-following Collect
-// call. Returns nil when nothing changed.
-//
-//dkcore:noalloc steady-state collection, double-buffered (TestSteadyStateRoundAllocs)
-func (s *HostState) CollectPeerLocal() []Batch {
-	if len(s.changedList) == 0 || len(s.neighborHosts) == 0 {
-		// A borderless state (single partition, or an island) never
-		// links and never ships; clearing keeps the changed set tidy.
-		s.clearChanged()
-		return nil
-	}
-	if s.peerIdx == nil {
-		//dkcore:lint-ignore KC004 cold misuse panic, unreachable in a correct engine
-		panic("core: CollectPeerLocal without LinkPeerLocals")
-	}
-	s.ptpFlip ^= 1
-	bufs := s.flipBufs()
-	any := false
-	for _, l := range s.changedList {
-		hosts := s.borderPos[l]
-		if len(hosts) == 0 {
-			continue
-		}
-		e := s.est[l]
-		pi := s.peerIdx[l]
-		for j, p := range hosts {
-			bufs[p] = append(bufs[p], EstimateMsg{Node: int(pi[j]), Core: e})
-		}
-		any = true
-	}
-	s.clearChanged()
-	if !any {
-		return nil
-	}
-	return bufs
-}
-
-// flipBufs returns the current flip's per-host batch buffers, truncated,
-// allocating the double buffer on first use.
-//
-//dkcore:noalloc allocation happens on first collect only; steady state reuses
-func (s *HostState) flipBufs() []Batch {
-	if s.ptpBufs[s.ptpFlip] == nil {
-		//dkcore:lint-ignore KC004 first-collect warmup; never reached in steady state
-		s.ptpBufs[s.ptpFlip] = make([]Batch, len(s.neighborHosts))
-		return s.ptpBufs[s.ptpFlip]
-	}
-	bufs := s.ptpBufs[s.ptpFlip]
-	for i := range bufs {
-		bufs[i] = bufs[i][:0]
-	}
-	return bufs
+	l := int(s.loc[u]) - 1
+	return l, l >= 0
 }
 
 // SetOracleRefine switches the host between incremental support-counter
@@ -846,27 +587,23 @@ func (s *HostState) CollectPointToPoint() map[int]Batch {
 		return nil
 	}
 	s.ptpFlip ^= 1
-	bufs := s.flipBufs()
-	any := false
-	for _, l := range s.changedList {
-		hosts := s.borderPos[l]
-		if len(hosts) == 0 {
-			continue
-		}
-		msg := EstimateMsg{Node: s.nodes[l], Core: s.est[l]}
-		for _, p := range hosts {
-			bufs[p] = append(bufs[p], msg)
-		}
-		any = true
-	}
-	s.clearChanged()
-	if !any {
-		return nil
-	}
-	if s.ptpOut[s.ptpFlip] == nil {
+	if s.ptpBufs[s.ptpFlip] == nil {
+		//dkcore:lint-ignore KC004 first-collect warmup; never reached in steady state
+		s.ptpBufs[s.ptpFlip] = make([]Batch, len(s.neighborHosts))
 		//dkcore:lint-ignore KC004 first-collect warmup; never reached in steady state
 		s.ptpOut[s.ptpFlip] = make(map[int]Batch, len(s.neighborHosts))
 	}
+	bufs := s.ptpBufs[s.ptpFlip]
+	for i := range bufs {
+		bufs[i] = bufs[i][:0]
+	}
+	for _, l := range s.changedList {
+		msg := EstimateMsg{Node: s.nodes[l], Core: s.est[l]}
+		for _, p := range s.border[s.borderOff[l]:s.borderOff[l+1]] {
+			bufs[p] = append(bufs[p], msg)
+		}
+	}
+	s.clearChanged()
 	out := s.ptpOut[s.ptpFlip]
 	clear(out)
 	for p, b := range bufs {

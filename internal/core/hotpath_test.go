@@ -1,9 +1,9 @@
 package core
 
 // The refinement hot path under a power-law hub stress, through the
-// global-addressing calls the cluster and out-of-core engines make
-// (Apply, ImproveIfDirty, CollectPointToPoint). TestRefineSteadyStateAllocs
-// is the deterministic allocation gate `make bench-allocs` runs;
+// calls every sharded engine makes (Apply, ImproveIfDirty,
+// CollectPointToPoint). TestRefineSteadyStateAllocs is the
+// deterministic allocation gate `make bench-allocs` runs;
 // BenchmarkRefineHotPath times the same loop against the retained
 // recompute-from-scratch oracle on an identical schedule.
 

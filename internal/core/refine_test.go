@@ -203,59 +203,70 @@ func compareStates(t *testing.T, name string, step string, g *graph.Graph, inc, 
 // O(deg) ComputeIndex oracle hosts run the same BSP schedule — identical
 // batches in the same order — and every tracked estimate is compared
 // after every Apply/Improve cascade step of every round, through
-// InfEstimate saturation on round 0 and down to the k=0/1 floors.
+// InfEstimate saturation on round 0 and down to the k=0/1 floors. It
+// runs at 4 hosts and at 70, past the 64 host IDs one bitmask word
+// holds.
 func TestHostStateOracleLockstep(t *testing.T) {
 	pool := diffPool()
 	if len(pool) < 50 {
 		t.Fatalf("pool has %d graphs, want >= 50", len(pool))
 	}
-	for _, tc := range pool {
-		const hosts = 4
-		inc, orc, err := lockstepHosts(tc.g, hosts)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
+	for _, hosts := range []int{4, 70} {
+		for _, tc := range pool {
+			lockstepRun(t, tc.name, tc.g, hosts)
+		}
+	}
+}
+
+// lockstepRun drives one graph's incremental and oracle hosts through
+// the same BSP schedule, comparing after every cascade step.
+func lockstepRun(t *testing.T, name string, g *graph.Graph, hosts int) {
+	t.Helper()
+	name = fmt.Sprintf("%s/H=%d", name, hosts)
+	inc, orc, err := lockstepHosts(g, hosts)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	for x := 0; x < hosts; x++ {
+		inc[x].InitEstimates()
+		orc[x].InitEstimates()
+	}
+	compareStates(t, name, "init", g, inc, orc)
+
+	inbox := make([][]Batch, hosts)
+	for round := 0; round < 8*(g.NumNodes()+1); round++ {
+		active := false
+		for x := 0; x < hosts; x++ {
+			// The oracle's batches drive both sides so the schedules
+			// cannot drift; the incremental side must emit the same
+			// batches, which the estimate comparison below implies.
+			ob := orc[x].CollectPointToPoint()
+			ib := inc[x].CollectPointToPoint()
+			if len(ob) != len(ib) {
+				t.Fatalf("%s round %d host %d: %d oracle batches vs %d incremental",
+					name, round, x, len(ob), len(ib))
+			}
+			for dest, batch := range ob {
+				// Copy: collected batches alias double-buffered
+				// storage, and this harness holds them across the
+				// destination's own collect.
+				cp := append(Batch(nil), batch...)
+				inbox[dest] = append(inbox[dest], cp)
+				active = true
+			}
+		}
+		if !active {
+			return
 		}
 		for x := 0; x < hosts; x++ {
-			inc[x].InitEstimates()
-			orc[x].InitEstimates()
-		}
-		compareStates(t, tc.name, "init", tc.g, inc, orc)
-
-		inbox := make([][]Batch, hosts)
-		for round := 0; round < 8*(tc.g.NumNodes()+1); round++ {
-			active := false
-			for x := 0; x < hosts; x++ {
-				// The oracle's batches drive both sides so the schedules
-				// cannot drift; the incremental side must emit the same
-				// batches, which the estimate comparison below implies.
-				ob := orc[x].CollectPointToPoint()
-				ib := inc[x].CollectPointToPoint()
-				if len(ob) != len(ib) {
-					t.Fatalf("%s round %d host %d: %d oracle batches vs %d incremental",
-						tc.name, round, x, len(ob), len(ib))
-				}
-				for dest, batch := range ob {
-					// Copy: collected batches alias double-buffered
-					// storage, and this harness holds them across the
-					// destination's own collect.
-					cp := append(Batch(nil), batch...)
-					inbox[dest] = append(inbox[dest], cp)
-					active = true
-				}
+			for _, b := range inbox[x] {
+				inc[x].Apply(b)
+				orc[x].Apply(b)
+				inc[x].ImproveIfDirty()
+				orc[x].ImproveIfDirty()
+				compareStates(t, name, fmt.Sprintf("round %d", round), g, inc, orc)
 			}
-			if !active {
-				break
-			}
-			for x := 0; x < hosts; x++ {
-				for _, b := range inbox[x] {
-					inc[x].Apply(b)
-					orc[x].Apply(b)
-					inc[x].ImproveIfDirty()
-					orc[x].ImproveIfDirty()
-					compareStates(t, tc.name, fmt.Sprintf("round %d", round), tc.g, inc, orc)
-				}
-				inbox[x] = inbox[x][:0]
-			}
+			inbox[x] = inbox[x][:0]
 		}
 	}
 }
@@ -269,6 +280,10 @@ func FuzzHostStateDifferential(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, []byte{0, 1, 2, 3})
 	f.Add([]byte{0, 0, 1, 1, 2, 2}, []byte{255, 255, 0, 0})
 	f.Add([]byte{9, 8, 7, 6, 5, 4, 3, 2, 1, 0}, []byte{10, 0, 11, 1, 12, 2})
+	// Traffic naming nodes n and n+1, just past the graph: the dense
+	// translation table must bounds-check them.
+	f.Add([]byte{0, 1, 1, 2, 2, 0, 3, 4}, []byte{16, 0, 17, 3, 16, 4, 17, 2, 0, 0})
+	f.Add([]byte{15, 14, 14, 13, 13, 15}, []byte{17, 1, 16, 1, 15, 0})
 	f.Fuzz(func(t *testing.T, edges []byte, traffic []byte) {
 		const n = 16
 		b := graph.NewBuilder(n)

@@ -8,6 +8,11 @@
 // partition, and only to partitions actually hosting one of its
 // neighbors (Algorithm 5, the paper's §5 message-reduction policy).
 //
+// Each worker drives its partition's core.HostState through the same
+// Apply / ImproveIfDirty / CollectPointToPoint calls as the simulator
+// adapter and the networked cluster host; only the exchange differs
+// (a slice swap between rounds).
+//
 // Unlike the simulator in internal/sim, which interleaves every process
 // on one goroutine to measure protocol metrics, this engine exists to
 // decompose large graphs as fast as the hardware allows. The round
@@ -87,7 +92,7 @@ type engine struct {
 
 	inbox  [][]core.Batch
 	next   [][]core.Batch
-	outbox [][]core.Batch // per state, aligned with its NeighborHosts
+	outbox []map[int]core.Batch // per state, keyed by destination partition
 
 	start []chan int // per-worker round signal; closed by close()
 	done  chan int
@@ -96,10 +101,8 @@ type engine struct {
 	batches       int64
 }
 
-// newEngine builds partition states, links peer-local addressing between
-// them (batches carry receiver-local indices, so applying a message
-// costs array indexing instead of a map lookup), and launches the worker
-// pool. The caller must close() the engine to release the workers.
+// newEngine builds partition states and launches the worker pool. The
+// caller must close() the engine to release the workers.
 func newEngine(parts *core.Partitions, p, n, maxRounds int) *engine {
 	e := &engine{
 		p:         p,
@@ -108,14 +111,13 @@ func newEngine(parts *core.Partitions, p, n, maxRounds int) *engine {
 		states:    make([]*core.HostState, p),
 		inbox:     make([][]core.Batch, p),
 		next:      make([][]core.Batch, p),
-		outbox:    make([][]core.Batch, p),
+		outbox:    make([]map[int]core.Batch, p),
 		start:     make([]chan int, p),
 		done:      make(chan int, p),
 	}
 	parFor(p, func(x int) {
 		e.states[x] = parts.NewPartitionState(x)
 	})
-	core.LinkPeerLocals(parts, e.states)
 	for x := 0; x < p; x++ {
 		e.start[x] = make(chan int, 1)
 		go func(x int) {
@@ -125,12 +127,12 @@ func newEngine(parts *core.Partitions, p, n, maxRounds int) *engine {
 					s.InitEstimates()
 				} else {
 					for _, b := range e.inbox[x] {
-						s.ApplyPeerLocal(b)
+						s.Apply(b)
 					}
 					e.inbox[x] = e.inbox[x][:0]
 					s.ImproveIfDirty()
 				}
-				e.outbox[x] = s.CollectPeerLocal()
+				e.outbox[x] = s.CollectPointToPoint()
 				e.done <- x
 			}
 		}(x)
@@ -166,15 +168,16 @@ func (e *engine) run(ctx context.Context) (int, error) {
 			<-e.done
 		}
 		// Barrier passed: route this round's deltas. Apply is a pointwise
-		// minimum, so delivery order within a round cannot affect results.
+		// minimum, so delivery order within a round cannot affect results;
+		// walking NeighborHosts keeps it deterministic anyway.
 		active := false
 		for x := 0; x < e.p; x++ {
-			nh := e.states[x].NeighborHosts()
-			for i, batch := range e.outbox[x] {
+			for _, y := range e.states[x].NeighborHosts() {
+				batch := e.outbox[x][y]
 				if len(batch) == 0 {
 					continue
 				}
-				e.next[nh[i]] = append(e.next[nh[i]], batch)
+				e.next[y] = append(e.next[y], batch)
 				e.estimatesSent += int64(len(batch))
 				e.batches++
 				active = true
