@@ -39,10 +39,11 @@
 # Lint escape hatches (all greppable, reason mandatory):
 #   //dkcore:noalloc <why>     marks a steady-state function the KC004
 #                              analyzer holds to zero allocating constructs
-#   //dkcore:estwrite <why>    blesses a method of one of the two
-#                              estimate machines, core.HostState and
-#                              core.NodeState, to write estimate
-#                              state (KC001); engines own none
+#   //dkcore:estwrite <why>    blesses a function to write estimate
+#                              or coreness state (KC001): methods of
+#                              core.HostState and core.NodeState, the
+#                              out-of-core engine's seed and relax, and
+#                              the parallel peel's take
 #   //dkcore:noctx <why>       opts a deliberately blocking exported
 #                              function out of ctx-first (KC002)
 #   //dkcore:epochinit <why>   marks a pre-publication Epoch initializer
@@ -84,8 +85,9 @@ apicheck:
 	$(GO) run ./internal/apicheck . ./internal/cluster ./internal/transport ./internal/dataset ./internal/oocore ./internal/serve ./internal/core ./internal/stream ./internal/chaos
 
 # lint runs the domain-invariant analyzers over every package: monotone
-# estimate writes (only core.HostState and core.NodeState methods and
-# the out-of-core engine's seed and relax hold the blessing), ctx-first
+# estimate writes (only core.HostState and core.NodeState methods, the
+# out-of-core engine's seed and relax, and the parallel peel's take hold
+# the blessing), ctx-first
 # cancellation, decode-before-allocate,
 # noalloc hot paths, epoch immutability. docs/INVARIANTS.md catalogues
 # the invariants; the directives above are the escape hatches.
@@ -140,6 +142,7 @@ fuzz-short: build
 	$(GO) test -run '^$$' -fuzz FuzzLoadSNAP -fuzztime $(FUZZTIME) ./internal/dataset
 	$(GO) test -run '^$$' -fuzz FuzzReadEdgeList -fuzztime $(FUZZTIME) ./internal/graph
 	$(GO) test -run '^$$' -fuzz FuzzOOCoreDecompose -fuzztime $(FUZZTIME) ./internal/oocore
+	$(GO) test -run '^$$' -fuzz FuzzParallelDecompose -fuzztime $(FUZZTIME) ./internal/parallel
 
 # chaos is the full fault-injection acceptance run: a 50-graph pool
 # decomposed under seeded fault schedules on every robustness-bearing
@@ -170,9 +173,9 @@ bench-partition: build
 	$(GO) test -run '^$$' -bench BenchmarkPartitionSetup -benchtime $(BENCHTIME) .
 
 # bench-allocs is the allocation-regression gate CI's benchmark-smoke
-# lane runs: steady-state rounds of the parallel engine, and of the
-# HostState Apply/ImproveIfDirty/CollectPointToPoint loop every sharded
-# engine drives, must re-run a warmed state with zero allocations, and one
+# lane runs: the parallel engine's peel sub-rounds, and the HostState
+# Apply/ImproveIfDirty/CollectPointToPoint loop the simulator and the
+# cluster host drive, must re-run a warmed state with zero allocations, and one
 # waited Session event must publish its epoch in under 64 KiB of
 # allocation, within 2x between a 20k-node and a 200k-node graph (the
 # scale gate: an O(n) or O(m) copy on the publish path fails it).

@@ -3,7 +3,7 @@
 // Miorandi (PODC 2011), together with everything needed to reproduce the
 // paper's evaluation and to serve decompositions in production: a
 // sequential baseline, a round-based simulator, live goroutine runtimes,
-// shared-memory BSP engines, a networked cluster deployment, streaming
+// a sharded shared-memory peel, a networked cluster deployment, streaming
 // maintenance, graph generators, and synthetic analogues of the paper's
 // datasets.
 //
@@ -62,22 +62,18 @@
 // # Partitioning
 //
 // Every sharded execution path — OneToMany's simulated hosts, the
-// Parallel BSP engine, and the Cluster coordinator — splits the graph
-// through one internal routine, so the deployments cannot drift in how
-// they shard.
+// Parallel peel, and the Cluster coordinator — shards the graph by an
+// Assignment, the paper's h(u); for Parallel it decides which worker
+// peels which node. ModuloAssignment is the paper's §3.2.2 policy and
+// the Cluster default; BlockAssignment keeps contiguous ranges together
+// (the Parallel default); NewRandomAssignment fixes a uniform assignment
+// by seed; PartitionBy installs any custom policy. An assignment routing
+// a node outside [0, NumHosts()) is rejected before any rounds run.
 //
-// Policy: an Assignment maps nodes to hosts (the paper's h(u)).
-// ModuloAssignment is the paper's §3.2.2 policy and the Cluster default;
-// BlockAssignment keeps contiguous ranges together (the Parallel
-// default); NewRandomAssignment fixes a uniform assignment by
-// seed; PartitionBy installs any custom policy. An assignment routing a
-// node outside [0, NumHosts()) is rejected before any rounds run.
-//
-// Cost model: partitioning is a single O(n+m) pass producing flat
-// per-partition state for all p partitions at once — a precomputed
-// node→host table, dense owned slices, and one concatenated adjacency
-// copy — so setup cost is near-constant in p at fixed graph size and
-// negligible next to the rounds themselves even at 10M+ nodes.
+// Cost model: OneToMany and Cluster build per-host state in one O(n+m)
+// pass for all p partitions — a node→host table, dense owned slices and
+// one concatenated adjacency copy — so setup is near-constant in p.
+// Parallel copies nothing; its workers read the graph's own CSR.
 //
 // Aliasing contract: partition state is copied out of the source graph
 // at construction; mutating a partition view can never corrupt the
@@ -86,9 +82,11 @@
 //
 // # Refinement cost model
 //
-// Every engine kind refines estimates through the same incremental
-// support-counter primitive rather than re-running the paper's
-// Algorithm 2 over a node's full neighbor list on each change:
+// The estimate-protocol kinds (OneToOne, OneToMany, Live, LiveEpidemic,
+// Cluster) refine estimates through one incremental support-counter
+// primitive rather than re-running Algorithm 2 over a node's full
+// neighbor list on each change; Sequential and Parallel peel, and
+// OutOfCore relaxes with one ComputeIndex per visit. The primitive:
 //
 //   - Per neighbor drop: O(1). A node keeps a histogram of its
 //     neighbors' estimates clamped to its own; a neighbor dropping
@@ -106,9 +104,9 @@
 //     double-buffered storage (valid until the second-following
 //     collect — exactly one BSP round of slack), batches name nodes by
 //     global ID and each host translates them through one table built
-//     at setup, the Parallel engine's workers are persistent
-//     goroutines, and the Cluster host reuses its wire-encode buffers;
-//     a warmed round loop allocates nothing (CI-gated).
+//     at setup, and the Cluster host reuses its wire-encode buffers;
+//     the Parallel peel retains its workers, queues and outboxes. A
+//     warmed round loop allocates nothing (CI-gated).
 //
 // The pre-existing recompute-from-scratch path is retained as an oracle
 // for differential tests, which assert estimate-for-estimate equality

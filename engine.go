@@ -44,8 +44,8 @@ const (
 	// LiveEpidemic is the live runtime with the decentralized epidemic
 	// termination detector of §3.3.
 	LiveEpidemic
-	// Parallel is the partitioned shared-memory BSP engine — the fastest
-	// path for large graphs.
+	// Parallel is the shared-memory peel, run level by level by worker
+	// goroutines that each own a share of the nodes — the fastest path.
 	Parallel
 	// Cluster runs a networked one-to-many deployment: an in-process
 	// coordinator plus one host worker goroutine per host, over TCP
@@ -119,8 +119,8 @@ type Report struct {
 	// convergence time.
 	Coreness []int
 	// Rounds is the number of rounds stepped: δ-rounds for the
-	// simulators and live runtimes (through quiescence), BSP rounds for
-	// Parallel, coordinator rounds for Cluster, block-scheduler passes
+	// simulators and live runtimes (through quiescence), peel sub-rounds
+	// for Parallel, coordinator rounds for Cluster, block-scheduler passes
 	// for OutOfCore. Zero for Sequential and for Live's asynchronous
 	// mode, which have no round structure.
 	Rounds int
@@ -136,14 +136,14 @@ type Report struct {
 	// kinds only): per node for OneToOne, per host for OneToMany.
 	MessagesPerProc []int64
 	// EstimatesSent is the number of (node, estimate) pairs shipped
-	// between hosts or partitions — the paper's Figure-5 overhead
-	// numerator — populated by OneToMany, Parallel and Cluster. For
-	// OutOfCore it counts cross-block wake-ups: estimate drops that
-	// activated a node of another block.
+	// between hosts — the paper's Figure-5 overhead numerator — by
+	// OneToMany and Cluster. Parallel counts degree decrements between
+	// workers, one per arc from a peeled node to another worker's node;
+	// OutOfCore counts estimate drops that woke a node of another block.
 	EstimatesSent int64
-	// Batches is the number of cross-partition batch handoffs (Parallel)
-	// or the (pass, block) pairs that cross-block wake-ups touched
-	// (OutOfCore).
+	// Batches is the number of non-empty (sub-round, source worker,
+	// destination worker) handoffs (Parallel), or the (pass, block) pairs
+	// that cross-block wake-ups touched (OutOfCore).
 	Batches int64
 	// Workers is the resolved worker/partition/host count for the kinds
 	// that shard work (OneToMany, Parallel, Cluster), and the number of
@@ -225,7 +225,7 @@ func Seed(seed int64) EngineOption {
 }
 
 // MaxRounds overrides the round budget: simulation rounds (OneToOne,
-// OneToMany), BSP rounds (Parallel), coordinator rounds (Cluster), or —
+// OneToMany), peel sub-rounds (Parallel), coordinator rounds (Cluster), or —
 // for Live — switches the runtime to the paper's fixed-round
 // termination, running at most that synchronous δ-round budget (it
 // stops early at quiescence) and returning the (possibly approximate)
@@ -286,15 +286,15 @@ func RetransmitEvery(k int) EngineOption {
 		func(c *engineConfig) { c.retransmit = k })
 }
 
-// PartitionBy shards the graph with an explicit node-to-host policy
-// (OneToMany, Parallel); the host/worker count becomes the assignment's
-// host count.
+// PartitionBy shards the graph with an explicit node-to-host policy:
+// which host simulates a node (OneToMany) or which worker peels it
+// (Parallel). The host/worker count becomes the assignment's host count.
 func PartitionBy(a Assignment) EngineOption {
 	return option("PartitionBy", []EngineKind{OneToMany, Parallel},
 		func(c *engineConfig) { c.assign = a })
 }
 
-// Workers bounds worker parallelism: partitions for Parallel, compute
+// Workers bounds worker parallelism: peel owners for Parallel, compute
 // workers for the round-based live runtimes (LiveEpidemic always; Live
 // in its MaxRounds fixed-budget mode — the asynchronous mode is one
 // goroutine per node and ignores it). 0 means GOMAXPROCS.
@@ -453,7 +453,7 @@ var engineRegistry = []engineEntry{
 	{OneToMany, "one2many", "", "simulated protocol, nodes grouped onto hosts (Algorithm 3)", runOneToMany},
 	{Live, "live", "", "one goroutine per node, asynchronous messages, credit-counting termination", runLive},
 	{LiveEpidemic, "live-epidemic", "", "live δ-rounds with decentralized epidemic termination", runLiveEpidemic},
-	{Parallel, "parallel", "", "partitioned shared-memory BSP engine", runParallel},
+	{Parallel, "parallel", "", "level-synchronous shared-memory peel, sharded by owner", runParallel},
 	{Cluster, "cluster", "", "networked one-to-many deployment over TCP loopback", runClusterKind},
 	{OutOfCore, "oocore", "", "disk-spilling block engine under a hard memory budget", runOutOfCore},
 }

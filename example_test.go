@@ -8,7 +8,7 @@ import (
 )
 
 // ExampleNewEngine decomposes the paper's Figure-2 graph, built edge by
-// edge, with the partitioned shared-memory engine and prints the exact
+// edge, with the sharded shared-memory peel and prints the exact
 // coreness of every node. The result is identical for any worker count.
 func ExampleNewEngine() {
 	b := dkcore.NewBuilder(0)

@@ -4,9 +4,8 @@ import "slices"
 
 // HostState is the transport-agnostic protocol state machine of a
 // one-to-many host (Algorithms 3–5). It is shared by the simulator
-// adapter in this package, the networked host in internal/cluster, and
-// the shared-memory engine in internal/parallel, which all drive it
-// through the same calls: callers feed it incoming batches (Apply), run
+// adapter in this package and the networked host in internal/cluster,
+// which both drive it through the same calls: callers feed it incoming batches (Apply), run
 // the cascade (ImproveIfDirty) and ask it for outgoing batches
 // (CollectPointToPoint or CollectBroadcast); the state machine neither
 // knows nor cares how batches travel. Batches always name nodes by
@@ -356,7 +355,7 @@ func (s *HostState) InitEstimates() {
 // estimate. It reports whether any entry improved.
 //
 //dkcore:estwrite THE pointwise-min Apply entry point (Algorithm 3's receive)
-//dkcore:noalloc steady-state delivery path, gated by TestSteadyStateRoundAllocs
+//dkcore:noalloc steady-state delivery path, gated by TestRefineSteadyStateAllocs
 func (s *HostState) Apply(batch Batch) bool {
 	if !s.initialized {
 		// Estimates do not exist yet; Algorithm 3's initialization will
@@ -558,7 +557,7 @@ func (s *HostState) ChangedCount() int { return len(s.changedList) }
 // valid until the second-following Collect call (see the type comment),
 // so steady-state rounds ship estimates without allocating.
 //
-//dkcore:noalloc steady-state collection, double-buffered (TestSteadyStateRoundAllocs)
+//dkcore:noalloc steady-state collection, double-buffered (TestRefineSteadyStateAllocs)
 func (s *HostState) CollectBroadcast() Batch {
 	if len(s.changedList) == 0 {
 		return nil
@@ -580,7 +579,7 @@ func (s *HostState) CollectBroadcast() Batch {
 // second-following Collect call (see the type comment); steady-state
 // rounds reuse both, allocating nothing.
 //
-//dkcore:noalloc steady-state collection, double-buffered (TestSteadyStateRoundAllocs)
+//dkcore:noalloc steady-state collection, double-buffered (TestRefineSteadyStateAllocs)
 func (s *HostState) CollectPointToPoint() map[int]Batch {
 	if len(s.changedList) == 0 || len(s.neighborHosts) == 0 {
 		s.clearChanged()

@@ -1,8 +1,8 @@
 package core
 
 // The refinement hot path under a power-law hub stress, through the
-// calls every sharded engine makes (Apply, ImproveIfDirty,
-// CollectPointToPoint). TestRefineSteadyStateAllocs is the
+// calls the simulator adapter and the cluster host make (Apply,
+// ImproveIfDirty, CollectPointToPoint). TestRefineSteadyStateAllocs is the
 // deterministic allocation gate `make bench-allocs` runs;
 // BenchmarkRefineHotPath times the same loop against the retained
 // recompute-from-scratch oracle on an identical schedule.
@@ -51,9 +51,9 @@ func driveRefinement(states []*HostState, inbox, next [][]Batch, single Batch) (
 }
 
 // TestRefineSteadyStateAllocs asserts the incremental refinement round
-// loop allocates nothing once warm — the HostState-level half of the
-// allocation gate; internal/parallel's TestSteadyStateRoundAllocs covers
-// the full engine with its worker pool.
+// loop allocates nothing once warm — the HostState half of the
+// allocation gate; internal/parallel's TestSteadyStateRoundAllocs gates
+// the shared-memory peel.
 func TestRefineSteadyStateAllocs(t *testing.T) {
 	g := gen.PowerLaw(gen.PowerLawConfig{N: 4000, Exponent: 2.2, MinDeg: 2}, 1)
 	const p = 4

@@ -10,10 +10,9 @@ import (
 // every host of an assignment at once: a node→host table plus, per host,
 // a dense sorted owned slice and a concatenated CSR-style adjacency copy.
 // It is built by PartitionAll in a single O(n+m+p) pass and is the one
-// partitioning product shared by the simulator adapter (onetomany.go),
-// the networked coordinator (internal/cluster), and the shared-memory
-// engine (internal/parallel), so the deployments cannot drift in how
-// they shard a graph.
+// partitioning product shared by the simulator adapter (onetomany.go)
+// and the networked coordinator (internal/cluster), so the deployments
+// cannot drift in how they shard a graph.
 //
 // All adjacency data is copied out of the source graph at construction:
 // mutating a partition view can never corrupt the graph's internal CSR

@@ -10,36 +10,32 @@ import (
 )
 
 // TestSteadyStateRoundAllocs is the allocation-regression gate CI's
-// benchmark-smoke lane runs: a warmed engine must re-run its entire BSP
-// round loop — apply, incremental cascade, collect, route — without
-// allocating. Anything that reintroduces per-round allocation (goroutine
-// respawning, fresh collect batches, map churn) multiplies by the round
-// count and fails the per-round bound immediately.
+// benchmark-smoke lane runs: a warmed engine must re-run its entire peel
+// — reset, level scans, seeding, inbox application, cascade, outbox
+// routing — without allocating. Anything that reintroduces per-round
+// allocation (goroutine respawning, fresh queues or outboxes) multiplies
+// by the round count and fails the per-round bound immediately.
 func TestSteadyStateRoundAllocs(t *testing.T) {
 	g := gen.PowerLaw(gen.PowerLawConfig{N: 4000, Exponent: 2.2, MinDeg: 2}, 1)
 	n := g.NumNodes()
-	const p = 4
-	parts, err := core.PartitionAll(g, core.BlockAssignment{N: n, H: p})
+	e, err := newEngine(g, core.BlockAssignment{N: n, H: 4}, 8*(n+1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := newEngine(parts, p, n, 8*(n+1))
 	defer e.close()
 	ctx := context.Background()
 
-	rounds, err := e.run(ctx)
-	if err != nil {
+	if err := e.run(ctx); err != nil {
 		t.Fatal(err)
 	}
+	rounds := e.rounds
 	if rounds < 2 {
-		t.Fatalf("power-law run quiesced in %d rounds; workload too trivial to gate on", rounds)
+		t.Fatalf("power-law run finished in %d rounds; workload too trivial to gate on", rounds)
 	}
 
 	var runErr error
 	avg := testing.AllocsPerRun(5, func() {
-		if _, runErr = e.run(ctx); runErr != nil {
-			return
-		}
+		runErr = e.run(ctx)
 	})
 	if runErr != nil {
 		t.Fatal(runErr)

@@ -1,43 +1,24 @@
-// Package parallel executes the one-to-many protocol (Algorithm 3) as a
-// shared-memory bulk-synchronous engine. The graph is sharded across P
-// partitions by an assignment policy; one worker goroutine per partition
-// runs the local estimate cascade (Algorithm 4) concurrently with the
-// others, and cross-partition estimate updates are exchanged between
-// rounds as batched per-destination per-round-deduplicated deltas: a
-// node's new estimate is shipped at most once per round per destination
-// partition, and only to partitions actually hosting one of its
-// neighbors (Algorithm 5, the paper's §5 message-reduction policy).
-//
-// Each worker drives its partition's core.HostState through the same
-// Apply / ImproveIfDirty / CollectPointToPoint calls as the simulator
-// adapter and the networked cluster host; only the exchange differs
-// (a slice swap between rounds).
-//
-// Unlike the simulator in internal/sim, which interleaves every process
-// on one goroutine to measure protocol metrics, this engine exists to
-// decompose large graphs as fast as the hardware allows. The round
-// structure is strict BSP (updates collected in round r are visible in
-// round r+1), so results are deterministic regardless of scheduling, and
-// the steady-state round loop allocates nothing: workers are persistent
-// goroutines signalled over reusable channels (not respawned per round),
-// partition cascades refine incrementally via support histograms, and
-// collected batches live in the HostState's double-buffered storage —
-// exactly the one-round-handoff pattern its reuse contract permits.
+// Package parallel decomposes a graph in shared memory with a
+// level-synchronous peel sharded by owner: each of P persistent workers
+// keeps int32 residual degrees and coreness for the nodes an assignment
+// gives it and reads the graph's CSR in place. Level k peels every node
+// of residual degree at most k, at coreness k, in barrier-separated
+// sub-rounds: an owner applies the decrements sent to it in the previous
+// one, in source order, then peels to local quiescence, queueing one per
+// foreign neighbour in that owner's outbox. A level ends when a sub-round
+// sends nothing; the next starts at the least surviving degree. Each arc
+// is walked once, and the fixed inbox order makes the counters repeat.
 package parallel
 
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
-	"sync"
 
 	"dkcore/internal/core"
 	"dkcore/internal/graph"
 )
-
-// defaultMaxRoundsSlack mirrors internal/core: the budget is far above
-// the paper's N-round bound so only genuine non-termination trips it.
-const defaultMaxRoundsSlack = 8
 
 // Option configures a parallel decomposition.
 type Option func(*options)
@@ -48,245 +29,270 @@ type options struct {
 	maxRounds int
 }
 
-// WithWorkers sets the number of partitions (and worker goroutines).
+// WithWorkers sets the number of owners (and worker goroutines).
 // Default: runtime.GOMAXPROCS(0), capped at the node count. Ignored when
 // WithAssignment is given, except that a non-zero mismatch with the
 // assignment's host count is an error.
 func WithWorkers(n int) Option { return func(o *options) { o.workers = n } }
 
-// WithAssignment shards the graph with an explicit node-to-partition
-// policy; the worker count becomes the assignment's host count. Default:
-// core.BlockAssignment, which keeps contiguous node ranges together.
+// WithAssignment decides which owner peels which node; the worker count
+// becomes the assignment's host count. Default: core.BlockAssignment,
+// which keeps contiguous node ranges together.
 func WithAssignment(a core.Assignment) Option { return func(o *options) { o.assign = a } }
 
-// WithMaxRounds overrides the round budget (default 8*(N+1)).
+// WithMaxRounds overrides the sub-round budget (default 8*(N+1)).
 func WithMaxRounds(n int) Option { return func(o *options) { o.maxRounds = n } }
 
 // Result reports a parallel decomposition.
 type Result struct {
 	// Coreness is the exact per-node coreness.
 	Coreness []int
-	// Rounds is the number of BSP rounds executed, including the final
-	// quiet round that confirmed quiescence.
+	// Rounds is the number of peel sub-rounds.
 	Rounds int
-	// Workers is the resolved partition/goroutine count.
+	// Workers is the resolved owner/goroutine count.
 	Workers int
-	// EstimatesSent is the number of (node, estimate) pairs exchanged
-	// between partitions — the paper's Figure-5 overhead numerator.
+	// EstimatesSent is the number of cross-owner degree decrements: one
+	// per arc from a peeled node to a node of another owner.
 	EstimatesSent int64
-	// Batches is the number of cross-partition batch handoffs.
+	// Batches is the number of non-empty (sub-round, src, dst) outboxes.
 	Batches int64
 }
 
-// engine is a reusable BSP runner: P persistent worker goroutines around
-// P partition states, driven round by round from run. Everything a round
-// touches — inboxes, outboxes, the start/done channels, the HostState's
-// collection buffers — is allocated once here, so a warmed engine re-runs
-// with zero allocations (the property the allocation-regression test
-// pins down).
+// slot locates a node: its owner and its index in the owner's slices.
+type slot struct{ owner, idx int32 }
+
+// shard is one owner's state; index i of each slice is node nodes[i].
+type shard struct {
+	nodes, coreness []int32
+	deg             []int32      // residual degree; at most the level once peeled
+	alive           []int32      // indices that survived the last finished level
+	queue           []int32      // indices peeled in the current sub-round
+	out             [2][][]int32 // by sub-round parity and destination owner
+	min             int32        // least degree in alive
+	arcs            int64        // adjacency entries walked this run
+}
+
+// step is shard x's scan past level k (k < 0: a new run) or sub-round.
+type step struct {
+	x          int
+	k          int32
+	scan, seed bool // seed: the level's first sub-round
+	parity     uint8
+}
+
+// engine is a reusable peel: P persistent workers around P shards.
 type engine struct {
-	p         int
-	n         int
-	maxRounds int
-	states    []*core.HostState
-
-	inbox  [][]core.Batch
-	next   [][]core.Batch
-	outbox []map[int]core.Batch // per state, keyed by destination partition
-
-	start []chan int // per-worker round signal; closed by close()
-	done  chan int
-
-	estimatesSent int64
-	batches       int64
+	g                      *graph.Graph
+	place                  []slot
+	shards                 []shard
+	maxRounds, rounds      int
+	estimatesSent, batches int64
+	start                  chan step
+	done                   chan struct{}
 }
 
-// newEngine builds partition states and launches the worker pool. The
-// caller must close() the engine to release the workers.
-func newEngine(parts *core.Partitions, p, n, maxRounds int) *engine {
-	e := &engine{
-		p:         p,
-		n:         n,
-		maxRounds: maxRounds,
-		states:    make([]*core.HostState, p),
-		inbox:     make([][]core.Batch, p),
-		next:      make([][]core.Batch, p),
-		outbox:    make([]map[int]core.Batch, p),
-		start:     make([]chan int, p),
-		done:      make(chan int, p),
+// newEngine builds the shards and starts the workers; close() them.
+func newEngine(g *graph.Graph, assign core.Assignment, maxRounds int) (*engine, error) {
+	p := assign.NumHosts()
+	e := &engine{g: g, place: make([]slot, g.NumNodes()), shards: make([]shard, p),
+		maxRounds: maxRounds, start: make(chan step, p), done: make(chan struct{}, p)}
+	for u := range e.place {
+		h := assign.Host(u)
+		if h < 0 || h >= p {
+			return nil, fmt.Errorf("parallel: assignment routes node %d to host %d outside [0, %d)", u, h, p)
+		}
+		e.place[u] = slot{int32(h), int32(len(e.shards[h].nodes))}
+		e.shards[h].nodes = append(e.shards[h].nodes, int32(u))
 	}
-	parFor(p, func(x int) {
-		e.states[x] = parts.NewPartitionState(x)
-	})
-	for x := 0; x < p; x++ {
-		e.start[x] = make(chan int, 1)
-		go func(x int) {
-			s := e.states[x]
-			for round := range e.start[x] {
-				if round == 0 {
-					s.InitEstimates()
-				} else {
-					for _, b := range e.inbox[x] {
-						s.Apply(b)
-					}
-					e.inbox[x] = e.inbox[x][:0]
-					s.ImproveIfDirty()
-				}
-				e.outbox[x] = s.CollectPointToPoint()
-				e.done <- x
-			}
-		}(x)
+	for x := range e.shards {
+		c, s := len(e.shards[x].nodes), &e.shards[x]
+		*s = shard{nodes: s.nodes, deg: make([]int32, c), coreness: make([]int32, c), alive: make([]int32, c),
+			queue: make([]int32, 0, c), out: [2][][]int32{make([][]int32, p), make([][]int32, p)}}
+		go e.work()
 	}
-	return e
+	return e, nil
 }
 
-// run drives BSP rounds until quiescence, returning the round count
-// (including the final quiet round). The channel handoffs publish the
-// coordinator's inbox swaps to the workers and the workers' outboxes
-// back, so the loop is race-free without locks. After a successful run
-// the engine may be re-run (InitEstimates is idempotent); after an error
-// the inboxes may hold undelivered batches and the engine must be
-// discarded.
+func (e *engine) work() {
+	for st := range e.start {
+		if st.scan {
+			e.shards[st.x].scan(e.g, st.k)
+		} else {
+			e.peel(st)
+		}
+		e.done <- struct{}{}
+	}
+}
+
+// run peels level by level; after an error, discard the engine.
 //
-//dkcore:noalloc the BSP steady-state round loop (TestSteadyStateRoundAllocs)
-func (e *engine) run(ctx context.Context) (int, error) {
-	e.estimatesSent = 0
-	e.batches = 0
-	for round := 0; ; round++ {
-		if err := ctx.Err(); err != nil {
-			return 0, err
+//dkcore:noalloc the level and sub-round loop (TestSteadyStateRoundAllocs)
+func (e *engine) run(ctx context.Context) error {
+	e.rounds, e.estimatesSent, e.batches = 0, 0, 0
+	var parity uint8
+	for k := int32(-1); ; {
+		e.barrier(step{k: k, scan: true})
+		k = math.MaxInt32
+		for x := range e.shards {
+			k = min(k, e.shards[x].min)
 		}
-		if round >= e.maxRounds {
-			//dkcore:lint-ignore KC004 cold failure exit: the round budget tripped, the run is over
-			return 0, fmt.Errorf("parallel: no quiescence on %d nodes over %d partitions within %d rounds",
-				e.n, e.p, e.maxRounds)
+		if k == math.MaxInt32 {
+			return nil
 		}
-		for x := 0; x < e.p; x++ {
-			e.start[x] <- round
-		}
-		for i := 0; i < e.p; i++ {
-			<-e.done
-		}
-		// Barrier passed: route this round's deltas. Apply is a pointwise
-		// minimum, so delivery order within a round cannot affect results;
-		// walking NeighborHosts keeps it deterministic anyway.
-		active := false
-		for x := 0; x < e.p; x++ {
-			for _, y := range e.states[x].NeighborHosts() {
-				batch := e.outbox[x][y]
-				if len(batch) == 0 {
-					continue
-				}
-				e.next[y] = append(e.next[y], batch)
-				e.estimatesSent += int64(len(batch))
-				e.batches++
-				active = true
+		for seed, sent := true, int64(1); sent > 0; seed = false {
+			if err := ctx.Err(); err != nil {
+				return err
 			}
+			if e.rounds >= e.maxRounds {
+				//dkcore:lint-ignore KC004 cold failure exit: the round budget tripped, the run is over
+				return fmt.Errorf("parallel: %d nodes not peeled in %d sub-rounds", len(e.place), e.maxRounds)
+			}
+			e.barrier(step{k: k, seed: seed, parity: parity})
+			sent = 0
+			for x := range e.shards {
+				for _, b := range e.shards[x].out[parity] {
+					if len(b) > 0 {
+						sent, e.batches = sent+int64(len(b)), e.batches+1
+					}
+				}
+			}
+			e.rounds, e.estimatesSent, parity = e.rounds+1, e.estimatesSent+sent, parity^1
 		}
-		if !active {
-			return round + 1, nil
-		}
-		e.inbox, e.next = e.next, e.inbox
 	}
 }
 
-// coreness gathers the final owned estimates from every partition.
-func (e *engine) coreness() []int {
-	out := make([]int, e.n)
-	parFor(e.p, func(x int) {
-		s := e.states[x]
-		for _, u := range s.Owned() {
-			c, _ := s.Estimate(u)
-			out[u] = c
+func (e *engine) barrier(st step) {
+	for st.x = 0; st.x < len(e.shards); st.x++ {
+		e.start <- st
+	}
+	for range e.shards {
+		<-e.done
+	}
+}
+
+// scan drops the nodes peeled at levels up to k from alive and records
+// the least surviving degree (MaxInt32 if none).
+//
+//dkcore:noalloc once per level; compacts alive in place
+func (s *shard) scan(g *graph.Graph, k int32) {
+	if k < 0 {
+		s.alive, s.arcs = s.alive[:len(s.nodes)], 0
+		for i, u := range s.nodes {
+			s.deg[i], s.alive[i] = int32(g.Degree(int(u))), int32(i)
 		}
-	})
+	}
+	live, m := s.alive[:0], int32(math.MaxInt32)
+	for _, i := range s.alive {
+		if d := s.deg[i]; d > k {
+			live, m = append(live, i), min(m, d)
+		}
+	}
+	s.alive, s.min = live, m
+}
+
+// peel is shard x's sub-round: seed or apply the inboxes, then cascade.
+//
+//dkcore:noalloc the per-sub-round peel; queue and outboxes are retained
+func (e *engine) peel(st step) {
+	x, k, s, out := st.x, st.k, &e.shards[st.x], e.shards[st.x].out[st.parity]
+	for d := range out {
+		out[d] = out[d][:0]
+	}
+	s.queue = s.queue[:0]
+	if st.seed {
+		for _, i := range s.alive {
+			if s.deg[i] == k {
+				s.take(i, k)
+			}
+		}
+	} else {
+		for src := range e.shards {
+			for _, i := range e.shards[src].out[st.parity^1][x] {
+				s.lower(i, k)
+			}
+		}
+	}
+	for h := 0; h < len(s.queue); h++ {
+		nb := e.g.Neighbors(int(s.nodes[s.queue[h]]))
+		s.arcs += int64(len(nb))
+		for _, v := range nb {
+			if at := e.place[v]; int(at.owner) == x {
+				s.lower(at.idx, k)
+			} else {
+				out[at.owner] = append(out[at.owner], at.idx)
+			}
+		}
+	}
+}
+
+// lower applies one decrement at level k and peels a survivor falling to
+// k; a peeled node's degree is at most k, so it falls below k instead.
+//
+//dkcore:noalloc per-arc step of the peel
+func (s *shard) lower(i, k int32) {
+	if s.deg[i]--; s.deg[i] == k {
+		s.take(i, k)
+	}
+}
+
+// take peels node i at level k.
+//
+//dkcore:estwrite the peel's only coreness write: each node once per run, at the level it is peeled
+//dkcore:noalloc queue push; append reuses the retained buffer sized to the shard
+func (s *shard) take(i, k int32) {
+	s.coreness[i] = k
+	s.queue = append(s.queue, i)
+}
+
+func (e *engine) coreness() []int {
+	out := make([]int, len(e.place))
+	for _, s := range e.shards {
+		for i, u := range s.nodes {
+			out[u] = int(s.coreness[i])
+		}
+	}
 	return out
 }
 
-// close releases the worker goroutines. Must not be called while a run
-// is in flight.
-func (e *engine) close() {
-	for _, ch := range e.start {
-		close(ch)
-	}
-}
+func (e *engine) close() { close(e.start) }
 
-// Decompose computes the exact k-core decomposition of g with P
-// concurrent partition workers. Cancelling ctx stops the run at the next
-// BSP round barrier with ctx.Err().
+// Decompose computes the exact k-core decomposition of g with P owners.
+// Cancelling ctx stops the run at the next barrier with ctx.Err().
 func Decompose(ctx context.Context, g *graph.Graph, opts ...Option) (*Result, error) {
 	var o options
 	for _, opt := range opts {
 		opt(&o)
 	}
-	n := g.NumNodes()
-	if n == 0 {
-		return &Result{Coreness: []int{}, Workers: 0}, nil
-	}
-
-	p := o.workers
-	assign := o.assign
-	if assign != nil {
-		if p != 0 && p != assign.NumHosts() {
-			return nil, fmt.Errorf("parallel: %d workers conflicts with assignment over %d hosts",
-				p, assign.NumHosts())
-		}
-		p = assign.NumHosts()
-		if p < 1 {
+	n, p, assign := g.NumNodes(), o.workers, o.assign
+	switch {
+	case n == 0:
+		return &Result{Coreness: []int{}}, nil
+	case assign != nil && p != 0 && p != assign.NumHosts():
+		return nil, fmt.Errorf("parallel: %d workers conflicts with assignment over %d hosts", p, assign.NumHosts())
+	case assign != nil:
+		if p = assign.NumHosts(); p < 1 {
 			return nil, fmt.Errorf("parallel: assignment reports %d hosts", p)
 		}
-	} else {
-		if p < 0 {
-			return nil, fmt.Errorf("parallel: negative worker count %d", p)
-		}
+	case p < 0:
+		return nil, fmt.Errorf("parallel: negative worker count %d", p)
+	default:
 		if p == 0 {
 			p = runtime.GOMAXPROCS(0)
 		}
-		if p > n {
-			p = n
-		}
+		p = min(p, n)
 		assign = core.BlockAssignment{N: n, H: p}
 	}
-	maxRounds := o.maxRounds
-	if maxRounds == 0 {
-		maxRounds = defaultMaxRoundsSlack * (n + 1)
+	if o.maxRounds == 0 {
+		o.maxRounds = 8 * (n + 1) // far above the peel's two sub-rounds a node
 	}
-
-	// One O(n+m) bucketing pass for all partitions; PartitionAll also
-	// validates user-supplied assignments, so no separate node scan.
-	parts, err := core.PartitionAll(g, assign)
-	if err != nil {
-		return nil, fmt.Errorf("parallel: %w", err)
-	}
-	e := newEngine(parts, p, n, maxRounds)
-	defer e.close()
-	rounds, err := e.run(ctx)
+	e, err := newEngine(g, assign, o.maxRounds)
 	if err != nil {
 		return nil, err
 	}
-	return &Result{
-		Coreness:      e.coreness(),
-		Rounds:        rounds,
-		Workers:       p,
-		EstimatesSent: e.estimatesSent,
-		Batches:       e.batches,
-	}, nil
-}
-
-// parFor runs fn(0..p-1) on p goroutines and waits for all of them; with
-// one partition it stays on the calling goroutine.
-func parFor(p int, fn func(x int)) {
-	if p == 1 {
-		fn(0)
-		return
+	defer e.close()
+	if err := e.run(ctx); err != nil {
+		return nil, err
 	}
-	var wg sync.WaitGroup
-	wg.Add(p)
-	for x := 0; x < p; x++ {
-		go func(x int) {
-			defer wg.Done()
-			fn(x)
-		}(x)
-	}
-	wg.Wait()
+	return &Result{Coreness: e.coreness(), Rounds: e.rounds, Workers: p,
+		EstimatesSent: e.estimatesSent, Batches: e.batches}, nil
 }

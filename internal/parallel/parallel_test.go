@@ -138,3 +138,36 @@ func TestDecomposeDeterministic(t *testing.T) {
 		assertExact(t, g, again)
 	}
 }
+
+// TestPeelWorkBound pins the peel's O(n+m) work: every node walks its
+// adjacency once, when it is peeled, so a run reads at most 2m arcs
+// whatever the owner count. Rounds are bounded by 2n (a sub-round that
+// sends anything, and a level's first, peels a node); on a power-law
+// graph they stay within n.
+func TestPeelWorkBound(t *testing.T) {
+	g := gen.PowerLaw(gen.PowerLawConfig{N: 20000, Exponent: 2.2, MinDeg: 2}, 5)
+	n, arcs := g.NumNodes(), int64(g.NumArcs())
+	for _, w := range []int{1, 2, 8} {
+		t.Run(fmt.Sprintf("w%d", w), func(t *testing.T) {
+			e, err := newEngine(g, core.BlockAssignment{N: n, H: w}, 8*(n+1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.close()
+			if err := e.run(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			assertExact(t, g, &Result{Coreness: e.coreness()})
+			var walked int64
+			for _, s := range e.shards {
+				walked += s.arcs
+			}
+			if walked > arcs {
+				t.Errorf("peel walked %d arcs, want at most 2m = %d", walked, arcs)
+			}
+			if e.rounds > n {
+				t.Errorf("%d rounds on %d nodes, want at most n", e.rounds, n)
+			}
+		})
+	}
+}
