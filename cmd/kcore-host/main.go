@@ -63,7 +63,7 @@ func run(args []string) error {
 		log.Error("host aborted", "err", err)
 		return err
 	}
-	log.Info("done", "host", res.HostID, "nodes", len(res.Coreness),
+	log.Info("done", "host", res.HostID, "nodes", len(res.Owned),
 		"rounds", res.Rounds, "batchesSent", res.BatchesSent,
 		"estimates", res.EstimatesSent)
 	return nil

@@ -65,10 +65,13 @@
 // Parallel peel, and the Cluster coordinator — shards the graph by an
 // Assignment, the paper's h(u); for Parallel it decides which worker
 // peels which node. ModuloAssignment is the paper's §3.2.2 policy and
-// the Cluster default; BlockAssignment keeps contiguous ranges together
-// (the Parallel default); NewRandomAssignment fixes a uniform assignment
-// by seed; PartitionBy installs any custom policy. An assignment routing
-// a node outside [0, NumHosts()) is rejected before any rounds run.
+// the OneToMany default; BlockAssignment keeps contiguous ranges
+// together (the Parallel default); NewRandomAssignment fixes a uniform
+// assignment by seed; PartitionBy installs any custom policy. An
+// assignment routing a node outside [0, NumHosts()) is rejected before
+// any rounds run. Cluster takes no PartitionBy: its coordinator always
+// starts from BlockAssignment over the initial host count, and
+// membership changes move nodes as per-node overrides on top of it.
 //
 // Cost model: OneToMany and Cluster build per-host state in one O(n+m)
 // pass for all p partitions — a node→host table, dense owned slices and

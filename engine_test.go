@@ -455,8 +455,11 @@ func TestEngineClusterHostResults(t *testing.T) {
 		if hr.Rounds != rep.Rounds {
 			t.Fatalf("host %d served %d rounds, coordinator drove %d", i, hr.Rounds, rep.Rounds)
 		}
-		for u, k := range hr.Coreness {
-			if truth[u] != k {
+		if len(hr.Owned) != len(hr.Coreness) {
+			t.Fatalf("host %d: %d owned nodes, %d coreness values", i, len(hr.Owned), len(hr.Coreness))
+		}
+		for j, u := range hr.Owned {
+			if k := hr.Coreness[j]; truth[u] != k {
 				t.Fatalf("host %d: node %d coreness %d, want %d", i, u, k, truth[u])
 			}
 			seen++

@@ -215,9 +215,9 @@ func TestConfigDecodeRejectsBadOwnedSets(t *testing.T) {
 
 // TestConfigDecodeRejectsHostileHeaders covers the header trust
 // boundary: a zero or payload-exceeding host count (allocation bomb /
-// modulo-by-zero), a host ID outside the host set, and an adjacency
-// entry naming a node outside the graph (phantom mesh peer) must all
-// fail to decode.
+// division by zero in the owner function), a host ID outside the host
+// set, and an adjacency entry naming a node outside the graph (phantom
+// mesh peer) must all fail to decode.
 func TestConfigDecodeRejectsHostileHeaders(t *testing.T) {
 	encode := func(hostID, numHosts, baseHosts, numNodes uint64) []byte {
 		payload := binary.AppendUvarint(nil, hostID)
@@ -318,5 +318,54 @@ func TestCoordinatorCancelDuringSilentEnrollment(t *testing.T) {
 	cancel()
 	if err := waitErr(t, errCh, testDialWait, "coordinator to unblock after cancellation"); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// TestHandshakeRefusesOtherVersions: the coordinator closes a worker
+// whose hello names any version but its own without a welcome — version
+// 1 (peer mesh) and version 2 (same frames, modulo base ownership) alike,
+// because a v2 host would read the config's base as modulo and route
+// batches to the wrong peers — and then still enrolls a current host.
+func TestHandshakeRefusesOtherVersions(t *testing.T) {
+	g := gen.Chain(20)
+	coord, err := NewCoordinator(CoordinatorConfig{Graph: g, NumHosts: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	type outcome struct {
+		res *Result
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		res, err := coord.RunContext(ctx)
+		done <- outcome{res, err}
+	}()
+	for _, version := range []int{1, 2, protocolVersion + 1} {
+		raw, err := dialTimeout(coord.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn := transport.NewConn(raw)
+		conn.SetTimeouts(testDialWait, testDialWait)
+		if err := conn.Send(frameHello, encodeHello(helloMsg{Version: version})); err != nil {
+			t.Fatal(err)
+		}
+		if typ, _, err := conn.Recv(); err == nil {
+			t.Fatalf("version %d hello answered with frame %d, want the connection closed", version, typ)
+		}
+		conn.Close()
+	}
+	if _, err := RunHost(ctx, HostConfig{CoordinatorAddr: coord.Addr()}); err != nil {
+		t.Fatal(err)
+	}
+	out := <-done
+	if out.err != nil {
+		t.Fatal(out.err)
+	}
+	if !slices.Equal(out.res.Coreness, kcore.Decompose(g).CorenessValues()) {
+		t.Fatal("coreness differs from the sequential oracle")
 	}
 }

@@ -298,8 +298,8 @@ type coordRun struct {
 	g      *graph.Graph
 	res    *Result
 	slots  []*hostSlot
-	base   int   // modulo base of the ownership function (initial NumHosts)
-	hostOf []int // current node → host table
+	base   core.BlockAssignment // ownership before overrides: ranges over the initial NumHosts
+	hostOf []int                // current node → host table
 	parts  *core.Partitions
 	joinCh chan joiner
 
@@ -317,7 +317,7 @@ func (c *Coordinator) run(ctx context.Context) (*Result, error) {
 		ctx:    ctx,
 		g:      c.cfg.Graph,
 		res:    &Result{},
-		base:   c.cfg.NumHosts,
+		base:   core.BlockAssignment{N: c.cfg.Graph.NumNodes(), H: c.cfg.NumHosts},
 		joinCh: make(chan joiner, 16),
 	}
 	go c.acceptLoop(cs, r.joinCh)
@@ -333,12 +333,11 @@ func (c *Coordinator) run(ctx context.Context) (*Result, error) {
 		r.slots[i] = &hostSlot{conn: j.conn, alive: true}
 	}
 
-	// Ownership starts as the paper's modulo policy; membership changes
-	// accumulate per-node overrides on top of it.
-	n := r.g.NumNodes()
-	r.hostOf = make([]int, n)
+	// Ownership starts as contiguous ID ranges, so a chain of consecutive
+	// IDs cascades inside one host; membership changes add overrides.
+	r.hostOf = make([]int, r.g.NumNodes())
 	for u := range r.hostOf {
-		r.hostOf[u] = u % r.base
+		r.hostOf[u] = r.base.Host(u)
 	}
 	var err error
 	r.parts, err = core.PartitionAll(r.g, core.TableAssignment{Table: r.hostOf, H: len(r.slots)})
@@ -387,11 +386,11 @@ func (r *coordRun) awaitJoiner(wait time.Duration) (joiner, error) {
 }
 
 // overrideLists materializes the current ownership overrides (every
-// node whose owner differs from the modulo base) in the config wire
-// form.
+// node whose owner differs from its base range's host) in the config
+// wire form.
 func (r *coordRun) overrideLists() (nodes, hosts []int) {
 	for u, h := range r.hostOf {
-		if h != u%r.base {
+		if h != r.base.Host(u) {
 			nodes = append(nodes, u)
 			hosts = append(hosts, h)
 		}
@@ -407,7 +406,7 @@ func (r *coordRun) configureHost(id int, restore restoreMsg) error {
 	cfg := config{
 		HostID:        id,
 		NumHosts:      len(r.slots),
-		BaseHosts:     r.base,
+		BaseHosts:     r.base.H,
 		NumNodes:      r.g.NumNodes(),
 		OverrideNodes: oNodes,
 		OverrideHosts: oHosts,

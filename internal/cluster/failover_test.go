@@ -271,7 +271,10 @@ func TestClusterJoinMidRun(t *testing.T) {
 	}
 	owned := 0
 	for _, r := range results {
-		owned += len(r.Coreness)
+		if len(r.Owned) != len(r.Coreness) {
+			t.Fatalf("host %d: %d owned nodes, %d coreness values", r.HostID, len(r.Owned), len(r.Coreness))
+		}
+		owned += len(r.Owned)
 	}
 	if owned != g.NumNodes() {
 		t.Fatalf("hosts own %d nodes in total, want %d", owned, g.NumNodes())

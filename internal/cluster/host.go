@@ -63,8 +63,10 @@ type HostConfig struct {
 type HostResult struct {
 	// HostID is the identity the coordinator assigned this worker.
 	HostID int
-	// Coreness maps each owned node to its final coreness estimate.
-	Coreness map[int]int
+	// Owned is the host's final node set, sorted ascending, and
+	// Coreness[i] is the final coreness estimate of Owned[i].
+	Owned    []int
+	Coreness []int
 	// Rounds is the number of coordinator-driven rounds this host served.
 	Rounds int
 	// BatchesSent is the number of estimate batches shipped to peer hosts.
@@ -143,9 +145,8 @@ type hostRun struct {
 	log  *slog.Logger
 
 	id        int
-	numHosts  int
-	baseHosts int
 	numNodes  int
+	base      core.BlockAssignment
 	overrides map[int]int
 
 	// Current partition CSR; replaced wholesale at each reshape.
@@ -161,13 +162,14 @@ type hostRun struct {
 	encBuf  []byte
 }
 
-// owner is the host's view of the ownership function: the base modulo
-// policy plus the override table accumulated by membership changes.
+// owner is the host's view of the ownership function: the contiguous
+// base ranges plus the override table accumulated by membership
+// changes. It must equal the coordinator's hostOf on every node.
 func (h *hostRun) owner(u int) int {
 	if hostID, ok := h.overrides[u]; ok {
 		return hostID
 	}
-	return u % h.baseHosts
+	return h.base.Host(u)
 }
 
 // runHost runs one session attempt. connected reports whether the dial
@@ -260,9 +262,8 @@ func (h *hostRun) configure() error {
 		return fmt.Errorf("cluster: config: %w", err)
 	}
 	h.id = cfg.HostID
-	h.numHosts = cfg.NumHosts
-	h.baseHosts = cfg.BaseHosts
 	h.numNodes = cfg.NumNodes
+	h.base = core.BlockAssignment{N: cfg.NumNodes, H: cfg.BaseHosts}
 	h.overrides = make(map[int]int, len(cfg.OverrideNodes))
 	for i, u := range cfg.OverrideNodes {
 		h.overrides[u] = cfg.OverrideHosts[i]
@@ -445,9 +446,10 @@ func (h *hostRun) reshape(payload []byte) error {
 	}
 	exp := h.state.ExportEstimates(nil)
 
-	h.numHosts = msg.NumHosts
+	// A move back onto the base range owner drops the override, as
+	// the coordinator's overrideLists would.
 	for _, mv := range msg.Moves {
-		if mv.Host == mv.Node%h.baseHosts {
+		if mv.Host == h.base.Host(mv.Node) {
 			delete(h.overrides, mv.Node)
 		} else {
 			h.overrides[mv.Node] = mv.Host
@@ -477,7 +479,7 @@ func (h *hostRun) reshape(payload []byte) error {
 	h.rebuild(movedOut, seeds, exp)
 	h.markRefresh(movedSet)
 	h.log.Info("partition reshaped",
-		"host", h.id, "numHosts", h.numHosts, "movedOut", len(movedOut), "movedIn", len(seeds))
+		"host", h.id, "numHosts", msg.NumHosts, "movedOut", len(movedOut), "movedIn", len(seeds))
 	if err := h.conn.Send(frameReady, nil); err != nil {
 		return fmt.Errorf("cluster: ready after reshape: %w", err)
 	}
@@ -553,20 +555,19 @@ func (h *hostRun) markRefresh(movedSet map[int]int) {
 }
 
 func (h *hostRun) sendResult() error {
-	coreness := make(map[int]int, len(h.owned))
-	batch := make(core.Batch, 0, len(h.owned))
-	for _, u := range h.owned {
-		e, ok := h.state.Estimate(u)
-		if !ok {
-			return fmt.Errorf("cluster: result before init")
-		}
-		coreness[u] = e
-		batch = append(batch, core.EstimateMsg{Node: u, Core: e})
+	coreness := h.state.AppendOwnedEstimates(make([]int, 0, len(h.owned)))
+	if len(coreness) != len(h.owned) {
+		return fmt.Errorf("cluster: result before init")
+	}
+	batch := make(core.Batch, len(h.owned))
+	for i, u := range h.owned {
+		batch[i] = core.EstimateMsg{Node: u, Core: coreness[i]}
 	}
 	h.encBuf = transport.AppendBatch(h.encBuf[:0], batch)
 	if err := h.conn.Send(frameResult, h.encBuf); err != nil {
 		return fmt.Errorf("cluster: result: %w", err)
 	}
+	h.res.Owned = h.owned
 	h.res.Coreness = coreness
 	h.stopped = true
 	return nil

@@ -8,16 +8,17 @@ import (
 	"dkcore/internal/transport"
 )
 
-// Membership changes: a join moves a modulo-even share of nodes onto
-// the new worker; a leave spreads the departing worker's nodes over the
-// survivors. Both are partial repartitions — only the moved nodes are
-// re-shipped, and only hosts whose closed neighborhood touches a moved
-// node hear about it. The sequence at a round boundary is:
+// Membership changes: a join moves every (H+1)-th node ID onto the new
+// worker; a leave spreads the departing worker's nodes over the
+// survivors. Neither follows the base ranges: every moved node becomes
+// an ownership override that coordinator and hosts apply identically.
+// Both are partial repartitions — only the moved nodes are re-shipped,
+// to their new owners. The sequence at a round boundary is:
 //
-//  1. every live host gets a reshape frame carrying the moves relevant
-//     to it and replies with a reshape-ack batch holding the current
-//     estimates of its moved-out nodes (exported before any rebuild,
-//     so the values are authoritative);
+//  1. every live host gets a reshape frame carrying every move and
+//     replies with a reshape-ack batch holding the current estimates
+//     of its moved-out nodes (exported before any rebuild, so the
+//     values are authoritative);
 //  2. the coordinator routes those estimates to the new owners: as
 //     seed frames (adjacency + estimate per moved-in node) to
 //     surviving hosts, or as the initial replay batch of a joining
@@ -39,14 +40,11 @@ import (
 type reshapeState struct {
 	numHosts  int // slot-space size after the change
 	oldHostOf []int
-	moved     []int        // ascending node IDs
-	movedEst  map[int]int  // filled from reshape-acks
-	perHost   [][]movePair // relevant moves, indexed by slot
+	moved     []int       // ascending node IDs
+	movedEst  map[int]int // filled from reshape-acks
 }
 
-// planMoves records the new owners for moved (ascending) and computes
-// each slot's relevant move list: a move is relevant to a host when the
-// moved node is in its closed neighborhood under the old or new table.
+// planMoves records the new owners for moved (ascending) in hostOf.
 func (r *coordRun) planMoves(numHosts int, moved []int, newOwner func(u int) int) *reshapeState {
 	st := &reshapeState{
 		numHosts:  numHosts,
@@ -57,33 +55,24 @@ func (r *coordRun) planMoves(numHosts int, moved []int, newOwner func(u int) int
 	for _, u := range moved {
 		r.hostOf[u] = newOwner(u)
 	}
-	st.perHost = make([][]movePair, len(r.slots)+1) // +1: a join adds a slot
-	touched := make(map[int]struct{}, 8)
-	for _, u := range moved {
-		clear(touched)
-		touched[st.oldHostOf[u]] = struct{}{}
-		touched[r.hostOf[u]] = struct{}{}
-		for _, v := range r.g.Neighbors(u) {
-			touched[st.oldHostOf[v]] = struct{}{}
-			touched[r.hostOf[v]] = struct{}{}
-		}
-		for h := range touched {
-			st.perHost[h] = append(st.perHost[h], movePair{Node: u, Host: r.hostOf[u]})
-		}
-	}
 	return st
 }
 
-// shipReshape sends each live slot its relevant moves and collects the
-// reshape-ack estimate batches into st.movedEst. Hosts with no relevant
-// moves still get an (empty) reshape frame: the ack doubles as the
-// barrier guaranteeing no one rebuilds before every export is in.
+// shipReshape sends every live slot the whole move list, so each host's
+// override table equals hostOf on all nodes (a later change can hand a
+// host a neighbor of a node moved now), and collects the reshape-ack
+// estimate batches into st.movedEst. The ack doubles as the barrier
+// guaranteeing no one rebuilds before every export is in.
 func (r *coordRun) shipReshape(st *reshapeState) error {
+	moves := make([]movePair, len(st.moved))
+	for i, u := range st.moved {
+		moves[i] = movePair{Node: u, Host: r.hostOf[u]}
+	}
+	buf := encodeReshape(reshapeMsg{NumHosts: st.numHosts, Moves: moves})
 	for id, s := range r.slots {
 		if !s.alive {
 			continue
 		}
-		buf := encodeReshape(reshapeMsg{NumHosts: st.numHosts, Moves: st.perHost[id]})
 		if err := s.conn.Send(frameReshape, buf); err != nil {
 			return fmt.Errorf("cluster: reshape to host %d: %w", id, err)
 		}
@@ -178,10 +167,11 @@ func (r *coordRun) invalidateCheckpoints() {
 	}
 }
 
-// reshapeJoin admits a handshaken worker as a new host: nodes whose ID
-// is ≡ newID modulo the grown host count move to it, survivors export
-// their estimates, and the joiner enrolls exactly like an initial host —
-// config plus a restore whose replay is the moved estimates.
+// reshapeJoin admits a handshaken worker as a new host: node IDs newID,
+// 2·newID+1, … (every (newID+1)-th) move to it as overrides, survivors
+// export their estimates, and the joiner enrolls exactly like an
+// initial host — config plus a restore whose replay is the moved
+// estimates.
 func (r *coordRun) reshapeJoin(j joiner, round int) error {
 	newID := len(r.slots)
 	if newID+1 > maxHosts {
@@ -189,10 +179,8 @@ func (r *coordRun) reshapeJoin(j joiner, round int) error {
 		return nil
 	}
 	var moved []int
-	for u := range r.hostOf {
-		if u%(newID+1) == newID {
-			moved = append(moved, u)
-		}
+	for u := newID; u < len(r.hostOf); u += newID + 1 {
+		moved = append(moved, u)
 	}
 	r.c.log.Info("worker joining", "host", newID, "round", round, "movedNodes", len(moved))
 	st := r.planMoves(newID+1, moved, func(u int) int { return newID })

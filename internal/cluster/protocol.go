@@ -42,10 +42,10 @@ const (
 )
 
 // protocolVersion is the hello version this implementation speaks.
-// Version 1 was the peer-mesh protocol; version 2 is the
-// coordinator-relayed protocol with checkpoints, membership changes,
-// and negotiated compression.
-const protocolVersion = 2
+// Version 1 was the peer-mesh protocol; version 2 the coordinator relay
+// over a modulo base ownership. Version 3 has version 2's frames but
+// reads the config's base as contiguous ranges, so the two must not mix.
+const protocolVersion = 3
 
 // flagFlate is the hello/welcome capability bit for transparent flate
 // frame compression.
@@ -65,8 +65,10 @@ const maxHosts = 1 << 20
 // degrees (small uvarints); decodeConfig reconstructs AdjOff by prefix
 // sum, which validates the flat array's length as a side effect.
 //
-// Ownership is BaseHosts-modulo plus overrides: node u belongs to
-// OverrideHosts[i] if u == OverrideNodes[i], else to u % BaseHosts.
+// Ownership is contiguous ranges plus overrides: node u belongs to
+// OverrideHosts[i] if u == OverrideNodes[i], else to
+// core.BlockAssignment{N: NumNodes, H: BaseHosts}.Host(u): the ID space
+// is cut into BaseHosts contiguous ranges of ⌈NumNodes/BaseHosts⌉.
 // Overrides accumulate from membership changes; a fresh cluster has
 // none. NumHosts is the size of the host-ID slot space (departed hosts
 // leave holes), used only for bounds checks.
@@ -117,7 +119,7 @@ func decodeConfig(data []byte) (config, error) {
 	// Header sanity before anything host-count-sized is trusted: the
 	// host counts bound later allocations (ownership tables, border
 	// scratch in NewHostState), the host ID must name a slot, and a
-	// zero modulo base would divide by zero in the owner function.
+	// zero base would divide by zero in the owner function.
 	if c.NumHosts < 1 || c.NumHosts > maxHosts {
 		return c, fmt.Errorf("cluster: decode config: host count %d outside [1, %d]", c.NumHosts, maxHosts)
 	}
@@ -464,9 +466,9 @@ type movePair struct {
 }
 
 // reshapeMsg announces a membership change to a surviving host: the new
-// slot-space size and the relocations relevant to this host (every
-// moved node in its old or new closed neighborhood — enough to detect
-// its own moved-out nodes and to re-target every affected border).
+// slot-space size and every relocation, from which the host finds its
+// own moved-out nodes, re-targets every affected border, and keeps its
+// ownership override table equal to the coordinator's.
 type reshapeMsg struct {
 	NumHosts int
 	Moves    []movePair

@@ -35,9 +35,10 @@ type BlockAssignment struct {
 	N, H int
 }
 
-// Host implements Assignment.
+// Host implements Assignment. The ceiling avoids N+H-1, which wraps
+// for an N near the int range (a node count read off the wire).
 func (a BlockAssignment) Host(u int) int {
-	per := (a.N + a.H - 1) / a.H
+	per := (a.N-1)/a.H + 1
 	h := u / per
 	if h >= a.H {
 		h = a.H - 1
