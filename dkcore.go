@@ -85,36 +85,43 @@
 //
 // # Refinement cost model
 //
-// The estimate-protocol kinds (OneToOne, OneToMany, Live, LiveEpidemic,
-// Cluster) refine estimates through one incremental support-counter
-// primitive rather than re-running Algorithm 2 over a node's full
-// neighbor list on each change; Sequential and Parallel peel, and
-// OutOfCore relaxes with one ComputeIndex per visit. The primitive:
+// The estimate-protocol kinds refine estimates incrementally rather
+// than re-running Algorithm 2 over a node's full neighbor list on each
+// change; Sequential and Parallel peel, and OutOfCore relaxes with one
+// ComputeIndex per visit. The per-host kinds (OneToMany, Cluster) keep
+// one support counter per node — its neighbors with estimate at least
+// its own:
 //
-//   - Per neighbor drop: O(1). A node keeps a histogram of its
-//     neighbors' estimates clamped to its own; a neighbor dropping
-//     moves one unit between two buckets, and the node is re-examined
-//     only when its support — neighbors with estimate at least its own
-//     — actually falls below its estimate.
-//   - Recomputation: O(levels walked). A deficient node walks its
-//     histogram downward to the Algorithm 2 fixpoint and folds the
-//     abandoned levels, so the cost is the size of its estimate drop,
-//     never its degree. Total refinement work is proportional to the
-//     sum of estimate drops: a power-law hub whose neighbors drop one
-//     message at a time costs O(degree + total drop), not
-//     O(re-enqueues × degree).
-//   - Zero steady-state allocations. Host batches are collected into
-//     double-buffered storage (valid until the second-following
-//     collect — exactly one BSP round of slack), batches name nodes by
-//     global ID and each host translates them through one table built
-//     at setup, and the Cluster host reuses its wire-encode buffers;
-//     the Parallel peel retains its workers, queues and outboxes. A
-//     warmed round loop allocates nothing (CI-gated).
+//   - Seed: a bin-sort peel per partition, O(partition arcs). It lands
+//     each owned node on the round-0 local fixpoint directly (an arc to
+//     another host's node is permanent support until that node's first
+//     estimate arrives), and one more pass counts the supports.
+//   - Per neighbor drop: O(1). A drop decrements the counters it
+//     crosses, and a node is re-examined only when its support actually
+//     falls below its estimate.
+//   - Recomputation: O(degree), and only on a real drop. A deficient
+//     node's one pass over its neighbors yields both its new estimate
+//     and its new support, and always lowers the estimate, so total
+//     work is O(Σ drops × degree).
 //
-// The pre-existing recompute-from-scratch path is retained as an oracle
-// for differential tests, which assert estimate-for-estimate equality
-// with the incremental path at every cascade step across a 50-graph
-// pool and under fuzzing.
+// The per-node kinds (OneToOne, Live, LiveEpidemic) handle one message
+// at a time and keep a histogram of their neighbors' estimates clamped
+// to their own instead: a drop moves one unit between two buckets, and
+// a deficient node walks its histogram down to the fixpoint, at a cost
+// of the levels it drops rather than its degree.
+//
+// Zero steady-state allocations: host batches are collected into
+// double-buffered storage (valid until the second-following collect —
+// exactly one BSP round of slack), batches name nodes by global ID and
+// each host translates them through one table built at setup, and the
+// Cluster host reuses its wire-encode buffers; the Parallel peel
+// retains its workers, queues and outboxes. A warmed round loop
+// allocates nothing (CI-gated).
+//
+// The recompute-from-scratch path is retained as an oracle for
+// differential tests, which assert estimate-for-estimate equality with
+// the incremental path at every cascade step across a 50-graph pool and
+// under fuzzing.
 //
 // # Streaming maintenance
 //

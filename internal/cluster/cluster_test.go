@@ -323,9 +323,11 @@ func TestCoordinatorCancelDuringSilentEnrollment(t *testing.T) {
 
 // TestHandshakeRefusesOtherVersions: the coordinator closes a worker
 // whose hello names any version but its own without a welcome — version
-// 1 (peer mesh) and version 2 (same frames, modulo base ownership) alike,
-// because a v2 host would read the config's base as modulo and route
-// batches to the wrong peers — and then still enrolls a current host.
+// 1 (peer mesh), version 2 (same frames, modulo base ownership) and
+// version 3 (per-arc support histograms in checkpoints) alike, because a
+// v2 host would read the config's base as modulo and route batches to
+// the wrong peers, and a v3 host's checkpoint would fail a v4 restore —
+// and then still enrolls a current host.
 func TestHandshakeRefusesOtherVersions(t *testing.T) {
 	g := gen.Chain(20)
 	coord, err := NewCoordinator(CoordinatorConfig{Graph: g, NumHosts: 1})
@@ -343,7 +345,7 @@ func TestHandshakeRefusesOtherVersions(t *testing.T) {
 		res, err := coord.RunContext(ctx)
 		done <- outcome{res, err}
 	}()
-	for _, version := range []int{1, 2, protocolVersion + 1} {
+	for _, version := range []int{1, 2, 3, protocolVersion + 1} {
 		raw, err := dialTimeout(coord.Addr())
 		if err != nil {
 			t.Fatal(err)

@@ -199,7 +199,7 @@ func (c *Coordinator) markDead(id int, s *hostSlot, round int, err error) {
 // delivered in ticks ≤ R.
 func (s *hostSlot) storeCheckpoint(ck checkpointMsg) {
 	est := slices.Clone(ck.Est) // aliases the frame payload; the slot outlives it
-	s.ckpt = &checkpointMsg{Round: ck.Round, Est: est, Hist: ck.Hist}
+	s.ckpt = &checkpointMsg{Round: ck.Round, Est: est, Sup: ck.Sup}
 	i := 0
 	for i < s.cursor && s.log[i].round <= ck.Round {
 		i++

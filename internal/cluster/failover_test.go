@@ -375,7 +375,7 @@ func TestClusterCompressedRunMatches(t *testing.T) {
 // including the embedded-checkpoint form.
 func TestCheckpointRoundTrip(t *testing.T) {
 	est := transport.AppendBatch(nil, nil)
-	ck := checkpointMsg{Round: 9, Est: est, Hist: []int{3, 1, 4, 1, 5}}
+	ck := checkpointMsg{Round: 9, Est: est, Sup: []int{3, 1, 4, 1, 5}}
 	out, n, err := decodeCheckpoint(appendCheckpoint(nil, ck))
 	if err != nil {
 		t.Fatal(err)
@@ -383,7 +383,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if n != len(appendCheckpoint(nil, ck)) {
 		t.Fatalf("consumed %d bytes of %d", n, len(appendCheckpoint(nil, ck)))
 	}
-	if out.Round != ck.Round || len(out.Hist) != len(ck.Hist) {
+	if out.Round != ck.Round || len(out.Sup) != len(ck.Sup) {
 		t.Fatalf("round trip mismatch: %+v vs %+v", out, ck)
 	}
 	restore := restoreMsg{Ckpt: &ck, Replay: []relayBatch{{Peer: 2, Raw: est}}}
@@ -411,7 +411,7 @@ func TestHostileClusterFrames(t *testing.T) {
 		t.Fatal("checkpoint with absurd estimate length accepted")
 	}
 	if _, _, err := decodeCheckpoint(uv(1, 0)); err == nil {
-		t.Fatal("checkpoint with truncated histograms accepted")
+		t.Fatal("checkpoint with truncated support counters accepted")
 	}
 	if _, err := decodeRestore(uv(7)); err == nil {
 		t.Fatal("restore with bad checkpoint flag accepted")

@@ -278,7 +278,7 @@ func (h *hostRun) configure() error {
 
 // restore rebuilds protocol state from the coordinator's restore frame:
 // init, then the checkpoint estimate vector (integrity-checked against
-// its support histograms), then a replay of every batch delivered since.
+// its support counters), then a replay of every batch delivered since.
 // The estimates land on the exact checkpointed values because they are
 // monotone non-increasing: init starts every node at least as high as
 // any checkpointed value, and Apply lowers each to its saved estimate.
@@ -304,8 +304,8 @@ func (h *hostRun) restore() error {
 			return fmt.Errorf("cluster: restore checkpoint: %w", err)
 		}
 		h.state.Apply(batch)
-		if !h.state.VerifySupport(msg.Ckpt.Hist) {
-			return fmt.Errorf("cluster: restored state diverges from round-%d checkpoint support histograms", msg.Ckpt.Round)
+		if !h.state.VerifySupport(msg.Ckpt.Sup) {
+			return fmt.Errorf("cluster: restored state diverges from round-%d checkpoint support counters", msg.Ckpt.Round)
 		}
 	}
 	for _, rb := range msg.Replay {
@@ -405,8 +405,7 @@ func (h *hostRun) tick(payload []byte) error {
 func (h *hostRun) sendCheckpoint(round int) error {
 	est := h.state.ExportEstimates(nil)
 	h.encBuf = transport.AppendBatch(h.encBuf[:0], est)
-	hist := h.state.ExportSupport(nil)
-	ck := checkpointMsg{Round: round, Est: h.encBuf, Hist: hist}
+	ck := checkpointMsg{Round: round, Est: h.encBuf, Sup: h.state.ExportSupport(nil)}
 	h.doneBuf = appendCheckpoint(h.doneBuf[:0], ck)
 	if err := h.conn.Send(frameCheckpoint, h.doneBuf); err != nil {
 		return fmt.Errorf("cluster: checkpoint for round %d: %w", round, err)

@@ -33,7 +33,7 @@ const (
 	frameReady                       // host → coord: configured (and restored) — ready for ticks
 	frameTick                        // coord → host: round number, checkpoint flag, inbound batches
 	frameDone                        // host → coord: per-round report + outbound batches
-	frameCheckpoint                  // host → coord: round, estimate vector, support histograms
+	frameCheckpoint                  // host → coord: round, estimate vector, support counters
 	frameReshape                     // coord → host: membership change — moved (node, newHost) pairs
 	frameReshapeAck                  // host → coord: estimates of this host's moved-out nodes
 	frameSeed                        // coord → host: moved-in nodes (adjacency + estimates)
@@ -45,7 +45,9 @@ const (
 // Version 1 was the peer-mesh protocol; version 2 the coordinator relay
 // over a modulo base ownership. Version 3 has version 2's frames but
 // reads the config's base as contiguous ranges, so the two must not mix.
-const protocolVersion = 3
+// Version 4 checkpoints one support counter per owned node where version
+// 3 carried per-arc support histograms.
+const protocolVersion = 4
 
 // flagFlate is the hello/welcome capability bit for transparent flate
 // frame compression.
@@ -363,22 +365,22 @@ func decodeDone(data []byte) (doneReport, []relayBatch, error) {
 }
 
 // checkpointMsg is a host's state snapshot at a round boundary: the
-// full estimate vector in encoded-batch form plus the flat support
-// histograms as an integrity checksum (core.VerifySupport). Est stays
+// full estimate vector in encoded-batch form plus the owned nodes'
+// support counters as an integrity checksum (core.VerifySupport). Est stays
 // encoded end to end — the coordinator stores it opaquely and the
 // restoring host replays it through Apply, whose validation is the
 // trust boundary.
 type checkpointMsg struct {
 	Round int
 	Est   []byte
-	Hist  []int
+	Sup   []int
 }
 
 func appendCheckpoint(buf []byte, m checkpointMsg) []byte {
 	buf = binary.AppendUvarint(buf, uint64(m.Round))
 	buf = binary.AppendUvarint(buf, uint64(len(m.Est)))
 	buf = append(buf, m.Est...)
-	return append(buf, transport.EncodeIntSlice(m.Hist)...)
+	return append(buf, transport.EncodeIntSlice(m.Sup)...)
 }
 
 // decodeCheckpoint decodes a checkpoint, returning bytes consumed so it
@@ -403,11 +405,11 @@ func decodeCheckpoint(data []byte) (checkpointMsg, int, error) {
 	}
 	hist, n, err := transport.DecodeIntSlice(data[off:])
 	if err != nil {
-		return m, 0, fmt.Errorf("cluster: decode checkpoint: histograms: %w", err)
+		return m, 0, fmt.Errorf("cluster: decode checkpoint: support: %w", err)
 	}
 	off += n
 	m.Round = int(round)
-	m.Hist = hist
+	m.Sup = hist
 	return m, off, nil
 }
 

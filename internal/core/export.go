@@ -3,15 +3,16 @@ package core
 import "slices"
 
 // Checkpoint/restore and repartition support. A checkpoint is the pair
-// (estimate vector, support histograms) captured at a round boundary;
+// (estimate vector, support counters) captured at a round boundary;
 // restore rebuilds identical state on a fresh HostState by replaying
 // the estimate vector through Apply. That works because estimates are
 // monotone non-increasing: after InitEstimates every value is at least
 // its checkpointed counterpart, so applying the checkpoint batch lowers
 // each tracked node to exactly its saved estimate, and the
-// incrementally-maintained histograms — a pure function of the estimate
-// vector — land in the saved state too. VerifySupport then serves as an
-// end-to-end integrity check on the restored cascade state.
+// incrementally-maintained support counters — a pure function of the
+// estimate vector — land in the saved state too. VerifySupport then
+// serves as an end-to-end integrity check on the restored cascade
+// state.
 
 // ExportEstimates appends every tracked node's current estimate to dst
 // as (global ID, estimate) pairs and returns the extended batch.
@@ -27,30 +28,34 @@ func (s *HostState) ExportEstimates(dst Batch) Batch {
 		if !s.ownedLocal(l) && e == InfEstimate {
 			continue
 		}
-		dst = append(dst, EstimateMsg{Node: g, Core: e})
+		dst = append(dst, EstimateMsg{Node: g, Core: int(e)})
 	}
 	return dst
 }
 
-// ExportSupport appends the flat support-histogram buffer to dst and
-// returns it. The buffer layout is internal (owned local l's buckets
-// are a degree+1 window); callers treat it as an opaque integrity
-// payload to hand back to VerifySupport after a restore. Meaningless
-// under SetOracleRefine, where histograms are not maintained.
+// ExportSupport appends every owned node's support counter to dst in
+// owned order and returns it: position i is the number of Owned()[i]'s
+// neighbors whose estimate is at least its own. Callers treat it as an
+// opaque integrity payload to hand back to VerifySupport after a
+// restore. Meaningless under SetOracleRefine, where the counters are
+// not maintained.
 func (s *HostState) ExportSupport(dst []int) []int {
-	return append(dst, s.histBuf...)
+	for _, c := range s.sup {
+		dst = append(dst, int(c))
+	}
+	return dst
 }
 
 // VerifySupport reports whether flat matches the current support
-// histograms — the restore-path integrity check: a host that rebuilt
-// state from a checkpoint's estimate vector must land on byte-identical
-// histograms, since they are a pure function of the estimate vector.
-// Always true under SetOracleRefine (no histograms to check).
+// counters — the restore-path integrity check: a host that rebuilt
+// state from a checkpoint's estimate vector must land on identical
+// counters, since they are a pure function of the estimate vector.
+// Always true under SetOracleRefine (no counters to check).
 func (s *HostState) VerifySupport(flat []int) bool {
 	if s.oracle {
 		return true
 	}
-	return slices.Equal(flat, s.histBuf)
+	return slices.EqualFunc(flat, s.sup, func(a int, b int32) bool { return a == int(b) })
 }
 
 // ResetChanged drops every pending changed mark without collecting.
@@ -95,5 +100,8 @@ func (s *HostState) AppendOwnedEstimates(dst []int) []int {
 	if !s.initialized {
 		return dst
 	}
-	return append(dst, s.est[:len(s.owned)]...)
+	for _, e := range s.est[:len(s.owned)] {
+		dst = append(dst, int(e))
+	}
+	return dst
 }

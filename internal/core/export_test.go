@@ -24,9 +24,9 @@ func exportTestGraph(t *testing.T) *graph.Graph {
 
 // TestExportRestoreReproducesState checkpoints a host mid-protocol,
 // rebuilds a fresh HostState through InitEstimates + Apply of the
-// exported estimates, and requires identical estimates and
-// byte-identical support histograms — the invariant the cluster's
-// restart-and-resume path rests on.
+// exported estimates, and requires identical estimates and identical
+// support counters — the invariant the cluster's restart-and-resume
+// path rests on.
 func TestExportRestoreReproducesState(t *testing.T) {
 	g := exportTestGraph(t)
 	parts, err := PartitionAll(g, ModuloAssignment{H: 2})
@@ -41,13 +41,13 @@ func TestExportRestoreReproducesState(t *testing.T) {
 	s.ImproveIfDirty()
 
 	est := s.ExportEstimates(nil)
-	hist := s.ExportSupport(nil)
+	sup := s.ExportSupport(nil)
 
 	restored := parts.NewPartitionState(0)
 	restored.InitEstimates()
 	restored.Apply(est)
-	if !restored.VerifySupport(hist) {
-		t.Fatal("restored support histograms differ from checkpoint")
+	if !restored.VerifySupport(sup) {
+		t.Fatal("restored support counters differ from checkpoint")
 	}
 	for _, m := range est {
 		got, ok := restored.Estimate(m.Node)

@@ -17,16 +17,18 @@ import "slices"
 // partition, not the graph, and the cascade's hot loop never touches a
 // map; global IDs are translated only at the batch boundary, by one
 // table built at construction (see lookup). The cascade itself is
-// worklist-driven and incremental: every owned node maintains a
-// histogram of its neighbors' estimates clamped to its own (see
-// refine.go), updated in O(1) per neighbor drop, so Apply enqueues only
-// the owned nodes whose support actually fell below their estimate, and
-// Improve recomputes an enqueued node by walking its histogram downward —
-// O(levels dropped), never O(degree). Total refinement work is
-// proportional to the sum of estimate drops, not re-enqueues × degree —
-// the property that keeps power-law hubs cheap. The recompute-from-
-// scratch path survives behind SetOracleRefine as the executable
-// specification for differential tests and benchmarks.
+// worklist-driven and incremental on one support counter per owned
+// node: sup[l] is the number of l's neighbors whose estimate is at
+// least est[l], a pure function of the estimate vector. InitEstimates
+// seeds the round-0 local fixpoint with a bin-sort peel and counts sup
+// in one pass over the arcs; a neighbor drop costs O(1) (decrement the
+// counters it crosses), and only a node whose support fell below its
+// estimate is enqueued. Improve recomputes such a node with one pass
+// over its adjacency that yields both the new estimate and the new
+// support, and every such pass lowers the estimate, so total work is
+// O(Σ drops × degree). The recompute-from-scratch path survives behind
+// SetOracleRefine as the executable specification for differential
+// tests and benchmarks.
 //
 // Buffer-reuse contract: CollectBroadcast and CollectPointToPoint return
 // double-buffered storage owned by the HostState — a returned batch (and
@@ -63,15 +65,20 @@ type HostState struct {
 	border        []int32
 	neighborHosts []int // sorted
 
-	est         []int // per local; meaningful after InitEstimates
+	est         []int32 // per local; meaningful after InitEstimates (InfEstimate fits)
 	initialized bool
 
-	// histBuf holds every owned node's clamped neighbor-estimate
-	// histogram in one flat array: owned local l's buckets are
-	// histBuf[adjOff[l]+l : adjOff[l+1]+l+1] (degree+1 buckets, indexed
-	// by clamped estimate). Maintained by Apply/Improve unless the
-	// oracle path is selected.
-	histBuf []int
+	// sup[l] counts owned local l's neighbors with estimate >= est[l]
+	// (externals at InfEstimate always count). Maintained by Apply and
+	// Improve unless the oracle path is selected.
+	sup []int32
+	// Scratch retained across runs so a warmed state re-runs without
+	// allocating: vert and pos are the bin-sort peel's order and
+	// positions (per owned local); bins (maxDeg+1 entries) holds the
+	// peel's bin starts in InitEstimates and the recompute's clamped
+	// neighbor-estimate counts in Improve, and is all zero between uses.
+	vert, pos []int32
+	bins      []int32
 
 	changed     []bool // owned local marked since last collection
 	changedList []int
@@ -99,10 +106,8 @@ type HostState struct {
 // ownedLocal reports whether local index l is an owned node.
 func (s *HostState) ownedLocal(l int) bool { return l < len(s.owned) }
 
-// hist returns owned local l's clamped neighbor-estimate histogram.
-func (s *HostState) hist(l int) []int {
-	return s.histBuf[s.adjOff[l]+l : s.adjOff[l+1]+l+1]
-}
+// adj returns owned local l's local-index neighbors.
+func (s *HostState) adj(l int) []int { return s.adjFlat[s.adjOff[l]:s.adjOff[l+1]] }
 
 // revOf returns the owned locals adjacent to external local l.
 func (s *HostState) revOf(l int) []int32 {
@@ -165,15 +170,19 @@ func NewHostState(selfID, numNodes int, owned, off, flat []int, owner func(node 
 	}
 
 	// One pass over the arcs builds the local adjacency and each owned
-	// node's border hosts. stamp[h] is 1 + the last owned local that
-	// listed host h, so a host is listed at most once per node in O(1)
-	// per arc; the listed host IDs go to one arena, sized for the worst
-	// case (one host per arc) so the scan never reallocates.
+	// node's border hosts. owner is asked once per external, when the
+	// scan discovers it (extHost[i] is the host of external local
+	// nOwned+i); arcs to owned locals never cross a border. stamp[h] is
+	// 1 + the last owned local that listed host h, so a host is listed
+	// at most once per node in O(1) per arc; the listed host IDs go to
+	// one arena, sized for the worst case (one host per arc) so the scan
+	// never reallocates.
 	s.adjOff = make([]int, nOwned+1)
 	s.adjFlat = make([]int, totalDeg)
 	s.borderOff = make([]int, nOwned+1)
 	border := make([]int32, 0, totalDeg)
 	stamp := make([]int32, 64)
+	extHost := make([]int32, 0, extCap)
 	nHosts, pos := 0, 0
 	for lu := range owned {
 		s.adjOff[lu] = pos
@@ -188,22 +197,27 @@ func NewHostState(selfID, numNodes int, owned, off, flat []int, owner func(node 
 				} else {
 					s.local[v] = lv
 				}
+				hv := owner(v)
+				if hv >= len(stamp) {
+					stamp = append(stamp, make([]int32, max(hv+1, 2*len(stamp))-len(stamp))...)
+				}
+				extHost = append(extHost, int32(hv))
 			}
 			s.adjFlat[pos] = lv
 			pos++
-			hv := owner(v)
-			if hv == selfID {
+			if lv < nOwned {
 				continue
 			}
-			if hv >= len(stamp) {
-				stamp = append(stamp, make([]int32, max(hv+1, 2*len(stamp))-len(stamp))...)
+			hv := extHost[lv-nOwned]
+			if int(hv) == selfID {
+				continue
 			}
 			if stamp[hv] == 0 {
 				nHosts++
 			}
 			if stamp[hv] != int32(lu)+1 {
 				stamp[hv] = int32(lu) + 1
-				border = append(border, int32(hv))
+				border = append(border, hv)
 			}
 		}
 	}
@@ -256,8 +270,17 @@ func NewHostState(selfID, numNodes int, owned, off, flat []int, owner func(node 
 		}
 	}
 
-	s.est = make([]int, n)
-	s.histBuf = make([]int, totalDeg+nOwned)
+	s.est = make([]int32, n)
+	maxDeg := 0
+	for l := range owned {
+		maxDeg = max(maxDeg, s.degreeOf(l))
+	}
+	// One arena for the support counters and the peel scratch.
+	arena := make([]int32, 3*nOwned+maxDeg+1)
+	s.sup = arena[:nOwned:nOwned]
+	s.vert = arena[nOwned : 2*nOwned : 2*nOwned]
+	s.pos = arena[2*nOwned : 3*nOwned : 3*nOwned]
+	s.bins = arena[3*nOwned:]
 	s.changed = make([]bool, nOwned)
 	s.inQueue = make([]bool, nOwned)
 	// The double-buffered collection storage (ptpBufs/ptpOut) is
@@ -295,64 +318,115 @@ func (s *HostState) SetOracleRefine(on bool) {
 	}
 	s.oracle = on
 	if on && s.count == nil {
-		maxDeg := 0
-		for l := range s.owned {
-			if d := s.degreeOf(l); d > maxDeg {
-				maxDeg = d
-			}
-		}
-		s.count = make([]int, maxDeg+1)
-		s.ests = make([]int, 0, maxDeg)
+		s.count = make([]int, len(s.bins))
+		s.ests = make([]int, 0, len(s.bins)-1)
 	}
 }
 
-// InitEstimates sets est[u] = d(u) for owned nodes and +∞ for external
-// neighbors, builds the support histograms, runs the local cascade, and
-// marks every owned node changed so the first collection ships all
-// initial estimates (Algorithm 3's initialization). It is idempotent and
-// allocation-free after the first call, so warmed state can be re-run
-// (the hot-path benchmark's reset).
+// InitEstimates seeds Algorithm 3's initialization: external neighbors
+// start at +∞ and every owned node at its round-0 local fixpoint — the
+// value the cascade from est[u] = d(u) reaches while every external
+// still reads +∞ — and marks every owned node changed so the first
+// collection ships all initial estimates. The incremental path computes
+// that fixpoint directly with a bin-sort peel over the owned nodes (an
+// arc to an external is permanent support) and then counts sup in one
+// pass over the arcs; the oracle path runs its cascade from the
+// degrees. It is idempotent and allocation-free after the first call,
+// so warmed state can be re-run (the hot-path benchmark's reset).
 //
-//dkcore:estwrite Algorithm 3 initialization: seeds est[u] = d(u) before any exchange
+//dkcore:estwrite Algorithm 3 initialization: seeds the round-0 estimates before any exchange
 func (s *HostState) InitEstimates() {
-	for l := range s.est {
-		if s.ownedLocal(l) {
-			s.est[l] = s.degreeOf(l)
-		} else {
-			s.est[l] = InfEstimate
-		}
-	}
-	if !s.oracle {
-		clear(s.histBuf)
-		for lu := range s.owned {
-			k := s.degreeOf(lu)
-			if k == 0 {
-				continue
-			}
-			cnt := s.hist(lu)
-			for _, lv := range s.adjFlat[s.adjOff[lu]:s.adjOff[lu+1]] {
-				j := s.est[lv]
-				if j > k {
-					j = k
-				}
-				cnt[j]++
-			}
-		}
+	for l := len(s.owned); l < len(s.est); l++ {
+		s.est[l] = InfEstimate
 	}
 	s.initialized = true
-	for l := range s.owned {
-		s.enqueue(l)
+	if s.oracle {
+		for l := range s.owned {
+			s.est[l] = int32(s.degreeOf(l))
+			s.enqueue(l)
+		}
+		s.Improve()
+	} else {
+		s.peel()
+		for l := range s.owned {
+			s.sup[l] = s.countSupport(l)
+		}
 	}
-	s.Improve()
 	for l := range s.owned {
 		s.markChanged(l)
 	}
 }
 
-// Apply lowers known estimates from an incoming batch, updating the
-// affected owned nodes' support histograms in O(1) per (neighbor, drop)
-// and enqueueing only the nodes whose support actually fell below their
-// estimate. It reports whether any entry improved.
+// peel is the Batagelj–Zaversnik bin-sort peel over the owned locals,
+// writing each one's round-0 local fixpoint to est. Residual degrees
+// count every arc, but only owned neighbors are ever peeled, so arcs to
+// externals (at +∞ until the first exchange) are never decremented.
+// sup doubles as the residual-degree array; InitEstimates recounts it.
+//
+//dkcore:estwrite Algorithm 3 initialization: the round-0 local fixpoint
+func (s *HostState) peel() {
+	nOwned := len(s.owned)
+	deg, bins, vert, pos := s.sup, s.bins, s.vert, s.pos
+	for l := 0; l < nOwned; l++ {
+		deg[l] = int32(s.degreeOf(l))
+		bins[deg[l]]++
+	}
+	// Bin starts by prefix sum, then place each node in its bin and
+	// shift the advanced cursors back to the starts.
+	start := int32(0)
+	for d, c := range bins {
+		bins[d] = start
+		start += c
+	}
+	for l := 0; l < nOwned; l++ {
+		pos[l] = bins[deg[l]]
+		vert[pos[l]] = int32(l)
+		bins[deg[l]]++
+	}
+	for d := len(bins) - 1; d > 0; d-- {
+		bins[d] = bins[d-1]
+	}
+	bins[0] = 0
+	for _, lu := range vert {
+		du := deg[lu]
+		for _, lv := range s.adj(int(lu)) {
+			if lv >= nOwned || deg[lv] <= du {
+				continue
+			}
+			// Move lv to the front of its bin, then shrink the bin by
+			// one, lowering lv's residual degree.
+			dv := deg[lv]
+			pv, pw := pos[lv], bins[dv]
+			if w := vert[pw]; int(w) != lv {
+				vert[pv], vert[pw] = w, int32(lv)
+				pos[lv], pos[w] = pw, pv
+			}
+			bins[dv]++
+			deg[lv]--
+		}
+	}
+	copy(s.est, deg)
+	clear(bins)
+}
+
+// countSupport counts owned local l's neighbors with estimate at least
+// its own. O(degree).
+//
+//dkcore:noalloc adjacency scan
+func (s *HostState) countSupport(l int) int32 {
+	k, n := s.est[l], int32(0)
+	for _, lv := range s.adj(l) {
+		if s.est[lv] >= k {
+			n++
+		}
+	}
+	return n
+}
+
+// Apply lowers known estimates from an incoming batch. A lowered
+// external costs O(1) per owned neighbor — decrement the support
+// counters it crosses — and enqueues only the owned nodes whose support
+// fell below their estimate. It reports whether any entry improved.
 //
 //dkcore:estwrite THE pointwise-min Apply entry point (Algorithm 3's receive)
 //dkcore:noalloc steady-state delivery path, gated by TestRefineSteadyStateAllocs
@@ -368,33 +442,29 @@ func (s *HostState) Apply(batch Batch) bool {
 			continue
 		}
 		lu, ok := s.lookup(m.Node)
-		if !ok || m.Core >= s.est[lu] {
+		if !ok || m.Core >= int(s.est[lu]) {
 			continue
 		}
-		a, b := s.est[lu], m.Core
+		a, b := s.est[lu], int32(m.Core)
 		s.est[lu] = b
 		s.dirty = true
 		improved = true
 		if s.ownedLocal(lu) {
 			// A remote authority lowered an owned estimate directly (no
-			// well-behaved peer does this, but the protocol tolerates
-			// it): re-clamp the node's own histogram to the new bound
-			// and treat the drop like any other for its neighbors. The
-			// owned neighbors must hear about the drop too — the
-			// pre-histogram code forgot them here, leaving their
-			// estimates stale at an overestimate until unrelated traffic
-			// happened to re-enqueue them (found by the differential
-			// fuzzer); both paths now propagate.
+			// well-behaved peer does this, but the protocol tolerates it,
+			// and a restore replays its checkpoint this way): recount the
+			// node's own support under the new bound and treat the drop
+			// like any other for its neighbors, which must hear about it
+			// too or stay stale at an overestimate (a bug the
+			// differential fuzzer once found here).
 			if s.oracle {
-				for _, lv := range s.adjFlat[s.adjOff[lu]:s.adjOff[lu+1]] {
+				for _, lv := range s.adj(lu) {
 					if s.ownedLocal(lv) && s.est[lv] > b {
 						s.enqueue(lv)
 					}
 				}
 			} else {
-				if a > 0 {
-					supportFold(s.hist(lu), a, b)
-				}
+				s.sup[lu] = s.countSupport(lu)
 				s.propagateDrop(lu, a, b)
 			}
 			s.enqueue(lu)
@@ -413,27 +483,26 @@ func (s *HostState) Apply(batch Batch) bool {
 	return improved
 }
 
-// lowerOwned records neighbor drop a→b in owned local lu's histogram and
-// enqueues lu when its support fell below its estimate. O(1).
+// lowerOwned records neighbor drop a→b at owned local lu: the neighbor
+// stops supporting lu exactly when b < est[lu] <= a, and lu is enqueued
+// once its support falls below its estimate. O(1).
 //
-//dkcore:noalloc O(1) histogram update on the cascade hot loop
-func (s *HostState) lowerOwned(lu, a, b int) {
-	k := s.est[lu]
-	if k <= 0 {
-		return
-	}
-	cnt := s.hist(lu)
-	if supportLower(cnt, k, a, b) && cnt[k] < k {
-		s.enqueue(lu)
+//dkcore:noalloc O(1) counter update on the cascade hot loop
+func (s *HostState) lowerOwned(lu int, a, b int32) {
+	if k := s.est[lu]; b < k && k <= a {
+		s.sup[lu]--
+		if s.sup[lu] < k {
+			s.enqueue(lu)
+		}
 	}
 }
 
 // propagateDrop pushes owned local lv's estimate drop a→b into the
-// histograms of its owned neighbors.
+// support counters of its owned neighbors.
 //
 //dkcore:noalloc cascade hot loop
-func (s *HostState) propagateDrop(lv, a, b int) {
-	for _, lu := range s.adjFlat[s.adjOff[lv]:s.adjOff[lv+1]] {
+func (s *HostState) propagateDrop(lv int, a, b int32) {
+	for _, lu := range s.adj(lv) {
 		if s.ownedLocal(lu) {
 			s.lowerOwned(lu, a, b)
 		}
@@ -444,10 +513,10 @@ func (s *HostState) propagateDrop(lv, a, b int) {
 // nodes until the worklist drains. The fixpoint is the same as a full
 // sweep (estimates are monotone non-increasing), only cheaper. FIFO
 // order lets a node absorb every pending neighbor drop before its own
-// recomputation, so chains converge in one pass per level. Each
-// recomputation walks the node's support histogram downward from its
-// current estimate — O(levels dropped) — instead of rescanning its
-// adjacency; nodes whose support is still intact are skipped in O(1).
+// recomputation, so chains converge in one pass per level. A node whose
+// support is still intact, or whose estimate is at the floor of 1, is
+// skipped in O(1); any other is recomputed by refine, which always
+// lowers it.
 //
 //dkcore:estwrite Algorithm 4's refinement: the only path that lowers owned estimates
 //dkcore:noalloc the cascade hot loop, gated by TestRefineSteadyStateAllocs
@@ -461,17 +530,10 @@ func (s *HostState) Improve() {
 		s.qhead++
 		s.inQueue[lu] = false
 		k := s.est[lu]
-		if k <= 0 {
+		if k <= 1 || s.sup[lu] >= k {
 			continue
 		}
-		cnt := s.hist(lu)
-		if cnt[k] >= k {
-			continue // support intact; nothing to recompute
-		}
-		nk := supportRefine(cnt, k)
-		if nk >= k {
-			continue // at the floor of 1; cannot drop further
-		}
+		nk := s.refine(lu, k)
 		s.est[lu] = nk
 		s.markChanged(lu)
 		s.propagateDrop(lu, k, nk)
@@ -481,8 +543,32 @@ func (s *HostState) Improve() {
 	s.dirty = false
 }
 
-// improveOracle is the retained pre-histogram cascade: gather every
-// neighbor estimate and re-run ComputeIndex — O(deg) per enqueued node.
+// refine is Algorithm 2 fused with the support count: one pass over
+// owned local lu's adjacency buckets its neighbors' estimates clamped to
+// its current estimate k, and a walk down from k finds the largest
+// i <= k with at least i neighbors at or above i (floored at 1, as
+// ComputeIndex floors it). That count is lu's support under the new
+// estimate, stored in sup; the new estimate is returned. O(degree).
+//
+//dkcore:noalloc the cascade hot loop; bins is retained scratch
+func (s *HostState) refine(lu int, k int32) int32 {
+	cnt := s.bins[:k+1]
+	for _, lv := range s.adj(lu) {
+		cnt[min(s.est[lv], k)]++
+	}
+	i, sup := k, cnt[k]
+	for i > 1 && sup < i {
+		i--
+		sup += cnt[i]
+	}
+	clear(cnt)
+	s.sup[lu] = sup
+	return i
+}
+
+// improveOracle is the retained recompute-from-scratch cascade: gather
+// every neighbor estimate and re-run ComputeIndex — O(deg) per enqueued
+// node.
 //
 //dkcore:estwrite the oracle refinement path, differentially tested against Improve
 func (s *HostState) improveOracle() {
@@ -490,25 +576,25 @@ func (s *HostState) improveOracle() {
 		lu := s.queue[s.qhead]
 		s.qhead++
 		s.inQueue[lu] = false
-		ku := s.est[lu]
+		ku := int(s.est[lu])
 		if ku <= 0 {
 			continue
 		}
-		neighbors := s.adjFlat[s.adjOff[lu]:s.adjOff[lu+1]]
+		neighbors := s.adj(lu)
 		s.ests = s.ests[:0]
 		for _, lv := range neighbors {
-			s.ests = append(s.ests, s.est[lv])
+			s.ests = append(s.ests, int(s.est[lv]))
 		}
 		k := ComputeIndex(s.ests, ku, s.count)
 		if k >= ku {
 			continue
 		}
-		s.est[lu] = k
+		s.est[lu] = int32(k)
 		s.markChanged(lu)
 		for _, lv := range neighbors {
 			// Only a neighbor whose estimate still exceeds u's new value
 			// can be lowered by this drop.
-			if s.ownedLocal(lv) && s.est[lv] > k {
+			if s.ownedLocal(lv) && int(s.est[lv]) > k {
 				s.enqueue(lv)
 			}
 		}
@@ -565,7 +651,7 @@ func (s *HostState) CollectBroadcast() Batch {
 	s.bcastFlip ^= 1
 	batch := s.bcast[s.bcastFlip][:0]
 	for _, l := range s.changedList {
-		batch = append(batch, EstimateMsg{Node: s.nodes[l], Core: s.est[l]})
+		batch = append(batch, EstimateMsg{Node: s.nodes[l], Core: int(s.est[l])})
 	}
 	s.bcast[s.bcastFlip] = batch
 	s.clearChanged()
@@ -597,7 +683,7 @@ func (s *HostState) CollectPointToPoint() map[int]Batch {
 		bufs[i] = bufs[i][:0]
 	}
 	for _, l := range s.changedList {
-		msg := EstimateMsg{Node: s.nodes[l], Core: s.est[l]}
+		msg := EstimateMsg{Node: s.nodes[l], Core: int(s.est[l])}
 		for _, p := range s.border[s.borderOff[l]:s.borderOff[l+1]] {
 			bufs[p] = append(bufs[p], msg)
 		}
@@ -631,7 +717,7 @@ func (s *HostState) Estimate(u int) (int, bool) {
 	if !ok {
 		return 0, false
 	}
-	return s.est[l], true
+	return int(s.est[l]), true
 }
 
 // Owned returns the host's node set (sorted, shared slice — do not

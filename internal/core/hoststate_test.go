@@ -123,3 +123,76 @@ func TestBorderAcrossHostCounts(t *testing.T) {
 		}
 	}
 }
+
+// checkSupport recounts every owned node's support — its neighbors with
+// estimate at least its own — from the estimate vector, and reports the
+// first counter that disagrees. A no-op on oracle hosts, which keep no
+// counters.
+func (s *HostState) checkSupport() error {
+	if s.oracle || !s.initialized {
+		return nil
+	}
+	for l := range s.owned {
+		want := 0
+		for _, lv := range s.adj(l) {
+			if s.est[lv] >= s.est[l] {
+				want++
+			}
+		}
+		if int(s.sup[l]) != want {
+			return fmt.Errorf("node %d (estimate %d): support counter %d, recount %d",
+				s.nodes[l], s.est[l], s.sup[l], want)
+		}
+	}
+	return nil
+}
+
+// TestInitEstimatesPeelMatchesCascade pins the round-0 seed: on every
+// pool graph at 1, 4 and 70 hosts, the bin-sort peel's InitEstimates
+// must land every tracked estimate exactly where the oracle's cascade
+// from the degrees does, with recounted support counters. The pool's
+// isolated nodes and, at 70 hosts, partitions whose every arc leads to
+// a ghost (and partitions owning nothing) must all be exercised.
+func TestInitEstimatesPeelMatchesCascade(t *testing.T) {
+	var isolated, allGhost, empty int
+	for _, hosts := range []int{1, 4, 70} {
+		for _, tc := range diffPool() {
+			name := fmt.Sprintf("%s/H=%d", tc.name, hosts)
+			inc, orc, err := lockstepHosts(tc.g, hosts)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			for x := range inc {
+				inc[x].InitEstimates()
+				orc[x].InitEstimates()
+				s := inc[x]
+				local := 0
+				for l := range s.owned {
+					if s.degreeOf(l) == 0 {
+						isolated++
+					}
+					for _, lv := range s.adj(l) {
+						if s.ownedLocal(lv) {
+							local++
+						}
+					}
+				}
+				switch {
+				case len(s.owned) == 0:
+					empty++
+				case local == 0 && len(s.adjFlat) > 0:
+					allGhost++
+				}
+				if inc[x].ChangedCount() != len(s.owned) {
+					t.Fatalf("%s host %d: %d owned nodes marked changed, want all %d",
+						name, x, inc[x].ChangedCount(), len(s.owned))
+				}
+			}
+			compareStates(t, name, "init", tc.g, inc, orc)
+		}
+	}
+	if isolated == 0 || allGhost == 0 || empty == 0 {
+		t.Fatalf("pool exercised %d isolated nodes, %d all-ghost and %d empty partitions; want all > 0",
+			isolated, allGhost, empty)
+	}
+}

@@ -1,12 +1,12 @@
 package core
 
-// This file holds the incremental counterpart of ComputeIndex: instead of
-// recomputing Algorithm 2 over a node's full neighbor list on every
-// change, a node maintains a small histogram of its neighbors' estimates
-// clamped to its own current estimate k — cnt[j] is the number of
-// neighbors whose clamped estimate is exactly j, so the suffix sum
-// S(i) = Σ_{j>=i} cnt[j] is "how many neighbors have estimate >= i", the
-// quantity Algorithm 2 thresholds against.
+// This file holds the incremental counterpart of ComputeIndex for the
+// per-node machine. Instead of recomputing Algorithm 2 over a node's full
+// neighbor list on every message, a Refiner maintains a small histogram
+// of the neighbors' estimates clamped to the node's own current estimate
+// k — cnt[j] is the number of neighbors whose clamped estimate is exactly
+// j, so the suffix sum S(i) = Σ_{j>=i} cnt[j] is "how many neighbors have
+// estimate >= i", the quantity Algorithm 2 thresholds against.
 //
 // The histogram admits an O(1) update when a neighbor's estimate drops
 // (move one unit of mass between two buckets), and the node itself only
@@ -16,82 +16,23 @@ package core
 // meets the Algorithm 2 fixpoint, then folds the now-unreachable buckets
 // above the new estimate into the new top bucket; its cost is the number
 // of levels walked, i.e. the size of the estimate drop, not the node's
-// degree. Total refinement work over a run is therefore proportional to
-// the sum of estimate drops — O(Σ_u d(u)) worst case — where the
-// recompute-from-scratch path pays O(deg) per re-enqueue and a hub
-// re-enqueued r times costs O(r·deg).
+// degree. That suits a node that takes one message at a time. HostState,
+// which cascades a whole partition per batch, keeps only the top bucket
+// — one support counter per node — and recomputes a deficient node with
+// one pass over its adjacency (hoststate.go).
 //
 // ComputeIndex remains the executable specification: a histogram-driven
 // refinement must produce exactly the estimates the O(deg) recomputation
-// would, which the differential tests assert at every cascade step.
+// would, which the differential tests assert at every step.
 
-// supportLower moves one neighbor of a node with current estimate k from
-// estimate a to estimate b (a > b), clamping both into [0, k]. It reports
-// whether the node's support (the top bucket cnt[k]) decreased — the only
-// event after which the node may need refinement. Drops entirely above
-// the node's estimate are invisible and cost nothing.
-//
-//dkcore:noalloc O(1) bucket move on the cascade hot loop
-func supportLower(cnt []int, k, a, b int) (supportDropped bool) {
-	if a > k {
-		a = k
-	}
-	if b > k {
-		b = k
-	}
-	if a <= b {
-		return false
-	}
-	cnt[a]--
-	cnt[b]++
-	return a == k
-}
-
-// supportRefine recomputes the Algorithm 2 fixpoint of a node with
-// current estimate k from its clamped histogram: the largest i <= k with
-// S(i) >= i, floored at 1 exactly as ComputeIndex floors it. It folds the
-// buckets in (i, k] into the new top bucket i, so the histogram is
-// immediately valid under the new clamp, and returns the new estimate.
-// Cost: O(k - i + 1), the number of levels walked.
-//
-//dkcore:noalloc histogram walk on the cascade hot loop
-func supportRefine(cnt []int, k int) int {
-	i, sup := k, cnt[k]
-	for i > 1 && sup < i {
-		i--
-		sup += cnt[i]
-	}
-	for j := i + 1; j <= k; j++ {
-		cnt[j] = 0
-	}
-	cnt[i] = sup
-	return i
-}
-
-// supportFold re-clamps a histogram after the node's estimate was lowered
-// externally (not by refinement) from k to b: all mass in (b, k] collapses
-// into the new top bucket b. Cost: O(k - b).
-//
-//dkcore:noalloc histogram re-clamp on the cascade hot loop
-func supportFold(cnt []int, k, b int) {
-	sup := 0
-	for j := b; j <= k; j++ {
-		sup += cnt[j]
-		cnt[j] = 0
-	}
-	cnt[b] = sup
-}
-
-// Refiner packages the incremental support counter for NodeState, the
+// Refiner packages the incremental support histogram for NodeState, the
 // per-node machine under every engine that keeps one independent state
 // object per node. NodeState stores the raw neighbor estimates; the
 // Refiner only sees drops and answers "what is my estimate now" without
 // touching the adjacency.
 //
 // The zero value is a degree-0 node (estimate 0); call Rebuild to bind it
-// to a real estimate vector. HostState uses the same supportLower /
-// supportRefine primitives over one flat buffer for its whole partition
-// instead of per-node Refiners.
+// to a real estimate vector.
 type Refiner struct {
 	k   int   // current estimate; mirrors the owning node's estimate
 	cnt []int // clamped histogram, len == initial k + 1
@@ -128,10 +69,19 @@ func (r *Refiner) K() int { return r.k }
 //
 //dkcore:noalloc per-message update on engine hot loops
 func (r *Refiner) Lower(a, b int) (deficient bool) {
-	if r.k <= 0 {
+	k := r.k
+	if k <= 0 {
 		return false
 	}
-	return supportLower(r.cnt, r.k, a, b) && r.cnt[r.k] < r.k
+	// Clamp both ends into [0, k]; a drop entirely above k is invisible,
+	// and only a drop out of the top bucket can make the node deficient.
+	a, b = min(a, k), min(b, k)
+	if a <= b {
+		return false
+	}
+	r.cnt[a]--
+	r.cnt[b]++
+	return a == k && r.cnt[k] < k
 }
 
 // Deficient reports whether fewer than k neighbors currently have
@@ -150,9 +100,20 @@ func (r *Refiner) Deficient() bool {
 //
 //dkcore:noalloc refinement walk on engine hot loops
 func (r *Refiner) Refine() int {
-	if r.k <= 0 {
-		return r.k
+	k := r.k
+	if k <= 0 {
+		return k
 	}
-	r.k = supportRefine(r.cnt, r.k)
-	return r.k
+	// Walk down to the largest i <= k with S(i) >= i, floored at 1 as
+	// ComputeIndex floors it, then fold the buckets in (i, k] into the
+	// new top bucket so the histogram is valid under the new clamp.
+	i, sup := k, r.cnt[k]
+	for i > 1 && sup < i {
+		i--
+		sup += r.cnt[i]
+	}
+	clear(r.cnt[i+1 : k+1])
+	r.cnt[i] = sup
+	r.k = i
+	return i
 }

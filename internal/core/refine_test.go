@@ -181,12 +181,16 @@ func lockstepHosts(g *graph.Graph, hosts int) (inc, orc []*HostState, err error)
 }
 
 // compareStates fails the test at the first estimate where the
-// incremental host diverges from its oracle twin. Both owned and
-// external (mirrored) estimates are compared — a histogram bug that only
+// incremental host diverges from its oracle twin, or at the first
+// support counter that disagrees with a recount. Both owned and
+// external (mirrored) estimates are compared — a counter bug that only
 // corrupts the view of a remote node must surface too.
 func compareStates(t *testing.T, name string, step string, g *graph.Graph, inc, orc []*HostState) {
 	t.Helper()
 	for x := range inc {
+		if err := inc[x].checkSupport(); err != nil {
+			t.Fatalf("%s %s: host %d: %v", name, step, x, err)
+		}
 		for u := 0; u < g.NumNodes(); u++ {
 			ie, iok := inc[x].Estimate(u)
 			oe, ook := orc[x].Estimate(u)
@@ -201,8 +205,9 @@ func compareStates(t *testing.T, name string, step string, g *graph.Graph, inc, 
 // TestHostStateOracleLockstep is the 50-graph differential leg: on every
 // pool graph, the incremental support-counter hosts and the retained
 // O(deg) ComputeIndex oracle hosts run the same BSP schedule — identical
-// batches in the same order — and every tracked estimate is compared
-// after every Apply/Improve cascade step of every round, through
+// batches in the same order — and every tracked estimate is compared,
+// and every support counter recounted, after every Apply/Improve
+// cascade step of every round, through
 // InfEstimate saturation on round 0 and down to the k=0/1 floors. It
 // runs at 4 hosts and at 70, past the 64 host IDs one bitmask word
 // holds.
@@ -273,8 +278,8 @@ func lockstepRun(t *testing.T, name string, g *graph.Graph, hosts int) {
 
 // FuzzHostStateDifferential feeds arbitrary batches — stray nodes,
 // zero and negative cores, InfEstimate, repeated entries — to an
-// incremental host and its oracle twin, asserting estimate equality
-// after every cascade. The graph itself is derived from the fuzz input
+// incremental host and its oracle twin, asserting estimate equality and
+// recounted support counters after every cascade. The graph itself is derived from the fuzz input
 // so topology and traffic are fuzzed together.
 func FuzzHostStateDifferential(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, []byte{0, 1, 2, 3})
@@ -321,6 +326,9 @@ func FuzzHostStateDifferential(f *testing.F) {
 			orc[x].Apply(batch)
 			inc[x].ImproveIfDirty()
 			orc[x].ImproveIfDirty()
+			if err := inc[x].checkSupport(); err != nil {
+				t.Fatalf("step %d host %d: %v", i, x, err)
+			}
 			for u := 0; u < n; u++ {
 				ie, iok := inc[x].Estimate(u)
 				oe, ook := orc[x].Estimate(u)

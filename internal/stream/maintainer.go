@@ -90,7 +90,7 @@ type Maintainer struct {
 
 	// supp[u] is the number of neighbors v with core[v] >= core[u] —
 	// the same support counter the distributed engines maintain per
-	// estimate (internal/core's histogram top bucket), kept exact across
+	// estimate (core.HostState's sup), kept exact across
 	// every mutation. It answers the deletion cascade's hot question,
 	// "can this coreness-k node fall?" (supp < k), in O(1); adjacency
 	// walks remain only where a node actually changes level.
