@@ -144,6 +144,7 @@ fuzz-short: build
 	$(GO) test -run '^$$' -fuzz FuzzOOCoreDecompose -fuzztime $(FUZZTIME) ./internal/oocore
 	$(GO) test -run '^$$' -fuzz FuzzParallelDecompose -fuzztime $(FUZZTIME) ./internal/parallel
 	$(GO) test -run '^$$' -fuzz FuzzDecodeConfig -fuzztime $(FUZZTIME) ./internal/cluster
+	$(GO) test -run '^$$' -fuzz FuzzDecodeResult -fuzztime $(FUZZTIME) ./internal/cluster
 
 # chaos is the full fault-injection acceptance run: a 50-graph pool
 # decomposed under seeded fault schedules on every robustness-bearing

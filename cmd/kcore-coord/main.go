@@ -18,7 +18,7 @@
 // which checkpoints every host every 16 rounds, waits up to two minutes
 // for a replacement when a worker dies (resuming it from its checkpoint
 // plus the delta batches since), admits extra workers joining mid-run,
-// and flate-compresses delta batches on the wire. Progress and failures
+// and flate-compresses its frames on the wire. Progress and failures
 // are logged as structured key=value lines on stderr; a host death
 // reports who died, in which round, and the last round it acknowledged.
 package main
@@ -55,7 +55,7 @@ func run(args []string, out io.Writer) error {
 		rejoin    = fs.Duration("rejoin-wait", 0, "how long to wait for a replacement when a host dies (0 = fail fast)")
 		frameTO   = fs.Duration("frame-timeout", 0, "per-frame deadline on host connections; 0 = none (set it above the slowest host's per-round compute)")
 		allowJoin = fs.Bool("allow-join", false, "admit workers joining after the run has started")
-		compress  = fs.Bool("compress", false, "offer flate compression for delta batches")
+		compress  = fs.Bool("compress", false, "offer flate compression of every frame of 64 B or more")
 		verbose   = fs.Bool("v", false, "log per-round debug detail")
 	)
 	if err := fs.Parse(args); err != nil {

@@ -1,0 +1,76 @@
+package cluster
+
+import (
+	"bytes"
+	"compress/flate"
+	"io"
+	"testing"
+	"time"
+
+	"dkcore/internal/core"
+	"dkcore/internal/dataset"
+	"dkcore/internal/transport"
+)
+
+// BenchmarkConfigFrame is the config codec's layer number. It codes
+// host 0's partition of the berkstan analogue (scale 5, seed 1, two
+// range-owned hosts, the graph the benchmark's deep workload runs)
+// and reports, per adjacency entry, the payload before and after
+// deflate at transport.FlateLevel (raw_B/arc, wire_B/arc) and the time
+// of encodeConfig plus deflate (encode_ns/arc) and of inflate plus
+// decodeConfig (decode_ns/arc).
+func BenchmarkConfigFrame(b *testing.B) {
+	d, err := dataset.ByKey("berkstan")
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := d.Build(5, 1)
+	parts, err := core.PartitionAll(g, core.BlockAssignment{N: g.NumNodes(), H: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := partitionConfig(parts, 0)
+	cfg.NumHosts, cfg.BaseHosts = 2, 2
+	arcs := float64(len(cfg.AdjFlat))
+
+	var wire bytes.Buffer
+	zw, err := flate.NewWriter(&wire, transport.FlateLevel)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var raw bytes.Buffer
+	zr := flate.NewReader(&wire)
+	var encode, decode time.Duration
+	var rawBytes, wireBytes int
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		start := time.Now()
+		payload := encodeConfig(cfg)
+		wire.Reset()
+		zw.Reset(&wire)
+		if _, err := zw.Write(payload); err != nil {
+			b.Fatal(err)
+		}
+		if err := zw.Close(); err != nil {
+			b.Fatal(err)
+		}
+		mid := time.Now()
+		rawBytes, wireBytes = len(payload), wire.Len()
+		raw.Reset()
+		if err := zr.(flate.Resetter).Reset(&wire, nil); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := io.Copy(&raw, zr); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := decodeConfig(raw.Bytes()); err != nil {
+			b.Fatal(err)
+		}
+		encode += mid.Sub(start)
+		decode += time.Since(mid)
+	}
+	b.ReportMetric(float64(rawBytes)/arcs, "raw_B/arc")
+	b.ReportMetric(float64(wireBytes)/arcs, "wire_B/arc")
+	b.ReportMetric(float64(encode.Nanoseconds())/float64(b.N)/arcs, "encode_ns/arc")
+	b.ReportMetric(float64(decode.Nanoseconds())/float64(b.N)/arcs, "decode_ns/arc")
+}

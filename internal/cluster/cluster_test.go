@@ -135,39 +135,50 @@ func TestHostRejectsBadCoordinatorAddr(t *testing.T) {
 	}
 }
 
+// TestConfigRoundTrip covers the shapes the gap coding has to get
+// right: an empty partition, isolated owned nodes, a first neighbor
+// below its owner (a negative offset), a neighbor at NumNodes-1, and
+// overrides.
 func TestConfigRoundTrip(t *testing.T) {
-	in := config{
-		HostID:    2,
-		NumHosts:  4,
-		BaseHosts: 3,
-		NumNodes:  10,
-		Owned:     []int{2, 5, 8},
-		// CSR form of {2: [0 5 9], 5: [2], 8: []}.
-		AdjOff:        []int{0, 3, 4, 4},
-		AdjFlat:       []int{0, 5, 9, 2},
-		OverrideNodes: []int{5, 9},
-		OverrideHosts: []int{3, 0},
+	cases := map[string]config{
+		"overrides": {
+			HostID: 2, NumHosts: 4, BaseHosts: 3, NumNodes: 10,
+			Owned: []int{2, 5, 8},
+			// CSR form of {2: [0 5 9], 5: [2], 8: []}.
+			AdjOff:        []int{0, 3, 4, 4},
+			AdjFlat:       []int{0, 5, 9, 2},
+			OverrideNodes: []int{5, 9},
+			OverrideHosts: []int{3, 0},
+		},
+		"empty partition": {HostID: 1, NumHosts: 2, BaseHosts: 2, NumNodes: 5, AdjOff: []int{0}},
+		"isolated nodes": {
+			HostID: 0, NumHosts: 1, BaseHosts: 1, NumNodes: 4,
+			Owned: []int{0, 2, 3}, AdjOff: []int{0, 0, 0, 0},
+		},
+		"negative offset and last node": {
+			HostID: 1, NumHosts: 2, BaseHosts: 2, NumNodes: 1000,
+			Owned:   []int{500, 501, 999},
+			AdjOff:  []int{0, 3, 3, 5},
+			AdjFlat: []int{0, 499, 999, 0, 998},
+		},
 	}
-	out, err := decodeConfig(encodeConfig(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.HostID != in.HostID || out.NumHosts != in.NumHosts ||
-		out.BaseHosts != in.BaseHosts || out.NumNodes != in.NumNodes {
-		t.Fatalf("scalar fields mismatch: %+v", out)
-	}
-	if !slices.Equal(out.Owned, in.Owned) {
-		t.Fatalf("owned mismatch: %v vs %v", out.Owned, in.Owned)
-	}
-	if !slices.Equal(out.AdjOff, in.AdjOff) {
-		t.Fatalf("offsets mismatch: %v vs %v", out.AdjOff, in.AdjOff)
-	}
-	if !slices.Equal(out.AdjFlat, in.AdjFlat) {
-		t.Fatalf("adjacency mismatch: %v vs %v", out.AdjFlat, in.AdjFlat)
-	}
-	if !slices.Equal(out.OverrideNodes, in.OverrideNodes) || !slices.Equal(out.OverrideHosts, in.OverrideHosts) {
-		t.Fatalf("overrides mismatch: %v→%v vs %v→%v",
-			out.OverrideNodes, out.OverrideHosts, in.OverrideNodes, in.OverrideHosts)
+	for name, in := range cases {
+		out, err := decodeConfig(encodeConfig(in))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if out.HostID != in.HostID || out.NumHosts != in.NumHosts ||
+			out.BaseHosts != in.BaseHosts || out.NumNodes != in.NumNodes {
+			t.Fatalf("%s: scalar fields mismatch: %+v", name, out)
+		}
+		if !slices.Equal(out.Owned, in.Owned) || !slices.Equal(out.AdjOff, in.AdjOff) || !slices.Equal(out.AdjFlat, in.AdjFlat) {
+			t.Fatalf("%s: partition mismatch: %v %v %v, want %v %v %v",
+				name, out.Owned, out.AdjOff, out.AdjFlat, in.Owned, in.AdjOff, in.AdjFlat)
+		}
+		if !slices.Equal(out.OverrideNodes, in.OverrideNodes) || !slices.Equal(out.OverrideHosts, in.OverrideHosts) {
+			t.Fatalf("%s: overrides mismatch: %v→%v vs %v→%v",
+				name, out.OverrideNodes, out.OverrideHosts, in.OverrideNodes, in.OverrideHosts)
+		}
 	}
 }
 
@@ -177,14 +188,14 @@ func TestConfigRoundTrip(t *testing.T) {
 // host inside NewHostState. decodeConfig must reject it (and any degree
 // sum beyond the payload) as corrupt.
 func TestConfigDecodeRejectsHostileDegrees(t *testing.T) {
-	payload := binary.AppendUvarint(nil, 0)                             // HostID
-	payload = binary.AppendUvarint(payload, 1)                          // NumHosts
-	payload = binary.AppendUvarint(payload, 1)                          // BaseHosts
-	payload = binary.AppendUvarint(payload, 3)                          // NumNodes
-	payload = append(payload, transport.EncodeIntSlice([]int{0, 1})...) // Owned
-	payload = binary.AppendUvarint(payload, ^uint64(0))                 // degree of node 0: 2^64-1
-	payload = binary.AppendUvarint(payload, 2)                          // degree of node 1
-	payload = append(payload, transport.EncodeIntSlice([]int{1})...)    // one flat entry
+	payload := binary.AppendUvarint(nil, 0)             // HostID
+	payload = binary.AppendUvarint(payload, 1)          // NumHosts
+	payload = binary.AppendUvarint(payload, 1)          // BaseHosts
+	payload = binary.AppendUvarint(payload, 3)          // NumNodes
+	payload = append(payload, 2, 1, 1)                  // Owned {0, 1}: count, gaps
+	payload = binary.AppendUvarint(payload, ^uint64(0)) // degree of node 0: 2^64-1
+	payload = binary.AppendUvarint(payload, 2)          // degree of node 1
+	payload = binary.AppendVarint(payload, 1)           // one adjacency entry
 	if c, err := decodeConfig(payload); err == nil {
 		t.Fatalf("hostile degree accepted: %+v", c)
 	}
@@ -255,18 +266,50 @@ func TestConfigDecodeRejectsHostileHeaders(t *testing.T) {
 	}
 }
 
+// TestConfigDecodeRejectsDegreeMismatch hand-writes the bytes, since
+// encodeConfig walks rows by their degrees and cannot emit a mismatch.
+// The frame ends after the entries, so the degree sum outruns the
+// payload and the bound before the prefix sum rejects it.
 func TestConfigDecodeRejectsDegreeMismatch(t *testing.T) {
-	in := config{
-		HostID:    0,
-		NumHosts:  1,
-		BaseHosts: 1,
-		NumNodes:  3,
-		Owned:     []int{0, 1},
-		AdjOff:    []int{0, 2, 3}, // degrees sum to 3 ...
-		AdjFlat:   []int{1, 2},    // ... but only 2 entries shipped
+	payload := []byte{
+		0, 1, 1, 3, // HostID, NumHosts, BaseHosts, NumNodes
+		2, 1, 1, // Owned {0, 1}: count, gaps
+		2, 1, // degrees sum to 3 ...
+		2, 1, // ... but only 2 entries shipped: node 0's row {1, 2}
 	}
-	if _, err := decodeConfig(encodeConfig(in)); err == nil {
-		t.Fatalf("degree/adjacency length mismatch accepted")
+	c, err := decodeConfig(payload)
+	if err == nil {
+		t.Fatalf("degree/adjacency length mismatch accepted: %+v", c)
+	}
+	if !strings.Contains(err.Error(), "exceeds payload") {
+		t.Fatalf("error %q, want the degree sum bounded by the payload", err)
+	}
+}
+
+// TestConfigDecodeRejectsBadGaps: a zero gap in the owned set or in a
+// row would repeat an ID, and a row's first offset must land inside
+// [0, NumNodes).
+func TestConfigDecodeRejectsBadGaps(t *testing.T) {
+	header := []byte{0, 1, 1, 10} // HostID, NumHosts, BaseHosts, NumNodes
+	cases := []struct {
+		name, want string
+		body       []byte
+	}{
+		{"zero owned gap", "zero gap", []byte{2, 3, 0, 0, 0, 0, 0}},     // Owned {2, 2}
+		{"zero row gap", "zero gap", []byte{1, 5, 2, 2, 0, 0, 0}},       // node 4: {5, 5}
+		{"first offset below 0", "outside", []byte{1, 5, 1, 9, 0, 0}},   // node 4: offset -5
+		{"first offset past n", "outside", []byte{1, 5, 1, 12, 0, 0}},   // node 4: offset +6
+		{"gap past n", "leaves [0, 10)", []byte{1, 5, 2, 2, 10, 0, 0}},  // node 4: {5, 15}
+		{"owned past n", "leaves [0, 10)", []byte{2, 5, 6, 0, 0, 0, 0}}, // Owned {4, 10}
+	}
+	for _, tc := range cases {
+		c, err := decodeConfig(append(slices.Clone(header), tc.body...))
+		if err == nil {
+			t.Fatalf("%s accepted: %+v", tc.name, c)
+		}
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: error %q, want it to mention %q", tc.name, err, tc.want)
+		}
 	}
 }
 
@@ -323,11 +366,12 @@ func TestCoordinatorCancelDuringSilentEnrollment(t *testing.T) {
 
 // TestHandshakeRefusesOtherVersions: the coordinator closes a worker
 // whose hello names any version but its own without a welcome — version
-// 1 (peer mesh), version 2 (same frames, modulo base ownership) and
-// version 3 (per-arc support histograms in checkpoints) alike, because a
-// v2 host would read the config's base as modulo and route batches to
-// the wrong peers, and a v3 host's checkpoint would fail a v4 restore —
-// and then still enrolls a current host.
+// 1 (peer mesh), version 2 (same frames, modulo base ownership), version
+// 3 (per-arc support histograms in checkpoints) and version 4 (raw IDs
+// in config and result frames) alike, because a v2 host would read the
+// config's base as modulo and route batches to the wrong peers, a v3
+// host's checkpoint would fail a v4 restore, and a v4 host would read a
+// v5 config's gaps as node IDs — and then still enrolls a current host.
 func TestHandshakeRefusesOtherVersions(t *testing.T) {
 	g := gen.Chain(20)
 	coord, err := NewCoordinator(CoordinatorConfig{Graph: g, NumHosts: 1})
@@ -345,7 +389,7 @@ func TestHandshakeRefusesOtherVersions(t *testing.T) {
 		res, err := coord.RunContext(ctx)
 		done <- outcome{res, err}
 	}()
-	for _, version := range []int{1, 2, 3, protocolVersion + 1} {
+	for _, version := range []int{1, 2, 3, 4, protocolVersion + 1} {
 		raw, err := dialTimeout(coord.Addr())
 		if err != nil {
 			t.Fatal(err)

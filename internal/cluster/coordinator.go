@@ -344,8 +344,9 @@ func (c *Coordinator) run(ctx context.Context) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cluster: partition: %w", err)
 	}
+	oNodes, oHosts := r.overrideLists()
 	for id := range r.slots {
-		if err := r.configureHost(id, restoreMsg{}); err != nil {
+		if err := r.configureHost(id, restoreMsg{}, oNodes, oHosts); err != nil {
 			return nil, err
 		}
 	}
@@ -387,7 +388,8 @@ func (r *coordRun) awaitJoiner(wait time.Duration) (joiner, error) {
 
 // overrideLists materializes the current ownership overrides (every
 // node whose owner differs from its base range's host) in the config
-// wire form.
+// wire form. It scans every node, so a configuration pass computes the
+// lists once and hands them to each configureHost.
 func (r *coordRun) overrideLists() (nodes, hosts []int) {
 	for u, h := range r.hostOf {
 		if h != r.base.Host(u) {
@@ -398,21 +400,30 @@ func (r *coordRun) overrideLists() (nodes, hosts []int) {
 	return nodes, hosts
 }
 
-// configureHost ships slot id's config and restore payload and marks
-// the slot ready to be awaited. The caller collects the ready frame.
-func (r *coordRun) configureHost(id int, restore restoreMsg) error {
+// configureHost ships slot id's config, carrying the override lists
+// from overrideLists, and its restore payload. The caller collects the
+// ready frame.
+func (r *coordRun) configureHost(id int, restore restoreMsg, oNodes, oHosts []int) error {
 	s := r.slots[id]
-	oNodes, oHosts := r.overrideLists()
-	cfg := config{
-		HostID:        id,
-		NumHosts:      len(r.slots),
-		BaseHosts:     r.base.H,
-		NumNodes:      r.g.NumNodes(),
-		OverrideNodes: oNodes,
-		OverrideHosts: oHosts,
+	cfg := partitionConfig(r.parts, id)
+	cfg.NumHosts = len(r.slots)
+	cfg.BaseHosts = r.base.H
+	cfg.OverrideNodes, cfg.OverrideHosts = oNodes, oHosts
+	if err := s.conn.Send(frameConfig, encodeConfig(cfg)); err != nil {
+		return fmt.Errorf("cluster: config to host %d: %w", id, err)
 	}
-	owned, off, flat := r.parts.CSR(id)
-	cfg.Owned = owned
+	if err := s.conn.Send(frameRestore, encodeRestore(restore)); err != nil {
+		return fmt.Errorf("cluster: restore to host %d: %w", id, err)
+	}
+	return nil
+}
+
+// partitionConfig is host id's partition in config form: HostID,
+// NumNodes, and the owned set and CSR rows with the offsets rebased to
+// start at 0. The caller fills in the host counts and overrides.
+func partitionConfig(parts *core.Partitions, id int) config {
+	owned, off, flat := parts.CSR(id)
+	cfg := config{HostID: id, NumNodes: parts.NumNodes(), Owned: owned}
 	base := 0
 	if len(off) > 0 {
 		base = off[0]
@@ -422,13 +433,7 @@ func (r *coordRun) configureHost(id int, restore restoreMsg) error {
 		cfg.AdjOff[i] = o - base
 	}
 	cfg.AdjFlat = flat[base : base+cfg.AdjOff[len(owned)]]
-	if err := s.conn.Send(frameConfig, encodeConfig(cfg)); err != nil {
-		return fmt.Errorf("cluster: config to host %d: %w", id, err)
-	}
-	if err := s.conn.Send(frameRestore, encodeRestore(restore)); err != nil {
-		return fmt.Errorf("cluster: restore to host %d: %w", id, err)
-	}
-	return nil
+	return cfg
 }
 
 func (r *coordRun) expectReady(id int, s *hostSlot) error {
@@ -646,6 +651,7 @@ func (r *coordRun) anyDead() bool {
 // failure.
 func (r *coordRun) recoverDead(round int) error {
 	wait := r.c.cfg.RejoinWait
+	oNodes, oHosts := r.overrideLists()
 	for id, s := range r.slots {
 		if s.alive || s.left {
 			continue
@@ -666,7 +672,7 @@ func (r *coordRun) recoverDead(round int) error {
 		for i, e := range s.log {
 			restore.Replay[i] = relayBatch{Peer: e.src, Raw: e.raw}
 		}
-		if err := r.configureHost(id, restore); err != nil {
+		if err := r.configureHost(id, restore, oNodes, oHosts); err != nil {
 			return fmt.Errorf("cluster: restoring host %d: %w", id, err)
 		}
 		if err := r.expectReady(id, s); err != nil {
@@ -691,7 +697,8 @@ func (r *coordRun) recoverDead(round int) error {
 }
 
 // collectResults stops every live host and assembles the coreness
-// vector from their owned estimates.
+// vector from their owned estimates. A result frame carries values
+// only; the current partition says which nodes each host owns.
 func (r *coordRun) collectResults() error {
 	coreness := make([]int, r.g.NumNodes())
 	for id, s := range r.slots {
@@ -706,22 +713,20 @@ func (r *coordRun) collectResults() error {
 		if !s.alive {
 			continue
 		}
-		batch, err := r.recvResult(id, s)
+		payload, err := r.recvResult(id, s)
 		if err != nil {
 			return err
 		}
-		for _, m := range batch {
-			if m.Node < 0 || m.Node >= len(coreness) {
-				return fmt.Errorf("cluster: host %d reported unknown node %d", id, m.Node)
-			}
-			coreness[m.Node] = m.Core
+		if err := decodeResult(payload, r.parts.Owned(id), coreness); err != nil {
+			return &protocolError{host: id, cause: err}
 		}
 	}
 	r.res.Coreness = coreness
 	return nil
 }
 
-func (r *coordRun) recvResult(id int, s *hostSlot) (core.Batch, error) {
+// recvResult reads slot id's result frame and returns its payload.
+func (r *coordRun) recvResult(id int, s *hostSlot) ([]byte, error) {
 	typ, payload, err := s.conn.Recv()
 	if err != nil {
 		return nil, fmt.Errorf("cluster: result from host %d: %w", id, err)
@@ -729,11 +734,7 @@ func (r *coordRun) recvResult(id int, s *hostSlot) (core.Batch, error) {
 	if typ != frameResult {
 		return nil, fmt.Errorf("cluster: host %d sent frame %d, want result", id, typ)
 	}
-	batch, err := transport.DecodeBatch(payload)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: result from host %d: %w", id, err)
-	}
-	return batch, nil
+	return payload, nil
 }
 
 // accountWireBytes sums the delta-batch-bearing frame stats (ticks out,

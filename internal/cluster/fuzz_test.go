@@ -2,17 +2,19 @@ package cluster
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"dkcore/internal/core"
+	"dkcore/internal/transport"
 )
 
 // FuzzDecodeConfig holds decodeConfig to the obligations docs/PROTOCOL.md
-// §2.3 lists: it never panics, everything it accepts satisfies them, and
-// whatever it accepts survives an encode/decode round trip unchanged.
-// Every node an accepted config names must also map to a base host in
-// [0, BaseHosts) under the range ownership function the host builds
-// from it.
+// §2.3 lists: it never panics, everything it accepts satisfies them
+// (every adjacency row strictly increasing among them), and whatever it
+// accepts survives an encode/decode round trip unchanged. Every node an
+// accepted config names must also map to a base host in [0, BaseHosts)
+// under the range ownership function the host builds from it.
 func FuzzDecodeConfig(f *testing.F) {
 	f.Add(encodeConfig(config{
 		HostID: 1, NumHosts: 2, BaseHosts: 2, NumNodes: 6,
@@ -69,6 +71,12 @@ func FuzzDecodeConfig(f *testing.F) {
 			if c.AdjOff[i] < c.AdjOff[i-1] {
 				t.Fatalf("accepted decreasing offsets %v", c.AdjOff)
 			}
+			row := c.AdjFlat[c.AdjOff[i-1]:c.AdjOff[i]]
+			for j := 1; j < len(row); j++ {
+				if row[j-1] >= row[j] {
+					t.Fatalf("accepted row %v of node %d not strictly increasing", row, c.Owned[i-1])
+				}
+			}
 		}
 		if len(c.OverrideNodes) != len(c.OverrideHosts) {
 			t.Fatalf("accepted %d override nodes with %d hosts", len(c.OverrideNodes), len(c.OverrideHosts))
@@ -84,6 +92,48 @@ func FuzzDecodeConfig(f *testing.F) {
 		}
 		if !reflect.DeepEqual(back, c) {
 			t.Fatalf("round trip changed the config:\n got %+v\nwant %+v", back, c)
+		}
+	})
+}
+
+// FuzzDecodeResult holds decodeResult to its contract: it never panics,
+// and a payload it accepts fills exactly the owned entries of the
+// coreness vector, each with a value below the node count. The owned
+// set is every stride-th node from first, as a host's share of a
+// cluster could be.
+func FuzzDecodeResult(f *testing.F) {
+	f.Add(transport.EncodeIntSlice([]int{1, 2, 2}), uint8(9), uint8(3), uint8(0))
+	f.Add(transport.EncodeIntSlice(nil), uint8(0), uint8(1), uint8(0))
+	f.Add(transport.EncodeIntSlice([]int{0, 7}), uint8(8), uint8(4), uint8(1))
+	f.Add([]byte{2, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 0}, uint8(4), uint8(2), uint8(0))
+	f.Fuzz(func(t *testing.T, payload []byte, numNodes, stride, first uint8) {
+		step := int(stride%8) + 1
+		var owned []int
+		for u := int(first) % step; u < int(numNodes); u += step {
+			owned = append(owned, u)
+		}
+		coreness := make([]int, numNodes)
+		for u := range coreness {
+			coreness[u] = -1
+		}
+		if err := decodeResult(payload, owned, coreness); err != nil {
+			return
+		}
+		filled := 0
+		for u, k := range coreness {
+			if k == -1 {
+				continue
+			}
+			filled++
+			if _, ok := slices.BinarySearch(owned, u); !ok {
+				t.Fatalf("accepted result wrote node %d, which the host does not own", u)
+			}
+			if k >= len(coreness) {
+				t.Fatalf("accepted coreness %d for node %d in a %d-node graph", k, u, len(coreness))
+			}
+		}
+		if filled != len(owned) {
+			t.Fatalf("accepted result filled %d entries for %d owned nodes", filled, len(owned))
 		}
 	})
 }

@@ -558,12 +558,7 @@ func (h *hostRun) sendResult() error {
 	if len(coreness) != len(h.owned) {
 		return fmt.Errorf("cluster: result before init")
 	}
-	batch := make(core.Batch, len(h.owned))
-	for i, u := range h.owned {
-		batch[i] = core.EstimateMsg{Node: u, Core: coreness[i]}
-	}
-	h.encBuf = transport.AppendBatch(h.encBuf[:0], batch)
-	if err := h.conn.Send(frameResult, h.encBuf); err != nil {
+	if err := h.conn.Send(frameResult, transport.EncodeIntSlice(coreness)); err != nil {
 		return fmt.Errorf("cluster: result: %w", err)
 	}
 	h.res.Owned = h.owned

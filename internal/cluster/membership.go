@@ -204,7 +204,8 @@ func (r *coordRun) reshapeJoin(j joiner, round int) error {
 		r.slots[newID].log = []relayEntry{{src: st.oldHostOf[moved[0]], round: round, raw: raw, pairs: len(seedBatch)}}
 		r.slots[newID].cursor = 1
 	}
-	if err := r.configureHost(newID, restore); err != nil {
+	oNodes, oHosts := r.overrideLists()
+	if err := r.configureHost(newID, restore, oNodes, oHosts); err != nil {
 		return err
 	}
 	if err := r.seedSurvivors(st, round, newID); err != nil {

@@ -38,7 +38,7 @@ const (
 	frameReshapeAck                  // host → coord: estimates of this host's moved-out nodes
 	frameSeed                        // coord → host: moved-in nodes (adjacency + estimates)
 	frameStop                        // coord → host: protocol terminated
-	frameResult                      // host → coord: owned estimates
+	frameResult                      // host → coord: owned coreness values, in owned-node order
 )
 
 // protocolVersion is the hello version this implementation speaks.
@@ -46,8 +46,10 @@ const (
 // over a modulo base ownership. Version 3 has version 2's frames but
 // reads the config's base as contiguous ranges, so the two must not mix.
 // Version 4 checkpoints one support counter per owned node where version
-// 3 carried per-arc support histograms.
-const protocolVersion = 4
+// 3 carried per-arc support histograms. Version 5 gap-codes the config's
+// node IDs and drops them from the result frame; a version-4 host would
+// read the gaps as raw IDs.
+const protocolVersion = 5
 
 // flagFlate is the hello/welcome capability bit for transparent flate
 // frame compression.
@@ -63,9 +65,14 @@ const maxHosts = 1 << 20
 // ships in flat CSR form: Owned is the host's sorted node set and the
 // global-ID neighbors of Owned[i] are AdjFlat[AdjOff[i]:AdjOff[i+1]] —
 // exactly the shape core.NewHostState consumes, so the host never
-// rebuilds a per-node map. On the wire the offsets travel as per-node
-// degrees (small uvarints); decodeConfig reconstructs AdjOff by prefix
-// sum, which validates the flat array's length as a side effect.
+// rebuilds a per-node map. Every row is strictly increasing, as the
+// graph's CSR rows are.
+//
+// On the wire the IDs travel gap-coded (docs/PROTOCOL.md §2.3): Owned as
+// gaps of at least 1, each row as the signed offset of its first
+// neighbor from its owner followed by gaps of at least 1, and the
+// offsets as per-node degrees. Small, repetitive numbers are what flate
+// compresses well; decodeConfig rebuilds AdjOff by prefix sum.
 //
 // Ownership is contiguous ranges plus overrides: node u belongs to
 // OverrideHosts[i] if u == OverrideNodes[i], else to
@@ -89,19 +96,61 @@ type config struct {
 }
 
 func encodeConfig(c config) []byte {
-	buf := make([]byte, 0, 64)
+	// Gaps and degrees mostly take 1–2 bytes; a larger frame grows once.
+	buf := make([]byte, 0, 16+2*len(c.Owned)+2*len(c.AdjFlat)+4*len(c.OverrideNodes))
 	buf = binary.AppendUvarint(buf, uint64(c.HostID))
 	buf = binary.AppendUvarint(buf, uint64(c.NumHosts))
 	buf = binary.AppendUvarint(buf, uint64(c.BaseHosts))
 	buf = binary.AppendUvarint(buf, uint64(c.NumNodes))
-	buf = append(buf, transport.EncodeIntSlice(c.Owned)...)
+	buf = binary.AppendUvarint(buf, uint64(len(c.Owned)))
+	buf = appendGaps(buf, -1, c.Owned)
 	for i := range c.Owned {
 		buf = binary.AppendUvarint(buf, uint64(c.AdjOff[i+1]-c.AdjOff[i]))
 	}
-	buf = append(buf, transport.EncodeIntSlice(c.AdjFlat)...)
+	for i, u := range c.Owned {
+		row := c.AdjFlat[c.AdjOff[i]:c.AdjOff[i+1]]
+		if len(row) == 0 {
+			continue
+		}
+		buf = binary.AppendVarint(buf, int64(row[0]-u))
+		buf = appendGaps(buf, row[0], row[1:])
+	}
 	buf = append(buf, transport.EncodeIntSlice(c.OverrideNodes)...)
 	buf = append(buf, transport.EncodeIntSlice(c.OverrideHosts)...)
 	return buf
+}
+
+// appendGaps appends the strictly increasing ids as uvarint gaps, the
+// first one taken from prev.
+func appendGaps(buf []byte, prev int, ids []int) []byte {
+	for _, v := range ids {
+		buf = binary.AppendUvarint(buf, uint64(v-prev))
+		prev = v
+	}
+	return buf
+}
+
+// readGaps fills dst from the uvarint gaps at data[off:], the first one
+// taken from prev, and returns the offset past the last gap. A zero gap
+// (a repeated ID) or one that reaches limit is rejected, so what it
+// accepts is strictly increasing and below limit.
+func readGaps(data []byte, off, prev, limit int, dst []int) (int, error) {
+	for i := range dst {
+		gap, n := binary.Uvarint(data[off:])
+		if n <= 0 {
+			return 0, fmt.Errorf("gap %d of %d truncated", i, len(dst))
+		}
+		if gap == 0 {
+			return 0, fmt.Errorf("zero gap after %d: not strictly increasing", prev)
+		}
+		if gap > uint64(limit-1-prev) {
+			return 0, fmt.Errorf("gap %d after %d leaves [0, %d)", gap, prev, limit)
+		}
+		off += n
+		prev += int(gap)
+		dst[i] = prev
+	}
+	return off, nil
 }
 
 func decodeConfig(data []byte) (config, error) {
@@ -131,23 +180,24 @@ func decodeConfig(data []byte) (config, error) {
 	if c.HostID >= c.NumHosts {
 		return c, fmt.Errorf("cluster: decode config: host id %d outside [0, %d)", c.HostID, c.NumHosts)
 	}
-	owned, n, err := transport.DecodeIntSlice(data[off:])
+	// The owned set feeds core.NewHostState, whose contract requires a
+	// sorted, duplicate-free node list within the graph; the gaps
+	// enforce it here where untrusted bytes enter.
+	count, n := binary.Uvarint(data[off:])
+	if n <= 0 {
+		return c, fmt.Errorf("cluster: decode config: owned count truncated")
+	}
+	off += n
+	// Every gap costs at least one byte.
+	if count > uint64(len(data)-off) {
+		return c, fmt.Errorf("cluster: decode config: owned count %d exceeds payload", count)
+	}
+	owned := make([]int, count)
+	off, err := readGaps(data, off, -1, c.NumNodes, owned)
 	if err != nil {
 		return c, fmt.Errorf("cluster: decode config: owned set: %w", err)
 	}
-	// The owned set feeds core.NewHostState, whose contract requires a
-	// sorted, duplicate-free node list within the graph; enforce it here
-	// where untrusted bytes enter.
-	for i, u := range owned {
-		if u < 0 || u >= c.NumNodes {
-			return c, fmt.Errorf("cluster: decode config: owned node %d outside [0, %d)", u, c.NumNodes)
-		}
-		if i > 0 && owned[i-1] >= u {
-			return c, fmt.Errorf("cluster: decode config: owned set not strictly increasing at %d", u)
-		}
-	}
 	c.Owned = owned
-	off += n
 	c.AdjOff = make([]int, len(owned)+1)
 	for i := range owned {
 		deg, n := binary.Uvarint(data[off:])
@@ -158,31 +208,36 @@ func decodeConfig(data []byte) (config, error) {
 		// Every adjacency entry costs at least one payload byte, so a
 		// degree sum beyond the remaining bytes is corrupt; rejecting it
 		// here also keeps the prefix sum from ever wrapping into negative
-		// offsets (a hostile 2^64-1 degree would otherwise slip past the
-		// total-length check below and panic the host in NewHostState).
+		// offsets (a hostile 2^64-1 degree would otherwise wrap the sum
+		// and panic the decoder where it sizes AdjFlat).
 		rem := uint64(len(data) - off)
 		if deg > rem || uint64(c.AdjOff[i])+deg > rem {
 			return c, fmt.Errorf("cluster: decode config: degree %d of node %d exceeds payload", deg, owned[i])
 		}
 		c.AdjOff[i+1] = c.AdjOff[i] + int(deg)
 	}
-	flat, n, err := transport.DecodeIntSlice(data[off:])
-	if err != nil {
-		return c, fmt.Errorf("cluster: decode config: adjacency: %w", err)
-	}
-	off += n
-	if len(flat) != c.AdjOff[len(owned)] {
-		return c, fmt.Errorf("cluster: decode config: %d adjacency entries, degrees sum to %d",
-			len(flat), c.AdjOff[len(owned)])
-	}
 	// Neighbor IDs feed the owner function; an out-of-range entry would
-	// produce a phantom host or index out of bounds.
-	for _, v := range flat {
-		if v < 0 || v >= c.NumNodes {
-			return c, fmt.Errorf("cluster: decode config: neighbor %d outside [0, %d)", v, c.NumNodes)
+	// produce a phantom host or index out of bounds. The first neighbor
+	// is range-checked here, the rest by their gaps.
+	c.AdjFlat = make([]int, c.AdjOff[len(owned)])
+	for i, u := range owned {
+		row := c.AdjFlat[c.AdjOff[i]:c.AdjOff[i+1]]
+		if len(row) == 0 {
+			continue
+		}
+		first, n := binary.Varint(data[off:])
+		if n <= 0 {
+			return c, fmt.Errorf("cluster: decode config: first neighbor of node %d truncated", u)
+		}
+		off += n
+		if first < -int64(u) || first >= int64(c.NumNodes-u) {
+			return c, fmt.Errorf("cluster: decode config: first neighbor of node %d at offset %d outside [0, %d)", u, first, c.NumNodes)
+		}
+		row[0] = u + int(first)
+		if off, err = readGaps(data, off, row[0], c.NumNodes, row[1:]); err != nil {
+			return c, fmt.Errorf("cluster: decode config: neighbors of node %d: %w", u, err)
 		}
 	}
-	c.AdjFlat = flat
 	oNodes, n, err := transport.DecodeIntSlice(data[off:])
 	if err != nil {
 		return c, fmt.Errorf("cluster: decode config: override nodes: %w", err)
@@ -603,6 +658,39 @@ func decodeSeed(data []byte, numNodes int) ([]seedEntry, error) {
 		return nil, fmt.Errorf("cluster: decode seed: %d trailing bytes", len(data)-off)
 	}
 	return entries, nil
+}
+
+// decodeResult reads a result frame, an int slice of the coreness
+// values of a host's owned nodes in ascending node order: the
+// coordinator knows which nodes the host owns, so the IDs stay off the
+// wire. owned is that set, sorted, every ID an index of coreness; the
+// i-th value is stored at coreness[owned[i]]. The count must equal
+// len(owned), and a value must lie below len(coreness): a coreness never
+// exceeds the maximum degree, which is below the node count.
+func decodeResult(payload []byte, owned, coreness []int) error {
+	count, n := binary.Uvarint(payload)
+	if n <= 0 {
+		return fmt.Errorf("cluster: decode result: bad count")
+	}
+	if count != uint64(len(owned)) {
+		return fmt.Errorf("cluster: decode result: %d values for %d owned nodes", count, len(owned))
+	}
+	off := n
+	for _, u := range owned {
+		k, n := binary.Uvarint(payload[off:])
+		if n <= 0 {
+			return fmt.Errorf("cluster: decode result: value of node %d truncated", u)
+		}
+		if k >= uint64(len(coreness)) {
+			return fmt.Errorf("cluster: decode result: node %d has coreness %d, want below %d", u, k, len(coreness))
+		}
+		off += n
+		coreness[u] = int(k)
+	}
+	if off != len(payload) {
+		return fmt.Errorf("cluster: decode result: %d trailing bytes", len(payload)-off)
+	}
+	return nil
 }
 
 // helloMsg is the host's opening frame: its protocol version and

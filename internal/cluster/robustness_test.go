@@ -244,3 +244,82 @@ func TestReshapeIOErrorIsFatal(t *testing.T) {
 		waitErr(t, hostDone, testDialWait, "host exit after abort")
 	}
 }
+
+// TestCoordinatorRejectsBadResult: a result frame carries no node IDs,
+// so the coordinator pairs values with the host's owned set. A host
+// that ships one value too few, or a value no coreness can reach, must
+// fail the run with a protocol error naming it, not panic or return a
+// vector with holes.
+func TestCoordinatorRejectsBadResult(t *testing.T) {
+	g := gen.Chain(40)
+	for name, forge := range map[string]func([]int) []byte{
+		"short": func(coreness []int) []byte { return transport.EncodeIntSlice(coreness[1:]) },
+		"value past n": func(coreness []int) []byte {
+			coreness[0] = g.NumNodes()
+			return transport.EncodeIntSlice(coreness)
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			coord, err := NewCoordinator(CoordinatorConfig{Graph: g, NumHosts: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			hostDone := make(chan error, 2)
+			go func() { hostDone <- forgingHost(coord.Addr(), forge) }()
+			go func() {
+				_, err := RunHost(ctx, HostConfig{CoordinatorAddr: coord.Addr()})
+				hostDone <- err
+			}()
+			_, err = coord.RunContext(ctx)
+			var perr *protocolError
+			if !errors.As(err, &perr) || !strings.Contains(err.Error(), "decode result") {
+				t.Fatalf("run ended with %v, want a protocol error from the result decoder", err)
+			}
+			for i := 0; i < 2; i++ {
+				waitErr(t, hostDone, testDialWait, "host exit after abort")
+			}
+		})
+	}
+}
+
+// forgingHost serves the protocol like a normal host and answers stop
+// with forge applied to its owned coreness values.
+func forgingHost(addr string, forge func([]int) []byte) error {
+	raw, err := dialTimeout(addr)
+	if err != nil {
+		return err
+	}
+	conn := transport.NewConn(raw)
+	defer conn.Close()
+	h := &hostRun{conn: conn, res: &HostResult{}, log: slog.New(discardHandler{})}
+	if err := h.handshake(); err != nil {
+		return err
+	}
+	if err := h.configure(); err != nil {
+		return err
+	}
+	if err := h.restore(); err != nil {
+		return err
+	}
+	if err := conn.Send(frameReady, nil); err != nil {
+		return err
+	}
+	for {
+		typ, payload, err := conn.Recv()
+		if err != nil {
+			return err
+		}
+		switch typ {
+		case frameTick:
+			if err := h.tick(payload); err != nil {
+				return err
+			}
+		case frameStop:
+			return conn.Send(frameResult, forge(h.state.AppendOwnedEstimates(nil)))
+		default:
+			return fmt.Errorf("unexpected frame %d", typ)
+		}
+	}
+}
