@@ -141,6 +141,7 @@ fuzz-short: build
 	$(GO) test -run '^$$' -fuzz FuzzHostStateDifferential -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzLoadSNAP -fuzztime $(FUZZTIME) ./internal/dataset
 	$(GO) test -run '^$$' -fuzz FuzzReadEdgeList -fuzztime $(FUZZTIME) ./internal/graph
+	$(GO) test -run '^$$' -fuzz FuzzReadBinary -fuzztime $(FUZZTIME) ./internal/graph
 	$(GO) test -run '^$$' -fuzz FuzzOOCoreDecompose -fuzztime $(FUZZTIME) ./internal/oocore
 	$(GO) test -run '^$$' -fuzz FuzzParallelDecompose -fuzztime $(FUZZTIME) ./internal/parallel
 	$(GO) test -run '^$$' -fuzz FuzzDecodeConfig -fuzztime $(FUZZTIME) ./internal/cluster
@@ -177,15 +178,18 @@ bench-partition: build
 # bench-allocs is the allocation-regression gate CI's benchmark-smoke
 # lane runs: the parallel engine's peel sub-rounds, and the HostState
 # Apply/ImproveIfDirty/CollectPointToPoint loop the simulator and the
-# cluster host drive, must re-run a warmed state with zero allocations, and one
+# cluster host drive, must re-run a warmed state with zero allocations, one
 # waited Session event must publish its epoch in under 64 KiB of
 # allocation, within 2x between a 20k-node and a 200k-node graph (the
-# scale gate: an O(n) or O(m) copy on the publish path fails it).
+# scale gate: an O(n) or O(m) copy on the publish path fails it), and
+# ReadEdgeList must ingest a 100k-node power law's text in at most 64 B
+# of allocation per input edge (TestReadEdgeListBytesPerEdge).
 # Deterministic tests, not benchmark-output parsing.
 bench-allocs: build
 	$(GO) test -run TestSteadyStateRoundAllocs -count=1 ./internal/parallel
 	$(GO) test -run TestRefineSteadyStateAllocs -count=1 ./internal/core
 	$(GO) test -run TestPublishBytesScaleFree -count=1 .
+	$(GO) test -run TestReadEdgeListBytesPerEdge -count=1 ./internal/graph
 
 # loc counts non-test Go lines outside benchmark/ and testdata
 # directories (hidden directories, such as the benchmark's scratch

@@ -193,7 +193,11 @@ const (
 	DeliverSameRound = sim.DeliverSameRound
 )
 
-// NewBuilder returns a Builder for a graph with at least n nodes.
+// NewBuilder returns a Builder for a graph with at least n nodes. Node
+// IDs are below 2^31−1, so n is at most that, and a Builder holds at most
+// 2^31−2^15 edges; past either ceiling the Builder panics, as AddEdge
+// does on a negative ID. Build runs on up to four goroutines once more
+// than 2^15 edges are added, with the same result on any number.
 func NewBuilder(n int) *Builder { return graph.NewBuilder(n) }
 
 // FromEdges builds a graph with n nodes from an undirected edge list.
@@ -204,7 +208,8 @@ func FromEdges(n int, edges [][2]int) *Graph { return graph.FromEdges(n, edges) 
 // arbitrary non-negative IDs to dense ones in first-appearance order;
 // origID maps back. The remap is a table indexed by raw ID while IDs stay
 // within a constant factor of the node count, with a map for sparse or
-// huge IDs, so its memory is O(nodes).
+// huge IDs, so its memory is O(nodes). More than 2^31−1 distinct IDs, or
+// more than 2^31−2^15 edges, are a format error.
 func ReadEdgeList(r io.Reader) (g *Graph, origID []int64, err error) {
 	return graph.ReadEdgeList(r)
 }
@@ -212,7 +217,9 @@ func ReadEdgeList(r io.Reader) (g *Graph, origID []int64, err error) {
 // WriteEdgeList writes g as a plain "u v" edge list.
 func WriteEdgeList(w io.Writer, g *Graph) error { return graph.WriteEdgeList(w, g) }
 
-// ReadBinary reads the compact binary graph format.
+// ReadBinary reads the compact binary graph format. Its memory grows
+// with the bytes actually read, not with the counts a header claims; a
+// node count above 2^31−1 is a format error.
 func ReadBinary(r io.Reader) (*Graph, error) { return graph.ReadBinary(r) }
 
 // WriteBinary writes the compact binary graph format.

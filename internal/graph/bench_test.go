@@ -3,6 +3,7 @@ package graph_test
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"dkcore/internal/gen"
@@ -33,6 +34,34 @@ func BenchmarkReadEdgeList(b *testing.B) {
 			b.Fatal(err)
 		}
 		sinkGraph = g
+	}
+}
+
+// TestReadEdgeListBytesPerEdge is the ingest-memory gate: reading the
+// benchmark graph's text edge list allocates at most 64 bytes per input
+// edge, all of ReadEdgeList counted (the scanner, the dense-ID remap, the
+// stored edges, Build's intermediates and the CSR it returns).
+func TestReadEdgeListBytesPerEdge(t *testing.T) {
+	const maxBytesPerEdge = 64
+	g := benchGraph()
+	var text bytes.Buffer
+	if err := graph.WriteEdgeList(&text, g); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got, _, err := graph.ReadEdgeList(bytes.NewReader(text.Bytes()))
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.NumEdges() != g.NumEdges() {
+		t.Fatalf("read %d edges, wrote %d", got.NumEdges(), g.NumEdges())
+	}
+	perEdge := float64(after.TotalAlloc-before.TotalAlloc) / float64(g.NumEdges())
+	t.Logf("%d edges, %.1f B allocated per edge", g.NumEdges(), perEdge)
+	if perEdge > maxBytesPerEdge {
+		t.Fatalf("ReadEdgeList allocated %.1f B per input edge, want at most %d", perEdge, maxBytesPerEdge)
 	}
 }
 

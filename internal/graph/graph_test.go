@@ -117,6 +117,116 @@ func TestBuilderPanicsOnNegativeID(t *testing.T) {
 	NewBuilder(1).AddEdge(-1, 0)
 }
 
+// TestBuilderPanicsAtIDCeiling: MaxNodes-1 is the largest ID AddEdge
+// takes, in either endpoint.
+func TestBuilderPanicsAtIDCeiling(t *testing.T) {
+	b := NewBuilder(0)
+	b.AddEdge(MaxNodes-1, 0)
+	if b.NumNodes() != MaxNodes {
+		t.Fatalf("AddEdge(MaxNodes-1, 0): %d nodes, want MaxNodes", b.NumNodes())
+	}
+	for _, e := range [][2]int{{MaxNodes, 0}, {0, MaxNodes}, {1 << 40, 1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("AddEdge(%d, %d) did not panic", e[0], e[1])
+				}
+			}()
+			NewBuilder(1).AddEdge(e[0], e[1])
+		}()
+	}
+}
+
+// multiChunkEdges returns m edges on n nodes for the parallel Build: a
+// few hubs, duplicates and self-loops, including across and at every
+// chunk boundary.
+func multiChunkEdges(n, m int, seed int64) [][2]int {
+	rng := rand.New(rand.NewSource(seed))
+	edges := make([][2]int, 0, m)
+	for i := 0; i < m; i++ {
+		u, v := rng.Intn(n), rng.Intn(n)
+		if rng.Intn(4) == 0 {
+			u = rng.Intn(8) // hub
+		}
+		switch at := i % chunkEdges; {
+		case at == 0 && i > 0: // the previous chunk's last edge, reversed
+			u, v = edges[i-1][1], edges[i-1][0]
+		case at == chunkEdges-1: // a self-loop ends every chunk
+			v = u
+		case i > 0 && rng.Intn(8) == 0: // an earlier edge, either way round
+			prev := edges[rng.Intn(len(edges))]
+			u, v = prev[0], prev[1]
+			if rng.Intn(2) == 0 {
+				u, v = v, u
+			}
+		case rng.Intn(16) == 0:
+			v = u
+		}
+		edges = append(edges, [2]int{u, v})
+	}
+	return edges
+}
+
+// TestBuildWorkersMatchReference holds the parallel Build to the sorting
+// reference at 1, 2, 3 and 8 workers, on edge lists that end just before,
+// at and just after a chunk boundary and that span several chunks.
+func TestBuildWorkersMatchReference(t *testing.T) {
+	const n = 3000
+	edges := multiChunkEdges(n, chunkEdges*7/2, 1)
+	for _, m := range []int{chunkEdges - 1, chunkEdges, chunkEdges + 1, len(edges)} {
+		b := NewBuilder(n + 3) // trailing isolated nodes
+		for _, e := range edges[:m] {
+			b.AddEdge(e[0], e[1])
+		}
+		want := referenceBuild(b)
+		for _, workers := range []int{1, 2, 3, 8} {
+			got := b.build(workers)
+			if !got.Equal(want) || len(got.adj) != cap(got.adj) {
+				t.Fatalf("%d edges, %d workers: %d nodes / %d edges, reference %d / %d",
+					m, workers, got.NumNodes(), got.NumEdges(), want.NumNodes(), want.NumEdges())
+			}
+		}
+	}
+}
+
+// TestBuildAllSelfLoops: a multi-chunk list of self-loops builds the
+// edgeless graph on its nodes at any worker count.
+func TestBuildAllSelfLoops(t *testing.T) {
+	b := NewBuilder(0)
+	for i := 0; i < 2*chunkEdges+5; i++ {
+		b.AddEdge(i%100, i%100)
+	}
+	for _, workers := range []int{1, 2, 3, 8} {
+		if g := b.build(workers); g.NumNodes() != 100 || g.NumEdges() != 0 {
+			t.Fatalf("%d workers: %d nodes / %d edges, want 100 / 0", workers, g.NumNodes(), g.NumEdges())
+		}
+	}
+}
+
+// TestBuildSnapshot: Build leaves the Builder usable, and the graph it
+// returned does not change when more edges are added and built.
+func TestBuildSnapshot(t *testing.T) {
+	const n = 2000
+	edges := multiChunkEdges(n, 3*chunkEdges, 2)
+	b := NewBuilder(0)
+	for _, e := range edges[:chunkEdges*3/2] {
+		b.AddEdge(e[0], e[1])
+	}
+	first, firstWant := b.Build(), referenceBuild(b)
+	for _, e := range edges[chunkEdges*3/2:] {
+		b.AddEdge(e[0], e[1])
+	}
+	b.AddEdge(n+1, n+2)
+	second := b.Build()
+	if !first.Equal(firstWant) {
+		t.Fatalf("first snapshot changed after more edges were added and built")
+	}
+	if !second.Equal(referenceBuild(b)) || !second.HasEdge(n+1, n+2) {
+		t.Fatalf("second snapshot: %d nodes / %d edges, reference %d / %d",
+			second.NumNodes(), second.NumEdges(), referenceBuild(b).NumNodes(), referenceBuild(b).NumEdges())
+	}
+}
+
 func TestNeighborsSortedProperty(t *testing.T) {
 	check := func(seed int64, nRaw, mRaw uint8) bool {
 		n := int(nRaw)%50 + 2

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"strconv"
 	"strings"
 )
@@ -25,7 +24,9 @@ const maxLineBytes = 1 << 20
 // lines are ignored (SNAP datasets use '#' comments); fields after the
 // second are ignored; a line longer than 1 MiB is an error. Node
 // identifiers may be arbitrary non-negative 64-bit integers; they are
-// remapped to dense IDs in first-appearance order.
+// remapped to dense IDs in first-appearance order. More than MaxNodes
+// distinct identifiers, or more than 2^31−2^15 edges, are an ErrBadFormat
+// error.
 //
 // The common line, two unsigned decimals of at most 18 digits separated by
 // ASCII whitespace, is parsed in place from the scanner's bytes; any other
@@ -38,7 +39,7 @@ const maxLineBytes = 1 << 20
 // It returns the graph and origID, where origID[u] is the identifier that
 // dense node u had in the input.
 func ReadEdgeList(r io.Reader) (g *Graph, origID []int64, err error) {
-	var ids denseIDs
+	ids := denseIDs{limit: MaxNodes}
 	b := NewBuilder(0)
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), maxLineBytes)
@@ -55,7 +56,15 @@ func ReadEdgeList(r io.Reader) (g *Graph, origID []int64, err error) {
 				continue
 			}
 		}
-		b.AddEdge(ids.dense(u), ids.dense(v))
+		du, okU := ids.dense(u)
+		dv, okV := ids.dense(v)
+		if !okU || !okV {
+			return nil, nil, fmt.Errorf("%w: line %d: more than %d distinct node ids", ErrBadFormat, lineNo, ids.limit)
+		}
+		if b.NumEdgesAdded() == maxEdges {
+			return nil, nil, fmt.Errorf("%w: line %d: more than %d edges", ErrBadFormat, lineNo, maxEdges)
+		}
+		b.AddEdge(du, dv)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, nil, fmt.Errorf("graph: read edge list: %w", err)
@@ -134,37 +143,44 @@ func parseFields(text string, lineNo int) (u, v int64, skip bool, err error) {
 // it costs at most 8·tableSlack bytes per node, plus a constant.
 const tableSlack = 4
 
-// denseIDs numbers raw node IDs densely in first-appearance order. Each
-// raw ID seen is in exactly one of table and sparse.
+// denseIDs numbers raw node IDs densely in first-appearance order, at
+// most limit of them (at most MaxNodes, so a dense ID + 1 fits in int32).
+// Each raw ID seen is in exactly one of table and sparse.
 type denseIDs struct {
+	limit  int
 	table  []int32       // table[raw] is dense ID + 1; 0 is unseen
 	sparse map[int64]int // raw IDs the table could not take when first seen
 	origID []int64       // origID[dense] is the raw ID
 }
 
-func (d *denseIDs) dense(raw int64) int {
+// dense returns raw's dense ID, numbering it if it is new; ok is false if
+// it is new and limit IDs are already numbered.
+func (d *denseIDs) dense(raw int64) (id int, ok bool) {
 	if raw < int64(len(d.table)) {
 		if id := d.table[raw]; id != 0 {
-			return int(id - 1)
+			return int(id - 1), true
 		}
 	}
 	if id, ok := d.sparse[raw]; ok {
-		return id
+		return id, true
 	}
-	id := len(d.origID)
+	id = len(d.origID)
+	if id == d.limit {
+		return 0, false
+	}
 	d.origID = append(d.origID, raw)
 	if raw >= int64(len(d.table)) && raw < tableSlack*int64(id+1024) {
 		d.grow(max(2*int64(len(d.table)), raw+1))
 	}
-	if raw < int64(len(d.table)) && id < math.MaxInt32 {
+	if raw < int64(len(d.table)) {
 		d.table[raw] = int32(id + 1)
-		return id
+		return id, true
 	}
 	if d.sparse == nil {
 		d.sparse = make(map[int64]int)
 	}
 	d.sparse[raw] = id
-	return id
+	return id, true
 }
 
 // grow widens the table to size entries and moves into it the sparse IDs
@@ -173,7 +189,7 @@ func (d *denseIDs) grow(size int64) {
 	table := make([]int32, size)
 	copy(table, d.table)
 	for raw, id := range d.sparse {
-		if raw < size && id < math.MaxInt32 {
+		if raw < size {
 			table[raw] = int32(id + 1)
 			delete(d.sparse, raw)
 		}
@@ -247,7 +263,9 @@ func WriteBinary(w io.Writer, g *Graph) error {
 	return nil
 }
 
-// ReadBinary reads a graph written by WriteBinary.
+// ReadBinary reads a graph written by WriteBinary. A node count above
+// MaxNodes is an ErrBadFormat error. Memory grows with the nodes and
+// arcs actually decoded, not with the counts the header claims.
 func ReadBinary(r io.Reader) (*Graph, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(binaryMagic))
@@ -261,22 +279,23 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 	if err != nil {
 		return nil, fmt.Errorf("graph: read binary: %w", err)
 	}
-	const maxNodes = 1 << 31
-	if n64 > maxNodes {
+	if n64 > MaxNodes {
 		return nil, fmt.Errorf("%w: node count %d too large", ErrBadFormat, n64)
 	}
 	n := int(n64)
-	offsets := make([]int, n+1)
+	// n is only the header's claim: offsets starts at most 2^14+1 long
+	// and grows as nodes decode, each from at least one byte.
+	offsets := make([]int, 1, min(n, 1<<14)+1)
 	var adj []int
 	for u := 0; u < n; u++ {
 		deg, err := binary.ReadUvarint(br)
 		if err != nil {
 			return nil, fmt.Errorf("graph: read binary: node %d: %w", u, err)
 		}
-		if deg > uint64(maxNodes) {
+		if deg > MaxNodes {
 			return nil, fmt.Errorf("%w: node %d degree %d too large", ErrBadFormat, u, deg)
 		}
-		offsets[u+1] = offsets[u] + int(deg)
+		offsets = append(offsets, offsets[u]+int(deg))
 		prev := 0
 		for i := uint64(0); i < deg; i++ {
 			delta, err := binary.ReadUvarint(br)

@@ -3,6 +3,7 @@ package graph
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -270,6 +271,77 @@ func TestBinaryRoundTripPreservesIsolatedNodes(t *testing.T) {
 	}
 	if !g.Equal(g2) {
 		t.Fatalf("round trip changed graph")
+	}
+}
+
+// TestReadBinaryClaimedNodesCostNothing: a header that claims about 2^31
+// nodes and then ends is an error reached after allocating under 1 MiB.
+func TestReadBinaryClaimedNodesCostNothing(t *testing.T) {
+	data := binary.AppendUvarint([]byte(binaryMagic), MaxNodes)
+	data = append(data, 0, 0, 0)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadBinary(bytes.NewReader(data))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatalf("ReadBinary accepted a truncated %d-node header", MaxNodes)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("ReadBinary allocated %d bytes for a %d-byte input, want < 1 MiB", alloc, len(data))
+	}
+	tooMany := binary.AppendUvarint([]byte(binaryMagic), MaxNodes+1)
+	if _, err := ReadBinary(bytes.NewReader(tooMany)); !errors.Is(err, ErrBadFormat) {
+		t.Fatalf("node count MaxNodes+1: error %v, want ErrBadFormat", err)
+	}
+}
+
+// FuzzReadBinary: ReadBinary never panics, and whatever it accepts
+// survives a WriteBinary round trip unchanged.
+func FuzzReadBinary(f *testing.F) {
+	for _, g := range []*Graph{NewBuilder(0).Build(), NewBuilder(3).Build(), pathGraph(5), randomGraph(30, 80, 1)} {
+		var buf bytes.Buffer
+		if err := WriteBinary(&buf, g); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Add([]byte("DKG1\x02\x01\x01\x01\x00"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, err := ReadBinary(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteBinary(&buf, g); err != nil {
+			t.Fatal(err)
+		}
+		again, err := ReadBinary(&buf)
+		if err != nil {
+			t.Fatalf("re-reading an accepted graph: %v", err)
+		}
+		if !again.Equal(g) {
+			t.Fatalf("round trip changed the graph: %v / %v, then %v / %v", g.offsets, g.adj, again.offsets, again.adj)
+		}
+	})
+}
+
+// TestDenseIDsLimit: the remap numbers at most limit distinct IDs (MaxNodes
+// in ReadEdgeList, which reports the first one past it as ErrBadFormat)
+// and refuses the rest without recording them.
+func TestDenseIDsLimit(t *testing.T) {
+	d := denseIDs{limit: 2}
+	for i, raw := range []int64{7, 1 << 40, 7, 1 << 40} {
+		if id, ok := d.dense(raw); !ok || id != i%2 {
+			t.Fatalf("dense(%d) = %d, %v; want %d, true", raw, id, ok, i%2)
+		}
+	}
+	for _, raw := range []int64{8, 1 << 41} {
+		if _, ok := d.dense(raw); ok {
+			t.Fatalf("dense(%d) numbered a third ID under limit 2", raw)
+		}
+	}
+	if len(d.origID) != 2 {
+		t.Fatalf("origID %v after a refused ID, want 2 entries", d.origID)
 	}
 }
 

@@ -66,10 +66,15 @@ func referenceReadEdgeList(r io.Reader) (g *Graph, origID []int64, err error) {
 // referenceBuild is Builder.Build by sorting: drop self-loops, sort and
 // dedupe the canonical (u<v) edge list, then fill CSR rows in edge order.
 func referenceBuild(b *Builder) *Graph {
-	edges := make([][2]int, 0, len(b.edges))
-	for _, e := range b.edges {
-		if e[0] != e[1] {
-			edges = append(edges, e)
+	edges := make([][2]int, 0, b.NumEdgesAdded())
+	for c, chunk := range b.chunks {
+		if c == len(b.chunks)-1 {
+			chunk = chunk[:b.tail]
+		}
+		for _, e := range chunk {
+			if e[0] != e[1] {
+				edges = append(edges, [2]int{int(e[0]), int(e[1])})
+			}
 		}
 	}
 	sort.Slice(edges, func(i, j int) bool {
