@@ -16,11 +16,13 @@
 //	    -rejoin-wait 2m -allow-join -compress
 //
 // which checkpoints every host every 16 rounds, waits up to two minutes
-// for a replacement when a worker dies (resuming it from its checkpoint
-// plus the delta batches since), admits extra workers joining mid-run,
-// and flate-compresses its frames on the wire. Progress and failures
-// are logged as structured key=value lines on stderr; a host death
-// reports who died, in which round, and the last round it acknowledged.
+// for a replacement when a worker dies, admits extra workers joining
+// mid-run, and flate-compresses its frames on the wire. A death or a
+// join restarts every host at a round boundary, warm: each resumes
+// from the checkpointed estimates, which bound the coreness from above.
+// Progress and failures are logged as structured key=value lines on
+// stderr; a host death reports who died, in which round, and the last
+// round it acknowledged.
 package main
 
 import (

@@ -8,9 +8,10 @@
 //	kcore-host -coord 127.0.0.1:7070
 //
 // A worker started while a run is already in progress either replaces a
-// dead host (resuming from its latest checkpoint) or joins as extra
-// capacity, depending on what the coordinator is waiting for; the
-// protocol is identical either way, so no extra flags are needed.
+// dead host or joins as extra capacity, depending on what the
+// coordinator is waiting for. Either way it enters at the coordinator's
+// next restart, seeded from the checkpointed estimates like every other
+// host; the protocol is identical, so no extra flags are needed.
 // Progress is logged as structured key=value lines on stderr.
 package main
 

@@ -70,8 +70,8 @@
 // assignment by seed; PartitionBy installs any custom policy. An
 // assignment routing a node outside [0, NumHosts()) is rejected before
 // any rounds run. Cluster takes no PartitionBy: its coordinator always
-// starts from BlockAssignment over the initial host count, and
-// membership changes move nodes as per-node overrides on top of it.
+// uses BlockAssignment over the current host count, and a membership
+// change restarts the hosts over the new count.
 //
 // Cost model: OneToMany and Cluster build per-host state in one O(n+m)
 // pass for all p partitions — a node→host table, dense owned slices and

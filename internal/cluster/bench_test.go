@@ -30,7 +30,6 @@ func BenchmarkConfigFrame(b *testing.B) {
 		b.Fatal(err)
 	}
 	cfg := partitionConfig(parts, 0)
-	cfg.NumHosts, cfg.BaseHosts = 2, 2
 	arcs := float64(len(cfg.AdjFlat))
 
 	var wire bytes.Buffer

@@ -137,26 +137,23 @@ func TestHostRejectsBadCoordinatorAddr(t *testing.T) {
 
 // TestConfigRoundTrip covers the shapes the gap coding has to get
 // right: an empty partition, isolated owned nodes, a first neighbor
-// below its owner (a negative offset), a neighbor at NumNodes-1, and
-// overrides.
+// below its owner (a negative offset), and a neighbor at NumNodes-1.
 func TestConfigRoundTrip(t *testing.T) {
 	cases := map[string]config{
-		"overrides": {
-			HostID: 2, NumHosts: 4, BaseHosts: 3, NumNodes: 10,
+		"scattered rows": {
+			HostID: 2, NumHosts: 4, NumNodes: 10,
 			Owned: []int{2, 5, 8},
 			// CSR form of {2: [0 5 9], 5: [2], 8: []}.
-			AdjOff:        []int{0, 3, 4, 4},
-			AdjFlat:       []int{0, 5, 9, 2},
-			OverrideNodes: []int{5, 9},
-			OverrideHosts: []int{3, 0},
+			AdjOff:  []int{0, 3, 4, 4},
+			AdjFlat: []int{0, 5, 9, 2},
 		},
-		"empty partition": {HostID: 1, NumHosts: 2, BaseHosts: 2, NumNodes: 5, AdjOff: []int{0}},
+		"empty partition": {HostID: 1, NumHosts: 2, NumNodes: 5, AdjOff: []int{0}},
 		"isolated nodes": {
-			HostID: 0, NumHosts: 1, BaseHosts: 1, NumNodes: 4,
+			HostID: 0, NumHosts: 1, NumNodes: 4,
 			Owned: []int{0, 2, 3}, AdjOff: []int{0, 0, 0, 0},
 		},
 		"negative offset and last node": {
-			HostID: 1, NumHosts: 2, BaseHosts: 2, NumNodes: 1000,
+			HostID: 1, NumHosts: 2, NumNodes: 1000,
 			Owned:   []int{500, 501, 999},
 			AdjOff:  []int{0, 3, 3, 5},
 			AdjFlat: []int{0, 499, 999, 0, 998},
@@ -167,17 +164,12 @@ func TestConfigRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if out.HostID != in.HostID || out.NumHosts != in.NumHosts ||
-			out.BaseHosts != in.BaseHosts || out.NumNodes != in.NumNodes {
+		if out.HostID != in.HostID || out.NumHosts != in.NumHosts || out.NumNodes != in.NumNodes {
 			t.Fatalf("%s: scalar fields mismatch: %+v", name, out)
 		}
 		if !slices.Equal(out.Owned, in.Owned) || !slices.Equal(out.AdjOff, in.AdjOff) || !slices.Equal(out.AdjFlat, in.AdjFlat) {
 			t.Fatalf("%s: partition mismatch: %v %v %v, want %v %v %v",
 				name, out.Owned, out.AdjOff, out.AdjFlat, in.Owned, in.AdjOff, in.AdjFlat)
-		}
-		if !slices.Equal(out.OverrideNodes, in.OverrideNodes) || !slices.Equal(out.OverrideHosts, in.OverrideHosts) {
-			t.Fatalf("%s: overrides mismatch: %v→%v vs %v→%v",
-				name, out.OverrideNodes, out.OverrideHosts, in.OverrideNodes, in.OverrideHosts)
 		}
 	}
 }
@@ -190,7 +182,6 @@ func TestConfigRoundTrip(t *testing.T) {
 func TestConfigDecodeRejectsHostileDegrees(t *testing.T) {
 	payload := binary.AppendUvarint(nil, 0)             // HostID
 	payload = binary.AppendUvarint(payload, 1)          // NumHosts
-	payload = binary.AppendUvarint(payload, 1)          // BaseHosts
 	payload = binary.AppendUvarint(payload, 3)          // NumNodes
 	payload = append(payload, 2, 1, 1)                  // Owned {0, 1}: count, gaps
 	payload = binary.AppendUvarint(payload, ^uint64(0)) // degree of node 0: 2^64-1
@@ -208,7 +199,7 @@ func TestConfigDecodeRejectsBadOwnedSets(t *testing.T) {
 	base := func(owned []int) config {
 		off := make([]int, len(owned)+1)
 		return config{
-			HostID: 0, NumHosts: 1, BaseHosts: 1, NumNodes: 4,
+			HostID: 0, NumHosts: 1, NumNodes: 4,
 			Owned: owned, AdjOff: off,
 		}
 	}
@@ -230,19 +221,16 @@ func TestConfigDecodeRejectsBadOwnedSets(t *testing.T) {
 // set, and an adjacency entry naming a node outside the graph (phantom
 // mesh peer) must all fail to decode.
 func TestConfigDecodeRejectsHostileHeaders(t *testing.T) {
-	encode := func(hostID, numHosts, baseHosts, numNodes uint64) []byte {
+	encode := func(hostID, numHosts, numNodes uint64) []byte {
 		payload := binary.AppendUvarint(nil, hostID)
 		payload = binary.AppendUvarint(payload, numHosts)
-		payload = binary.AppendUvarint(payload, baseHosts)
 		return binary.AppendUvarint(payload, numNodes)
 	}
 	cases := map[string][]byte{
-		"zero hosts":       encode(0, 0, 1, 3),
-		"huge host count":  encode(0, 1<<40, 1, 3),
-		"overflow hosts":   encode(0, 1<<63, 1, 3),
-		"zero base":        encode(0, 1, 0, 3),
-		"base above hosts": encode(0, 2, 3, 3),
-		"host id too big":  encode(2, 1, 1, 3),
+		"zero hosts":      encode(0, 0, 3),
+		"huge host count": encode(0, 1<<40, 3),
+		"overflow hosts":  encode(0, 1<<63, 3),
+		"host id too big": encode(2, 1, 3),
 	}
 	for name, payload := range cases {
 		if c, err := decodeConfig(payload); err == nil {
@@ -250,19 +238,12 @@ func TestConfigDecodeRejectsHostileHeaders(t *testing.T) {
 		}
 	}
 	if _, err := decodeConfig(encodeConfig(config{
-		HostID: 0, NumHosts: 1, BaseHosts: 1, NumNodes: 3,
+		HostID: 0, NumHosts: 1, NumNodes: 3,
 		Owned:   []int{0},
 		AdjOff:  []int{0, 1},
 		AdjFlat: []int{7}, // neighbor outside [0, 3)
 	})); err == nil {
 		t.Fatalf("out-of-range neighbor accepted")
-	}
-	if _, err := decodeConfig(encodeConfig(config{
-		HostID: 0, NumHosts: 2, BaseHosts: 2, NumNodes: 3,
-		Owned: []int{0}, AdjOff: []int{0, 0},
-		OverrideNodes: []int{1}, OverrideHosts: []int{5}, // host outside [0, 2)
-	})); err == nil {
-		t.Fatalf("out-of-range override host accepted")
 	}
 }
 
@@ -272,7 +253,7 @@ func TestConfigDecodeRejectsHostileHeaders(t *testing.T) {
 // payload and the bound before the prefix sum rejects it.
 func TestConfigDecodeRejectsDegreeMismatch(t *testing.T) {
 	payload := []byte{
-		0, 1, 1, 3, // HostID, NumHosts, BaseHosts, NumNodes
+		0, 1, 3, // HostID, NumHosts, NumNodes
 		2, 1, 1, // Owned {0, 1}: count, gaps
 		2, 1, // degrees sum to 3 ...
 		2, 1, // ... but only 2 entries shipped: node 0's row {1, 2}
@@ -290,17 +271,17 @@ func TestConfigDecodeRejectsDegreeMismatch(t *testing.T) {
 // row would repeat an ID, and a row's first offset must land inside
 // [0, NumNodes).
 func TestConfigDecodeRejectsBadGaps(t *testing.T) {
-	header := []byte{0, 1, 1, 10} // HostID, NumHosts, BaseHosts, NumNodes
+	header := []byte{0, 1, 10} // HostID, NumHosts, NumNodes
 	cases := []struct {
 		name, want string
 		body       []byte
 	}{
-		{"zero owned gap", "zero gap", []byte{2, 3, 0, 0, 0, 0, 0}},     // Owned {2, 2}
-		{"zero row gap", "zero gap", []byte{1, 5, 2, 2, 0, 0, 0}},       // node 4: {5, 5}
-		{"first offset below 0", "outside", []byte{1, 5, 1, 9, 0, 0}},   // node 4: offset -5
-		{"first offset past n", "outside", []byte{1, 5, 1, 12, 0, 0}},   // node 4: offset +6
-		{"gap past n", "leaves [0, 10)", []byte{1, 5, 2, 2, 10, 0, 0}},  // node 4: {5, 15}
-		{"owned past n", "leaves [0, 10)", []byte{2, 5, 6, 0, 0, 0, 0}}, // Owned {4, 10}
+		{"zero owned gap", "zero gap", []byte{2, 3, 0, 0, 0}},     // Owned {2, 2}
+		{"zero row gap", "zero gap", []byte{1, 5, 2, 2, 0}},       // node 4: {5, 5}
+		{"first offset below 0", "outside", []byte{1, 5, 1, 9}},   // node 4: offset -5
+		{"first offset past n", "outside", []byte{1, 5, 1, 12}},   // node 4: offset +6
+		{"gap past n", "leaves [0, 10)", []byte{1, 5, 2, 2, 10}},  // node 4: {5, 15}
+		{"owned past n", "leaves [0, 10)", []byte{2, 5, 6, 0, 0}}, // Owned {4, 10}
 	}
 	for _, tc := range cases {
 		c, err := decodeConfig(append(slices.Clone(header), tc.body...))
@@ -368,10 +349,13 @@ func TestCoordinatorCancelDuringSilentEnrollment(t *testing.T) {
 // whose hello names any version but its own without a welcome — version
 // 1 (peer mesh), version 2 (same frames, modulo base ownership), version
 // 3 (per-arc support histograms in checkpoints) and version 4 (raw IDs
-// in config and result frames) alike, because a v2 host would read the
-// config's base as modulo and route batches to the wrong peers, a v3
-// host's checkpoint would fail a v4 restore, and a v4 host would read a
-// v5 config's gaps as node IDs — and then still enrolls a current host.
+// in config and result frames) and version 5 (checkpoint replay and
+// reshape frames) alike, because a v2 host would read the config's base
+// as modulo and route batches to the wrong peers, a v3 host's
+// checkpoint would fail a v4 restore, a v4 host would read a v5
+// config's gaps as node IDs, and a v5 host would read a v6 config's
+// node count as its base host count — and then still enrolls a current
+// host.
 func TestHandshakeRefusesOtherVersions(t *testing.T) {
 	g := gen.Chain(20)
 	coord, err := NewCoordinator(CoordinatorConfig{Graph: g, NumHosts: 1})
@@ -389,7 +373,7 @@ func TestHandshakeRefusesOtherVersions(t *testing.T) {
 		res, err := coord.RunContext(ctx)
 		done <- outcome{res, err}
 	}()
-	for _, version := range []int{1, 2, 3, 4, protocolVersion + 1} {
+	for _, version := range []int{1, 2, 3, 4, 5, protocolVersion + 1} {
 		raw, err := dialTimeout(coord.Addr())
 		if err != nil {
 			t.Fatal(err)

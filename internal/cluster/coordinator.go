@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"log/slog"
 	"net"
@@ -24,38 +25,38 @@ type CoordinatorConfig struct {
 	ListenAddr string
 	// MaxRounds bounds the protocol; 0 means 8*(N+2).
 	MaxRounds int
-	// CheckpointEvery asks every host for a state checkpoint each k
-	// rounds. Checkpoints bound the replay log: a restarted host
-	// reloads its checkpoint and replays only the batches delivered
-	// since. 0 disables checkpointing (a restart then replays the full
-	// delivery history, which the coordinator retains whenever
-	// RejoinWait allows restarts at all).
+	// CheckpointEvery asks every host for a checkpoint of its owned
+	// estimates each k rounds. Checkpoints are min-merged into the
+	// upper-bound vector every restart seeds the hosts from. A restart
+	// checkpoints the live hosts itself, so periodic checkpoints only
+	// warm the restart of a host that dies: its nodes resume from its
+	// last checkpoint instead of from their degrees. 0 disables
+	// periodic checkpoints.
 	CheckpointEvery int
-	// RejoinWait is how long the coordinator waits for a replacement
-	// worker after a host connection dies before giving up on the run.
-	// 0 (the default) fails fast: any host death aborts the run with a
-	// structured error naming the host and its last acknowledged round.
-	// A host that reconnects within the window is restored from its
-	// slot's checkpoint and replay log like any other replacement — the
-	// checkpoint itself is never invalidated by the death.
+	// RejoinWait is how long a restart waits for a replacement worker
+	// for each dead host before giving up on the run. 0 (the default)
+	// fails fast: any host death aborts the run with a structured error
+	// naming the host and its last acknowledged round. A host that
+	// reconnects within the window is enrolled like any other
+	// replacement.
 	RejoinWait time.Duration
 	// FrameTimeout bounds each frame send and each wait for a host's
 	// next frame. 0 disables deadlines. Choose it above the slowest
 	// host's per-round compute, or healthy-but-slow workers read as
 	// dead. A tripped deadline is a connection failure, so with a
-	// RejoinWait budget it feeds the normal recovery path — wedged
-	// hosts become replaceable instead of hanging the run.
+	// RejoinWait budget it leads to a restart — wedged hosts become
+	// replaceable instead of hanging the run.
 	FrameTimeout time.Duration
-	// AllowJoin lets extra workers join a running cluster: a join
-	// triggers a partial repartition in which only the moved nodes are
-	// re-shipped. Replacement workers for dead hosts are always
+	// AllowJoin lets extra workers join a running cluster: a round
+	// boundary admits one waiting worker and restarts the run over the
+	// grown host set. Replacement workers for dead hosts are always
 	// accepted regardless of this flag.
 	AllowJoin bool
 	// Compression negotiates transparent flate compression of all
-	// frames (config, ticks, done reports, checkpoints) with every
-	// host that advertises support.
+	// frames (config, restore, ticks, done reports, checkpoints) with
+	// every host that advertises support.
 	Compression bool
-	// Log receives structured runtime events (host deaths, recoveries,
+	// Log receives structured runtime events (host deaths, restarts,
 	// membership changes). nil discards them.
 	Log *slog.Logger
 }
@@ -78,8 +79,8 @@ type Result struct {
 	BatchBytesRaw  int64
 	BatchBytesWire int64
 	// Checkpoints counts host checkpoints received; Recoveries counts
-	// host restarts absorbed; Joins and Leaves count membership
-	// changes applied.
+	// dead hosts replaced; Joins and Leaves count membership changes
+	// applied.
 	Checkpoints int
 	Recoveries  int
 	Joins       int
@@ -123,12 +124,12 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 // Addr returns the coordinator's bound address for hosts to dial.
 func (c *Coordinator) Addr() string { return c.ln.Addr().String() }
 
-// Leave asks the coordinator to retire host id at the next round
-// boundary: the host's nodes are redistributed over the remaining
-// workers (only moved nodes are re-shipped) and the worker is then
-// released with a normal stop/result exchange. The request is
-// asynchronous — a run that quiesces first simply never processes it.
-// Leave fails only when the request queue is full.
+// Leave asks the coordinator to retire host id at a round boundary.
+// The retirement is a restart: the worker is released with a normal
+// stop/result exchange, every host above it moves down one ID, and the
+// graph is repartitioned over the rest. The request is asynchronous — a
+// run that quiesces first simply never processes it. Leave fails only
+// when the request queue is full.
 //
 //dkcore:noctx non-blocking by contract: a full request queue fails fast
 func (c *Coordinator) Leave(hostID int) error {
@@ -141,8 +142,8 @@ func (c *Coordinator) Leave(hostID int) error {
 }
 
 // RunContext accepts NumHosts hosts, distributes partitions, drives
-// rounds until global quiescence, and assembles the result — absorbing
-// host deaths, restarts, and membership changes along the way according
+// rounds until global quiescence, and assembles the result — restarting
+// the run on host deaths and membership changes along the way according
 // to the config. It closes the listener on return. Cancelling ctx
 // aborts the run promptly and returns ctx.Err().
 func (c *Coordinator) RunContext(ctx context.Context) (*Result, error) {
@@ -155,36 +156,19 @@ func (c *Coordinator) RunContext(ctx context.Context) (*Result, error) {
 	return res, err
 }
 
-// relayEntry is one batch queued for delivery to a slot, with the round
-// it was (or will be) delivered in. Entries before the slot's cursor
-// have been delivered and are retained for replay until a checkpoint
-// covers them; entries at and after the cursor are pending.
-type relayEntry struct {
-	src   int
-	round int
-	raw   []byte
-	pairs int
-}
-
-// hostSlot is the coordinator's view of one host-ID slot.
+// hostSlot is the coordinator's view of one host.
 type hostSlot struct {
 	conn      *transport.Conn
 	alive     bool
-	left      bool // departed for good via Leave
-	lastAcked int  // last round whose done report arrived
+	lastAcked int // last round whose done report arrived
 	diedRound int
 	dieErr    error
 
-	ckpt *checkpointMsg
-
-	log    []relayEntry
-	cursor int // log[:cursor] delivered, log[cursor:] pending
-
-	report doneReport // most recent
+	pending []relayBatch // delivered with the next tick; Peer is the source
 }
 
-// markDead records a host connection failure: the slot keeps its
-// checkpoint and replay log so a replacement can resume it.
+// markDead records a host connection failure; the next round boundary
+// restarts the run.
 func (c *Coordinator) markDead(id int, s *hostSlot, round int, err error) {
 	s.conn.Close()
 	s.alive = false
@@ -192,22 +176,6 @@ func (c *Coordinator) markDead(id int, s *hostSlot, round int, err error) {
 	s.dieErr = err
 	c.log.Warn("host connection lost",
 		"host", id, "round", round, "lastAcked", s.lastAcked, "err", err)
-}
-
-// storeCheckpoint records a host checkpoint and prunes the delivered
-// replay prefix it covers: a checkpoint at round R bakes in every batch
-// delivered in ticks ≤ R.
-func (s *hostSlot) storeCheckpoint(ck checkpointMsg) {
-	est := slices.Clone(ck.Est) // aliases the frame payload; the slot outlives it
-	s.ckpt = &checkpointMsg{Round: ck.Round, Est: est, Sup: ck.Sup}
-	i := 0
-	for i < s.cursor && s.log[i].round <= ck.Round {
-		i++
-	}
-	if i > 0 {
-		s.log = append(s.log[:0], s.log[i:]...)
-		s.cursor -= i
-	}
 }
 
 // joiner is a freshly handshaken worker connection.
@@ -298,9 +266,8 @@ type coordRun struct {
 	g      *graph.Graph
 	res    *Result
 	slots  []*hostSlot
-	base   core.BlockAssignment // ownership before overrides: ranges over the initial NumHosts
-	hostOf []int                // current node → host table
-	parts  *core.Partitions
+	parts  *core.Partitions // ranges over len(slots) hosts
+	best   []int32          // min over every checkpoint; nil before the first
 	joinCh chan joiner
 
 	tickBuf []byte
@@ -317,7 +284,6 @@ func (c *Coordinator) run(ctx context.Context) (*Result, error) {
 		ctx:    ctx,
 		g:      c.cfg.Graph,
 		res:    &Result{},
-		base:   core.BlockAssignment{N: c.cfg.Graph.NumNodes(), H: c.cfg.NumHosts},
 		joinCh: make(chan joiner, 16),
 	}
 	go c.acceptLoop(cs, r.joinCh)
@@ -332,30 +298,9 @@ func (c *Coordinator) run(ctx context.Context) (*Result, error) {
 		}
 		r.slots[i] = &hostSlot{conn: j.conn, alive: true}
 	}
-
-	// Ownership starts as contiguous ID ranges, so a chain of consecutive
-	// IDs cascades inside one host; membership changes add overrides.
-	r.hostOf = make([]int, r.g.NumNodes())
-	for u := range r.hostOf {
-		r.hostOf[u] = r.base.Host(u)
+	if err := r.configureAll(0); err != nil {
+		return nil, err
 	}
-	var err error
-	r.parts, err = core.PartitionAll(r.g, core.TableAssignment{Table: r.hostOf, H: len(r.slots)})
-	if err != nil {
-		return nil, fmt.Errorf("cluster: partition: %w", err)
-	}
-	oNodes, oHosts := r.overrideLists()
-	for id := range r.slots {
-		if err := r.configureHost(id, restoreMsg{}, oNodes, oHosts); err != nil {
-			return nil, err
-		}
-	}
-	for id, s := range r.slots {
-		if err := r.expectReady(id, s); err != nil {
-			return nil, err
-		}
-	}
-
 	if err := r.roundLoop(); err != nil {
 		return nil, err
 	}
@@ -386,44 +331,45 @@ func (r *coordRun) awaitJoiner(wait time.Duration) (joiner, error) {
 	}
 }
 
-// overrideLists materializes the current ownership overrides (every
-// node whose owner differs from its base range's host) in the config
-// wire form. It scans every node, so a configuration pass computes the
-// lists once and hands them to each configureHost.
-func (r *coordRun) overrideLists() (nodes, hosts []int) {
-	for u, h := range r.hostOf {
-		if h != r.base.Host(u) {
-			nodes = append(nodes, u)
-			hosts = append(hosts, h)
+// configureAll cuts the graph into contiguous ranges over the current
+// hosts and ships each host its config and a restore seeded from best,
+// then collects the ready frames. Ranges keep a chain of consecutive
+// IDs inside one host, where it cascades without relay rounds. An I/O
+// failure only marks the host dead, for the next boundary to restart.
+func (r *coordRun) configureAll(round int) error {
+	var err error
+	r.parts, err = core.PartitionAll(r.g, core.BlockAssignment{N: r.g.NumNodes(), H: len(r.slots)})
+	if err != nil {
+		return fmt.Errorf("cluster: partition: %w", err)
+	}
+	for id, s := range r.slots {
+		err := s.conn.Send(frameConfig, encodeConfig(partitionConfig(r.parts, id)))
+		if err == nil {
+			err = s.conn.Send(frameRestore, r.seed(id))
+		}
+		if err != nil {
+			r.c.markDead(id, s, round, err)
 		}
 	}
-	return nodes, hosts
-}
-
-// configureHost ships slot id's config, carrying the override lists
-// from overrideLists, and its restore payload. The caller collects the
-// ready frame.
-func (r *coordRun) configureHost(id int, restore restoreMsg, oNodes, oHosts []int) error {
-	s := r.slots[id]
-	cfg := partitionConfig(r.parts, id)
-	cfg.NumHosts = len(r.slots)
-	cfg.BaseHosts = r.base.H
-	cfg.OverrideNodes, cfg.OverrideHosts = oNodes, oHosts
-	if err := s.conn.Send(frameConfig, encodeConfig(cfg)); err != nil {
-		return fmt.Errorf("cluster: config to host %d: %w", id, err)
-	}
-	if err := s.conn.Send(frameRestore, encodeRestore(restore)); err != nil {
-		return fmt.Errorf("cluster: restore to host %d: %w", id, err)
+	for id, s := range r.slots {
+		if !s.alive {
+			continue
+		}
+		if err := r.expectReady(id, s); err != nil {
+			if isProtocolError(err) {
+				return err
+			}
+			r.c.markDead(id, s, round, err)
+		}
 	}
 	return nil
 }
 
-// partitionConfig is host id's partition in config form: HostID,
-// NumNodes, and the owned set and CSR rows with the offsets rebased to
-// start at 0. The caller fills in the host counts and overrides.
+// partitionConfig is host id's partition in config form, with the CSR
+// offsets rebased to start at 0.
 func partitionConfig(parts *core.Partitions, id int) config {
 	owned, off, flat := parts.CSR(id)
-	cfg := config{HostID: id, NumNodes: parts.NumNodes(), Owned: owned}
+	cfg := config{HostID: id, NumHosts: parts.NumParts(), NumNodes: parts.NumNodes(), Owned: owned}
 	base := 0
 	if len(off) > 0 {
 		base = off[0]
@@ -436,24 +382,58 @@ func partitionConfig(parts *core.Partitions, id int) config {
 	return cfg
 }
 
+// seed is host id's restore payload: best over its owned nodes and
+// their neighbors as one estimate batch, empty before any checkpoint.
+func (r *coordRun) seed(id int) []byte {
+	if r.best == nil {
+		return transport.AppendBatch(nil, nil)
+	}
+	owned, off, flat := r.parts.CSR(id)
+	nodes := append(slices.Clone(owned), flat[off[0]:off[len(owned)]]...)
+	slices.Sort(nodes)
+	nodes = slices.Compact(nodes)
+	batch := make(core.Batch, len(nodes))
+	for i, u := range nodes {
+		batch[i] = core.EstimateMsg{Node: u, Core: int(r.best[u])}
+	}
+	return transport.AppendBatch(nil, batch)
+}
+
+// mergeCheckpoint min-merges a host's owned estimates into best, which
+// starts at the degrees: every value merged is an upper bound on its
+// node's coreness, so best stays one.
+func (r *coordRun) mergeCheckpoint(owned, values []int) {
+	if r.best == nil {
+		r.best = make([]int32, r.g.NumNodes())
+		for u := range r.best {
+			r.best[u] = int32(r.g.Degree(u))
+		}
+	}
+	for i, u := range owned {
+		r.best[u] = min(r.best[u], int32(values[i]))
+	}
+}
+
 func (r *coordRun) expectReady(id int, s *hostSlot) error {
 	typ, _, err := s.conn.Recv()
 	if err != nil {
 		return fmt.Errorf("cluster: ready from host %d: %w", id, err)
 	}
 	if typ != frameReady {
-		return fmt.Errorf("cluster: host %d sent frame %d, want ready", id, typ)
+		return &protocolError{host: id, cause: fmt.Errorf("frame %d, want ready", typ)}
 	}
 	return nil
 }
 
-// roundLoop drives synchronous rounds until global quiescence: no host
-// changed an estimate, nothing was delivered, and nothing new was
-// queued. Host deaths trigger recovery (or a structured failure);
-// membership changes are applied at round boundaries.
+// roundLoop drives synchronous rounds until global quiescence. A host
+// death, an accepted Leave or an admitted join makes the next round a
+// checkpoint round, after which restart rebuilds every host from the
+// merged checkpoints.
 func (r *coordRun) roundLoop() error {
 	cfg := r.c.cfg
-	retain := cfg.RejoinWait > 0
+	restartDue := r.anyDead()
+	leaver := -1
+	var join *joiner
 	for round := 1; ; round++ {
 		if err := r.ctx.Err(); err != nil {
 			return err
@@ -461,103 +441,43 @@ func (r *coordRun) roundLoop() error {
 		if round > cfg.MaxRounds {
 			return fmt.Errorf("cluster: exceeded %d rounds without quiescing", cfg.MaxRounds)
 		}
-		ckptDue := cfg.CheckpointEvery > 0 && round%cfg.CheckpointEvery == 0
-
-		// Tick phase: deliver each live slot's pending batches. A send
-		// failure marks the slot dead but the round goes on, so every
-		// surviving host still completes it.
-		delivered, appended, changed := 0, 0, 0
-		ticked := make([]bool, len(r.slots))
-		for id, s := range r.slots {
-			if !s.alive {
-				continue
-			}
-			pending := s.log[s.cursor:]
-			batches := make([]relayBatch, len(pending))
-			for i, e := range pending {
-				batches[i] = relayBatch{Peer: e.src, Raw: e.raw}
-			}
-			r.tickBuf = encodeTick(r.tickBuf[:0], tickMsg{Round: round, Checkpoint: ckptDue, Batches: batches})
-			if err := s.conn.Send(frameTick, r.tickBuf); err != nil {
-				r.c.markDead(id, s, round, err)
-				continue
-			}
-			for i := range pending {
-				s.log[s.cursor+i].round = round
-			}
-			delivered += len(pending)
-			s.cursor = len(s.log)
-			if !retain {
-				// No restarts possible: delivered entries will never be
-				// replayed, so drop them immediately.
-				s.log = s.log[:0]
-				s.cursor = 0
-			}
-			ticked[id] = true
-		}
-
-		// Collect phase: checkpoint (if due) then done from every host
-		// that got a tick; route their outboxes into the pending logs.
-		for id, s := range r.slots {
-			if !ticked[id] {
-				continue
-			}
-			rep, out, err := r.collectDone(id, s, round, ckptDue)
-			if err != nil {
-				if r.ctx.Err() != nil {
-					return r.ctx.Err()
-				}
-				var perr *protocolError
-				if errAs(err, &perr) {
-					return err // hostile/broken frames are fatal, not recoverable
-				}
-				r.c.markDead(id, s, round, err)
-				continue
-			}
-			s.lastAcked = round
-			s.report = rep
-			changed += rep.Changed
-			for _, rb := range out {
-				pairs, err := transport.ScanBatch(rb.Raw)
-				if err != nil {
-					return &protocolError{host: id, cause: fmt.Errorf("outbox batch: %w", err)}
-				}
-				dest := rb.Peer
-				if dest < 0 || dest >= len(r.slots) || dest == id || r.slots[dest].left {
-					return &protocolError{host: id, cause: fmt.Errorf("outbox names invalid destination %d", dest)}
-				}
-				r.slots[dest].log = append(r.slots[dest].log, relayEntry{src: id, raw: rb.Raw, pairs: pairs})
-				appended++
-				r.res.EstimatesSent += int64(pairs)
-			}
+		ckpt := restartDue || cfg.CheckpointEvery > 0 && round%cfg.CheckpointEvery == 0
+		quiet, err := r.round(round, ckpt)
+		if err != nil {
+			return err
 		}
 		r.res.Rounds = round
-
-		if r.anyDead() {
-			if err := r.recoverDead(round); err != nil {
+		if restartDue {
+			if err := r.restart(round, leaver, join); err != nil {
 				return err
 			}
-			continue // a recovery round can never be the quiet one
+			leaver, join = -1, nil
+			restartDue = r.anyDead()
+			continue // a restart round is never the quiet one
 		}
-		if changed == 0 && delivered == 0 && appended == 0 && round > 1 {
+		if r.anyDead() {
+			restartDue = true
+			continue
+		}
+		if quiet && round > 1 {
 			return nil
 		}
 
-		// Membership boundary: one change per round keeps the protocol
-		// states easy to reason about; queued requests wait their turn.
 		select {
 		case id := <-r.c.leaveCh:
-			if err := r.reshapeLeave(id, round); err != nil {
-				return err
+			if r.acceptLeave(id, round) {
+				leaver, restartDue = id, true
 			}
-			continue
 		default:
 		}
 		if cfg.AllowJoin {
 			select {
 			case j := <-r.joinCh:
-				if err := r.reshapeJoin(j, round); err != nil {
-					return err
+				if len(r.slots) < maxHosts {
+					join, restartDue = &j, true
+					r.c.log.Info("worker joining", "host", len(r.slots), "round", round)
+				} else {
+					j.conn.Close()
 				}
 			default:
 			}
@@ -565,9 +485,65 @@ func (r *coordRun) roundLoop() error {
 	}
 }
 
+// round drives one synchronous round: a tick carrying its pending
+// batches to every live host, then each host's done report, preceded by
+// a checkpoint when ckpt is set. A host that fails is marked dead and
+// the round goes on, so every survivor completes it. The round is quiet
+// when no host changed an estimate, nothing was delivered, and nothing
+// new was queued.
+func (r *coordRun) round(round int, ckpt bool) (quiet bool, err error) {
+	delivered, appended, changed := 0, 0, 0
+	ticked := make([]bool, len(r.slots))
+	for id, s := range r.slots {
+		if !s.alive {
+			continue
+		}
+		r.tickBuf = encodeTick(r.tickBuf[:0], tickMsg{Round: round, Checkpoint: ckpt, Batches: s.pending})
+		if err := s.conn.Send(frameTick, r.tickBuf); err != nil {
+			r.c.markDead(id, s, round, err)
+			continue
+		}
+		delivered += len(s.pending)
+		s.pending = s.pending[:0]
+		ticked[id] = true
+	}
+	for id, s := range r.slots {
+		if !ticked[id] {
+			continue
+		}
+		rep, out, err := r.collectDone(id, s, round, ckpt)
+		if err != nil {
+			if r.ctx.Err() != nil {
+				return false, r.ctx.Err()
+			}
+			if isProtocolError(err) {
+				return false, err // hostile/broken frames are fatal, not recoverable
+			}
+			r.c.markDead(id, s, round, err)
+			continue
+		}
+		s.lastAcked = round
+		changed += rep.Changed
+		for _, rb := range out {
+			pairs, err := transport.ScanBatch(rb.Raw)
+			if err != nil {
+				return false, &protocolError{host: id, cause: fmt.Errorf("outbox batch: %w", err)}
+			}
+			dest := rb.Peer
+			if dest < 0 || dest >= len(r.slots) || dest == id {
+				return false, &protocolError{host: id, cause: fmt.Errorf("outbox names invalid destination %d", dest)}
+			}
+			r.slots[dest].pending = append(r.slots[dest].pending, relayBatch{Peer: id, Raw: rb.Raw})
+			appended++
+			r.res.EstimatesSent += int64(pairs)
+		}
+	}
+	return changed == 0 && delivered == 0 && appended == 0, nil
+}
+
 // protocolError marks a frame-level violation by a connected host —
 // hostile or version-broken peers, not crash faults — which aborts the
-// run instead of triggering recovery.
+// run instead of triggering a restart.
 type protocolError struct {
 	host  int
 	cause error
@@ -579,25 +555,14 @@ func (e *protocolError) Error() string {
 
 func (e *protocolError) Unwrap() error { return e.cause }
 
-// errAs is errors.As without the import-shadowing noise at call sites.
-func errAs(err error, target **protocolError) bool {
-	for err != nil {
-		if pe, ok := err.(*protocolError); ok {
-			*target = pe
-			return true
-		}
-		u, ok := err.(interface{ Unwrap() error })
-		if !ok {
-			return false
-		}
-		err = u.Unwrap()
-	}
-	return false
+func isProtocolError(err error) bool {
+	var perr *protocolError
+	return errors.As(err, &perr)
 }
 
-// collectDone reads slot id's round report, absorbing the checkpoint
+// collectDone reads slot id's round report, merging the checkpoint
 // frame that precedes it when one was requested.
-func (r *coordRun) collectDone(id int, s *hostSlot, round int, ckptDue bool) (doneReport, []relayBatch, error) {
+func (r *coordRun) collectDone(id int, s *hostSlot, round int, ckpt bool) (doneReport, []relayBatch, error) {
 	sawCkpt := false
 	for {
 		typ, payload, err := s.conn.Recv()
@@ -606,17 +571,18 @@ func (r *coordRun) collectDone(id int, s *hostSlot, round int, ckptDue bool) (do
 		}
 		switch typ {
 		case frameCheckpoint:
-			if !ckptDue || sawCkpt {
+			if !ckpt || sawCkpt {
 				return doneReport{}, nil, &protocolError{host: id, cause: fmt.Errorf("unsolicited checkpoint")}
 			}
-			ck, n, err := decodeCheckpoint(payload)
-			if err != nil || n != len(payload) {
-				return doneReport{}, nil, &protocolError{host: id, cause: fmt.Errorf("checkpoint: %v", err)}
+			owned := r.parts.Owned(id)
+			ckRound, values, err := decodeCheckpoint(payload, owned, r.g.NumNodes())
+			if err != nil {
+				return doneReport{}, nil, &protocolError{host: id, cause: err}
 			}
-			if ck.Round != round {
-				return doneReport{}, nil, &protocolError{host: id, cause: fmt.Errorf("checkpoint for round %d during round %d", ck.Round, round)}
+			if ckRound != round {
+				return doneReport{}, nil, &protocolError{host: id, cause: fmt.Errorf("checkpoint for round %d during round %d", ckRound, round)}
 			}
-			s.storeCheckpoint(ck)
+			r.mergeCheckpoint(owned, values)
 			r.res.Checkpoints++
 			sawCkpt = true
 		case frameDone:
@@ -636,24 +602,57 @@ func (r *coordRun) collectDone(id int, s *hostSlot, round int, ckptDue bool) (do
 
 func (r *coordRun) anyDead() bool {
 	for _, s := range r.slots {
-		if !s.alive && !s.left {
+		if !s.alive {
 			return true
 		}
 	}
 	return false
 }
 
-// recoverDead restores every dead slot from a replacement worker: the
-// replacement gets the current config, the slot's checkpoint, and a
-// replay of every batch delivered since that checkpoint (or ever,
-// without checkpoints), then resumes at the next round. With
-// RejoinWait 0 recovery is disabled and the death is a structured
-// failure.
-func (r *coordRun) recoverDead(round int) error {
+// acceptLeave reports whether a Leave request for host id can be
+// honoured: the host must exist and must not be the last one.
+func (r *coordRun) acceptLeave(id, round int) bool {
+	switch {
+	case id < 0 || id >= len(r.slots):
+		r.c.log.Warn("leave request for absent host ignored", "host", id)
+		return false
+	case len(r.slots) == 1:
+		r.c.log.Warn("leave request for last host ignored", "host", id)
+		return false
+	}
+	r.c.log.Info("host leaving", "host", id, "round", round)
+	return true
+}
+
+// restart is the one recovery path, run after a checkpoint round has
+// min-merged every live host's estimates into best. It stops and drops
+// the leaver (if any), replaces every dead host with a waiting worker,
+// appends the joiner (if any), drops every pending relay batch, and
+// reconfigures every host over the new host count, seeded from best.
+// Survivors keep their order, so IDs only shift down past a leaver.
+// Because best bounds the coreness from above, the cascade from there
+// converges to the exact answer; the hosts' first round re-ships every
+// border, so the dropped batches carry nothing it lacks. With
+// RejoinWait 0 a dead host is a structured failure instead.
+func (r *coordRun) restart(round, leaver int, join *joiner) error {
+	if leaver >= 0 {
+		if s := r.slots[leaver]; s.alive {
+			err := s.conn.Send(frameStop, nil)
+			if err == nil {
+				_, err = r.recvResult(leaver, s)
+			}
+			if err != nil {
+				r.c.log.Warn("leaving host did not stop cleanly", "host", leaver, "err", err)
+			}
+			s.conn.Close()
+		}
+		r.slots = slices.Delete(r.slots, leaver, leaver+1)
+		r.res.Leaves++
+		r.c.log.Info("host left", "host", leaver, "numHosts", len(r.slots))
+	}
 	wait := r.c.cfg.RejoinWait
-	oNodes, oHosts := r.overrideLists()
 	for id, s := range r.slots {
-		if s.alive || s.left {
+		if s.alive {
 			continue
 		}
 		if wait == 0 {
@@ -666,53 +665,37 @@ func (r *coordRun) recoverDead(round int) error {
 			return fmt.Errorf("cluster: host %d died in round %d (last acked round %d) and no replacement arrived: %w",
 				id, s.diedRound, s.lastAcked, err)
 		}
-		s.conn = j.conn
-		restore := restoreMsg{Ckpt: s.ckpt}
-		restore.Replay = make([]relayBatch, len(s.log))
-		for i, e := range s.log {
-			restore.Replay[i] = relayBatch{Peer: e.src, Raw: e.raw}
-		}
-		if err := r.configureHost(id, restore, oNodes, oHosts); err != nil {
-			return fmt.Errorf("cluster: restoring host %d: %w", id, err)
-		}
-		if err := r.expectReady(id, s); err != nil {
-			return fmt.Errorf("cluster: restoring host %d: %w", id, err)
-		}
-		// Everything shipped in the restore counts as delivered this
-		// round; a future checkpoint at or past this round prunes it.
-		for i := range s.log {
-			s.log[i].round = round
-		}
-		s.cursor = len(s.log)
-		s.alive = true
-		ckptRound := 0
-		if s.ckpt != nil {
-			ckptRound = s.ckpt.Round
-		}
+		r.slots[id] = &hostSlot{conn: j.conn, alive: true}
 		r.res.Recoveries++
-		r.c.log.Info("host restored",
-			"host", id, "round", round, "checkpointRound", ckptRound, "replayedBatches", len(restore.Replay))
 	}
+	if join != nil {
+		r.slots = append(r.slots, &hostSlot{conn: join.conn, alive: true})
+		r.res.Joins++
+	}
+	for _, s := range r.slots {
+		s.pending = nil
+	}
+	if err := r.configureAll(round); err != nil {
+		return err
+	}
+	if join != nil {
+		r.c.log.Info("worker joined", "host", len(r.slots)-1, "numHosts", len(r.slots))
+	}
+	r.c.log.Info("hosts restarted", "round", round, "numHosts", len(r.slots))
 	return nil
 }
 
-// collectResults stops every live host and assembles the coreness
-// vector from their owned estimates. A result frame carries values
-// only; the current partition says which nodes each host owns.
+// collectResults stops every host and assembles the coreness vector
+// from their owned estimates. A result frame carries values only; the
+// current partition says which nodes each host owns.
 func (r *coordRun) collectResults() error {
 	coreness := make([]int, r.g.NumNodes())
 	for id, s := range r.slots {
-		if !s.alive {
-			continue
-		}
 		if err := s.conn.Send(frameStop, nil); err != nil {
 			return fmt.Errorf("cluster: stop to host %d: %w", id, err)
 		}
 	}
 	for id, s := range r.slots {
-		if !s.alive {
-			continue
-		}
 		payload, err := r.recvResult(id, s)
 		if err != nil {
 			return err
@@ -738,7 +721,7 @@ func (r *coordRun) recvResult(id int, s *hostSlot) ([]byte, error) {
 }
 
 // accountWireBytes sums the delta-batch-bearing frame stats (ticks out,
-// done reports in) over surviving connections.
+// done reports in) over the final hosts' connections.
 func (r *coordRun) accountWireBytes() {
 	for _, s := range r.slots {
 		st := s.conn.Stats()

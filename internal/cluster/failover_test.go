@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -371,28 +372,19 @@ func TestClusterCompressedRunMatches(t *testing.T) {
 	}
 }
 
-// TestCheckpointRoundTrip covers the checkpoint and restore codecs,
-// including the embedded-checkpoint form.
+// TestCheckpointRoundTrip covers the checkpoint codec: the round and
+// one value per owned node, in owned order.
 func TestCheckpointRoundTrip(t *testing.T) {
-	est := transport.AppendBatch(nil, nil)
-	ck := checkpointMsg{Round: 9, Est: est, Sup: []int{3, 1, 4, 1, 5}}
-	out, n, err := decodeCheckpoint(appendCheckpoint(nil, ck))
+	owned := []int{2, 3, 7}
+	round, values, err := decodeCheckpoint(appendCheckpoint(nil, 9, []int{4, 1, 0}), owned, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != len(appendCheckpoint(nil, ck)) {
-		t.Fatalf("consumed %d bytes of %d", n, len(appendCheckpoint(nil, ck)))
+	if round != 9 || !slices.Equal(values, []int{4, 1, 0}) {
+		t.Fatalf("round trip mismatch: round %d values %v", round, values)
 	}
-	if out.Round != ck.Round || len(out.Sup) != len(ck.Sup) {
-		t.Fatalf("round trip mismatch: %+v vs %+v", out, ck)
-	}
-	restore := restoreMsg{Ckpt: &ck, Replay: []relayBatch{{Peer: 2, Raw: est}}}
-	back, err := decodeRestore(encodeRestore(restore))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Ckpt == nil || back.Ckpt.Round != 9 || len(back.Replay) != 1 || back.Replay[0].Peer != 2 {
-		t.Fatalf("restore round trip mismatch: %+v", back)
+	if _, values, err := decodeCheckpoint(appendCheckpoint(nil, 1, nil), nil, 0); err != nil || len(values) != 0 {
+		t.Fatalf("empty checkpoint: values %v err %v", values, err)
 	}
 }
 
@@ -407,38 +399,27 @@ func TestHostileClusterFrames(t *testing.T) {
 		}
 		return b
 	}
-	if _, _, err := decodeCheckpoint(uv(1, 1<<40)); err == nil {
-		t.Fatal("checkpoint with absurd estimate length accepted")
-	}
-	if _, _, err := decodeCheckpoint(uv(1, 0)); err == nil {
-		t.Fatal("checkpoint with truncated support counters accepted")
-	}
-	if _, err := decodeRestore(uv(7)); err == nil {
-		t.Fatal("restore with bad checkpoint flag accepted")
+	owned := []int{2, 3, 7}
+	for name, payload := range map[string][]byte{
+		"empty":              nil,
+		"truncated round":    {0x80},
+		"absurd count":       uv(1, 1<<40, 1, 1, 1),
+		"count below owned":  uv(1, 2, 1, 1),
+		"count above owned":  uv(1, 4, 1, 1, 1, 1),
+		"value past n":       uv(1, 3, 1, 10, 1),
+		"truncated value":    append(uv(1, 3, 1, 1), 0x80),
+		"trailing bytes":     uv(1, 3, 1, 1, 1, 0),
+		"missing value list": uv(5),
+	} {
+		if _, values, err := decodeCheckpoint(payload, owned, 10); err == nil || values != nil {
+			t.Fatalf("checkpoint %s accepted: values %v err %v", name, values, err)
+		}
 	}
 	if _, _, err := decodeRelays(uv(1 << 50)); err == nil {
 		t.Fatal("relay list with absurd count accepted")
 	}
 	if _, err := decodeTick(uv(1, 0, 1, 0, 1<<40)); err == nil {
 		t.Fatal("tick relay with absurd length accepted")
-	}
-	if _, err := decodeReshape(uv(1<<40, 0), 10); err == nil {
-		t.Fatal("reshape with absurd host count accepted")
-	}
-	if _, err := decodeReshape(uv(2, 2, 5, 0, 3, 1), 10); err == nil {
-		t.Fatal("reshape with unsorted move nodes accepted")
-	}
-	if _, err := decodeReshape(uv(2, 1, 3, 7), 10); err == nil {
-		t.Fatal("reshape move to out-of-range host accepted")
-	}
-	if _, err := decodeSeed(uv(1<<50), 10); err == nil {
-		t.Fatal("seed with absurd count accepted")
-	}
-	if _, err := decodeSeed(uv(1, 3, 2, 1, 99), 10); err == nil {
-		t.Fatal("seed with out-of-range neighbor accepted")
-	}
-	if _, err := decodeSeed(uv(2, 5, 1, 0, 3, 1, 0), 10); err == nil {
-		t.Fatal("seed with unsorted nodes accepted")
 	}
 	if _, err := decodeHello(uv(2)); err == nil {
 		t.Fatal("hello with missing flags accepted")

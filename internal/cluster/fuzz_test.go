@@ -13,28 +13,26 @@ import (
 // §2.3 lists: it never panics, everything it accepts satisfies them
 // (every adjacency row strictly increasing among them), and whatever it
 // accepts survives an encode/decode round trip unchanged. Every node an
-// accepted config names must also map to a base host in [0, BaseHosts)
-// under the range ownership function the host builds from it.
+// accepted config names must also map to a host in [0, NumHosts) under
+// the range ownership function the host builds from it.
 func FuzzDecodeConfig(f *testing.F) {
 	f.Add(encodeConfig(config{
-		HostID: 1, NumHosts: 2, BaseHosts: 2, NumNodes: 6,
+		HostID: 1, NumHosts: 2, NumNodes: 6,
 		Owned:   []int{3, 4, 5},
 		AdjOff:  []int{0, 2, 3, 3},
 		AdjFlat: []int{2, 4, 3},
 	}))
 	f.Add(encodeConfig(config{
-		HostID: 2, NumHosts: 4, BaseHosts: 3, NumNodes: 10,
-		Owned:         []int{2, 5, 8},
-		AdjOff:        []int{0, 3, 4, 4},
-		AdjFlat:       []int{0, 5, 9, 2},
-		OverrideNodes: []int{5, 9},
-		OverrideHosts: []int{3, 0},
+		HostID: 2, NumHosts: 4, NumNodes: 10,
+		Owned:   []int{2, 5, 8},
+		AdjOff:  []int{0, 3, 4, 4},
+		AdjFlat: []int{0, 5, 9, 2},
 	}))
-	f.Add(encodeConfig(config{HostID: 0, NumHosts: 1, BaseHosts: 1, NumNodes: 0, AdjOff: []int{0}}))
-	// A node count near the int range: ⌈NumNodes/BaseHosts⌉ must not
+	f.Add(encodeConfig(config{HostID: 0, NumHosts: 1, NumNodes: 0, AdjOff: []int{0}}))
+	// A node count near the int range: ⌈NumNodes/NumHosts⌉ must not
 	// wrap when computed.
 	f.Add(encodeConfig(config{
-		HostID: 0, NumHosts: 2, BaseHosts: 2, NumNodes: 1<<63 - 1,
+		HostID: 0, NumHosts: 2, NumNodes: 1<<63 - 1,
 		Owned:  []int{1<<62 + 5},
 		AdjOff: []int{0, 0},
 	}))
@@ -43,10 +41,8 @@ func FuzzDecodeConfig(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if c.NumHosts < 1 || c.NumHosts > maxHosts || c.BaseHosts < 1 || c.BaseHosts > c.NumHosts ||
-			c.HostID < 0 || c.HostID >= c.NumHosts || c.NumNodes < 0 {
-			t.Fatalf("accepted header hostID=%d numHosts=%d baseHosts=%d numNodes=%d",
-				c.HostID, c.NumHosts, c.BaseHosts, c.NumNodes)
+		if c.NumHosts < 1 || c.NumHosts > maxHosts || c.HostID < 0 || c.HostID >= c.NumHosts || c.NumNodes < 0 {
+			t.Fatalf("accepted header hostID=%d numHosts=%d numNodes=%d", c.HostID, c.NumHosts, c.NumNodes)
 		}
 		inGraph := func(what string, nodes []int, increasing bool) {
 			for i, u := range nodes {
@@ -56,14 +52,13 @@ func FuzzDecodeConfig(f *testing.F) {
 				if increasing && i > 0 && nodes[i-1] >= u {
 					t.Fatalf("accepted %s nodes not strictly increasing at %d", what, u)
 				}
-				if h := (core.BlockAssignment{N: c.NumNodes, H: c.BaseHosts}).Host(u); h < 0 || h >= c.BaseHosts {
-					t.Fatalf("%s node %d maps to base host %d outside [0, %d)", what, u, h, c.BaseHosts)
+				if h := (core.BlockAssignment{N: c.NumNodes, H: c.NumHosts}).Host(u); h < 0 || h >= c.NumHosts {
+					t.Fatalf("%s node %d maps to host %d outside [0, %d)", what, u, h, c.NumHosts)
 				}
 			}
 		}
 		inGraph("owned", c.Owned, true)
 		inGraph("neighbor", c.AdjFlat, false)
-		inGraph("override", c.OverrideNodes, true)
 		if len(c.AdjOff) != len(c.Owned)+1 || c.AdjOff[0] != 0 || c.AdjOff[len(c.Owned)] != len(c.AdjFlat) {
 			t.Fatalf("accepted offsets %v for %d owned nodes and %d adjacency entries", c.AdjOff, len(c.Owned), len(c.AdjFlat))
 		}
@@ -76,14 +71,6 @@ func FuzzDecodeConfig(f *testing.F) {
 				if row[j-1] >= row[j] {
 					t.Fatalf("accepted row %v of node %d not strictly increasing", row, c.Owned[i-1])
 				}
-			}
-		}
-		if len(c.OverrideNodes) != len(c.OverrideHosts) {
-			t.Fatalf("accepted %d override nodes with %d hosts", len(c.OverrideNodes), len(c.OverrideHosts))
-		}
-		for _, h := range c.OverrideHosts {
-			if h < 0 || h >= c.NumHosts {
-				t.Fatalf("accepted override host %d outside [0, %d)", h, c.NumHosts)
 			}
 		}
 		back, err := decodeConfig(encodeConfig(c))

@@ -52,8 +52,8 @@ type HostConfig struct {
 	// Clock is the time source for retry backoff; nil means the wall
 	// clock. Chaos tests substitute a chaos.FakeClock.
 	Clock chaos.Clock
-	// Log receives structured runtime events (restores, reshapes).
-	// nil discards them.
+	// Log receives structured runtime events (restores). nil discards
+	// them.
 	Log *slog.Logger
 }
 
@@ -71,8 +71,9 @@ type HostResult struct {
 	Rounds int
 	// BatchesSent is the number of estimate batches shipped to peer hosts.
 	BatchesSent int64
-	// BatchesApplied is the number of peer batches applied locally
-	// (including batches replayed during a restore).
+	// BatchesApplied is the number of peer batches applied locally.
+	// A restore's seed batch comes from the coordinator, not a peer,
+	// and is not counted.
 	BatchesApplied int64
 	// EstimatesSent is the number of (node, estimate) pairs shipped to
 	// peers — this host's share of the Figure-5 overhead numerator.
@@ -80,14 +81,16 @@ type HostResult struct {
 }
 
 // RunHost dials the coordinator and serves one protocol session:
-// handshake, configuration, restore, then ticks until stopped. It
-// returns after shipping the final result frame. Cancelling ctx tears
-// the connection down promptly and returns ctx.Err(). With a RetryWait
-// budget, transient failures — dialing before the coordinator listens,
-// losing the connection mid-run — are retried under capped exponential
-// backoff with jitter; the re-enrolled worker is restored by the
-// coordinator from its checkpoint and replay log, so a retried session
-// resumes rather than restarts the protocol.
+// handshake, configuration, restore, then ticks — and any restart's
+// config and restore — until stopped. It returns after shipping the
+// final result frame. Cancelling ctx tears the connection down promptly
+// and returns ctx.Err(). With a RetryWait budget, transient failures —
+// dialing before the coordinator listens, losing the connection or
+// reading a corrupt frame mid-run — are retried under capped
+// exponential backoff with jitter; the re-enrolled worker takes a dead
+// host's place at the coordinator's next restart, seeded from the
+// checkpointed estimates, so a retried session resumes warm rather
+// than from scratch.
 func RunHost(ctx context.Context, cfg HostConfig) (*HostResult, error) {
 	clock := cfg.Clock
 	if clock == nil {
@@ -123,12 +126,14 @@ func RunHost(ctx context.Context, cfg HostConfig) (*HostResult, error) {
 }
 
 // isTransient classifies a session failure: connection-level faults
-// (refused dials, resets, timeouts, torn frames) are worth retrying,
-// while protocol-level failures (version mismatch, hostile frames,
-// decode errors) are final no matter how long the retry budget is.
+// (refused dials, resets, timeouts, torn frames, frames failing their
+// checksum) are worth retrying, while protocol-level failures (version
+// mismatch, hostile frames, decode errors) are final no matter how long
+// the retry budget is.
 func isTransient(err error) bool {
 	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) ||
-		errors.Is(err, net.ErrClosed) || errors.Is(err, chaos.ErrTripped) {
+		errors.Is(err, net.ErrClosed) || errors.Is(err, chaos.ErrTripped) ||
+		errors.Is(err, transport.ErrCorrupt) {
 		return true
 	}
 	var ne net.Error
@@ -144,32 +149,12 @@ type hostRun struct {
 	conn *transport.Conn
 	log  *slog.Logger
 
-	id        int
-	numNodes  int
-	base      core.BlockAssignment
-	overrides map[int]int
-
-	// Current partition CSR; replaced wholesale at each reshape.
-	owned   []int
-	adjOff  []int
-	adjFlat []int
-
-	state   *core.HostState
+	id      int
+	state   *core.HostState // rebuilt by every config
 	res     *HostResult
 	stopped bool // final result shipped; the session is over
 
 	doneBuf []byte
-	encBuf  []byte
-}
-
-// owner is the host's view of the ownership function: the contiguous
-// base ranges plus the override table accumulated by membership
-// changes. It must equal the coordinator's hostOf on every node.
-func (h *hostRun) owner(u int) int {
-	if hostID, ok := h.overrides[u]; ok {
-		return hostID
-	}
-	return h.base.Host(u)
 }
 
 // runHost runs one session attempt. connected reports whether the dial
@@ -249,6 +234,7 @@ func (h *hostRun) handshake() error {
 	return nil
 }
 
+// configure reads the config frame that opens a session.
 func (h *hostRun) configure() error {
 	typ, payload, err := h.conn.Recv()
 	if err != nil {
@@ -257,34 +243,30 @@ func (h *hostRun) configure() error {
 	if typ != frameConfig {
 		return fmt.Errorf("cluster: coordinator sent frame %d, want config", typ)
 	}
+	return h.applyConfig(payload)
+}
+
+// applyConfig replaces the partition state with the one a config frame
+// describes; the restore frame that follows initializes it.
+func (h *hostRun) applyConfig(payload []byte) error {
 	cfg, err := decodeConfig(payload)
 	if err != nil {
 		return fmt.Errorf("cluster: config: %w", err)
 	}
 	h.id = cfg.HostID
-	h.numNodes = cfg.NumNodes
-	h.base = core.BlockAssignment{N: cfg.NumNodes, H: cfg.BaseHosts}
-	h.overrides = make(map[int]int, len(cfg.OverrideNodes))
-	for i, u := range cfg.OverrideNodes {
-		h.overrides[u] = cfg.OverrideHosts[i]
-	}
-	h.owned = cfg.Owned
-	h.adjOff = cfg.AdjOff
-	h.adjFlat = cfg.AdjFlat
 	h.res.HostID = cfg.HostID
-	h.state = core.NewHostState(h.id, h.numNodes, h.owned, h.adjOff, h.adjFlat, h.owner)
+	owner := core.BlockAssignment{N: cfg.NumNodes, H: cfg.NumHosts}.Host
+	h.state = core.NewHostState(h.id, cfg.NumNodes, cfg.Owned, cfg.AdjOff, cfg.AdjFlat, owner)
 	return nil
 }
 
-// restore rebuilds protocol state from the coordinator's restore frame:
-// init, then the checkpoint estimate vector (integrity-checked against
-// its support counters), then a replay of every batch delivered since.
-// The estimates land on the exact checkpointed values because they are
-// monotone non-increasing: init starts every node at least as high as
-// any checkpointed value, and Apply lowers each to its saved estimate.
-// All owned nodes stay marked changed, so the next collection re-ships
-// the full border state — a fresh host must introduce itself, and a
-// restarted one may hold drops its peers never saw.
+// restore reads the restore frame that follows every config and
+// initializes the fresh partition state from it: InitEstimates, then
+// the seed batch, then a local cascade. Every seed value bounds its
+// node's coreness from above, so the cascade from it converges to the
+// exact answer. All owned nodes stay marked changed, so the next
+// collection re-ships the full border: the peers' knowledge was
+// rebuilt too.
 func (h *hostRun) restore() error {
 	typ, payload, err := h.conn.Recv()
 	if err != nil {
@@ -293,42 +275,35 @@ func (h *hostRun) restore() error {
 	if typ != frameRestore {
 		return fmt.Errorf("cluster: coordinator sent frame %d, want restore", typ)
 	}
-	msg, err := decodeRestore(payload)
+	seed, err := transport.DecodeBatch(payload)
 	if err != nil {
 		return fmt.Errorf("cluster: restore: %w", err)
 	}
 	h.state.InitEstimates()
-	if msg.Ckpt != nil {
-		batch, err := transport.DecodeBatch(msg.Ckpt.Est)
-		if err != nil {
-			return fmt.Errorf("cluster: restore checkpoint: %w", err)
-		}
-		h.state.Apply(batch)
-		if !h.state.VerifySupport(msg.Ckpt.Sup) {
-			return fmt.Errorf("cluster: restored state diverges from round-%d checkpoint support counters", msg.Ckpt.Round)
-		}
-	}
-	for _, rb := range msg.Replay {
-		batch, err := transport.DecodeBatch(rb.Raw)
-		if err != nil {
-			return fmt.Errorf("cluster: restore replay from host %d: %w", rb.Peer, err)
-		}
-		h.state.Apply(batch)
-		h.res.BatchesApplied++
-	}
+	h.state.Apply(seed)
 	h.state.ImproveIfDirty()
-	if msg.Ckpt != nil || len(msg.Replay) > 0 {
-		ckptRound := 0
-		if msg.Ckpt != nil {
-			ckptRound = msg.Ckpt.Round
-		}
-		h.log.Info("state restored",
-			"host", h.id, "checkpointRound", ckptRound, "replayedBatches", len(msg.Replay))
+	if len(seed) > 0 {
+		h.log.Info("state restored", "host", h.id, "seeded", len(seed))
 	}
 	return nil
 }
 
-// serve processes ticks, reshapes, and the final stop.
+// restart serves a mid-session config: the coordinator repartitioned,
+// so the host rebuilds its state exactly as at enrollment.
+func (h *hostRun) restart(payload []byte) error {
+	if err := h.applyConfig(payload); err != nil {
+		return err
+	}
+	if err := h.restore(); err != nil {
+		return err
+	}
+	if err := h.conn.Send(frameReady, nil); err != nil {
+		return fmt.Errorf("cluster: ready after restart: %w", err)
+	}
+	return nil
+}
+
+// serve processes ticks, restarts, and the final stop.
 func (h *hostRun) serve() error {
 	for {
 		typ, payload, err := h.conn.Recv()
@@ -339,10 +314,8 @@ func (h *hostRun) serve() error {
 		switch typ {
 		case frameTick:
 			err = h.tick(payload)
-		case frameReshape:
-			// A reshape may end with this host retiring (stop instead of
-			// seed), in which case sendResult marks the session over.
-			err = h.reshape(payload)
+		case frameConfig:
+			err = h.restart(payload)
 		case frameStop:
 			err = h.sendResult()
 		default:
@@ -403,165 +376,23 @@ func (h *hostRun) tick(payload []byte) error {
 }
 
 func (h *hostRun) sendCheckpoint(round int) error {
-	est := h.state.ExportEstimates(nil)
-	h.encBuf = transport.AppendBatch(h.encBuf[:0], est)
-	ck := checkpointMsg{Round: round, Est: h.encBuf, Sup: h.state.ExportSupport(nil)}
-	h.doneBuf = appendCheckpoint(h.doneBuf[:0], ck)
+	h.doneBuf = appendCheckpoint(h.doneBuf[:0], round, h.state.AppendOwnedEstimates(nil))
 	if err := h.conn.Send(frameCheckpoint, h.doneBuf); err != nil {
 		return fmt.Errorf("cluster: checkpoint for round %d: %w", round, err)
 	}
 	return nil
 }
 
-// reshape applies a membership change: export the authoritative
-// estimates of the moved-out nodes, wait for the seed of the moved-in
-// nodes, and rebuild partition state around the new ownership table.
-// After the rebuild only the refresh-rule nodes — owned nodes that
-// moved in or that border a moved node — are marked for shipping: the
-// new owners need their estimates, and everything else is already
-// common knowledge.
-func (h *hostRun) reshape(payload []byte) error {
-	msg, err := decodeReshape(payload, h.numNodes)
-	if err != nil {
-		return fmt.Errorf("cluster: reshape: %w", err)
-	}
-	// Export before any mutation: these values are what the coordinator
-	// forwards to the new owners.
-	var ack core.Batch
-	movedSet := make(map[int]int, len(msg.Moves))
-	for _, mv := range msg.Moves {
-		movedSet[mv.Node] = mv.Host
-	}
-	movedOut := make(map[int]bool)
-	for _, u := range h.owned {
-		if newHost, ok := movedSet[u]; ok && newHost != h.id {
-			e, tracked := h.state.Estimate(u)
-			if !tracked {
-				return fmt.Errorf("cluster: reshape before init")
-			}
-			ack = append(ack, core.EstimateMsg{Node: u, Core: e})
-			movedOut[u] = true
-		}
-	}
-	exp := h.state.ExportEstimates(nil)
-
-	// A move back onto the base range owner drops the override, as
-	// the coordinator's overrideLists would.
-	for _, mv := range msg.Moves {
-		if mv.Host == h.base.Host(mv.Node) {
-			delete(h.overrides, mv.Node)
-		} else {
-			h.overrides[mv.Node] = mv.Host
-		}
-	}
-	h.encBuf = transport.AppendBatch(h.encBuf[:0], ack)
-	if err := h.conn.Send(frameReshapeAck, h.encBuf); err != nil {
-		return fmt.Errorf("cluster: reshape-ack: %w", err)
-	}
-
-	typ, payload, err := h.conn.Recv()
-	if err != nil {
-		return fmt.Errorf("cluster: awaiting seed: %w", err)
-	}
-	switch typ {
-	case frameStop:
-		// This host is the one leaving; its (empty) result is a formality.
-		return h.sendResult()
-	case frameSeed:
-	default:
-		return fmt.Errorf("cluster: coordinator sent frame %d, want seed", typ)
-	}
-	seeds, err := decodeSeed(payload, h.numNodes)
-	if err != nil {
-		return fmt.Errorf("cluster: seed: %w", err)
-	}
-	h.rebuild(movedOut, seeds, exp)
-	h.markRefresh(movedSet)
-	h.log.Info("partition reshaped",
-		"host", h.id, "numHosts", msg.NumHosts, "movedOut", len(movedOut), "movedIn", len(seeds))
-	if err := h.conn.Send(frameReady, nil); err != nil {
-		return fmt.Errorf("cluster: ready after reshape: %w", err)
-	}
-	return nil
-}
-
-// rebuild merges the current CSR (minus moved-out rows) with the seeded
-// rows (disjoint, both sorted) and reconstructs protocol state: init,
-// re-apply the pre-reshape export, apply the seeded estimates, and
-// clear the blanket changed marks. No Improve runs here — Apply leaves
-// the dirty flag raised, so the next tick's ImproveIfDirty performs the
-// cascade and marks any genuine drops for shipping; improving now would
-// mark-and-clear drops the peers have never seen.
-func (h *hostRun) rebuild(movedOut map[int]bool, seeds []seedEntry, exp core.Batch) {
-	rows := len(h.owned) - len(movedOut) + len(seeds)
-	owned := make([]int, 0, rows)
-	adjOff := make([]int, 1, rows+1)
-	var adjFlat []int
-	emit := func(u int, neighbors []int) {
-		owned = append(owned, u)
-		adjFlat = append(adjFlat, neighbors...)
-		adjOff = append(adjOff, len(adjFlat))
-	}
-	si := 0
-	for i, u := range h.owned {
-		for si < len(seeds) && seeds[si].Node < u {
-			emit(seeds[si].Node, seeds[si].Neighbors)
-			si++
-		}
-		if movedOut[u] {
-			continue
-		}
-		emit(u, h.adjFlat[h.adjOff[i]:h.adjOff[i+1]])
-	}
-	for ; si < len(seeds); si++ {
-		emit(seeds[si].Node, seeds[si].Neighbors)
-	}
-	h.owned, h.adjOff, h.adjFlat = owned, adjOff, adjFlat
-
-	seedBatch := make(core.Batch, len(seeds))
-	for i, e := range seeds {
-		seedBatch[i] = core.EstimateMsg{Node: e.Node, Core: e.Est}
-	}
-	h.state = core.NewHostState(h.id, h.numNodes, h.owned, h.adjOff, h.adjFlat, h.owner)
-	h.state.InitEstimates()
-	h.state.Apply(exp)
-	h.state.Apply(seedBatch)
-	h.state.ResetChanged()
-}
-
-// markRefresh marks and enqueues every owned node that moved in or that
-// borders a moved node. Shipping these re-establishes the only border
-// knowledge a move can invalidate: every stale external pair is by
-// construction adjacent to a moved node.
-func (h *hostRun) markRefresh(movedSet map[int]int) {
-	for i, u := range h.owned {
-		refresh := false
-		if _, ok := movedSet[u]; ok {
-			refresh = true
-		} else {
-			for _, v := range h.adjFlat[h.adjOff[i]:h.adjOff[i+1]] {
-				if _, ok := movedSet[v]; ok {
-					refresh = true
-					break
-				}
-			}
-		}
-		if refresh {
-			h.state.MarkNodeChanged(u)
-			h.state.EnqueueNode(u)
-		}
-	}
-}
-
 func (h *hostRun) sendResult() error {
-	coreness := h.state.AppendOwnedEstimates(make([]int, 0, len(h.owned)))
-	if len(coreness) != len(h.owned) {
+	owned := h.state.Owned()
+	coreness := h.state.AppendOwnedEstimates(make([]int, 0, len(owned)))
+	if len(coreness) != len(owned) {
 		return fmt.Errorf("cluster: result before init")
 	}
 	if err := h.conn.Send(frameResult, transport.EncodeIntSlice(coreness)); err != nil {
 		return fmt.Errorf("cluster: result: %w", err)
 	}
-	h.res.Owned = h.owned
+	h.res.Owned = owned
 	h.res.Coreness = coreness
 	h.stopped = true
 	return nil

@@ -14,7 +14,6 @@ import (
 	"dkcore/internal/gen"
 	"dkcore/internal/graph"
 	"dkcore/internal/kcore"
-	"dkcore/internal/transport"
 )
 
 // TestClusterRangeOwnershipRounds is the locality regression gate: a
@@ -74,72 +73,6 @@ func TestClusterRangeOwnershipRounds(t *testing.T) {
 	}
 }
 
-// ownerTable evaluates a host's ownership function on every node.
-func ownerTable(h *hostRun) []int {
-	tab := make([]int, h.numNodes)
-	for u := range tab {
-		tab[u] = h.owner(u)
-	}
-	return tab
-}
-
-// tableHost serves the protocol like RunHost, recording its ownership
-// function right after configure (the coordinator's table as it stood
-// when this host enrolled) and after every reshape it survives.
-type tableHost struct {
-	h          *hostRun
-	configured []int
-	reshaped   [][]int
-}
-
-func (th *tableHost) serve(ctx context.Context, addr string, dial func(context.Context, string, string) (net.Conn, error)) error {
-	raw, err := dial(ctx, "tcp", addr)
-	if err != nil {
-		return err
-	}
-	conn := transport.NewConn(raw)
-	defer conn.Close()
-	stop := context.AfterFunc(ctx, func() { conn.Close() })
-	defer stop()
-	h := &hostRun{conn: conn, log: slog.New(discardHandler{}), res: &HostResult{}}
-	th.h = h
-	if err := h.handshake(); err != nil {
-		return err
-	}
-	if err := h.configure(); err != nil {
-		return err
-	}
-	th.configured = ownerTable(h)
-	if err := h.restore(); err != nil {
-		return err
-	}
-	if err := conn.Send(frameReady, nil); err != nil {
-		return err
-	}
-	for !h.stopped {
-		typ, payload, err := conn.Recv()
-		if err != nil {
-			return err
-		}
-		switch typ {
-		case frameTick:
-			err = h.tick(payload)
-		case frameReshape:
-			if err = h.reshape(payload); err == nil && !h.stopped {
-				th.reshaped = append(th.reshaped, ownerTable(h))
-			}
-		case frameStop:
-			err = h.sendResult()
-		default:
-			err = fmt.Errorf("unexpected frame %d", typ)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // leaveOnJoin opens the enrollment gate like connectedGate and, once
 // the coordinator logs a completed join, asks it to retire a host.
 type leaveOnJoin struct {
@@ -157,86 +90,63 @@ func (l leaveOnJoin) Handle(ctx context.Context, rec slog.Record) error {
 func (l leaveOnJoin) WithAttrs([]slog.Attr) slog.Handler { return l }
 func (l leaveOnJoin) WithGroup(string) slog.Handler      { return l }
 
-// TestOwnershipAgreesAfterMembershipChanges checks that every host's
-// owner function equals the coordinator's node→host table after a join
-// and after a leave. A fourth worker joins a three-host run at the
-// first round boundary, and a host leaves at the next one:
-//   - the joiner itself, so some of its nodes go back to their base
-//     range owners, where a host must drop an override instead of
-//     adding one;
-//   - original host 1, so a survivor is handed neighbors of nodes that
-//     moved at the join, which it must already route correctly.
+// TestOwnershipAgreesAfterMembershipChanges checks that every restart
+// leaves the hosts owning exactly the coordinator's ranges. A fourth
+// worker joins a three-host run at the first round boundary, and a host
+// leaves at a later one:
+//   - the joiner itself, so the hosts return to the original ranges;
+//   - original host 1, so the hosts above it move down one ID and the
+//     joiner ends as host 2.
 //
-// After the join, each original host's table equals the joiner's,
-// which was built from the config the coordinator derived from its own
-// table. After the leave, each survivor's table names, for every node,
-// the host whose final owned set holds it, and its override table holds
-// exactly the nodes off their base range.
+// Either way three hosts remain, and each must own exactly its range of
+// core.BlockAssignment{N, 3} and report its coreness against it.
 func TestOwnershipAgreesAfterMembershipChanges(t *testing.T) {
 	g := gen.GNM(400, 1600, 21)
-	base := core.BlockAssignment{N: g.NumNodes(), H: 3}
+	want := kcore.Decompose(g).CorenessValues()
+	final := core.BlockAssignment{N: g.NumNodes(), H: 3}
 	for _, leaver := range []int{3, 1} {
 		t.Run(fmt.Sprintf("leave%d", leaver), func(t *testing.T) {
-			hosts := runJoinThenLeave(t, g, leaver)
-			byID := make(map[int]*tableHost, len(hosts))
-			for _, th := range hosts {
-				byID[th.h.id] = th
-			}
-			joiner := byID[3]
-			finalOwner := make([]int, g.NumNodes())
-			for _, th := range hosts {
-				if th.h.id == leaver {
+			res, hosts := runJoinThenLeave(t, g, leaver)
+			seen := make(map[int]bool)
+			for _, hr := range hosts {
+				if hr.Rounds < res.Rounds {
+					if hr.HostID != leaver {
+						t.Fatalf("host %d stopped after round %d of %d, but host %d was the one to leave", hr.HostID, hr.Rounds, res.Rounds, leaver)
+					}
 					continue
 				}
-				for _, u := range th.h.owned {
-					finalOwner[u] = th.h.id
+				if seen[hr.HostID] {
+					t.Fatalf("two final hosts share ID %d", hr.HostID)
 				}
-			}
-			if leaver == 3 {
-				returned := 0
-				for u, h := range finalOwner {
-					if joiner.configured[u] == 3 && h == base.Host(u) {
-						returned++
+				seen[hr.HostID] = true
+				var wantOwned []int
+				for u := range want {
+					if final.Host(u) == hr.HostID {
+						wantOwned = append(wantOwned, u)
 					}
 				}
-				if returned == 0 {
-					t.Fatal("the leave returned no node to its base range owner")
+				if !slices.Equal(hr.Owned, wantOwned) {
+					t.Fatalf("host %d owns %d nodes, want its range of %d", hr.HostID, len(hr.Owned), len(wantOwned))
 				}
-			}
-			for id := 0; id < 3; id++ {
-				if !slices.Equal(byID[id].reshaped[0], joiner.configured) {
-					t.Fatalf("host %d: owner table after the join differs from the coordinator's", id)
-				}
-			}
-			for _, th := range hosts {
-				if th.h.id == leaver {
-					continue
-				}
-				if last := th.reshaped[len(th.reshaped)-1]; !slices.Equal(last, finalOwner) {
-					t.Fatalf("host %d: owner table after the leave differs from the coordinator's", th.h.id)
-				}
-				off := 0
-				for u, h := range finalOwner {
-					if h != base.Host(u) {
-						off++
-						if got, ok := th.h.overrides[u]; !ok || got != h {
-							t.Fatalf("host %d: override for node %d is (%d, %v), want %d", th.h.id, u, got, ok, h)
-						}
+				for i, u := range hr.Owned {
+					if hr.Coreness[i] != want[u] {
+						t.Fatalf("host %d: node %d coreness %d, want %d", hr.HostID, u, hr.Coreness[i], want[u])
 					}
 				}
-				if len(th.h.overrides) != off {
-					t.Fatalf("host %d keeps %d overrides, want %d", th.h.id, len(th.h.overrides), off)
-				}
+			}
+			if len(seen) != 3 {
+				t.Fatalf("%d hosts served to the end, want 3", len(seen))
 			}
 		})
 	}
 }
 
 // runJoinThenLeave runs g on three hosts plus a fourth worker that
-// joins at the first round boundary; the coordinator retires host
-// leaver at the next one. It checks the run's result against the
-// oracle and returns the four workers.
-func runJoinThenLeave(t *testing.T, g *graph.Graph, leaver int) []*tableHost {
+// joins at the first round boundary; once the join is done the
+// coordinator is asked to retire host leaver. It checks the run's
+// result against the oracle and returns it with the four workers'
+// results.
+func runJoinThenLeave(t *testing.T, g *graph.Graph, leaver int) (*Result, []*HostResult) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -254,15 +164,14 @@ func runJoinThenLeave(t *testing.T, g *graph.Graph, leaver int) []*tableHost {
 		}
 		return &heldConn{Conn: raw, ctx: ctx, open: gate.open}, nil
 	}
-	hosts := make([]*tableHost, 4)
+	hosts := make([]*HostResult, 4)
 	errs := make([]error, 4)
 	var wg sync.WaitGroup
 	for i := range hosts {
-		hosts[i] = &tableHost{}
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			errs[i] = hosts[i].serve(ctx, coord.Addr(), dial)
+			hosts[i], errs[i] = RunHost(ctx, HostConfig{CoordinatorAddr: coord.Addr(), Dialer: dial})
 		}(i)
 	}
 	res, err := coord.RunContext(ctx)
@@ -281,5 +190,5 @@ func runJoinThenLeave(t *testing.T, g *graph.Graph, leaver int) []*tableHost {
 	if !slices.Equal(res.Coreness, kcore.Decompose(g).CorenessValues()) {
 		t.Fatal("coreness differs from the sequential oracle")
 	}
-	return hosts
+	return res, hosts
 }

@@ -6,11 +6,14 @@
 // protocol terms (Algorithm 5's batch policy) but are physically
 // relayed through the coordinator: a host's round-r outbox rides on its
 // done report and the coordinator delivers it with the round-r+1 ticks.
-// The relay is what makes the runtime fault tolerant — the coordinator
-// sees every batch, so it can checkpoint hosts, replay exactly the
-// deltas a restarted host missed, and repartition on membership changes
-// without rewiring a peer mesh (see docs/PROTOCOL.md for the wire spec
-// and docs/OPERATIONS.md for the operator's view).
+// Fault tolerance rests on the paper's safety argument (§3.1): any
+// vector that bounds the coreness from above converges to it under the
+// min-cascade. Every host death, join and leave is therefore one warm
+// restart at a round boundary: the hosts checkpoint their owned values,
+// the coordinator min-merges them into one upper-bound vector,
+// repartitions the graph over the hosts now present, and seeds each
+// host from that vector (see docs/PROTOCOL.md for the wire spec and
+// docs/OPERATIONS.md for the operator's view).
 //
 // The same binary logic runs in-process (tests, examples) and as
 // separate OS processes (cmd/kcore-coord and cmd/kcore-host).
@@ -25,20 +28,19 @@ import (
 
 // Frame types of the coordinator/host protocol. All types stay below
 // transport.CompressedFlag; the transport owns the high bit.
+// Types 9 to 11 belonged to the version-5 membership frames and stay
+// unused.
 const (
-	frameHello      uint8 = iota + 1 // host → coord: protocol version + capability flags
-	frameWelcome                     // coord → host: negotiated flags
-	frameConfig                      // coord → host: id, host counts, partition CSR, ownership overrides
-	frameRestore                     // coord → host: checkpoint (optional) + replay batches
-	frameReady                       // host → coord: configured (and restored) — ready for ticks
-	frameTick                        // coord → host: round number, checkpoint flag, inbound batches
-	frameDone                        // host → coord: per-round report + outbound batches
-	frameCheckpoint                  // host → coord: round, estimate vector, support counters
-	frameReshape                     // coord → host: membership change — moved (node, newHost) pairs
-	frameReshapeAck                  // host → coord: estimates of this host's moved-out nodes
-	frameSeed                        // coord → host: moved-in nodes (adjacency + estimates)
-	frameStop                        // coord → host: protocol terminated
-	frameResult                      // host → coord: owned coreness values, in owned-node order
+	frameHello      uint8 = 1  // host → coord: protocol version + capability flags
+	frameWelcome    uint8 = 2  // coord → host: negotiated flags
+	frameConfig     uint8 = 3  // coord → host: id, host count, partition CSR
+	frameRestore    uint8 = 4  // coord → host: seed estimates for the partition
+	frameReady      uint8 = 5  // host → coord: configured and restored — ready for ticks
+	frameTick       uint8 = 6  // coord → host: round number, checkpoint flag, inbound batches
+	frameDone       uint8 = 7  // host → coord: per-round report + outbound batches
+	frameCheckpoint uint8 = 8  // host → coord: round, owned values in owned-node order
+	frameStop       uint8 = 12 // coord → host: protocol terminated
+	frameResult     uint8 = 13 // host → coord: owned coreness values, in owned-node order
 )
 
 // protocolVersion is the hello version this implementation speaks.
@@ -48,8 +50,10 @@ const (
 // Version 4 checkpoints one support counter per owned node where version
 // 3 carried per-arc support histograms. Version 5 gap-codes the config's
 // node IDs and drops them from the result frame; a version-4 host would
-// read the gaps as raw IDs.
-const protocolVersion = 5
+// read the gaps as raw IDs. Version 6 replaces checkpoint replay and the
+// reshape, reshape-ack and seed frames with one warm restart, and drops
+// the config's base host count and override lists.
+const protocolVersion = 6
 
 // flagFlate is the hello/welcome capability bit for transparent flate
 // frame compression.
@@ -74,33 +78,23 @@ const maxHosts = 1 << 20
 // offsets as per-node degrees. Small, repetitive numbers are what flate
 // compresses well; decodeConfig rebuilds AdjOff by prefix sum.
 //
-// Ownership is contiguous ranges plus overrides: node u belongs to
-// OverrideHosts[i] if u == OverrideNodes[i], else to
-// core.BlockAssignment{N: NumNodes, H: BaseHosts}.Host(u): the ID space
-// is cut into BaseHosts contiguous ranges of ⌈NumNodes/BaseHosts⌉.
-// Overrides accumulate from membership changes; a fresh cluster has
-// none. NumHosts is the size of the host-ID slot space (departed hosts
-// leave holes), used only for bounds checks.
+// Ownership is contiguous ranges: node u belongs to
+// core.BlockAssignment{N: NumNodes, H: NumHosts}.Host(u), which cuts the
+// ID space into NumHosts ranges of ⌈NumNodes/NumHosts⌉.
 type config struct {
-	HostID    int
-	NumHosts  int
-	BaseHosts int
-	NumNodes  int
-	Owned     []int
-	AdjOff    []int // len(Owned)+1, AdjOff[0] == 0
-	AdjFlat   []int
-	// OverrideNodes (strictly increasing) and OverrideHosts are
-	// parallel: node OverrideNodes[i] is owned by OverrideHosts[i].
-	OverrideNodes []int
-	OverrideHosts []int
+	HostID   int
+	NumHosts int
+	NumNodes int
+	Owned    []int
+	AdjOff   []int // len(Owned)+1, AdjOff[0] == 0
+	AdjFlat  []int
 }
 
 func encodeConfig(c config) []byte {
 	// Gaps and degrees mostly take 1–2 bytes; a larger frame grows once.
-	buf := make([]byte, 0, 16+2*len(c.Owned)+2*len(c.AdjFlat)+4*len(c.OverrideNodes))
+	buf := make([]byte, 0, 16+2*len(c.Owned)+2*len(c.AdjFlat))
 	buf = binary.AppendUvarint(buf, uint64(c.HostID))
 	buf = binary.AppendUvarint(buf, uint64(c.NumHosts))
-	buf = binary.AppendUvarint(buf, uint64(c.BaseHosts))
 	buf = binary.AppendUvarint(buf, uint64(c.NumNodes))
 	buf = binary.AppendUvarint(buf, uint64(len(c.Owned)))
 	buf = appendGaps(buf, -1, c.Owned)
@@ -115,8 +109,6 @@ func encodeConfig(c config) []byte {
 		buf = binary.AppendVarint(buf, int64(row[0]-u))
 		buf = appendGaps(buf, row[0], row[1:])
 	}
-	buf = append(buf, transport.EncodeIntSlice(c.OverrideNodes)...)
-	buf = append(buf, transport.EncodeIntSlice(c.OverrideHosts)...)
 	return buf
 }
 
@@ -155,7 +147,7 @@ func readGaps(data []byte, off, prev, limit int, dst []int) (int, error) {
 
 func decodeConfig(data []byte) (config, error) {
 	var c config
-	fields := []*int{&c.HostID, &c.NumHosts, &c.BaseHosts, &c.NumNodes}
+	fields := []*int{&c.HostID, &c.NumHosts, &c.NumNodes}
 	off := 0
 	for i, f := range fields {
 		v, n := binary.Uvarint(data[off:])
@@ -168,14 +160,11 @@ func decodeConfig(data []byte) (config, error) {
 		off += n
 	}
 	// Header sanity before anything host-count-sized is trusted: the
-	// host counts bound later allocations (ownership tables, border
-	// scratch in NewHostState), the host ID must name a slot, and a
-	// zero base would divide by zero in the owner function.
+	// host count bounds later allocations (border scratch in
+	// NewHostState), the host ID must name a host, and a zero count
+	// would divide by zero in the owner function.
 	if c.NumHosts < 1 || c.NumHosts > maxHosts {
 		return c, fmt.Errorf("cluster: decode config: host count %d outside [1, %d]", c.NumHosts, maxHosts)
-	}
-	if c.BaseHosts < 1 || c.BaseHosts > c.NumHosts {
-		return c, fmt.Errorf("cluster: decode config: base host count %d outside [1, %d]", c.BaseHosts, c.NumHosts)
 	}
 	if c.HostID >= c.NumHosts {
 		return c, fmt.Errorf("cluster: decode config: host id %d outside [0, %d)", c.HostID, c.NumHosts)
@@ -238,31 +227,6 @@ func decodeConfig(data []byte) (config, error) {
 			return c, fmt.Errorf("cluster: decode config: neighbors of node %d: %w", u, err)
 		}
 	}
-	oNodes, n, err := transport.DecodeIntSlice(data[off:])
-	if err != nil {
-		return c, fmt.Errorf("cluster: decode config: override nodes: %w", err)
-	}
-	off += n
-	oHosts, n, err := transport.DecodeIntSlice(data[off:])
-	if err != nil {
-		return c, fmt.Errorf("cluster: decode config: override hosts: %w", err)
-	}
-	off += n
-	if len(oNodes) != len(oHosts) {
-		return c, fmt.Errorf("cluster: decode config: %d override nodes, %d hosts", len(oNodes), len(oHosts))
-	}
-	for i, u := range oNodes {
-		if u < 0 || u >= c.NumNodes {
-			return c, fmt.Errorf("cluster: decode config: override node %d outside [0, %d)", u, c.NumNodes)
-		}
-		if i > 0 && oNodes[i-1] >= u {
-			return c, fmt.Errorf("cluster: decode config: override nodes not strictly increasing at %d", u)
-		}
-		if oHosts[i] < 0 || oHosts[i] >= c.NumHosts {
-			return c, fmt.Errorf("cluster: decode config: override host %d outside [0, %d)", oHosts[i], c.NumHosts)
-		}
-	}
-	c.OverrideNodes, c.OverrideHosts = oNodes, oHosts
 	if off != len(data) {
 		return c, fmt.Errorf("cluster: decode config: %d trailing bytes", len(data)-off)
 	}
@@ -272,9 +236,9 @@ func decodeConfig(data []byte) (config, error) {
 // relayBatch is one encoded estimate batch in flight through the
 // coordinator, tagged with the peer on the far side: the destination
 // host in a done frame's outbox, the source host in a tick frame's
-// inbox and a restore frame's replay list. Raw is the exact byte string
-// the sender produced (transport.AppendBatch form); the coordinator
-// relays it verbatim and only the final recipient decodes it.
+// inbox. Raw is the exact byte string the sender produced
+// (transport.AppendBatch form); the coordinator relays it verbatim and
+// only the final recipient decodes it.
 type relayBatch struct {
 	Peer int
 	Raw  []byte
@@ -419,278 +383,69 @@ func decodeDone(data []byte) (doneReport, []relayBatch, error) {
 	return r, out, nil
 }
 
-// checkpointMsg is a host's state snapshot at a round boundary: the
-// full estimate vector in encoded-batch form plus the owned nodes'
-// support counters as an integrity checksum (core.VerifySupport). Est stays
-// encoded end to end — the coordinator stores it opaquely and the
-// restoring host replays it through Apply, whose validation is the
-// trust boundary.
-type checkpointMsg struct {
-	Round int
-	Est   []byte
-	Sup   []int
+// appendCheckpoint appends a checkpoint: the round, then the host's
+// owned estimates in owned-node order, in the result frame's int-slice
+// form. Every estimate bounds its node's coreness from above, which is
+// all a restart needs from it.
+func appendCheckpoint(buf []byte, round int, values []int) []byte {
+	buf = binary.AppendUvarint(buf, uint64(round))
+	return append(buf, transport.EncodeIntSlice(values)...)
 }
 
-func appendCheckpoint(buf []byte, m checkpointMsg) []byte {
-	buf = binary.AppendUvarint(buf, uint64(m.Round))
-	buf = binary.AppendUvarint(buf, uint64(len(m.Est)))
-	buf = append(buf, m.Est...)
-	return append(buf, transport.EncodeIntSlice(m.Sup)...)
-}
-
-// decodeCheckpoint decodes a checkpoint, returning bytes consumed so it
-// can embed in a restore frame. Est is scanned (not materialized) so a
-// corrupt vector is rejected where the bytes enter.
-func decodeCheckpoint(data []byte) (checkpointMsg, int, error) {
-	var m checkpointMsg
-	round, n := binary.Uvarint(data)
+// decodeCheckpoint reads a checkpoint of the host owning owned, checked
+// like a result: it returns the round and the values in owned order.
+func decodeCheckpoint(payload []byte, owned []int, numNodes int) (int, []int, error) {
+	round, n := binary.Uvarint(payload)
 	if n <= 0 {
-		return m, 0, fmt.Errorf("cluster: decode checkpoint: bad round")
+		return 0, nil, fmt.Errorf("cluster: decode checkpoint: bad round")
 	}
-	off := n
-	length, n := binary.Uvarint(data[off:])
-	if n <= 0 || length > uint64(len(data)-off-n) {
-		return m, 0, fmt.Errorf("cluster: decode checkpoint: bad estimate length")
-	}
-	off += n
-	m.Est = data[off : off+int(length)]
-	off += int(length)
-	if _, err := transport.ScanBatch(m.Est); err != nil {
-		return m, 0, fmt.Errorf("cluster: decode checkpoint: estimates: %w", err)
-	}
-	hist, n, err := transport.DecodeIntSlice(data[off:])
-	if err != nil {
-		return m, 0, fmt.Errorf("cluster: decode checkpoint: support: %w", err)
-	}
-	off += n
-	m.Round = int(round)
-	m.Sup = hist
-	return m, off, nil
-}
-
-// restoreMsg is the coordinator→host resume payload sent right after
-// config: the latest checkpoint (nil on a fresh start) and the relay
-// batches to replay — everything delivered to this slot since that
-// checkpoint's round (or since the beginning, without checkpoints).
-// Replay entries' Peer is the source host.
-type restoreMsg struct {
-	Ckpt   *checkpointMsg
-	Replay []relayBatch
-}
-
-func encodeRestore(m restoreMsg) []byte {
-	buf := make([]byte, 0, 64)
-	if m.Ckpt == nil {
-		buf = binary.AppendUvarint(buf, 0)
-	} else {
-		buf = binary.AppendUvarint(buf, 1)
-		buf = appendCheckpoint(buf, *m.Ckpt)
-	}
-	return appendRelays(buf, m.Replay)
-}
-
-func decodeRestore(data []byte) (restoreMsg, error) {
-	var m restoreMsg
-	has, n := binary.Uvarint(data)
-	if n <= 0 || has > 1 {
-		return m, fmt.Errorf("cluster: decode restore: bad checkpoint flag")
-	}
-	off := n
-	if has == 1 {
-		ck, n, err := decodeCheckpoint(data[off:])
-		if err != nil {
-			return m, fmt.Errorf("cluster: decode restore: %w", err)
-		}
-		off += n
-		m.Ckpt = &ck
-	}
-	rs, n, err := decodeRelays(data[off:])
-	if err != nil {
-		return m, fmt.Errorf("cluster: decode restore: %w", err)
-	}
-	off += n
-	if off != len(data) {
-		return m, fmt.Errorf("cluster: decode restore: %d trailing bytes", len(data)-off)
-	}
-	m.Replay = rs
-	return m, nil
-}
-
-// movePair is one membership-change relocation: Node is now owned by
-// Host.
-type movePair struct {
-	Node, Host int
-}
-
-// reshapeMsg announces a membership change to a surviving host: the new
-// slot-space size and every relocation, from which the host finds its
-// own moved-out nodes, re-targets every affected border, and keeps its
-// ownership override table equal to the coordinator's.
-type reshapeMsg struct {
-	NumHosts int
-	Moves    []movePair
-}
-
-func encodeReshape(m reshapeMsg) []byte {
-	buf := make([]byte, 0, 16+4*len(m.Moves))
-	buf = binary.AppendUvarint(buf, uint64(m.NumHosts))
-	buf = binary.AppendUvarint(buf, uint64(len(m.Moves)))
-	for _, mv := range m.Moves {
-		buf = binary.AppendUvarint(buf, uint64(mv.Node))
-		buf = binary.AppendUvarint(buf, uint64(mv.Host))
-	}
-	return buf
-}
-
-func decodeReshape(data []byte, numNodes int) (reshapeMsg, error) {
-	var m reshapeMsg
-	hosts, n := binary.Uvarint(data)
-	if n <= 0 {
-		return m, fmt.Errorf("cluster: decode reshape: bad host count")
-	}
-	if hosts < 1 || hosts > maxHosts {
-		return m, fmt.Errorf("cluster: decode reshape: host count %d outside [1, %d]", hosts, maxHosts)
-	}
-	off := n
-	count, n := binary.Uvarint(data[off:])
-	if n <= 0 {
-		return m, fmt.Errorf("cluster: decode reshape: bad move count")
-	}
-	off += n
-	if count > uint64(len(data)-off)/2 {
-		return m, fmt.Errorf("cluster: decode reshape: move count %d exceeds payload", count)
-	}
-	m.NumHosts = int(hosts)
-	m.Moves = make([]movePair, 0, count)
-	prev := -1
-	for i := uint64(0); i < count; i++ {
-		node, n := binary.Uvarint(data[off:])
-		if n <= 0 {
-			return m, fmt.Errorf("cluster: decode reshape: truncated move %d", i)
-		}
-		off += n
-		host, n := binary.Uvarint(data[off:])
-		if n <= 0 {
-			return m, fmt.Errorf("cluster: decode reshape: truncated host %d", i)
-		}
-		off += n
-		if node >= uint64(numNodes) || int(node) <= prev {
-			return m, fmt.Errorf("cluster: decode reshape: move node %d invalid (prev %d, n %d)", node, prev, numNodes)
-		}
-		if host >= uint64(m.NumHosts) {
-			return m, fmt.Errorf("cluster: decode reshape: move host %d outside [0, %d)", host, m.NumHosts)
-		}
-		prev = int(node)
-		m.Moves = append(m.Moves, movePair{Node: int(node), Host: int(host)})
-	}
-	if off != len(data) {
-		return m, fmt.Errorf("cluster: decode reshape: %d trailing bytes", len(data)-off)
-	}
-	return m, nil
-}
-
-// seedEntry is one moved-in node a surviving host receives at a
-// membership change: its global ID, its current estimate (from the old
-// owner's reshape ack), and its global-ID adjacency.
-type seedEntry struct {
-	Node, Est int
-	Neighbors []int
-}
-
-func encodeSeed(entries []seedEntry) []byte {
-	buf := make([]byte, 0, 16)
-	buf = binary.AppendUvarint(buf, uint64(len(entries)))
-	for _, e := range entries {
-		buf = binary.AppendUvarint(buf, uint64(e.Node))
-		buf = binary.AppendUvarint(buf, uint64(e.Est))
-		buf = binary.AppendUvarint(buf, uint64(len(e.Neighbors)))
-		for _, v := range e.Neighbors {
-			buf = binary.AppendUvarint(buf, uint64(v))
-		}
-	}
-	return buf
-}
-
-func decodeSeed(data []byte, numNodes int) ([]seedEntry, error) {
-	count, n := binary.Uvarint(data)
-	if n <= 0 {
-		return nil, fmt.Errorf("cluster: decode seed: bad count")
-	}
-	off := n
-	// Every entry costs at least three bytes (node, est, degree).
-	if count > uint64(len(data)-off)/3 {
-		return nil, fmt.Errorf("cluster: decode seed: count %d exceeds payload", count)
-	}
-	entries := make([]seedEntry, 0, count)
-	prev := -1
-	for i := uint64(0); i < count; i++ {
-		var e seedEntry
-		node, n := binary.Uvarint(data[off:])
-		if n <= 0 || node >= uint64(numNodes) || int(node) <= prev {
-			return nil, fmt.Errorf("cluster: decode seed: bad node at entry %d", i)
-		}
-		off += n
-		prev = int(node)
-		e.Node = int(node)
-		est, n := binary.Uvarint(data[off:])
-		if n <= 0 {
-			return nil, fmt.Errorf("cluster: decode seed: bad estimate at entry %d", i)
-		}
-		off += n
-		e.Est = int(est)
-		deg, n := binary.Uvarint(data[off:])
-		if n <= 0 || deg > uint64(len(data)-off-n) {
-			return nil, fmt.Errorf("cluster: decode seed: bad degree at entry %d", i)
-		}
-		off += n
-		e.Neighbors = make([]int, 0, deg)
-		for j := uint64(0); j < deg; j++ {
-			v, n := binary.Uvarint(data[off:])
-			if n <= 0 || v >= uint64(numNodes) {
-				return nil, fmt.Errorf("cluster: decode seed: bad neighbor %d of entry %d", j, i)
-			}
-			off += n
-			e.Neighbors = append(e.Neighbors, int(v))
-		}
-		entries = append(entries, e)
-	}
-	if off != len(data) {
-		return nil, fmt.Errorf("cluster: decode seed: %d trailing bytes", len(data)-off)
-	}
-	return entries, nil
+	values, err := decodeOwnedValues("checkpoint", payload[n:], owned, numNodes)
+	return int(round), values, err
 }
 
 // decodeResult reads a result frame, an int slice of the coreness
 // values of a host's owned nodes in ascending node order: the
 // coordinator knows which nodes the host owns, so the IDs stay off the
 // wire. owned is that set, sorted, every ID an index of coreness; the
-// i-th value is stored at coreness[owned[i]]. The count must equal
-// len(owned), and a value must lie below len(coreness): a coreness never
-// exceeds the maximum degree, which is below the node count.
+// i-th value is stored at coreness[owned[i]], and nothing is stored
+// unless the whole frame decodes.
 func decodeResult(payload []byte, owned, coreness []int) error {
+	values, err := decodeOwnedValues("result", payload, owned, len(coreness))
+	for i, k := range values {
+		coreness[owned[i]] = k
+	}
+	return err
+}
+
+// decodeOwnedValues reads an int slice of one value per owned node. The
+// count must equal len(owned), and a value must lie below numNodes: a
+// coreness or estimate never exceeds the maximum degree, which is below
+// the node count. It returns nil values on any error.
+func decodeOwnedValues(what string, payload []byte, owned []int, numNodes int) ([]int, error) {
 	count, n := binary.Uvarint(payload)
 	if n <= 0 {
-		return fmt.Errorf("cluster: decode result: bad count")
+		return nil, fmt.Errorf("cluster: decode %s: bad count", what)
 	}
 	if count != uint64(len(owned)) {
-		return fmt.Errorf("cluster: decode result: %d values for %d owned nodes", count, len(owned))
+		return nil, fmt.Errorf("cluster: decode %s: %d values for %d owned nodes", what, count, len(owned))
 	}
 	off := n
-	for _, u := range owned {
+	values := make([]int, len(owned))
+	for i, u := range owned {
 		k, n := binary.Uvarint(payload[off:])
 		if n <= 0 {
-			return fmt.Errorf("cluster: decode result: value of node %d truncated", u)
+			return nil, fmt.Errorf("cluster: decode %s: value of node %d truncated", what, u)
 		}
-		if k >= uint64(len(coreness)) {
-			return fmt.Errorf("cluster: decode result: node %d has coreness %d, want below %d", u, k, len(coreness))
+		if k >= uint64(numNodes) {
+			return nil, fmt.Errorf("cluster: decode %s: node %d has value %d, want below %d", what, u, k, numNodes)
 		}
 		off += n
-		coreness[u] = int(k)
+		values[i] = int(k)
 	}
 	if off != len(payload) {
-		return fmt.Errorf("cluster: decode result: %d trailing bytes", len(payload)-off)
+		return nil, fmt.Errorf("cluster: decode %s: %d trailing bytes", what, len(payload)-off)
 	}
-	return nil
+	return values, nil
 }
 
 // helloMsg is the host's opening frame: its protocol version and

@@ -7,6 +7,7 @@ import (
 	"io"
 	"log/slog"
 	"net"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"syscall"
@@ -126,7 +127,8 @@ func TestHostRetryGivesUpAfterWindow(t *testing.T) {
 }
 
 // TestTransientErrorClassification pins the retry predicate: connection
-// faults (including injected chaos severs) are retryable; protocol and
+// faults (including injected chaos severs and frames failing their
+// checksum) are retryable; protocol and
 // decode failures are final — retrying a hostile frame cannot help.
 func TestTransientErrorClassification(t *testing.T) {
 	for _, err := range []error{
@@ -134,6 +136,7 @@ func TestTransientErrorClassification(t *testing.T) {
 		fmt.Errorf("recv: %w", io.ErrUnexpectedEOF),
 		net.ErrClosed,
 		chaos.ErrTripped,
+		fmt.Errorf("transport: recv: %w", transport.ErrCorrupt),
 		&net.OpError{Op: "dial", Err: errors.New("connection refused")},
 	} {
 		if !isTransient(err) {
@@ -151,17 +154,17 @@ func TestTransientErrorClassification(t *testing.T) {
 	}
 }
 
-// reshapeVictim serves the protocol like a normal host until the first
-// reshape frame arrives, then trips its chaos-wrapped connection — an
-// injected I/O failure exactly inside the membership barrier, the point
-// PROTOCOL.md documents as fatal by design.
-func reshapeVictim(addr string) error {
+// restartVictim serves the protocol like a normal host until a
+// mid-run config arrives, then trips its chaos-wrapped connection — an
+// injected I/O failure inside a restart, which used to be fatal to the
+// run by design.
+func restartVictim(addr string) error {
 	in := chaos.NewInjector(1, 8)
 	raw, err := dialTimeout(addr)
 	if err != nil {
 		return err
 	}
-	cc := in.WrapConn(raw, "reshape-victim", chaos.ConnPlan{})
+	cc := in.WrapConn(raw, "restart-victim", chaos.ConnPlan{})
 	conn := transport.NewConn(cc)
 	defer conn.Close()
 	h := &hostRun{conn: conn, res: &HostResult{}}
@@ -188,60 +191,81 @@ func reshapeVictim(addr string) error {
 			if err := h.tick(payload); err != nil {
 				return err
 			}
-		case frameReshape:
+		case frameConfig:
 			cc.Trip()
 			return nil
 		case frameStop:
-			return fmt.Errorf("reshape victim outlived the run")
+			return fmt.Errorf("restart victim outlived the run")
 		default:
 			return fmt.Errorf("unexpected frame %d", typ)
 		}
 	}
 }
 
-// TestReshapeIOErrorIsFatal covers the documented fatal-by-design path:
-// a connection failure during a reshape must abort the run with an
-// error naming the reshape — never hang, and never enter crash recovery
-// even with a generous RejoinWait budget, because a crash mid-
-// repartition leaves neither ownership table fully distributed.
-func TestReshapeIOErrorIsFatal(t *testing.T) {
+// TestRestartIOErrorIsRetried: a connection failure during a restart
+// only marks the host dead, and with a RejoinWait budget the next round
+// boundary restarts again with a replacement. The victim enrolls first,
+// so it is host 0 and survives the leave of host 2 that triggers the
+// first restart; it dies on that restart's config, reconnects as its
+// own replacement, and the run must still end exact.
+func TestRestartIOErrorIsRetried(t *testing.T) {
 	g := gen.WorstCase(25)
+	want := kcore.Decompose(g).CorenessValues()
+	gate := &connectedGate{need: 1, open: make(chan struct{})}
 	coord, err := NewCoordinator(CoordinatorConfig{
 		Graph:      g,
-		NumHosts:   2,
-		RejoinWait: 30 * time.Second, // must NOT rescue a reshape fault
+		NumHosts:   3,
+		RejoinWait: 30 * time.Second,
+		Log:        slog.New(gate),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := coord.Leave(1); err != nil {
+	if err := coord.Leave(2); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	hostDone := make(chan error, 2)
-	go func() { hostDone <- reshapeVictim(coord.Addr()) }()
+	hostDone := make(chan error, 3)
 	go func() {
+		if err := restartVictim(coord.Addr()); err != nil {
+			hostDone <- err
+			return
+		}
 		_, err := RunHost(ctx, HostConfig{CoordinatorAddr: coord.Addr()})
 		hostDone <- err
 	}()
 	coordDone := make(chan error, 1)
+	var res *Result
 	go func() {
-		_, err := coord.RunContext(ctx)
+		var err error
+		res, err = coord.RunContext(ctx)
 		coordDone <- err
 	}()
-	err = waitErr(t, coordDone, 2*testDialWait, "coordinator abort")
-	if err == nil {
-		t.Fatal("run survived an I/O failure mid-reshape")
+	select {
+	case <-gate.open:
+	case <-time.After(testDialWait):
+		t.Fatal("the victim did not enroll")
 	}
-	if !strings.Contains(err.Error(), "reshape") {
-		t.Fatalf("abort does not name the reshape phase: %v", err)
-	}
-	// Both hosts must exit promptly once the coordinator tears down —
-	// the fatal path may not strand workers (their errors are whatever
-	// the teardown produced, so only liveness is asserted).
 	for i := 0; i < 2; i++ {
-		waitErr(t, hostDone, testDialWait, "host exit after abort")
+		go func() {
+			_, err := RunHost(ctx, HostConfig{CoordinatorAddr: coord.Addr()})
+			hostDone <- err
+		}()
+	}
+	if err := waitErr(t, coordDone, 2*testDialWait, "coordinator"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := waitErr(t, hostDone, testDialWait, "host exit"); err != nil {
+			t.Fatalf("host: %v", err)
+		}
+	}
+	if res.Recoveries < 1 || res.Leaves != 1 {
+		t.Fatalf("recoveries = %d, leaves = %d, want at least 1 and 1", res.Recoveries, res.Leaves)
+	}
+	if !slices.Equal(res.Coreness, want) {
+		t.Fatal("coreness differs from the sequential oracle")
 	}
 }
 

@@ -49,11 +49,9 @@ func (a BlockAssignment) Host(u int) int {
 // NumHosts implements Assignment.
 func (a BlockAssignment) NumHosts() int { return a.H }
 
-// TableAssignment materializes an arbitrary node→host table — the form
-// membership changes produce, where ownership starts from a base policy
-// and accumulates per-node moves. Table[u] must be in [0, H); H may
-// exceed the number of distinct hosts present (departed hosts leave
-// holes in the ID space).
+// TableAssignment materializes an arbitrary node→host table.
+// Table[u] must be in [0, H); H may exceed the number of distinct hosts
+// the table names.
 type TableAssignment struct {
 	// Table maps node ID to host ID.
 	Table []int

@@ -9,11 +9,12 @@ import (
 )
 
 // Frame-level compression. The high bit of the type byte marks a
-// compressed frame: [length u32][type|0x80][flate(payload)]. The bit is
-// per-frame, so small frames travel raw even on a compressed
-// connection, and a decoder that has not negotiated compression rejects
-// the bit outright instead of feeding attacker-controlled bytes to a
-// decompressor. Frame types therefore live in 0x00..0x7F.
+// compressed frame: [length u32][type|0x80][flate(payload)][crc32c],
+// the checksum covering the compressed bytes. The bit is per-frame, so
+// small frames travel raw even on a compressed connection, and a
+// decoder that has not negotiated compression rejects the bit outright
+// instead of feeding attacker-controlled bytes to a decompressor. Frame
+// types therefore live in 0x00..0x7F.
 
 // CompressedFlag is the type-byte bit marking a flate-compressed
 // payload. Protocol frame types must stay below it.
@@ -105,8 +106,8 @@ func (c *Conn) decompressPayload(body []byte) ([]byte, error) {
 // FrameStats counts frames and bytes for one direction of a connection.
 // RawBytes is payload size before compression (what the protocol
 // produced); WireBytes is what actually crossed the wire, including the
-// 5-byte frame header. On an uncompressed connection WireBytes ==
-// RawBytes + 5*Frames.
+// 9 bytes of framing (5-byte header, 4-byte checksum trailer). On an
+// uncompressed connection WireBytes == RawBytes + 9*Frames.
 type FrameStats struct {
 	Frames    int64
 	RawBytes  int64

@@ -67,7 +67,7 @@ func TestIncompressiblePayloadStaysRaw(t *testing.T) {
 	if wire[4] != 5 {
 		t.Fatalf("incompressible frame got compressed bit: type %#x", wire[4])
 	}
-	if len(wire) != len(payload)+5 {
+	if len(wire) != len(payload)+frameOverhead {
 		t.Fatalf("incompressible frame grew: %d wire vs %d raw", len(wire), len(payload))
 	}
 }
@@ -164,8 +164,8 @@ func TestScanBatchMatchesDecode(t *testing.T) {
 // negotiated, so the bomb/garbage hardening is load-bearing.
 func FuzzCompressedFrame(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte{0, 0, 0, 1, 7})
-	f.Add([]byte{0, 0, 0, 2, CompressedFlag | 7, 0x00}) // compressed bit, garbage deflate
+	f.Add(sealed(0, 0, 0, 1, 7))
+	f.Add(sealed(0, 0, 0, 2, CompressedFlag|7, 0x00)) // compressed bit, garbage deflate
 	var seed bytes.Buffer
 	src := NewConn(nopCloser{&seed})
 	src.SetCompression(true)

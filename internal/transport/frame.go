@@ -3,9 +3,11 @@
 // compact varint codec for estimate batches and graph partitions, and
 // optional per-connection flate compression negotiated above this layer.
 //
-// A frame is [length u32 big-endian][type u8][payload]; length covers the
-// type byte and payload. Frame types occupy 0x00..0x7F; the high bit of
-// the type byte is the per-frame compression flag (see CompressedFlag).
+// A frame is [length u32 big-endian][type u8][payload][crc32c u32
+// big-endian]; length covers the type byte and payload, and the trailer
+// is the Castagnoli CRC-32 of every byte before it, as sent. Frame types
+// occupy 0x00..0x7F; the high bit of the type byte is the per-frame
+// compression flag (see CompressedFlag).
 // The framing is transport-agnostic: it works over TCP sockets, net.Pipe
 // pairs in tests, or any io.ReadWriteCloser.
 //
@@ -22,6 +24,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"net"
 	"slices"
@@ -36,6 +39,19 @@ const MaxFrameSize = 1 << 28 // 256 MiB
 // ErrFrameTooLarge is returned when a frame exceeds MaxFrameSize.
 var ErrFrameTooLarge = errors.New("transport: frame exceeds size limit")
 
+// ErrCorrupt is wrapped by the error Recv returns when a frame's
+// checksum trailer does not match the bytes before it: the stream was
+// damaged in flight, and nothing in the frame can be trusted.
+var ErrCorrupt = errors.New("transport: frame checksum mismatch")
+
+// frameOverhead is the framing each frame adds to its payload: the
+// length and type header and the checksum trailer.
+const frameOverhead = 9
+
+// castagnoli is the CRC-32C table of the frame trailer; amd64 and arm64
+// compute it in hardware.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
 // Conn is a framed connection. Send is safe for concurrent use; Recv must
 // be called from a single goroutine at a time.
 type Conn struct {
@@ -46,8 +62,10 @@ type Conn struct {
 	flateBuf    bytes.Buffer
 	outStats    FrameStats
 	outByType   [CompressedFlag]FrameStats
+	outFrame    [frameOverhead]byte // header and trailer scratch
 
 	br         *bufio.Reader // Recv is single-goroutine; statsMu covers Stats readers
+	inFrame    [8]byte       // length and trailer scratch
 	compressIn bool
 	flateR     io.ReadCloser
 	statsMu    sync.Mutex
@@ -137,39 +155,40 @@ func (c *Conn) Send(typ uint8, payload []byte) error {
 			wireType, wire = typ|CompressedFlag, packed
 		}
 	}
-	var hdr [5]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(wire)+1))
+	hdr, sum := c.outFrame[:5], c.outFrame[5:]
+	binary.BigEndian.PutUint32(hdr, uint32(len(wire)+1))
 	hdr[4] = wireType
-	if _, err := c.bw.Write(hdr[:]); err != nil {
-		return fmt.Errorf("transport: send: %w", err)
-	}
-	if _, err := c.bw.Write(wire); err != nil {
-		return fmt.Errorf("transport: send: %w", err)
+	binary.BigEndian.PutUint32(sum, crc32.Update(crc32.Checksum(hdr, castagnoli), castagnoli, wire))
+	for _, b := range [][]byte{hdr, wire, sum} {
+		if _, err := c.bw.Write(b); err != nil {
+			return fmt.Errorf("transport: send: %w", err)
+		}
 	}
 	if err := c.bw.Flush(); err != nil {
 		return fmt.Errorf("transport: send: %w", err)
 	}
-	c.outStats.add(len(payload), len(wire)+len(hdr))
-	c.outByType[typ].add(len(payload), len(wire)+len(hdr))
+	c.outStats.add(len(payload), len(wire)+frameOverhead)
+	c.outByType[typ].add(len(payload), len(wire)+frameOverhead)
 	return nil
 }
 
 // Recv reads one frame. It returns io.EOF unwrapped when the peer closed
-// the connection cleanly between frames.
+// the connection cleanly between frames, and an error wrapping
+// ErrCorrupt when the checksum trailer does not match.
 func (c *Conn) Recv() (typ uint8, payload []byte, err error) {
 	if c.readTimeout > 0 && c.dl != nil {
 		if err := c.dl.SetReadDeadline(time.Now().Add(c.readTimeout)); err != nil {
 			return 0, nil, fmt.Errorf("transport: recv deadline: %w", err)
 		}
 	}
-	var hdr [4]byte
-	if _, err := io.ReadFull(c.br, hdr[:]); err != nil {
+	hdr, sum := c.inFrame[:4], c.inFrame[4:]
+	if _, err := io.ReadFull(c.br, hdr); err != nil {
 		if errors.Is(err, io.EOF) {
 			return 0, nil, io.EOF
 		}
 		return 0, nil, fmt.Errorf("transport: recv header: %w", err)
 	}
-	length := binary.BigEndian.Uint32(hdr[:])
+	length := binary.BigEndian.Uint32(hdr)
 	if length == 0 || length > MaxFrameSize {
 		return 0, nil, ErrFrameTooLarge
 	}
@@ -193,8 +212,14 @@ func (c *Conn) Recv() (typ uint8, payload []byte, err error) {
 			return 0, nil, fmt.Errorf("transport: recv body: %w", err)
 		}
 	}
+	if _, err := io.ReadFull(c.br, sum); err != nil {
+		return 0, nil, fmt.Errorf("transport: recv checksum: %w", err)
+	}
+	if crc32.Update(crc32.Checksum(hdr, castagnoli), castagnoli, body) != binary.BigEndian.Uint32(sum) {
+		return 0, nil, fmt.Errorf("transport: recv: %w", ErrCorrupt)
+	}
 	typ, payload = body[0], body[1:]
-	wire := int(length) + len(hdr)
+	wire := int(length) + len(hdr) + len(sum)
 	if typ&CompressedFlag != 0 {
 		c.statsMu.Lock()
 		compressIn := c.compressIn

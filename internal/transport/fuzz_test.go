@@ -2,6 +2,8 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"io"
 	"reflect"
 	"testing"
@@ -22,13 +24,13 @@ func (c byteConn) Close() error                { return nil }
 // round-trip through Send.
 func FuzzDecodeFrame(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte{0, 0, 0, 1, 7})
-	f.Add([]byte{0, 0, 0, 6, 3, 'h', 'e', 'l', 'l', 'o'})
-	f.Add([]byte{0, 0, 0, 0, 0})               // zero length
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 1})   // absurd length
-	f.Add([]byte{0x10, 0, 0, 0, 1})            // 256 MiB claim, no body
-	f.Add(append([]byte{0, 0, 0, 3, 9}, 1, 2)) // exact small frame
-	f.Add(append([]byte{0, 0, 0, 2, 9}, 1, 2)) // trailing garbage
+	f.Add(sealed(0, 0, 0, 1, 7))
+	f.Add(sealed(0, 0, 0, 6, 3, 'h', 'e', 'l', 'l', 'o'))
+	f.Add(sealed(0, 0, 0, 0, 0))                  // zero length
+	f.Add(sealed(0xff, 0xff, 0xff, 0xff, 1))      // absurd length
+	f.Add(sealed(0x10, 0, 0, 0, 1))               // 256 MiB claim, no body
+	f.Add(sealed(0, 0, 0, 3, 9, 1, 2))            // exact small frame
+	f.Add(append(sealed(0, 0, 0, 2, 9, 1), 0, 0)) // trailing garbage
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := NewConn(byteConn{bytes.NewReader(data)})
@@ -51,6 +53,12 @@ func FuzzDecodeFrame(f *testing.F) {
 			}
 		}
 	})
+}
+
+// sealed appends the checksum trailer a sender would put after the
+// given header and body bytes.
+func sealed(frame ...byte) []byte {
+	return binary.BigEndian.AppendUint32(frame, crc32.Checksum(frame, castagnoli))
 }
 
 type nopCloser struct{ io.ReadWriter }

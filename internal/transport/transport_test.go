@@ -46,6 +46,27 @@ func TestFrameEOFOnClose(t *testing.T) {
 	}
 }
 
+// TestFrameChecksumCatchesFlips flips one bit at every position of a
+// raw and of a compressed frame: each flip must fail Recv, and every
+// flip that leaves the length field intact must fail it with
+// ErrCorrupt.
+func TestFrameChecksumCatchesFlips(t *testing.T) {
+	for _, compress := range []bool{false, true} {
+		wire := sendTo(t, compress, 7, bytes.Repeat([]byte("checksummed payload "), 8))
+		for i := range wire {
+			flipped := bytes.Clone(wire)
+			flipped[i] ^= 0x10
+			_, _, err := recvFrom(t, compress, flipped)
+			if err == nil {
+				t.Fatalf("compress=%v: flip at byte %d of %d decoded cleanly", compress, i, len(wire))
+			}
+			if i >= 4 && !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("compress=%v: flip at byte %d: err %v, want ErrCorrupt", compress, i, err)
+			}
+		}
+	}
+}
+
 func TestFrameOverTCPLoopback(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
