@@ -14,86 +14,7 @@ import (
 // parallel, cluster, out-of-core), and the streaming Maintainer after
 // replaying the whole graph as insertions.
 func TestCrossScenarioEquivalence(t *testing.T) {
-	type testCase struct {
-		name string
-		g    *dkcore.Graph
-	}
-	var cases []testCase
-
-	// Erdős–Rényi family across densities.
-	for seed := int64(1); seed <= 12; seed++ {
-		n := 40 + 10*int(seed%5)
-		m := int(seed) * n / 2
-		cases = append(cases, testCase{
-			fmt.Sprintf("gnm/n%d-m%d-s%d", n, m, seed),
-			dkcore.GenerateGNM(n, m, seed),
-		})
-	}
-	for seed := int64(1); seed <= 6; seed++ {
-		cases = append(cases, testCase{
-			fmt.Sprintf("gnp/s%d", seed),
-			dkcore.GenerateGNP(70, 0.02*float64(seed), seed),
-		})
-	}
-
-	// Barabási–Albert family across attachment counts.
-	for seed := int64(1); seed <= 12; seed++ {
-		attach := 1 + int(seed%4)
-		cases = append(cases, testCase{
-			fmt.Sprintf("ba/a%d-s%d", attach, seed),
-			dkcore.GenerateBarabasiAlbert(80, attach, seed),
-		})
-	}
-
-	// Heavier-tailed and structured families.
-	for seed := int64(1); seed <= 4; seed++ {
-		cases = append(cases, testCase{
-			fmt.Sprintf("powerlaw/s%d", seed),
-			dkcore.GeneratePowerLaw(dkcore.PowerLawConfig{N: 90, Exponent: 2.3, MinDeg: 1}, seed),
-		})
-	}
-	cases = append(cases,
-		testCase{"ws/rewired", dkcore.GenerateWattsStrogatz(64, 4, 0.2, 3)},
-		testCase{"ws/lattice", dkcore.GenerateWattsStrogatz(50, 6, 0, 1)},
-		testCase{"grid", dkcore.GenerateGrid(7, 8)},
-		testCase{"chain", dkcore.GenerateChain(30)},
-		testCase{"complete", dkcore.GenerateComplete(12)},
-		testCase{"worstcase", dkcore.GenerateWorstCase(16)},
-		testCase{"collab", dkcore.GenerateCollaboration(dkcore.CollaborationConfig{
-			N: 70, Papers: 90, MinSize: 2, MaxSize: 5, SizeExponent: 2.0,
-		}, 2)},
-		testCase{"star-ish", dkcore.FromEdges(21, func() [][2]int {
-			var es [][2]int
-			for i := 1; i <= 20; i++ {
-				es = append(es, [2]int{0, i})
-			}
-			return es
-		}())},
-		testCase{"two-cliques-bridge", func() *dkcore.Graph {
-			b := dkcore.NewBuilder(0)
-			for u := 0; u < 6; u++ {
-				for v := u + 1; v < 6; v++ {
-					b.AddEdge(u, v)
-					b.AddEdge(10+u, 10+v)
-				}
-			}
-			b.AddEdge(5, 10)
-			return b.Build()
-		}()},
-	)
-
-	// Edge cases: empty, singleton, all-isolated, and disconnected
-	// multi-component graphs.
-	cases = append(cases,
-		testCase{"edge/empty", dkcore.NewBuilder(0).Build()},
-		testCase{"edge/singleton", dkcore.NewBuilder(1).Build()},
-		testCase{"edge/isolated-5", dkcore.NewBuilder(5).Build()},
-		testCase{"edge/one-edge", dkcore.FromEdges(2, [][2]int{{0, 1}})},
-		testCase{"edge/triangle", dkcore.FromEdges(3, [][2]int{{0, 1}, {1, 2}, {2, 0}})},
-		testCase{"edge/disconnected", disconnected()},
-		testCase{"edge/components-with-isolates", componentsWithIsolates()},
-	)
-
+	cases := scenarioGraphs()
 	if len(cases) < 50 {
 		t.Fatalf("only %d scenario graphs, want >= 50", len(cases))
 	}
@@ -138,6 +59,123 @@ func TestCrossScenarioEquivalence(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestClusterMatchesOneToMany pins the deployment to its model: on every
+// fifth graph of the scenario pool at 1, 2, 4, 8 and 16 hosts, the TCP
+// cluster and the one-to-many simulator under strict synchrony,
+// point-to-point shipping and block assignment agree on the coreness,
+// the estimates shipped and the batch frames sent, and the cluster
+// takes exactly one round more (see Report.Rounds).
+func TestClusterMatchesOneToMany(t *testing.T) {
+	cases := scenarioGraphs()
+	for i := 0; i < len(cases); i += 5 {
+		tc := cases[i]
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			g := tc.g
+			for _, hosts := range []int{1, 2, 4, 8, 16} {
+				sim := runEngine(t, g, dkcore.OneToMany,
+					dkcore.DisseminationPolicy(dkcore.PointToPoint),
+					dkcore.Delivery(dkcore.DeliverNextRound),
+					dkcore.PartitionBy(dkcore.BlockAssignment{N: g.NumNodes(), H: hosts}))
+				clu := runEngine(t, g, dkcore.Cluster, dkcore.Hosts(hosts))
+				assertSame(t, fmt.Sprintf("cluster/%d hosts", hosts), sim.Coreness, clu.Coreness)
+				if clu.EstimatesSent != sim.EstimatesSent || clu.TotalMessages != sim.TotalMessages || clu.Rounds != sim.Rounds+1 {
+					t.Fatalf("%d hosts: cluster sent %d estimates in %d frames over %d rounds, simulator %d in %d over %d (+1)",
+						hosts, clu.EstimatesSent, clu.TotalMessages, clu.Rounds, sim.EstimatesSent, sim.TotalMessages, sim.Rounds)
+				}
+			}
+		})
+	}
+}
+
+// scenarioGraph is one named graph of the scenario pool.
+type scenarioGraph struct {
+	name string
+	g    *dkcore.Graph
+}
+
+// scenarioGraphs is the ~50-graph pool of seeded random and structured
+// graphs the equivalence tests sweep.
+func scenarioGraphs() []scenarioGraph {
+	var cases []scenarioGraph
+
+	// Erdős–Rényi family across densities.
+	for seed := int64(1); seed <= 12; seed++ {
+		n := 40 + 10*int(seed%5)
+		m := int(seed) * n / 2
+		cases = append(cases, scenarioGraph{
+			fmt.Sprintf("gnm/n%d-m%d-s%d", n, m, seed),
+			dkcore.GenerateGNM(n, m, seed),
+		})
+	}
+	for seed := int64(1); seed <= 6; seed++ {
+		cases = append(cases, scenarioGraph{
+			fmt.Sprintf("gnp/s%d", seed),
+			dkcore.GenerateGNP(70, 0.02*float64(seed), seed),
+		})
+	}
+
+	// Barabási–Albert family across attachment counts.
+	for seed := int64(1); seed <= 12; seed++ {
+		attach := 1 + int(seed%4)
+		cases = append(cases, scenarioGraph{
+			fmt.Sprintf("ba/a%d-s%d", attach, seed),
+			dkcore.GenerateBarabasiAlbert(80, attach, seed),
+		})
+	}
+
+	// Heavier-tailed and structured families.
+	for seed := int64(1); seed <= 4; seed++ {
+		cases = append(cases, scenarioGraph{
+			fmt.Sprintf("powerlaw/s%d", seed),
+			dkcore.GeneratePowerLaw(dkcore.PowerLawConfig{N: 90, Exponent: 2.3, MinDeg: 1}, seed),
+		})
+	}
+	cases = append(cases,
+		scenarioGraph{"ws/rewired", dkcore.GenerateWattsStrogatz(64, 4, 0.2, 3)},
+		scenarioGraph{"ws/lattice", dkcore.GenerateWattsStrogatz(50, 6, 0, 1)},
+		scenarioGraph{"grid", dkcore.GenerateGrid(7, 8)},
+		scenarioGraph{"chain", dkcore.GenerateChain(30)},
+		scenarioGraph{"complete", dkcore.GenerateComplete(12)},
+		scenarioGraph{"worstcase", dkcore.GenerateWorstCase(16)},
+		scenarioGraph{"collab", dkcore.GenerateCollaboration(dkcore.CollaborationConfig{
+			N: 70, Papers: 90, MinSize: 2, MaxSize: 5, SizeExponent: 2.0,
+		}, 2)},
+		scenarioGraph{"star-ish", dkcore.FromEdges(21, func() [][2]int {
+			var es [][2]int
+			for i := 1; i <= 20; i++ {
+				es = append(es, [2]int{0, i})
+			}
+			return es
+		}())},
+		scenarioGraph{"two-cliques-bridge", func() *dkcore.Graph {
+			b := dkcore.NewBuilder(0)
+			for u := 0; u < 6; u++ {
+				for v := u + 1; v < 6; v++ {
+					b.AddEdge(u, v)
+					b.AddEdge(10+u, 10+v)
+				}
+			}
+			b.AddEdge(5, 10)
+			return b.Build()
+		}()},
+	)
+
+	// Edge cases: empty, singleton, all-isolated, and disconnected
+	// multi-component graphs.
+	cases = append(cases,
+		scenarioGraph{"edge/empty", dkcore.NewBuilder(0).Build()},
+		scenarioGraph{"edge/singleton", dkcore.NewBuilder(1).Build()},
+		scenarioGraph{"edge/isolated-5", dkcore.NewBuilder(5).Build()},
+		scenarioGraph{"edge/one-edge", dkcore.FromEdges(2, [][2]int{{0, 1}})},
+		scenarioGraph{"edge/triangle", dkcore.FromEdges(3, [][2]int{{0, 1}, {1, 2}, {2, 0}})},
+		scenarioGraph{"edge/disconnected", disconnected()},
+		scenarioGraph{"edge/components-with-isolates", componentsWithIsolates()},
+	)
+
+	return cases
 }
 
 func assertSame(t *testing.T, scenario string, want, got []int) {
