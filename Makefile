@@ -183,13 +183,17 @@ bench-partition: build
 # allocation, within 2x between a 20k-node and a 200k-node graph (the
 # scale gate: an O(n) or O(m) copy on the publish path fails it), and
 # ReadEdgeList must ingest a 100k-node power law's text in at most 64 B
-# of allocation per input edge (TestReadEdgeListBytesPerEdge).
+# of allocation per input edge (TestReadEdgeListBytesPerEdge), and a
+# cluster host must decode its config, build its HostState and seed its
+# estimates in at most 45 B per adjacency entry it owns
+# (TestHostSetupBytesPerArc).
 # Deterministic tests, not benchmark-output parsing.
 bench-allocs: build
 	$(GO) test -run TestSteadyStateRoundAllocs -count=1 ./internal/parallel
 	$(GO) test -run TestRefineSteadyStateAllocs -count=1 ./internal/core
 	$(GO) test -run TestPublishBytesScaleFree -count=1 .
 	$(GO) test -run TestReadEdgeListBytesPerEdge -count=1 ./internal/graph
+	$(GO) test -run TestHostSetupBytesPerArc -count=1 ./internal/cluster
 
 # loc counts non-test Go lines outside benchmark/ and testdata
 # directories (hidden directories, such as the benchmark's scratch

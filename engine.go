@@ -122,10 +122,9 @@ type Report struct {
 	// simulators and live runtimes (through quiescence), peel sub-rounds
 	// for Parallel, coordinator rounds for Cluster, block-scheduler passes
 	// for OutOfCore. Zero for Sequential and for Live's asynchronous
-	// mode, which have no round structure. Cluster counts one round more
+	// mode, which have no round structure. Cluster takes one round more
 	// than OneToMany under PointToPoint, DeliverNextRound and
-	// BlockAssignment, whose estimates and frames it matches exactly:
-	// its last round is the quiet one that confirms termination.
+	// BlockAssignment, whose estimates and frames it matches exactly.
 	Rounds int
 	// ExecutionTime is the paper's §5 t metric — the number of rounds in
 	// which at least one process sent a message. Populated by the

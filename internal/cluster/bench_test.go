@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"compress/flate"
 	"io"
+	"runtime"
 	"testing"
 	"time"
 
@@ -25,12 +26,11 @@ func BenchmarkConfigFrame(b *testing.B) {
 		b.Fatal(err)
 	}
 	g := d.Build(5, 1)
-	parts, err := core.PartitionAll(g, core.BlockAssignment{N: g.NumNodes(), H: 2})
-	if err != nil {
-		b.Fatal(err)
+	lo, hi := core.BlockAssignment{N: g.NumNodes(), H: 2}.Range(0)
+	arcs := 0.0
+	for u := lo; u < hi; u++ {
+		arcs += float64(g.Degree(u))
 	}
-	cfg := partitionConfig(parts, 0)
-	arcs := float64(len(cfg.AdjFlat))
 
 	var wire bytes.Buffer
 	zw, err := flate.NewWriter(&wire, transport.FlateLevel)
@@ -44,7 +44,7 @@ func BenchmarkConfigFrame(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		start := time.Now()
-		payload := encodeConfig(cfg)
+		payload := encodeConfig(0, 2, g.NumNodes(), g.Neighbors)
 		wire.Reset()
 		zw.Reset(&wire)
 		if _, err := zw.Write(payload); err != nil {
@@ -72,4 +72,37 @@ func BenchmarkConfigFrame(b *testing.B) {
 	b.ReportMetric(float64(wireBytes)/arcs, "wire_B/arc")
 	b.ReportMetric(float64(encode.Nanoseconds())/float64(b.N)/arcs, "encode_ns/arc")
 	b.ReportMetric(float64(decode.Nanoseconds())/float64(b.N)/arcs, "decode_ns/arc")
+}
+
+// TestHostSetupBytesPerArc gates what a host allocates to set up: the
+// config decode, core.NewHostState and InitEstimates for host 0 of the
+// berkstan analogue (scale 5, seed 1, two range-owned hosts, the graph
+// the benchmark's deep workload runs), per adjacency entry the host
+// owns.
+func TestHostSetupBytesPerArc(t *testing.T) {
+	const maxBytesPerArc = 45
+	d, err := dataset.ByKey("berkstan")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := d.Build(5, 1)
+	payload := encodeConfig(0, 2, g.NumNodes(), g.Neighbors)
+	h := &hostRun{res: &HostResult{}}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := h.applyConfig(payload); err != nil {
+		t.Fatal(err)
+	}
+	h.state.InitEstimates()
+	runtime.ReadMemStats(&after)
+	lo, hi := core.BlockAssignment{N: g.NumNodes(), H: 2}.Range(0)
+	arcs := 0
+	for u := lo; u < hi; u++ {
+		arcs += g.Degree(u)
+	}
+	perArc := float64(after.TotalAlloc-before.TotalAlloc) / float64(arcs)
+	t.Logf("%d owned nodes, %d arcs, %.1f B allocated per arc", hi-lo, arcs, perArc)
+	if perArc > maxBytesPerArc {
+		t.Fatalf("host setup allocated %.1f B per adjacency entry, want at most %d", perArc, maxBytesPerArc)
+	}
 }

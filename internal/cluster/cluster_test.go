@@ -136,40 +136,58 @@ func TestHostRejectsBadCoordinatorAddr(t *testing.T) {
 }
 
 // TestConfigRoundTrip covers the shapes the gap coding has to get
-// right: an empty partition, isolated owned nodes, a first neighbor
-// below its owner (a negative offset), and a neighbor at NumNodes-1.
+// right: an empty range, isolated owned nodes, a first neighbor below
+// its owner (a negative offset), and a neighbor at NumNodes-1; and every
+// host's range of a graph, encoded straight from its rows.
 func TestConfigRoundTrip(t *testing.T) {
 	cases := map[string]config{
 		"scattered rows": {
 			HostID: 2, NumHosts: 4, NumNodes: 10,
-			Owned: []int{2, 5, 8},
-			// CSR form of {2: [0 5 9], 5: [2], 8: []}.
-			AdjOff:  []int{0, 3, 4, 4},
-			AdjFlat: []int{0, 5, 9, 2},
+			// CSR form of {6: [0 5 9], 7: [2], 8: []}.
+			AdjOff:  []int32{0, 3, 4, 4},
+			AdjFlat: []int32{0, 5, 9, 2},
 		},
-		"empty partition": {HostID: 1, NumHosts: 2, NumNodes: 5, AdjOff: []int{0}},
-		"isolated nodes": {
-			HostID: 0, NumHosts: 1, NumNodes: 4,
-			Owned: []int{0, 2, 3}, AdjOff: []int{0, 0, 0, 0},
-		},
+		"empty range":    {HostID: 3, NumHosts: 4, NumNodes: 5, AdjOff: []int32{0}},
+		"isolated nodes": {HostID: 0, NumHosts: 1, NumNodes: 3, AdjOff: []int32{0, 0, 0, 0}},
 		"negative offset and last node": {
-			HostID: 1, NumHosts: 2, NumNodes: 1000,
-			Owned:   []int{500, 501, 999},
-			AdjOff:  []int{0, 3, 3, 5},
-			AdjFlat: []int{0, 499, 999, 0, 998},
+			HostID: 1, NumHosts: 2, NumNodes: 6,
+			// CSR form of {3: [0 2 5], 4: [], 5: [0 4]}.
+			AdjOff:  []int32{0, 3, 3, 5},
+			AdjFlat: []int32{0, 2, 5, 0, 4},
 		},
 	}
 	for name, in := range cases {
-		out, err := decodeConfig(encodeConfig(in))
+		out, err := decodeConfig(encodeConfig(in.HostID, in.NumHosts, in.NumNodes, in.row))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if out.HostID != in.HostID || out.NumHosts != in.NumHosts || out.NumNodes != in.NumNodes {
 			t.Fatalf("%s: scalar fields mismatch: %+v", name, out)
 		}
-		if !slices.Equal(out.Owned, in.Owned) || !slices.Equal(out.AdjOff, in.AdjOff) || !slices.Equal(out.AdjFlat, in.AdjFlat) {
-			t.Fatalf("%s: partition mismatch: %v %v %v, want %v %v %v",
-				name, out.Owned, out.AdjOff, out.AdjFlat, in.Owned, in.AdjOff, in.AdjFlat)
+		if !slices.Equal(out.AdjOff, in.AdjOff) || !slices.Equal(out.AdjFlat, in.AdjFlat) {
+			t.Fatalf("%s: partition mismatch: %v %v, want %v %v", name, out.AdjOff, out.AdjFlat, in.AdjOff, in.AdjFlat)
+		}
+	}
+	g := gen.GNM(50, 200, 1)
+	for id := 0; id < 3; id++ {
+		c, err := decodeConfig(encodeConfig(id, 3, g.NumNodes(), g.Neighbors))
+		if err != nil {
+			t.Fatalf("host %d of the graph: %v", id, err)
+		}
+		lo, hi := c.block().Range(id)
+		if len(c.AdjOff) != hi-lo+1 {
+			t.Fatalf("host %d: %d offsets for the range [%d, %d)", id, len(c.AdjOff), lo, hi)
+		}
+		for u := lo; u < hi; u++ {
+			row := c.row(u)
+			if len(row) != g.Degree(u) {
+				t.Fatalf("host %d: node %d has row %v, want %v", id, u, row, g.Neighbors(u))
+			}
+			for i, v := range g.Neighbors(u) {
+				if int(row[i]) != v {
+					t.Fatalf("host %d: node %d has row %v, want %v", id, u, row, g.Neighbors(u))
+				}
+			}
 		}
 	}
 }
@@ -182,8 +200,7 @@ func TestConfigRoundTrip(t *testing.T) {
 func TestConfigDecodeRejectsHostileDegrees(t *testing.T) {
 	payload := binary.AppendUvarint(nil, 0)             // HostID
 	payload = binary.AppendUvarint(payload, 1)          // NumHosts
-	payload = binary.AppendUvarint(payload, 3)          // NumNodes
-	payload = append(payload, 2, 1, 1)                  // Owned {0, 1}: count, gaps
+	payload = binary.AppendUvarint(payload, 2)          // NumNodes: the range [0, 2)
 	payload = binary.AppendUvarint(payload, ^uint64(0)) // degree of node 0: 2^64-1
 	payload = binary.AppendUvarint(payload, 2)          // degree of node 1
 	payload = binary.AppendVarint(payload, 1)           // one adjacency entry
@@ -192,25 +209,25 @@ func TestConfigDecodeRejectsHostileDegrees(t *testing.T) {
 	}
 }
 
-// TestConfigDecodeRejectsBadOwnedSets enforces NewHostState's owned-set
-// contract at the trust boundary: out-of-range, duplicate, and unsorted
-// owned lists must all fail to decode.
+// TestConfigDecodeRejectsBadOwnedSets: the owned set is the header's
+// range, one degree per node. A range past the payload must fail before
+// anything range-sized is allocated, and a degree list that stops short
+// of the range must fail too.
 func TestConfigDecodeRejectsBadOwnedSets(t *testing.T) {
-	base := func(owned []int) config {
-		off := make([]int, len(owned)+1)
-		return config{
-			HostID: 0, NumHosts: 1, NumNodes: 4,
-			Owned: owned, AdjOff: off,
-		}
-	}
-	for name, owned := range map[string][]int{
-		"out-of-range": {0, 9},
-		"negative":     {-1, 2},
-		"duplicate":    {1, 1},
-		"unsorted":     {2, 1},
+	for name, tc := range map[string]struct {
+		payload []byte
+		want    string
+	}{
+		"range past payload": {[]byte{0, 1, 0x80, 0x80, 0x80, 0x80, 0x04, 0}, "exceed payload"}, // NumNodes 2^30
+		"degrees short":      {[]byte{0, 1, 4, 0, 0, 0x80, 0x80}, "truncated"},                  // 2 of 4 degrees, then a torn one
+		"degrees missing":    {[]byte{1, 2, 4}, "exceed payload"},                               // the range [2, 4), no degrees
 	} {
-		if _, err := decodeConfig(encodeConfig(base(owned))); err == nil {
-			t.Fatalf("%s owned set accepted", name)
+		c, err := decodeConfig(tc.payload)
+		if err == nil {
+			t.Fatalf("%s accepted: %+v", name, c)
+		}
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: error %q, want it to mention %q", name, err, tc.want)
 		}
 	}
 }
@@ -218,8 +235,8 @@ func TestConfigDecodeRejectsBadOwnedSets(t *testing.T) {
 // TestConfigDecodeRejectsHostileHeaders covers the header trust
 // boundary: a zero or payload-exceeding host count (allocation bomb /
 // division by zero in the owner function), a host ID outside the host
-// set, and an adjacency entry naming a node outside the graph (phantom
-// mesh peer) must all fail to decode.
+// set, a node count past graph.MaxNodes, and an adjacency entry naming a
+// node outside the graph (phantom mesh peer) must all fail to decode.
 func TestConfigDecodeRejectsHostileHeaders(t *testing.T) {
 	encode := func(hostID, numHosts, numNodes uint64) []byte {
 		payload := binary.AppendUvarint(nil, hostID)
@@ -231,18 +248,19 @@ func TestConfigDecodeRejectsHostileHeaders(t *testing.T) {
 		"huge host count": encode(0, 1<<40, 3),
 		"overflow hosts":  encode(0, 1<<63, 3),
 		"host id too big": encode(2, 1, 3),
+		"node count 2^31": encode(1<<20-1, 1<<20, 1<<31),
 	}
 	for name, payload := range cases {
 		if c, err := decodeConfig(payload); err == nil {
 			t.Fatalf("%s accepted: %+v", name, c)
 		}
 	}
-	if _, err := decodeConfig(encodeConfig(config{
+	bad := config{
 		HostID: 0, NumHosts: 1, NumNodes: 3,
-		Owned:   []int{0},
-		AdjOff:  []int{0, 1},
-		AdjFlat: []int{7}, // neighbor outside [0, 3)
-	})); err == nil {
+		AdjOff:  []int32{0, 1, 1, 1},
+		AdjFlat: []int32{7}, // neighbor outside [0, 3)
+	}
+	if _, err := decodeConfig(encodeConfig(bad.HostID, bad.NumHosts, bad.NumNodes, bad.row)); err == nil {
 		t.Fatalf("out-of-range neighbor accepted")
 	}
 }
@@ -253,8 +271,7 @@ func TestConfigDecodeRejectsHostileHeaders(t *testing.T) {
 // payload and the bound before the prefix sum rejects it.
 func TestConfigDecodeRejectsDegreeMismatch(t *testing.T) {
 	payload := []byte{
-		0, 1, 3, // HostID, NumHosts, NumNodes
-		2, 1, 1, // Owned {0, 1}: count, gaps
+		0, 2, 3, // HostID, NumHosts, NumNodes: the range [0, 2)
 		2, 1, // degrees sum to 3 ...
 		2, 1, // ... but only 2 entries shipped: node 0's row {1, 2}
 	}
@@ -267,21 +284,21 @@ func TestConfigDecodeRejectsDegreeMismatch(t *testing.T) {
 	}
 }
 
-// TestConfigDecodeRejectsBadGaps: a zero gap in the owned set or in a
-// row would repeat an ID, and a row's first offset must land inside
-// [0, NumNodes).
+// TestConfigDecodeRejectsBadGaps: a zero gap in a row would repeat an
+// ID, a row's first offset must land inside [0, NumNodes), and the frame
+// must end where the rows do.
 func TestConfigDecodeRejectsBadGaps(t *testing.T) {
-	header := []byte{0, 1, 10} // HostID, NumHosts, NumNodes
+	header := []byte{4, 10, 10} // HostID, NumHosts, NumNodes: the range [4, 5)
 	cases := []struct {
 		name, want string
 		body       []byte
 	}{
-		{"zero owned gap", "zero gap", []byte{2, 3, 0, 0, 0}},     // Owned {2, 2}
-		{"zero row gap", "zero gap", []byte{1, 5, 2, 2, 0}},       // node 4: {5, 5}
-		{"first offset below 0", "outside", []byte{1, 5, 1, 9}},   // node 4: offset -5
-		{"first offset past n", "outside", []byte{1, 5, 1, 12}},   // node 4: offset +6
-		{"gap past n", "leaves [0, 10)", []byte{1, 5, 2, 2, 10}},  // node 4: {5, 15}
-		{"owned past n", "leaves [0, 10)", []byte{2, 5, 6, 0, 0}}, // Owned {4, 10}
+		{"truncated degree", "truncated", []byte{0x80}},
+		{"zero row gap", "zero gap", []byte{2, 2, 0}},      // node 4: {5, 5}
+		{"first offset below 0", "outside", []byte{1, 9}},  // node 4: offset -5
+		{"first offset past n", "outside", []byte{1, 12}},  // node 4: offset +6
+		{"gap past n", "leaves [0, 10)", []byte{2, 2, 10}}, // node 4: {5, 15}
+		{"trailing bytes", "trailing", []byte{1, 2, 0}},    // node 4: {5}, then a stray byte
 	}
 	for _, tc := range cases {
 		c, err := decodeConfig(append(slices.Clone(header), tc.body...))

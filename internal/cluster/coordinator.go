@@ -266,8 +266,8 @@ type coordRun struct {
 	g      *graph.Graph
 	res    *Result
 	slots  []*hostSlot
-	parts  *core.Partitions // ranges over len(slots) hosts
-	best   []int32          // min over every checkpoint; nil before the first
+	block  core.BlockAssignment // ranges over len(slots) hosts
+	best   []int32              // min over every checkpoint; nil before the first
 	joinCh chan joiner
 
 	tickBuf []byte
@@ -332,18 +332,15 @@ func (r *coordRun) awaitJoiner(wait time.Duration) (joiner, error) {
 }
 
 // configureAll cuts the graph into contiguous ranges over the current
-// hosts and ships each host its config and a restore seeded from best,
-// then collects the ready frames. Ranges keep a chain of consecutive
-// IDs inside one host, where it cascades without relay rounds. An I/O
-// failure only marks the host dead, for the next boundary to restart.
+// hosts and ships each host its config, encoded straight from the
+// graph's rows, and a restore seeded from best, then collects the ready
+// frames. Ranges keep a chain of consecutive IDs inside one host, where
+// it cascades without relay rounds. An I/O failure only marks the host
+// dead, for the next boundary to restart.
 func (r *coordRun) configureAll(round int) error {
-	var err error
-	r.parts, err = core.PartitionAll(r.g, core.BlockAssignment{N: r.g.NumNodes(), H: len(r.slots)})
-	if err != nil {
-		return fmt.Errorf("cluster: partition: %w", err)
-	}
+	r.block = core.BlockAssignment{N: r.g.NumNodes(), H: len(r.slots)}
 	for id, s := range r.slots {
-		err := s.conn.Send(frameConfig, encodeConfig(partitionConfig(r.parts, id)))
+		err := s.conn.Send(frameConfig, encodeConfig(id, len(r.slots), r.g.NumNodes(), r.g.Neighbors))
 		if err == nil {
 			err = s.conn.Send(frameRestore, r.seed(id))
 		}
@@ -365,31 +362,17 @@ func (r *coordRun) configureAll(round int) error {
 	return nil
 }
 
-// partitionConfig is host id's partition in config form, with the CSR
-// offsets rebased to start at 0.
-func partitionConfig(parts *core.Partitions, id int) config {
-	owned, off, flat := parts.CSR(id)
-	cfg := config{HostID: id, NumHosts: parts.NumParts(), NumNodes: parts.NumNodes(), Owned: owned}
-	base := 0
-	if len(off) > 0 {
-		base = off[0]
-	}
-	cfg.AdjOff = make([]int, len(off))
-	for i, o := range off {
-		cfg.AdjOff[i] = o - base
-	}
-	cfg.AdjFlat = flat[base : base+cfg.AdjOff[len(owned)]]
-	return cfg
-}
-
 // seed is host id's restore payload: best over its owned nodes and
 // their neighbors as one estimate batch, empty before any checkpoint.
 func (r *coordRun) seed(id int) []byte {
 	if r.best == nil {
 		return transport.AppendBatch(nil, nil)
 	}
-	owned, off, flat := r.parts.CSR(id)
-	nodes := append(slices.Clone(owned), flat[off[0]:off[len(owned)]]...)
+	lo, hi := r.block.Range(id)
+	var nodes []int
+	for u := lo; u < hi; u++ {
+		nodes = append(append(nodes, u), r.g.Neighbors(u)...)
+	}
 	slices.Sort(nodes)
 	nodes = slices.Compact(nodes)
 	batch := make(core.Batch, len(nodes))
@@ -399,18 +382,18 @@ func (r *coordRun) seed(id int) []byte {
 	return transport.AppendBatch(nil, batch)
 }
 
-// mergeCheckpoint min-merges a host's owned estimates into best, which
-// starts at the degrees: every value merged is an upper bound on its
-// node's coreness, so best stays one.
-func (r *coordRun) mergeCheckpoint(owned, values []int) {
+// mergeCheckpoint min-merges the estimates of a host owning the range
+// from lo into best, which starts at the degrees: every value merged is
+// an upper bound on its node's coreness, so best stays one.
+func (r *coordRun) mergeCheckpoint(lo int, values []int) {
 	if r.best == nil {
 		r.best = make([]int32, r.g.NumNodes())
 		for u := range r.best {
 			r.best[u] = int32(r.g.Degree(u))
 		}
 	}
-	for i, u := range owned {
-		r.best[u] = min(r.best[u], int32(values[i]))
+	for i, k := range values {
+		r.best[lo+i] = min(r.best[lo+i], int32(k))
 	}
 }
 
@@ -574,15 +557,15 @@ func (r *coordRun) collectDone(id int, s *hostSlot, round int, ckpt bool) (doneR
 			if !ckpt || sawCkpt {
 				return doneReport{}, nil, &protocolError{host: id, cause: fmt.Errorf("unsolicited checkpoint")}
 			}
-			owned := r.parts.Owned(id)
-			ckRound, values, err := decodeCheckpoint(payload, owned, r.g.NumNodes())
+			lo, hi := r.block.Range(id)
+			ckRound, values, err := decodeCheckpoint(payload, lo, hi, r.g.NumNodes())
 			if err != nil {
 				return doneReport{}, nil, &protocolError{host: id, cause: err}
 			}
 			if ckRound != round {
 				return doneReport{}, nil, &protocolError{host: id, cause: fmt.Errorf("checkpoint for round %d during round %d", ckRound, round)}
 			}
-			r.mergeCheckpoint(owned, values)
+			r.mergeCheckpoint(lo, values)
 			r.res.Checkpoints++
 			sawCkpt = true
 		case frameDone:
@@ -687,7 +670,7 @@ func (r *coordRun) restart(round, leaver int, join *joiner) error {
 
 // collectResults stops every host and assembles the coreness vector
 // from their owned estimates. A result frame carries values only; the
-// current partition says which nodes each host owns.
+// current block assignment says which range each host owns.
 func (r *coordRun) collectResults() error {
 	coreness := make([]int, r.g.NumNodes())
 	for id, s := range r.slots {
@@ -700,7 +683,8 @@ func (r *coordRun) collectResults() error {
 		if err != nil {
 			return err
 		}
-		if err := decodeResult(payload, r.parts.Owned(id), coreness); err != nil {
+		lo, hi := r.block.Range(id)
+		if err := decodeResult(payload, lo, hi, coreness); err != nil {
 			return &protocolError{host: id, cause: err}
 		}
 	}

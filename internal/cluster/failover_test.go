@@ -373,17 +373,16 @@ func TestClusterCompressedRunMatches(t *testing.T) {
 }
 
 // TestCheckpointRoundTrip covers the checkpoint codec: the round and
-// one value per owned node, in owned order.
+// one value per node of the owned range, in node order.
 func TestCheckpointRoundTrip(t *testing.T) {
-	owned := []int{2, 3, 7}
-	round, values, err := decodeCheckpoint(appendCheckpoint(nil, 9, []int{4, 1, 0}), owned, 10)
+	round, values, err := decodeCheckpoint(appendCheckpoint(nil, 9, []int{4, 1, 0}), 2, 5, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if round != 9 || !slices.Equal(values, []int{4, 1, 0}) {
 		t.Fatalf("round trip mismatch: round %d values %v", round, values)
 	}
-	if _, values, err := decodeCheckpoint(appendCheckpoint(nil, 1, nil), nil, 0); err != nil || len(values) != 0 {
+	if _, values, err := decodeCheckpoint(appendCheckpoint(nil, 1, nil), 0, 0, 0); err != nil || len(values) != 0 {
 		t.Fatalf("empty checkpoint: values %v err %v", values, err)
 	}
 }
@@ -399,7 +398,6 @@ func TestHostileClusterFrames(t *testing.T) {
 		}
 		return b
 	}
-	owned := []int{2, 3, 7}
 	for name, payload := range map[string][]byte{
 		"empty":              nil,
 		"truncated round":    {0x80},
@@ -411,9 +409,17 @@ func TestHostileClusterFrames(t *testing.T) {
 		"trailing bytes":     uv(1, 3, 1, 1, 1, 0),
 		"missing value list": uv(5),
 	} {
-		if _, values, err := decodeCheckpoint(payload, owned, 10); err == nil || values != nil {
+		if _, values, err := decodeCheckpoint(payload, 2, 5, 10); err == nil || values != nil {
 			t.Fatalf("checkpoint %s accepted: values %v err %v", name, values, err)
 		}
+	}
+	// A node count past graph.MaxNodes would wrap 32-bit neighbor IDs:
+	// the last of 2^20 hosts owns one node above 2^32, whose one
+	// neighbor 2^32+5 would decode as node 5.
+	const numNodes = (maxHosts-1)*4097 + 1
+	wrap := binary.AppendVarint(uv(maxHosts-1, maxHosts, numNodes, 1), 1<<32+5-(numNodes-1))
+	if c, err := decodeConfig(wrap); err == nil || !strings.Contains(err.Error(), "node count") {
+		t.Fatalf("config past the node ceiling: %+v, err %v", c, err)
 	}
 	if _, _, err := decodeRelays(uv(1 << 50)); err == nil {
 		t.Fatal("relay list with absurd count accepted")

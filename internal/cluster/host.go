@@ -255,8 +255,13 @@ func (h *hostRun) applyConfig(payload []byte) error {
 	}
 	h.id = cfg.HostID
 	h.res.HostID = cfg.HostID
-	owner := core.BlockAssignment{N: cfg.NumNodes, H: cfg.NumHosts}.Host
-	h.state = core.NewHostState(h.id, cfg.NumNodes, cfg.Owned, cfg.AdjOff, cfg.AdjFlat, owner)
+	block := cfg.block()
+	lo, hi := block.Range(h.id)
+	owned := make([]int32, hi-lo)
+	for i := range owned {
+		owned[i] = int32(lo + i)
+	}
+	h.state = core.NewHostState(h.id, cfg.NumNodes, owned, cfg.AdjOff, cfg.AdjFlat, block.Host)
 	return nil
 }
 

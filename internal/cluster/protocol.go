@@ -22,7 +22,10 @@ package cluster
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
+	"dkcore/internal/core"
+	"dkcore/internal/graph"
 	"dkcore/internal/transport"
 )
 
@@ -33,14 +36,14 @@ import (
 const (
 	frameHello      uint8 = 1  // host → coord: protocol version + capability flags
 	frameWelcome    uint8 = 2  // coord → host: negotiated flags
-	frameConfig     uint8 = 3  // coord → host: id, host count, partition CSR
+	frameConfig     uint8 = 3  // coord → host: id, host count, node count, the range's rows
 	frameRestore    uint8 = 4  // coord → host: seed estimates for the partition
 	frameReady      uint8 = 5  // host → coord: configured and restored — ready for ticks
 	frameTick       uint8 = 6  // coord → host: round number, checkpoint flag, inbound batches
 	frameDone       uint8 = 7  // host → coord: per-round report + outbound batches
-	frameCheckpoint uint8 = 8  // host → coord: round, owned values in owned-node order
+	frameCheckpoint uint8 = 8  // host → coord: round, owned values in node order
 	frameStop       uint8 = 12 // coord → host: protocol terminated
-	frameResult     uint8 = 13 // host → coord: owned coreness values, in owned-node order
+	frameResult     uint8 = 13 // host → coord: owned coreness values, in node order
 )
 
 // protocolVersion is the hello version this implementation speaks.
@@ -52,8 +55,10 @@ const (
 // node IDs and drops them from the result frame; a version-4 host would
 // read the gaps as raw IDs. Version 6 replaces checkpoint replay and the
 // reshape, reshape-ack and seed frames with one warm restart, and drops
-// the config's base host count and override lists.
-const protocolVersion = 6
+// the config's base host count and override lists. Version 7 drops the
+// config's owned set, which the header's range ownership already fixes;
+// a version-6 host would read the degrees as the owned count and gaps.
+const protocolVersion = 7
 
 // flagFlate is the hello/welcome capability bit for transparent flate
 // frame compression.
@@ -65,59 +70,62 @@ const flagFlate = 1 << 0
 // attacker-chosen 2^60.
 const maxHosts = 1 << 20
 
-// config is the coordinator→host configuration payload. The partition
-// ships in flat CSR form: Owned is the host's sorted node set and the
-// global-ID neighbors of Owned[i] are AdjFlat[AdjOff[i]:AdjOff[i+1]] —
-// exactly the shape core.NewHostState consumes, so the host never
-// rebuilds a per-node map. Every row is strictly increasing, as the
-// graph's CSR rows are.
-//
-// On the wire the IDs travel gap-coded (docs/PROTOCOL.md §2.3): Owned as
-// gaps of at least 1, each row as the signed offset of its first
-// neighbor from its owner followed by gaps of at least 1, and the
-// offsets as per-node degrees. Small, repetitive numbers are what flate
-// compresses well; decodeConfig rebuilds AdjOff by prefix sum.
-//
-// Ownership is contiguous ranges: node u belongs to
+// config is the coordinator→host configuration payload. The header
+// (HostID, NumHosts, NumNodes) fixes the host's owned nodes: ownership
+// is contiguous ranges, node u belongs to
 // core.BlockAssignment{N: NumNodes, H: NumHosts}.Host(u), which cuts the
-// ID space into NumHosts ranges of ⌈NumNodes/NumHosts⌉.
+// ID space into NumHosts ranges of ⌈NumNodes/NumHosts⌉, so host HostID
+// owns the range [lo, hi) that block().Range(HostID) returns. The
+// partition ships in flat 32-bit CSR form: the global-ID neighbors of
+// node lo+i are AdjFlat[AdjOff[i]:AdjOff[i+1]] — exactly the shape
+// core.NewHostState consumes, so the host never rebuilds a per-node
+// map. Every row is strictly increasing, as the graph's CSR rows are.
+//
+// On the wire the rows travel gap-coded (docs/PROTOCOL.md §2.3): each as
+// the signed offset of its first neighbor from its owner followed by
+// gaps of at least 1, and the offsets as per-node degrees. Small,
+// repetitive numbers are what flate compresses well; decodeConfig
+// rebuilds AdjOff by prefix sum.
 type config struct {
 	HostID   int
 	NumHosts int
 	NumNodes int
-	Owned    []int
-	AdjOff   []int // len(Owned)+1, AdjOff[0] == 0
-	AdjFlat  []int
+	AdjOff   []int32 // hi-lo+1 entries, AdjOff[0] == 0
+	AdjFlat  []int32
 }
 
-func encodeConfig(c config) []byte {
-	// Gaps and degrees mostly take 1–2 bytes; a larger frame grows once.
-	buf := make([]byte, 0, 16+2*len(c.Owned)+2*len(c.AdjFlat))
-	buf = binary.AppendUvarint(buf, uint64(c.HostID))
-	buf = binary.AppendUvarint(buf, uint64(c.NumHosts))
-	buf = binary.AppendUvarint(buf, uint64(c.NumNodes))
-	buf = binary.AppendUvarint(buf, uint64(len(c.Owned)))
-	buf = appendGaps(buf, -1, c.Owned)
-	for i := range c.Owned {
-		buf = binary.AppendUvarint(buf, uint64(c.AdjOff[i+1]-c.AdjOff[i]))
+// block is the range ownership the config's header fixes.
+func (c config) block() core.BlockAssignment {
+	return core.BlockAssignment{N: c.NumNodes, H: c.NumHosts}
+}
+
+// encodeConfig encodes host hostID's config frame straight from the
+// rows of its range, which row returns (the coordinator passes the
+// graph's Neighbors): every row must be strictly increasing.
+func encodeConfig[E int | int32](hostID, numHosts, numNodes int, row func(u int) []E) []byte {
+	lo, hi := core.BlockAssignment{N: numNodes, H: numHosts}.Range(hostID)
+	buf := make([]byte, 0, 16+2*(hi-lo))
+	buf = binary.AppendUvarint(buf, uint64(hostID))
+	buf = binary.AppendUvarint(buf, uint64(numHosts))
+	buf = binary.AppendUvarint(buf, uint64(numNodes))
+	arcs := 0
+	for u := lo; u < hi; u++ {
+		arcs += len(row(u))
+		buf = binary.AppendUvarint(buf, uint64(len(row(u))))
 	}
-	for i, u := range c.Owned {
-		row := c.AdjFlat[c.AdjOff[i]:c.AdjOff[i+1]]
-		if len(row) == 0 {
+	// Gaps mostly take 1–2 bytes; a larger frame grows once.
+	buf = slices.Grow(buf, 2*arcs)
+	for u := lo; u < hi; u++ {
+		r := row(u)
+		if len(r) == 0 {
 			continue
 		}
-		buf = binary.AppendVarint(buf, int64(row[0]-u))
-		buf = appendGaps(buf, row[0], row[1:])
-	}
-	return buf
-}
-
-// appendGaps appends the strictly increasing ids as uvarint gaps, the
-// first one taken from prev.
-func appendGaps(buf []byte, prev int, ids []int) []byte {
-	for _, v := range ids {
-		buf = binary.AppendUvarint(buf, uint64(v-prev))
-		prev = v
+		prev := int(r[0])
+		buf = binary.AppendVarint(buf, int64(prev-u))
+		for _, v := range r[1:] {
+			buf = binary.AppendUvarint(buf, uint64(int(v)-prev))
+			prev = int(v)
+		}
 	}
 	return buf
 }
@@ -126,7 +134,7 @@ func appendGaps(buf []byte, prev int, ids []int) []byte {
 // taken from prev, and returns the offset past the last gap. A zero gap
 // (a repeated ID) or one that reaches limit is rejected, so what it
 // accepts is strictly increasing and below limit.
-func readGaps(data []byte, off, prev, limit int, dst []int) (int, error) {
+func readGaps(data []byte, off, prev, limit int, dst []int32) (int, error) {
 	for i := range dst {
 		gap, n := binary.Uvarint(data[off:])
 		if n <= 0 {
@@ -140,7 +148,7 @@ func readGaps(data []byte, off, prev, limit int, dst []int) (int, error) {
 		}
 		off += n
 		prev += int(gap)
-		dst[i] = prev
+		dst[i] = int32(prev)
 	}
 	return off, nil
 }
@@ -162,36 +170,28 @@ func decodeConfig(data []byte) (config, error) {
 	// Header sanity before anything host-count-sized is trusted: the
 	// host count bounds later allocations (border scratch in
 	// NewHostState), the host ID must name a host, and a zero count
-	// would divide by zero in the owner function.
+	// would divide by zero in the owner function. Rows decode into
+	// int32, so a node count past graph.MaxNodes would wrap neighbor
+	// IDs.
 	if c.NumHosts < 1 || c.NumHosts > maxHosts {
 		return c, fmt.Errorf("cluster: decode config: host count %d outside [1, %d]", c.NumHosts, maxHosts)
 	}
 	if c.HostID >= c.NumHosts {
 		return c, fmt.Errorf("cluster: decode config: host id %d outside [0, %d)", c.HostID, c.NumHosts)
 	}
-	// The owned set feeds core.NewHostState, whose contract requires a
-	// sorted, duplicate-free node list within the graph; the gaps
-	// enforce it here where untrusted bytes enter.
-	count, n := binary.Uvarint(data[off:])
-	if n <= 0 {
-		return c, fmt.Errorf("cluster: decode config: owned count truncated")
+	if c.NumNodes > graph.MaxNodes {
+		return c, fmt.Errorf("cluster: decode config: node count %d above %d", c.NumNodes, graph.MaxNodes)
 	}
-	off += n
-	// Every gap costs at least one byte.
-	if count > uint64(len(data)-off) {
-		return c, fmt.Errorf("cluster: decode config: owned count %d exceeds payload", count)
+	lo, hi := c.block().Range(c.HostID)
+	// Every degree costs at least one byte.
+	if hi-lo > len(data)-off {
+		return c, fmt.Errorf("cluster: decode config: %d owned degrees exceed payload", hi-lo)
 	}
-	owned := make([]int, count)
-	off, err := readGaps(data, off, -1, c.NumNodes, owned)
-	if err != nil {
-		return c, fmt.Errorf("cluster: decode config: owned set: %w", err)
-	}
-	c.Owned = owned
-	c.AdjOff = make([]int, len(owned)+1)
-	for i := range owned {
+	c.AdjOff = make([]int32, hi-lo+1)
+	for i := 0; i < hi-lo; i++ {
 		deg, n := binary.Uvarint(data[off:])
 		if n <= 0 {
-			return c, fmt.Errorf("cluster: decode config: degree of node %d truncated", owned[i])
+			return c, fmt.Errorf("cluster: decode config: degree of node %d truncated", lo+i)
 		}
 		off += n
 		// Every adjacency entry costs at least one payload byte, so a
@@ -201,16 +201,16 @@ func decodeConfig(data []byte) (config, error) {
 		// and panic the decoder where it sizes AdjFlat).
 		rem := uint64(len(data) - off)
 		if deg > rem || uint64(c.AdjOff[i])+deg > rem {
-			return c, fmt.Errorf("cluster: decode config: degree %d of node %d exceeds payload", deg, owned[i])
+			return c, fmt.Errorf("cluster: decode config: degree %d of node %d exceeds payload", deg, lo+i)
 		}
-		c.AdjOff[i+1] = c.AdjOff[i] + int(deg)
+		c.AdjOff[i+1] = c.AdjOff[i] + int32(deg)
 	}
 	// Neighbor IDs feed the owner function; an out-of-range entry would
 	// produce a phantom host or index out of bounds. The first neighbor
 	// is range-checked here, the rest by their gaps.
-	c.AdjFlat = make([]int, c.AdjOff[len(owned)])
-	for i, u := range owned {
-		row := c.AdjFlat[c.AdjOff[i]:c.AdjOff[i+1]]
+	c.AdjFlat = make([]int32, c.AdjOff[hi-lo])
+	for u := lo; u < hi; u++ {
+		row := c.AdjFlat[c.AdjOff[u-lo]:c.AdjOff[u-lo+1]]
 		if len(row) == 0 {
 			continue
 		}
@@ -222,8 +222,9 @@ func decodeConfig(data []byte) (config, error) {
 		if first < -int64(u) || first >= int64(c.NumNodes-u) {
 			return c, fmt.Errorf("cluster: decode config: first neighbor of node %d at offset %d outside [0, %d)", u, first, c.NumNodes)
 		}
-		row[0] = u + int(first)
-		if off, err = readGaps(data, off, row[0], c.NumNodes, row[1:]); err != nil {
+		row[0] = int32(u + int(first))
+		var err error
+		if off, err = readGaps(data, off, int(row[0]), c.NumNodes, row[1:]); err != nil {
 			return c, fmt.Errorf("cluster: decode config: neighbors of node %d: %w", u, err)
 		}
 	}
@@ -384,60 +385,59 @@ func decodeDone(data []byte) (doneReport, []relayBatch, error) {
 }
 
 // appendCheckpoint appends a checkpoint: the round, then the host's
-// owned estimates in owned-node order, in the result frame's int-slice
-// form. Every estimate bounds its node's coreness from above, which is
-// all a restart needs from it.
+// owned estimates in node order, in the result frame's int-slice form.
+// Every estimate bounds its node's coreness from above, which is all a
+// restart needs from it.
 func appendCheckpoint(buf []byte, round int, values []int) []byte {
 	buf = binary.AppendUvarint(buf, uint64(round))
 	return append(buf, transport.EncodeIntSlice(values)...)
 }
 
-// decodeCheckpoint reads a checkpoint of the host owning owned, checked
-// like a result: it returns the round and the values in owned order.
-func decodeCheckpoint(payload []byte, owned []int, numNodes int) (int, []int, error) {
+// decodeCheckpoint reads a checkpoint of the host owning the range
+// [lo, hi), checked like a result: it returns the round and the values
+// in node order.
+func decodeCheckpoint(payload []byte, lo, hi, numNodes int) (int, []int, error) {
 	round, n := binary.Uvarint(payload)
 	if n <= 0 {
 		return 0, nil, fmt.Errorf("cluster: decode checkpoint: bad round")
 	}
-	values, err := decodeOwnedValues("checkpoint", payload[n:], owned, numNodes)
+	values, err := decodeOwnedValues("checkpoint", payload[n:], lo, hi, numNodes)
 	return int(round), values, err
 }
 
 // decodeResult reads a result frame, an int slice of the coreness
-// values of a host's owned nodes in ascending node order: the
-// coordinator knows which nodes the host owns, so the IDs stay off the
-// wire. owned is that set, sorted, every ID an index of coreness; the
-// i-th value is stored at coreness[owned[i]], and nothing is stored
-// unless the whole frame decodes.
-func decodeResult(payload []byte, owned, coreness []int) error {
-	values, err := decodeOwnedValues("result", payload, owned, len(coreness))
-	for i, k := range values {
-		coreness[owned[i]] = k
-	}
+// values of a host's owned range [lo, hi) in node order: the
+// coordinator knows the range, so the IDs stay off the wire. The i-th
+// value is stored at coreness[lo+i], and nothing is stored unless the
+// whole frame decodes.
+func decodeResult(payload []byte, lo, hi int, coreness []int) error {
+	values, err := decodeOwnedValues("result", payload, lo, hi, len(coreness))
+	copy(coreness[lo:], values)
 	return err
 }
 
-// decodeOwnedValues reads an int slice of one value per owned node. The
-// count must equal len(owned), and a value must lie below numNodes: a
-// coreness or estimate never exceeds the maximum degree, which is below
-// the node count. It returns nil values on any error.
-func decodeOwnedValues(what string, payload []byte, owned []int, numNodes int) ([]int, error) {
+// decodeOwnedValues reads an int slice of one value per node of the
+// owned range [lo, hi). The count must equal hi-lo, and a value must lie
+// below numNodes: a coreness or estimate never exceeds the maximum
+// degree, which is below the node count. It returns nil values on any
+// error.
+func decodeOwnedValues(what string, payload []byte, lo, hi, numNodes int) ([]int, error) {
 	count, n := binary.Uvarint(payload)
 	if n <= 0 {
 		return nil, fmt.Errorf("cluster: decode %s: bad count", what)
 	}
-	if count != uint64(len(owned)) {
-		return nil, fmt.Errorf("cluster: decode %s: %d values for %d owned nodes", what, count, len(owned))
+	if count != uint64(hi-lo) {
+		return nil, fmt.Errorf("cluster: decode %s: %d values for %d owned nodes", what, count, hi-lo)
 	}
 	off := n
-	values := make([]int, len(owned))
-	for i, u := range owned {
+	values := make([]int, hi-lo)
+	for i := range values {
 		k, n := binary.Uvarint(payload[off:])
 		if n <= 0 {
-			return nil, fmt.Errorf("cluster: decode %s: value of node %d truncated", what, u)
+			return nil, fmt.Errorf("cluster: decode %s: value of node %d truncated", what, lo+i)
 		}
 		if k >= uint64(numNodes) {
-			return nil, fmt.Errorf("cluster: decode %s: node %d has value %d, want below %d", what, u, k, numNodes)
+			return nil, fmt.Errorf("cluster: decode %s: node %d has value %d, want below %d", what, lo+i, k, numNodes)
 		}
 		off += n
 		values[i] = int(k)

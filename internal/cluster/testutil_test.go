@@ -19,6 +19,12 @@ func dialTimeout(addr string) (net.Conn, error) {
 	return net.DialTimeout("tcp", addr, testDialWait)
 }
 
+// row returns owned node u's neighbors, the rows encodeConfig takes.
+func (c config) row(u int) []int32 {
+	lo, _ := c.block().Range(c.HostID)
+	return c.AdjFlat[c.AdjOff[u-lo]:c.AdjOff[u-lo+1]]
+}
+
 // waitErr receives from ch with a deadline, failing the test if nothing
 // arrives in time. what names the awaited event in the failure message.
 func waitErr(t *testing.T, ch <-chan error, timeout time.Duration, what string) error {

@@ -49,6 +49,18 @@ func (a BlockAssignment) Host(u int) int {
 // NumHosts implements Assignment.
 func (a BlockAssignment) NumHosts() int { return a.H }
 
+// Range returns host h's nodes as the range [lo, hi): the u in [0, N)
+// with Host(u) == h. Like Host, it does not wrap for an N near the int
+// range.
+func (a BlockAssignment) Range(h int) (lo, hi int) {
+	per := max((a.N-1)/a.H+1, 1) // 1 when N = 0
+	if lo, hi = a.N, a.N; h <= a.N/per {
+		lo = h * per
+		hi = lo + min(per, a.N-lo)
+	}
+	return lo, hi
+}
+
 // TableAssignment materializes an arbitrary node→host table.
 // Table[u] must be in [0, H); H may exceed the number of distinct hosts
 // the table names.

@@ -38,7 +38,7 @@ import "slices"
 // therefore always safe; callers that buffer batches longer must copy.
 type HostState struct {
 	selfID int
-	owned  []int // V(x), global IDs, sorted
+	owned  []int // V(x), global IDs, sorted: nodes[:len(owned)]
 
 	// Local-index node space: owned nodes first (in sorted global
 	// order), then external neighbors in first-seen order. Exactly one
@@ -51,8 +51,8 @@ type HostState struct {
 	// are adjFlat[adjOff[l]:adjOff[l+1]] — one contiguous array per
 	// partition, owned by the HostState (never aliasing the graph).
 	// adjOff[0] is always 0.
-	adjOff  []int
-	adjFlat []int
+	adjOff  []int32
+	adjFlat []int32
 	// Reverse adjacency of externals, flattened: the owned locals
 	// adjacent to external local l are revFlat[revOff[i]:revOff[i+1]]
 	// with i = l - len(owned).
@@ -61,7 +61,7 @@ type HostState struct {
 	// Border: the positions in neighborHosts of the hosts owning a
 	// neighbor of owned local l are border[borderOff[l]:borderOff[l+1]],
 	// each listed once.
-	borderOff     []int
+	borderOff     []int32
 	border        []int32
 	neighborHosts []int // sorted
 
@@ -80,8 +80,8 @@ type HostState struct {
 	vert, pos []int32
 	bins      []int32
 
-	changed     []bool // owned local marked since last collection
-	changedList []int
+	changed     []bool  // owned local marked since last collection
+	changedList []int32 // the marked locals; sized for all of them
 
 	queue   []int // FIFO of owned locals awaiting recomputation
 	qhead   int
@@ -104,10 +104,10 @@ type HostState struct {
 }
 
 // ownedLocal reports whether local index l is an owned node.
-func (s *HostState) ownedLocal(l int) bool { return l < len(s.owned) }
+func (s *HostState) ownedLocal(l int32) bool { return int(l) < len(s.owned) }
 
 // adj returns owned local l's local-index neighbors.
-func (s *HostState) adj(l int) []int { return s.adjFlat[s.adjOff[l]:s.adjOff[l+1]] }
+func (s *HostState) adj(l int) []int32 { return s.adjFlat[s.adjOff[l]:s.adjOff[l+1]] }
 
 // revOf returns the owned locals adjacent to external local l.
 func (s *HostState) revOf(l int) []int32 {
@@ -116,27 +116,25 @@ func (s *HostState) revOf(l int) []int32 {
 }
 
 // degreeOf returns owned local l's degree.
-func (s *HostState) degreeOf(l int) int { return s.adjOff[l+1] - s.adjOff[l] }
+func (s *HostState) degreeOf(l int) int { return int(s.adjOff[l+1] - s.adjOff[l]) }
 
 // NewHostState builds the state machine for host selfID from flat CSR
 // partition state: owned is the host's node set (sorted ascending,
 // global IDs) within a graph of numNodes nodes, and the global-ID
 // neighbors of owned[i] are flat[off[i]:off[i+1]] — exactly the views
-// Partitions.CSR returns (off[0] need not be zero). owner maps any node
-// ID to its responsible host; partitions built by PartitionAll pass the
-// table lookup. The inputs are translated into private local-index
-// state; the HostState never mutates them.
+// Partitions.CSR returns (off[0] need not be zero), or the 32-bit rows
+// a cluster host decodes from its config frame. owner maps any node ID
+// to its responsible host; partitions built by PartitionAll pass the
+// table lookup. The inputs are translated into private 32-bit
+// local-index state; the HostState never mutates them.
 //
 //dkcore:estwrite constructor: allocates the not-yet-published estimate vector
-func NewHostState(selfID, numNodes int, owned, off, flat []int, owner func(node int) int) *HostState {
-	s := &HostState{
-		selfID: selfID,
-		owned:  owned,
-	}
+func NewHostState[E int | int32](selfID, numNodes int, owned, off, flat []E, owner func(node int) int) *HostState {
+	s := &HostState{selfID: selfID}
 	nOwned := len(owned)
 	totalDeg := 0
 	if nOwned > 0 {
-		totalDeg = off[nOwned] - off[0]
+		totalDeg = int(off[nOwned] - off[0])
 	}
 
 	// Owned nodes take the first local indices; externals are appended
@@ -148,7 +146,10 @@ func NewHostState(selfID, numNodes int, owned, off, flat []int, owner func(node 
 		extCap = rest
 	}
 	s.nodes = make([]int, nOwned, nOwned+extCap)
-	copy(s.nodes, owned)
+	for l, u := range owned {
+		s.nodes[l] = int(u)
+	}
+	s.owned = s.nodes[:nOwned:nOwned]
 
 	// Global→local translation: a dense table when the graph is at most
 	// a constant factor larger than the partition (one array read per
@@ -159,12 +160,12 @@ func NewHostState(selfID, numNodes int, owned, off, flat []int, owner func(node 
 	const denseFactor = 8
 	if numNodes <= denseFactor*(nOwned+totalDeg+1) {
 		s.loc = make([]int32, numNodes)
-		for l, u := range owned {
+		for l, u := range s.owned {
 			s.loc[u] = int32(l) + 1
 		}
 	} else {
 		s.local = make(map[int]int, nOwned+extCap)
-		for l, u := range owned {
+		for l, u := range s.owned {
 			s.local[u] = l
 		}
 	}
@@ -177,17 +178,18 @@ func NewHostState(selfID, numNodes int, owned, off, flat []int, owner func(node 
 	// at most once per node in O(1) per arc; the listed host IDs go to
 	// one arena, sized for the worst case (one host per arc) so the scan
 	// never reallocates.
-	s.adjOff = make([]int, nOwned+1)
-	s.adjFlat = make([]int, totalDeg)
-	s.borderOff = make([]int, nOwned+1)
+	s.adjOff = make([]int32, nOwned+1)
+	s.adjFlat = make([]int32, totalDeg)
+	s.borderOff = make([]int32, nOwned+1)
 	border := make([]int32, 0, totalDeg)
 	stamp := make([]int32, 64)
 	extHost := make([]int32, 0, extCap)
-	nHosts, pos := 0, 0
+	nHosts, pos := 0, int32(0)
 	for lu := range owned {
 		s.adjOff[lu] = pos
-		s.borderOff[lu] = len(border)
-		for _, v := range flat[off[lu]:off[lu+1]] {
+		s.borderOff[lu] = int32(len(border))
+		for _, e := range flat[off[lu]:off[lu+1]] {
+			v := int(e)
 			lv, ok := s.lookup(v)
 			if !ok {
 				lv = len(s.nodes)
@@ -203,7 +205,7 @@ func NewHostState(selfID, numNodes int, owned, off, flat []int, owner func(node 
 				}
 				extHost = append(extHost, int32(hv))
 			}
-			s.adjFlat[pos] = lv
+			s.adjFlat[pos] = int32(lv)
 			pos++
 			if lv < nOwned {
 				continue
@@ -222,7 +224,7 @@ func NewHostState(selfID, numNodes int, owned, off, flat []int, owner func(node 
 		}
 	}
 	s.adjOff[nOwned] = pos
-	s.borderOff[nOwned] = len(border)
+	s.borderOff[nOwned] = int32(len(border))
 
 	// Walking the stamps in host order yields the sorted neighborHosts;
 	// the stamp table then becomes the host → position map that
@@ -251,8 +253,8 @@ func NewHostState(selfID, numNodes int, owned, off, flat []int, owner func(node 
 	nExt := n - nOwned
 	s.revOff = make([]int32, nExt+1)
 	for _, lv := range s.adjFlat {
-		if lv >= nOwned {
-			s.revOff[lv-nOwned+1]++
+		if int(lv) >= nOwned {
+			s.revOff[int(lv)-nOwned+1]++
 		}
 	}
 	for i := 0; i < nExt; i++ {
@@ -261,9 +263,9 @@ func NewHostState(selfID, numNodes int, owned, off, flat []int, owner func(node 
 	s.revFlat = make([]int32, s.revOff[nExt])
 	cursor := make([]int32, nExt)
 	for lu := 0; lu < nOwned; lu++ {
-		for _, lv := range s.adjFlat[s.adjOff[lu]:s.adjOff[lu+1]] {
-			if lv >= nOwned {
-				i := lv - nOwned
+		for _, lv := range s.adj(lu) {
+			if int(lv) >= nOwned {
+				i := int(lv) - nOwned
 				s.revFlat[s.revOff[i]+cursor[i]] = int32(lu)
 				cursor[i]++
 			}
@@ -282,6 +284,7 @@ func NewHostState(selfID, numNodes int, owned, off, flat []int, owner func(node 
 	s.pos = arena[2*nOwned : 3*nOwned : 3*nOwned]
 	s.bins = arena[3*nOwned:]
 	s.changed = make([]bool, nOwned)
+	s.changedList = make([]int32, 0, nOwned)
 	s.inQueue = make([]bool, nOwned)
 	// The double-buffered collection storage (ptpBufs/ptpOut) is
 	// allocated on first collect: paying for it here would put an
@@ -390,15 +393,15 @@ func (s *HostState) peel() {
 	for _, lu := range vert {
 		du := deg[lu]
 		for _, lv := range s.adj(int(lu)) {
-			if lv >= nOwned || deg[lv] <= du {
+			if int(lv) >= nOwned || deg[lv] <= du {
 				continue
 			}
 			// Move lv to the front of its bin, then shrink the bin by
 			// one, lowering lv's residual degree.
 			dv := deg[lv]
 			pv, pw := pos[lv], bins[dv]
-			if w := vert[pw]; int(w) != lv {
-				vert[pv], vert[pw] = w, int32(lv)
+			if w := vert[pw]; w != lv {
+				vert[pv], vert[pw] = w, lv
 				pos[lv], pos[w] = pw, pv
 			}
 			bins[dv]++
@@ -449,7 +452,7 @@ func (s *HostState) Apply(batch Batch) bool {
 		s.est[lu] = b
 		s.dirty = true
 		improved = true
-		if s.ownedLocal(lu) {
+		if lu < len(s.owned) {
 			// A remote authority lowered an owned estimate directly (no
 			// well-behaved peer does this, but the protocol tolerates it,
 			// and a restore replays its checkpoint this way): recount the
@@ -460,7 +463,7 @@ func (s *HostState) Apply(batch Batch) bool {
 			if s.oracle {
 				for _, lv := range s.adj(lu) {
 					if s.ownedLocal(lv) && s.est[lv] > b {
-						s.enqueue(lv)
+						s.enqueue(int(lv))
 					}
 				}
 			} else {
@@ -504,7 +507,7 @@ func (s *HostState) lowerOwned(lu int, a, b int32) {
 func (s *HostState) propagateDrop(lv int, a, b int32) {
 	for _, lu := range s.adj(lv) {
 		if s.ownedLocal(lu) {
-			s.lowerOwned(lu, a, b)
+			s.lowerOwned(int(lu), a, b)
 		}
 	}
 }
@@ -595,7 +598,7 @@ func (s *HostState) improveOracle() {
 			// Only a neighbor whose estimate still exceeds u's new value
 			// can be lowered by this drop.
 			if s.ownedLocal(lv) && int(s.est[lv]) > k {
-				s.enqueue(lv)
+				s.enqueue(int(lv))
 			}
 		}
 	}
@@ -626,7 +629,7 @@ func (s *HostState) enqueue(l int) {
 func (s *HostState) markChanged(l int) {
 	if !s.changed[l] {
 		s.changed[l] = true
-		s.changedList = append(s.changedList, l)
+		s.changedList = append(s.changedList, int32(l))
 	}
 }
 

@@ -9,10 +9,10 @@ import (
 // Partitions is the flat, immutable product of partitioning a graph over
 // every host of an assignment at once: a node→host table plus, per host,
 // a dense sorted owned slice and a concatenated CSR-style adjacency copy.
-// It is built by PartitionAll in a single O(n+m+p) pass and is the one
-// partitioning product shared by the simulator adapter (onetomany.go)
-// and the networked coordinator (internal/cluster), so the deployments
-// cannot drift in how they shard a graph.
+// It is built by PartitionAll in a single O(n+m+p) pass for the
+// simulator adapter (onetomany.go). The networked cluster needs none of
+// it: its hosts own BlockAssignment ranges, whose rows are contiguous in
+// the graph's own CSR.
 //
 // All adjacency data is copied out of the source graph at construction:
 // mutating a partition view can never corrupt the graph's internal CSR
@@ -32,37 +32,23 @@ type Partitions struct {
 	adjOff  []int // len n+1
 }
 
-// PartitionTable materializes assign as a dense node→host table over n
-// nodes, validating that every node lands in [0, NumHosts()). It is the
-// single validation point for user-supplied assignments; the table
-// replaces repeated assign.Host interface calls on hot paths.
-func PartitionTable(n int, assign Assignment) ([]int, error) {
-	p := assign.NumHosts()
+// PartitionAll buckets g's nodes over every host of assign in one
+// O(n+m+p) pass — one node scan to build and validate the node→host
+// table, one counting-sort bucketing, and one adjacency copy — rather
+// than the O(n·p) of scanning the full node set once per host. The
+// table is the single validation point for user-supplied assignments:
+// every node must land in [0, NumHosts()).
+func PartitionAll(g *graph.Graph, assign Assignment) (*Partitions, error) {
+	n, p := g.NumNodes(), assign.NumHosts()
 	if p < 1 {
 		return nil, fmt.Errorf("assignment reports %d hosts", p)
 	}
 	hostOf := make([]int, n)
-	for u := 0; u < n; u++ {
-		h := assign.Host(u)
-		if h < 0 || h >= p {
-			return nil, fmt.Errorf("assignment sends node %d to host %d, want [0, %d)", u, h, p)
+	for u := range hostOf {
+		if hostOf[u] = assign.Host(u); hostOf[u] < 0 || hostOf[u] >= p {
+			return nil, fmt.Errorf("assignment sends node %d to host %d, want [0, %d)", u, hostOf[u], p)
 		}
-		hostOf[u] = h
 	}
-	return hostOf, nil
-}
-
-// PartitionAll buckets g's nodes over every host of assign in one
-// O(n+m+p) pass — one node scan to build and validate the table, one
-// counting-sort bucketing, and one adjacency copy — rather than the
-// O(n·p) of scanning the full node set once per host.
-func PartitionAll(g *graph.Graph, assign Assignment) (*Partitions, error) {
-	n := g.NumNodes()
-	hostOf, err := PartitionTable(n, assign)
-	if err != nil {
-		return nil, err
-	}
-	p := assign.NumHosts()
 
 	// Counting sort of nodes by host: ascending node order within each
 	// bucket keeps every owned slice sorted with no comparison sort.
@@ -74,10 +60,8 @@ func PartitionAll(g *graph.Graph, assign Assignment) (*Partitions, error) {
 		ownedOff[x+1] += ownedOff[x]
 	}
 	ownedFlat := make([]int, n)
-	cursor := make([]int, p)
-	copy(cursor, ownedOff[:p])
-	for u := 0; u < n; u++ {
-		h := hostOf[u]
+	cursor := append([]int(nil), ownedOff[:p]...)
+	for u, h := range hostOf {
 		ownedFlat[cursor[h]] = u
 		cursor[h]++
 	}

@@ -153,3 +153,33 @@ func TestPartitionAllEmptyGraphAndEmptyPartitions(t *testing.T) {
 		}
 	}
 }
+
+// TestBlockRangeMatchesHost: the ranges of a block assignment tile
+// [0, N) in host order, and each holds exactly the nodes Host sends to
+// its host. A node count near the int range must not wrap.
+func TestBlockRangeMatchesHost(t *testing.T) {
+	for _, a := range []BlockAssignment{
+		{N: 0, H: 1}, {N: 0, H: 3}, {N: 1, H: 1}, {N: 5, H: 4}, {N: 10, H: 3}, {N: 40, H: 16}, {N: 7, H: 9},
+	} {
+		next := 0
+		for h := 0; h < a.H; h++ {
+			lo, hi := a.Range(h)
+			if lo != next || hi < lo || hi > a.N {
+				t.Fatalf("%+v: host %d range [%d, %d) after %d", a, h, lo, hi, next)
+			}
+			for u := lo; u < hi; u++ {
+				if a.Host(u) != h {
+					t.Fatalf("%+v: node %d in host %d's range, Host says %d", a, u, h, a.Host(u))
+				}
+			}
+			next = hi
+		}
+		if next != a.N {
+			t.Fatalf("%+v: ranges end at %d", a, next)
+		}
+	}
+	huge := BlockAssignment{N: 1<<63 - 1, H: 2}
+	if lo, hi := huge.Range(1); lo != 1<<62 || hi != huge.N || huge.Host(lo) != 1 || huge.Host(lo-1) != 0 {
+		t.Fatalf("huge range [%d, %d)", lo, hi)
+	}
+}

@@ -32,7 +32,9 @@ type Options struct {
 type Option func(*Options)
 
 // WithMemoryBudget caps the cache of decoded adjacency blocks at the
-// given byte budget, charged at 8 bytes per decoded offset and arc. The
+// given byte budget, charged at 8 bytes per decoded offset and arc,
+// which is exactly what a decoded block holds: its slices are sized by
+// counting the arcs before allocating, with no spare capacity. The
 // engine's peak heap is the O(n) estimate vector plus the budget plus
 // one pinned block (admission learns a block's footprint only after
 // decoding it). Must be positive.

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"dkcore/internal/chaos"
 	"dkcore/internal/gen"
 	"dkcore/internal/graph"
 	"dkcore/internal/kcore"
@@ -150,5 +151,34 @@ func TestBlockLargerThanBudgetStillCompletes(t *testing.T) {
 	}
 	if res.Cache.PeakResidentBytes <= 1<<10 {
 		t.Errorf("peak %d should record the unavoidable overshoot", res.Cache.PeakResidentBytes)
+	}
+}
+
+// TestLoadChargesDecodedBytes: a loaded block is charged exactly the 8
+// bytes per decoded offset and arc that WithMemoryBudget documents, so
+// the decoded slices carry no spare capacity the budget does not see.
+func TestLoadChargesDecodedBytes(t *testing.T) {
+	g := gen.PowerLaw(gen.PowerLawConfig{N: 2000, Exponent: 2.1, MinDeg: 2}, 3)
+	const per = 64
+	n, blocks := g.NumNodes(), (g.NumNodes()+per-1)/per
+	stats := &CacheStats{}
+	e := &engine{
+		n: n, per: per, blocks: blocks,
+		store: NewStoreFS(t.TempDir(), chaos.OS{}),
+		cache: newCache(1<<30, stats), stats: stats,
+		est: make([]int, n), active: make([]bool, n), blockActive: make([]int, blocks),
+	}
+	if _, err := e.spill(context.Background(), g); err != nil {
+		t.Fatal(err)
+	}
+	for id := 0; id < blocks; id++ {
+		ent, err := e.load(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := 8 * int64(len(ent.off)+len(ent.flat)); ent.bytes != want {
+			t.Fatalf("block %d: charged %d bytes for %d offsets and %d arcs, want %d",
+				id, ent.bytes, len(ent.off), len(ent.flat), want)
+		}
 	}
 }

@@ -67,7 +67,8 @@ func EncodeCSRBlock(first, count int, off, flat []int) []byte {
 
 // DecodeCSRBlock reverses AppendCSRBlock, returning the first owned
 // global ID and freshly allocated zero-based offsets (len count+1) and
-// concatenated global-ID neighbor array. Hostile inputs — truncated
+// concatenated global-ID neighbor array, each allocated at exactly its
+// length for a well-formed block. Hostile inputs — truncated
 // varints, counts or degrees exceeding the payload, trailing bytes —
 // return an error without large speculative allocations.
 func DecodeCSRBlock(data []byte) (first int, off, flat []int, err error) {
@@ -85,11 +86,18 @@ func DecodeCSRBlock(data []byte) (first int, off, flat []int, err error) {
 	if count > uint64(len(data)+1) {
 		return 0, nil, nil, fmt.Errorf("transport: decode block: count %d exceeds payload", count)
 	}
+	// Every varint ends in its one byte below 0x80, and the block holds
+	// count degrees and one varint per arc: each neighbor decoded uses
+	// one, so flat is sized exactly, never beyond the payload, and never
+	// grows, whatever the degrees claim.
+	arcs := -int(count)
+	for _, b := range data {
+		if b < 0x80 {
+			arcs++
+		}
+	}
 	off = make([]int, 1, count+1)
-	// flat grows by append: a hostile per-node degree is checked against
-	// the bytes remaining before its neighbors are decoded, so capacity
-	// is bounded by the payload actually present.
-	flat = make([]int, 0, len(data))
+	flat = make([]int, 0, max(arcs, 0))
 	for i := uint64(0); i < count; i++ {
 		deg, n := binary.Uvarint(data)
 		if n <= 0 {
