@@ -195,10 +195,10 @@ func decodeConfig(data []byte) (config, error) {
 		}
 		off += n
 		// Every adjacency entry costs at least one payload byte, so a
-		// degree sum beyond the remaining bytes is corrupt; rejecting it
-		// here also keeps the prefix sum from ever wrapping into negative
-		// offsets (a hostile 2^64-1 degree would otherwise wrap the sum
-		// and panic the decoder where it sizes AdjFlat).
+		// degree sum beyond the remaining bytes is corrupt. Rejecting it
+		// here keeps the prefix sum within the frame, below 2^31, so no
+		// int32 offset wraps (a hostile 2^64-1 degree would otherwise
+		// panic the decoder where it sizes AdjFlat).
 		rem := uint64(len(data) - off)
 		if deg > rem || uint64(c.AdjOff[i])+deg > rem {
 			return c, fmt.Errorf("cluster: decode config: degree %d of node %d exceeds payload", deg, lo+i)

@@ -86,10 +86,10 @@ func DecodeCSRBlock(data []byte) (first int, off, flat []int, err error) {
 	if count > uint64(len(data)+1) {
 		return 0, nil, nil, fmt.Errorf("transport: decode block: count %d exceeds payload", count)
 	}
-	// Every varint ends in its one byte below 0x80, and the block holds
-	// count degrees and one varint per arc: each neighbor decoded uses
-	// one, so flat is sized exactly, never beyond the payload, and never
-	// grows, whatever the degrees claim.
+	// Every varint ends in its one byte below 0x80, and a well-formed
+	// block holds count degrees and one varint per arc, so this sizes
+	// flat exactly and never past the payload. A hostile degree is still
+	// checked against the bytes left before it can grow flat.
 	arcs := -int(count)
 	for _, b := range data {
 		if b < 0x80 {
