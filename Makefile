@@ -181,7 +181,10 @@ bench-partition: build
 # cluster host drive, must re-run a warmed state with zero allocations, one
 # waited Session event must publish its epoch in under 64 KiB of
 # allocation, within 2x between a 20k-node and a 200k-node graph (the
-# scale gate: an O(n) or O(m) copy on the publish path fails it), and
+# scale gate: an O(n) or O(m) copy on the publish path fails it), a
+# waited frame of 16 random events must allocate at most 4 KiB per event
+# on a 50k-node and a 300k-node graph (TestPublishBytesPerEvent: copying
+# more than a small leaf per written entry fails it), and
 # ReadEdgeList must ingest a 100k-node power law's text in at most 64 B
 # of allocation per input edge (TestReadEdgeListBytesPerEdge), and a
 # cluster host must decode its config, build its HostState and seed its
@@ -191,7 +194,7 @@ bench-partition: build
 bench-allocs: build
 	$(GO) test -run TestSteadyStateRoundAllocs -count=1 ./internal/parallel
 	$(GO) test -run TestRefineSteadyStateAllocs -count=1 ./internal/core
-	$(GO) test -run TestPublishBytesScaleFree -count=1 .
+	$(GO) test -run 'TestPublishBytesScaleFree|TestPublishBytesPerEvent' -count=1 .
 	$(GO) test -run TestReadEdgeListBytesPerEdge -count=1 ./internal/graph
 	$(GO) test -run TestHostSetupBytesPerArc -count=1 ./internal/cluster
 

@@ -18,9 +18,9 @@ import (
 )
 
 // epochDigest hashes everything an epoch serves about the hub rows and
-// the coreness vector through its paged accessors, plus its materialized
+// the coreness vector through its table accessors, plus its materialized
 // CSR: equal digests before and after later batches mean no write
-// reached a row, page or CSR the epoch can see.
+// reached a row, leaf, directory or CSR the epoch can see.
 func epochDigest(ep *dkcore.Epoch, hubs []int) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
@@ -309,5 +309,53 @@ func TestPublishBytesScaleFree(t *testing.T) {
 	}
 	if large >= 2*small {
 		t.Errorf("one-event publish allocates %d B at 200k nodes, %d B at 20k: not independent of graph size", large, small)
+	}
+}
+
+// frameBytesPerEvent opens a session over an n-node power-law graph and
+// returns the median number of bytes the process allocates around one
+// waited frame of 16 events with random endpoints, divided by 16.
+func frameBytesPerEvent(t *testing.T, n int) uint64 {
+	g := dkcore.GeneratePowerLaw(dkcore.PowerLawConfig{N: n, Exponent: 2.2, MinDeg: 3}, 1)
+	sess, err := dkcore.NewSession(context.Background(), g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	rng := rand.New(rand.NewSource(int64(n)))
+	frame := make([]dkcore.EdgeEvent, 16)
+	var samples []uint64
+	var before, after runtime.MemStats
+	for i := 0; i <= 9; i++ {
+		for j := range frame {
+			ev := dkcore.EdgeEvent{Op: dkcore.EdgeInsert, U: rng.Intn(n), V: rng.Intn(n)}
+			if sess.HasEdge(ev.U, ev.V) {
+				ev.Op = dkcore.EdgeDelete
+			}
+			frame[j] = ev
+		}
+		runtime.ReadMemStats(&before)
+		sess.ApplyEvents(frame)
+		runtime.ReadMemStats(&after)
+		if i > 0 { // the first frame warms the writer's scratch
+			samples = append(samples, (after.TotalAlloc-before.TotalAlloc)/uint64(len(frame)))
+		}
+	}
+	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
+	return samples[len(samples)/2]
+}
+
+// TestPublishBytesPerEvent is the deterministic per-event gate on the
+// epoch publish (make bench-allocs): a waited frame of 16 random events
+// dirties some 32 scattered nodes, and must allocate at most 4 KiB per
+// event on a 50k-node and on a 300k-node graph. Copying anything coarser
+// than a small leaf per written entry, or a root that grows faster than
+// n/1024 pointers, fails it.
+func TestPublishBytesPerEvent(t *testing.T) {
+	small, large := frameBytesPerEvent(t, 50000), frameBytesPerEvent(t, 300000)
+	t.Logf("16-event frame: %d B per event at 50k nodes, %d B per event at 300k nodes", small, large)
+	const limit = 4 << 10
+	if small > limit || large > limit {
+		t.Errorf("a 16-event frame allocates %d B per event at 50k nodes and %d B at 300k, limit %d", small, large, limit)
 	}
 }

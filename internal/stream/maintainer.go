@@ -54,7 +54,7 @@ import (
 // use; wrap it in a lock, or use dkcore.Session, whose single writer
 // goroutine owns one. What is safe to share is a View: Publish freezes
 // the current state for any number of concurrent readers, and the View
-// keeps sharing with the Maintainer every adjacency row and page that
+// keeps sharing with the Maintainer every adjacency row and leaf that
 // later mutations do not touch.
 type Maintainer struct {
 	adj  [][]int // sorted neighbor lists; a row is written only while rowGen says it is private
@@ -66,15 +66,15 @@ type Maintainer struct {
 	// allocated since the last Publish and is private; any other row may
 	// be reachable from a View (or from the seed graph) and is copied
 	// before its first write (ownRow). coreDirty and rowDirty list the
-	// pages of core and adj written in this generation, and pubCore and
+	// leaves of core and adj written in this generation, and pubCore and
 	// pubRows are the last published tables, the source of every clean
-	// page of the next.
+	// directory and leaf of the next.
 	gen       int
 	rowGen    []int
-	coreDirty dirtyPages
-	rowDirty  dirtyPages
-	pubCore   pageTable[int]
-	pubRows   pageTable[[]int]
+	coreDirty dirtyLeaves
+	rowDirty  dirtyLeaves
+	pubCore   cowTable[int]
+	pubRows   cowTable[[]int]
 
 	// The k-order: levels[k] is the list of the nodes with coreness k
 	// (prev/next link it, label orders it), the order is the levels'
@@ -119,15 +119,15 @@ func NewMaintainer(g *graph.Graph) *Maintainer {
 // seeding allocates a handful of O(n) vectors and no per-node row.
 func newSeeded(g *graph.Graph, coreness []int) *Maintainer {
 	n := g.NumNodes()
-	pages := (n + pageMask) >> pageShift
+	leaves := (n + leafMask) >> leafShift
 	mt := &Maintainer{
 		adj:       make([][]int, n),
 		core:      coreness,
 		m:         g.NumEdges(),
 		gen:       1,
 		rowGen:    make([]int, n),
-		coreDirty: dirtyPages{gen: make([]int, pages)},
-		rowDirty:  dirtyPages{gen: make([]int, pages)},
+		coreDirty: dirtyLeaves{gen: make([]int, leaves)},
+		rowDirty:  dirtyLeaves{gen: make([]int, leaves)},
 		levels:    []level{{head: -1, tail: -1}},
 		label:     make([]int, n),
 		prev:      make([]int, n),
@@ -151,10 +151,10 @@ func newSeeded(g *graph.Graph, coreness []int) *Maintainer {
 		mt.supp[u] = c
 	}
 	mt.seedOrder()
-	// No View exists yet, so the first Publish builds every page.
-	for p := 0; p < pages; p++ {
-		mt.coreDirty.mark(p<<pageShift, mt.gen)
-		mt.rowDirty.mark(p<<pageShift, mt.gen)
+	// No View exists yet, so the first Publish builds every leaf.
+	for l := 0; l < leaves; l++ {
+		mt.coreDirty.mark(l<<leafShift, mt.gen)
+		mt.rowDirty.mark(l<<leafShift, mt.gen)
 	}
 	return mt
 }
@@ -307,8 +307,9 @@ func (mt *Maintainer) Graph() *graph.Graph {
 
 // Publish freezes the current state as an immutable View, in time
 // proportional to what changed since the previous Publish: it copies the
-// two page tables and the pages written since, and shares every other
-// page and every adjacency row with the earlier Views. From here on the
+// roots of the two tables (n/1024 pointers each) and the directories,
+// leaves and rows written since, and shares every other directory, leaf
+// and adjacency row with the earlier Views. From here on the
 // Maintainer treats all of them as read-only — the next write to a row
 // copies it first, and writes to core and adj land in the Maintainer's
 // own flat vectors, which no View references.
@@ -323,7 +324,7 @@ func (mt *Maintainer) Publish() *View {
 
 // ownRow makes adj[u] private before a write: a row not allocated in
 // this publish generation may be reachable from a View, so it is copied
-// (with room for one insertion) and its page marked dirty.
+// (with room for one insertion) and its leaf marked dirty.
 func (mt *Maintainer) ownRow(u int) {
 	if mt.rowGen[u] == mt.gen {
 		return
@@ -335,7 +336,7 @@ func (mt *Maintainer) ownRow(u int) {
 
 // moveTo puts node x at coreness k — its own level, or one level away
 // (the traversal theorems' step) — right after p in level k's list, or at
-// the list's head for p < 0, keeping the degeneracy and the dirty-page
+// the list's head for p < 0, keeping the degeneracy and the dirty-leaf
 // set current.
 func (mt *Maintainer) moveTo(x, k, p int) {
 	old := mt.core[x]
@@ -587,7 +588,7 @@ func (mt *Maintainer) DeleteEdge(u, v int) bool {
 // grow extends the node set to at least n isolated nodes.
 func (mt *Maintainer) grow(n int) {
 	for u := len(mt.core); u < n; u++ {
-		if u&pageMask == 0 {
+		if u&leafMask == 0 {
 			mt.coreDirty.gen = append(mt.coreDirty.gen, 0)
 			mt.rowDirty.gen = append(mt.rowDirty.gen, 0)
 		}

@@ -7,66 +7,81 @@ import (
 )
 
 // The O(n) vectors a View shares with its predecessors — coreness and
-// adjacency-row headers — are cut into fixed-size pages behind a page
-// table, so freezing the state after a batch copies the table and the
-// pages the batch wrote, never the vectors. At 512 entries a one-event
-// publish (two 12 KiB row pages, now and then a 4 KiB coreness page)
-// stays near 30 KiB, and the tables, 1/512 of the vectors they index,
-// weigh less than that up to a million nodes.
+// adjacency-row headers — are cut into 16-entry leaves under 64-pointer
+// directories, so freezing the state after a batch copies the root (one
+// pointer per 1024 entries), each directory the batch wrote under (512
+// B) and each leaf it wrote (128 B of coreness, 384 B of row headers),
+// never the vectors. Random traffic dirties a leaf, and often a
+// directory, per entry written: about 4 KiB for a one-event publish at
+// 20k nodes, and 2.5 KiB per event for a 16-event frame.
 const (
-	pageShift = 9
-	pageSize  = 1 << pageShift
-	pageMask  = pageSize - 1
+	leafShift = 4
+	leafSize  = 1 << leafShift
+	leafMask  = leafSize - 1
+	dirShift  = 6 // leaves per directory, as a shift
+	dirMask   = 1<<dirShift - 1
+	spanShift = leafShift + dirShift // entries per directory, as a shift
+	spanMask  = 1<<spanShift - 1
 )
 
-// pageTable is the published form of one O(n) vector: entry u lives at
-// [u>>pageShift][u&pageMask]. Pages are written only while Publish
-// builds them and are immutable from then on; consecutive tables share
-// every page that did not change between them.
-type pageTable[T any] []*[pageSize]T
+// cowTable is the published form of one O(n) vector: entry u lives at
+// [u>>spanShift][u>>leafShift&dirMask][u&leafMask]. Directories and
+// leaves are written only while Publish builds them and are immutable
+// from then on; consecutive tables share every directory and leaf that
+// did not change between them. A directory's slots past the vector's
+// end are nil.
+type cowTable[T any] []*[1 << dirShift]*[leafSize]T
 
-func (t pageTable[T]) at(u int) T { return t[u>>pageShift][u&pageMask] }
+func (t cowTable[T]) at(u int) T { return t[u>>spanShift][u>>leafShift&dirMask][u&leafMask] }
 
-// republish returns the table for flat's current content: prev's pages,
-// except that every page listed in dirty is copied fresh out of flat.
-// Pages beyond prev must be listed (Maintainer.grow marks them).
-func republish[T any](prev pageTable[T], flat []T, dirty []int) pageTable[T] {
-	t := make(pageTable[T], (len(flat)+pageMask)>>pageShift)
-	copy(t, prev)
-	for _, p := range dirty {
-		pg := new([pageSize]T)
-		copy(pg[:], flat[p<<pageShift:])
-		t[p] = pg
+// republish returns the table for flat's current content: prev's
+// directories and leaves, except that every leaf listed in dirty is
+// copied fresh out of flat, under a fresh copy of its directory. Leaves
+// beyond prev must be listed (Maintainer.grow marks them).
+func republish[T any](prev cowTable[T], flat []T, dirty []int) cowTable[T] {
+	t := make(cowTable[T], (len(flat)+spanMask)>>spanShift)
+	for d := copy(t, prev); d < len(t); d++ {
+		t[d] = new([1 << dirShift]*[leafSize]T)
+	}
+	for _, l := range dirty {
+		d := l >> dirShift
+		if d < len(prev) && t[d] == prev[d] { // the first dirty leaf under a shared directory
+			dir := *t[d]
+			t[d] = &dir
+		}
+		lf := new([leafSize]T)
+		copy(lf[:], flat[l<<leafShift:])
+		t[d][l&dirMask] = lf
 	}
 	return t
 }
 
-// dirtyPages records which pages of one vector the maintainer has
-// written since the last Publish. gen holds, per page, the publish
+// dirtyLeaves records which leaves of one vector the maintainer has
+// written since the last Publish. gen holds, per leaf, the publish
 // generation it was last marked in, so a Publish clears the whole set by
 // bumping the generation.
-type dirtyPages struct {
+type dirtyLeaves struct {
 	gen  []int
 	list []int
 }
 
 // mark notes that entry u was written in generation gen.
-func (d *dirtyPages) mark(u, gen int) {
-	if p := u >> pageShift; d.gen[p] != gen {
-		d.gen[p] = gen
-		d.list = append(d.list, p)
+func (d *dirtyLeaves) mark(u, gen int) {
+	if l := u >> leafShift; d.gen[l] != gen {
+		d.gen[l] = gen
+		d.list = append(d.list, l)
 	}
 }
 
 // View is the immutable state of a Maintainer as of one Publish call:
 // node and edge counts, degeneracy, per-node coreness and the edge set.
 // All methods are read-only and safe for concurrent use, including
-// while the Maintainer that published the View keeps mutating: a row or
-// page reachable from a View is never written again.
+// while the Maintainer that published the View keeps mutating: a row,
+// leaf or directory reachable from a View is never written again.
 type View struct {
 	n, m, maxCore int
-	core          pageTable[int]
-	rows          pageTable[[]int]
+	core          cowTable[int]
+	rows          cowTable[[]int]
 }
 
 // NumNodes returns the node count.
@@ -89,8 +104,8 @@ func (v *View) Coreness(u int) int {
 // CorenessValues returns a copy of the per-node coreness array.
 func (v *View) CorenessValues() []int {
 	out := make([]int, v.n)
-	for p, pg := range v.core {
-		copy(out[p<<pageShift:], pg[:])
+	for u := range out {
+		out[u] = v.core.at(u)
 	}
 	return out
 }
@@ -99,12 +114,9 @@ func (v *View) CorenessValues() []int {
 // k <= 0 returns every node.
 func (v *View) CoreMembers(k int) []int {
 	var out []int
-	for p, pg := range v.core {
-		base := p << pageShift
-		for i, c := range pg[:min(pageSize, v.n-base)] {
-			if c >= k {
-				out = append(out, base+i)
-			}
+	for u := 0; u < v.n; u++ {
+		if v.core.at(u) >= k {
+			out = append(out, u)
 		}
 	}
 	return out

@@ -54,24 +54,31 @@ func (f frozen) check(t *testing.T, context string) {
 
 // TestPublishedViewsStayFrozen publishes after batches of churn that
 // rewrite hub rows, move nodes between levels and grow the node set
-// across page boundaries, keeps every View, and requires each one to
-// read exactly as published after all the later mutations — the
-// copy-on-write contract of Publish, rows and pages both.
+// across leaf and directory boundaries, keeps every View, and requires
+// each one to read exactly as published after all the later mutations —
+// the copy-on-write contract of Publish, rows, leaves and directories
+// alike. The seed graph ends two thirds into its first directory and
+// three jumps of half a directory and a leaf carry the node set across at
+// least two more boundaries, so some batches write leaves under a
+// directory the previous View's table lacked, and later ones rewrite
+// leaves under it once it is shared.
 func TestPublishedViewsStayFrozen(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	mt := stream.NewMaintainer(gen.PowerLaw(gen.PowerLawConfig{N: 700, Exponent: 2.2, MinDeg: 2}, 5))
+	mt := stream.NewMaintainer(gen.PowerLaw(gen.PowerLawConfig{N: 2 * stream.DirSpan / 3, Exponent: 2.2, MinDeg: 2}, 5))
 	freeze := func() frozen {
 		return frozen{view: mt.Publish(), graph: mt.Graph(), coreness: mt.CorenessValues(), maxCore: mt.MaxCoreness()}
 	}
+	dirs := func() int { return (mt.NumNodes() + stream.DirSpan - 1) / stream.DirSpan }
+	firstDirs := dirs()
 	views := []frozen{freeze()}
 	views[0].check(t, "first publish")
 	for batch := 0; batch < 120; batch++ {
 		for i := rng.Intn(12); i >= 0; i-- {
 			// A few low IDs are the hubs; nodes past the current end grow
-			// the set, sometimes by more than a page.
+			// the set, sometimes by more than a leaf.
 			u, v := rng.Intn(20), rng.Intn(mt.NumNodes()+3)
 			if batch%40 == 39 {
-				v = mt.NumNodes() + 600
+				v = mt.NumNodes() + stream.DirSpan/2 + stream.LeafSize
 			}
 			if rng.Intn(3) == 0 {
 				u = rng.Intn(mt.NumNodes())
@@ -84,6 +91,9 @@ func TestPublishedViewsStayFrozen(t *testing.T) {
 		}
 		views = append(views, freeze())
 		views[len(views)-1].check(t, "fresh publish")
+	}
+	if crossed := dirs() - firstDirs; crossed < 2 {
+		t.Fatalf("the node set crossed %d directory boundaries, want at least 2", crossed)
 	}
 	for i, f := range views {
 		f.check(t, fmt.Sprintf("view %d after all later batches", i))

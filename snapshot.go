@@ -45,8 +45,8 @@ type Epoch struct {
 
 // newEpoch freezes the maintainer's current state. Called only from the
 // session writer, after a batch is fully absorbed. The cost is
-// Maintainer.Publish's: the page tables plus the pages and rows the
-// batch wrote.
+// Maintainer.Publish's: the two tables' roots, the directories and
+// leaves the batch wrote under, and the rows it wrote.
 func newEpoch(seq uint64, mt *stream.Maintainer) *Epoch {
 	return &Epoch{seq: seq, view: mt.Publish()}
 }
@@ -144,11 +144,11 @@ func QueueSize(n int) SessionOption {
 
 // MaxBatch bounds how many queued mutations the writer absorbs into one
 // epoch (default 256); a waited frame (ApplyEvents) is never split, so
-// it may carry a batch past the bound. A publish costs what its batch
-// changed — the page tables, about n/512 pointers each, plus the pages
-// and adjacency rows the batch wrote — so a larger batch saves little
-// beyond sharing those pages and coalescing edges that flap inside it,
-// at the cost of coarser snapshot granularity.
+// it may carry a batch past the bound. A publish costs the two tables'
+// roots (n/1024 pointers each), about a 16-entry leaf and a 512 B
+// directory per coreness or row header written, and the rows written:
+// only the roots are shared, so a larger batch saves little beyond them
+// and edges that flap inside it, at the cost of coarser snapshots.
 func MaxBatch(n int) SessionOption {
 	return func(c *sessionConfig) { c.maxBatch = n }
 }
