@@ -206,8 +206,10 @@ func (s *Server) handleFrame(conn frameSender, typ uint8, payload []byte) error 
 		if err != nil {
 			return s.sendError(conn, err.Error())
 		}
+		// A full queue is a partial success, not an error: the reply's
+		// applied < count tells the client which suffix to resend.
 		res, err := s.applyMutations(events, wait)
-		if err != nil {
+		if err != nil && !errors.Is(err, dkcore.ErrQueueFull) {
 			return s.sendError(conn, err.Error())
 		}
 		buf := appendEpochValue(nil, res.Epoch, uint64(res.Applied))
@@ -352,7 +354,10 @@ func (c *Client) Stats() (Stats, error) {
 
 // Mutate ships a mutation batch; with wait it blocks until the batch is
 // absorbed and returns the exact changed count, without it the events
-// are enqueued and Changed is -1.
+// are enqueued and Changed is -1. When the server's queue fills, only
+// the first Applied events were accepted: Mutate returns that result
+// with an error wrapping dkcore.ErrQueueFull, and the caller resends
+// events[Applied:].
 func (c *Client) Mutate(events []dkcore.EdgeEvent, wait bool) (MutateResult, error) {
 	resp, err := c.roundTrip(FrameMutate, AppendMutate(nil, events, wait), FrameRespMutate)
 	if err != nil {
@@ -366,5 +371,9 @@ func (c *Client) Mutate(events []dkcore.EdgeEvent, wait bool) (MutateResult, err
 	if n <= 0 || n != len(rest) {
 		return MutateResult{}, errBadFrame
 	}
-	return MutateResult{Epoch: epoch, Applied: int(applied), Changed: int(changed) - 1}, nil
+	res := MutateResult{Epoch: epoch, Applied: int(applied), Changed: int(changed) - 1}
+	if res.Applied < len(events) {
+		return res, fmt.Errorf("serve: %d of %d events accepted: %w", res.Applied, len(events), dkcore.ErrQueueFull)
+	}
+	return res, nil
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -292,6 +293,76 @@ func TestBinaryProtocol(t *testing.T) {
 	if after := sess.Stats(); after.Batches != before.Batches+1 || after.NumEdges != before.NumEdges+1 {
 		t.Fatalf("waited frame moved batches %d -> %d, edges %d -> %d; want one epoch, one net edge",
 			before.Batches, after.Batches, before.NumEdges, after.NumEdges)
+	}
+}
+
+// TestBinaryMutateQueueFull: an enqueue-mode frame that fills the
+// session's queue part-way is answered with how many of its events were
+// accepted, not with a bare error. The writer is kept busy in a
+// deletion cascade around a 40k-node cycle while a queue of 2 takes the
+// frame; the reply's applied count must equal what the session
+// accepted, and resending the suffix must end in the state of a one-shot
+// replay of the whole frame.
+func TestBinaryMutateQueueFull(t *testing.T) {
+	const n = 40000
+	b := dkcore.NewBuilder(n)
+	for i := 0; i < n; i++ {
+		b.AddEdge(i, (i+1)%n)
+	}
+	g := b.Build()
+	sess := testSession(t, g, dkcore.QueueSize(2))
+	s := New(sess)
+	addr, err := s.ListenBinary("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Shutdown(context.Background())
+	c, err := DialClient(addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	// Chords that flap: every third event deletes the chord inserted
+	// before it, so the outcome depends on which events were applied.
+	var frame []dkcore.EdgeEvent
+	for i := 0; len(frame) < 3000; i += 7 {
+		ev := dkcore.EdgeEvent{Op: dkcore.EdgeInsert, U: i, V: i + 2}
+		frame = append(frame, ev)
+		if len(frame)%3 == 2 {
+			frame = append(frame, dkcore.EdgeEvent{Op: dkcore.EdgeDelete, U: ev.V, V: ev.U})
+		}
+	}
+	cut := dkcore.EdgeEvent{Op: dkcore.EdgeDelete, U: 0, V: 1} // collapses the whole cycle
+	if err := sess.Enqueue(cut); err != nil {
+		t.Fatal(err)
+	}
+	enqueued := sess.Stats().Enqueued
+	res, err := c.Mutate(frame, false)
+	if !errors.Is(err, dkcore.ErrQueueFull) || res.Applied >= len(frame) || res.Changed != -1 {
+		t.Fatalf("Mutate into a full queue = %+v, %v; want a partial result and ErrQueueFull", res, err)
+	}
+	if accepted := sess.Stats().Enqueued - enqueued; int64(res.Applied) != accepted {
+		t.Fatalf("reply says %d events applied, the session accepted %d", res.Applied, accepted)
+	}
+	rest, err := c.Mutate(frame[res.Applied:], true)
+	if err != nil || rest.Applied != len(frame)-res.Applied {
+		t.Fatalf("resending the suffix = %+v, %v", rest, err)
+	}
+
+	replay := dkcore.NewMaintainer(g)
+	replay.Apply(cut)
+	for _, ev := range frame {
+		replay.Apply(ev)
+	}
+	ep := sess.CurrentEpoch()
+	if !ep.Graph().Equal(replay.Graph()) {
+		t.Fatalf("after resending the suffix the edge set differs from a one-shot replay")
+	}
+	for u, k := range replay.CorenessValues() {
+		if got := ep.Coreness(u); got != k {
+			t.Fatalf("node %d at coreness %d, one-shot replay gives %d", u, got, k)
+		}
 	}
 }
 
