@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"dkcore/internal/core"
 	"dkcore/internal/gen"
 	"dkcore/internal/graph"
 	"dkcore/internal/kcore"
@@ -38,6 +39,38 @@ func TestClusterMatchesSequential(t *testing.T) {
 		}
 		if res.Rounds < 1 {
 			t.Fatalf("hosts=%d: rounds = %d", hosts, res.Rounds)
+		}
+	}
+}
+
+// TestVerifyAnswerNamesNodeAndHost: a gathered vector that breaks
+// Theorem 1 is refused with an error naming the first node that fails
+// the local check and the host that owned it. On a 200-node cycle (every
+// coreness 2) split over 4 hosts, raising node 160 fails it there; lowering
+// node 120 fails first at its neighbor 119, which host 2 owns.
+func TestVerifyAnswerNamesNodeAndHost(t *testing.T) {
+	const n = 200
+	b := graph.NewBuilder(n)
+	for u := 0; u < n; u++ {
+		b.AddEdge(u, (u+1)%n)
+	}
+	g := b.Build()
+	block := core.BlockAssignment{N: n, H: 4}
+	exact := kcore.Decompose(g).CorenessValues()
+	if err := verifyAnswer(g, block, exact); err != nil {
+		t.Fatalf("the exact vector was refused: %v", err)
+	}
+	for _, tc := range []struct{ node, value, wantNode, wantHost int }{
+		{node: 160, value: 3, wantNode: 160, wantHost: 3},
+		{node: 120, value: 1, wantNode: 119, wantHost: 2},
+	} {
+		wrong := slices.Clone(exact)
+		wrong[tc.node] = tc.value
+		err := verifyAnswer(g, block, wrong)
+		var ae *answerError
+		var le *kcore.LocalityError
+		if !errors.As(err, &ae) || !errors.As(err, &le) || le.Node != tc.wantNode || ae.host != tc.wantHost {
+			t.Fatalf("node %d at %d: got %v, want node %d on host %d named", tc.node, tc.value, err, tc.wantNode, tc.wantHost)
 		}
 	}
 }

@@ -12,6 +12,7 @@ import (
 
 	"dkcore/internal/core"
 	"dkcore/internal/graph"
+	"dkcore/internal/kcore"
 	"dkcore/internal/transport"
 )
 
@@ -305,6 +306,9 @@ func (c *Coordinator) run(ctx context.Context) (*Result, error) {
 		return nil, err
 	}
 	if err := r.collectResults(); err != nil {
+		return nil, err
+	}
+	if err := verifyAnswer(r.g, r.block, r.res.Coreness); err != nil {
 		return nil, err
 	}
 	r.accountWireBytes()
@@ -690,6 +694,31 @@ func (r *coordRun) collectResults() error {
 	}
 	r.res.Coreness = coreness
 	return nil
+}
+
+// answerError reports a gathered coreness vector that breaks Theorem 1
+// at one node, and the host that owned it: a corrupted estimate the
+// cascade absorbed, caught before it could be returned as a coreness.
+type answerError struct {
+	host  int
+	cause *kcore.LocalityError
+}
+
+func (e *answerError) Error() string {
+	return fmt.Sprintf("cluster: gathered coreness fails verification at host %d: %v", e.host, e.cause)
+}
+
+func (e *answerError) Unwrap() error { return e.cause }
+
+// verifyAnswer runs kcore.VerifyLocality, an O(m) check, on the gathered
+// vector and names the owner of the first node that fails it.
+func verifyAnswer(g *graph.Graph, block core.BlockAssignment, coreness []int) error {
+	err := kcore.VerifyLocality(g, coreness)
+	var le *kcore.LocalityError
+	if errors.As(err, &le) {
+		return &answerError{host: block.Host(le.Node), cause: le}
+	}
+	return err
 }
 
 // recvResult reads slot id's result frame and returns its payload.

@@ -104,10 +104,22 @@ func (d *Decomposition) PeelOrder() []int {
 	return out
 }
 
+// LocalityError is VerifyLocality's report on the first node whose
+// coreness breaks Theorem 1: Count of its neighbors have coreness >=
+// AtLeast, which is too few for AtLeast == Coreness and too many for
+// AtLeast == Coreness+1.
+type LocalityError struct {
+	Node, Coreness, Count, AtLeast int
+}
+
+func (e *LocalityError) Error() string {
+	return fmt.Sprintf("kcore: node %d: coreness %d but %d neighbors with coreness >= %d", e.Node, e.Coreness, e.Count, e.AtLeast)
+}
+
 // VerifyLocality checks the paper's Theorem 1 on a claimed coreness
 // assignment: for every node u with coreness k, (i) at least k neighbors
 // have coreness >= k, and (ii) at most k neighbors have coreness >= k+1.
-// It returns a descriptive error for the first violated node, or nil.
+// It returns a *LocalityError for the first violated node, or nil.
 func VerifyLocality(g *graph.Graph, coreness []int) error {
 	if len(coreness) != g.NumNodes() {
 		return fmt.Errorf("kcore: coreness has %d entries for %d nodes", len(coreness), g.NumNodes())
@@ -124,10 +136,10 @@ func VerifyLocality(g *graph.Graph, coreness []int) error {
 			}
 		}
 		if atLeastK < k {
-			return fmt.Errorf("kcore: node %d: coreness %d but only %d neighbors with coreness >= %d", u, k, atLeastK, k)
+			return &LocalityError{Node: u, Coreness: k, Count: atLeastK, AtLeast: k}
 		}
 		if atLeastK1 > k {
-			return fmt.Errorf("kcore: node %d: coreness %d but %d neighbors with coreness >= %d", u, k, atLeastK1, k+1)
+			return &LocalityError{Node: u, Coreness: k, Count: atLeastK1, AtLeast: k + 1}
 		}
 	}
 	return nil
