@@ -43,7 +43,7 @@
 #                              or coreness state (KC001): methods of
 #                              core.HostState and core.NodeState, the
 #                              out-of-core engine's seed and relax, and
-#                              the parallel peel's take
+#                              the parallel peel's cascade
 #   //dkcore:noctx <why>       opts a deliberately blocking exported
 #                              function out of ctx-first (KC002)
 #   //dkcore:epochinit <why>   marks a pre-publication Epoch initializer
@@ -86,8 +86,8 @@ apicheck:
 
 # lint runs the domain-invariant analyzers over every package: monotone
 # estimate writes (only core.HostState and core.NodeState methods, the
-# out-of-core engine's seed and relax, and the parallel peel's take hold
-# the blessing), ctx-first
+# out-of-core engine's seed and relax, and the parallel peel's cascade
+# hold the blessing), ctx-first
 # cancellation, decode-before-allocate,
 # noalloc hot paths, epoch immutability. docs/INVARIANTS.md catalogues
 # the invariants; the directives above are the escape hatches.
@@ -176,9 +176,9 @@ bench-partition: build
 	$(GO) test -run '^$$' -bench BenchmarkPartitionSetup -benchtime $(BENCHTIME) .
 
 # bench-allocs is the allocation-regression gate CI's benchmark-smoke
-# lane runs: the parallel engine's peel sub-rounds, and the HostState
-# Apply/ImproveIfDirty/CollectPointToPoint loop the simulator and the
-# cluster host drive, must re-run a warmed state with zero allocations, one
+# lane runs: the parallel engine's level scans and cascades, and the
+# HostState Apply/ImproveIfDirty/CollectPointToPoint loop the simulator
+# and the cluster host drive, must re-run a warmed state with zero allocations, one
 # waited Session event must publish its epoch in under 64 KiB of
 # allocation, within 2x between a 20k-node and a 200k-node graph (the
 # scale gate: an O(n) or O(m) copy on the publish path fails it), a

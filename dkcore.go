@@ -64,19 +64,23 @@
 // Every sharded execution path — OneToMany's simulated hosts, the
 // Parallel peel, and the Cluster coordinator — shards the graph by an
 // Assignment, the paper's h(u); for Parallel it decides which worker
-// peels which node. ModuloAssignment is the paper's §3.2.2 policy and
-// the OneToMany default; BlockAssignment keeps contiguous ranges
-// together (the Parallel default); NewRandomAssignment fixes a uniform
-// assignment by seed; PartitionBy installs any custom policy. An
-// assignment routing a node outside [0, NumHosts()) is rejected before
-// any rounds run. Cluster takes no PartitionBy: its coordinator always
-// uses BlockAssignment over the current host count, and a membership
-// change restarts the hosts over the new count.
+// scans and seeds which node, while a node a cascade reaches is peeled
+// by the worker whose decrement claimed it. ModuloAssignment is the
+// paper's §3.2.2 policy and the OneToMany default; BlockAssignment
+// keeps contiguous ranges together (the Parallel default);
+// NewRandomAssignment fixes a uniform assignment by seed; PartitionBy
+// installs any custom policy. An assignment routing a node outside
+// [0, NumHosts()) is rejected before any rounds run. Cluster takes no
+// PartitionBy: its coordinator always uses BlockAssignment over the
+// current host count, and a membership change restarts the hosts over
+// the new count.
 //
-// Cost model: OneToMany and Cluster build per-host state in one O(n+m)
-// pass for all p partitions — a node→host table, dense owned slices and
-// one concatenated adjacency copy — so setup is near-constant in p.
-// Parallel copies nothing; its workers read the graph's own CSR.
+// Cost model: OneToMany builds per-host state in one O(n+m) pass for
+// all p partitions — a node→host table, dense owned slices and one
+// concatenated adjacency copy — so setup is near-constant in p. The
+// Cluster coordinator encodes each host's contiguous range straight
+// from the graph's rows, and each host decodes only its own. Parallel
+// copies nothing; its workers read the graph's own CSR.
 //
 // Aliasing contract: partition state is copied out of the source graph
 // at construction; mutating a partition view can never corrupt the
@@ -115,7 +119,7 @@
 // exactly one BSP round of slack), batches name nodes by global ID and
 // each host translates them through one table built at setup, and the
 // Cluster host reuses its wire-encode buffers; the Parallel peel
-// retains its workers, queues and outboxes. A warmed round loop
+// retains its workers, degree array and queues. A warmed round loop
 // allocates nothing (CI-gated).
 //
 // The recompute-from-scratch path is retained as an oracle for

@@ -45,7 +45,8 @@ const (
 	// termination detector of §3.3.
 	LiveEpidemic
 	// Parallel is the shared-memory peel, run level by level by worker
-	// goroutines that each own a share of the nodes — the fastest path.
+	// goroutines that lower one shared degree array with atomic
+	// decrements — the fastest path.
 	Parallel
 	// Cluster runs a networked one-to-many deployment: an in-process
 	// coordinator plus one host worker goroutine per host, over TCP
@@ -119,7 +120,7 @@ type Report struct {
 	// convergence time.
 	Coreness []int
 	// Rounds is the number of rounds stepped: δ-rounds for the
-	// simulators and live runtimes (through quiescence), peel sub-rounds
+	// simulators and live runtimes (through quiescence), peeled levels
 	// for Parallel, coordinator rounds for Cluster, block-scheduler passes
 	// for OutOfCore. Zero for Sequential and for Live's asynchronous
 	// mode, which have no round structure. Cluster takes one round more
@@ -139,13 +140,14 @@ type Report struct {
 	MessagesPerProc []int64
 	// EstimatesSent is the number of (node, estimate) pairs shipped
 	// between hosts — the paper's Figure-5 overhead numerator — by
-	// OneToMany and Cluster. Parallel counts degree decrements between
-	// workers, one per arc from a peeled node to another worker's node;
-	// OutOfCore counts estimate drops that woke a node of another block.
+	// OneToMany and Cluster. Parallel counts the degree decrements that
+	// landed, Σ(degree − coreness) over the nodes whatever the
+	// interleaving; OutOfCore counts estimate drops that woke a node of
+	// another block.
 	EstimatesSent int64
-	// Batches is the number of non-empty (sub-round, source worker,
-	// destination worker) handoffs (Parallel), or the (pass, block) pairs
-	// that cross-block wake-ups touched (OutOfCore).
+	// Batches is the number of non-empty (level, worker) seed lists
+	// (Parallel), or the (pass, block) pairs that cross-block wake-ups
+	// touched (OutOfCore).
 	Batches int64
 	// Workers is the resolved worker/partition/host count for the kinds
 	// that shard work (OneToMany, Parallel, Cluster), and the number of
@@ -227,7 +229,7 @@ func Seed(seed int64) EngineOption {
 }
 
 // MaxRounds overrides the round budget: simulation rounds (OneToOne,
-// OneToMany), peel sub-rounds (Parallel), coordinator rounds (Cluster), or —
+// OneToMany), peeled levels (Parallel), coordinator rounds (Cluster), or —
 // for Live — switches the runtime to the paper's fixed-round
 // termination, running at most that synchronous δ-round budget (it
 // stops early at quiescence) and returning the (possibly approximate)
@@ -289,14 +291,15 @@ func RetransmitEvery(k int) EngineOption {
 }
 
 // PartitionBy shards the graph with an explicit node-to-host policy:
-// which host simulates a node (OneToMany) or which worker peels it
-// (Parallel). The host/worker count becomes the assignment's host count.
+// which host simulates a node (OneToMany) or which worker scans and
+// seeds it (Parallel). The host/worker count becomes the assignment's
+// host count.
 func PartitionBy(a Assignment) EngineOption {
 	return option("PartitionBy", []EngineKind{OneToMany, Parallel},
 		func(c *engineConfig) { c.assign = a })
 }
 
-// Workers bounds worker parallelism: peel owners for Parallel, compute
+// Workers bounds worker parallelism: peel workers for Parallel, compute
 // workers for the round-based live runtimes (LiveEpidemic always; Live
 // in its MaxRounds fixed-budget mode — the asynchronous mode is one
 // goroutine per node and ignores it). 0 means GOMAXPROCS.
@@ -455,7 +458,7 @@ var engineRegistry = []engineEntry{
 	{OneToMany, "one2many", "", "simulated protocol, nodes grouped onto hosts (Algorithm 3)", runOneToMany},
 	{Live, "live", "", "one goroutine per node, asynchronous messages, credit-counting termination", runLive},
 	{LiveEpidemic, "live-epidemic", "", "live δ-rounds with decentralized epidemic termination", runLiveEpidemic},
-	{Parallel, "parallel", "", "level-synchronous shared-memory peel, sharded by owner", runParallel},
+	{Parallel, "parallel", "", "level-synchronous shared-memory peel over one atomic degree array", runParallel},
 	{Cluster, "cluster", "", "networked one-to-many deployment over TCP loopback", runClusterKind},
 	{OutOfCore, "oocore", "", "disk-spilling block engine under a hard memory budget", runOutOfCore},
 }

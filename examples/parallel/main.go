@@ -1,9 +1,9 @@
-// Parallel: the sharded shared-memory peel. Each worker goroutine owns a
-// share of the nodes and peels them level by level; decrements for other
-// workers' nodes cross a barrier. The example sweeps worker counts on a
-// power-law graph and reports wall time against the sequential
-// Batagelj–Zaversnik baseline, plus the share of arcs (each walked once)
-// whose decrement crossed from one worker to another.
+// Parallel: the shared-memory frontier peel. Worker goroutines peel level
+// by level over one degree array, lowering it with atomic decrements. The
+// example sweeps worker counts on a power-law graph and reports wall time
+// against the sequential Batagelj–Zaversnik baseline, plus the share of
+// arcs (each walked once) whose decrement landed on a surviving node;
+// levels and landed decrements do not depend on the worker count.
 package main
 
 import (
@@ -23,7 +23,7 @@ func main() {
 	truth := dkcore.Decompose(g).CorenessValues()
 	seqTime := time.Since(start)
 	fmt.Printf("sequential baseline: %v\n\n", seqTime.Round(time.Millisecond))
-	fmt.Println("workers  rounds  cross/arcs  time")
+	fmt.Println("workers  levels  landed/arcs  time")
 
 	for _, workers := range []int{1, 2, 4, 8} {
 		eng, err := dkcore.NewEngine(dkcore.Parallel, dkcore.Workers(workers))
@@ -39,7 +39,7 @@ func main() {
 				log.Fatalf("worker=%d: node %d got %d, want %d", workers, u, res.Coreness[u], k)
 			}
 		}
-		fmt.Printf("%7d  %6d  %10.2f  %v\n",
+		fmt.Printf("%7d  %6d  %11.2f  %v\n",
 			res.Workers, res.Rounds,
 			float64(res.EstimatesSent)/float64(2*g.NumEdges()),
 			res.WallTime.Round(time.Millisecond))

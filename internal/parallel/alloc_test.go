@@ -11,10 +11,10 @@ import (
 
 // TestSteadyStateRoundAllocs is the allocation-regression gate CI's
 // benchmark-smoke lane runs: a warmed engine must re-run its entire peel
-// — reset, level scans, seeding, inbox application, cascade, outbox
-// routing — without allocating. Anything that reintroduces per-round
-// allocation (goroutine respawning, fresh queues or outboxes) multiplies
-// by the round count and fails the per-round bound immediately.
+// — reset, level scans, seeding, cascades — without allocating. Anything
+// that reintroduces per-round allocation (goroutine respawning, fresh
+// queues) multiplies by the round count and fails the per-round bound
+// immediately.
 func TestSteadyStateRoundAllocs(t *testing.T) {
 	g := gen.PowerLaw(gen.PowerLawConfig{N: 4000, Exponent: 2.2, MinDeg: 2}, 1)
 	n := g.NumNodes()

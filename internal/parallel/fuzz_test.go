@@ -16,7 +16,7 @@ import (
 const fuzzMaxNodes = 64
 
 // decodeFuzzInput turns fuzz bytes into a graph and an assignment:
-// data[0] picks 0..64 nodes, data[1] 1..8 owners, data[2] the policy
+// data[0] picks 0..64 nodes, data[1] 1..8 workers, data[2] the policy
 // (block, modulo, random or table), data[3] the seed of the random and
 // table policies, and each following byte pair one edge (endpoints taken
 // modulo the node count; self-loops dropped).
@@ -64,9 +64,10 @@ func encodeFuzzInput(g *graph.Graph, workers, policy, seed byte) []byte {
 	return data
 }
 
-// FuzzParallelDecompose holds the sharded peel to the sequential oracle
-// and the locality check on arbitrary small graphs, owner counts and
-// assignments, and requires a second run to repeat its counters exactly.
+// FuzzParallelDecompose holds the frontier peel to the sequential oracle
+// and the locality check on arbitrary small graphs, worker counts and
+// seeding assignments, and requires a second run to repeat its counters
+// exactly although its atomic cascades interleave differently.
 func FuzzParallelDecompose(f *testing.F) {
 	graphs := []*graph.Graph{
 		gen.WorstCase(16),

@@ -1,13 +1,14 @@
 // Package parallel decomposes a graph in shared memory with a
-// level-synchronous peel sharded by owner: each of P persistent workers
-// keeps int32 residual degrees and coreness for the nodes an assignment
-// gives it and reads the graph's CSR in place. Level k peels every node
-// of residual degree at most k, at coreness k, in barrier-separated
-// sub-rounds: an owner applies the decrements sent to it in the previous
-// one, in source order, then peels to local quiescence, queueing one per
-// foreign neighbour in that owner's outbox. A level ends when a sub-round
-// sends nothing; the next starts at the least surviving degree. Each arc
-// is walked once, and the fixed inbox order makes the counters repeat.
+// level-synchronous frontier peel: P persistent workers share one int32
+// residual-degree array, lower it with sync/atomic, and read the graph's
+// CSR in place. Level k is the least surviving degree, and it takes two
+// barrier-separated steps. First each worker compacts its assignment
+// share to the survivors and collects the nodes of its least degree;
+// the shares whose least degree is k seed the level. Then each worker
+// peels its seeds and cascades: a decrement that lands exactly on k
+// claims the node for the decrementing worker's queue, and one that
+// would go below k is undone. Each arc is walked once, and the counters
+// do not depend on the interleaving.
 package parallel
 
 import (
@@ -15,6 +16,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"sync/atomic"
 
 	"dkcore/internal/core"
 	"dkcore/internal/graph"
@@ -29,85 +31,82 @@ type options struct {
 	maxRounds int
 }
 
-// WithWorkers sets the number of owners (and worker goroutines).
+// WithWorkers sets the number of worker goroutines.
 // Default: runtime.GOMAXPROCS(0), capped at the node count. Ignored when
 // WithAssignment is given, except that a non-zero mismatch with the
 // assignment's host count is an error.
 func WithWorkers(n int) Option { return func(o *options) { o.workers = n } }
 
-// WithAssignment decides which owner peels which node; the worker count
-// becomes the assignment's host count. Default: core.BlockAssignment,
-// which keeps contiguous node ranges together.
+// WithAssignment decides which worker scans and seeds which node; a
+// node a cascade reaches is peeled by the worker whose decrement claimed
+// it. The worker count becomes the assignment's host count. Default:
+// core.BlockAssignment, which keeps contiguous node ranges together.
 func WithAssignment(a core.Assignment) Option { return func(o *options) { o.assign = a } }
 
-// WithMaxRounds overrides the sub-round budget (default 8*(N+1)).
+// WithMaxRounds overrides the level budget (default 8*(N+1)).
 func WithMaxRounds(n int) Option { return func(o *options) { o.maxRounds = n } }
 
 // Result reports a parallel decomposition.
 type Result struct {
 	// Coreness is the exact per-node coreness.
 	Coreness []int
-	// Rounds is the number of peel sub-rounds.
+	// Rounds is the number of levels peeled: the distinct coreness values.
 	Rounds int
-	// Workers is the resolved owner/goroutine count.
+	// Workers is the resolved worker goroutine count.
 	Workers int
-	// EstimatesSent is the number of cross-owner degree decrements: one
-	// per arc from a peeled node to a node of another owner.
+	// EstimatesSent is the number of degree decrements that landed,
+	// Σ(degree − coreness) over the nodes.
 	EstimatesSent int64
-	// Batches is the number of non-empty (sub-round, src, dst) outboxes.
+	// Batches is the number of non-empty (level, worker) seed lists.
 	Batches int64
 }
 
-// slot locates a node: its owner and its index in the owner's slices.
-type slot struct{ owner, idx int32 }
-
-// shard is one owner's state; index i of each slice is node nodes[i].
-type shard struct {
-	nodes, coreness []int32
-	deg             []int32      // residual degree; at most the level once peeled
-	alive           []int32      // indices that survived the last finished level
-	queue           []int32      // indices peeled in the current sub-round
-	out             [2][][]int32 // by sub-round parity and destination owner
-	min             int32        // least degree in alive
-	arcs            int64        // adjacency entries walked this run
+// worker is one goroutine's state over its assignment share.
+type worker struct {
+	g             *graph.Graph
+	deg, coreness []int32 // every worker's; deg is atomic while they cascade
+	alive         []int32 // the share, survivors of the last finished level first; cap is the share
+	queue         []int32 // the level's seeds, then the nodes this worker claimed
+	min           int32   // least degree in alive; queue holds alive's nodes of it
+	arcs          int64   // adjacency entries walked this run
+	landed        int64   // decrements that landed this run
 }
 
-// step is shard x's scan past level k (k < 0: a new run) or sub-round.
+// step is worker x's scan past level k (k < 0: a new run) or cascade.
 type step struct {
-	x          int
-	k          int32
-	scan, seed bool // seed: the level's first sub-round
-	parity     uint8
+	x    int
+	k    int32
+	scan bool
 }
 
-// engine is a reusable peel: P persistent workers around P shards.
+// engine is a reusable peel: P persistent workers over one degree array.
 type engine struct {
-	g                      *graph.Graph
-	place                  []slot
-	shards                 []shard
+	workers                []worker
 	maxRounds, rounds      int
 	estimatesSent, batches int64
 	start                  chan step
 	done                   chan struct{}
 }
 
-// newEngine builds the shards and starts the workers; close() them.
+// newEngine splits the nodes into shares and starts the workers; close() them.
 func newEngine(g *graph.Graph, assign core.Assignment, maxRounds int) (*engine, error) {
-	p := assign.NumHosts()
-	e := &engine{g: g, place: make([]slot, g.NumNodes()), shards: make([]shard, p),
-		maxRounds: maxRounds, start: make(chan step, p), done: make(chan struct{}, p)}
-	for u := range e.place {
+	n, p := g.NumNodes(), assign.NumHosts()
+	shares := make([][]int32, p)
+	for h := range shares {
+		shares[h] = make([]int32, 0, n/p+1) // a balanced assignment never grows it
+	}
+	for u := 0; u < n; u++ {
 		h := assign.Host(u)
 		if h < 0 || h >= p {
 			return nil, fmt.Errorf("parallel: assignment routes node %d to host %d outside [0, %d)", u, h, p)
 		}
-		e.place[u] = slot{int32(h), int32(len(e.shards[h].nodes))}
-		e.shards[h].nodes = append(e.shards[h].nodes, int32(u))
+		shares[h] = append(shares[h], int32(u))
 	}
-	for x := range e.shards {
-		c, s := len(e.shards[x].nodes), &e.shards[x]
-		*s = shard{nodes: s.nodes, deg: make([]int32, c), coreness: make([]int32, c), alive: make([]int32, c),
-			queue: make([]int32, 0, c), out: [2][][]int32{make([][]int32, p), make([][]int32, p)}}
+	e := &engine{workers: make([]worker, p), maxRounds: maxRounds, start: make(chan step, p), done: make(chan struct{}, p)}
+	deg, coreness := make([]int32, n), make([]int32, n)
+	for x, share := range shares {
+		e.workers[x] = worker{g: g, deg: deg, coreness: coreness,
+			alive: share[:len(share):len(share)], queue: make([]int32, 0, len(share))}
 		go e.work()
 	}
 	return e, nil
@@ -115,10 +114,10 @@ func newEngine(g *graph.Graph, assign core.Assignment, maxRounds int) (*engine, 
 
 func (e *engine) work() {
 	for st := range e.start {
-		if st.scan {
-			e.shards[st.x].scan(e.g, st.k)
+		if w := &e.workers[st.x]; st.scan {
+			w.scan(st.k)
 		} else {
-			e.peel(st)
+			w.cascade(st.k)
 		}
 		e.done <- struct{}{}
 	}
@@ -126,138 +125,128 @@ func (e *engine) work() {
 
 // run peels level by level; after an error, discard the engine.
 //
-//dkcore:noalloc the level and sub-round loop (TestSteadyStateRoundAllocs)
+//dkcore:noalloc the level loop (TestSteadyStateRoundAllocs)
 func (e *engine) run(ctx context.Context) error {
 	e.rounds, e.estimatesSent, e.batches = 0, 0, 0
-	var parity uint8
-	for k := int32(-1); ; {
+	for k := int32(-1); ; e.rounds++ {
 		e.barrier(step{k: k, scan: true})
 		k = math.MaxInt32
-		for x := range e.shards {
-			k = min(k, e.shards[x].min)
+		for x := range e.workers {
+			k = min(k, e.workers[x].min)
 		}
 		if k == math.MaxInt32 {
-			return nil
+			break
 		}
-		for seed, sent := true, int64(1); sent > 0; seed = false {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if e.rounds >= e.maxRounds {
-				//dkcore:lint-ignore KC004 cold failure exit: the round budget tripped, the run is over
-				return fmt.Errorf("parallel: %d nodes not peeled in %d sub-rounds", len(e.place), e.maxRounds)
-			}
-			e.barrier(step{k: k, seed: seed, parity: parity})
-			sent = 0
-			for x := range e.shards {
-				for _, b := range e.shards[x].out[parity] {
-					if len(b) > 0 {
-						sent, e.batches = sent+int64(len(b)), e.batches+1
-					}
-				}
-			}
-			e.rounds, e.estimatesSent, parity = e.rounds+1, e.estimatesSent+sent, parity^1
+		if err := ctx.Err(); err != nil {
+			return err
 		}
+		if e.rounds >= e.maxRounds {
+			//dkcore:lint-ignore KC004 cold failure exit: the level budget tripped, the run is over
+			return fmt.Errorf("parallel: %d nodes not peeled in %d levels", len(e.workers[0].deg), e.maxRounds)
+		}
+		for x := range e.workers {
+			if e.workers[x].min == k {
+				e.batches++
+			}
+		}
+		e.barrier(step{k: k})
 	}
+	for x := range e.workers {
+		e.estimatesSent += e.workers[x].landed
+	}
+	return nil
 }
 
 func (e *engine) barrier(st step) {
-	for st.x = 0; st.x < len(e.shards); st.x++ {
+	for st.x = 0; st.x < len(e.workers); st.x++ {
 		e.start <- st
 	}
-	for range e.shards {
+	for range e.workers {
 		<-e.done
 	}
 }
 
-// scan drops the nodes peeled at levels up to k from alive and records
-// the least surviving degree (MaxInt32 if none).
+// scan drops the nodes peeled at levels up to k from the worker's
+// survivors and queues those of the least surviving degree (min is
+// MaxInt32 if none survive). No worker cascades while any scans.
 //
-//dkcore:noalloc once per level; compacts alive in place
-func (s *shard) scan(g *graph.Graph, k int32) {
+//dkcore:noalloc once per level; swaps the peeled behind the survivors and refills queue in place
+func (w *worker) scan(k int32) {
 	if k < 0 {
-		s.alive, s.arcs = s.alive[:len(s.nodes)], 0
-		for i, u := range s.nodes {
-			s.deg[i], s.alive[i] = int32(g.Degree(int(u))), int32(i)
+		w.alive, w.arcs, w.landed = w.alive[:cap(w.alive)], 0, 0
+		for _, u := range w.alive {
+			w.deg[u] = int32(w.g.Degree(int(u)))
 		}
 	}
-	live, m := s.alive[:0], int32(math.MaxInt32)
-	for _, i := range s.alive {
-		if d := s.deg[i]; d > k {
-			live, m = append(live, i), min(m, d)
+	live, queue, m := w.alive, w.queue[:0], int32(math.MaxInt32)
+	for i := 0; i < len(live); {
+		u := live[i]
+		d := w.deg[u]
+		if d <= k {
+			last := len(live) - 1
+			live[i], live[last], live = live[last], u, live[:last]
+			continue
+		}
+		i++
+		if d < m {
+			m, queue = d, queue[:0]
+		}
+		if d == m {
+			queue = append(queue, u)
 		}
 	}
-	s.alive, s.min = live, m
+	w.alive, w.queue, w.min = live, queue, m
 }
 
-// peel is shard x's sub-round: seed or apply the inboxes, then cascade.
+// cascade peels the worker's seeds at level k, if its least degree is k,
+// and every node its decrements claim. A decrement that would take a
+// survivor below k is undone, so only the one that takes it from k+1 to
+// k claims it, and each node is peeled, and its row walked, exactly once.
 //
-//dkcore:noalloc the per-sub-round peel; queue and outboxes are retained
-func (e *engine) peel(st step) {
-	x, k, s, out := st.x, st.k, &e.shards[st.x], e.shards[st.x].out[st.parity]
-	for d := range out {
-		out[d] = out[d][:0]
+//dkcore:estwrite the peel's only coreness write: each node once per run, by the one worker that seeded or claimed it
+//dkcore:noalloc the per-level cascade; append reuses the retained queue
+func (w *worker) cascade(k int32) {
+	if w.min != k {
+		w.queue = w.queue[:0]
 	}
-	s.queue = s.queue[:0]
-	if st.seed {
-		for _, i := range s.alive {
-			if s.deg[i] == k {
-				s.take(i, k)
-			}
-		}
-	} else {
-		for src := range e.shards {
-			for _, i := range e.shards[src].out[st.parity^1][x] {
-				s.lower(i, k)
-			}
-		}
-	}
-	for h := 0; h < len(s.queue); h++ {
-		nb := e.g.Neighbors(int(s.nodes[s.queue[h]]))
-		s.arcs += int64(len(nb))
+	// Locals keep the per-arc counters off the cache lines the other
+	// workers read their own fields from.
+	deg, queue, arcs, landed := w.deg, w.queue, int64(0), int64(0)
+	for h := 0; h < len(queue); h++ {
+		u := queue[h]
+		w.coreness[u] = k
+		nb := w.g.Neighbors(int(u))
+		arcs += int64(len(nb))
 		for _, v := range nb {
-			if at := e.place[v]; int(at.owner) == x {
-				s.lower(at.idx, k)
-			} else {
-				out[at.owner] = append(out[at.owner], at.idx)
+			if atomic.LoadInt32(&deg[v]) <= k {
+				continue
+			}
+			switch d := atomic.AddInt32(&deg[v], -1); {
+			case d < k: // another decrement took v to k first
+				atomic.AddInt32(&deg[v], 1)
+			case d == k:
+				queue = append(queue, int32(v))
+				fallthrough
+			default:
+				landed++
 			}
 		}
 	}
-}
-
-// lower applies one decrement at level k and peels a survivor falling to
-// k; a peeled node's degree is at most k, so it falls below k instead.
-//
-//dkcore:noalloc per-arc step of the peel
-func (s *shard) lower(i, k int32) {
-	if s.deg[i]--; s.deg[i] == k {
-		s.take(i, k)
-	}
-}
-
-// take peels node i at level k.
-//
-//dkcore:estwrite the peel's only coreness write: each node once per run, at the level it is peeled
-//dkcore:noalloc queue push; append reuses the retained buffer sized to the shard
-func (s *shard) take(i, k int32) {
-	s.coreness[i] = k
-	s.queue = append(s.queue, i)
+	w.queue, w.arcs, w.landed = queue, w.arcs+arcs, w.landed+landed
 }
 
 func (e *engine) coreness() []int {
-	out := make([]int, len(e.place))
-	for _, s := range e.shards {
-		for i, u := range s.nodes {
-			out[u] = int(s.coreness[i])
-		}
+	out := make([]int, len(e.workers[0].coreness))
+	for u, c := range e.workers[0].coreness {
+		out[u] = int(c)
 	}
 	return out
 }
 
 func (e *engine) close() { close(e.start) }
 
-// Decompose computes the exact k-core decomposition of g with P owners.
-// Cancelling ctx stops the run at the next barrier with ctx.Err().
+// Decompose computes the exact k-core decomposition of g with P workers.
+// Cancelling ctx stops the run at the next level with ctx.Err().
 func Decompose(ctx context.Context, g *graph.Graph, opts ...Option) (*Result, error) {
 	var o options
 	for _, opt := range opts {
@@ -283,7 +272,7 @@ func Decompose(ctx context.Context, g *graph.Graph, opts ...Option) (*Result, er
 		assign = core.BlockAssignment{N: n, H: p}
 	}
 	if o.maxRounds == 0 {
-		o.maxRounds = 8 * (n + 1) // far above the peel's two sub-rounds a node
+		o.maxRounds = 8 * (n + 1) // far above the peel's at most n levels
 	}
 	e, err := newEngine(g, assign, o.maxRounds)
 	if err != nil {
