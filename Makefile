@@ -26,7 +26,7 @@
 #                    `go run ./benchmark`, see README "Measuring")
 #   make bench-partition  run only BenchmarkPartitionSetup (the O(n+m)
 #                    partition-setup gate; flat-in-p cost is the contract)
-#   make bench-allocs     the deterministic allocation gates
+#   make bench-allocs     the deterministic allocation and I/O-schedule gates
 #   make loc         print the non-test Go line count without benchmark/
 #                    and testdata (the size figure ROADMAP's gates use)
 #   make ci          build + vet (incl. gofmt gate) + apicheck + lint +
@@ -189,7 +189,10 @@ bench-partition: build
 # of allocation per input edge (TestReadEdgeListBytesPerEdge), and a
 # cluster host must decode its config, build its HostState and seed its
 # estimates in at most 45 B per adjacency entry it owns
-# (TestHostSetupBytesPerArc).
+# (TestHostSetupBytesPerArc), and the out-of-core engine must decompose
+# a 60k-node power law in 4096-node blocks within the read amplification
+# and block passes of the per-visit ComputeIndex relax at 2 MiB and
+# 4 MiB budgets (TestTightBudgetSchedule).
 # Deterministic tests, not benchmark-output parsing.
 bench-allocs: build
 	$(GO) test -run TestSteadyStateRoundAllocs -count=1 ./internal/parallel
@@ -197,6 +200,7 @@ bench-allocs: build
 	$(GO) test -run 'TestPublishBytesScaleFree|TestPublishBytesPerEvent' -count=1 .
 	$(GO) test -run TestReadEdgeListBytesPerEdge -count=1 ./internal/graph
 	$(GO) test -run TestHostSetupBytesPerArc -count=1 ./internal/cluster
+	$(GO) test -run TestTightBudgetSchedule -count=1 ./internal/oocore
 
 # loc counts non-test Go lines outside benchmark/ and testdata
 # directories (hidden directories, such as the benchmark's scratch

@@ -7,7 +7,7 @@
 //
 // where KIND is one of sequential (alias seq), one2one, one2many, live,
 // live-epidemic, parallel, cluster, oocore. The oocore mode keeps the
-// estimate vector in memory and reads the adjacency from disk blocks
+// estimates and support counters in memory and reads the adjacency from disk blocks
 // through a cache of -mem-budget bytes (see -spill-dir and -block-size). The input is a
 // whitespace-separated edge list ('#' comments allowed); "-" reads from
 // stdin. With -histogram the tool prints shell sizes; otherwise it prints

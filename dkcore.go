@@ -91,15 +91,19 @@
 //
 // The estimate-protocol kinds refine estimates incrementally rather
 // than re-running Algorithm 2 over a node's full neighbor list on each
-// change; Sequential and Parallel peel, and OutOfCore relaxes with one
-// ComputeIndex per visit. The per-host kinds (OneToMany, Cluster) keep
-// one support counter per node — its neighbors with estimate at least
-// its own:
+// change; Sequential and Parallel peel. The per-host kinds (OneToMany,
+// Cluster) and OutOfCore keep one support counter per node — its
+// neighbors with estimate at least its own:
 //
-//   - Seed: a bin-sort peel per partition, O(partition arcs). It lands
-//     each owned node on the round-0 local fixpoint directly (an arc to
-//     another host's node is permanent support until that node's first
-//     estimate arrives), and one more pass counts the supports.
+//   - Seed: for the per-host kinds, a bin-sort peel per partition,
+//     O(partition arcs). It lands each owned node on the round-0 local
+//     fixpoint directly (an arc to another host's node is permanent
+//     support until that node's first estimate arrives), and one more
+//     pass counts the supports. OutOfCore seeds each node, as its block
+//     is spilled, with the h-index of its neighbors' degrees (one
+//     Algorithm 1 update over the degree seed, from the O(n) degree
+//     vector), and counts a node's support at its first visit, when
+//     its row is resident.
 //   - Per neighbor drop: O(1). A drop decrements the counters it
 //     crosses, and a node is re-examined only when its support actually
 //     falls below its estimate.

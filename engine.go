@@ -53,8 +53,9 @@ const (
 	// loopback. For multi-machine deployments use NewCoordinator and
 	// RunClusterHost directly.
 	Cluster
-	// OutOfCore keeps the O(n) estimate vector in memory, spills the
-	// adjacency to disk once as read-only blocks, and relaxes nodes
+	// OutOfCore keeps O(n) node state (an estimate and a support counter
+	// per node) in memory, spills the adjacency to disk once as
+	// read-only blocks, and relaxes nodes
 	// block-at-a-time under a hard budget on decoded adjacency — the
 	// path for graphs whose adjacency exceeds RAM. Tune with
 	// WithMemoryBudget, WithSpillDir, and WithBlockSize.
@@ -142,12 +143,14 @@ type Report struct {
 	// between hosts — the paper's Figure-5 overhead numerator — by
 	// OneToMany and Cluster. Parallel counts the degree decrements that
 	// landed, Σ(degree − coreness) over the nodes whatever the
-	// interleaving; OutOfCore counts estimate drops that woke a node of
-	// another block.
+	// interleaving; OutOfCore counts cross-block wake-ups: estimate drops
+	// that lowered the support of a node of another block below its
+	// estimate.
 	EstimatesSent int64
 	// Batches is the number of non-empty (level, worker) seed lists
 	// (Parallel), or the (pass, block) pairs that cross-block wake-ups
-	// touched (OutOfCore).
+	// touched (OutOfCore; a wake-up means a node's support fell below
+	// its estimate).
 	Batches int64
 	// Workers is the resolved worker/partition/host count for the kinds
 	// that shard work (OneToMany, Parallel, Cluster), and the number of
@@ -332,8 +335,9 @@ func ListenOn(addr string) EngineOption {
 
 // WithMemoryBudget caps OutOfCore's cache of decoded adjacency blocks
 // at the given byte budget (default 256 MiB), charged at 8 bytes per
-// decoded offset and arc. Peak heap is the O(n) estimate vector plus
-// the budget plus one pinned block.
+// element of capacity of each block's decoded offset and arc arrays.
+// Peak heap is the O(n) node state (about 13 bytes per node: estimate,
+// support counter, active flag) plus the budget plus one pinned block.
 func WithMemoryBudget(bytes int64) EngineOption {
 	return option("WithMemoryBudget", []EngineKind{OutOfCore},
 		func(c *engineConfig) { c.memBudget = bytes })

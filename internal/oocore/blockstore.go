@@ -2,14 +2,15 @@
 // the out-of-core engine behind dkcore's OutOfCore kind. It is a
 // semi-external scan (the O(n)-memory, O(m)-disk model of Gao et al.,
 // "K-Core Decomposition on Super Large Graphs with Limited Resources"):
-// the O(n) estimate vector stays resident, while the O(m) adjacency is
-// split into contiguous node-range blocks, each spilled once to disk in
-// the delta-encoded varint CSR form of internal/transport and never
-// rewritten. Algorithm 1's update rule runs block-at-a-time under a hard
-// byte budget on decoded adjacency, enforced by a clock-evicting block
-// cache; an estimate drop wakes neighbors in other blocks by raising
-// their block's active count, so nothing but the read-only blocks ever
-// touches the disk.
+// the O(n) node state (estimates and support counters) stays resident,
+// while the O(m) adjacency is split into contiguous node-range blocks,
+// each spilled once to disk in the delta-encoded varint CSR form of
+// internal/transport and never rewritten. Algorithm 1's update rule runs
+// block-at-a-time on support counters under a hard byte budget on
+// decoded adjacency, enforced by a clock-evicting block cache; an
+// estimate drop that leaves a neighbor in another block short of support
+// wakes it by raising its block's active count, so nothing but the
+// read-only blocks ever touches the disk.
 //
 // The subsystem has three layers, one per file: the block store
 // (blockstore.go: write/load/verify of spilled blocks), the budgeted
@@ -165,6 +166,12 @@ func (st *Store) WriteBlock(id, first, count int, off, flat []int) (int64, error
 // the bytes read. Verification covers the magic, the embedded block ID,
 // the CRC32, and the CSR decode itself.
 func (st *Store) LoadBlock(id int) (first int, off, flat []int, bytes int64, err error) {
+	return st.loadBlock(id, nil)
+}
+
+// loadBlock is LoadBlock decoding into the arrays buf returns for the
+// block's size (transport.DecodeCSRBlockInto).
+func (st *Store) loadBlock(id int, buf func(offs, arcs int) (off, flat []int)) (first int, off, flat []int, bytes int64, err error) {
 	data, err := st.fs.ReadFile(st.blockPath(id))
 	if err != nil {
 		return 0, nil, nil, 0, fmt.Errorf("oocore: load block %d: %w", id, err)
@@ -173,7 +180,7 @@ func (st *Store) LoadBlock(id int) (first int, off, flat []int, bytes int64, err
 	if err != nil {
 		return 0, nil, nil, 0, err
 	}
-	first, off, flat, err = transport.DecodeCSRBlock(payload)
+	first, off, flat, err = transport.DecodeCSRBlockInto(payload, buf)
 	if err != nil {
 		return 0, nil, nil, 0, fmt.Errorf("oocore: block %d: %v: %w", id, err, ErrCorrupt)
 	}

@@ -3,10 +3,11 @@ package oocore
 // CacheStats counts the block cache's traffic: loads served from
 // resident adjacency (Hits) vs from disk (Misses), blocks dropped to
 // stay under budget (Evictions), the largest resident-byte total
-// observed (PeakResidentBytes — may transiently exceed the budget by
-// one block, because a block's footprint is only known after it is
-// decoded), and all bytes moved through the spill directory in either
-// direction (SpillBytesWritten / SpillBytesRead: block files).
+// observed (PeakResidentBytes — exceeds the budget only when the block
+// being loaded is larger than the whole budget, or when the dropped
+// arrays it was decoded into carry spare capacity), and all bytes moved
+// through the spill directory in either direction (SpillBytesWritten /
+// SpillBytesRead: block files).
 type CacheStats struct {
 	Hits              int64 `json:"hits"`
 	Misses            int64 `json:"misses"`
@@ -19,10 +20,13 @@ type CacheStats struct {
 // entry is one resident block: its decoded, read-only CSR adjacency.
 // The neighbors of the block's i-th node are flat[off[i]:off[i+1]].
 type entry struct {
-	id    int
-	off   []int
-	flat  []int
-	bytes int64 // 8*(cap(off)+cap(flat)) charged against the budget
+	id   int
+	off  []int
+	flat []int
+	// bytes is 8*(cap(off)+cap(flat)), charged against the budget: the
+	// arrays may be an evicted block's, larger than this block needs,
+	// and the budget sees every resident element.
+	bytes int64
 
 	pinned bool // being processed right now; never evicted
 	ref    bool // clock second-chance bit
@@ -30,8 +34,8 @@ type entry struct {
 
 // cache is the budgeted resident set: a map for lookup plus a ring
 // slice the clock hand sweeps. Blocks are never modified after the
-// spill, so eviction just drops the decoded slices; a later miss
-// decodes the block file again.
+// spill, so eviction just drops the decoded slices, or hands them to the
+// block whose load caused it; a later miss decodes the block file again.
 type cache struct {
 	budget   int64
 	resident map[int]*entry
@@ -59,9 +63,9 @@ func (c *cache) get(id int) *entry {
 }
 
 // insert adds a freshly decoded entry and updates the peak watermark.
-// The caller shrinks afterwards (with the new entry pinned): the
-// footprint of a block is only known once decoded, so admission briefly
-// overshoots by at most that one block.
+// The caller has made room for it with shrink and shrinks again
+// afterwards (with the new entry pinned), in case the reused arrays it
+// decoded into are larger than the room it asked for.
 func (c *cache) insert(ent *entry) {
 	c.resident[ent.id] = ent
 	c.ring = append(c.ring, ent)
@@ -71,13 +75,16 @@ func (c *cache) insert(ent *entry) {
 	}
 }
 
-// shrink drops clock-selected unpinned blocks until resident bytes fit
-// the budget. Pinned entries survive even when over budget, so a single
-// block larger than the whole budget still decomposes — the cache
-// degrades to one-block-at-a-time rather than failing.
-func (c *cache) shrink() {
+// shrink drops clock-selected unpinned blocks until resident bytes plus
+// need fit the budget. Pinned entries survive even when over budget, so
+// a single block larger than the whole budget still decomposes — the
+// cache degrades to one-block-at-a-time rather than failing. It returns
+// the smallest dropped offset array that fits offs elements and the
+// smallest dropped neighbor array that fits arcs (nil where none does),
+// so the block about to be decoded reuses them instead of allocating.
+func (c *cache) shrink(need int64, offs, arcs int) (off, flat []int) {
 	spared := 0 // consecutive clock slots passed over (pinned or ref'd)
-	for c.bytes > c.budget && len(c.ring) > 0 {
+	for c.bytes+need > c.budget && len(c.ring) > 0 {
 		if c.hand >= len(c.ring) {
 			c.hand = 0
 		}
@@ -85,7 +92,7 @@ func (c *cache) shrink() {
 		if ent.pinned {
 			c.hand++
 			if spared++; spared >= 2*len(c.ring) {
-				return // everything pinned: allow the overshoot
+				return off, flat // everything pinned: allow the overshoot
 			}
 			continue
 		}
@@ -98,7 +105,14 @@ func (c *cache) shrink() {
 		spared = 0
 		c.remove(ent)
 		c.stats.Evictions++
+		if fits(ent.off, offs) && (off == nil || cap(ent.off) < cap(off)) {
+			off = ent.off
+		}
+		if fits(ent.flat, arcs) && (flat == nil || cap(ent.flat) < cap(flat)) {
+			flat = ent.flat
+		}
 	}
+	return off, flat
 }
 
 // remove drops ent from the map and ring, keeping the clock hand on the
@@ -115,4 +129,12 @@ func (c *cache) remove(ent *entry) {
 			break
 		}
 	}
+}
+
+// fits reports whether a dropped array can take n elements without
+// carrying more than half again as many: the entry is charged for the
+// array's whole capacity, so a much larger one would shrink what the
+// budget can hold.
+func fits(a []int, n int) bool {
+	return cap(a) >= n && cap(a)-n <= n/2
 }

@@ -3,6 +3,7 @@ package oocore
 import (
 	"context"
 	"encoding/binary"
+	"fmt"
 	"slices"
 	"testing"
 
@@ -48,9 +49,33 @@ func encodeFuzzInput(g *graph.Graph, blockSize int, budget int64) []byte {
 	return data
 }
 
+// checkSupport recounts, at quiescence, the support counter of every
+// node the engine counted — each node whose estimate is above 1 was
+// queued at the seed and counted at its first visit — from g's rows,
+// and reports the first counter that disagrees or that no longer covers
+// its node's estimate.
+func (e *engine) checkSupport(g *graph.Graph) error {
+	for u, k := range e.est {
+		if k <= 1 {
+			continue
+		}
+		want := 0
+		for _, v := range g.Neighbors(u) {
+			if e.est[v] >= k {
+				want++
+			}
+		}
+		if int(e.sup[u]) != want || want < k {
+			return fmt.Errorf("node %d (estimate %d): support counter %d, recount %d", u, k, e.sup[u], want)
+		}
+	}
+	return nil
+}
+
 // FuzzOOCoreDecompose holds the out-of-core engine to the sequential
 // oracle on arbitrary small graphs, block sizes and budgets — including
-// budgets below one block, where every pass reloads.
+// budgets below one block, where every pass reloads — and recounts its
+// support counters once it is quiet.
 func FuzzOOCoreDecompose(f *testing.F) {
 	for _, g := range testGraphs() {
 		f.Add(encodeFuzzInput(g, 8, 1<<10))
@@ -58,7 +83,7 @@ func FuzzOOCoreDecompose(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, blockSize, budget := decodeFuzzInput(data)
-		res, err := Decompose(context.Background(), g,
+		res, e, err := decompose(context.Background(), g,
 			WithBlockSize(blockSize), WithMemoryBudget(budget), WithSpillDir(t.TempDir()))
 		if err != nil {
 			t.Fatalf("n=%d block=%d budget=%d: %v", g.NumNodes(), blockSize, budget, err)
@@ -66,6 +91,12 @@ func FuzzOOCoreDecompose(f *testing.F) {
 		if want := kcore.Decompose(g).CorenessValues(); !slices.Equal(res.Coreness, want) {
 			t.Fatalf("n=%d block=%d budget=%d: coreness %v, oracle %v",
 				g.NumNodes(), blockSize, budget, res.Coreness, want)
+		}
+		if e == nil {
+			return
+		}
+		if err := e.checkSupport(g); err != nil {
+			t.Fatalf("n=%d block=%d budget=%d: %v", g.NumNodes(), blockSize, budget, err)
 		}
 	})
 }

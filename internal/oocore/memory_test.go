@@ -66,20 +66,22 @@ func sampleRSSDuring(fn func() error) (peak int64, err error) {
 // and require the oracle's coreness, a binding budget (evictions and
 // spill traffic both ways), and a sampled process RSS growth under
 // 2*budget + 2*pinned + 16*nodes + 8*edges + csr. The O(nodes) term
-// covers the resident estimate vector, active flags and result; the
-// 8*edges term is GC headroom on the input graph, which stays live for
-// the whole run (at GOGC=20 garbage may reach ~20% of the resident CSR
-// between collections).
+// covers the resident estimates (also the result), support counters and
+// active flags; the 8*edges term is GC headroom on the input graph,
+// which stays live for the whole run (at GOGC=20 garbage may reach ~20%
+// of the resident CSR between collections).
 //
 // The budget bounds unpinned residency only: the block being processed
 // is pinned and charged on top at 8 bytes per decoded offset and arc,
 // so the cache's own PeakResidentBytes is a multiple of the budget
-// whenever one hub-bearing block outweighs it (about 10x here, logged
-// below). pinned is that charge for the largest block, counted twice:
-// the cache admits a block before it evicts the one the last pass
-// pinned. The csr term, the input graph's own size, covers the pages
-// that the ~120 blocks decoded and dropped here leave resident: the
-// runtime returns freed pages only through its background scavenger.
+// whenever one hub-bearing block outweighs it (about 5x here, logged
+// below). pinned is that charge for the largest block, counted twice: a
+// load decodes into the arrays of the block it dropped only when they
+// can hold it, and otherwise allocates beside them while they await
+// collection. The csr term, the input graph's own size, covers heap the
+// run frees but the runtime keeps resident, returning pages only through
+// its background scavenger: each of the ~100 loads here reads its block
+// file into a fresh buffer, and some decode into fresh arrays.
 func TestOOCoreBoundedMemory(t *testing.T) {
 	if testing.Short() {
 		t.Skip("out-of-core workload is not short")

@@ -6,7 +6,6 @@ import (
 	"os"
 
 	"dkcore/internal/chaos"
-	"dkcore/internal/core"
 	"dkcore/internal/graph"
 )
 
@@ -32,12 +31,13 @@ type Options struct {
 type Option func(*Options)
 
 // WithMemoryBudget caps the cache of decoded adjacency blocks at the
-// given byte budget, charged at 8 bytes per decoded offset and arc,
-// which is exactly what a decoded block holds: its slices are sized by
-// counting the arcs before allocating, with no spare capacity. The
-// engine's peak heap is the O(n) estimate vector plus the budget plus
-// one pinned block (admission learns a block's footprint only after
-// decoding it). Must be positive.
+// given byte budget, charged at 8 bytes per element of capacity of a
+// block's offset and arc arrays: exactly its decoded size when the
+// arrays are fresh, and the whole of a dropped block's arrays when it
+// was decoded into them. The engine's peak heap is the O(n) node state
+// (an estimate, a support counter and an active flag per node, about 13
+// bytes) plus the budget plus one pinned block (the block being
+// processed is never dropped). Must be positive.
 func WithMemoryBudget(bytes int64) Option {
 	return func(o *Options) { o.memoryBudget = bytes }
 }
@@ -76,8 +76,9 @@ type Result struct {
 	// rounds.
 	Passes int
 	// EstimatesSent counts cross-block wake-ups: estimate drops that
-	// activated a node of another block. Batches counts the (pass,
-	// destination block) pairs those wake-ups touched.
+	// lowered the support of a visited node of another block below its
+	// estimate, activating it. Batches counts the (pass, destination
+	// block) pairs those wake-ups touched.
 	EstimatesSent int64
 	Batches       int64
 	// BlockStoreBytes is the on-disk footprint of the spilled CSR
@@ -99,13 +100,18 @@ type engine struct {
 	cache *cache
 	stats *CacheStats
 
-	// est[u] is node u's coreness estimate: seeded with its degree by the
-	// spill pass, only ever lowered by relax, exact once no node is
-	// active.
+	// est[u] is node u's coreness estimate: seeded by the spill pass with
+	// the h-index of its neighbours' degrees, only ever lowered by relax,
+	// exact once no node is active.
 	est []int
-	// active[u] marks a node whose estimate may be above what its
-	// neighbours support; blockActive[b] counts block b's active nodes
-	// and is the scheduler's priority.
+	// sup[u] counts u's neighbours whose estimate is at least est[u]. It
+	// is first counted when u is first relaxed; until then it is 0 or
+	// below, under est[u], so that relax always counts it.
+	sup []int32
+	// active[u] marks a node queued for relax: one not yet visited since
+	// the seed, or one whose support fell below its estimate.
+	// blockActive[b] counts block b's active nodes and is the
+	// scheduler's priority.
 	active      []bool
 	blockActive []int
 	// wokenAt[b] is the last pass that woke a node of block b (Batches).
@@ -116,15 +122,44 @@ type engine struct {
 	cur         int
 	queue       []int
 	qhead, qlen int
-	// nbrEst and count are ComputeIndex's scratch, sized at spill time
-	// to the maximum degree so relax never allocates.
-	nbrEst []int
-	count  []int
+	// bins is the h-index histogram of seed and relax, with a slot for
+	// every estimate up to the maximum degree, so neither allocates.
+	bins []int
 
 	passes        int
 	maxPasses     int
 	estimatesSent int64
 	batches       int64
+}
+
+// newEngine sizes a run over g's nodes, cut into blockSize-node blocks,
+// spilling to store and caching decoded blocks under budget.
+func newEngine(g *graph.Graph, blockSize int, store *Store, budget int64) *engine {
+	n := g.NumNodes()
+	per := min(blockSize, n)
+	blocks := (n + per - 1) / per
+	stats := &CacheStats{}
+	return &engine{
+		n:           n,
+		per:         per,
+		blocks:      blocks,
+		store:       store,
+		cache:       newCache(budget, stats),
+		stats:       stats,
+		est:         make([]int, n),
+		sup:         make([]int32, n),
+		active:      make([]bool, n),
+		blockActive: make([]int, blocks),
+		wokenAt:     make([]int, blocks),
+		queue:       make([]int, per),
+		bins:        make([]int, g.MaxDegree()+1),
+		// Safety ceiling against a scheduler bug, not a proven bound:
+		// every pass after a block's first consumes at least one
+		// cross-block wake-up, and wake-ups along an arc u→v need est[v]
+		// to drop between them, but their total can exceed the arc
+		// count. Observed pass counts stay far below this.
+		maxPasses: 64*blocks + 8*g.NumArcs() + 1024,
+	}
 }
 
 func (e *engine) blockRange(b int) (lo, hi int) {
@@ -134,11 +169,19 @@ func (e *engine) blockRange(b int) (lo, hi int) {
 }
 
 // Decompose computes exact coreness for every node of g while keeping
-// only the O(n) estimate vector and a budgeted cache of adjacency blocks
-// in memory, spilling the adjacency to disk once. The coreness vector is
-// identical to the sequential engine's; scheduling affects only how
-// much disk traffic the fixpoint costs.
+// only O(n) node state (an estimate, a support counter and an active
+// flag per node) and a budgeted cache of adjacency blocks in memory,
+// spilling the adjacency to disk once. The coreness vector is identical
+// to the sequential engine's; scheduling affects only how much disk
+// traffic the fixpoint costs.
 func Decompose(ctx context.Context, g *graph.Graph, opts ...Option) (*Result, error) {
+	res, _, err := decompose(ctx, g, opts...)
+	return res, err
+}
+
+// decompose is Decompose, also returning the engine it ran (nil for an
+// empty graph), whose resident state the tests inspect.
+func decompose(ctx context.Context, g *graph.Graph, opts ...Option) (*Result, *engine, error) {
 	o := Options{memoryBudget: DefaultMemoryBudget, blockSize: DefaultBlockSize, fs: chaos.OS{}}
 	for _, opt := range opts {
 		opt(&o)
@@ -147,19 +190,18 @@ func Decompose(ctx context.Context, g *graph.Graph, opts ...Option) (*Result, er
 		o.fs = chaos.OS{}
 	}
 	if o.memoryBudget <= 0 {
-		return nil, fmt.Errorf("oocore: memory budget must be positive, got %d", o.memoryBudget)
+		return nil, nil, fmt.Errorf("oocore: memory budget must be positive, got %d", o.memoryBudget)
 	}
 	if o.blockSize <= 0 {
-		return nil, fmt.Errorf("oocore: block size must be positive, got %d", o.blockSize)
+		return nil, nil, fmt.Errorf("oocore: block size must be positive, got %d", o.blockSize)
 	}
-	n := g.NumNodes()
-	if n == 0 {
-		return &Result{Coreness: []int{}, BlockSize: o.blockSize}, nil
+	if g.NumNodes() == 0 {
+		return &Result{Coreness: []int{}, BlockSize: o.blockSize}, nil, nil
 	}
 
 	dir, cleanup, err := spillDir(o.spillDir)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	defer func() {
 		if cleanup != nil {
@@ -167,60 +209,38 @@ func Decompose(ctx context.Context, g *graph.Graph, opts ...Option) (*Result, er
 		}
 	}()
 
-	per := min(o.blockSize, n)
-	blocks := (n + per - 1) / per
-	stats := &CacheStats{}
-	e := &engine{
-		n:           n,
-		per:         per,
-		blocks:      blocks,
-		store:       NewStoreFS(dir, o.fs),
-		cache:       newCache(o.memoryBudget, stats),
-		stats:       stats,
-		est:         make([]int, n),
-		active:      make([]bool, n),
-		blockActive: make([]int, blocks),
-		wokenAt:     make([]int, blocks),
-		queue:       make([]int, per),
-		// Safety ceiling against a scheduler bug, not a proven bound:
-		// every pass after a block's first consumes at least one
-		// cross-block wake-up, and wake-ups along an arc u→v need est[v]
-		// to drop between them, but their total can exceed the arc
-		// count. Observed pass counts stay far below this.
-		maxPasses: 64*blocks + 8*g.NumArcs() + 1024,
-	}
-
+	e := newEngine(g, o.blockSize, NewStoreFS(dir, o.fs), o.memoryBudget)
 	// The run's directory is freshly created, so the sweep is normally a
 	// no-op; it exists so a store pointed at a reused or crash-scarred
 	// directory starts from verified files (torn ones quarantined, stray
 	// .tmp removed) instead of reading garbage.
 	if _, err := e.store.Sweep(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	storeBytes, err := e.spill(ctx, g)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := e.run(ctx); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	if cleanup != nil {
 		if err := cleanup(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		cleanup = nil
 	}
 	return &Result{
 		Coreness:        e.est,
-		Blocks:          blocks,
-		BlockSize:       per,
+		Blocks:          e.blocks,
+		BlockSize:       e.per,
 		Passes:          e.passes,
 		EstimatesSent:   e.estimatesSent,
 		Batches:         e.batches,
 		BlockStoreBytes: storeBytes,
-		Cache:           *stats,
-	}, nil
+		Cache:           *e.stats,
+	}, e, nil
 }
 
 // spillDir resolves the run's working directory: a fresh OS temp dir,
@@ -242,12 +262,11 @@ func spillDir(root string) (string, func() error, error) {
 // spill streams the graph into per-block CSR files through one reused
 // block-sized buffer pair — never materializing a second whole-graph
 // adjacency, which is the point of the exercise — and seeds each
-// block's estimates from the degrees it just wrote.
+// block's estimates from the rows it just wrote and the degree vector.
 func (e *engine) spill(ctx context.Context, g *graph.Graph) (int64, error) {
 	off := make([]int, 0, e.per+1)
 	var flat []int
 	var total int64
-	maxDeg := 0
 	for b := 0; b < e.blocks; b++ {
 		if err := ctx.Err(); err != nil {
 			return 0, err
@@ -258,7 +277,6 @@ func (e *engine) spill(ctx context.Context, g *graph.Graph) (int64, error) {
 		for u := lo; u < hi; u++ {
 			flat = append(flat, g.Neighbors(u)...)
 			off = append(off, len(flat))
-			maxDeg = max(maxDeg, g.Degree(u))
 		}
 		nb, err := e.store.WriteBlock(b, lo, hi-lo, off, flat)
 		if err != nil {
@@ -266,39 +284,68 @@ func (e *engine) spill(ctx context.Context, g *graph.Graph) (int64, error) {
 		}
 		total += nb
 		e.stats.SpillBytesWritten += nb
-		e.seed(b, off)
+		e.seed(b, off, flat, g)
 	}
-	// An estimate never exceeds its node's degree, so ComputeIndex's
-	// histogram needs maxDeg+1 slots and never grows.
-	e.nbrEst = make([]int, 0, maxDeg)
-	e.count = make([]int, maxDeg+1)
 	return total, nil
 }
 
-// seed is Algorithm 1's initialization for block b, whose offsets are
-// off: est[u] = d(u), and every node with a neighbour starts active.
+// seed initializes block b, whose rows are off and flat, reading only
+// node degrees from g: est[u] is the h-index of u's neighbours' degrees,
+// each clamped at d(u) — Algorithm 1's update applied once to the degree
+// seed, so still an upper bound on the coreness, and often a much
+// tighter one. A node seeded at 1 or below is already exact (every node
+// with a neighbour has coreness at least 1); every other node starts
+// active, to count its support at its first visit.
 //
-//dkcore:estwrite Algorithm 1 initialization: seeds est[u] = d(u) before any node is relaxed
-func (e *engine) seed(b int, off []int) {
+//dkcore:estwrite Algorithm 1 initialization: one update over the degree seed, before any node is relaxed
+func (e *engine) seed(b int, off, flat []int, g *graph.Graph) {
 	lo, _ := e.blockRange(b)
 	for i := 0; i+1 < len(off); i++ {
 		d := off[i+1] - off[i]
-		e.est[lo+i] = d
-		if d > 0 {
+		if d == 0 {
+			continue
+		}
+		cnt := e.bins[:d+1]
+		for _, v := range flat[off[i]:off[i+1]] {
+			cnt[min(g.Degree(v), d)]++
+		}
+		k, _ := hindex(cnt)
+		e.est[lo+i] = k
+		if k > 1 {
 			e.active[lo+i] = true
 			e.blockActive[b]++
 		}
 	}
 }
 
-// load returns block id's resident adjacency, pinned, decoding its
-// block file on a miss and dropping unpinned blocks to fit the budget.
+// hindex walks histogram cnt down from its top slot k = len(cnt)-1,
+// where cnt[i] counts values equal to i (those above k clamped into
+// cnt[k]), to the largest i <= k with at least i values at or above i,
+// floored at 1 (a node with a neighbour has coreness at least 1). It
+// returns i and that count, and clears cnt for the next caller.
+func hindex(cnt []int) (int, int) {
+	i := len(cnt) - 1
+	sup := cnt[i]
+	for i > 1 && sup < i {
+		i--
+		sup += cnt[i]
+	}
+	clear(cnt)
+	return i, sup
+}
+
+// load returns block id's resident adjacency, pinned. On a miss it
+// drops unpinned blocks until the block's decoded size fits the budget
+// beside the rest, then decodes the block file into the arrays of a
+// dropped block where they are large enough.
 func (e *engine) load(id int) (*entry, error) {
 	if ent := e.cache.get(id); ent != nil {
 		ent.pinned = true
 		return ent, nil
 	}
-	first, off, flat, nb, err := e.store.LoadBlock(id)
+	first, off, flat, nb, err := e.store.loadBlock(id, func(offs, arcs int) ([]int, []int) {
+		return e.cache.shrink(8*int64(offs+arcs), offs, arcs)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -309,7 +356,7 @@ func (e *engine) load(id int) (*entry, error) {
 	e.stats.SpillBytesRead += nb
 	ent := &entry{id: id, off: off, flat: flat, bytes: 8 * int64(cap(off)+cap(flat)), pinned: true, ref: true}
 	e.cache.insert(ent)
-	e.cache.shrink()
+	e.cache.shrink(0, 0, 0)
 	return ent, nil
 }
 
@@ -349,28 +396,43 @@ func (e *engine) process(ctx context.Context, id int) error {
 	return nil
 }
 
-// relax applies Algorithm 1's update to node u with neighbours nbrs:
-// est[u] becomes ComputeIndex over the neighbour estimates. A drop from
-// old to k can only unsupport a neighbour v with k < est[v] <= old (one
-// at or below k still counts u, one above old never counted u at its own
-// estimate), so exactly those are woken: queued if in the running
-// block, counted against their block otherwise.
+// relax applies Algorithm 1's update to node u with neighbours nbrs,
+// on support counters: while u's support covers its estimate (or the
+// estimate is at the floor of 1) the update cannot lower it, and relax
+// returns in O(1). Otherwise one pass over the row buckets the
+// neighbour estimates clamped at est[u], and hindex yields both the new
+// estimate k and u's support under it. A drop from old to k unsupports
+// exactly the neighbours v with k < est[v] <= old (one at or below k
+// still counts u, one above old never counted u at its own estimate),
+// so only their counters fall, and only a visited one whose support
+// falls below its estimate is woken: queued if in the running block,
+// counted against its block otherwise. An unvisited neighbour is
+// already active.
 //
-//dkcore:estwrite Algorithm 1's update rule: lowers est[u] to ComputeIndex, never raises it
-//dkcore:noalloc per-node step of every block pass; the scratch is sized at spill time
+//dkcore:estwrite Algorithm 1's update rule: lowers est[u] to the h-index of its neighbours, never raises it
+//dkcore:noalloc per-node step of every block pass; bins is sized at construction
 func (e *engine) relax(u int, nbrs []int) {
-	e.nbrEst = e.nbrEst[:0]
-	for _, v := range nbrs {
-		e.nbrEst = append(e.nbrEst, e.est[v])
-	}
 	old := e.est[u]
-	k := core.ComputeIndex(e.nbrEst, old, e.count)
-	if k >= old {
+	if old <= 1 || int(e.sup[u]) >= old {
+		return
+	}
+	cnt := e.bins[:old+1]
+	for _, v := range nbrs {
+		cnt[min(e.est[v], old)]++
+	}
+	k, sup := hindex(cnt)
+	e.sup[u] = int32(sup)
+	if k == old {
 		return
 	}
 	e.est[u] = k
 	for _, v := range nbrs {
-		if ev := e.est[v]; ev <= k || ev > old || e.active[v] {
+		ev := e.est[v]
+		if ev <= k || ev > old {
+			continue
+		}
+		e.sup[v]--
+		if int(e.sup[v]) >= ev || e.active[v] {
 			continue
 		}
 		e.active[v] = true
@@ -389,9 +451,10 @@ func (e *engine) relax(u int, nbrs []int) {
 	}
 }
 
-// run drives the scheduler until no node is active: that fixpoint of
-// Algorithm 1's update, reached from the degrees by descent only, is
-// the coreness.
+// run drives the scheduler until no node is active. Every estimate is
+// then an upper bound on the coreness (the seed is one, and the update
+// keeps it one) that its support certifies (each node with estimate
+// k > 1 has k neighbours at k or above), so it is the coreness.
 func (e *engine) run(ctx context.Context) error {
 	for {
 		id, ok := e.pick()

@@ -154,24 +154,19 @@ func TestBlockLargerThanBudgetStillCompletes(t *testing.T) {
 	}
 }
 
-// TestLoadChargesDecodedBytes: a loaded block is charged exactly the 8
-// bytes per decoded offset and arc that WithMemoryBudget documents, so
-// the decoded slices carry no spare capacity the budget does not see.
+// TestLoadChargesDecodedBytes: a block decoded into fresh arrays is
+// charged exactly the 8 bytes per decoded offset and arc that
+// WithMemoryBudget documents, so the decoder leaves no spare capacity
+// the budget does not see. This budget evicts nothing, so no load
+// reuses a dropped block's arrays.
 func TestLoadChargesDecodedBytes(t *testing.T) {
 	g := gen.PowerLaw(gen.PowerLawConfig{N: 2000, Exponent: 2.1, MinDeg: 2}, 3)
 	const per = 64
-	n, blocks := g.NumNodes(), (g.NumNodes()+per-1)/per
-	stats := &CacheStats{}
-	e := &engine{
-		n: n, per: per, blocks: blocks,
-		store: NewStoreFS(t.TempDir(), chaos.OS{}),
-		cache: newCache(1<<30, stats), stats: stats,
-		est: make([]int, n), active: make([]bool, n), blockActive: make([]int, blocks),
-	}
+	e := newEngine(g, per, NewStoreFS(t.TempDir(), chaos.OS{}), 1<<30)
 	if _, err := e.spill(context.Background(), g); err != nil {
 		t.Fatal(err)
 	}
-	for id := 0; id < blocks; id++ {
+	for id := 0; id < e.blocks; id++ {
 		ent, err := e.load(id)
 		if err != nil {
 			t.Fatal(err)
@@ -181,4 +176,39 @@ func TestLoadChargesDecodedBytes(t *testing.T) {
 				id, ent.bytes, len(ent.off), len(ent.flat), want)
 		}
 	}
+}
+
+// TestLoadReusesDroppedArrays: under a budget below one block every miss
+// drops the last block, and a block decoded into the dropped block's
+// arrays is charged their whole capacity, as the budget requires.
+func TestLoadReusesDroppedArrays(t *testing.T) {
+	g := gen.PowerLaw(gen.PowerLawConfig{N: 2000, Exponent: 2.1, MinDeg: 2}, 3)
+	e := newEngine(g, 64, NewStoreFS(t.TempDir(), chaos.OS{}), 1)
+	if _, err := e.spill(context.Background(), g); err != nil {
+		t.Fatal(err)
+	}
+	reused := 0
+	var last *entry
+	for id := 0; id < e.blocks; id++ {
+		ent, err := e.load(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ent.pinned = false
+		if want := 8 * int64(cap(ent.off)+cap(ent.flat)); ent.bytes != want {
+			t.Fatalf("block %d: charged %d bytes for capacities %d and %d, want %d",
+				id, ent.bytes, cap(ent.off), cap(ent.flat), want)
+		}
+		if last != nil && cap(last.flat) > 0 && cap(ent.flat) > 0 && &last.flat[:1][0] == &ent.flat[:1][0] {
+			reused++
+		}
+		last = ent
+	}
+	if e.stats.Evictions != int64(e.blocks-1) {
+		t.Errorf("%d evictions over %d loads, want one per load after the first", e.stats.Evictions, e.blocks)
+	}
+	if reused == 0 {
+		t.Error("no load decoded into the dropped block's arrays")
+	}
+	t.Logf("%d of %d loads reused the dropped block's neighbour array", reused, e.blocks)
 }

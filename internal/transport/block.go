@@ -72,6 +72,16 @@ func EncodeCSRBlock(first, count int, off, flat []int) []byte {
 // varints, counts or degrees exceeding the payload, trailing bytes —
 // return an error without large speculative allocations.
 func DecodeCSRBlock(data []byte) (first int, off, flat []int, err error) {
+	return DecodeCSRBlockInto(data, nil)
+}
+
+// DecodeCSRBlockInto is DecodeCSRBlock decoding into the arrays that
+// buf, once the block's size is known, returns for its offs = count+1
+// offsets and its arcs neighbors. An array too small for its share (or
+// a nil buf) is replaced by a fresh one of exactly the needed size; the
+// returned slices keep their capacity, so a reused array may hold more
+// than the block needs.
+func DecodeCSRBlockInto(data []byte, buf func(offs, arcs int) (off, flat []int)) (first int, off, flat []int, err error) {
 	count, n := binary.Uvarint(data)
 	if n <= 0 {
 		return 0, nil, nil, fmt.Errorf("transport: decode block: bad count")
@@ -96,8 +106,17 @@ func DecodeCSRBlock(data []byte) (first int, off, flat []int, err error) {
 			arcs++
 		}
 	}
-	off = make([]int, 1, count+1)
-	flat = make([]int, 0, max(arcs, 0))
+	arcs = max(arcs, 0)
+	if buf != nil {
+		off, flat = buf(int(count)+1, arcs)
+	}
+	if uint64(cap(off)) < count+1 {
+		off = make([]int, 0, count+1)
+	}
+	if cap(flat) < arcs {
+		flat = make([]int, 0, arcs)
+	}
+	off, flat = append(off[:0], 0), flat[:0]
 	for i := uint64(0); i < count; i++ {
 		deg, n := binary.Uvarint(data)
 		if n <= 0 {
