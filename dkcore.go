@@ -212,12 +212,18 @@ func NewBuilder(n int) *Builder { return graph.NewBuilder(n) }
 func FromEdges(n int, edges [][2]int) *Graph { return graph.FromEdges(n, edges) }
 
 // ReadEdgeList parses a whitespace-separated edge list ('#'/'%' comments
-// allowed, lines up to 1 MiB) in one pass and O(n+m) time, remapping
-// arbitrary non-negative IDs to dense ones in first-appearance order;
-// origID maps back. The remap is a table indexed by raw ID while IDs stay
-// within a constant factor of the node count, with a map for sparse or
-// huge IDs, so its memory is O(nodes). More than 2^31−1 distinct IDs, or
-// more than 2^31−2^15 edges, are a format error.
+// allowed, lines up to 1 MiB) in O(n+m) time, remapping arbitrary
+// non-negative IDs to dense ones in first-appearance order; origID maps
+// back. The remap is a table indexed by raw ID while IDs stay within a
+// constant factor of the node count, with a map for sparse or huge IDs,
+// so its memory is O(nodes). More than 2^31−1 distinct IDs, or more than
+// 2^31−2^15 edges, are a format error; of several errors the first in
+// input order is returned.
+//
+// Lines are parsed on up to min(GOMAXPROCS−1, 4) goroutines besides the
+// caller's, at least one, and the result does not depend on their
+// number. Only the calling goroutine reads r, and the other goroutines
+// have exited when ReadEdgeList returns.
 func ReadEdgeList(r io.Reader) (g *Graph, origID []int64, err error) {
 	return graph.ReadEdgeList(r)
 }
@@ -239,8 +245,20 @@ func WriteBinary(w io.Writer, g *Graph) error { return graph.WriteBinary(w, g) }
 func Decompose(g *Graph) *Decomposition { return kcore.Decompose(g) }
 
 // VerifyLocality checks the paper's Theorem 1 on a claimed coreness
-// assignment.
+// assignment: every node u has at least coreness[u] neighbors with
+// coreness >= coreness[u], and at most coreness[u] with more. The check
+// is necessary, not sufficient: a vector below the true coreness can
+// pass it (a triangle labelled all 1s does). Certify is the exact check.
 func VerifyLocality(g *Graph, coreness []int) error { return kcore.VerifyLocality(g, coreness) }
+
+// Certify checks that coreness is exactly g's coreness, in O(n+m) time
+// without decomposing g. It checks VerifyLocality's first condition,
+// which bounds the claim from above by the true coreness, then peels g
+// level by level (at level j, it removes nodes claimed at j with at most
+// j neighbors left), which bounds it from below. It returns nil, or an
+// error naming a node that breaks the first condition or that the peel
+// of its level cannot remove.
+func Certify(g *Graph, coreness []int) error { return kcore.Certify(g, coreness) }
 
 // NewRandomAssignment assigns each node to a uniformly random host.
 func NewRandomAssignment(n, h int, seed int64) Assignment {

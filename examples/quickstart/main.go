@@ -63,9 +63,9 @@ func main() {
 	sess.DeleteEdge(0, 5)
 	fmt.Printf("after delete: node 1 coreness=%d (restored)\n", sess.Coreness(0))
 
-	// Theorem 1 sanity check on the served result.
-	if err := dkcore.VerifyLocality(sess.Snapshot(), sess.CorenessValues()); err != nil {
+	// Certify the served result: exactly the coreness of the graph.
+	if err := dkcore.Certify(sess.Snapshot(), sess.CorenessValues()); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("locality property verified")
+	fmt.Println("coreness certified")
 }

@@ -143,12 +143,15 @@ func RunOneToOne(ctx context.Context, g *graph.Graph, opts ...Option) (*Result, 
 	}
 
 	res := &Result{}
-	scratch := make([]int, n)
-	observer := func(round int) {
-		for u, nd := range nodes {
-			scratch[u] = nd.Core()
+	var observer func(round int)
+	if o.observed() {
+		scratch := make([]int, n)
+		observer = func(round int) {
+			for u, nd := range nodes {
+				scratch[u] = nd.Core()
+			}
+			res.observeRound(round, scratch, o)
 		}
-		res.observeRound(round, scratch, o)
 	}
 
 	engine := sim.NewEngine(procs,
@@ -214,16 +217,19 @@ func RunOneToMany(ctx context.Context, g *graph.Graph, assign Assignment, opts .
 	}
 
 	res := &Result{}
-	scratch := make([]int, n)
-	observer := func(round int) {
-		for u := 0; u < n; u++ {
-			if e, ok := owner[u].Estimate(u); ok {
-				scratch[u] = e
-			} else {
-				scratch[u] = g.Degree(u) // before the owner's Init ran
+	var observer func(round int)
+	if o.observed() {
+		scratch := make([]int, n)
+		observer = func(round int) {
+			for u := 0; u < n; u++ {
+				if e, ok := owner[u].Estimate(u); ok {
+					scratch[u] = e
+				} else {
+					scratch[u] = g.Degree(u) // before the owner's Init ran
+				}
 			}
+			res.observeRound(round, scratch, o)
 		}
-		res.observeRound(round, scratch, o)
 	}
 
 	engine := sim.NewEngine(procs,
@@ -257,6 +263,11 @@ func RunOneToMany(ctx context.Context, g *graph.Graph, assign Assignment, opts .
 	}
 	return res, nil
 }
+
+// observed reports whether a run needs the per-round estimates: only the
+// error traces and the snapshot read them, so without either the
+// simulator gets no round observer and nothing gathers them.
+func (o options) observed() bool { return o.groundTruth != nil || o.snapshot != nil }
 
 // observeRound appends error-trace samples and invokes the user snapshot.
 func (r *Result) observeRound(round int, estimates []int, o options) {

@@ -19,7 +19,7 @@ func benchGraph() *graph.Graph {
 var sinkGraph *graph.Graph
 
 // BenchmarkReadEdgeList parses the graph's text edge list from memory:
-// the byte scanner, the dense-ID remap and Build.
+// the windowed parse, the dense-ID remap and Build.
 func BenchmarkReadEdgeList(b *testing.B) {
 	var text bytes.Buffer
 	if err := graph.WriteEdgeList(&text, benchGraph()); err != nil {
@@ -39,8 +39,9 @@ func BenchmarkReadEdgeList(b *testing.B) {
 
 // TestReadEdgeListBytesPerEdge is the ingest-memory gate: reading the
 // benchmark graph's text edge list allocates at most 64 bytes per input
-// edge, all of ReadEdgeList counted (the scanner, the dense-ID remap, the
-// stored edges, Build's intermediates and the CSR it returns).
+// edge, all of ReadEdgeList counted (the read windows and their parsed
+// pairs, the dense-ID remap, the stored edges, Build's intermediates and
+// the CSR it returns).
 func TestReadEdgeListBytesPerEdge(t *testing.T) {
 	const maxBytesPerEdge = 64
 	g := benchGraph()

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"strconv"
 	"strings"
 )
@@ -20,57 +21,32 @@ var ErrBadFormat = errors.New("graph: bad format")
 const maxLineBytes = 1 << 20
 
 // ReadEdgeList parses a whitespace-separated edge list, one edge per line,
-// in one pass and O(n+m) time. Lines starting with '#' or '%' and blank
-// lines are ignored (SNAP datasets use '#' comments); fields after the
-// second are ignored; a line longer than 1 MiB is an error. Node
-// identifiers may be arbitrary non-negative 64-bit integers; they are
-// remapped to dense IDs in first-appearance order. More than MaxNodes
-// distinct identifiers, or more than 2^31−2^15 edges, are an ErrBadFormat
-// error.
+// in O(n+m) time. Lines starting with '#' or '%' and blank lines are
+// ignored (SNAP datasets use '#' comments); fields after the second are
+// ignored; a line longer than 1 MiB is an error. Node identifiers may be
+// arbitrary non-negative 64-bit integers; they are remapped to dense IDs
+// in first-appearance order. More than MaxNodes distinct identifiers, or
+// more than 2^31−2^15 edges, are an ErrBadFormat error. Of several errors
+// the first in input order is returned.
+//
+// The parse runs on up to min(GOMAXPROCS−1, 4) goroutines besides the
+// caller's, at least one; the graph, origID and any error do not depend
+// on their number. Only the calling goroutine reads r, and every other
+// goroutine has exited when ReadEdgeList returns.
 //
 // The common line, two unsigned decimals of at most 18 digits separated by
-// ASCII whitespace, is parsed in place from the scanner's bytes; any other
-// line (signs, non-ASCII whitespace, longer numbers, comments, junk) goes
-// through strings.Fields and strconv.ParseInt, which decide what is
-// accepted and word every error. The remap is a table indexed by raw ID
-// while the IDs stay within a constant factor of the number of nodes seen,
-// so it is O(nodes) in memory; sparse or huge IDs fall back to a map.
+// ASCII whitespace, is parsed in place; any other line (signs, non-ASCII
+// whitespace, longer numbers, comments, junk) goes through strings.Fields
+// and strconv.ParseInt, which decide what is accepted and word every
+// error. The remap is a table indexed by raw ID while the IDs stay within
+// a constant factor of the number of nodes seen, so it is O(nodes) in
+// memory; sparse or huge IDs fall back to a map.
 //
 // It returns the graph and origID, where origID[u] is the identifier that
 // dense node u had in the input.
 func ReadEdgeList(r io.Reader) (g *Graph, origID []int64, err error) {
-	ids := denseIDs{limit: MaxNodes}
-	b := NewBuilder(0)
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), maxLineBytes)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		u, v, ok := parseEdge(sc.Bytes())
-		if !ok {
-			var skip bool
-			if u, v, skip, err = parseFields(sc.Text(), lineNo); err != nil {
-				return nil, nil, err
-			}
-			if skip {
-				continue
-			}
-		}
-		du, okU := ids.dense(u)
-		dv, okV := ids.dense(v)
-		if !okU || !okV {
-			return nil, nil, fmt.Errorf("%w: line %d: more than %d distinct node ids", ErrBadFormat, lineNo, ids.limit)
-		}
-		if b.NumEdgesAdded() == maxEdges {
-			return nil, nil, fmt.Errorf("%w: line %d: more than %d edges", ErrBadFormat, lineNo, maxEdges)
-		}
-		b.AddEdge(du, dv)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, nil, fmt.Errorf("graph: read edge list: %w", err)
-	}
-	b.EnsureNodes(len(ids.origID))
-	return b.Build(), ids.origID, nil
+	// The parse gets the cores the caller leaves free, capped as Build is.
+	return readEdgeList(r, max(1, min(runtime.GOMAXPROCS(0)-1, maxBuildWorkers)))
 }
 
 // parseEdge parses the common edge-list line in place: optional ASCII
@@ -181,6 +157,15 @@ func (d *denseIDs) dense(raw int64) (id int, ok bool) {
 	}
 	d.sparse[raw] = id
 	return id, true
+}
+
+// known returns raw's dense ID + 1 if the table holds it, else 0: dense's
+// common case, small enough to inline.
+func (d *denseIDs) known(raw int64) int32 {
+	if uint64(raw) < uint64(len(d.table)) {
+		return d.table[raw]
+	}
+	return 0
 }
 
 // grow widens the table to size entries and moves into it the sparse IDs

@@ -6,13 +6,17 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"runtime"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"testing/iotest"
 	"testing/quick"
+	"time"
 )
 
 func TestReadEdgeListBasic(t *testing.T) {
@@ -156,12 +160,12 @@ func TestReadEdgeListSparseIDs(t *testing.T) {
 	}
 }
 
-// TestReadEdgeListMatchesReference covers, at sizes the fuzzer does not
-// reach, the inputs that move IDs between the dense-ID table and its map:
-// an ID first seen beyond the table's reach and seen again once the table
-// has grown over it, dense IDs in shuffled order, and 1-based IDs listed
-// in both directions.
-func TestReadEdgeListMatchesReference(t *testing.T) {
+// referenceInputs are, at sizes the fuzzer does not reach, the inputs
+// that move IDs between the dense-ID table and its map: an ID first seen
+// beyond the table's reach and seen again once the table has grown over
+// it, dense IDs in shuffled order, and 1-based IDs listed in both
+// directions.
+func referenceInputs() map[string][]byte {
 	rng := rand.New(rand.NewSource(9))
 	var reach, shuffled, both bytes.Buffer
 	fmt.Fprintf(&reach, "50000 7\n")
@@ -177,7 +181,13 @@ func TestReadEdgeListMatchesReference(t *testing.T) {
 		u, v := rng.Intn(5000)+1, rng.Intn(5000)+1
 		fmt.Fprintf(&both, "%d\t%d\n%d\t%d\n", u, v, v, u)
 	}
-	for name, in := range map[string][]byte{"reach": reach.Bytes(), "shuffled": shuffled.Bytes(), "both directions": both.Bytes()} {
+	return map[string][]byte{"reach": reach.Bytes(), "shuffled": shuffled.Bytes(), "both directions": both.Bytes()}
+}
+
+// TestReadEdgeListMatchesReference holds ReadEdgeList to the reference
+// reader on referenceInputs.
+func TestReadEdgeListMatchesReference(t *testing.T) {
+	for name, in := range referenceInputs() {
 		g, orig, err := ReadEdgeList(bytes.NewReader(in))
 		wantG, wantOrig, wantErr := referenceReadEdgeList(bytes.NewReader(in))
 		if err != nil || wantErr != nil {
@@ -185,6 +195,168 @@ func TestReadEdgeListMatchesReference(t *testing.T) {
 		}
 		if !g.Equal(wantG) || !slices.Equal(orig, wantOrig) {
 			t.Fatalf("%s: %d nodes / %d edges, reference %d / %d", name, g.NumNodes(), g.NumEdges(), wantG.NumNodes(), wantG.NumEdges())
+		}
+	}
+}
+
+// errAfter is a reader of data that fails with err once data is used
+// up, returning the error with the last bytes when together is set.
+type errAfter struct {
+	data     []byte
+	err      error
+	together bool
+}
+
+func (r *errAfter) Read(p []byte) (int, error) {
+	n := copy(p, r.data)
+	r.data = r.data[n:]
+	if len(r.data) == 0 && (n == 0 || r.together) {
+		return n, r.err
+	}
+	return n, nil
+}
+
+// pipelineCases are inputs that cross the pipeline's seams: a line
+// across a window boundary, lines at and past the 1 MiB limit, and a
+// parse error before a read error. Each builds a fresh reader.
+func pipelineCases() map[string]func() io.Reader {
+	bytesOf := func(in string) func() io.Reader {
+		return func() io.Reader { return strings.NewReader(in) }
+	}
+	cases := make(map[string]func() io.Reader)
+	for name, in := range referenceInputs() {
+		cases[name] = bytesOf(string(in))
+	}
+	// "1 2\n" lines up to four bytes short of the first window's end,
+	// then one line across it.
+	fill := strings.Repeat("1 2\n", windowBytes/4-1)
+	cases["line across a window boundary"] = bytesOf(fill + "123456 654321\n7 8\n")
+	cases["comment across a window boundary"] = bytesOf(fill + "# a comment\nbad\n")
+	long := func(n int) string { return "3 4 " + strings.Repeat("x", n-4) }
+	cases["line of 1 MiB - 1 bytes"] = bytesOf("1 2\n" + long(maxLineBytes-1) + "\n5 6\n")
+	cases["line of 1 MiB - 2 bytes and CR"] = bytesOf("1 2\n" + long(maxLineBytes-2) + "\r\n5 6\n")
+	cases["line of 1 MiB"] = bytesOf("1 2\n" + long(maxLineBytes) + "\n5 6\n")
+	cases["line over 1 MiB"] = bytesOf("1 2\n" + long(3*maxLineBytes/2) + "\nbad\n")
+	cases["last line of 1 MiB - 1 bytes"] = bytesOf("1 2\n" + long(maxLineBytes-1))
+	cases["last line of 1 MiB"] = bytesOf("1 2\n" + long(maxLineBytes))
+	boom := errors.New("boom")
+	failing := func(in string, together bool) func() io.Reader {
+		return func() io.Reader { return &errAfter{data: []byte(in), err: boom, together: together} }
+	}
+	cases["parse error before read error"] = failing(fill+"1 2\nbad\n3 4\n", false)
+	cases["parse error on the cut line"] = failing(fill+"1 2\n3", true)
+	cases["read error"] = failing(fill+"1 2\n3 4\n", false)
+	cases["read error after an unterminated line"] = failing(fill+"1 2\n3 4", true)
+	cases["read error amid a line over 1 MiB"] = failing("1 2\n"+long(maxLineBytes+10), false)
+	cases["eof with the last bytes"] = func() io.Reader { return iotest.DataErrReader(strings.NewReader(fill + "5 6\n7 8")) }
+	cases["eof with a line of 1 MiB"] = func() io.Reader { return iotest.DataErrReader(strings.NewReader("1 2\n" + long(maxLineBytes))) }
+	return cases
+}
+
+// TestReadEdgeListWorkers holds the pipeline to the reference reader on
+// every worker count from 1 to 4, on pipelineCases read whole, a byte at
+// a time and half a buffer at a time: the same graph, origID and error
+// text. The reference reads each case whole; the cases' readers end the
+// same way whatever the size of the reads.
+func TestReadEdgeListWorkers(t *testing.T) {
+	wrappers := map[string]func(io.Reader) io.Reader{
+		"":               func(r io.Reader) io.Reader { return r },
+		"OneByteReader/": iotest.OneByteReader,
+		"HalfReader/":    iotest.HalfReader,
+	}
+	for name, open := range pipelineCases() {
+		wantG, wantOrig, wantErr := referenceReadEdgeList(open())
+		for wname, wrap := range wrappers {
+			if wname == "OneByteReader/" && strings.Contains(name, "MiB") {
+				continue // a million one-byte reads per run, and the plain and half readers cover these
+			}
+			for workers := 1; workers <= 4; workers++ {
+				g, orig, err := readEdgeList(wrap(open()), workers)
+				if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+					t.Fatalf("%s%s at %d workers: error %v, reference %v", wname, name, workers, err, wantErr)
+				}
+				if err == nil && (!g.Equal(wantG) || !slices.Equal(orig, wantOrig)) {
+					t.Fatalf("%s%s at %d workers: %d nodes / %d edges, reference %d / %d", wname, name, workers, g.NumNodes(), g.NumEdges(), wantG.NumNodes(), wantG.NumEdges())
+				}
+			}
+		}
+	}
+}
+
+// TestReadEdgeListIDCeilingLine: an ID past the ceiling is reported at
+// its own line, counting comment and blank lines and lines in earlier
+// windows, and ahead of a bad line after it.
+func TestReadEdgeListIDCeilingLine(t *testing.T) {
+	in := strings.Repeat("1 2\n# c\n\n", windowBytes/5) + "2 1\n% c\n2 3\nbad\n"
+	wantLine := 3*(windowBytes/5) + 3
+	for workers := 1; workers <= 4; workers++ {
+		m := remap{ids: denseIDs{limit: 2}, b: NewBuilder(0)}
+		err := m.run(strings.NewReader(in), workers)
+		want := fmt.Sprintf("%v: line %d: more than 2 distinct node ids", ErrBadFormat, wantLine)
+		if err == nil || err.Error() != want {
+			t.Fatalf("%d workers: error %v, want %s", workers, err, want)
+		}
+	}
+}
+
+// goid returns the calling goroutine's ID, from the first line of its
+// stack trace ("goroutine 7 [running]:").
+func goid() string {
+	buf := make([]byte, 64)
+	buf = buf[:runtime.Stack(buf, false)]
+	return strings.Fields(string(buf))[1]
+}
+
+// countingReader counts the Read calls made on a goroutine other than
+// owner's, and those made after done is set.
+type countingReader struct {
+	r       io.Reader
+	owner   string
+	done    atomic.Bool
+	foreign atomic.Int64
+	after   atomic.Int64
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	if goid() != c.owner {
+		c.foreign.Add(1)
+	}
+	if c.done.Load() {
+		c.after.Add(1)
+	}
+	return c.r.Read(p)
+}
+
+// TestReadEdgeListLeavesNothingRunning: after a read that succeeds and
+// one that fails early in a long input, the goroutine count falls back
+// to where it was, and r was read only by the caller and only before
+// the return. A worker that has signalled its exit still counts until
+// the runtime has finished it, so the count is polled for a second.
+func TestReadEdgeListLeavesNothingRunning(t *testing.T) {
+	good := referenceInputs()["shuffled"]
+	bad := append([]byte("1 2\nbad\n"), good...)
+	for _, in := range [][]byte{good, bad} {
+		for workers := 1; workers <= 4; workers++ {
+			before := runtime.NumGoroutine()
+			r := &countingReader{r: bytes.NewReader(in), owner: goid()}
+			_, _, err := readEdgeList(r, workers)
+			r.done.Store(true)
+			if (err != nil) != (len(in) == len(bad)) {
+				t.Fatalf("%d workers: error %v", workers, err)
+			}
+			after := runtime.NumGoroutine()
+			for deadline := time.Now().Add(time.Second); after > before && time.Now().Before(deadline); after = runtime.NumGoroutine() {
+				runtime.Gosched()
+			}
+			if after > before {
+				t.Fatalf("%d workers: %d goroutines before the read, %d a second after", workers, before, after)
+			}
+			if n := r.foreign.Load(); n != 0 {
+				t.Fatalf("%d workers: %d reads of r on another goroutine", workers, n)
+			}
+			if n := r.after.Load(); n != 0 {
+				t.Fatalf("%d workers: %d reads of r after the return", workers, n)
+			}
 		}
 	}
 }
@@ -218,6 +390,14 @@ func FuzzReadEdgeList(f *testing.F) {
 		wantG, wantOrig, wantErr := referenceReadEdgeList(bytes.NewReader(data))
 		if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
 			t.Fatalf("error %v, reference %v", err, wantErr)
+		}
+		// The pipeline at two workers, fed a byte at a time.
+		g2, orig2, err2 := readEdgeList(iotest.OneByteReader(bytes.NewReader(data)), 2)
+		if (err2 == nil) != (wantErr == nil) || (err2 != nil && err2.Error() != wantErr.Error()) {
+			t.Fatalf("one byte at a time: error %v, reference %v", err2, wantErr)
+		}
+		if err2 == nil && (!g2.Equal(wantG) || !slices.Equal(orig2, wantOrig)) {
+			t.Fatalf("one byte at a time: graph %v / %v, origID %v; reference %v / %v, %v", g2.offsets, g2.adj, orig2, wantG.offsets, wantG.adj, wantOrig)
 		}
 		if err != nil {
 			if !errors.Is(err, ErrBadFormat) && !errors.Is(err, bufio.ErrTooLong) {

@@ -120,6 +120,11 @@ func (e *LocalityError) Error() string {
 // assignment: for every node u with coreness k, (i) at least k neighbors
 // have coreness >= k, and (ii) at most k neighbors have coreness >= k+1.
 // It returns a *LocalityError for the first violated node, or nil.
+//
+// The check is necessary, not sufficient: a vector below the coreness
+// can pass it (a triangle labelled all 1s does), and the cascade that
+// lowers estimates stops at such a vector if one estimate ever drops
+// too low. Certify is the exact check.
 func VerifyLocality(g *graph.Graph, coreness []int) error {
 	if len(coreness) != g.NumNodes() {
 		return fmt.Errorf("kcore: coreness has %d entries for %d nodes", len(coreness), g.NumNodes())
@@ -140,6 +145,109 @@ func VerifyLocality(g *graph.Graph, coreness []int) error {
 		}
 		if atLeastK1 > k {
 			return &LocalityError{Node: u, Coreness: k, Count: atLeastK1, AtLeast: k + 1}
+		}
+	}
+	return nil
+}
+
+// LevelError is Certify's report that a claimed coreness is too low: in
+// the peel of level Level, node Node, claimed at that level, is left
+// with Residual > Level neighbors no peel has removed.
+type LevelError struct {
+	Level, Node, Residual int
+}
+
+func (e *LevelError) Error() string {
+	return fmt.Sprintf("kcore: node %d: coreness %d is too low: %d neighbors remain after the peel of level %d", e.Node, e.Level, e.Residual, e.Level)
+}
+
+// Certify checks that coreness is exactly g's coreness, in O(n+m) time
+// and without a decomposition of its own. It returns nil, a
+// *LocalityError or a *LevelError.
+//
+// Two checks together are exact. The first is VerifyLocality's
+// condition (i): every node u has at least coreness[u] neighbors whose
+// coreness is at least its own. It proves coreness[u] <= the true
+// coreness, as the nodes claimed at j or more span a subgraph of minimum
+// degree j; a failure is a *LocalityError. The second is a peel by
+// level: in increasing j, it repeatedly removes a node claimed at j with
+// at most j neighbors left. Every node goes only if the removal order,
+// along which the claims never decrease, leaves each node at most its
+// claim of later neighbors, which bounds the true coreness by the claim.
+// A node claimed at j that the peel of level j cannot remove is a
+// *LevelError.
+func Certify(g *graph.Graph, coreness []int) error {
+	n := g.NumNodes()
+	if len(coreness) != n {
+		return fmt.Errorf("kcore: coreness has %d entries for %d nodes", len(coreness), n)
+	}
+	maxK := 0
+	for u := 0; u < n; u++ {
+		k, atLeastK := coreness[u], 0
+		for _, v := range g.Neighbors(u) {
+			if coreness[v] >= k {
+				atLeastK++
+			}
+		}
+		if atLeastK < k {
+			return &LocalityError{Node: u, Coreness: k, Count: atLeastK, AtLeast: k}
+		}
+		if k < 0 {
+			// No node has fewer than 0 neighbors left.
+			return &LevelError{Level: k, Node: u, Residual: g.Degree(u)}
+		}
+		maxK = max(maxK, k)
+	}
+	// Group the nodes by level: level j is byLevel[start[j]:start[j+1]].
+	// Every claim is now at most the node's degree, so maxK < n.
+	start := make([]int32, maxK+2)
+	for _, k := range coreness {
+		start[k+1]++
+	}
+	for j := 1; j < len(start); j++ {
+		start[j] += start[j-1]
+	}
+	byLevel := make([]int32, n)
+	next := append([]int32(nil), start[:maxK+1]...)
+	for u, k := range coreness {
+		byLevel[next[k]] = int32(u)
+		next[k]++
+	}
+	// left[u] counts u's neighbors not yet removed. The removal order is
+	// the queue: peeled[:head] are removed, peeled[head:] wait.
+	left := make([]int32, n)
+	for u := range left {
+		left[u] = int32(g.Degree(u))
+	}
+	gone := make([]bool, n)
+	peeled := make([]int32, 0, n)
+	head := 0
+	for j := 0; j <= maxK; j++ {
+		level := byLevel[start[j]:start[j+1]]
+		for _, u := range level {
+			if left[u] <= int32(j) {
+				peeled = append(peeled, u)
+			}
+		}
+		for ; head < len(peeled); head++ {
+			u := peeled[head]
+			gone[u] = true
+			for _, v := range g.Neighbors(int(u)) {
+				if gone[v] {
+					continue
+				}
+				left[v]--
+				if coreness[v] == j && left[v] == int32(j) {
+					peeled = append(peeled, int32(v))
+				}
+			}
+		}
+		if len(peeled) < int(start[j+1]) {
+			for _, u := range level {
+				if !gone[u] {
+					return &LevelError{Level: j, Node: int(u), Residual: int(left[u])}
+				}
+			}
 		}
 	}
 	return nil

@@ -1,7 +1,9 @@
 package kcore_test
 
 import (
+	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -252,6 +254,114 @@ func TestDecomposeLargeSmokeAgainstNaive(t *testing.T) {
 		for u := 0; u < n; u++ {
 			if a.Coreness(u) != b.Coreness(u) {
 				t.Fatalf("trial %d node %d: bucket %d naive %d", trial, u, a.Coreness(u), b.Coreness(u))
+			}
+		}
+	}
+}
+
+// TestCertifyAcceptsTheCoreness: Certify passes the true coreness of
+// random graphs of every density.
+func TestCertifyAcceptsTheCoreness(t *testing.T) {
+	check := func(seed int64, nRaw, density uint8) bool {
+		n := int(nRaw)%60 + 2
+		m := (int(density) * n * (n - 1) / 2) / 512
+		g := gen.GNM(n, m, seed)
+		return kcore.Certify(g, kcore.Decompose(g).CorenessValues()) == nil
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+	empty := graph.FromEdges(0, nil)
+	if err := kcore.Certify(empty, nil); err != nil {
+		t.Fatalf("empty graph: %v", err)
+	}
+}
+
+// TestCertifyIsExact: on random graphs, a vector that moves one or two
+// nodes off the coreness, by one either way, never passes Certify.
+func TestCertifyIsExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 300; trial++ {
+		n := rng.Intn(50) + 2
+		g := gen.GNM(n, rng.Intn(n*(n-1)/2+1), int64(trial))
+		truth := kcore.Decompose(g).CorenessValues()
+		claim := append([]int(nil), truth...)
+		for i := 0; i <= rng.Intn(2); i++ {
+			claim[rng.Intn(n)] += 2*rng.Intn(2) - 1
+		}
+		if slices.Equal(claim, truth) {
+			continue
+		}
+		if err := kcore.Certify(g, claim); err == nil {
+			t.Fatalf("trial %d: Certify accepted %v, coreness %v", trial, claim, truth)
+		}
+	}
+}
+
+// TestCertifyRejectsTheAllOnesTriangle: a triangle labelled all 1s
+// passes both locality conditions, but its coreness is 2.
+func TestCertifyRejectsTheAllOnesTriangle(t *testing.T) {
+	g := gen.Complete(3)
+	ones := []int{1, 1, 1}
+	if err := kcore.VerifyLocality(g, ones); err != nil {
+		t.Fatalf("VerifyLocality: %v, want it to pass", err)
+	}
+	var le *kcore.LevelError
+	if err := kcore.Certify(g, ones); !errors.As(err, &le) || le.Level != 1 || le.Residual != 2 {
+		t.Fatalf("Certify: %v, want a level-1 LevelError with 2 neighbors left", err)
+	}
+}
+
+// TestCertifyRejectsALoweredFixpoint: lowering one estimate below the
+// coreness and running the paper's cascade (each node's estimate becomes
+// the h-index of its neighbors' estimates, capped at its own) to its
+// fixpoint can end at a vector below the coreness that passes both
+// locality conditions. Certify rejects it.
+func TestCertifyRejectsALoweredFixpoint(t *testing.T) {
+	g := gen.PowerLaw(gen.PowerLawConfig{N: 3000, Exponent: 2.2, MinDeg: 3}, 1)
+	truth := kcore.Decompose(g).CorenessValues()
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 200; trial++ {
+		u := rng.Intn(g.NumNodes())
+		if truth[u] < 2 {
+			continue
+		}
+		est := append([]int(nil), truth...)
+		est[u] = rng.Intn(truth[u])
+		cascade(g, est)
+		if slices.Equal(est, truth) || kcore.VerifyLocality(g, est) != nil {
+			continue
+		}
+		var le *kcore.LevelError
+		if err := kcore.Certify(g, est); !errors.As(err, &le) || est[le.Node] >= truth[le.Node] {
+			t.Fatalf("trial %d: Certify: %v, want a LevelError at a node below its coreness", trial, err)
+		}
+		t.Logf("trial %d: lowered node %d, fixpoint passes VerifyLocality; Certify: %v", trial, u, le)
+		return
+	}
+	t.Fatal("no lowered fixpoint passed VerifyLocality in 200 trials")
+}
+
+// cascade runs the paper's update to its fixpoint: est[u] drops to the
+// largest k <= est[u] with at least k neighbors estimated at k or more.
+func cascade(g *graph.Graph, est []int) {
+	for changed := true; changed; {
+		changed = false
+		for u := 0; u < g.NumNodes(); u++ {
+			k := est[u]
+			for ; k > 0; k-- {
+				atLeast := 0
+				for _, v := range g.Neighbors(u) {
+					if est[v] >= k {
+						atLeast++
+					}
+				}
+				if atLeast >= k {
+					break
+				}
+			}
+			if k < est[u] {
+				est[u], changed = k, true
 			}
 		}
 	}
