@@ -161,7 +161,9 @@ type Report struct {
 	Hosts []HostResult
 	// SpillBytesWritten and SpillBytesRead count bytes moved through the
 	// out-of-core spill directory: the block files, written once by the
-	// spill and read back on every cache miss (OutOfCore only).
+	// spill and read back on every cache miss (OutOfCore only). A block
+	// that fits the memory budget stays resident from the spill and is
+	// never read back, so SpillBytesRead is 0 when the whole graph fits.
 	SpillBytesWritten int64
 	SpillBytesRead    int64
 	// WallTime is the measured wall-clock duration of the run.
@@ -338,6 +340,8 @@ func ListenOn(addr string) EngineOption {
 // element of capacity of each block's decoded offset and arc arrays.
 // Peak heap is the O(n) node state (about 13 bytes per node: estimate,
 // support counter, active flag) plus the budget plus one pinned block.
+// A block that fits the budget beside the blocks kept before it stays
+// resident from the spill and is never read back unless evicted.
 func WithMemoryBudget(bytes int64) EngineOption {
 	return option("WithMemoryBudget", []EngineKind{OutOfCore},
 		func(c *engineConfig) { c.memBudget = bytes })

@@ -153,7 +153,9 @@ func TestEngineReportMetrics(t *testing.T) {
 			"Rounds EstimatesSent Batches Workers"},
 		{"cluster", dkcore.Cluster, engineOptsFor(dkcore.Cluster),
 			"Rounds TotalMessages EstimatesSent Workers Hosts"},
-		{"oocore", dkcore.OutOfCore, engineOptsFor(dkcore.OutOfCore),
+		// A budget under the graph's ~14 KiB of decoded blocks, so that
+		// some blocks are read back.
+		{"oocore", dkcore.OutOfCore, append(engineOptsFor(dkcore.OutOfCore), dkcore.WithMemoryBudget(4<<10)),
 			"Rounds EstimatesSent Batches Workers SpillBytesWritten SpillBytesRead"},
 	}
 	covered := make(map[dkcore.EngineKind]bool)

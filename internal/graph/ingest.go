@@ -6,13 +6,15 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"sync/atomic"
 )
 
 // ReadEdgeList runs as a pipeline of three stages. The calling goroutine
 // reads r in windows of whole lines; parse workers turn each window into
 // raw (u, v) pairs; the calling goroutine takes the parsed windows back in
 // input order, numbers their IDs through one denseIDs and feeds one
-// Builder. Each raw ID is looked up once, by one goroutine, in input
+// Builder, parsing a window itself when it reaches the head before any
+// worker has started it. Each raw ID is looked up once, by one goroutine, in input
 // order, so the numbering is the serial one on any worker count.
 
 const (
@@ -37,7 +39,26 @@ type window struct {
 	pairs [][2]int64    // raw (u, v) of the edge lines, in order
 	lines int           // lines parsed, the bad one included
 	bad   []byte        // the first line that failed to parse, or nil
-	done  chan struct{} // receives once the parse is done
+	done  chan struct{} // receives once a worker's parse is done
+	// claimed is set by whichever goroutine parses the window: a worker
+	// that takes it off the job queue, or the caller when the window
+	// reaches the head of the remap with no worker on it. The other skips
+	// it, so each window handed out is parsed exactly once.
+	claimed atomic.Bool
+}
+
+// claim reports whether the calling goroutine is the one to parse w.
+func (w *window) claim() bool { return w.claimed.CompareAndSwap(false, true) }
+
+// parseJobs is a parse worker: it parses each window off jobs that the
+// caller has not claimed and signals its done.
+func parseJobs(jobs <-chan *window) {
+	for w := range jobs {
+		if w.claim() {
+			w.parse()
+			w.done <- struct{}{}
+		}
+	}
 }
 
 // parse fills w's pairs, lines and bad from its data. The pairs buffer
@@ -200,21 +221,22 @@ func readEdgeList(r io.Reader, workers int) (*Graph, []int64, error) {
 }
 
 // run reads all of r through the pipeline into m. Beside the window
-// being remapped, at most two windows per worker wait for a worker or
-// sit in a parse; remapped windows are reused. Every worker has exited
-// when run returns.
+// being remapped, at most two windows per worker (two at 0 workers) wait
+// for a worker or sit in a parse; remapped windows are reused. The
+// caller parses the head window itself when no worker has started it,
+// so a busy core never stalls the remap behind a queued window; at 0
+// workers it parses every window. Every worker has exited when run
+// returns.
 func (m *remap) run(r io.Reader, workers int) error {
-	// jobs holds at most the queue below, so handing out never blocks.
+	// jobs has room for every window in the queue below, so a hand-out
+	// finds it full only when it also holds windows the caller claimed.
 	jobs := make(chan *window, 2*workers)
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for i := 0; i < workers; i++ {
 		go func() {
 			defer wg.Done()
-			for w := range jobs {
-				w.parse()
-				w.done <- struct{}{}
-			}
+			parseJobs(jobs)
 		}()
 	}
 	defer func() {
@@ -223,8 +245,8 @@ func (m *remap) run(r io.Reader, workers int) error {
 	}()
 
 	rd := windowReader{r: r}
-	// queue holds the windows handed to the workers, in input order.
-	queue := make([]*window, 0, cap(jobs))
+	// queue holds the windows handed out, in input order.
+	queue := make([]*window, 0, 2*max(workers, 1))
 	var free []*window
 	// feed reads windows and hands them out until the queue is full. It
 	// runs before the window taken off the queue is waited for, so the
@@ -243,7 +265,14 @@ func (m *remap) run(r io.Reader, workers int) error {
 				free = append(free, w)
 				return
 			}
-			jobs <- w
+			// Reset only once the window's data is in place: a worker
+			// may still hold it from a hand-out the caller claimed.
+			w.claimed.Store(false)
+			// Skipped on a full jobs: the caller then parses it.
+			select {
+			case jobs <- w:
+			default:
+			}
 			queue = append(queue, w)
 		}
 	}
@@ -251,7 +280,11 @@ func (m *remap) run(r io.Reader, workers int) error {
 		w := queue[0]
 		queue = append(queue[:0], queue[1:]...)
 		feed()
-		<-w.done
+		if w.claim() {
+			w.parse()
+		} else {
+			<-w.done
+		}
 		if err := m.add(w); err != nil {
 			return err
 		}

@@ -283,6 +283,47 @@ func TestReadEdgeListWorkers(t *testing.T) {
 	}
 }
 
+// TestReadEdgeListCallerParses drives the path where the caller parses a
+// window no worker has started, on every window: at 0 workers nothing
+// takes a window off the job queue. The result must still match the
+// reference reader on pipelineCases, read whole and half a buffer at a
+// time.
+func TestReadEdgeListCallerParses(t *testing.T) {
+	for name, open := range pipelineCases() {
+		wantG, wantOrig, wantErr := referenceReadEdgeList(open())
+		for _, wrap := range []func(io.Reader) io.Reader{func(r io.Reader) io.Reader { return r }, iotest.HalfReader} {
+			g, orig, err := readEdgeList(wrap(open()), 0)
+			if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+				t.Fatalf("%s: error %v, reference %v", name, err, wantErr)
+			}
+			if err == nil && (!g.Equal(wantG) || !slices.Equal(orig, wantOrig)) {
+				t.Fatalf("%s: %d nodes / %d edges, reference %d / %d", name, g.NumNodes(), g.NumEdges(), wantG.NumNodes(), wantG.NumEdges())
+			}
+		}
+	}
+}
+
+// TestParseJobsSkipsClaimed: a worker leaves a window the caller has
+// claimed untouched and unsignalled, and parses and signals the rest.
+func TestParseJobsSkipsClaimed(t *testing.T) {
+	stolen := &window{data: []byte("1 2\n"), done: make(chan struct{}, 1)}
+	queued := &window{data: []byte("3 4\n5 6\n"), done: make(chan struct{}, 1)}
+	if !stolen.claim() {
+		t.Fatal("a fresh window was already claimed")
+	}
+	jobs := make(chan *window, 2)
+	jobs <- stolen
+	jobs <- queued
+	close(jobs)
+	parseJobs(jobs)
+	if stolen.pairs != nil || len(stolen.done) != 0 {
+		t.Errorf("claimed window: %d pairs, %d done signals; want it untouched", len(stolen.pairs), len(stolen.done))
+	}
+	if len(queued.pairs) != 2 || len(queued.done) != 1 || queued.claim() {
+		t.Errorf("unclaimed window: %d pairs, %d done signals; want 2 pairs, one signal and a claim", len(queued.pairs), len(queued.done))
+	}
+}
+
 // TestReadEdgeListIDCeilingLine: an ID past the ceiling is reported at
 // its own line, counting comment and blank lines and lines in earlier
 // windows, and ahead of a bad line after it.

@@ -10,7 +10,11 @@
 // decoded adjacency, enforced by a clock-evicting block cache; an
 // estimate drop that leaves a neighbor in another block short of support
 // wakes it by raising its block's active count, so nothing but the
-// read-only blocks ever touches the disk.
+// read-only blocks ever touches the disk. Every block is written, but a
+// block whose decoded rows fit the budget beside the blocks kept before
+// it stays in the cache from the spill on: it is written once and never
+// read back unless evicted, so a graph that fits the budget reads
+// nothing from disk.
 //
 // The subsystem has three layers, one per file: the block store
 // (blockstore.go: write/load/verify of spilled blocks), the budgeted

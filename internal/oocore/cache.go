@@ -7,7 +7,10 @@ package oocore
 // being loaded is larger than the whole budget, or when the dropped
 // arrays it was decoded into carry spare capacity), and all bytes moved
 // through the spill directory in either direction (SpillBytesWritten /
-// SpillBytesRead: block files).
+// SpillBytesRead: block files). A block the spill keeps resident is a
+// hit from its first pass; it is read back, and counts a miss, only
+// after an eviction. When the budget holds the whole graph, Misses and
+// SpillBytesRead are 0.
 type CacheStats struct {
 	Hits              int64 `json:"hits"`
 	Misses            int64 `json:"misses"`
@@ -62,10 +65,11 @@ func (c *cache) get(id int) *entry {
 	return ent
 }
 
-// insert adds a freshly decoded entry and updates the peak watermark.
-// The caller has made room for it with shrink and shrinks again
-// afterwards (with the new entry pinned), in case the reused arrays it
-// decoded into are larger than the room it asked for.
+// insert adds an entry and updates the peak watermark. The spill
+// inserts only a block that fits beside the resident ones; a load has
+// made room for its block with shrink and shrinks again afterwards (with
+// the new entry pinned), in case the reused arrays it decoded into are
+// larger than the room it asked for.
 func (c *cache) insert(ent *entry) {
 	c.resident[ent.id] = ent
 	c.ring = append(c.ring, ent)

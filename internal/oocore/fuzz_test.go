@@ -75,7 +75,8 @@ func (e *engine) checkSupport(g *graph.Graph) error {
 // FuzzOOCoreDecompose holds the out-of-core engine to the sequential
 // oracle on arbitrary small graphs, block sizes and budgets — including
 // budgets below one block, where every pass reloads — and recounts its
-// support counters once it is quiet.
+// support counters once it is quiet. The spill files live in a memFS, so
+// an input costs no fsync and the fuzzer's time goes to the engine.
 func FuzzOOCoreDecompose(f *testing.F) {
 	for _, g := range testGraphs() {
 		f.Add(encodeFuzzInput(g, 8, 1<<10))
@@ -84,7 +85,7 @@ func FuzzOOCoreDecompose(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, blockSize, budget := decodeFuzzInput(data)
 		res, e, err := decompose(context.Background(), g,
-			WithBlockSize(blockSize), WithMemoryBudget(budget), WithSpillDir(t.TempDir()))
+			WithBlockSize(blockSize), WithMemoryBudget(budget), WithFS(newMemFS()))
 		if err != nil {
 			t.Fatalf("n=%d block=%d budget=%d: %v", g.NumNodes(), blockSize, budget, err)
 		}

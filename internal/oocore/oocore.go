@@ -37,7 +37,10 @@ type Option func(*Options)
 // was decoded into them. The engine's peak heap is the O(n) node state
 // (an estimate, a support counter and an active flag per node, about 13
 // bytes) plus the budget plus one pinned block (the block being
-// processed is never dropped). Must be positive.
+// processed is never dropped). The spill keeps every block that fits
+// the budget beside those kept before it, so such a block is written
+// once and never read back unless evicted; at a budget that holds the
+// whole graph nothing is read back. Must be positive.
 func WithMemoryBudget(bytes int64) Option {
 	return func(o *Options) { o.memoryBudget = bytes }
 }
@@ -73,7 +76,9 @@ type Result struct {
 	BlockSize int
 	// Passes counts block passes (load-or-hit, then relax the block's
 	// active nodes until it is quiet) — the out-of-core analogue of
-	// rounds.
+	// rounds. A block the spill kept resident costs its first pass no
+	// load, so the scheduler, which prefers resident blocks, works
+	// through the kept blocks by backlog rather than one load at a time.
 	Passes int
 	// EstimatesSent counts cross-block wake-ups: estimate drops that
 	// lowered the support of a visited node of another block below its
@@ -259,32 +264,50 @@ func spillDir(root string) (string, func() error, error) {
 	return dir, func() error { return os.RemoveAll(dir) }, nil
 }
 
-// spill streams the graph into per-block CSR files through one reused
-// block-sized buffer pair — never materializing a second whole-graph
-// adjacency, which is the point of the exercise — and seeds each
+// spill streams the graph into per-block CSR files and seeds each
 // block's estimates from the rows it just wrote and the degree vector.
+// A block whose rows fit the budget beside the blocks already kept is
+// encoded from arrays of its exact size, which then stay in the cache as
+// a resident entry, charged as a load would charge them: it is written
+// once and never read back unless it is evicted. Every other block is
+// encoded through one reused buffer pair, never materializing a second
+// whole-graph adjacency beyond the budget, and is loaded on its first
+// miss.
 func (e *engine) spill(ctx context.Context, g *graph.Graph) (int64, error) {
-	off := make([]int, 0, e.per+1)
-	var flat []int
+	var off, flat []int // the reused pair of the blocks that do not fit
 	var total int64
 	for b := 0; b < e.blocks; b++ {
 		if err := ctx.Err(); err != nil {
 			return 0, err
 		}
 		lo, hi := e.blockRange(b)
-		off = append(off[:0], 0)
-		flat = flat[:0]
+		arcs := 0
 		for u := lo; u < hi; u++ {
-			flat = append(flat, g.Neighbors(u)...)
-			off = append(off, len(flat))
+			arcs += g.Degree(u)
 		}
-		nb, err := e.store.WriteBlock(b, lo, hi-lo, off, flat)
+		size := 8 * int64(hi-lo+1+arcs)
+		rowOff, rowFlat := off[:0], flat[:0]
+		keep := e.cache.bytes+size <= e.cache.budget
+		if keep {
+			rowOff, rowFlat = make([]int, 0, hi-lo+1), make([]int, 0, arcs)
+		}
+		rowOff = append(rowOff, 0)
+		for u := lo; u < hi; u++ {
+			rowFlat = append(rowFlat, g.Neighbors(u)...)
+			rowOff = append(rowOff, len(rowFlat))
+		}
+		nb, err := e.store.WriteBlock(b, lo, hi-lo, rowOff, rowFlat)
 		if err != nil {
 			return 0, err
 		}
 		total += nb
 		e.stats.SpillBytesWritten += nb
-		e.seed(b, off, flat, g)
+		e.seed(b, rowOff, rowFlat, g)
+		if keep {
+			e.cache.insert(&entry{id: b, off: rowOff, flat: rowFlat, bytes: size})
+		} else {
+			off, flat = rowOff, rowFlat
+		}
 	}
 	return total, nil
 }

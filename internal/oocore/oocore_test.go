@@ -98,9 +98,91 @@ func TestGenerousBudgetNeverEvicts(t *testing.T) {
 	if res.Cache.Evictions != 0 {
 		t.Errorf("default budget evicted %d blocks on a tiny graph", res.Cache.Evictions)
 	}
-	if res.Cache.Misses != int64(res.Blocks) {
-		t.Errorf("misses=%d, want exactly one per block (%d)", res.Cache.Misses, res.Blocks)
+	if res.Cache.Misses != 0 || res.Cache.SpillBytesRead != 0 {
+		t.Errorf("misses=%d, %d bytes read back: every block fits, so none should be",
+			res.Cache.Misses, res.Cache.SpillBytesRead)
 	}
+}
+
+// decodedBytes is what WithMemoryBudget charges to hold every block of
+// g cut into per-node blocks at once: 8 bytes per offset and arc.
+func decodedBytes(g *graph.Graph, per int) int64 {
+	blocks := (g.NumNodes() + per - 1) / per
+	return 8 * int64(g.NumNodes()+blocks+g.NumArcs())
+}
+
+// TestFittingBlocksStayResident: a block the spill pass keeps is never
+// read back. At a budget that holds the whole graph, nothing misses and
+// nothing is read; at seven eighths of it, every kept block is a hit on
+// its first pass and fewer bytes are read than the store holds, which a
+// run that reads every block back at least once can never do.
+func TestFittingBlocksStayResident(t *testing.T) {
+	g := gen.PowerLaw(gen.PowerLawConfig{N: 2000, Exponent: 2.1, MinDeg: 2}, 3)
+	want := kcore.Decompose(g).CorenessValues()
+	const per = 64
+	whole := decodedBytes(g, per)
+
+	res, err := Decompose(context.Background(), g, WithBlockSize(per), WithMemoryBudget(whole))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(res.Coreness, want) {
+		t.Error("whole budget: coreness differs from the sequential oracle")
+	}
+	cs := res.Cache
+	if cs.Misses != 0 || cs.SpillBytesRead != 0 || cs.Evictions != 0 {
+		t.Errorf("whole budget: %d misses, %d bytes read, %d evictions, want none", cs.Misses, cs.SpillBytesRead, cs.Evictions)
+	}
+	if cs.PeakResidentBytes > whole {
+		t.Errorf("whole budget: peak %d resident bytes over the %d-byte budget", cs.PeakResidentBytes, whole)
+	}
+	if cs.Hits != int64(res.Passes) {
+		t.Errorf("whole budget: %d hits over %d passes, want one per pass", cs.Hits, res.Passes)
+	}
+
+	// Seven eighths of it: drive the scheduler by hand to see each
+	// block's first pass.
+	e := newEngine(g, per, NewStoreFS(t.TempDir(), chaos.OS{}), 7*whole/8)
+	storeBytes, err := e.spill(context.Background(), g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := make(map[int]bool)
+	for id := range e.cache.resident {
+		kept[id] = true
+	}
+	if len(kept) == 0 || len(kept) == e.blocks {
+		t.Fatalf("partial budget: spill kept %d of %d blocks, want some", len(kept), e.blocks)
+	}
+	seen, keptHits := make(map[int]bool), 0
+	for {
+		id, ok := e.pick()
+		if !ok {
+			break
+		}
+		misses := e.stats.Misses
+		if err := e.process(context.Background(), id); err != nil {
+			t.Fatal(err)
+		}
+		if kept[id] && !seen[id] {
+			if e.stats.Misses != misses {
+				t.Errorf("partial budget: kept block %d missed on its first pass", id)
+			}
+			keptHits++
+		}
+		seen[id] = true
+	}
+	if !slices.Equal(e.est, want) {
+		t.Error("partial budget: coreness differs from the sequential oracle")
+	}
+	if keptHits == 0 {
+		t.Error("partial budget: no kept block was ever processed")
+	}
+	if e.stats.SpillBytesRead == 0 || e.stats.SpillBytesRead >= storeBytes {
+		t.Errorf("partial budget: read %d bytes of a %d-byte store, want some but fewer", e.stats.SpillBytesRead, storeBytes)
+	}
+	t.Logf("partial budget: kept %d of %d blocks, %d first passes hit, read %d of %d store bytes",
+		len(kept), e.blocks, keptHits, e.stats.SpillBytesRead, storeBytes)
 }
 
 func TestSpillDirLifecycle(t *testing.T) {
@@ -166,6 +248,8 @@ func TestLoadChargesDecodedBytes(t *testing.T) {
 	if _, err := e.spill(context.Background(), g); err != nil {
 		t.Fatal(err)
 	}
+	// The spill kept every block; empty the cache so each load decodes.
+	e.cache = newCache(1<<30, e.stats)
 	for id := 0; id < e.blocks; id++ {
 		ent, err := e.load(id)
 		if err != nil {

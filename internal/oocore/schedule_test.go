@@ -12,8 +12,11 @@ import (
 // TestTightBudgetSchedule gates the I/O schedule where it costs most: on
 // the benchmark's spill-shaped graph (a 60k-node power law cut into
 // 4096-node blocks), read amplification (block bytes read over the
-// store's bytes) and block passes must stay at or under what the
-// per-visit ComputeIndex relax needed at 2 MiB and 4 MiB. The run is
+// store's bytes) and block passes must stay within a fixed margin of
+// what the support-counter relax reads once the spill keeps the blocks
+// that fit: 4.96 and 619 passes at 2 MiB, 0.75 and 470 at 4 MiB. The
+// margins (0.48 and 435 at 2 MiB, 0.13 and 355 at 4 MiB) are those the
+// gate allowed before the spill kept any block. The run is
 // deterministic, so the figures are exact, not sampled.
 func TestTightBudgetSchedule(t *testing.T) {
 	if testing.Short() {
@@ -26,8 +29,8 @@ func TestTightBudgetSchedule(t *testing.T) {
 		maxAmp    float64
 		maxPasses int
 	}{
-		{2 << 20, 5.85, 1078},
-		{4 << 20, 1.75, 1192},
+		{2 << 20, 5.44, 1054},
+		{4 << 20, 0.88, 825},
 	} {
 		res, err := Decompose(context.Background(), g,
 			WithMemoryBudget(tc.budget), WithBlockSize(4096), WithSpillDir(t.TempDir()))
