@@ -14,15 +14,13 @@ import (
 
 // memFS is a chaos.FS held in memory, for tests that run the engine many
 // times and have no use for durability: a Sync costs nothing, and no
-// file reaches the kernel. Directories are implicit; ReadDir lists the
+// spill file reaches the kernel. Directories are implicit; ReadDir lists the
 // files directly under a path. Single-goroutine, like the engine.
 type memFS struct {
 	files map[string][]byte
 }
 
 func newMemFS() *memFS { return &memFS{files: map[string][]byte{}} }
-
-var _ chaos.FS = (*memFS)(nil)
 
 func (m *memFS) ReadFile(name string) ([]byte, error) {
 	data, ok := m.files[name]
