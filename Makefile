@@ -43,7 +43,8 @@
 #                              or coreness state (KC001): methods of
 #                              core.HostState and core.NodeState, the
 #                              out-of-core engine's seed and relax, and
-#                              the parallel peel's cascade
+#                              the cascade of kcore's level peel (which
+#                              Parallel and Certify run)
 #   //dkcore:noctx <why>       opts a deliberately blocking exported
 #                              function out of ctx-first (KC002)
 #   //dkcore:epochinit <why>   marks a pre-publication Epoch initializer
@@ -86,9 +87,8 @@ apicheck:
 
 # lint runs the domain-invariant analyzers over every package: monotone
 # estimate writes (only core.HostState and core.NodeState methods, the
-# out-of-core engine's seed and relax, and the parallel peel's cascade
-# hold the blessing), ctx-first
-# cancellation, decode-before-allocate,
+# out-of-core engine's seed and relax, and the cascade of kcore's level
+# peel hold the blessing), ctx-first cancellation, decode-before-allocate,
 # noalloc hot paths, epoch immutability. docs/INVARIANTS.md catalogues
 # the invariants; the directives above are the escape hatches.
 lint:
@@ -144,6 +144,7 @@ fuzz-short: build
 	$(GO) test -run '^$$' -fuzz FuzzReadBinary -fuzztime $(FUZZTIME) ./internal/graph
 	$(GO) test -run '^$$' -fuzz FuzzOOCoreDecompose -fuzztime $(FUZZTIME) ./internal/oocore
 	$(GO) test -run '^$$' -fuzz FuzzParallelDecompose -fuzztime $(FUZZTIME) ./internal/parallel
+	$(GO) test -run '^$$' -fuzz FuzzCertify -fuzztime $(FUZZTIME) ./internal/kcore
 	$(GO) test -run '^$$' -fuzz FuzzDecodeConfig -fuzztime $(FUZZTIME) ./internal/cluster
 	$(GO) test -run '^$$' -fuzz FuzzDecodeResult -fuzztime $(FUZZTIME) ./internal/cluster
 
@@ -176,9 +177,10 @@ bench-partition: build
 	$(GO) test -run '^$$' -bench BenchmarkPartitionSetup -benchtime $(BENCHTIME) .
 
 # bench-allocs is the allocation-regression gate CI's benchmark-smoke
-# lane runs: the parallel engine's level scans and cascades, and the
-# HostState Apply/ImproveIfDirty/CollectPointToPoint loop the simulator
-# and the cluster host drive, must re-run a warmed state with zero allocations, one
+# lane runs: the level peel's scans and cascades under the parallel
+# engine, and the HostState Apply/ImproveIfDirty/CollectPointToPoint loop
+# the simulator and the cluster host drive, must re-run a warmed state
+# with zero allocations, one
 # waited Session event must publish its epoch in under 64 KiB of
 # allocation, within 2x between a 20k-node and a 200k-node graph (the
 # scale gate: an O(n) or O(m) copy on the publish path fails it), a

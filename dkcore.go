@@ -244,20 +244,23 @@ func WriteBinary(w io.Writer, g *Graph) error { return graph.WriteBinary(w, g) }
 // truth for error traces.
 func Decompose(g *Graph) *Decomposition { return kcore.Decompose(g) }
 
-// VerifyLocality checks the paper's Theorem 1 on a claimed coreness
-// assignment: every node u has at least coreness[u] neighbors with
-// coreness >= coreness[u], and at most coreness[u] with more. The check
-// is necessary, not sufficient: a vector below the true coreness can
-// pass it (a triangle labelled all 1s does). Certify is the exact check.
+// VerifyLocality is the paper's Theorem 1 as a local check on a claimed
+// coreness assignment: every node u has at least coreness[u] neighbors
+// with coreness >= coreness[u], and at most coreness[u] with more. The
+// check is necessary, not sufficient: a vector below the true coreness
+// can pass it (a triangle labelled all 1s does). Certify is the exact
+// check.
 func VerifyLocality(g *Graph, coreness []int) error { return kcore.VerifyLocality(g, coreness) }
 
-// Certify checks that coreness is exactly g's coreness, in O(n+m) time
-// without decomposing g. It checks VerifyLocality's first condition,
-// which bounds the claim from above by the true coreness, then peels g
-// level by level (at level j, it removes nodes claimed at j with at most
-// j neighbors left), which bounds it from below. It returns nil, or an
-// error naming a node that breaks the first condition or that the peel
-// of its level cannot remove.
+// Certify checks that coreness is exactly g's coreness, in O(n+m) work
+// without decomposing g, on GOMAXPROCS worker goroutines (at most one
+// per node), all gone when it returns. It checks VerifyLocality's first
+// condition, which bounds the claim from above by the true coreness,
+// then peels g level by level (at level j, it removes nodes claimed at j
+// with at most j neighbors left), which bounds it from below. It returns
+// nil, or an error naming a node that breaks the first condition or that
+// the peel of its level cannot remove: the lowest failing level, then
+// the lowest node, whatever the worker count.
 func Certify(g *Graph, coreness []int) error { return kcore.Certify(g, coreness) }
 
 // NewRandomAssignment assigns each node to a uniformly random host.

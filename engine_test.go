@@ -18,8 +18,8 @@ func fig2() *dkcore.Graph {
 }
 
 // engineOptsFor returns options that exercise each kind's sharding knobs
-// in tests while keeping runs small.
-func engineOptsFor(kind dkcore.EngineKind) []dkcore.EngineOption {
+// on g in tests while keeping runs small.
+func engineOptsFor(kind dkcore.EngineKind, g *dkcore.Graph) []dkcore.EngineOption {
 	switch kind {
 	case dkcore.OneToMany:
 		return []dkcore.EngineOption{dkcore.Hosts(3), dkcore.DisseminationPolicy(dkcore.PointToPoint)}
@@ -28,12 +28,21 @@ func engineOptsFor(kind dkcore.EngineKind) []dkcore.EngineOption {
 	case dkcore.Cluster:
 		return []dkcore.EngineOption{dkcore.Hosts(2)}
 	case dkcore.OutOfCore:
-		// Tiny blocks and a budget of roughly two blocks force the
-		// eviction/spill machinery even on test-sized graphs.
-		return []dkcore.EngineOption{dkcore.WithBlockSize(16), dkcore.WithMemoryBudget(64 << 10)}
+		return spillOpts(g, 16)
 	default:
 		return nil
 	}
+}
+
+// spillOpts returns out-of-core options of blockSize-node blocks and a
+// budget of a quarter of g's decoded blocks (8 bytes per offset and per
+// arc), so that on a graph of more than one block the spill keeps at
+// most a quarter of it resident and a run that makes a pass reads blocks
+// back: each test leg sized here reaches the load path.
+func spillOpts(g *dkcore.Graph, blockSize int) []dkcore.EngineOption {
+	blocks := (g.NumNodes() + blockSize - 1) / blockSize
+	decoded := 8 * int64(g.NumNodes()+blocks+g.NumArcs())
+	return []dkcore.EngineOption{dkcore.WithBlockSize(blockSize), dkcore.WithMemoryBudget(max(decoded/4, 1))}
 }
 
 func TestEngineKindNamesRoundTrip(t *testing.T) {
@@ -71,7 +80,7 @@ func TestEngineRunAllKinds(t *testing.T) {
 		kind := kind
 		t.Run(kind.String(), func(t *testing.T) {
 			t.Parallel()
-			eng, err := dkcore.NewEngine(kind, engineOptsFor(kind)...)
+			eng, err := dkcore.NewEngine(kind, engineOptsFor(kind, g)...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -143,19 +152,19 @@ func TestEngineReportMetrics(t *testing.T) {
 		{"one2one", dkcore.OneToOne, nil, simulated},
 		{"one2one/ground-truth", dkcore.OneToOne, []dkcore.EngineOption{dkcore.GroundTruth(truth)},
 			simulated + " AvgErrorTrace MaxErrorTrace"},
-		{"one2many", dkcore.OneToMany, engineOptsFor(dkcore.OneToMany),
+		{"one2many", dkcore.OneToMany, engineOptsFor(dkcore.OneToMany, g),
 			simulated + " EstimatesSent Workers"},
 		{"live", dkcore.Live, nil, "TotalMessages"},
 		{"live/max-rounds", dkcore.Live, []dkcore.EngineOption{dkcore.MaxRounds(g.NumNodes())},
 			"Rounds TotalMessages"},
 		{"live-epidemic", dkcore.LiveEpidemic, nil, "Rounds TotalMessages"},
-		{"parallel", dkcore.Parallel, engineOptsFor(dkcore.Parallel),
+		{"parallel", dkcore.Parallel, engineOptsFor(dkcore.Parallel, g),
 			"Rounds EstimatesSent Batches Workers"},
-		{"cluster", dkcore.Cluster, engineOptsFor(dkcore.Cluster),
+		{"cluster", dkcore.Cluster, engineOptsFor(dkcore.Cluster, g),
 			"Rounds TotalMessages EstimatesSent Workers Hosts"},
 		// A budget under the graph's ~14 KiB of decoded blocks, so that
 		// some blocks are read back.
-		{"oocore", dkcore.OutOfCore, append(engineOptsFor(dkcore.OutOfCore), dkcore.WithMemoryBudget(4<<10)),
+		{"oocore", dkcore.OutOfCore, append(engineOptsFor(dkcore.OutOfCore, g), dkcore.WithMemoryBudget(4<<10)),
 			"Rounds EstimatesSent Batches Workers SpillBytesWritten SpillBytesRead"},
 	}
 	covered := make(map[dkcore.EngineKind]bool)
@@ -196,7 +205,7 @@ func TestEngineShardedKindsDegenerateGraphs(t *testing.T) {
 			kind, tc := kind, tc
 			t.Run(kind.String()+"/"+tc.name, func(t *testing.T) {
 				t.Parallel()
-				eng, err := dkcore.NewEngine(kind, engineOptsFor(kind)...)
+				eng, err := dkcore.NewEngine(kind, engineOptsFor(kind, tc.g)...)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -335,7 +344,7 @@ func TestEngineRunPreCancelled(t *testing.T) {
 		kind := kind
 		t.Run(kind.String(), func(t *testing.T) {
 			t.Parallel()
-			eng, err := dkcore.NewEngine(kind, engineOptsFor(kind)...)
+			eng, err := dkcore.NewEngine(kind, engineOptsFor(kind, g)...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -406,7 +415,7 @@ func TestEngineRunMidRunCancel(t *testing.T) {
 			base, maxSize := midRunBase(kind)
 			for size := base; size <= maxSize; size *= 2 {
 				g := midRunGraph(kind, size)
-				eng, err := dkcore.NewEngine(kind, engineOptsFor(kind)...)
+				eng, err := dkcore.NewEngine(kind, engineOptsFor(kind, g)...)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -48,6 +48,11 @@ type FS interface {
 	ReadDir(name string) ([]os.DirEntry, error)
 	// MkdirAll creates the named directory and any missing parents.
 	MkdirAll(path string, perm os.FileMode) error
+	// MkdirTemp creates a new directory in dir (the temp root if empty)
+	// named by pattern, as os.MkdirTemp does, and returns its path.
+	MkdirTemp(dir, pattern string) (string, error)
+	// RemoveAll removes path and everything under it.
+	RemoveAll(path string) error
 }
 
 // OS is the passthrough FS backed by the os package.
@@ -72,6 +77,12 @@ func (OS) ReadDir(name string) ([]os.DirEntry, error) { return os.ReadDir(name) 
 
 // MkdirAll calls os.MkdirAll.
 func (OS) MkdirAll(path string, perm os.FileMode) error { return os.MkdirAll(path, perm) }
+
+// MkdirTemp calls os.MkdirTemp.
+func (OS) MkdirTemp(dir, pattern string) (string, error) { return os.MkdirTemp(dir, pattern) }
+
+// RemoveAll calls os.RemoveAll.
+func (OS) RemoveAll(path string) error { return os.RemoveAll(path) }
 
 // FSPlan configures the fault schedule of one wrapped filesystem.
 // Probabilities are per operation and only consulted while the
@@ -221,6 +232,22 @@ func (f *FaultFS) MkdirAll(path string, perm os.FileMode) error {
 		return ErrCrashed
 	}
 	return f.fs.MkdirAll(path, perm)
+}
+
+// MkdirTemp creates a new directory in dir named by pattern.
+func (f *FaultFS) MkdirTemp(dir, pattern string) (string, error) {
+	if f.crashed.Load() {
+		return "", ErrCrashed
+	}
+	return f.fs.MkdirTemp(dir, pattern)
+}
+
+// RemoveAll removes path and everything under it.
+func (f *FaultFS) RemoveAll(path string) error {
+	if f.crashed.Load() {
+		return ErrCrashed
+	}
+	return f.fs.RemoveAll(path)
 }
 
 // faultFile is the write-side injection point: short writes, EIO, and

@@ -1,6 +1,11 @@
 package core
 
-import "slices"
+import (
+	"context"
+	"slices"
+
+	"dkcore/internal/kcore"
+)
 
 // HostState is the transport-agnostic protocol state machine of a
 // one-to-many host (Algorithms 3–5). It is shared by the simulator
@@ -350,7 +355,11 @@ func (s *HostState) InitEstimates() {
 		}
 		s.Improve()
 	} else {
-		s.peel()
+		// sup is the peel's residual-degree array; an arc to an external
+		// (at +∞ until the first exchange) is never removed. The error is
+		// the context's, and a background context never fires.
+		_ = kcore.BinPeel(context.Background(), len(s.owned), s.adj, s.sup, s.vert, s.pos, s.bins)
+		copy(s.est, s.sup)
 		for l := range s.owned {
 			s.sup[l] = s.countSupport(l)
 		}
@@ -358,58 +367,6 @@ func (s *HostState) InitEstimates() {
 	for l := range s.owned {
 		s.markChanged(l)
 	}
-}
-
-// peel is the Batagelj–Zaversnik bin-sort peel over the owned locals,
-// writing each one's round-0 local fixpoint to est. Residual degrees
-// count every arc, but only owned neighbors are ever peeled, so arcs to
-// externals (at +∞ until the first exchange) are never decremented.
-// sup doubles as the residual-degree array; InitEstimates recounts it.
-//
-//dkcore:estwrite Algorithm 3 initialization: the round-0 local fixpoint
-func (s *HostState) peel() {
-	nOwned := len(s.owned)
-	deg, bins, vert, pos := s.sup, s.bins, s.vert, s.pos
-	for l := 0; l < nOwned; l++ {
-		deg[l] = int32(s.degreeOf(l))
-		bins[deg[l]]++
-	}
-	// Bin starts by prefix sum, then place each node in its bin and
-	// shift the advanced cursors back to the starts.
-	start := int32(0)
-	for d, c := range bins {
-		bins[d] = start
-		start += c
-	}
-	for l := 0; l < nOwned; l++ {
-		pos[l] = bins[deg[l]]
-		vert[pos[l]] = int32(l)
-		bins[deg[l]]++
-	}
-	for d := len(bins) - 1; d > 0; d-- {
-		bins[d] = bins[d-1]
-	}
-	bins[0] = 0
-	for _, lu := range vert {
-		du := deg[lu]
-		for _, lv := range s.adj(int(lu)) {
-			if int(lv) >= nOwned || deg[lv] <= du {
-				continue
-			}
-			// Move lv to the front of its bin, then shrink the bin by
-			// one, lowering lv's residual degree.
-			dv := deg[lv]
-			pv, pw := pos[lv], bins[dv]
-			if w := vert[pw]; w != lv {
-				vert[pv], vert[pw] = w, lv
-				pos[lv], pos[w] = pw, pv
-			}
-			bins[dv]++
-			deg[lv]--
-		}
-	}
-	copy(s.est, deg)
-	clear(bins)
 }
 
 // countSupport counts owned local l's neighbors with estimate at least

@@ -6,9 +6,9 @@ import (
 	"dkcore/internal/graph"
 )
 
-// cancelCheckStride is how many peel steps DecomposeContext executes
-// between context checks: large enough that the check is free, small
-// enough that cancellation lands within a few microseconds of work.
+// cancelCheckStride is how many peel steps BinPeel executes between
+// context checks: large enough that the check is free, small enough
+// that cancellation lands within a few microseconds of work.
 const cancelCheckStride = 8192
 
 // Decompose computes the k-core decomposition of g with the
@@ -16,7 +16,7 @@ const cancelCheckStride = 8192
 // bucket-sorted by current degree and peeled in increasing-degree order,
 // decrementing the effective degree of higher neighbors as they go.
 func Decompose(g *graph.Graph) *Decomposition {
-	d, _ := decompose(context.Background(), g, false)
+	d, _ := DecomposeContext(context.Background(), g)
 	return d
 }
 
@@ -25,79 +25,80 @@ func Decompose(g *graph.Graph) *Decomposition {
 // fired. The sequential algorithm has no rounds, so this is its
 // equivalent of a per-round cancellation point.
 func DecomposeContext(ctx context.Context, g *graph.Graph) (*Decomposition, error) {
-	return decompose(ctx, g, true)
+	n := g.NumNodes()
+	scratch := make([]int32, 3*n+g.MaxDegree()+1)
+	deg, vert, pos := scratch[:n:n], scratch[n:2*n:2*n], scratch[2*n:3*n:3*n]
+	if err := BinPeel(ctx, n, g.Neighbors, deg, vert, pos, scratch[3*n:]); err != nil {
+		return nil, err
+	}
+	coreness, order := make([]int, n), make([]int, n)
+	for i := range deg {
+		coreness[i], order[i] = int(deg[i]), int(vert[i])
+	}
+	return &Decomposition{coreness: coreness, order: order}, nil
 }
 
-func decompose(ctx context.Context, g *graph.Graph, cancellable bool) (*Decomposition, error) {
-	if cancellable {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
+// BinPeel is the Batagelj–Zaversnik bin-sort peel (Snippet 1 of the
+// paper's reference [3]) over nodes [0, n) whose neighbors are row(u).
+// A neighbor at index n or above is never peeled, so its arc is
+// permanent support: a host peels its own nodes this way while every
+// external neighbor still counts.
+//
+// deg, vert and pos hold n entries each; bins holds at least the
+// largest row length plus one entries, all zero, and is all zero again
+// after a run that ends. Then deg[u] is u's coreness in that graph and
+// vert is the peel order, along which the coreness never decreases. ctx
+// is checked every cancelCheckStride nodes; a fired ctx returns
+// ctx.Err().
+//
+//dkcore:noalloc the bin-sort peel behind HostState.InitEstimates' warmed re-runs
+func BinPeel[E int | int32](ctx context.Context, n int, row func(u int) []E, deg, vert, pos, bins []int32) error {
+	if err := ctx.Err(); err != nil {
+		return err
 	}
-	n := g.NumNodes()
-	deg := make([]int, n)
-	maxDeg := 0
 	for u := 0; u < n; u++ {
-		deg[u] = g.Degree(u)
-		if deg[u] > maxDeg {
-			maxDeg = deg[u]
-		}
+		deg[u] = int32(len(row(u)))
+		bins[deg[u]]++
 	}
-
-	// Bucket sort nodes by degree: bin[d] is the start index in vert of
-	// the block of nodes with current degree d.
-	bin := make([]int, maxDeg+2)
-	for _, d := range deg {
-		bin[d]++
+	// Bin starts by prefix sum, then place each node in its bin and
+	// shift the advanced cursors back to the starts.
+	start := int32(0)
+	for d, c := range bins {
+		bins[d] = start
+		start += c
 	}
-	start := 0
-	for d := 0; d <= maxDeg; d++ {
-		count := bin[d]
-		bin[d] = start
-		start += count
-	}
-	bin[maxDeg+1] = start
-
-	vert := make([]int, n) // nodes sorted by current degree
-	pos := make([]int, n)  // position of each node in vert
 	for u := 0; u < n; u++ {
-		pos[u] = bin[deg[u]]
-		vert[pos[u]] = u
-		bin[deg[u]]++
+		pos[u] = bins[deg[u]]
+		vert[pos[u]] = int32(u)
+		bins[deg[u]]++
 	}
-	// Restore bin to block starts.
-	for d := maxDeg; d > 0; d-- {
-		bin[d] = bin[d-1]
+	for d := len(bins) - 1; d > 0; d-- {
+		bins[d] = bins[d-1]
 	}
-	bin[0] = 0
-
-	order := make([]int, 0, n)
-	for i := 0; i < n; i++ {
-		if cancellable && i%cancelCheckStride == cancelCheckStride-1 {
+	bins[0] = 0
+	for i, u := range vert[:n] {
+		if i%cancelCheckStride == cancelCheckStride-1 {
 			if err := ctx.Err(); err != nil {
-				return nil, err
+				return err
 			}
 		}
-		u := vert[i]
-		order = append(order, u)
-		for _, v := range g.Neighbors(u) {
-			if deg[v] <= deg[u] {
+		du := deg[u]
+		for _, v := range row(int(u)) {
+			if int(v) >= n || deg[v] <= du {
 				continue
 			}
-			// Move v to the front of its current-degree block, then
-			// shrink that block by one, decreasing v's degree.
+			// Move v to the front of its bin, then shrink the bin by
+			// one, lowering v's residual degree.
 			dv := deg[v]
-			pv := pos[v]
-			pw := bin[dv]
-			w := vert[pw]
-			if v != w {
-				vert[pv], vert[pw] = w, v
+			pv, pw := pos[v], bins[dv]
+			if w := vert[pw]; w != int32(v) {
+				vert[pv], vert[pw] = w, int32(v)
 				pos[v], pos[w] = pw, pv
 			}
-			bin[dv]++
+			bins[dv]++
 			deg[v]--
 		}
 	}
-	// After peeling, deg[u] holds the coreness of u.
-	return &Decomposition{coreness: deg, order: order}, nil
+	clear(bins)
+	return nil
 }

@@ -1,11 +1,18 @@
-// Package kcore implements centralized k-core decomposition: the
-// Batagelj–Zaversnik O(m) bucket algorithm (the paper's reference [3]) used
-// as ground truth and baseline, a naive peeling reference used to
-// cross-check it, and helpers for inspecting the resulting decomposition.
+// Package kcore implements centralized k-core decomposition and its
+// two peel kernels. BinPeel is the Batagelj–Zaversnik O(m) bin sort
+// (the paper's reference [3]): Decompose runs it as ground truth and
+// baseline, and each one-to-many host runs it over its own nodes.
+// LevelPeel is the level-synchronous frontier peel on P workers:
+// internal/parallel decomposes with it, and Certify checks a claimed
+// coreness exactly with it. A naive peeling reference cross-checks
+// Decompose, and helpers inspect the resulting decomposition.
 package kcore
 
 import (
+	"context"
 	"fmt"
+	"math"
+	"runtime"
 
 	"dkcore/internal/graph"
 )
@@ -116,7 +123,7 @@ func (e *LocalityError) Error() string {
 	return fmt.Sprintf("kcore: node %d: coreness %d but %d neighbors with coreness >= %d", e.Node, e.Coreness, e.Count, e.AtLeast)
 }
 
-// VerifyLocality checks the paper's Theorem 1 on a claimed coreness
+// VerifyLocality is Theorem 1's local check on a claimed coreness
 // assignment: for every node u with coreness k, (i) at least k neighbors
 // have coreness >= k, and (ii) at most k neighbors have coreness >= k+1.
 // It returns a *LocalityError for the first violated node, or nil.
@@ -161,94 +168,34 @@ func (e *LevelError) Error() string {
 	return fmt.Sprintf("kcore: node %d: coreness %d is too low: %d neighbors remain after the peel of level %d", e.Node, e.Level, e.Residual, e.Level)
 }
 
-// Certify checks that coreness is exactly g's coreness, in O(n+m) time
-// and without a decomposition of its own. It returns nil, a
-// *LocalityError or a *LevelError.
+// Certify checks that coreness is exactly g's coreness, in O(n+m) work
+// and without a decomposition of its own, on min(GOMAXPROCS, n)
+// workers that are gone when it returns. It returns nil, a
+// *LocalityError or a *LevelError, the same one whatever the worker
+// count: the lowest node failing condition (i) or claiming below 0,
+// else the lowest node of the lowest level the peel cannot finish.
 //
 // Two checks together are exact. The first is VerifyLocality's
 // condition (i): every node u has at least coreness[u] neighbors whose
 // coreness is at least its own. It proves coreness[u] <= the true
 // coreness, as the nodes claimed at j or more span a subgraph of minimum
-// degree j; a failure is a *LocalityError. The second is a peel by
-// level: in increasing j, it repeatedly removes a node claimed at j with
-// at most j neighbors left. Every node goes only if the removal order,
-// along which the claims never decrease, leaves each node at most its
-// claim of later neighbors, which bounds the true coreness by the claim.
-// A node claimed at j that the peel of level j cannot remove is a
-// *LevelError.
+// degree j; a failure is a *LocalityError. The second is LevelPeel's
+// peel by claimed level: in increasing j, it repeatedly removes a node
+// claimed at j with at most j neighbors left. Every node goes only if
+// the removal order, along which the claims never decrease, leaves each
+// node at most its claim of later neighbors, which bounds the true
+// coreness by the claim. A node claimed at j that the peel of level j
+// cannot remove is a *LevelError.
 func Certify(g *graph.Graph, coreness []int) error {
 	n := g.NumNodes()
 	if len(coreness) != n {
 		return fmt.Errorf("kcore: coreness has %d entries for %d nodes", len(coreness), n)
 	}
-	maxK := 0
-	for u := 0; u < n; u++ {
-		k, atLeastK := coreness[u], 0
-		for _, v := range g.Neighbors(u) {
-			if coreness[v] >= k {
-				atLeastK++
-			}
-		}
-		if atLeastK < k {
-			return &LocalityError{Node: u, Coreness: k, Count: atLeastK, AtLeast: k}
-		}
-		if k < 0 {
-			// No node has fewer than 0 neighbors left.
-			return &LevelError{Level: k, Node: u, Residual: g.Degree(u)}
-		}
-		maxK = max(maxK, k)
+	if n == 0 {
+		return nil
 	}
-	// Group the nodes by level: level j is byLevel[start[j]:start[j+1]].
-	// Every claim is now at most the node's degree, so maxK < n.
-	start := make([]int32, maxK+2)
-	for _, k := range coreness {
-		start[k+1]++
-	}
-	for j := 1; j < len(start); j++ {
-		start[j] += start[j-1]
-	}
-	byLevel := make([]int32, n)
-	next := append([]int32(nil), start[:maxK+1]...)
-	for u, k := range coreness {
-		byLevel[next[k]] = int32(u)
-		next[k]++
-	}
-	// left[u] counts u's neighbors not yet removed. The removal order is
-	// the queue: peeled[:head] are removed, peeled[head:] wait.
-	left := make([]int32, n)
-	for u := range left {
-		left[u] = int32(g.Degree(u))
-	}
-	gone := make([]bool, n)
-	peeled := make([]int32, 0, n)
-	head := 0
-	for j := 0; j <= maxK; j++ {
-		level := byLevel[start[j]:start[j+1]]
-		for _, u := range level {
-			if left[u] <= int32(j) {
-				peeled = append(peeled, u)
-			}
-		}
-		for ; head < len(peeled); head++ {
-			u := peeled[head]
-			gone[u] = true
-			for _, v := range g.Neighbors(int(u)) {
-				if gone[v] {
-					continue
-				}
-				left[v]--
-				if coreness[v] == j && left[v] == int32(j) {
-					peeled = append(peeled, int32(v))
-				}
-			}
-		}
-		if len(peeled) < int(start[j+1]) {
-			for _, u := range level {
-				if !gone[u] {
-					return &LevelError{Level: j, Node: int(u), Residual: int(left[u])}
-				}
-			}
-		}
-	}
-	return nil
+	p := min(runtime.GOMAXPROCS(0), n)
+	lp, _ := NewLevelPeel(g, p, func(u int) int { return u * p / n }) // always in [0, p)
+	defer lp.Close()
+	return lp.Run(context.Background(), coreness, math.MaxInt)
 }

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 	"time"
 
@@ -18,6 +19,7 @@ import (
 // files directly under a path. Single-goroutine, like the engine.
 type memFS struct {
 	files map[string][]byte
+	dirs  int // directories MkdirTemp has named
 }
 
 func newMemFS() *memFS { return &memFS{files: map[string][]byte{}} }
@@ -67,6 +69,20 @@ func (m *memFS) ReadDir(name string) ([]os.DirEntry, error) {
 }
 
 func (m *memFS) MkdirAll(string, os.FileMode) error { return nil }
+
+func (m *memFS) MkdirTemp(dir, pattern string) (string, error) {
+	m.dirs++
+	return filepath.Join(dir, strings.Replace(pattern, "*", strconv.Itoa(m.dirs), 1)), nil
+}
+
+func (m *memFS) RemoveAll(path string) error {
+	for name := range m.files {
+		if name == path || strings.HasPrefix(name, path+string(filepath.Separator)) {
+			delete(m.files, name)
+		}
+	}
+	return nil
+}
 
 // memFile appends its writes to its file in the memFS.
 type memFile struct {

@@ -3,7 +3,6 @@ package oocore
 import (
 	"context"
 	"fmt"
-	"os"
 
 	"dkcore/internal/chaos"
 	"dkcore/internal/graph"
@@ -204,7 +203,7 @@ func decompose(ctx context.Context, g *graph.Graph, opts ...Option) (*Result, *e
 		return &Result{Coreness: []int{}, BlockSize: o.blockSize}, nil, nil
 	}
 
-	dir, cleanup, err := spillDir(o.spillDir)
+	dir, cleanup, err := spillDir(o.fs, o.spillDir)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -248,20 +247,20 @@ func decompose(ctx context.Context, g *graph.Graph, opts ...Option) (*Result, *e
 	}, e, nil
 }
 
-// spillDir resolves the run's working directory: a fresh OS temp dir,
-// or a fresh subdirectory of the user-supplied root. Both are removed
-// by the returned cleanup on success and left behind on crash.
-func spillDir(root string) (string, func() error, error) {
+// spillDir resolves the run's working directory on fs: a fresh temp
+// dir, or a fresh subdirectory of the user-supplied root. Both are
+// removed by the returned cleanup on success and left behind on crash.
+func spillDir(fs chaos.FS, root string) (string, func() error, error) {
 	if root != "" {
-		if err := os.MkdirAll(root, 0o755); err != nil {
+		if err := fs.MkdirAll(root, 0o755); err != nil {
 			return "", nil, fmt.Errorf("oocore: spill dir: %w", err)
 		}
 	}
-	dir, err := os.MkdirTemp(root, "dkcore-oocore-*")
+	dir, err := fs.MkdirTemp(root, "dkcore-oocore-*")
 	if err != nil {
 		return "", nil, fmt.Errorf("oocore: spill dir: %w", err)
 	}
-	return dir, func() error { return os.RemoveAll(dir) }, nil
+	return dir, func() error { return fs.RemoveAll(dir) }, nil
 }
 
 // spill streams the graph into per-block CSR files and seeds each

@@ -18,24 +18,24 @@ import (
 func TestSteadyStateRoundAllocs(t *testing.T) {
 	g := gen.PowerLaw(gen.PowerLawConfig{N: 4000, Exponent: 2.2, MinDeg: 2}, 1)
 	n := g.NumNodes()
-	e, err := newEngine(g, core.BlockAssignment{N: n, H: 4}, 8*(n+1))
+	e, err := kcore.NewLevelPeel(g, 4, core.BlockAssignment{N: n, H: 4}.Host)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e.close()
+	defer e.Close()
 	ctx := context.Background()
 
-	if err := e.run(ctx); err != nil {
+	if err := e.Run(ctx, nil, 8*(n+1)); err != nil {
 		t.Fatal(err)
 	}
-	rounds := e.rounds
+	rounds := e.Levels
 	if rounds < 2 {
 		t.Fatalf("power-law run finished in %d rounds; workload too trivial to gate on", rounds)
 	}
 
 	var runErr error
 	avg := testing.AllocsPerRun(5, func() {
-		runErr = e.run(ctx)
+		runErr = e.Run(ctx, nil, 8*(n+1))
 	})
 	if runErr != nil {
 		t.Fatal(runErr)
@@ -52,7 +52,7 @@ func TestSteadyStateRoundAllocs(t *testing.T) {
 
 	// Re-running warmed state must still produce the exact decomposition.
 	want := kcore.Decompose(g).CorenessValues()
-	got := e.coreness()
+	got := e.Coreness()
 	for u := range want {
 		if got[u] != want[u] {
 			t.Fatalf("re-run coreness diverged at node %d: got %d, want %d", u, got[u], want[u])

@@ -2,8 +2,11 @@ package parallel
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"runtime"
 	"testing"
+	"time"
 
 	"dkcore/internal/core"
 	"dkcore/internal/gen"
@@ -152,25 +155,52 @@ func TestPeelWorkBound(t *testing.T) {
 	n, arcs := g.NumNodes(), int64(g.NumArcs())
 	for _, w := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("w%d", w), func(t *testing.T) {
-			e, err := newEngine(g, core.BlockAssignment{N: n, H: w}, 8*(n+1))
+			e, err := kcore.NewLevelPeel(g, w, core.BlockAssignment{N: n, H: w}.Host)
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer e.close()
-			if err := e.run(context.Background()); err != nil {
+			defer e.Close()
+			if err := e.Run(context.Background(), nil, 8*(n+1)); err != nil {
 				t.Fatal(err)
 			}
-			assertExact(t, g, &Result{Coreness: e.coreness()})
-			var walked int64
-			for _, wk := range e.workers {
-				walked += wk.arcs
-			}
+			assertExact(t, g, &Result{Coreness: e.Coreness()})
+			walked := e.Arcs
 			if walked != arcs {
 				t.Errorf("peel walked %d arcs, want exactly 2m = %d", walked, arcs)
 			}
-			if e.rounds > n {
-				t.Errorf("%d rounds on %d nodes, want at most n", e.rounds, n)
+			if e.Levels > n {
+				t.Errorf("%d rounds on %d nodes, want at most n", e.Levels, n)
 			}
 		})
+	}
+}
+
+// TestDecomposeLeavesNoGoroutine: Decompose's workers are gone once it
+// returns, whether it succeeds, is cancelled or runs out of levels. A
+// worker's last act is to signal the close that waits for it, so its
+// exit can trail Decompose's return by a few instructions; one still
+// running a second later was left behind.
+func TestDecomposeLeavesNoGoroutine(t *testing.T) {
+	g := gen.PowerLaw(gen.PowerLawConfig{N: 500, Exponent: 2.2, MinDeg: 2}, 9)
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for name, tc := range map[string]struct {
+		ctx  context.Context
+		opts []Option
+		ok   func(error) bool
+	}{
+		"success":      {context.Background(), []Option{WithWorkers(4)}, func(err error) bool { return err == nil }},
+		"cancelled":    {cancelled, []Option{WithWorkers(4)}, func(err error) bool { return errors.Is(err, context.Canceled) }},
+		"level budget": {context.Background(), []Option{WithWorkers(4), WithMaxRounds(2)}, func(err error) bool { return err != nil }},
+	} {
+		before := runtime.NumGoroutine()
+		if _, err := Decompose(tc.ctx, g, tc.opts...); !tc.ok(err) {
+			t.Fatalf("%s: Decompose returned %v", name, err)
+		}
+		for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d goroutines after Decompose, %d before", name, runtime.NumGoroutine(), before)
+			}
+		}
 	}
 }

@@ -110,15 +110,16 @@ type Maintainer struct {
 // NewMaintainer returns a Maintainer seeded with g's edges and the exact
 // decomposition of g (computed once with the Batagelj–Zaversnik peel).
 func NewMaintainer(g *graph.Graph) *Maintainer {
-	return newSeeded(g, kcore.Decompose(g).CorenessValues())
+	return newSeeded(g, kcore.Decompose(g))
 }
 
-// newSeeded is the shared constructor: g's edges plus a caller-owned
-// coreness slice the Maintainer takes over. The rows alias g's CSR
-// (g is immutable, and a row is copied before its first write), so
-// seeding allocates a handful of O(n) vectors and no per-node row.
-func newSeeded(g *graph.Graph, coreness []int) *Maintainer {
-	n := g.NumNodes()
+// newSeeded is the shared constructor: g's edges plus d, g's
+// decomposition, whose coreness the Maintainer takes over and whose peel
+// order becomes its k-order. The rows alias g's CSR (g is immutable, and
+// a row is copied before its first write), so seeding allocates a
+// handful of O(n) vectors and no per-node row.
+func newSeeded(g *graph.Graph, d *kcore.Decomposition) *Maintainer {
+	n, coreness := g.NumNodes(), d.CorenessValues()
 	leaves := (n + leafMask) >> leafShift
 	mt := &Maintainer{
 		adj:       make([][]int, n),
@@ -150,7 +151,7 @@ func newSeeded(g *graph.Graph, coreness []int) *Maintainer {
 		}
 		mt.supp[u] = c
 	}
-	mt.seedOrder()
+	mt.seedOrder(d.PeelOrder())
 	// No View exists yet, so the first Publish builds every leaf.
 	for l := 0; l < leaves; l++ {
 		mt.coreDirty.mark(l<<leafShift, mt.gen)
@@ -159,90 +160,40 @@ func newSeeded(g *graph.Graph, coreness []int) *Maintainer {
 	return mt
 }
 
-// seedOrder builds the k-order of the seed graph: levels in ascending
-// order, and within level k the order in which a peel at threshold k
-// removes its nodes — a node goes once at most k of its neighbors remain,
-// and those are the neighbors after it.
-func (mt *Maintainer) seedOrder() {
-	n := len(mt.core)
-	for _, k := range mt.core {
-		mt.maxCore = max(mt.maxCore, k)
+// seedOrder builds the k-order of the seed graph from the bin-sort
+// peel's order: the coreness never decreases along it, and each node has
+// at most its coreness of neighbors after it.
+func (mt *Maintainer) seedOrder(order []int) {
+	pos := mt.dstar // each node's place in order; dstar is zero outside a repair
+	for i, x := range order {
+		pos[x] = i
 	}
-	// byLevel: the nodes sorted by coreness, starts[k] the first of level k.
-	starts := make([]int, mt.maxCore+2)
-	for _, k := range mt.core {
-		starts[k+1]++
-	}
-	for k := 0; k <= mt.maxCore; k++ {
-		starts[k+1] += starts[k]
-	}
-	byLevel := make([]int, n)
-	fill := append([]int(nil), starts...)
-	for x, k := range mt.core {
-		byLevel[fill[k]] = x
-		fill[k]++
-	}
-	// remaining[x]: x's neighbors not yet placed. Every node below x's
-	// level is placed before x's level starts, so it opens at supp[x].
-	remaining := mt.dstar
-	copy(remaining, mt.supp)
-	const placed = 1 // mark value; mt.stamp moves past it before the first repair
-	for len(mt.levels) <= mt.maxCore {
-		mt.levels = append(mt.levels, level{head: -1, tail: -1})
-	}
-	for k := 0; k <= mt.maxCore; k++ {
-		members := byLevel[starts[k]:starts[k+1]]
-		mt.queue = mt.queue[:0]
-		for _, x := range members {
-			if remaining[x] <= k {
-				mt.queue = append(mt.queue, x)
-			}
+	for _, x := range order {
+		k := mt.core[x]
+		for len(mt.levels) <= k {
+			mt.levels = append(mt.levels, level{head: -1, tail: -1})
 		}
-		for i := 0; i < len(mt.queue); i++ {
-			x := mt.queue[i]
-			mt.mark[x] = placed
-			mt.place(x, k, mt.levels[k].tail)
-			mt.dplus[x] = remaining[x]
-			for _, y := range mt.adj[x] {
-				if mt.core[y] == k && mt.mark[y] != placed {
-					remaining[y]--
-					if remaining[y] == k {
-						mt.queue = append(mt.queue, y)
-					}
-				}
-			}
-		}
-		// A peel that stalls means the coreness was not exact (see
-		// NewMaintainerFromCoreness); keep the lists complete anyway.
-		for _, x := range members {
-			if mt.mark[x] != placed {
-				mt.place(x, k, mt.levels[k].tail)
-				mt.dplus[x] = remaining[x]
+		mt.maxCore = k
+		mt.place(x, k, mt.levels[k].tail)
+		for _, y := range mt.adj[x] {
+			if pos[y] > pos[x] {
+				mt.dplus[x]++
 			}
 		}
 	}
-	clear(mt.dstar)
+	clear(pos)
 }
 
-// NewMaintainerFromCoreness returns a Maintainer seeded with g's edges
-// and an externally computed coreness assignment — typically one produced
-// by a distributed engine — avoiding the sequential recomputation that
-// NewMaintainer performs. The assignment is checked against Theorem 1's
-// local fixpoint equations, which rejects shape mismatches, overestimates,
-// and locally inconsistent values. The check cannot reject a consistent
-// underestimate (a fixpoint smaller than the true coreness, e.g. all-ones
-// on a cycle) without redoing the full peel, so callers must supply
-// values from a source that converges to the true coreness — every
-// engine in this module does, since the protocol's estimates approach the
-// largest fixpoint from above.
+// NewMaintainerFromCoreness is NewMaintainer for a coreness assignment
+// computed elsewhere — typically by a distributed engine — that
+// kcore.Certify checks first: it must be exactly g's coreness, and any
+// other vector, a consistent underestimate included, is rejected with
+// Certify's error wrapped.
 func NewMaintainerFromCoreness(g *graph.Graph, coreness []int) (*Maintainer, error) {
-	if len(coreness) != g.NumNodes() {
-		return nil, fmt.Errorf("stream: %d coreness values for %d nodes", len(coreness), g.NumNodes())
-	}
-	if err := kcore.VerifyLocality(g, coreness); err != nil {
+	if err := kcore.Certify(g, coreness); err != nil {
 		return nil, fmt.Errorf("stream: seed coreness rejected: %w", err)
 	}
-	return newSeeded(g, append(make([]int, 0, len(coreness)), coreness...)), nil
+	return NewMaintainer(g), nil
 }
 
 // CoreMembers returns the sorted IDs of every node in the k-core, i.e.

@@ -1,6 +1,7 @@
 package stream_test
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -296,5 +297,56 @@ func TestMaintainerSnapshotMatchesSource(t *testing.T) {
 	}
 	if mt.HasEdge(0, 79) != true || mt.HasEdge(79, 0) != true {
 		t.Fatal("HasEdge misses the inserted edge")
+	}
+}
+
+// TestNewMaintainerFromCorenessCertifies: the seed check is exact. A
+// triangle labelled all 1s and the fixpoint the paper's cascade reaches
+// on a ring after one estimate is lowered both pass Theorem 1's local
+// check, but neither is the coreness, so both are rejected with
+// Certify's *kcore.LevelError wrapped.
+func TestNewMaintainerFromCorenessCertifies(t *testing.T) {
+	ring := gen.Ring(10)
+	lowered := kcore.Decompose(ring).CorenessValues()
+	lowered[0] = 1
+	for changed := true; changed; {
+		changed = false
+		for u := range lowered {
+			// The h-index of u's neighbors' estimates, capped at its own.
+			k := lowered[u]
+			for ; k > 0; k-- {
+				atLeast := 0
+				for _, v := range ring.Neighbors(u) {
+					if lowered[v] >= k {
+						atLeast++
+					}
+				}
+				if atLeast >= k {
+					break
+				}
+			}
+			if k < lowered[u] {
+				lowered[u], changed = k, true
+			}
+		}
+	}
+	for name, tc := range map[string]struct {
+		g     *graph.Graph
+		claim []int
+	}{
+		"all-ones triangle": {gen.Complete(3), []int{1, 1, 1}},
+		"lowered fixpoint":  {ring, lowered},
+	} {
+		if err := kcore.VerifyLocality(tc.g, tc.claim); err != nil {
+			t.Fatalf("%s: VerifyLocality: %v, want it to pass", name, err)
+		}
+		_, err := stream.NewMaintainerFromCoreness(tc.g, tc.claim)
+		var le *kcore.LevelError
+		if !errors.As(err, &le) {
+			t.Fatalf("%s %v: %v, want a wrapped *kcore.LevelError", name, tc.claim, err)
+		}
+	}
+	if _, err := stream.NewMaintainerFromCoreness(ring, kcore.Decompose(ring).CorenessValues()); err != nil {
+		t.Fatalf("the coreness rejected: %v", err)
 	}
 }

@@ -41,18 +41,22 @@ func TestCrossScenarioEquivalence(t *testing.T) {
 			// the engineOptsFor fan-outs (one-to-many on 3 point-to-point
 			// hosts, parallel on 4 workers; the cluster kind runs a real
 			// TCP-loopback deployment).
+			// The out-of-core kind runs 16-node blocks under a quarter
+			// of the graph's decoded size (spillOpts), so it reads blocks
+			// back from the spill on every graph of more than one block.
 			for _, kind := range dkcore.EngineKinds() {
-				rep := runEngine(t, g, kind, engineOptsFor(kind)...)
+				rep := runEngine(t, g, kind, engineOptsFor(kind, g)...)
 				assertSame(t, "engine/"+kind.String(), truth, rep.Coreness)
+				if kind == dkcore.OutOfCore {
+					assertReadBack(t, "engine/"+kind.String(), g, 16, rep)
+				}
 			}
 
-			// Out-of-core under a pathologically tiny budget: 8-node
-			// blocks against a 16 KiB adjacency cache, so on the larger
-			// graphs block passes evict and reload blocks from the spill
-			// directory.
-			tinyRep := runEngine(t, g, dkcore.OutOfCore,
-				dkcore.WithBlockSize(8), dkcore.WithMemoryBudget(16<<10))
+			// Out-of-core at a finer grain: 8-node blocks, evicted and
+			// reloaded under the same quarter-size budget.
+			tinyRep := runEngine(t, g, dkcore.OutOfCore, spillOpts(g, 8)...)
 			assertSame(t, "oocore-tiny", truth, tinyRep.Coreness)
+			assertReadBack(t, "oocore-tiny", g, 8, tinyRep)
 
 			if err := dkcore.VerifyLocality(g, truth); err != nil {
 				t.Fatalf("locality: %v", err)
@@ -187,6 +191,17 @@ func assertSame(t *testing.T, scenario string, want, got []int) {
 		if got[u] != want[u] {
 			t.Fatalf("%s: node %d: coreness %d, want %d", scenario, u, got[u], want[u])
 		}
+	}
+}
+
+// assertReadBack fails a test leg of blockSize-node out-of-core blocks
+// that read nothing back on a graph of more than one block. A run that
+// makes no pass (Rounds 0: the spill's seed estimates are already the
+// coreness, as on a star) has nothing to load and is exempt.
+func assertReadBack(t *testing.T, scenario string, g *dkcore.Graph, blockSize int, rep *dkcore.Report) {
+	t.Helper()
+	if g.NumNodes() > blockSize && rep.Rounds > 0 && rep.SpillBytesRead == 0 {
+		t.Errorf("%s: %d nodes in %d-node blocks read no spill bytes back in %d passes", scenario, g.NumNodes(), blockSize, rep.Rounds)
 	}
 }
 

@@ -95,7 +95,7 @@ func TestSessionFromEveryEngineKind(t *testing.T) {
 		kind := kind
 		t.Run(kind.String(), func(t *testing.T) {
 			t.Parallel()
-			eng, err := dkcore.NewEngine(kind, engineOptsFor(kind)...)
+			eng, err := dkcore.NewEngine(kind, engineOptsFor(kind, g)...)
 			if err != nil {
 				t.Fatal(err)
 			}
