@@ -30,7 +30,8 @@
 #   make loc         print the non-test Go line count without benchmark/
 #                    and testdata (the size figure ROADMAP's gates use)
 #   make ci          build + vet (incl. gofmt gate) + apicheck + lint +
-#                    test + examples + race + fuzz-short + chaos-smoke
+#                    test-budget + examples + race + fuzz-short +
+#                    chaos-smoke + bench-allocs: what CI's jobs run
 #
 # .github/workflows/ci.yml runs build+vet+apicheck+lint+test+examples+
 # test-budget as the fast lane and race / fuzz-short / chaos smoke / bench smoke as
@@ -211,4 +212,4 @@ loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './.*' ! -path './benchmark/*' ! -path '*/testdata/*' -print0 | \
 		xargs -0 cat | wc -l
 
-ci: build vet apicheck lint test examples race fuzz-short chaos-smoke
+ci: build vet apicheck lint test-budget examples race fuzz-short chaos-smoke bench-allocs

@@ -86,14 +86,29 @@ func chaosPool(n int) []*graph.Graph {
 	return pool
 }
 
+// quarterBudget returns the out-of-core memory budget of a quarter of
+// g's decoded blocks of blockSize nodes (8 bytes per offset and per
+// arc), so that on a graph of more than one block the spill keeps at
+// most a quarter of it resident and a run reads blocks back.
+func quarterBudget(g *graph.Graph, blockSize int) int64 {
+	blocks := (g.NumNodes() + blockSize - 1) / blockSize
+	return max(8*int64(g.NumNodes()+blocks+g.NumArcs())/4, 1)
+}
+
 // TestChaosEquivalenceOOCore runs the out-of-core engine against a
-// filesystem that tears block-file renames, fails writes, and cuts
-// writes short. Block files are the only spilled state and cannot be
-// rebuilt, so every run must end in the exact answer or a structured
+// filesystem that tears block-file renames, fails writes and reads, and
+// cuts writes short. Block files are the only spilled state and cannot
+// be rebuilt, so every run must end in the exact answer or a structured
 // error: a torn block is caught by its checksum, an I/O error surfaces
-// as a chaos error.
+// as a chaos error. The budget holds a quarter of the graph, so every
+// run that succeeds has read blocks back through the faulty FS. A run
+// the injector drew no fault for must succeed, and at least one run of
+// the leg must reach the oracle's coreness, so that neither half of the
+// check can go empty unseen.
 func TestChaosEquivalenceOOCore(t *testing.T) {
+	const blockSize = 32
 	base := chaosBaseSeed(t)
+	exact := 0
 	for i, g := range chaosPool(chaosGraphCount(t)) {
 		seed := base + int64(i)
 		in := chaos.NewInjector(seed, 5)
@@ -101,15 +116,19 @@ func TestChaosEquivalenceOOCore(t *testing.T) {
 			TornRenameProb:  0.25,
 			TornRenameMatch: ".blk",
 			ErrProb:         0.01,
+			ReadErrProb:     0.01,
 			ShortProb:       0.01,
 		})
 		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-		res, err := oocore.Decompose(ctx, g,
-			oocore.WithBlockSize(32), oocore.WithMemoryBudget(8<<10), oocore.WithFS(fs))
+		res, err := oocore.Decompose(ctx, g, oocore.WithBlockSize(blockSize),
+			oocore.WithMemoryBudget(quarterBudget(g, blockSize)), oocore.WithFS(fs))
 		cancel()
 		if err != nil {
 			if err.Error() == "" {
 				t.Fatalf("graph %d seed %d: unstructured empty error\nfault log:\n%s", i, seed, in.LogString())
+			}
+			if len(in.Events()) == 0 {
+				t.Fatalf("graph %d seed %d: failed with no fault injected: %v", i, seed, err)
 			}
 			continue // clean structured failure is an accepted outcome
 		}
@@ -117,6 +136,13 @@ func TestChaosEquivalenceOOCore(t *testing.T) {
 		if !slices.Equal(res.Coreness, want) {
 			t.Fatalf("graph %d seed %d: wrong coreness under faults\nfault log:\n%s", i, seed, in.LogString())
 		}
+		if res.Cache.SpillBytesRead == 0 {
+			t.Fatalf("graph %d seed %d: no block was read back (%d blocks, %d passes)", i, seed, res.Blocks, res.Passes)
+		}
+		exact++
+	}
+	if exact == 0 {
+		t.Fatalf("seed %d: no run reached the oracle's coreness; the equivalence half checked nothing", base)
 	}
 }
 

@@ -10,30 +10,26 @@ import (
 // HostState is the transport-agnostic protocol state machine of a
 // one-to-many host (Algorithms 3–5). It is shared by the simulator
 // adapter in this package and the networked host in internal/cluster,
-// which both drive it through the same calls: callers feed it incoming batches (Apply), run
-// the cascade (ImproveIfDirty) and ask it for outgoing batches
-// (CollectPointToPoint or CollectBroadcast); the state machine neither
-// knows nor cares how batches travel. Batches always name nodes by
-// global ID.
+// which both drive it through the same calls: callers feed it incoming
+// batches (Apply), run the cascade (ImproveIfDirty) and ask it for
+// outgoing batches (CollectPointToPoint or CollectBroadcast); the state
+// machine neither knows nor cares how batches travel. Batches always
+// name nodes by global ID.
 //
 // Internally every tracked node (owned or external neighbor) gets a
 // compact local index — owned nodes occupy [0, len(owned)), externals
 // follow — so per-node state lives in dense slices sized by the
 // partition, not the graph, and the cascade's hot loop never touches a
 // map; global IDs are translated only at the batch boundary, by one
-// table built at construction (see lookup). The cascade itself is
-// worklist-driven and incremental on one support counter per owned
-// node: sup[l] is the number of l's neighbors whose estimate is at
-// least est[l], a pure function of the estimate vector. InitEstimates
-// seeds the round-0 local fixpoint with a bin-sort peel and counts sup
-// in one pass over the arcs; a neighbor drop costs O(1) (decrement the
-// counters it crosses), and only a node whose support fell below its
-// estimate is enqueued. Improve recomputes such a node with one pass
-// over its adjacency that yields both the new estimate and the new
-// support, and every such pass lowers the estimate, so total work is
-// O(Σ drops × degree). The recompute-from-scratch path survives behind
-// SetOracleRefine as the executable specification for differential
-// tests and benchmarks.
+// table built at construction (see lookup). The cascade is
+// worklist-driven on the support-counter kernel (support.go) that the
+// out-of-core engine shares: InitEstimates seeds the round-0 local
+// fixpoint with a bin-sort peel and counts each owned node's support, a
+// neighbor drop costs O(1) per counter it crosses, and only a node whose
+// support fell below its estimate is enqueued, to be lowered by one pass
+// over its adjacency, so total work is O(Σ drops × degree). The
+// recompute-from-scratch path survives behind SetOracleRefine as the
+// executable specification for differential tests and benchmarks.
 //
 // Buffer-reuse contract: CollectBroadcast and CollectPointToPoint return
 // double-buffered storage owned by the HostState — a returned batch (and
@@ -75,15 +71,18 @@ type HostState struct {
 
 	// sup[l] counts owned local l's neighbors with estimate >= est[l]
 	// (externals at InfEstimate always count). Maintained by Apply and
-	// Improve unless the oracle path is selected.
+	// Improve unless the oracle path is selected. Externals, at local
+	// indices >= len(sup), keep none.
 	sup []int32
 	// Scratch retained across runs so a warmed state re-runs without
 	// allocating: vert and pos are the bin-sort peel's order and
 	// positions (per owned local); bins (maxDeg+1 entries) holds the
 	// peel's bin starts in InitEstimates and the recompute's clamped
-	// neighbor-estimate counts in Improve, and is all zero between uses.
+	// neighbor-estimate counts in Improve, and is all zero between uses;
+	// woken holds the owned locals a Drop left below their estimate.
 	vert, pos []int32
 	bins      []int32
+	woken     []int32
 
 	changed     []bool  // owned local marked since last collection
 	changedList []int32 // the marked locals; sized for all of them
@@ -361,26 +360,12 @@ func (s *HostState) InitEstimates() {
 		_ = kcore.BinPeel(context.Background(), len(s.owned), s.adj, s.sup, s.vert, s.pos, s.bins)
 		copy(s.est, s.sup)
 		for l := range s.owned {
-			s.sup[l] = s.countSupport(l)
+			s.sup[l] = Support(s.adj(l), s.est, s.est[l])
 		}
 	}
 	for l := range s.owned {
 		s.markChanged(l)
 	}
-}
-
-// countSupport counts owned local l's neighbors with estimate at least
-// its own. O(degree).
-//
-//dkcore:noalloc adjacency scan
-func (s *HostState) countSupport(l int) int32 {
-	k, n := s.est[l], int32(0)
-	for _, lv := range s.adj(l) {
-		if s.est[lv] >= k {
-			n++
-		}
-	}
-	return n
 }
 
 // Apply lowers known estimates from an incoming batch. A lowered
@@ -424,8 +409,8 @@ func (s *HostState) Apply(batch Batch) bool {
 					}
 				}
 			} else {
-				s.sup[lu] = s.countSupport(lu)
-				s.propagateDrop(lu, a, b)
+				s.sup[lu] = Support(s.adj(lu), s.est, b)
+				s.wake(Drop(s.adj(lu), s.est, s.sup, a, b, s.woken[:0]))
 			}
 			s.enqueue(lu)
 		} else if s.oracle {
@@ -435,38 +420,20 @@ func (s *HostState) Apply(batch Batch) bool {
 				}
 			}
 		} else {
-			for _, lo := range s.revOf(lu) {
-				s.lowerOwned(int(lo), a, b)
-			}
+			s.wake(Drop(s.revOf(lu), s.est, s.sup, a, b, s.woken[:0]))
 		}
 	}
 	return improved
 }
 
-// lowerOwned records neighbor drop a→b at owned local lu: the neighbor
-// stops supporting lu exactly when b < est[lu] <= a, and lu is enqueued
-// once its support falls below its estimate. O(1).
-//
-//dkcore:noalloc O(1) counter update on the cascade hot loop
-func (s *HostState) lowerOwned(lu int, a, b int32) {
-	if k := s.est[lu]; b < k && k <= a {
-		s.sup[lu]--
-		if s.sup[lu] < k {
-			s.enqueue(lu)
-		}
-	}
-}
-
-// propagateDrop pushes owned local lv's estimate drop a→b into the
-// support counters of its owned neighbors.
+// wake enqueues woken in order and keeps the buffer for the next Drop.
 //
 //dkcore:noalloc cascade hot loop
-func (s *HostState) propagateDrop(lv int, a, b int32) {
-	for _, lu := range s.adj(lv) {
-		if s.ownedLocal(lu) {
-			s.lowerOwned(int(lu), a, b)
-		}
+func (s *HostState) wake(woken []int32) {
+	for _, l := range woken {
+		s.enqueue(int(l))
 	}
+	s.woken = woken
 }
 
 // Improve is Algorithm 4: cascade refinement over the enqueued owned
@@ -475,15 +442,14 @@ func (s *HostState) propagateDrop(lv int, a, b int32) {
 // order lets a node absorb every pending neighbor drop before its own
 // recomputation, so chains converge in one pass per level. A node whose
 // support is still intact, or whose estimate is at the floor of 1, is
-// skipped in O(1); any other is recomputed by refine, which always
+// skipped in O(1); any other is recomputed by Refine, which always
 // lowers it.
 //
 //dkcore:estwrite Algorithm 4's refinement: the only path that lowers owned estimates
 //dkcore:noalloc the cascade hot loop, gated by TestRefineSteadyStateAllocs
 func (s *HostState) Improve() {
 	if s.oracle {
-		s.improveOracle()
-		return
+		s.improveOracle() // drains the queue, so the loop below does nothing
 	}
 	for s.qhead < len(s.queue) {
 		lu := s.queue[s.qhead]
@@ -493,37 +459,14 @@ func (s *HostState) Improve() {
 		if k <= 1 || s.sup[lu] >= k {
 			continue
 		}
-		nk := s.refine(lu, k)
-		s.est[lu] = nk
+		nk, sup := Refine(s.adj(lu), s.est, k, s.bins)
+		s.est[lu], s.sup[lu] = nk, sup
 		s.markChanged(lu)
-		s.propagateDrop(lu, k, nk)
+		s.wake(Drop(s.adj(lu), s.est, s.sup, k, nk, s.woken[:0]))
 	}
 	s.queue = s.queue[:0]
 	s.qhead = 0
 	s.dirty = false
-}
-
-// refine is Algorithm 2 fused with the support count: one pass over
-// owned local lu's adjacency buckets its neighbors' estimates clamped to
-// its current estimate k, and a walk down from k finds the largest
-// i <= k with at least i neighbors at or above i (floored at 1, as
-// ComputeIndex floors it). That count is lu's support under the new
-// estimate, stored in sup; the new estimate is returned. O(degree).
-//
-//dkcore:noalloc the cascade hot loop; bins is retained scratch
-func (s *HostState) refine(lu int, k int32) int32 {
-	cnt := s.bins[:k+1]
-	for _, lv := range s.adj(lu) {
-		cnt[min(s.est[lv], k)]++
-	}
-	i, sup := k, cnt[k]
-	for i > 1 && sup < i {
-		i--
-		sup += cnt[i]
-	}
-	clear(cnt)
-	s.sup[lu] = sup
-	return i
 }
 
 // improveOracle is the retained recompute-from-scratch cascade: gather
@@ -559,9 +502,6 @@ func (s *HostState) improveOracle() {
 			}
 		}
 	}
-	s.queue = s.queue[:0]
-	s.qhead = 0
-	s.dirty = false
 }
 
 // ImproveIfDirty runs Improve only when an Apply lowered something since

@@ -1,29 +1,17 @@
 package core
 
 // This file holds the incremental counterpart of ComputeIndex for the
-// per-node machine. Instead of recomputing Algorithm 2 over a node's full
-// neighbor list on every message, a Refiner maintains a small histogram
-// of the neighbors' estimates clamped to the node's own current estimate
-// k — cnt[j] is the number of neighbors whose clamped estimate is exactly
-// j, so the suffix sum S(i) = Σ_{j>=i} cnt[j] is "how many neighbors have
-// estimate >= i", the quantity Algorithm 2 thresholds against.
-//
-// The histogram admits an O(1) update when a neighbor's estimate drops
-// (move one unit of mass between two buckets), and the node itself only
-// needs recomputation when the top bucket — its support, the number of
-// neighbors with estimate >= k — falls below k. The recomputation walks
-// the histogram downward from k accumulating the suffix sum until it
-// meets the Algorithm 2 fixpoint, then folds the now-unreachable buckets
-// above the new estimate into the new top bucket; its cost is the number
-// of levels walked, i.e. the size of the estimate drop, not the node's
-// degree. That suits a node that takes one message at a time. HostState,
-// which cascades a whole partition per batch, keeps only the top bucket
-// — one support counter per node — and recomputes a deficient node with
-// one pass over its adjacency (hoststate.go).
-//
-// ComputeIndex remains the executable specification: a histogram-driven
-// refinement must produce exactly the estimates the O(deg) recomputation
-// would, which the differential tests assert at every step.
+// per-node machine. A Refiner keeps a histogram of the neighbors'
+// estimates clamped to the node's own estimate k (cnt[j] counts the
+// neighbors at exactly j), so a neighbor's drop moves one unit between
+// two buckets in O(1), and the node needs recomputing only when its top
+// bucket, its support, falls below k. The recomputation is the kernel's
+// HIndex walk (support.go) from k down, whose cost is the size of the
+// drop, not the degree; that suits a node that takes one message at a
+// time. HostState and the out-of-core engine, which cascade many nodes
+// per pass, keep only the support counter (the kernel's Refine and
+// Drop). ComputeIndex remains the executable specification that the
+// differential tests hold both to.
 
 // Refiner packages the incremental support histogram for NodeState, the
 // per-node machine under every engine that keeps one independent state
@@ -34,8 +22,8 @@ package core
 // The zero value is a degree-0 node (estimate 0); call Rebuild to bind it
 // to a real estimate vector.
 type Refiner struct {
-	k   int   // current estimate; mirrors the owning node's estimate
-	cnt []int // clamped histogram, len == initial k + 1
+	k   int     // current estimate; mirrors the owning node's estimate
+	cnt []int32 // clamped histogram, len == initial k + 1
 }
 
 // Rebuild resets the refiner to estimate k over the given raw neighbor
@@ -45,7 +33,7 @@ type Refiner struct {
 func (r *Refiner) Rebuild(k int, est []int) {
 	r.k = k
 	if cap(r.cnt) < k+1 {
-		r.cnt = make([]int, k+1)
+		r.cnt = make([]int32, k+1)
 	} else {
 		r.cnt = r.cnt[:k+1]
 		clear(r.cnt)
@@ -81,7 +69,7 @@ func (r *Refiner) Lower(a, b int) (deficient bool) {
 	}
 	r.cnt[a]--
 	r.cnt[b]++
-	return a == k && r.cnt[k] < k
+	return a == k && int(r.cnt[k]) < k
 }
 
 // Deficient reports whether fewer than k neighbors currently have
@@ -90,7 +78,7 @@ func (r *Refiner) Lower(a, b int) (deficient bool) {
 //
 //dkcore:noalloc per-message query on engine hot loops
 func (r *Refiner) Deficient() bool {
-	return r.k > 0 && r.cnt[r.k] < r.k
+	return r.k > 0 && int(r.cnt[r.k]) < r.k
 }
 
 // Refine walks the histogram down to the Algorithm 2 fixpoint, folds the
@@ -104,16 +92,12 @@ func (r *Refiner) Refine() int {
 	if k <= 0 {
 		return k
 	}
-	// Walk down to the largest i <= k with S(i) >= i, floored at 1 as
-	// ComputeIndex floors it, then fold the buckets in (i, k] into the
-	// new top bucket so the histogram is valid under the new clamp.
-	i, sup := k, r.cnt[k]
-	for i > 1 && sup < i {
-		i--
-		sup += r.cnt[i]
-	}
+	// Walk down to the largest i <= k with S(i) >= i, then fold the
+	// buckets in (i, k] into the new top bucket so the histogram is valid
+	// under the new clamp.
+	i, sup := HIndex(r.cnt[:k+1])
 	clear(r.cnt[i+1 : k+1])
 	r.cnt[i] = sup
-	r.k = i
-	return i
+	r.k = int(i)
+	return r.k
 }

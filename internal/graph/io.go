@@ -249,8 +249,10 @@ func WriteBinary(w io.Writer, g *Graph) error {
 }
 
 // ReadBinary reads a graph written by WriteBinary. A node count above
-// MaxNodes is an ErrBadFormat error. Memory grows with the nodes and
-// arcs actually decoded, not with the counts the header claims.
+// MaxNodes, and a graph that is not simple and undirected (a repeated
+// neighbor, a self-loop, or an arc without its twin), are ErrBadFormat
+// errors. Memory grows with the nodes and arcs actually decoded, not
+// with the counts the header claims.
 func ReadBinary(r io.Reader) (*Graph, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(binaryMagic))
@@ -287,17 +289,30 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 			if err != nil {
 				return nil, fmt.Errorf("graph: read binary: node %d: %w", u, err)
 			}
+			if delta >= uint64(n-prev) { // before the sum, which it could wrap
+				return nil, fmt.Errorf("%w: node %d has neighbor %d+%d >= %d", ErrBadFormat, u, prev, delta, n)
+			}
 			v := prev + int(delta)
-			if v >= n {
-				return nil, fmt.Errorf("%w: node %d has neighbor %d >= %d", ErrBadFormat, u, v, n)
+			if v == u || (delta == 0 && i > 0) {
+				return nil, fmt.Errorf("%w: node %d lists itself or neighbor %d twice", ErrBadFormat, u, v)
 			}
 			adj = append(adj, v)
 			prev = v
 		}
 	}
-	g := &Graph{offsets: offsets, adj: adj}
-	if g.NumArcs()%2 != 0 {
-		return nil, fmt.Errorf("%w: odd arc count %d", ErrBadFormat, g.NumArcs())
+	// Every arc has its twin, checked in one pass: with rows strictly
+	// ascending and nodes visited in order, matched[v] counts v's smaller
+	// neighbors seen so far, the twin of arc u→v, v > u, sits at position
+	// matched[v] of v's row, and u's row past its matched prefix holds no
+	// smaller node.
+	matched := make([]int32, len(offsets)-1)
+	for u := range matched {
+		for _, v := range adj[offsets[u]+int(matched[u]) : offsets[u+1]] {
+			if p := offsets[v] + int(matched[v]); v < u || p == offsets[v+1] || adj[p] != u {
+				return nil, fmt.Errorf("%w: arc %d→%d has no twin", ErrBadFormat, u, v)
+			}
+			matched[v]++
+		}
 	}
-	return g, nil
+	return &Graph{offsets: offsets, adj: adj}, nil
 }

@@ -516,8 +516,53 @@ func TestReadBinaryClaimedNodesCostNothing(t *testing.T) {
 	}
 }
 
-// FuzzReadBinary: ReadBinary never panics, and whatever it accepts
-// survives a WriteBinary round trip unchanged.
+// maxUvarint is the uvarint encoding of 2^64-1.
+const maxUvarint = "\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01"
+
+// TestReadBinaryRejectsNonSimple: a row that repeats a neighbor, a
+// self-loop, an arc without its twin and a row that is not ascending
+// each break the simple, undirected invariant every engine assumes, and
+// each is ErrBadFormat.
+func TestReadBinaryRejectsNonSimple(t *testing.T) {
+	for _, tc := range []struct{ name, data string }{
+		{"repeated neighbor", "DKG1\x02\x02\x01\x00\x00"},
+		{"self-loop", "DKG1\x02\x01\x01\x01\x01"},
+		{"arc without twin", "DKG1\x03\x01\x01\x01\x02\x00"},
+		// A gap of 2^64-1 wraps to -1 if summed unchecked: a negative
+		// neighbor, and a row that steps back from 2 to 1.
+		{"gap wraps negative", "DKG1\x02\x01" + maxUvarint + "\x01\x00"},
+		{"gap steps back", "DKG1\x03\x02\x02" + maxUvarint + "\x01\x00\x01\x00"},
+	} {
+		if g, err := ReadBinary(strings.NewReader(tc.data)); !errors.Is(err, ErrBadFormat) {
+			t.Errorf("%s: got graph %v, error %v; want ErrBadFormat", tc.name, g, err)
+		}
+	}
+}
+
+// checkSimple reports the first way g breaks the simple, undirected
+// invariant: a row not strictly ascending, a self-loop, or an arc
+// without its twin.
+func checkSimple(g *Graph) error {
+	for u := 0; u < g.NumNodes(); u++ {
+		row := g.Neighbors(u)
+		for i, v := range row {
+			if i > 0 && row[i-1] >= v {
+				return fmt.Errorf("row %d not strictly ascending: %v", u, row)
+			}
+			if v == u {
+				return fmt.Errorf("self-loop at %d", u)
+			}
+			if _, ok := slices.BinarySearch(g.Neighbors(v), u); !ok {
+				return fmt.Errorf("arc %d→%d without its twin", u, v)
+			}
+		}
+	}
+	return nil
+}
+
+// FuzzReadBinary: ReadBinary never panics, whatever it accepts is a
+// simple, undirected graph, and it survives a WriteBinary round trip
+// unchanged.
 func FuzzReadBinary(f *testing.F) {
 	for _, g := range []*Graph{NewBuilder(0).Build(), NewBuilder(3).Build(), pathGraph(5), randomGraph(30, 80, 1)} {
 		var buf bytes.Buffer
@@ -531,6 +576,9 @@ func FuzzReadBinary(f *testing.F) {
 		g, err := ReadBinary(bytes.NewReader(data))
 		if err != nil {
 			return
+		}
+		if err := checkSimple(g); err != nil {
+			t.Fatalf("accepted a graph that is not simple and undirected: %v (%v / %v)", err, g.offsets, g.adj)
 		}
 		var buf bytes.Buffer
 		if err := WriteBinary(&buf, g); err != nil {

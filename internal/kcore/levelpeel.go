@@ -132,9 +132,6 @@ func (lp *LevelPeel) Run(ctx context.Context, claim []int, maxLevels int) error 
 		if k == math.MaxInt32 {
 			break
 		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
 		if lp.Levels >= maxLevels {
 			//dkcore:lint-ignore KC004 cold failure exit: the level budget tripped, the run is over
 			return fmt.Errorf("kcore: %d nodes not peeled in %d levels", len(lp.workers[0].deg), maxLevels)
@@ -145,6 +142,9 @@ func (lp *LevelPeel) Run(ctx context.Context, claim []int, maxLevels int) error 
 			}
 		}
 		lp.barrier(peelStep{k: k})
+		if err := ctx.Err(); err != nil {
+			return err // checked after the cascade, or the last level's cancel goes unseen
+		}
 	}
 	for x := range lp.workers {
 		lp.Landed, lp.Arcs = lp.Landed+lp.workers[x].landed, lp.Arcs+lp.workers[x].arcs

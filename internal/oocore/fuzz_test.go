@@ -59,13 +59,13 @@ func (e *engine) checkSupport(g *graph.Graph) error {
 		if k <= 1 {
 			continue
 		}
-		want := 0
+		want := int32(0)
 		for _, v := range g.Neighbors(u) {
 			if e.est[v] >= k {
 				want++
 			}
 		}
-		if int(e.sup[u]) != want || want < k {
+		if e.sup[u] != want || want < k {
 			return fmt.Errorf("node %d (estimate %d): support counter %d, recount %d", u, k, e.sup[u], want)
 		}
 	}
@@ -84,20 +84,17 @@ func FuzzOOCoreDecompose(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, blockSize, budget := decodeFuzzInput(data)
-		res, e, err := decompose(context.Background(), g,
+		e, err := decompose(context.Background(), g,
 			WithBlockSize(blockSize), WithMemoryBudget(budget), WithFS(newMemFS()))
 		if err != nil {
 			t.Fatalf("n=%d block=%d budget=%d: %v", g.NumNodes(), blockSize, budget, err)
 		}
-		if want := kcore.Decompose(g).CorenessValues(); !slices.Equal(res.Coreness, want) {
-			t.Fatalf("n=%d block=%d budget=%d: coreness %v, oracle %v",
-				g.NumNodes(), blockSize, budget, res.Coreness, want)
-		}
-		if e == nil {
-			return
-		}
 		if err := e.checkSupport(g); err != nil {
 			t.Fatalf("n=%d block=%d budget=%d: %v", g.NumNodes(), blockSize, budget, err)
+		}
+		if res, want := e.result(), kcore.Decompose(g).CorenessValues(); !slices.Equal(res.Coreness, want) {
+			t.Fatalf("n=%d block=%d budget=%d: coreness %v, oracle %v",
+				g.NumNodes(), blockSize, budget, res.Coreness, want)
 		}
 	})
 }

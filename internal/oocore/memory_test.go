@@ -66,8 +66,8 @@ func sampleRSSDuring(fn func() error) (peak int64, err error) {
 // and require the oracle's coreness, a binding budget (evictions and
 // spill traffic both ways), and a sampled process RSS growth under
 // 2*budget + 2*pinned + 16*nodes + 8*edges + csr. The O(nodes) term
-// covers the resident estimates (also the result), support counters and
-// active flags; the 8*edges term is GC headroom on the input graph,
+// covers the resident estimates, support counters and active flags, and
+// at return the estimates and the coreness vector; the 8*edges term is GC headroom on the input graph,
 // which stays live for the whole run (at GOGC=20 garbage may reach ~20%
 // of the resident CSR between collections).
 //

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"dkcore/internal/chaos"
+	"dkcore/internal/core"
 	"dkcore/internal/graph"
 )
 
@@ -34,12 +35,13 @@ type Option func(*Options)
 // block's offset and arc arrays: exactly its decoded size when the
 // arrays are fresh, and the whole of a dropped block's arrays when it
 // was decoded into them. The engine's peak heap is the O(n) node state
-// (an estimate, a support counter and an active flag per node, about 13
+// (an estimate, a support counter and an active flag per node, about 9
 // bytes) plus the budget plus one pinned block (the block being
-// processed is never dropped). The spill keeps every block that fits
-// the budget beside those kept before it, so such a block is written
-// once and never read back unless evicted; at a budget that holds the
-// whole graph nothing is read back. Must be positive.
+// processed is never dropped); at return it is the estimates and the
+// coreness vector, about 12 bytes per node. The spill keeps every block
+// that fits the budget beside those kept before it, so such a block is
+// written once and never read back unless evicted; at a budget that
+// holds the whole graph nothing is read back. Must be positive.
 func WithMemoryBudget(bytes int64) Option {
 	return func(o *Options) { o.memoryBudget = bytes }
 }
@@ -96,7 +98,6 @@ type Result struct {
 // store below and the adjacency cache beside. Single-goroutine by
 // design — out-of-core wins come from locality, not concurrency.
 type engine struct {
-	n      int // nodes in the graph
 	per    int // node IDs per block (last block may own fewer)
 	blocks int
 
@@ -107,7 +108,7 @@ type engine struct {
 	// est[u] is node u's coreness estimate: seeded by the spill pass with
 	// the h-index of its neighbours' degrees, only ever lowered by relax,
 	// exact once no node is active.
-	est []int
+	est []int32
 	// sup[u] counts u's neighbours whose estimate is at least est[u]. It
 	// is first counted when u is first relaxed; until then it is 0 or
 	// below, under est[u], so that relax always counts it.
@@ -127,8 +128,10 @@ type engine struct {
 	queue       []int
 	qhead, qlen int
 	// bins is the h-index histogram of seed and relax, with a slot for
-	// every estimate up to the maximum degree, so neither allocates.
-	bins []int
+	// every estimate up to the maximum degree, and woken is relax's Drop
+	// buffer, with room for the longest row; neither allocates.
+	bins  []int32
+	woken []int
 
 	passes        int
 	maxPasses     int
@@ -144,19 +147,19 @@ func newEngine(g *graph.Graph, blockSize int, store *Store, budget int64) *engin
 	blocks := (n + per - 1) / per
 	stats := &CacheStats{}
 	return &engine{
-		n:           n,
 		per:         per,
 		blocks:      blocks,
 		store:       store,
 		cache:       newCache(budget, stats),
 		stats:       stats,
-		est:         make([]int, n),
+		est:         make([]int32, n),
 		sup:         make([]int32, n),
 		active:      make([]bool, n),
 		blockActive: make([]int, blocks),
 		wokenAt:     make([]int, blocks),
 		queue:       make([]int, per),
-		bins:        make([]int, g.MaxDegree()+1),
+		bins:        make([]int32, g.MaxDegree()+1),
+		woken:       make([]int, 0, g.MaxDegree()),
 		// Safety ceiling against a scheduler bug, not a proven bound:
 		// every pass after a block's first consumes at least one
 		// cross-block wake-up, and wake-ups along an arc u→v need est[v]
@@ -168,24 +171,26 @@ func newEngine(g *graph.Graph, blockSize int, store *Store, budget int64) *engin
 
 func (e *engine) blockRange(b int) (lo, hi int) {
 	lo = b * e.per
-	hi = min(lo+e.per, e.n)
-	return lo, hi
+	return lo, min(lo+e.per, len(e.est))
 }
 
 // Decompose computes exact coreness for every node of g while keeping
 // only O(n) node state (an estimate, a support counter and an active
-// flag per node) and a budgeted cache of adjacency blocks in memory,
-// spilling the adjacency to disk once. The coreness vector is identical
-// to the sequential engine's; scheduling affects only how much disk
-// traffic the fixpoint costs.
+// flag per node, about 9 bytes) and a budgeted cache of adjacency
+// blocks in memory, spilling the adjacency to disk once. The coreness
+// vector is identical to the sequential engine's; scheduling affects
+// only how much disk traffic the fixpoint costs.
 func Decompose(ctx context.Context, g *graph.Graph, opts ...Option) (*Result, error) {
-	res, _, err := decompose(ctx, g, opts...)
-	return res, err
+	e, err := decompose(ctx, g, opts...)
+	if err != nil {
+		return nil, err
+	}
+	return e.result(), nil
 }
 
-// decompose is Decompose, also returning the engine it ran (nil for an
-// empty graph), whose resident state the tests inspect.
-func decompose(ctx context.Context, g *graph.Graph, opts ...Option) (*Result, *engine, error) {
+// decompose is Decompose up to its result: it returns the quiet engine,
+// whose resident state the tests inspect before calling result.
+func decompose(ctx context.Context, g *graph.Graph, opts ...Option) (*engine, error) {
 	o := Options{memoryBudget: DefaultMemoryBudget, blockSize: DefaultBlockSize, fs: chaos.OS{}}
 	for _, opt := range opts {
 		opt(&o)
@@ -194,18 +199,18 @@ func decompose(ctx context.Context, g *graph.Graph, opts ...Option) (*Result, *e
 		o.fs = chaos.OS{}
 	}
 	if o.memoryBudget <= 0 {
-		return nil, nil, fmt.Errorf("oocore: memory budget must be positive, got %d", o.memoryBudget)
+		return nil, fmt.Errorf("oocore: memory budget must be positive, got %d", o.memoryBudget)
 	}
 	if o.blockSize <= 0 {
-		return nil, nil, fmt.Errorf("oocore: block size must be positive, got %d", o.blockSize)
+		return nil, fmt.Errorf("oocore: block size must be positive, got %d", o.blockSize)
 	}
 	if g.NumNodes() == 0 {
-		return &Result{Coreness: []int{}, BlockSize: o.blockSize}, nil, nil
+		return &engine{per: o.blockSize, stats: &CacheStats{}}, nil
 	}
 
 	dir, cleanup, err := spillDir(o.fs, o.spillDir)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	defer func() {
 		if cleanup != nil {
@@ -219,32 +224,42 @@ func decompose(ctx context.Context, g *graph.Graph, opts ...Option) (*Result, *e
 	// directory starts from verified files (torn ones quarantined, stray
 	// .tmp removed) instead of reading garbage.
 	if _, err := e.store.Sweep(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	storeBytes, err := e.spill(ctx, g)
-	if err != nil {
-		return nil, nil, err
+	if err := e.spill(ctx, g); err != nil {
+		return nil, err
 	}
 	if err := e.run(ctx); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 
 	if cleanup != nil {
 		if err := cleanup(); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		cleanup = nil
 	}
+	return e, nil
+}
+
+// result drops all but the estimates, so that the coreness vector's 8
+// bytes per node sit beside their 4 alone, and reports the run.
+func (e *engine) result() *Result {
+	e.cache, e.store, e.sup, e.active = nil, nil, nil, nil
+	coreness := make([]int, len(e.est))
+	for u, k := range e.est {
+		coreness[u] = int(k)
+	}
 	return &Result{
-		Coreness:        e.est,
+		Coreness:        coreness,
 		Blocks:          e.blocks,
 		BlockSize:       e.per,
 		Passes:          e.passes,
 		EstimatesSent:   e.estimatesSent,
 		Batches:         e.batches,
-		BlockStoreBytes: storeBytes,
+		BlockStoreBytes: e.stats.SpillBytesWritten,
 		Cache:           *e.stats,
-	}, e, nil
+	}
 }
 
 // spillDir resolves the run's working directory on fs: a fresh temp
@@ -272,12 +287,11 @@ func spillDir(fs chaos.FS, root string) (string, func() error, error) {
 // encoded through one reused buffer pair, never materializing a second
 // whole-graph adjacency beyond the budget, and is loaded on its first
 // miss.
-func (e *engine) spill(ctx context.Context, g *graph.Graph) (int64, error) {
+func (e *engine) spill(ctx context.Context, g *graph.Graph) error {
 	var off, flat []int // the reused pair of the blocks that do not fit
-	var total int64
 	for b := 0; b < e.blocks; b++ {
 		if err := ctx.Err(); err != nil {
-			return 0, err
+			return err
 		}
 		lo, hi := e.blockRange(b)
 		arcs := 0
@@ -297,9 +311,8 @@ func (e *engine) spill(ctx context.Context, g *graph.Graph) (int64, error) {
 		}
 		nb, err := e.store.WriteBlock(b, lo, hi-lo, rowOff, rowFlat)
 		if err != nil {
-			return 0, err
+			return err
 		}
-		total += nb
 		e.stats.SpillBytesWritten += nb
 		e.seed(b, rowOff, rowFlat, g)
 		if keep {
@@ -308,7 +321,7 @@ func (e *engine) spill(ctx context.Context, g *graph.Graph) (int64, error) {
 			off, flat = rowOff, rowFlat
 		}
 	}
-	return total, nil
+	return nil
 }
 
 // seed initializes block b, whose rows are off and flat, reading only
@@ -331,29 +344,14 @@ func (e *engine) seed(b int, off, flat []int, g *graph.Graph) {
 		for _, v := range flat[off[i]:off[i+1]] {
 			cnt[min(g.Degree(v), d)]++
 		}
-		k, _ := hindex(cnt)
+		k, _ := core.HIndex(cnt)
+		clear(cnt)
 		e.est[lo+i] = k
 		if k > 1 {
 			e.active[lo+i] = true
 			e.blockActive[b]++
 		}
 	}
-}
-
-// hindex walks histogram cnt down from its top slot k = len(cnt)-1,
-// where cnt[i] counts values equal to i (those above k clamped into
-// cnt[k]), to the largest i <= k with at least i values at or above i,
-// floored at 1 (a node with a neighbour has coreness at least 1). It
-// returns i and that count, and clears cnt for the next caller.
-func hindex(cnt []int) (int, int) {
-	i := len(cnt) - 1
-	sup := cnt[i]
-	for i > 1 && sup < i {
-		i--
-		sup += cnt[i]
-	}
-	clear(cnt)
-	return i, sup
 }
 
 // load returns block id's resident adjacency, pinned. On a miss it
@@ -418,43 +416,29 @@ func (e *engine) process(ctx context.Context, id int) error {
 	return nil
 }
 
-// relax applies Algorithm 1's update to node u with neighbours nbrs,
-// on support counters: while u's support covers its estimate (or the
-// estimate is at the floor of 1) the update cannot lower it, and relax
-// returns in O(1). Otherwise one pass over the row buckets the
-// neighbour estimates clamped at est[u], and hindex yields both the new
-// estimate k and u's support under it. A drop from old to k unsupports
-// exactly the neighbours v with k < est[v] <= old (one at or below k
-// still counts u, one above old never counted u at its own estimate),
-// so only their counters fall, and only a visited one whose support
-// falls below its estimate is woken: queued if in the running block,
-// counted against its block otherwise. An unvisited neighbour is
-// already active.
+// relax applies Algorithm 1's update to node u with neighbours nbrs on
+// the support-counter kernel: O(1) while u's support covers its estimate
+// (or the estimate is at the floor of 1), else core.Refine, then
+// core.Drop. A neighbour Drop wakes that is not yet active (an unvisited
+// one is) is queued if in the running block, counted against its block
+// otherwise.
 //
 //dkcore:estwrite Algorithm 1's update rule: lowers est[u] to the h-index of its neighbours, never raises it
 //dkcore:noalloc per-node step of every block pass; bins is sized at construction
 func (e *engine) relax(u int, nbrs []int) {
 	old := e.est[u]
-	if old <= 1 || int(e.sup[u]) >= old {
+	if old <= 1 || e.sup[u] >= old {
 		return
 	}
-	cnt := e.bins[:old+1]
-	for _, v := range nbrs {
-		cnt[min(e.est[v], old)]++
-	}
-	k, sup := hindex(cnt)
-	e.sup[u] = int32(sup)
+	k, sup := core.Refine(nbrs, e.est, old, e.bins)
+	e.sup[u] = sup
 	if k == old {
 		return
 	}
 	e.est[u] = k
-	for _, v := range nbrs {
-		ev := e.est[v]
-		if ev <= k || ev > old {
-			continue
-		}
-		e.sup[v]--
-		if int(e.sup[v]) >= ev || e.active[v] {
+	e.woken = core.Drop(nbrs, e.est, e.sup, old, k, e.woken[:0])
+	for _, v := range e.woken {
+		if e.active[v] {
 			continue
 		}
 		e.active[v] = true

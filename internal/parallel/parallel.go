@@ -55,7 +55,8 @@ type Result struct {
 }
 
 // Decompose computes the exact k-core decomposition of g with P workers.
-// Cancelling ctx stops the run at the next level with ctx.Err().
+// Cancelling ctx stops the run at the end of the level it lands in,
+// with ctx.Err().
 func Decompose(ctx context.Context, g *graph.Graph, opts ...Option) (*Result, error) {
 	var o options
 	for _, opt := range opts {
