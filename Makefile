@@ -189,7 +189,9 @@ bench-partition: build
 # on a 50k-node and a 300k-node graph (TestPublishBytesPerEvent: copying
 # more than a small leaf per written entry fails it), and
 # ReadEdgeList must ingest a 100k-node power law's text in at most 64 B
-# of allocation per input edge (TestReadEdgeListBytesPerEdge), and a
+# of allocation per input edge (TestReadEdgeListBytesPerEdge) and
+# ReadBinary must load its binary file in at most 20 B per arc
+# (TestReadBinaryBytesPerArc), and a
 # cluster host must decode its config, build its HostState and seed its
 # estimates in at most 45 B per adjacency entry it owns
 # (TestHostSetupBytesPerArc), and the out-of-core engine must decompose
@@ -201,7 +203,7 @@ bench-allocs: build
 	$(GO) test -run TestSteadyStateRoundAllocs -count=1 ./internal/parallel
 	$(GO) test -run TestRefineSteadyStateAllocs -count=1 ./internal/core
 	$(GO) test -run 'TestPublishBytesScaleFree|TestPublishBytesPerEvent' -count=1 .
-	$(GO) test -run TestReadEdgeListBytesPerEdge -count=1 ./internal/graph
+	$(GO) test -run 'TestReadEdgeListBytesPerEdge|TestReadBinaryBytesPerArc' -count=1 ./internal/graph
 	$(GO) test -run TestHostSetupBytesPerArc -count=1 ./internal/cluster
 	$(GO) test -run TestTightBudgetSchedule -count=1 ./internal/oocore
 

@@ -231,12 +231,15 @@ func ReadEdgeList(r io.Reader) (g *Graph, origID []int64, err error) {
 // WriteEdgeList writes g as a plain "u v" edge list.
 func WriteEdgeList(w io.Writer, g *Graph) error { return graph.WriteEdgeList(w, g) }
 
-// ReadBinary reads the compact binary graph format. Its memory grows
-// with the bytes actually read, not with the counts a header claims; a
-// node count above 2^31−1 is a format error.
+// ReadBinary reads the compact binary graph format, DKG2, that
+// WriteBinary writes. Its memory grows with the bytes actually read, not
+// with the counts a header claims; a node count above 2^31−1 is a format
+// error, and so is a file in DKG1, the format of earlier versions, which
+// must be regenerated from its source.
 func ReadBinary(r io.Reader) (*Graph, error) { return graph.ReadBinary(r) }
 
-// WriteBinary writes the compact binary graph format.
+// WriteBinary writes the compact binary graph format, DKG2: the node
+// count, then every node's degree, then the gap-coded rows.
 func WriteBinary(w io.Writer, g *Graph) error { return graph.WriteBinary(w, g) }
 
 // Decompose computes the exact k-core decomposition with the centralized

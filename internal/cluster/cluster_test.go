@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"slices"
 	"strings"
@@ -225,6 +226,26 @@ func TestConfigRoundTrip(t *testing.T) {
 	}
 }
 
+// TestConfigFrameGolden pins the protocol-7 config bytes of every host
+// of a fixed 11-node graph cut over three hosts, so that a change to the
+// row codec or the header cannot change the wire form silently.
+func TestConfigFrameGolden(t *testing.T) {
+	b := graph.NewBuilder(11) // node 10 is isolated
+	for _, e := range [][2]int{{0, 1}, {0, 5}, {0, 9}, {1, 2}, {2, 3}, {3, 7}, {4, 8}, {5, 6}, {6, 9}, {7, 8}, {2, 9}} {
+		b.AddEdge(e[0], e[1])
+	}
+	g := b.Build()
+	for id, want := range []string{
+		"00030b0302030202040401020102060105",
+		"01030b0102020208090601040705",
+		"02030b0203000703110204",
+	} {
+		if got := hex.EncodeToString(encodeConfig(id, 3, g.NumNodes(), g.Neighbors)); got != want {
+			t.Errorf("host %d: config frame %s, want %s", id, got, want)
+		}
+	}
+}
+
 // TestConfigDecodeRejectsHostileDegrees crafts a raw config frame whose
 // degree uvarint is 2^64-1: the int conversion would wrap the offset
 // prefix sum negative, slip past the total-length check, and panic the
@@ -327,11 +348,13 @@ func TestConfigDecodeRejectsBadGaps(t *testing.T) {
 		body       []byte
 	}{
 		{"truncated degree", "truncated", []byte{0x80}},
-		{"zero row gap", "zero gap", []byte{2, 2, 0}},      // node 4: {5, 5}
-		{"first offset below 0", "outside", []byte{1, 9}},  // node 4: offset -5
-		{"first offset past n", "outside", []byte{1, 12}},  // node 4: offset +6
-		{"gap past n", "leaves [0, 10)", []byte{2, 2, 10}}, // node 4: {5, 15}
-		{"trailing bytes", "trailing", []byte{1, 2, 0}},    // node 4: {5}, then a stray byte
+		{"zero row gap", "zero gap", []byte{2, 2, 0}},           // node 4: {5, 5}
+		{"first offset below 0", "outside", []byte{1, 9}},       // node 4: offset -5
+		{"first offset past n", "outside", []byte{1, 12}},       // node 4: offset +6
+		{"gap past n", "leaves [0, 10)", []byte{2, 2, 10}},      // node 4: {5, 15}
+		{"self-loop", "lists itself", []byte{1, 0}},             // node 4: {4}
+		{"self-loop by a gap", "lists itself", []byte{2, 1, 1}}, // node 4: {3, 4}
+		{"trailing bytes", "trailing", []byte{1, 2, 0}},         // node 4: {5}, then a stray byte
 	}
 	for _, tc := range cases {
 		c, err := decodeConfig(append(slices.Clone(header), tc.body...))

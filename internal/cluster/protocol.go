@@ -22,7 +22,6 @@ package cluster
 import (
 	"encoding/binary"
 	"fmt"
-	"slices"
 
 	"dkcore/internal/core"
 	"dkcore/internal/graph"
@@ -81,11 +80,10 @@ const maxHosts = 1 << 20
 // core.NewHostState consumes, so the host never rebuilds a per-node
 // map. Every row is strictly increasing, as the graph's CSR rows are.
 //
-// On the wire the rows travel gap-coded (docs/PROTOCOL.md §2.3): each as
-// the signed offset of its first neighbor from its owner followed by
-// gaps of at least 1, and the offsets as per-node degrees. Small,
-// repetitive numbers are what flate compresses well; decodeConfig
-// rebuilds AdjOff by prefix sum.
+// On the wire the rows travel in graph.AppendRows form (docs/PROTOCOL.md
+// §2.3): the per-node degrees, then each row as the signed offset of its
+// first neighbor from its owner followed by gaps of at least 1. Small,
+// repetitive numbers are what flate compresses well.
 type config struct {
 	HostID   int
 	NumHosts int
@@ -104,53 +102,10 @@ func (c config) block() core.BlockAssignment {
 // graph's Neighbors): every row must be strictly increasing.
 func encodeConfig[E int | int32](hostID, numHosts, numNodes int, row func(u int) []E) []byte {
 	lo, hi := core.BlockAssignment{N: numNodes, H: numHosts}.Range(hostID)
-	buf := make([]byte, 0, 16+2*(hi-lo))
-	buf = binary.AppendUvarint(buf, uint64(hostID))
+	buf := binary.AppendUvarint(make([]byte, 0, 16+2*(hi-lo)), uint64(hostID))
 	buf = binary.AppendUvarint(buf, uint64(numHosts))
 	buf = binary.AppendUvarint(buf, uint64(numNodes))
-	arcs := 0
-	for u := lo; u < hi; u++ {
-		arcs += len(row(u))
-		buf = binary.AppendUvarint(buf, uint64(len(row(u))))
-	}
-	// Gaps mostly take 1–2 bytes; a larger frame grows once.
-	buf = slices.Grow(buf, 2*arcs)
-	for u := lo; u < hi; u++ {
-		r := row(u)
-		if len(r) == 0 {
-			continue
-		}
-		prev := int(r[0])
-		buf = binary.AppendVarint(buf, int64(prev-u))
-		for _, v := range r[1:] {
-			buf = binary.AppendUvarint(buf, uint64(int(v)-prev))
-			prev = int(v)
-		}
-	}
-	return buf
-}
-
-// readGaps fills dst from the uvarint gaps at data[off:], the first one
-// taken from prev, and returns the offset past the last gap. A zero gap
-// (a repeated ID) or one that reaches limit is rejected, so what it
-// accepts is strictly increasing and below limit.
-func readGaps(data []byte, off, prev, limit int, dst []int32) (int, error) {
-	for i := range dst {
-		gap, n := binary.Uvarint(data[off:])
-		if n <= 0 {
-			return 0, fmt.Errorf("gap %d of %d truncated", i, len(dst))
-		}
-		if gap == 0 {
-			return 0, fmt.Errorf("zero gap after %d: not strictly increasing", prev)
-		}
-		if gap > uint64(limit-1-prev) {
-			return 0, fmt.Errorf("gap %d after %d leaves [0, %d)", gap, prev, limit)
-		}
-		off += n
-		prev += int(gap)
-		dst[i] = int32(prev)
-	}
-	return off, nil
+	return graph.AppendRows(buf, lo, hi, row)
 }
 
 func decodeConfig(data []byte) (config, error) {
@@ -182,54 +137,12 @@ func decodeConfig(data []byte) (config, error) {
 	if c.NumNodes > graph.MaxNodes {
 		return c, fmt.Errorf("cluster: decode config: node count %d above %d", c.NumNodes, graph.MaxNodes)
 	}
+	// Neighbor IDs feed the owner function; DecodeRows keeps every one
+	// inside [0, NumNodes), so none names a phantom host.
 	lo, hi := c.block().Range(c.HostID)
-	// Every degree costs at least one byte.
-	if hi-lo > len(data)-off {
-		return c, fmt.Errorf("cluster: decode config: %d owned degrees exceed payload", hi-lo)
-	}
-	c.AdjOff = make([]int32, hi-lo+1)
-	for i := 0; i < hi-lo; i++ {
-		deg, n := binary.Uvarint(data[off:])
-		if n <= 0 {
-			return c, fmt.Errorf("cluster: decode config: degree of node %d truncated", lo+i)
-		}
-		off += n
-		// Every adjacency entry costs at least one payload byte, so a
-		// degree sum beyond the remaining bytes is corrupt. Rejecting it
-		// here keeps the prefix sum within the frame, below 2^31, so no
-		// int32 offset wraps (a hostile 2^64-1 degree would otherwise
-		// panic the decoder where it sizes AdjFlat).
-		rem := uint64(len(data) - off)
-		if deg > rem || uint64(c.AdjOff[i])+deg > rem {
-			return c, fmt.Errorf("cluster: decode config: degree %d of node %d exceeds payload", deg, lo+i)
-		}
-		c.AdjOff[i+1] = c.AdjOff[i] + int32(deg)
-	}
-	// Neighbor IDs feed the owner function; an out-of-range entry would
-	// produce a phantom host or index out of bounds. The first neighbor
-	// is range-checked here, the rest by their gaps.
-	c.AdjFlat = make([]int32, c.AdjOff[hi-lo])
-	for u := lo; u < hi; u++ {
-		row := c.AdjFlat[c.AdjOff[u-lo]:c.AdjOff[u-lo+1]]
-		if len(row) == 0 {
-			continue
-		}
-		first, n := binary.Varint(data[off:])
-		if n <= 0 {
-			return c, fmt.Errorf("cluster: decode config: first neighbor of node %d truncated", u)
-		}
-		off += n
-		if first < -int64(u) || first >= int64(c.NumNodes-u) {
-			return c, fmt.Errorf("cluster: decode config: first neighbor of node %d at offset %d outside [0, %d)", u, first, c.NumNodes)
-		}
-		row[0] = int32(u + int(first))
-		var err error
-		if off, err = readGaps(data, off, int(row[0]), c.NumNodes, row[1:]); err != nil {
-			return c, fmt.Errorf("cluster: decode config: neighbors of node %d: %w", u, err)
-		}
-	}
-	if off != len(data) {
-		return c, fmt.Errorf("cluster: decode config: %d trailing bytes", len(data)-off)
+	var err error
+	if c.AdjOff, c.AdjFlat, err = graph.DecodeRows[int32](data[off:], lo, hi, c.NumNodes, nil); err != nil {
+		return c, fmt.Errorf("cluster: decode config: %w", err)
 	}
 	return c, nil
 }

@@ -66,6 +66,52 @@ func TestReadEdgeListBytesPerEdge(t *testing.T) {
 	}
 }
 
+// BenchmarkReadBinary reads the graph's binary file from memory.
+func BenchmarkReadBinary(b *testing.B) {
+	var file bytes.Buffer
+	if err := graph.WriteBinary(&file, benchGraph()); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(file.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g, err := graph.ReadBinary(bytes.NewReader(file.Bytes()))
+		if err != nil {
+			b.Fatal(err)
+		}
+		sinkGraph = g
+	}
+}
+
+// TestReadBinaryBytesPerArc is the binary-load memory gate: reading the
+// benchmark graph's binary file allocates at most 20 bytes per arc, all
+// of ReadBinary counted (the file's bytes, the CSR it returns, whose
+// neighbor array alone is 8 bytes per arc, and the twin check).
+func TestReadBinaryBytesPerArc(t *testing.T) {
+	const maxBytesPerArc = 20
+	g := benchGraph()
+	var file bytes.Buffer
+	if err := graph.WriteBinary(&file, g); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got, err := graph.ReadBinary(bytes.NewReader(file.Bytes()))
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Equal(g) {
+		t.Fatal("read back a different graph")
+	}
+	perArc := float64(after.TotalAlloc-before.TotalAlloc) / float64(g.NumArcs())
+	t.Logf("%d arcs, %d file bytes, %.1f B allocated per arc", g.NumArcs(), file.Len(), perArc)
+	if perArc > maxBytesPerArc {
+		t.Fatalf("ReadBinary allocated %.1f B per arc, want at most %d", perArc, maxBytesPerArc)
+	}
+}
+
 // BenchmarkBuild builds CSR from the graph's edges added in shuffled
 // order with random endpoint order, so no pass can lean on sorted input.
 func BenchmarkBuild(b *testing.B) {

@@ -11,8 +11,8 @@ import (
 	"strings"
 )
 
-// binaryMagic identifies the dkcore binary graph format, version 1.
-const binaryMagic = "DKG1"
+// binaryMagic identifies the dkcore binary graph format, version 2.
+const binaryMagic = "DKG2"
 
 // ErrBadFormat is returned when parsing malformed graph input.
 var ErrBadFormat = errors.New("graph: bad format")
@@ -211,94 +211,49 @@ func WriteEdgeList(w io.Writer, g *Graph) error {
 	return nil
 }
 
-// WriteBinary writes g in the compact dkcore binary format: a 4-byte magic,
-// the node count, and per-node delta-encoded sorted adjacency (uvarints).
-// The format stores both directions of each edge, trading size for a
-// zero-allocation structural load path.
+// WriteBinary writes g in the compact dkcore binary format: the 4-byte
+// magic "DKG2", the node count as a uvarint, then the rows of all nodes
+// in the form of AppendRows. The format stores both directions of each
+// edge, trading size for a load that sizes its arrays from the degrees.
 func WriteBinary(w io.Writer, g *Graph) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(binaryMagic); err != nil {
-		return fmt.Errorf("graph: write binary: %w", err)
-	}
-	var buf [binary.MaxVarintLen64]byte
-	writeUvarint := func(x uint64) error {
-		n := binary.PutUvarint(buf[:], x)
-		_, err := bw.Write(buf[:n])
-		return err
-	}
-	if err := writeUvarint(uint64(g.NumNodes())); err != nil {
-		return fmt.Errorf("graph: write binary: %w", err)
-	}
-	for u := 0; u < g.NumNodes(); u++ {
-		ns := g.Neighbors(u)
-		if err := writeUvarint(uint64(len(ns))); err != nil {
-			return fmt.Errorf("graph: write binary: %w", err)
-		}
-		prev := 0
-		for _, v := range ns {
-			if err := writeUvarint(uint64(v - prev)); err != nil {
-				return fmt.Errorf("graph: write binary: %w", err)
-			}
-			prev = v
-		}
-	}
-	if err := bw.Flush(); err != nil {
+	buf := binary.AppendUvarint([]byte(binaryMagic), uint64(g.NumNodes()))
+	buf = AppendRows(buf, 0, g.NumNodes(), g.Neighbors)
+	if _, err := w.Write(buf); err != nil {
 		return fmt.Errorf("graph: write binary: %w", err)
 	}
 	return nil
 }
 
 // ReadBinary reads a graph written by WriteBinary. A node count above
-// MaxNodes, and a graph that is not simple and undirected (a repeated
-// neighbor, a self-loop, or an arc without its twin), are ErrBadFormat
-// errors. Memory grows with the nodes and arcs actually decoded, not
-// with the counts the header claims.
+// MaxNodes, rows DecodeRows rejects, an arc without its twin, and a file
+// in the retired "DKG1" format are ErrBadFormat errors. Memory grows
+// with the bytes actually read, not with the counts the header claims.
 func ReadBinary(r io.Reader) (*Graph, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(binaryMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("graph: read binary: %w", err)
-	}
-	if string(magic) != binaryMagic {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrBadFormat, magic)
-	}
-	n64, err := binary.ReadUvarint(br)
+	data, err := readAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("graph: read binary: %w", err)
+	}
+	if len(data) < len(binaryMagic) {
+		return nil, fmt.Errorf("graph: read binary: %w", io.ErrUnexpectedEOF)
+	}
+	switch magic := string(data[:len(binaryMagic)]); magic {
+	case binaryMagic:
+	case "DKG1":
+		return nil, fmt.Errorf("%w: a DKG1 file, a format this version no longer reads: regenerate it with WriteBinary or kcore-gen -format binary", ErrBadFormat)
+	default:
+		return nil, fmt.Errorf("%w: bad magic %q", ErrBadFormat, magic)
+	}
+	data = data[len(binaryMagic):]
+	n64, k := binary.Uvarint(data)
+	if k <= 0 {
+		return nil, fmt.Errorf("graph: read binary: node count: %w", io.ErrUnexpectedEOF)
 	}
 	if n64 > MaxNodes {
 		return nil, fmt.Errorf("%w: node count %d too large", ErrBadFormat, n64)
 	}
-	n := int(n64)
-	// n is only the header's claim: offsets starts at most 2^14+1 long
-	// and grows as nodes decode, each from at least one byte.
-	offsets := make([]int, 1, min(n, 1<<14)+1)
-	var adj []int
-	for u := 0; u < n; u++ {
-		deg, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("graph: read binary: node %d: %w", u, err)
-		}
-		if deg > MaxNodes {
-			return nil, fmt.Errorf("%w: node %d degree %d too large", ErrBadFormat, u, deg)
-		}
-		offsets = append(offsets, offsets[u]+int(deg))
-		prev := 0
-		for i := uint64(0); i < deg; i++ {
-			delta, err := binary.ReadUvarint(br)
-			if err != nil {
-				return nil, fmt.Errorf("graph: read binary: node %d: %w", u, err)
-			}
-			if delta >= uint64(n-prev) { // before the sum, which it could wrap
-				return nil, fmt.Errorf("%w: node %d has neighbor %d+%d >= %d", ErrBadFormat, u, prev, delta, n)
-			}
-			v := prev + int(delta)
-			if v == u || (delta == 0 && i > 0) {
-				return nil, fmt.Errorf("%w: node %d lists itself or neighbor %d twice", ErrBadFormat, u, v)
-			}
-			adj = append(adj, v)
-			prev = v
-		}
+	offsets, adj, err := DecodeRows[int](data[k:], 0, int(n64), int(n64), nil)
+	if err != nil {
+		return nil, err
 	}
 	// Every arc has its twin, checked in one pass: with rows strictly
 	// ascending and nodes visited in order, matched[v] counts v's smaller
@@ -315,4 +270,31 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 		}
 	}
 	return &Graph{offsets: offsets, adj: adj}, nil
+}
+
+// readAll reads r to its end into a slice of exactly the bytes read. It
+// reads into chunks that double from 4 KiB up to 1 MiB and copies them
+// into the result once, so it allocates about twice the bytes read plus
+// at most 1 MiB, where a buffer grown in place allocates up to four
+// times them.
+func readAll(r io.Reader) ([]byte, error) {
+	var chunks [][]byte
+	size := 0
+	for chunk := 4 << 10; ; chunk = min(2*chunk, 1<<20) {
+		buf := make([]byte, chunk)
+		n, err := io.ReadFull(r, buf)
+		chunks = append(chunks, buf[:n])
+		size += n
+		if err == io.EOF || err == io.ErrUnexpectedEOF {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	data := make([]byte, 0, size)
+	for _, c := range chunks {
+		data = append(data, c...)
+	}
+	return data, nil
 }

@@ -520,22 +520,39 @@ func TestReadBinaryClaimedNodesCostNothing(t *testing.T) {
 const maxUvarint = "\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01"
 
 // TestReadBinaryRejectsNonSimple: a row that repeats a neighbor, a
-// self-loop, an arc without its twin and a row that is not ascending
-// each break the simple, undirected invariant every engine assumes, and
-// each is ErrBadFormat.
+// self-loop, an arc without its twin, a row that is not ascending and a
+// neighbor outside [0, n) each break the simple, undirected invariant
+// every engine assumes, and each is ErrBadFormat.
 func TestReadBinaryRejectsNonSimple(t *testing.T) {
 	for _, tc := range []struct{ name, data string }{
-		{"repeated neighbor", "DKG1\x02\x02\x01\x00\x00"},
-		{"self-loop", "DKG1\x02\x01\x01\x01\x01"},
-		{"arc without twin", "DKG1\x03\x01\x01\x01\x02\x00"},
-		// A gap of 2^64-1 wraps to -1 if summed unchecked: a negative
-		// neighbor, and a row that steps back from 2 to 1.
-		{"gap wraps negative", "DKG1\x02\x01" + maxUvarint + "\x01\x00"},
-		{"gap steps back", "DKG1\x03\x02\x02" + maxUvarint + "\x01\x00\x01\x00"},
+		{"repeated neighbor", "DKG2\x02\x02\x00\x02\x00"},
+		{"self-loop", "DKG2\x02\x01\x01\x02\x00"},
+		{"arc without twin", "DKG2\x03\x01\x01\x00\x02\x02"},
+		// A first offset of -2^63 (the varint 2^64-1) and a gap of
+		// 2^64-1 wrap if summed unchecked: a negative neighbor, and a
+		// row that steps back from 2 to 1.
+		{"gap wraps negative", "DKG2\x02\x01\x01" + maxUvarint + "\x01"},
+		{"gap steps back", "DKG2\x03\x02\x01\x01\x04" + maxUvarint + "\x01\x03"},
+		{"neighbor past n", "DKG2\x02\x01\x01\x04\x01"},
+		{"neighbor below 0", "DKG2\x02\x01\x00\x01"},
 	} {
 		if g, err := ReadBinary(strings.NewReader(tc.data)); !errors.Is(err, ErrBadFormat) {
 			t.Errorf("%s: got graph %v, error %v; want ErrBadFormat", tc.name, g, err)
 		}
+	}
+}
+
+// TestReadBinaryRejectsDKG1: a file in the retired DKG1 format, here a
+// valid one-edge graph, is an ErrBadFormat that says to regenerate it;
+// the same graph in DKG2 reads back.
+func TestReadBinaryRejectsDKG1(t *testing.T) {
+	_, err := ReadBinary(strings.NewReader("DKG1\x02\x01\x01\x01\x00"))
+	if !errors.Is(err, ErrBadFormat) || !strings.Contains(err.Error(), "regenerate") {
+		t.Fatalf("DKG1 input: error %v, want an ErrBadFormat saying to regenerate the file", err)
+	}
+	g, err := ReadBinary(strings.NewReader("DKG2\x02\x01\x01\x02\x01"))
+	if err != nil || g.NumNodes() != 2 || !g.HasEdge(0, 1) || g.NumEdges() != 1 {
+		t.Fatalf("DKG2 input: graph %v, error %v; want the edge {0, 1}", g, err)
 	}
 }
 
@@ -571,11 +588,15 @@ func FuzzReadBinary(f *testing.F) {
 		}
 		f.Add(buf.Bytes())
 	}
-	f.Add([]byte("DKG1\x02\x01\x01\x01\x00"))
+	f.Add([]byte("DKG2\x02\x01\x01\x02\x01"))
+	f.Add([]byte("DKG1\x02\x01\x01\x01\x00")) // the same graph in the retired format
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, err := ReadBinary(bytes.NewReader(data))
 		if err != nil {
 			return
+		}
+		if !bytes.HasPrefix(data, []byte(binaryMagic)) {
+			t.Fatalf("accepted input without the %s magic: %q", binaryMagic, data)
 		}
 		if err := checkSimple(g); err != nil {
 			t.Fatalf("accepted a graph that is not simple and undirected: %v (%v / %v)", err, g.offsets, g.adj)
@@ -621,8 +642,10 @@ func TestReadBinaryRejectsGarbage(t *testing.T) {
 	}{
 		{name: "empty", data: nil},
 		{name: "bad magic", data: []byte("NOPE")},
-		{name: "truncated after magic", data: []byte("DKG1")},
-		{name: "truncated adjacency", data: []byte("DKG1\x02\x01")},
+		{name: "truncated after magic", data: []byte("DKG2")},
+		{name: "truncated adjacency", data: []byte("DKG2\x02\x01")},
+		{name: "rows missing", data: []byte("DKG2\x02\x01\x01")},
+		{name: "trailing bytes", data: []byte("DKG2\x02\x01\x01\x02\x01\x00")},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

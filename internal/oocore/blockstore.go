@@ -4,7 +4,7 @@
 // "K-Core Decomposition on Super Large Graphs with Limited Resources"):
 // the O(n) node state (estimates and support counters) stays resident,
 // while the O(m) adjacency is split into contiguous node-range blocks,
-// each spilled once to disk in the delta-encoded varint CSR form of
+// each spilled once to disk in the gap-coded varint CSR form of
 // internal/transport and never rewritten. Algorithm 1's update rule runs
 // block-at-a-time on support counters under a hard byte budget on
 // decoded adjacency, enforced by a clock-evicting block cache; an
@@ -33,6 +33,7 @@ import (
 
 	"dkcore/internal/chaos"
 	"dkcore/internal/core"
+	"dkcore/internal/graph"
 	"dkcore/internal/transport"
 )
 
@@ -46,9 +47,10 @@ var ErrCorrupt = errors.New("oocore: corrupt spill file")
 // Spill-file framing. Block and estimate files carry a magic tag, the
 // block ID, a payload length, and a CRC32 so a load can verify it is
 // reading the block it asked for and that the bytes survived the disk
-// round trip.
+// round trip. DKB1 blocks held an absolute first neighbor per row; DKB2
+// blocks hold graph.AppendRows rows.
 const (
-	blockMagic = "DKB1"
+	blockMagic = "DKB2"
 	estMagic   = "DKE1"
 )
 
@@ -157,8 +159,14 @@ func (st *Store) writeFileAtomic(path string, data []byte) error {
 // [first, first+count) with the neighbors of node first+i at
 // flat[off[i]:off[i+1]]. It returns the bytes written.
 func (st *Store) WriteBlock(id, first, count int, off, flat []int) (int64, error) {
-	payload := transport.EncodeCSRBlock(first, count, off, flat)
-	buf := st.framed(blockMagic, id, payload)
+	return st.writeBlock(id, first, first+count, func(u int) []int { return flat[off[u-first]:off[u-first+1]] })
+}
+
+// writeBlock spills the nodes [lo, hi), whose neighbors row returns,
+// straight from the rows (the engine passes the graph's Neighbors).
+func (st *Store) writeBlock(id, lo, hi int, row func(u int) []int) (int64, error) {
+	st.pay = transport.AppendCSRBlock(st.pay[:0], lo, hi, row)
+	buf := st.framed(blockMagic, id, st.pay)
 	if err := st.writeFileAtomic(st.blockPath(id), buf); err != nil {
 		return 0, fmt.Errorf("oocore: write block %d: %w", id, err)
 	}
@@ -168,14 +176,16 @@ func (st *Store) WriteBlock(id, first, count int, off, flat []int) (int64, error
 // LoadBlock reads and verifies block id, returning its first owned
 // global ID, zero-based offsets, and concatenated neighbor array, plus
 // the bytes read. Verification covers the magic, the embedded block ID,
-// the CRC32, and the CSR decode itself.
+// the CRC32, and the CSR decode itself, with node IDs bounded by
+// graph.MaxNodes.
 func (st *Store) LoadBlock(id int) (first int, off, flat []int, bytes int64, err error) {
-	return st.loadBlock(id, nil)
+	return st.loadBlock(id, graph.MaxNodes, nil)
 }
 
-// loadBlock is LoadBlock decoding into the arrays buf returns for the
-// block's size (transport.DecodeCSRBlockInto).
-func (st *Store) loadBlock(id int, buf func(offs, arcs int) (off, flat []int)) (first int, off, flat []int, bytes int64, err error) {
+// loadBlock is LoadBlock for a block of a graph of n nodes, decoding
+// into the arrays buf returns for the block's size
+// (transport.DecodeCSRBlockInto).
+func (st *Store) loadBlock(id, n int, buf func(offs, arcs int) (off, flat []int)) (first int, off, flat []int, bytes int64, err error) {
 	data, err := st.fs.ReadFile(st.blockPath(id))
 	if err != nil {
 		return 0, nil, nil, 0, fmt.Errorf("oocore: load block %d: %w", id, err)
@@ -184,7 +194,7 @@ func (st *Store) loadBlock(id int, buf func(offs, arcs int) (off, flat []int)) (
 	if err != nil {
 		return 0, nil, nil, 0, err
 	}
-	first, off, flat, err = transport.DecodeCSRBlockInto(payload, buf)
+	first, off, flat, err = transport.DecodeCSRBlockInto(payload, n, buf)
 	if err != nil {
 		return 0, nil, nil, 0, fmt.Errorf("oocore: block %d: %v: %w", id, err, ErrCorrupt)
 	}

@@ -278,77 +278,66 @@ func spillDir(fs chaos.FS, root string) (string, func() error, error) {
 	return dir, func() error { return fs.RemoveAll(dir) }, nil
 }
 
-// spill streams the graph into per-block CSR files and seeds each
-// block's estimates from the rows it just wrote and the degree vector.
-// A block whose rows fit the budget beside the blocks already kept is
-// encoded from arrays of its exact size, which then stay in the cache as
-// a resident entry, charged as a load would charge them: it is written
-// once and never read back unless it is evicted. Every other block is
-// encoded through one reused buffer pair, never materializing a second
-// whole-graph adjacency beyond the budget, and is loaded on its first
-// miss.
+// spill streams the graph into per-block CSR files, encoding each
+// block straight from g's rows, and seeds each block's estimates from
+// those rows and the degree vector. A block whose rows fit the budget
+// beside the blocks already kept is also copied into arrays of its exact
+// size, which stay in the cache as a resident entry, charged as a load
+// would charge them: it is written once and never read back unless it is
+// evicted. Every other block is loaded on its first miss.
 func (e *engine) spill(ctx context.Context, g *graph.Graph) error {
-	var off, flat []int // the reused pair of the blocks that do not fit
 	for b := 0; b < e.blocks; b++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		lo, hi := e.blockRange(b)
-		arcs := 0
-		for u := lo; u < hi; u++ {
-			arcs += g.Degree(u)
-		}
-		size := 8 * int64(hi-lo+1+arcs)
-		rowOff, rowFlat := off[:0], flat[:0]
-		keep := e.cache.bytes+size <= e.cache.budget
-		if keep {
-			rowOff, rowFlat = make([]int, 0, hi-lo+1), make([]int, 0, arcs)
-		}
-		rowOff = append(rowOff, 0)
-		for u := lo; u < hi; u++ {
-			rowFlat = append(rowFlat, g.Neighbors(u)...)
-			rowOff = append(rowOff, len(rowFlat))
-		}
-		nb, err := e.store.WriteBlock(b, lo, hi-lo, rowOff, rowFlat)
+		nb, err := e.store.writeBlock(b, lo, hi, g.Neighbors)
 		if err != nil {
 			return err
 		}
 		e.stats.SpillBytesWritten += nb
-		e.seed(b, rowOff, rowFlat, g)
-		if keep {
-			e.cache.insert(&entry{id: b, off: rowOff, flat: rowFlat, bytes: size})
-		} else {
-			off, flat = rowOff, rowFlat
+		e.seed(b, g)
+		arcs := 0
+		for u := lo; u < hi; u++ {
+			arcs += g.Degree(u)
+		}
+		if size := 8 * int64(hi-lo+1+arcs); e.cache.bytes+size <= e.cache.budget {
+			off, flat := make([]int, 1, hi-lo+1), make([]int, 0, arcs)
+			for u := lo; u < hi; u++ {
+				flat = append(flat, g.Neighbors(u)...)
+				off = append(off, len(flat))
+			}
+			e.cache.insert(&entry{id: b, off: off, flat: flat, bytes: size})
 		}
 	}
 	return nil
 }
 
-// seed initializes block b, whose rows are off and flat, reading only
-// node degrees from g: est[u] is the h-index of u's neighbours' degrees,
-// each clamped at d(u) — Algorithm 1's update applied once to the degree
-// seed, so still an upper bound on the coreness, and often a much
-// tighter one. A node seeded at 1 or below is already exact (every node
-// with a neighbour has coreness at least 1); every other node starts
-// active, to count its support at its first visit.
+// seed initializes block b from g: est[u] is the h-index of u's
+// neighbours' degrees, each clamped at d(u) — Algorithm 1's update
+// applied once to the degree seed, so still an upper bound on the
+// coreness, and often a much tighter one. A node seeded at 1 or below is
+// already exact (every node with a neighbour has coreness at least 1);
+// every other node starts active, to count its support at its first
+// visit.
 //
 //dkcore:estwrite Algorithm 1 initialization: one update over the degree seed, before any node is relaxed
-func (e *engine) seed(b int, off, flat []int, g *graph.Graph) {
-	lo, _ := e.blockRange(b)
-	for i := 0; i+1 < len(off); i++ {
-		d := off[i+1] - off[i]
+func (e *engine) seed(b int, g *graph.Graph) {
+	lo, hi := e.blockRange(b)
+	for u := lo; u < hi; u++ {
+		d := g.Degree(u)
 		if d == 0 {
 			continue
 		}
 		cnt := e.bins[:d+1]
-		for _, v := range flat[off[i]:off[i+1]] {
+		for _, v := range g.Neighbors(u) {
 			cnt[min(g.Degree(v), d)]++
 		}
 		k, _ := core.HIndex(cnt)
 		clear(cnt)
-		e.est[lo+i] = k
+		e.est[u] = k
 		if k > 1 {
-			e.active[lo+i] = true
+			e.active[u] = true
 			e.blockActive[b]++
 		}
 	}
@@ -363,7 +352,7 @@ func (e *engine) load(id int) (*entry, error) {
 		ent.pinned = true
 		return ent, nil
 	}
-	first, off, flat, nb, err := e.store.loadBlock(id, func(offs, arcs int) ([]int, []int) {
+	first, off, flat, nb, err := e.store.loadBlock(id, len(e.est), func(offs, arcs int) ([]int, []int) {
 		return e.cache.shrink(8*int64(offs+arcs), offs, arcs)
 	})
 	if err != nil {

@@ -2,6 +2,7 @@ package oocore
 
 import (
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"slices"
@@ -295,4 +296,30 @@ func TestLoadReusesDroppedArrays(t *testing.T) {
 		t.Error("no load decoded into the dropped block's arrays")
 	}
 	t.Logf("%d of %d loads reused the dropped block's neighbour array", reused, e.blocks)
+}
+
+// TestLoadRejectsNeighborPastN: a block file whose frame and checksum
+// are valid but whose row names a node outside the graph fails the load
+// with ErrCorrupt, before relax could index the estimates with it.
+func TestLoadRejectsNeighborPastN(t *testing.T) {
+	g := gen.GNM(100, 300, 1)
+	const per = 32
+	e := newEngine(g, per, NewStoreFS(t.TempDir(), chaos.OS{}), 1)
+	if err := e.spill(context.Background(), g); err != nil {
+		t.Fatal(err)
+	}
+	// Block 1 owns [32, 64); its first node names node 100 = n.
+	off := make([]int, per+1)
+	for i := 1; i <= per; i++ {
+		off[i] = 1
+	}
+	if _, err := e.store.WriteBlock(1, per, per, off, []int{g.NumNodes()}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.load(1); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("load of a block naming node %d of a %d-node graph: error %v, want ErrCorrupt", g.NumNodes(), g.NumNodes(), err)
+	}
+	if _, err := e.load(0); err != nil {
+		t.Fatalf("load of an intact block: %v", err)
+	}
 }

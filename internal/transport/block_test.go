@@ -103,9 +103,10 @@ func TestCSRBlockRoundTripPool(t *testing.T) {
 	}
 }
 
-// TestDecodeCSRBlockHostile covers the decode-before-allocate contract:
-// every malformed shape must error without a large speculative
-// allocation (the fuzz target additionally checks allocation bounds).
+// TestDecodeCSRBlockHostile covers the decode-before-allocate contract
+// and the row checks: every malformed shape must error without a large
+// speculative allocation (the fuzz target additionally checks allocation
+// bounds).
 func TestDecodeCSRBlockHostile(t *testing.T) {
 	huge := []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}
 	cases := []struct {
@@ -118,11 +119,15 @@ func TestDecodeCSRBlockHostile(t *testing.T) {
 		{"truncated-first", []byte{0x01, 0x80}},
 		{"count-exceeds-payload", append([]byte{}, append(huge, 0x00)...)},
 		{"oversized-count-small-payload", []byte{0x7f, 0x00, 0x01}},
-		{"truncated-degree", []byte{0x02, 0x00, 0x01, 0x05}},
+		{"truncated-degree", []byte{0x02, 0x00, 0x01, 0x80}},
 		{"degree-exceeds-payload", []byte{0x01, 0x00, 0x7f, 0x01}},
 		{"huge-degree", append([]byte{0x01, 0x00}, huge...)},
-		{"truncated-neighbor", []byte{0x01, 0x00, 0x02, 0x03, 0x80}},
-		{"trailing-bytes", []byte{0x01, 0x00, 0x01, 0x03, 0x09}},
+		{"truncated-neighbor", []byte{0x01, 0x00, 0x02, 0x02, 0x80}},
+		{"trailing-bytes", []byte{0x01, 0x00, 0x01, 0x06, 0x09}},
+		{"first-neighbor-below-0", []byte{0x01, 0x05, 0x01, 0x0d}},  // node 5: offset -7
+		{"self-loop", []byte{0x01, 0x05, 0x01, 0x00}},               // node 5: {5}
+		{"repeated-neighbor", []byte{0x01, 0x00, 0x02, 0x02, 0x00}}, // node 0: {1, 1}
+		{"nodes-past-max", append(append([]byte{0x01}, huge...), 0x00)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -135,8 +140,24 @@ func TestDecodeCSRBlockHostile(t *testing.T) {
 	if _, off, flat, err := DecodeCSRBlock([]byte{0x00, 0x00}); err != nil || len(off) != 1 || len(flat) != 0 {
 		t.Fatalf("empty block: off=%v flat=%v err=%v", off, flat, err)
 	}
-	if _, _, flat, err := DecodeCSRBlock([]byte{0x01, 0x00, 0x01, 0x03}); err != nil || !slices.Equal(flat, []int{3}) {
+	if _, _, flat, err := DecodeCSRBlock([]byte{0x01, 0x00, 0x01, 0x06}); err != nil || !slices.Equal(flat, []int{3}) {
 		t.Fatalf("one-node block: flat=%v err=%v", flat, err)
+	}
+	// Against the node count n = 4 the same block's neighbor 3 is the
+	// last node, neighbor 4 and a block of nodes [3, 5) are outside.
+	for _, tc := range []struct {
+		name string
+		data []byte
+		ok   bool
+	}{
+		{"neighbor n-1", []byte{0x01, 0x00, 0x01, 0x06}, true},
+		{"neighbor n", []byte{0x01, 0x00, 0x01, 0x08}, false},
+		{"gap to n", []byte{0x01, 0x00, 0x02, 0x02, 0x03}, false},
+		{"nodes past n", []byte{0x02, 0x03, 0x00, 0x00}, false},
+	} {
+		if _, _, _, err := DecodeCSRBlockInto(tc.data, 4, nil); (err == nil) != tc.ok {
+			t.Errorf("%s: error %v, want ok=%v", tc.name, err, tc.ok)
+		}
 	}
 }
 
@@ -146,7 +167,7 @@ func TestDecodeCSRBlockHostile(t *testing.T) {
 func FuzzBlockDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x00, 0x00})
-	f.Add([]byte{0x01, 0x00, 0x01, 0x03})
+	f.Add([]byte{0x01, 0x00, 0x01, 0x06})
 	f.Add(EncodeCSRBlock(10, 2, []int{0, 2, 3}, []int{11, 12, 10}))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
 	f.Add([]byte{0x80})
@@ -196,8 +217,8 @@ func TestEncodeCSRBlockCompactness(t *testing.T) {
 	if len(enc)*2 > words {
 		t.Fatalf("block encoding %d bytes, flat form %d — expected at least 2x compression", len(enc), words)
 	}
-	if !bytes.Equal(enc, AppendCSRBlock(nil, owned[0], len(owned), off, flat)) {
-		t.Fatal("EncodeCSRBlock and AppendCSRBlock disagree")
+	if !bytes.Equal(enc, AppendCSRBlock(nil, 0, g.NumNodes(), g.Neighbors)) {
+		t.Fatal("EncodeCSRBlock of the CSR view and AppendCSRBlock of the graph's rows disagree")
 	}
 }
 
