@@ -181,7 +181,9 @@ bench-partition: build
 # lane runs: the level peel's scans and cascades under the parallel
 # engine, and the HostState Apply/ImproveIfDirty/CollectPointToPoint loop
 # the simulator and the cluster host drive, must re-run a warmed state
-# with zero allocations, one
+# with zero allocations, and its cascade must walk at most 2 % more
+# adjacency entries than the lowest-estimate-first worklist does
+# (TestRefineWalkedArcs), one
 # waited Session event must publish its epoch in under 64 KiB of
 # allocation, within 2x between a 20k-node and a 200k-node graph (the
 # scale gate: an O(n) or O(m) copy on the publish path fails it), a
@@ -193,7 +195,7 @@ bench-partition: build
 # ReadBinary must load its binary file in at most 20 B per arc
 # (TestReadBinaryBytesPerArc), and a
 # cluster host must decode its config, build its HostState and seed its
-# estimates in at most 45 B per adjacency entry it owns
+# estimates in at most 28.6 B per adjacency entry it owns
 # (TestHostSetupBytesPerArc), and the out-of-core engine must decompose
 # a 60k-node power law in 4096-node blocks within the read amplification
 # and block passes of the per-visit ComputeIndex relax at 2 MiB and
@@ -201,7 +203,7 @@ bench-partition: build
 # Deterministic tests, not benchmark-output parsing.
 bench-allocs: build
 	$(GO) test -run TestSteadyStateRoundAllocs -count=1 ./internal/parallel
-	$(GO) test -run TestRefineSteadyStateAllocs -count=1 ./internal/core
+	$(GO) test -run 'TestRefineSteadyStateAllocs|TestRefineWalkedArcs' -count=1 ./internal/core
 	$(GO) test -run 'TestPublishBytesScaleFree|TestPublishBytesPerEvent' -count=1 .
 	$(GO) test -run 'TestReadEdgeListBytesPerEdge|TestReadBinaryBytesPerArc' -count=1 ./internal/graph
 	$(GO) test -run TestHostSetupBytesPerArc -count=1 ./internal/cluster

@@ -78,9 +78,10 @@ func BenchmarkConfigFrame(b *testing.B) {
 // config decode, core.NewHostState and InitEstimates for host 0 of the
 // berkstan analogue (scale 5, seed 1, two range-owned hosts, the graph
 // the benchmark's deep workload runs), per adjacency entry the host
-// owns.
+// owns. The bound is the 26.0 B measured with range-owned locals plus
+// 10 %.
 func TestHostSetupBytesPerArc(t *testing.T) {
-	const maxBytesPerArc = 45
+	const maxBytesPerArc = 28.6
 	d, err := dataset.ByKey("berkstan")
 	if err != nil {
 		t.Fatal(err)
@@ -103,6 +104,6 @@ func TestHostSetupBytesPerArc(t *testing.T) {
 	perArc := float64(after.TotalAlloc-before.TotalAlloc) / float64(arcs)
 	t.Logf("%d owned nodes, %d arcs, %.1f B allocated per arc", hi-lo, arcs, perArc)
 	if perArc > maxBytesPerArc {
-		t.Fatalf("host setup allocated %.1f B per adjacency entry, want at most %d", perArc, maxBytesPerArc)
+		t.Fatalf("host setup allocated %.1f B per adjacency entry, want at most %.1f", perArc, maxBytesPerArc)
 	}
 }

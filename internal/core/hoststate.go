@@ -20,16 +20,18 @@ import (
 // compact local index — owned nodes occupy [0, len(owned)), externals
 // follow — so per-node state lives in dense slices sized by the
 // partition, not the graph, and the cascade's hot loop never touches a
-// map; global IDs are translated only at the batch boundary, by one
-// table built at construction (see lookup). The cascade is
-// worklist-driven on the support-counter kernel (support.go) that the
-// out-of-core engine shares: InitEstimates seeds the round-0 local
-// fixpoint with a bin-sort peel and counts each owned node's support, a
-// neighbor drop costs O(1) per counter it crosses, and only a node whose
-// support fell below its estimate is enqueued, to be lowered by one pass
-// over its adjacency, so total work is O(Σ drops × degree). The
-// recompute-from-scratch path survives behind SetOracleRefine as the
-// executable specification for differential tests and benchmarks.
+// map; global IDs are translated only at the batch boundary (see
+// lookup), by subtraction for an owned range (every cluster host's and
+// block placement's) and otherwise by one table built at construction.
+// The cascade is worklist-driven on the support-counter kernel
+// (support.go) that the out-of-core engine shares: InitEstimates seeds
+// the round-0 local fixpoint with a bin-sort peel and counts each owned
+// node's support, a neighbor drop costs O(1) per counter it crosses, and
+// only a node whose support fell below its estimate is enqueued, to be
+// lowered, lowest estimate first, by one pass over its adjacency, so
+// total work is O(Σ drops × degree). The recompute-from-scratch path
+// survives behind SetOracleRefine as the executable specification for
+// differential tests and benchmarks.
 //
 // Buffer-reuse contract: CollectBroadcast and CollectPointToPoint return
 // double-buffered storage owned by the HostState — a returned batch (and
@@ -38,15 +40,15 @@ import (
 // round and deliver by the next round (every engine in this module) are
 // therefore always safe; callers that buffer batches longer must copy.
 type HostState struct {
-	selfID int
-	owned  []int // V(x), global IDs, sorted: nodes[:len(owned)]
+	owned []int // V(x), global IDs, sorted: nodes[:len(owned)]
 
 	// Local-index node space: owned nodes first (in sorted global
 	// order), then external neighbors in first-seen order. Exactly one
-	// of loc and local translates global IDs back (see NewHostState).
-	nodes []int       // local → global ID
-	loc   []int32     // dense: global ID → 1 + local index, 0 = untracked
-	local map[int]int // sparse: global ID → local index
+	// of loc and local translates the IDs outside [lo, hi) back.
+	nodes  []int       // local → global ID
+	lo, hi int         // the owned range (empty if not a range): ID u is local u−lo
+	loc    []int32     // dense: global ID → 1 + local index, 0 = untracked
+	local  map[int]int // sparse: global ID → local index
 
 	// Flat local adjacency: the local-index neighbors of owned local l
 	// are adjFlat[adjOff[l]:adjOff[l+1]] — one contiguous array per
@@ -83,12 +85,18 @@ type HostState struct {
 	vert, pos []int32
 	bins      []int32
 	woken     []int32
+	walked    int64 // adjacency entries Refine scanned: the cascade's work
 
 	changed     []bool  // owned local marked since last collection
 	changedList []int32 // the marked locals; sized for all of them
 
-	queue   []int // FIFO of owned locals awaiting recomputation
-	qhead   int
+	// The worklist, owned locals bucketed by estimate at enqueue: qhead[k]
+	// is 1 + the last pushed at key k, qnext[l] 1 + the one pushed before
+	// l (0 ends both), and qmin <= the lowest key (the top when drained).
+	qhead   []int32
+	qnext   []int32
+	qmin    int32
+	qlen    int
 	inQueue []bool
 	dirty   bool // est changed since last Improve
 
@@ -134,26 +142,15 @@ func (s *HostState) degreeOf(l int) int { return int(s.adjOff[l+1] - s.adjOff[l]
 //
 //dkcore:estwrite constructor: allocates the not-yet-published estimate vector
 func NewHostState[E int | int32](selfID, numNodes int, owned, off, flat []E, owner func(node int) int) *HostState {
-	s := &HostState{selfID: selfID}
+	s := &HostState{}
 	nOwned := len(owned)
 	totalDeg := 0
 	if nOwned > 0 {
 		totalDeg = int(off[nOwned] - off[0])
+		if int(owned[nOwned-1]-owned[0]) == nOwned-1 {
+			s.lo, s.hi = int(owned[0]), int(owned[0])+nOwned
+		}
 	}
-
-	// Owned nodes take the first local indices; externals are appended
-	// as the adjacency scan discovers them. The tracked-node count is
-	// bounded by nOwned plus the externals, which cannot exceed either
-	// the arc count or the non-owned remainder of the graph.
-	extCap := totalDeg
-	if rest := numNodes - nOwned; rest >= 0 && rest < extCap {
-		extCap = rest
-	}
-	s.nodes = make([]int, nOwned, nOwned+extCap)
-	for l, u := range owned {
-		s.nodes[l] = int(u)
-	}
-	s.owned = s.nodes[:nOwned:nOwned]
 
 	// Global→local translation: a dense table when the graph is at most
 	// a constant factor larger than the partition (one array read per
@@ -164,45 +161,40 @@ func NewHostState[E int | int32](selfID, numNodes int, owned, off, flat []E, own
 	const denseFactor = 8
 	if numNodes <= denseFactor*(nOwned+totalDeg+1) {
 		s.loc = make([]int32, numNodes)
-		for l, u := range s.owned {
-			s.loc[u] = int32(l) + 1
-		}
 	} else {
-		s.local = make(map[int]int, nOwned+extCap)
-		for l, u := range s.owned {
-			s.local[u] = l
+		s.local = make(map[int]int)
+	}
+	if s.hi == s.lo {
+		for l, u := range owned {
+			s.track(int(u), l)
 		}
 	}
 
 	// One pass over the arcs builds the local adjacency and each owned
-	// node's border hosts. owner is asked once per external, when the
-	// scan discovers it (extHost[i] is the host of external local
-	// nOwned+i); arcs to owned locals never cross a border. stamp[h] is
-	// 1 + the last owned local that listed host h, so a host is listed
-	// at most once per node in O(1) per arc; the listed host IDs go to
-	// one arena, sized for the worst case (one host per arc) so the scan
-	// never reallocates.
+	// node's border hosts. Owned nodes take the first local indices and
+	// externals follow as the scan discovers them: ext[i] is external
+	// local nOwned+i, and owner is asked once for its host extHost[i];
+	// arcs to owned locals never cross a border. stamp[h] is 1 + the
+	// last owned local that listed host h, so a host is listed at most
+	// once per node in O(1) per arc, into an arena grown as it goes.
 	s.adjOff = make([]int32, nOwned+1)
 	s.adjFlat = make([]int32, totalDeg)
 	s.borderOff = make([]int32, nOwned+1)
-	border := make([]int32, 0, totalDeg)
+	var border, extHost []int32
+	var ext []int
 	stamp := make([]int32, 64)
-	extHost := make([]int32, 0, extCap)
-	nHosts, pos := 0, int32(0)
+	nHosts, pos, maxDeg := 0, int32(0), 0
 	for lu := range owned {
 		s.adjOff[lu] = pos
+		maxDeg = max(maxDeg, int(off[lu+1]-off[lu]))
 		s.borderOff[lu] = int32(len(border))
 		for _, e := range flat[off[lu]:off[lu+1]] {
 			v := int(e)
 			lv, ok := s.lookup(v)
 			if !ok {
-				lv = len(s.nodes)
-				s.nodes = append(s.nodes, v)
-				if s.loc != nil {
-					s.loc[v] = int32(lv) + 1
-				} else {
-					s.local[v] = lv
-				}
+				lv = nOwned + len(ext)
+				ext = append(ext, v)
+				s.track(v, lv)
 				hv := owner(v)
 				if hv >= len(stamp) {
 					stamp = append(stamp, make([]int32, max(hv+1, 2*len(stamp))-len(stamp))...)
@@ -232,8 +224,7 @@ func NewHostState[E int | int32](selfID, numNodes int, owned, off, flat []E, own
 
 	// Walking the stamps in host order yields the sorted neighborHosts;
 	// the stamp table then becomes the host → position map that
-	// rewrites the arena in place. An arena mostly left empty (block
-	// assignments, where few arcs cross) is copied down to size.
+	// rewrites the arena in place.
 	if nHosts > 0 {
 		s.neighborHosts = make([]int, 0, nHosts)
 		for h, st := range stamp {
@@ -245,48 +236,48 @@ func NewHostState[E int | int32](selfID, numNodes int, owned, off, flat []E, own
 		for i, h := range border {
 			border[i] = stamp[h]
 		}
-		if 2*len(border) < cap(border) {
-			border = slices.Clone(border)
-		}
 		s.border = border
 	}
 
+	s.nodes = make([]int, nOwned, nOwned+len(ext))
+	for l, u := range owned {
+		s.nodes[l] = int(u)
+	}
+	s.nodes = append(s.nodes, ext...)
+	s.owned = s.nodes[:nOwned:nOwned]
 	n := len(s.nodes)
 	// Reverse adjacency of externals, flattened by counting sort: count
-	// each external's owned-neighbor degree, prefix-sum, fill.
+	// each external's owned-neighbor degree, prefix-sum to the list ends,
+	// and fill backwards, which moves each offset down to its start.
 	nExt := n - nOwned
 	s.revOff = make([]int32, nExt+1)
 	for _, lv := range s.adjFlat {
 		if int(lv) >= nOwned {
-			s.revOff[int(lv)-nOwned+1]++
+			s.revOff[int(lv)-nOwned]++
 		}
 	}
-	for i := 0; i < nExt; i++ {
-		s.revOff[i+1] += s.revOff[i]
+	for i := 1; i <= nExt; i++ {
+		s.revOff[i] += s.revOff[i-1]
 	}
 	s.revFlat = make([]int32, s.revOff[nExt])
-	cursor := make([]int32, nExt)
-	for lu := 0; lu < nOwned; lu++ {
+	for lu := nOwned - 1; lu >= 0; lu-- {
 		for _, lv := range s.adj(lu) {
-			if int(lv) >= nOwned {
-				i := int(lv) - nOwned
-				s.revFlat[s.revOff[i]+cursor[i]] = int32(lu)
-				cursor[i]++
+			if i := int(lv) - nOwned; i >= 0 {
+				s.revOff[i]--
+				s.revFlat[s.revOff[i]] = int32(lu)
 			}
 		}
 	}
 
 	s.est = make([]int32, n)
-	maxDeg := 0
-	for l := range owned {
-		maxDeg = max(maxDeg, s.degreeOf(l))
-	}
-	// One arena for the support counters and the peel scratch.
-	arena := make([]int32, 3*nOwned+maxDeg+1)
+	// One arena for the support counters, the peel and worklist scratch.
+	arena := make([]int32, 4*nOwned+2*(maxDeg+1))
 	s.sup = arena[:nOwned:nOwned]
 	s.vert = arena[nOwned : 2*nOwned : 2*nOwned]
 	s.pos = arena[2*nOwned : 3*nOwned : 3*nOwned]
-	s.bins = arena[3*nOwned:]
+	s.qnext = arena[3*nOwned : 4*nOwned : 4*nOwned]
+	s.bins = arena[4*nOwned : 4*nOwned+maxDeg+1 : 4*nOwned+maxDeg+1]
+	s.qhead = arena[4*nOwned+maxDeg+1:]
 	s.changed = make([]bool, nOwned)
 	s.changedList = make([]int32, 0, nOwned)
 	s.inQueue = make([]bool, nOwned)
@@ -301,6 +292,9 @@ func NewHostState[E int | int32](selfID, numNodes int, owned, off, flat []E, own
 // wire unchecked, so any int — negative, past numNodes — must resolve
 // to "untracked" rather than index out of range.
 func (s *HostState) lookup(u int) (int, bool) {
+	if uint(u-s.lo) < uint(s.hi-s.lo) {
+		return u - s.lo, true
+	}
 	if s.loc == nil {
 		l, ok := s.local[u]
 		return l, ok
@@ -310,6 +304,15 @@ func (s *HostState) lookup(u int) (int, bool) {
 	}
 	l := int(s.loc[u]) - 1
 	return l, l >= 0
+}
+
+// track records that global ID u has local index l in the table.
+func (s *HostState) track(u, l int) {
+	if s.loc != nil {
+		s.loc[u] = int32(l) + 1
+	} else {
+		s.local[u] = l
+	}
 }
 
 // SetOracleRefine switches the host between incremental support-counter
@@ -437,13 +440,15 @@ func (s *HostState) wake(woken []int32) {
 }
 
 // Improve is Algorithm 4: cascade refinement over the enqueued owned
-// nodes until the worklist drains. The fixpoint is the same as a full
-// sweep (estimates are monotone non-increasing), only cheaper. FIFO
-// order lets a node absorb every pending neighbor drop before its own
-// recomputation, so chains converge in one pass per level. A node whose
-// support is still intact, or whose estimate is at the floor of 1, is
-// skipped in O(1); any other is recomputed by Refine, which always
-// lowers it.
+// nodes until the worklist drains, lowest estimate first: a hub is
+// recomputed once its lower neighbors have settled, not once per level
+// they pass through. The order cannot change a count: a recomputation
+// never lowers a node below the greatest fixpoint under the round's
+// starting estimates, so the cascade drains to that fixpoint in any
+// order, and the changed set and every value shipped are the same. A
+// node whose support is still intact, or whose estimate is at the floor
+// of 1, is skipped in O(1); any other is recomputed by Refine, which
+// always lowers it.
 //
 //dkcore:estwrite Algorithm 4's refinement: the only path that lowers owned estimates
 //dkcore:noalloc the cascade hot loop, gated by TestRefineSteadyStateAllocs
@@ -451,21 +456,20 @@ func (s *HostState) Improve() {
 	if s.oracle {
 		s.improveOracle() // drains the queue, so the loop below does nothing
 	}
-	for s.qhead < len(s.queue) {
-		lu := s.queue[s.qhead]
-		s.qhead++
-		s.inQueue[lu] = false
+	for s.qlen > 0 {
+		lu := s.dequeue()
 		k := s.est[lu]
 		if k <= 1 || s.sup[lu] >= k {
 			continue
 		}
-		nk, sup := Refine(s.adj(lu), s.est, k, s.bins)
+		row := s.adj(lu)
+		nk, sup := Refine(row, s.est, k, s.bins)
+		s.walked += int64(len(row))
 		s.est[lu], s.sup[lu] = nk, sup
 		s.markChanged(lu)
-		s.wake(Drop(s.adj(lu), s.est, s.sup, k, nk, s.woken[:0]))
+		s.wake(Drop(row, s.est, s.sup, k, nk, s.woken[:0]))
 	}
-	s.queue = s.queue[:0]
-	s.qhead = 0
+	s.qmin = int32(len(s.qhead) - 1) // the drained worklist's next push sets it
 	s.dirty = false
 }
 
@@ -475,10 +479,8 @@ func (s *HostState) Improve() {
 //
 //dkcore:estwrite the oracle refinement path, differentially tested against Improve
 func (s *HostState) improveOracle() {
-	for s.qhead < len(s.queue) {
-		lu := s.queue[s.qhead]
-		s.qhead++
-		s.inQueue[lu] = false
+	for s.qlen > 0 {
+		lu := s.dequeue()
 		ku := int(s.est[lu])
 		if ku <= 0 {
 			continue
@@ -514,12 +516,26 @@ func (s *HostState) ImproveIfDirty() {
 	}
 }
 
-//dkcore:noalloc worklist push; append reuses the retained queue buffer
+//dkcore:noalloc worklist push at the local's estimate into the retained buckets
 func (s *HostState) enqueue(l int) {
 	if !s.inQueue[l] {
 		s.inQueue[l] = true
-		s.queue = append(s.queue, l)
+		k := s.est[l]
+		s.qnext[l], s.qhead[k] = s.qhead[k], int32(l)+1
+		s.qmin = min(s.qmin, k)
+		s.qlen++
 	}
+}
+
+//dkcore:noalloc worklist pop of a lowest-key local; the worklist must not be empty
+func (s *HostState) dequeue() int {
+	for s.qhead[s.qmin] == 0 {
+		s.qmin++
+	}
+	l := s.qhead[s.qmin] - 1
+	s.qhead[s.qmin], s.inQueue[l] = s.qnext[l], false
+	s.qlen--
+	return int(l)
 }
 
 //dkcore:noalloc changed-set push; append reuses the retained list buffer
@@ -537,11 +553,12 @@ func (s *HostState) HasChanges() bool { return len(s.changedList) > 0 }
 // last collection.
 func (s *HostState) ChangedCount() int { return len(s.changedList) }
 
-// CollectBroadcast returns one batch with every changed owned estimate and
-// clears the changed set (the §3.2.1 broadcast policy). It returns nil
-// when nothing changed. The batch aliases double-buffered storage: it is
-// valid until the second-following Collect call (see the type comment),
-// so steady-state rounds ship estimates without allocating.
+// CollectBroadcast returns one batch with every changed owned estimate, in
+// ascending node order, and clears the changed set (the §3.2.1 broadcast
+// policy). It returns nil when nothing changed. The batch aliases
+// double-buffered storage: it is valid until the second-following
+// Collect call (see the type comment), so steady-state rounds ship
+// estimates without allocating.
 //
 //dkcore:noalloc steady-state collection, double-buffered (TestRefineSteadyStateAllocs)
 func (s *HostState) CollectBroadcast() Batch {
@@ -550,7 +567,7 @@ func (s *HostState) CollectBroadcast() Batch {
 	}
 	s.bcastFlip ^= 1
 	batch := s.bcast[s.bcastFlip][:0]
-	for _, l := range s.changedList {
+	for _, l := range s.sortChanged() {
 		batch = append(batch, EstimateMsg{Node: s.nodes[l], Core: int(s.est[l])})
 	}
 	s.bcast[s.bcastFlip] = batch
@@ -559,11 +576,11 @@ func (s *HostState) CollectBroadcast() Batch {
 }
 
 // CollectPointToPoint returns, per neighboring host, the batch of changed
-// border estimates relevant to it (Algorithm 5), then clears the changed
-// set. Hosts with no relevant changes are absent from the map. The map
-// and its batches alias double-buffered storage valid until the
-// second-following Collect call (see the type comment); steady-state
-// rounds reuse both, allocating nothing.
+// border estimates relevant to it (Algorithm 5) in ascending node order,
+// then clears the changed set. Hosts with no relevant changes are absent
+// from the map. The map and its batches alias double-buffered storage
+// valid until the second-following Collect call (see the type comment);
+// steady-state rounds reuse both, allocating nothing.
 //
 //dkcore:noalloc steady-state collection, double-buffered (TestRefineSteadyStateAllocs)
 func (s *HostState) CollectPointToPoint() map[int]Batch {
@@ -582,7 +599,7 @@ func (s *HostState) CollectPointToPoint() map[int]Batch {
 	for i := range bufs {
 		bufs[i] = bufs[i][:0]
 	}
-	for _, l := range s.changedList {
+	for _, l := range s.sortChanged() {
 		msg := EstimateMsg{Node: s.nodes[l], Core: int(s.est[l])}
 		for _, p := range s.border[s.borderOff[l]:s.borderOff[l+1]] {
 			bufs[p] = append(bufs[p], msg)
@@ -597,6 +614,25 @@ func (s *HostState) CollectPointToPoint() map[int]Batch {
 		}
 	}
 	return out
+}
+
+// sortChanged orders the changed list by local, hence by node, so that
+// batches leave sorted: a sparse list is sorted, a dense one (an eighth
+// of the owned nodes or more) read back off the flags in one scan.
+//
+//dkcore:noalloc per-collection ordering of retained state
+func (s *HostState) sortChanged() []int32 {
+	if 8*len(s.changedList) < len(s.changed) {
+		slices.Sort(s.changedList)
+		return s.changedList
+	}
+	s.changedList = s.changedList[:0]
+	for l, c := range s.changed {
+		if c {
+			s.changedList = append(s.changedList, int32(l))
+		}
+	}
+	return s.changedList
 }
 
 //dkcore:noalloc per-collection reset of retained state

@@ -31,7 +31,7 @@ func exportTestGraph(t *testing.T) *graph.Graph {
 // node IDs: a decoded batch may name any int, and Apply must treat an
 // ID outside the graph as untracked — no panic, no improvement, no
 // estimate touched — whether the host translates IDs through its dense
-// table or its sparse map.
+// table, its sparse map, or its owned range.
 func TestApplyRejectsOutOfRangeIDs(t *testing.T) {
 	g := exportTestGraph(t)
 	parts, err := PartitionAll(g, ModuloAssignment{H: 2})
@@ -39,8 +39,16 @@ func TestApplyRejectsOutOfRangeIDs(t *testing.T) {
 		t.Fatal(err)
 	}
 	dense := parts.NewPartitionState(0)
-	if dense.loc == nil {
-		t.Fatal("small partition of a small graph did not get the dense table")
+	if dense.loc == nil || dense.hi > dense.lo {
+		t.Fatal("small modulo partition of a small graph did not get the dense table alone")
+	}
+	blocks, err := PartitionAll(g, BlockAssignment{N: g.NumNodes(), H: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ranged := blocks.NewPartitionState(1)
+	if ranged.lo != 5 || ranged.hi != 9 {
+		t.Fatalf("block partition 1 owns the range [%d, %d), want [5, 9)", ranged.lo, ranged.hi)
 	}
 
 	// A two-node partition of a huge graph: 0 and 1 owned and adjacent,
@@ -61,7 +69,7 @@ func TestApplyRejectsOutOfRangeIDs(t *testing.T) {
 		name     string
 		s        *HostState
 		numNodes int
-	}{{"dense", dense, g.NumNodes()}, {"sparse", sparse, bigN}} {
+	}{{"dense", dense, g.NumNodes()}, {"sparse", sparse, bigN}, {"ranged", ranged, g.NumNodes()}} {
 		tc.s.InitEstimates()
 		before := slices.Clone(tc.s.est)
 		for _, id := range []int{-1, tc.numNodes, math.MaxInt, math.MinInt} {
@@ -175,7 +183,7 @@ func TestInitEstimatesPeelMatchesCascade(t *testing.T) {
 	for _, hosts := range []int{1, 4, 70} {
 		for _, tc := range diffPool() {
 			name := fmt.Sprintf("%s/H=%d", tc.name, hosts)
-			inc, orc, err := lockstepHosts(tc.g, hosts)
+			inc, orc, err := lockstepHosts(tc.g, ModuloAssignment{H: hosts})
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}

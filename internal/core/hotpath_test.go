@@ -57,7 +57,7 @@ func driveRefinement(states []*HostState, inbox, next [][]Batch, single Batch) (
 func TestRefineSteadyStateAllocs(t *testing.T) {
 	g := gen.PowerLaw(gen.PowerLawConfig{N: 4000, Exponent: 2.2, MinDeg: 2}, 1)
 	const p = 4
-	states, _, err := lockstepHosts(g, p)
+	states, _, err := lockstepHosts(g, ModuloAssignment{H: p})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,6 +75,60 @@ func TestRefineSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestRefineWalkedArcs is the deterministic work gate of the cascade
+// order: one refinement of TestRefineSteadyStateAllocs's graph and hosts,
+// each host applying a round's batches together before its cascade (as
+// the simulator and the cluster host do), must walk at most 2 % more
+// adjacency entries in Refine than the lowest-estimate-first worklist
+// walks. A FIFO worklist walks 35,081 here (8 % more), so it fails;
+// one batch per cascade is what gives the order room, as per-message
+// delivery walks the same 125,431 in either order. Rounds and estimates
+// do not depend on the order, so they are pinned exactly.
+func TestRefineWalkedArcs(t *testing.T) {
+	const maxWalked = 32397 * 102 / 100
+	g := gen.PowerLaw(gen.PowerLawConfig{N: 4000, Exponent: 2.2, MinDeg: 2}, 1)
+	const p = 4
+	states, _, err := lockstepHosts(g, ModuloAssignment{H: p})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inbox, next := make([][]Batch, p), make([][]Batch, p)
+	rounds, shipped := 0, 0
+	for active := true; active; rounds++ {
+		active = false
+		for x, s := range states {
+			if rounds == 0 {
+				s.InitEstimates()
+			}
+			for _, b := range inbox[x] {
+				s.Apply(b)
+			}
+			inbox[x] = inbox[x][:0]
+			s.ImproveIfDirty()
+			out := s.CollectPointToPoint()
+			for _, dest := range s.NeighborHosts() {
+				if b, ok := out[dest]; ok {
+					next[dest] = append(next[dest], b)
+					shipped += len(b)
+					active = true
+				}
+			}
+		}
+		inbox, next = next, inbox
+	}
+	var walked int64
+	for _, s := range states {
+		walked += s.walked
+	}
+	t.Logf("%d rounds, %d estimates shipped, %d adjacency entries walked", rounds, shipped, walked)
+	if rounds != 10 || shipped != 13956 {
+		t.Fatalf("%d rounds and %d estimates shipped, want 10 and 13956", rounds, shipped)
+	}
+	if walked > maxWalked {
+		t.Fatalf("refinement walked %d adjacency entries, want at most %d", walked, maxWalked)
+	}
+}
+
 // BenchmarkRefineHotPath stresses estimate refinement on the 10k-node
 // power-law generator (the hub-heavy degree profile of the paper's web
 // and social datasets; the degree cap is lifted to 1200 so genuine hubs
@@ -86,7 +140,7 @@ func TestRefineSteadyStateAllocs(t *testing.T) {
 func BenchmarkRefineHotPath(b *testing.B) {
 	g := gen.PowerLaw(gen.PowerLawConfig{N: 10000, Exponent: 2.0, MinDeg: 2, MaxDeg: 1200}, 1)
 	const p = 8
-	inc, orc, err := lockstepHosts(g, p)
+	inc, orc, err := lockstepHosts(g, ModuloAssignment{H: p})
 	if err != nil {
 		b.Fatal(err)
 	}

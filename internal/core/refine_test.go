@@ -165,11 +165,12 @@ func diffPool() []struct {
 
 // lockstepHosts builds one incremental and one oracle HostState set over
 // the same partitions.
-func lockstepHosts(g *graph.Graph, hosts int) (inc, orc []*HostState, err error) {
-	parts, err := PartitionAll(g, ModuloAssignment{H: hosts})
+func lockstepHosts(g *graph.Graph, assign Assignment) (inc, orc []*HostState, err error) {
+	parts, err := PartitionAll(g, assign)
 	if err != nil {
 		return nil, nil, err
 	}
+	hosts := assign.NumHosts()
 	inc = make([]*HostState, hosts)
 	orc = make([]*HostState, hosts)
 	for x := 0; x < hosts; x++ {
@@ -210,7 +211,9 @@ func compareStates(t *testing.T, name string, step string, g *graph.Graph, inc, 
 // cascade step of every round, through
 // InfEstimate saturation on round 0 and down to the k=0/1 floors. It
 // runs at 4 hosts and at 70, past the 64 host IDs one bitmask word
-// holds.
+// holds, under the paper's modulo placement (owned sets a table
+// translates), and at 4 hosts under block placement too (owned ranges
+// translated by subtraction).
 func TestHostStateOracleLockstep(t *testing.T) {
 	pool := diffPool()
 	if len(pool) < 50 {
@@ -218,17 +221,21 @@ func TestHostStateOracleLockstep(t *testing.T) {
 	}
 	for _, hosts := range []int{4, 70} {
 		for _, tc := range pool {
-			lockstepRun(t, tc.name, tc.g, hosts)
+			lockstepRun(t, tc.name, tc.g, ModuloAssignment{H: hosts})
+			if hosts < 64 {
+				lockstepRun(t, tc.name, tc.g, BlockAssignment{N: tc.g.NumNodes(), H: hosts})
+			}
 		}
 	}
 }
 
 // lockstepRun drives one graph's incremental and oracle hosts through
 // the same BSP schedule, comparing after every cascade step.
-func lockstepRun(t *testing.T, name string, g *graph.Graph, hosts int) {
+func lockstepRun(t *testing.T, name string, g *graph.Graph, assign Assignment) {
 	t.Helper()
-	name = fmt.Sprintf("%s/H=%d", name, hosts)
-	inc, orc, err := lockstepHosts(g, hosts)
+	hosts := assign.NumHosts()
+	name = fmt.Sprintf("%s/%T/H=%d", name, assign, hosts)
+	inc, orc, err := lockstepHosts(g, assign)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
@@ -278,8 +285,9 @@ func lockstepRun(t *testing.T, name string, g *graph.Graph, hosts int) {
 
 // FuzzHostStateDifferential feeds arbitrary batches — stray nodes,
 // zero and negative cores, InfEstimate, repeated entries — to an
-// incremental host and its oracle twin, asserting estimate equality and
-// recounted support counters after every cascade. The graph itself is derived from the fuzz input
+// incremental host and its oracle twin, under modulo and block
+// placement, asserting estimate equality and recounted support counters
+// after every cascade. The graph itself is derived from the fuzz input
 // so topology and traffic are fuzzed together.
 func FuzzHostStateDifferential(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, []byte{0, 1, 2, 3})
@@ -299,42 +307,44 @@ func FuzzHostStateDifferential(f *testing.F) {
 			}
 		}
 		g := b.Build()
-		inc, orc, err := lockstepHosts(g, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for x := 0; x < 2; x++ {
-			inc[x].InitEstimates()
-			orc[x].InitEstimates()
-		}
-		for i := 0; i+1 < len(traffic); i += 2 {
-			node := int(traffic[i]) % (n + 2) // may name untracked nodes
-			var core int
-			switch traffic[i+1] % 5 {
-			case 0:
-				core = 0
-			case 1:
-				core = InfEstimate
-			case 2:
-				core = -1
-			default:
-				core = int(traffic[i+1]) % 8
+		for _, assign := range []Assignment{ModuloAssignment{H: 2}, BlockAssignment{N: n, H: 2}} {
+			inc, orc, err := lockstepHosts(g, assign)
+			if err != nil {
+				t.Fatal(err)
 			}
-			batch := Batch{{Node: node, Core: core}}
-			x := i / 2 % 2
-			inc[x].Apply(batch)
-			orc[x].Apply(batch)
-			inc[x].ImproveIfDirty()
-			orc[x].ImproveIfDirty()
-			if err := inc[x].checkSupport(); err != nil {
-				t.Fatalf("step %d host %d: %v", i, x, err)
+			for x := 0; x < 2; x++ {
+				inc[x].InitEstimates()
+				orc[x].InitEstimates()
 			}
-			for u := 0; u < n; u++ {
-				ie, iok := inc[x].Estimate(u)
-				oe, ook := orc[x].Estimate(u)
-				if iok != ook || ie != oe {
-					t.Fatalf("step %d host %d node %d: incremental (%d,%v) vs oracle (%d,%v)",
-						i, x, u, ie, iok, oe, ook)
+			for i := 0; i+1 < len(traffic); i += 2 {
+				node := int(traffic[i]) % (n + 2) // may name untracked nodes
+				var core int
+				switch traffic[i+1] % 5 {
+				case 0:
+					core = 0
+				case 1:
+					core = InfEstimate
+				case 2:
+					core = -1
+				default:
+					core = int(traffic[i+1]) % 8
+				}
+				batch := Batch{{Node: node, Core: core}}
+				x := i / 2 % 2
+				inc[x].Apply(batch)
+				orc[x].Apply(batch)
+				inc[x].ImproveIfDirty()
+				orc[x].ImproveIfDirty()
+				if err := inc[x].checkSupport(); err != nil {
+					t.Fatalf("%T step %d host %d: %v", assign, i, x, err)
+				}
+				for u := 0; u < n; u++ {
+					ie, iok := inc[x].Estimate(u)
+					oe, ook := orc[x].Estimate(u)
+					if iok != ook || ie != oe {
+						t.Fatalf("%T step %d host %d node %d: incremental (%d,%v) vs oracle (%d,%v)",
+							assign, i, x, u, ie, iok, oe, ook)
+					}
 				}
 			}
 		}

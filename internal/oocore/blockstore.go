@@ -60,10 +60,11 @@ const (
 // a batch), which the engine no longer writes. A Store is
 // single-goroutine, like the engine above it.
 type Store struct {
-	dir string
-	fs  chaos.FS
-	enc []byte // reused frame-assembly buffer for every write path
-	pay []byte // reused payload buffer (must not alias enc)
+	dir   string
+	fs    chaos.FS
+	nodes int    // bound on loaded node IDs: the run's n, or graph.MaxNodes
+	enc   []byte // reused frame-assembly buffer for every write path
+	pay   []byte // reused payload buffer (must not alias enc)
 }
 
 // NewStore returns a Store rooted at dir, which must already exist,
@@ -73,10 +74,9 @@ func NewStore(dir string) *Store { return NewStoreFS(dir, chaos.OS{}) }
 // NewStoreFS returns a Store rooted at dir whose I/O goes through fs —
 // the seam chaos tests use to inject short writes, EIO, and
 // crash-at-byte-N kill points.
-func NewStoreFS(dir string, fs chaos.FS) *Store { return &Store{dir: dir, fs: fs} }
-
-// Dir returns the spill directory this store writes under.
-func (st *Store) Dir() string { return st.dir }
+func NewStoreFS(dir string, fs chaos.FS) *Store {
+	return &Store{dir: dir, fs: fs, nodes: graph.MaxNodes}
+}
 
 func (st *Store) blockPath(id int) string {
 	return filepath.Join(st.dir, fmt.Sprintf("block-%06d.blk", id))
@@ -176,10 +176,10 @@ func (st *Store) writeBlock(id, lo, hi int, row func(u int) []int) (int64, error
 // LoadBlock reads and verifies block id, returning its first owned
 // global ID, zero-based offsets, and concatenated neighbor array, plus
 // the bytes read. Verification covers the magic, the embedded block ID,
-// the CRC32, and the CSR decode itself, with node IDs bounded by
-// graph.MaxNodes.
+// the CRC32, and the CSR decode itself, with node IDs bounded by the
+// run's node count in an engine's store (graph.MaxNodes in any other).
 func (st *Store) LoadBlock(id int) (first int, off, flat []int, bytes int64, err error) {
-	return st.loadBlock(id, graph.MaxNodes, nil)
+	return st.loadBlock(id, st.nodes, nil)
 }
 
 // loadBlock is LoadBlock for a block of a graph of n nodes, decoding
@@ -203,8 +203,8 @@ func (st *Store) loadBlock(id, n int, buf func(offs, arcs int) (off, flat []int)
 
 // WriteCheckpoint persists a batch of (global ID, estimate) pairs as
 // block id's checkpoint file, replacing any previous one, and returns
-// the bytes written. The batch is sorted in place by node ID (the batch
-// wire form's requirement). The engine no longer calls it: its
+// the bytes written. A batch out of node order is sorted in place (the
+// batch wire form's requirement). The engine no longer calls it: its
 // estimates stay resident and are never persisted.
 func (st *Store) WriteCheckpoint(id int, ckpt core.Batch) (int64, error) {
 	st.pay = transport.AppendBatch(st.pay[:0], ckpt)
@@ -262,9 +262,9 @@ func (st *Store) BlockStoreBytes() (int64, error) {
 // Sweep is the startup recovery pass over the spill directory: stray
 // .tmp files (a crash between write and rename) are deleted, and every
 // .blk and .est file is verified end to end — frame header, checksum,
-// and payload decode. Torn files are quarantined under a .torn suffix
-// so later loads see a clean miss instead of reading garbage. It
-// returns the quarantined file names.
+// and payload decode, rows bounded as LoadBlock bounds them. Torn files
+// are quarantined under a .torn suffix so later loads see a clean miss
+// instead of reading garbage. It returns the quarantined file names.
 func (st *Store) Sweep() ([]string, error) {
 	entries, err := st.fs.ReadDir(st.dir)
 	if err != nil {

@@ -146,6 +146,7 @@ func newEngine(g *graph.Graph, blockSize int, store *Store, budget int64) *engin
 	per := min(blockSize, n)
 	blocks := (n + per - 1) / per
 	stats := &CacheStats{}
+	store.nodes = n
 	return &engine{
 		per:         per,
 		blocks:      blocks,

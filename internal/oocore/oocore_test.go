@@ -323,3 +323,30 @@ func TestLoadRejectsNeighborPastN(t *testing.T) {
 		t.Fatalf("load of an intact block: %v", err)
 	}
 }
+
+// TestSweepQuarantinesNeighborPastN: an engine's store bounds a block's
+// rows by the run's node count, so the start-up sweep quarantines a
+// block whose frame and checksum are valid but whose row names a node
+// outside the graph, and leaves the intact ones.
+func TestSweepQuarantinesNeighborPastN(t *testing.T) {
+	g := gen.GNM(100, 300, 1)
+	const per = 32
+	e := newEngine(g, per, NewStoreFS(t.TempDir(), chaos.OS{}), 1)
+	if err := e.spill(context.Background(), g); err != nil {
+		t.Fatal(err)
+	}
+	off := make([]int, per+1)
+	for i := 1; i <= per; i++ {
+		off[i] = 1
+	}
+	if _, err := e.store.WriteBlock(1, per, per, off, []int{g.NumNodes()}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := e.store.Sweep()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"block-000001.blk"}; !slices.Equal(got, want) {
+		t.Fatalf("sweep quarantined %q, want %q", got, want)
+	}
+}

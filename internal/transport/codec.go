@@ -16,19 +16,21 @@ import (
 // paths that can tolerate in-place reordering and want to reuse an
 // output buffer use AppendBatch instead.
 func EncodeBatch(batch core.Batch) []byte {
-	sorted := make(core.Batch, len(batch))
-	copy(sorted, batch)
-	return AppendBatch(make([]byte, 0, 2+5*len(sorted)), sorted)
+	return AppendBatch(make([]byte, 0, 2+5*len(batch)), slices.Clone(batch))
 }
 
-// AppendBatch is the allocation-free EncodeBatch: it sorts batch in
-// place (batch order is not semantic, but callers sharing the slice must
-// tolerate the reorder) and appends the encoding to buf, growing it only
-// when capacity runs out. Per-round senders pass a retained buffer
-// truncated to zero length, so steady-state encoding costs no
-// allocations once the buffer has warmed to the largest batch.
+// AppendBatch is the allocation-free EncodeBatch: it appends the
+// encoding to buf, growing it only when capacity runs out. A batch in
+// ascending node order, as HostState collects them, is not reordered;
+// any other is sorted in place (batch order is not semantic, but callers
+// sharing the slice must tolerate the reorder). Per-round senders pass a
+// retained buffer truncated to zero length, so steady-state encoding
+// costs no allocations once the buffer has warmed to the largest batch.
 func AppendBatch(buf []byte, batch core.Batch) []byte {
-	slices.SortFunc(batch, func(a, b core.EstimateMsg) int { return cmp.Compare(a.Node, b.Node) })
+	byNode := func(a, b core.EstimateMsg) int { return cmp.Compare(a.Node, b.Node) }
+	if !slices.IsSortedFunc(batch, byNode) {
+		slices.SortFunc(batch, byNode)
+	}
 	buf = binary.AppendUvarint(buf, uint64(len(batch)))
 	prev := 0
 	for _, m := range batch {

@@ -2,6 +2,9 @@ package dkcore_test
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"dkcore"
@@ -91,6 +94,46 @@ func TestClusterMatchesOneToMany(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestOneToManyGoldenCounts pins the one-to-many protocol's counts on
+// the whole scenario pool to testdata/onetomany_counts.txt: for the
+// paper's modulo placement and for block placement, at 2, 4 and 16
+// hosts, under broadcast and point-to-point shipping, the rounds to
+// quiescence, the estimates sent and the messages sent. A change to how
+// a host computes (its build, its cascade order, its batch order) must
+// leave every row as it is; a mismatch prints the row the run produced.
+// A row reads: graph, placement, hosts, policy (1 broadcast, 2
+// point-to-point), rounds, estimates sent, messages sent.
+func TestOneToManyGoldenCounts(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "onetomany_counts.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := strings.Split(strings.TrimSuffix(string(want), "\n"), "\n")
+	var got []string
+	for _, tc := range scenarioGraphs() {
+		for _, hosts := range []int{2, 4, 16} {
+			for _, assign := range []dkcore.Assignment{
+				dkcore.ModuloAssignment{H: hosts},
+				dkcore.BlockAssignment{N: tc.g.NumNodes(), H: hosts},
+			} {
+				for _, policy := range []dkcore.Dissemination{dkcore.Broadcast, dkcore.PointToPoint} {
+					rep := runEngine(t, tc.g, dkcore.OneToMany, dkcore.PartitionBy(assign), dkcore.DisseminationPolicy(policy))
+					got = append(got, fmt.Sprintf("%s %T %d %d %d %d %d", tc.name, assign, hosts, policy,
+						rep.Rounds, rep.EstimatesSent, rep.TotalMessages))
+				}
+			}
+		}
+	}
+	if len(got) != len(rows) {
+		t.Fatalf("%d runs, table has %d rows", len(got), len(rows))
+	}
+	for i := range got {
+		if got[i] != rows[i] {
+			t.Errorf("row %d: got %q, table %q", i+1, got[i], rows[i])
+		}
 	}
 }
 
