@@ -92,7 +92,7 @@ type HostState struct {
 
 	// The worklist, owned locals bucketed by estimate at enqueue: qhead[k]
 	// is 1 + the last pushed at key k, qnext[l] 1 + the one pushed before
-	// l (0 ends both), and qmin <= the lowest key (the top when drained).
+	// l (0 ends both), and qmin <= the lowest key (Improve leaves it top).
 	qhead   []int32
 	qnext   []int32
 	qmin    int32
