@@ -151,6 +151,27 @@ func NewHostState[E int | int32](selfID, numNodes int, owned, off, flat []E, own
 			s.lo, s.hi = int(owned[0]), int(owned[0])+nOwned
 		}
 	}
+	// Only arcs that leave the owned range can name an external or list
+	// a border host, so their count bounds both; without a range, every
+	// arc might. Externals are also bounded by the rest of the graph.
+	cross := totalDeg
+	if s.hi > s.lo {
+		cross = 0
+		for _, e := range flat[off[0]:off[nOwned]] {
+			if uint(int(e)-s.lo) >= uint(nOwned) {
+				cross++
+			}
+		}
+	}
+	extCap := cross
+	if rest := numNodes - nOwned; rest >= 0 && rest < extCap {
+		extCap = rest
+	}
+	s.nodes = make([]int, nOwned, nOwned+extCap)
+	for l, u := range owned {
+		s.nodes[l] = int(u)
+	}
+	s.owned = s.nodes[:nOwned:nOwned]
 
 	// Global→local translation: a dense table when the graph is at most
 	// a constant factor larger than the partition (one array read per
@@ -162,7 +183,7 @@ func NewHostState[E int | int32](selfID, numNodes int, owned, off, flat []E, own
 	if numNodes <= denseFactor*(nOwned+totalDeg+1) {
 		s.loc = make([]int32, numNodes)
 	} else {
-		s.local = make(map[int]int)
+		s.local = make(map[int]int, nOwned+extCap)
 	}
 	if s.hi == s.lo {
 		for l, u := range owned {
@@ -172,16 +193,17 @@ func NewHostState[E int | int32](selfID, numNodes int, owned, off, flat []E, own
 
 	// One pass over the arcs builds the local adjacency and each owned
 	// node's border hosts. Owned nodes take the first local indices and
-	// externals follow as the scan discovers them: ext[i] is external
-	// local nOwned+i, and owner is asked once for its host extHost[i];
-	// arcs to owned locals never cross a border. stamp[h] is 1 + the
-	// last owned local that listed host h, so a host is listed at most
-	// once per node in O(1) per arc, into an arena grown as it goes.
+	// externals are appended as the scan discovers them; owner is asked
+	// once per external (extHost[i] is the host of external local
+	// nOwned+i), and arcs to owned locals never cross a border. stamp[h]
+	// is 1 + the last owned local that listed host h, so a host is
+	// listed at most once per node in O(1) per arc, into an arena sized
+	// for one host per crossing arc so the scan never reallocates.
 	s.adjOff = make([]int32, nOwned+1)
 	s.adjFlat = make([]int32, totalDeg)
 	s.borderOff = make([]int32, nOwned+1)
-	var border, extHost []int32
-	var ext []int
+	border := make([]int32, 0, cross)
+	extHost := make([]int32, 0, extCap)
 	stamp := make([]int32, 64)
 	nHosts, pos, maxDeg := 0, int32(0), 0
 	for lu := range owned {
@@ -192,8 +214,8 @@ func NewHostState[E int | int32](selfID, numNodes int, owned, off, flat []E, own
 			v := int(e)
 			lv, ok := s.lookup(v)
 			if !ok {
-				lv = nOwned + len(ext)
-				ext = append(ext, v)
+				lv = len(s.nodes)
+				s.nodes = append(s.nodes, v)
 				s.track(v, lv)
 				hv := owner(v)
 				if hv >= len(stamp) {
@@ -224,7 +246,8 @@ func NewHostState[E int | int32](selfID, numNodes int, owned, off, flat []E, own
 
 	// Walking the stamps in host order yields the sorted neighborHosts;
 	// the stamp table then becomes the host → position map that
-	// rewrites the arena in place.
+	// rewrites the arena in place. An arena mostly left empty (a node's
+	// crossing arcs often share a host) is copied down to size.
 	if nHosts > 0 {
 		s.neighborHosts = make([]int, 0, nHosts)
 		for h, st := range stamp {
@@ -236,15 +259,12 @@ func NewHostState[E int | int32](selfID, numNodes int, owned, off, flat []E, own
 		for i, h := range border {
 			border[i] = stamp[h]
 		}
+		if 2*len(border) < cap(border) {
+			border = slices.Clone(border)
+		}
 		s.border = border
 	}
 
-	s.nodes = make([]int, nOwned, nOwned+len(ext))
-	for l, u := range owned {
-		s.nodes[l] = int(u)
-	}
-	s.nodes = append(s.nodes, ext...)
-	s.owned = s.nodes[:nOwned:nOwned]
 	n := len(s.nodes)
 	// Reverse adjacency of externals, flattened by counting sort: count
 	// each external's owned-neighbor degree, prefix-sum to the list ends,
@@ -567,7 +587,8 @@ func (s *HostState) CollectBroadcast() Batch {
 	}
 	s.bcastFlip ^= 1
 	batch := s.bcast[s.bcastFlip][:0]
-	for _, l := range s.sortChanged() {
+	slices.Sort(s.changedList) // by local, hence by node
+	for _, l := range s.changedList {
 		batch = append(batch, EstimateMsg{Node: s.nodes[l], Core: int(s.est[l])})
 	}
 	s.bcast[s.bcastFlip] = batch
@@ -599,7 +620,8 @@ func (s *HostState) CollectPointToPoint() map[int]Batch {
 	for i := range bufs {
 		bufs[i] = bufs[i][:0]
 	}
-	for _, l := range s.sortChanged() {
+	slices.Sort(s.changedList) // by local, hence by node
+	for _, l := range s.changedList {
 		msg := EstimateMsg{Node: s.nodes[l], Core: int(s.est[l])}
 		for _, p := range s.border[s.borderOff[l]:s.borderOff[l+1]] {
 			bufs[p] = append(bufs[p], msg)
@@ -614,25 +636,6 @@ func (s *HostState) CollectPointToPoint() map[int]Batch {
 		}
 	}
 	return out
-}
-
-// sortChanged orders the changed list by local, hence by node, so that
-// batches leave sorted: a sparse list is sorted, a dense one (an eighth
-// of the owned nodes or more) read back off the flags in one scan.
-//
-//dkcore:noalloc per-collection ordering of retained state
-func (s *HostState) sortChanged() []int32 {
-	if 8*len(s.changedList) < len(s.changed) {
-		slices.Sort(s.changedList)
-		return s.changedList
-	}
-	s.changedList = s.changedList[:0]
-	for l, c := range s.changed {
-		if c {
-			s.changedList = append(s.changedList, int32(l))
-		}
-	}
-	return s.changedList
 }
 
 //dkcore:noalloc per-collection reset of retained state

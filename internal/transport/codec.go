@@ -20,17 +20,14 @@ func EncodeBatch(batch core.Batch) []byte {
 }
 
 // AppendBatch is the allocation-free EncodeBatch: it appends the
-// encoding to buf, growing it only when capacity runs out. A batch in
-// ascending node order, as HostState collects them, is not reordered;
-// any other is sorted in place (batch order is not semantic, but callers
-// sharing the slice must tolerate the reorder). Per-round senders pass a
-// retained buffer truncated to zero length, so steady-state encoding
-// costs no allocations once the buffer has warmed to the largest batch.
+// encoding to buf, growing it only when capacity runs out. The batch is
+// sorted in place (batch order is not semantic, but callers sharing the
+// slice must tolerate the reorder); a sorted one, as HostState collects
+// them, costs one linear pass. Per-round senders pass a retained buffer
+// truncated to zero length, so steady-state encoding costs no
+// allocations once the buffer has warmed to the largest batch.
 func AppendBatch(buf []byte, batch core.Batch) []byte {
-	byNode := func(a, b core.EstimateMsg) int { return cmp.Compare(a.Node, b.Node) }
-	if !slices.IsSortedFunc(batch, byNode) {
-		slices.SortFunc(batch, byNode)
-	}
+	slices.SortFunc(batch, func(a, b core.EstimateMsg) int { return cmp.Compare(a.Node, b.Node) })
 	buf = binary.AppendUvarint(buf, uint64(len(batch)))
 	prev := 0
 	for _, m := range batch {
