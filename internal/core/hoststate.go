@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math/bits"
 	"slices"
 
 	"dkcore/internal/kcore"
@@ -87,8 +88,8 @@ type HostState struct {
 	woken     []int32
 	walked    int64 // adjacency entries Refine scanned: the cascade's work
 
-	changed     []bool  // owned local marked since last collection
-	changedList []int32 // the marked locals; sized for all of them
+	changed  []uint64 // bit l: owned local l marked since last collection
+	nChanged int      // the bits set
 
 	// The worklist, owned locals bucketed by estimate at enqueue: qhead[k]
 	// is 1 + the last pushed at key k, qnext[l] 1 + the one pushed before
@@ -144,22 +145,19 @@ func (s *HostState) degreeOf(l int) int { return int(s.adjOff[l+1] - s.adjOff[l]
 func NewHostState[E int | int32](selfID, numNodes int, owned, off, flat []E, owner func(node int) int) *HostState {
 	s := &HostState{}
 	nOwned := len(owned)
-	totalDeg := 0
-	if nOwned > 0 {
-		totalDeg = int(off[nOwned] - off[0])
-		if int(owned[nOwned-1]-owned[0]) == nOwned-1 {
-			s.lo, s.hi = int(owned[0]), int(owned[0])+nOwned
-		}
-	}
 	// Only arcs that leave the owned range can name an external or list
 	// a border host, so their count bounds both; without a range, every
 	// arc might. Externals are also bounded by the rest of the graph.
-	cross := totalDeg
-	if s.hi > s.lo {
-		cross = 0
-		for _, e := range flat[off[0]:off[nOwned]] {
-			if uint(int(e)-s.lo) >= uint(nOwned) {
-				cross++
+	totalDeg, cross := 0, 0
+	if nOwned > 0 {
+		totalDeg = int(off[nOwned] - off[0])
+		cross = totalDeg
+		if int(owned[nOwned-1]-owned[0]) == nOwned-1 {
+			s.lo, s.hi, cross = int(owned[0]), int(owned[0])+nOwned, 0
+			for _, e := range flat[off[0]:off[nOwned]] {
+				if uint(int(e)-s.lo) >= uint(nOwned) {
+					cross++
+				}
 			}
 		}
 	}
@@ -298,8 +296,7 @@ func NewHostState[E int | int32](selfID, numNodes int, owned, off, flat []E, own
 	s.qnext = arena[3*nOwned : 4*nOwned : 4*nOwned]
 	s.bins = arena[4*nOwned : 4*nOwned+maxDeg+1 : 4*nOwned+maxDeg+1]
 	s.qhead = arena[4*nOwned+maxDeg+1:]
-	s.changed = make([]bool, nOwned)
-	s.changedList = make([]int32, 0, nOwned)
+	s.changed = make([]uint64, (nOwned+63)/64)
 	s.inQueue = make([]bool, nOwned)
 	// The double-buffered collection storage (ptpBufs/ptpOut) is
 	// allocated on first collect: paying for it here would put an
@@ -558,20 +555,20 @@ func (s *HostState) dequeue() int {
 	return int(l)
 }
 
-//dkcore:noalloc changed-set push; append reuses the retained list buffer
+//dkcore:noalloc changed-set push into the retained bitset
 func (s *HostState) markChanged(l int) {
-	if !s.changed[l] {
-		s.changed[l] = true
-		s.changedList = append(s.changedList, int32(l))
+	if w, b := l>>6, uint64(1)<<(l&63); s.changed[w]&b == 0 {
+		s.changed[w] |= b
+		s.nChanged++
 	}
 }
 
 // HasChanges reports whether any owned estimate awaits shipping.
-func (s *HostState) HasChanges() bool { return len(s.changedList) > 0 }
+func (s *HostState) HasChanges() bool { return s.nChanged > 0 }
 
 // ChangedCount returns the number of owned estimates changed since the
 // last collection.
-func (s *HostState) ChangedCount() int { return len(s.changedList) }
+func (s *HostState) ChangedCount() int { return s.nChanged }
 
 // CollectBroadcast returns one batch with every changed owned estimate, in
 // ascending node order, and clears the changed set (the §3.2.1 broadcast
@@ -582,14 +579,16 @@ func (s *HostState) ChangedCount() int { return len(s.changedList) }
 //
 //dkcore:noalloc steady-state collection, double-buffered (TestRefineSteadyStateAllocs)
 func (s *HostState) CollectBroadcast() Batch {
-	if len(s.changedList) == 0 {
+	if s.nChanged == 0 {
 		return nil
 	}
 	s.bcastFlip ^= 1
 	batch := s.bcast[s.bcastFlip][:0]
-	slices.Sort(s.changedList) // by local, hence by node
-	for _, l := range s.changedList {
-		batch = append(batch, EstimateMsg{Node: s.nodes[l], Core: int(s.est[l])})
+	for w, word := range s.changed { // ascending locals, hence nodes
+		for ; word != 0; word &= word - 1 {
+			l := w<<6 | bits.TrailingZeros64(word)
+			batch = append(batch, EstimateMsg{Node: s.nodes[l], Core: int(s.est[l])})
+		}
 	}
 	s.bcast[s.bcastFlip] = batch
 	s.clearChanged()
@@ -605,7 +604,7 @@ func (s *HostState) CollectBroadcast() Batch {
 //
 //dkcore:noalloc steady-state collection, double-buffered (TestRefineSteadyStateAllocs)
 func (s *HostState) CollectPointToPoint() map[int]Batch {
-	if len(s.changedList) == 0 || len(s.neighborHosts) == 0 {
+	if s.nChanged == 0 || len(s.neighborHosts) == 0 {
 		s.clearChanged()
 		return nil
 	}
@@ -620,11 +619,13 @@ func (s *HostState) CollectPointToPoint() map[int]Batch {
 	for i := range bufs {
 		bufs[i] = bufs[i][:0]
 	}
-	slices.Sort(s.changedList) // by local, hence by node
-	for _, l := range s.changedList {
-		msg := EstimateMsg{Node: s.nodes[l], Core: int(s.est[l])}
-		for _, p := range s.border[s.borderOff[l]:s.borderOff[l+1]] {
-			bufs[p] = append(bufs[p], msg)
+	for w, word := range s.changed { // ascending locals, hence nodes
+		for ; word != 0; word &= word - 1 {
+			l := w<<6 | bits.TrailingZeros64(word)
+			msg := EstimateMsg{Node: s.nodes[l], Core: int(s.est[l])}
+			for _, p := range s.border[s.borderOff[l]:s.borderOff[l+1]] {
+				bufs[p] = append(bufs[p], msg)
+			}
 		}
 	}
 	s.clearChanged()
@@ -640,10 +641,8 @@ func (s *HostState) CollectPointToPoint() map[int]Batch {
 
 //dkcore:noalloc per-collection reset of retained state
 func (s *HostState) clearChanged() {
-	for _, l := range s.changedList {
-		s.changed[l] = false
-	}
-	s.changedList = s.changedList[:0]
+	clear(s.changed)
+	s.nChanged = 0
 }
 
 // Estimate returns the current estimate for node u if this host tracks it
